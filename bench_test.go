@@ -277,7 +277,7 @@ func BenchmarkGolcPerLockRuntime64Locks(b *testing.B) { benchManyLocks(b, false)
 
 // benchAdversarialHandoff is the stranded-lock scenario measured
 // precisely: a constant LoadFunc stands in for a hot lock's spinners
-// (keeping the sleep target high with no census noise), the cold
+// (keeping the sleep target high with no sensor noise), the cold
 // lock's only waiter parks, and each iteration times one
 // unlock-to-reacquire handoff. With the unlock-side wake the handoff
 // is microseconds; with it disabled (the timeout-only original
@@ -285,7 +285,6 @@ func BenchmarkGolcPerLockRuntime64Locks(b *testing.B) { benchManyLocks(b, false)
 func benchAdversarialHandoff(b *testing.B, disableWake bool) {
 	rt := lcrt.New(lcrt.Options{
 		Interval:          time.Millisecond,
-		SpinBeforePark:    64,
 		LoadFunc:          func() int { return 64 },
 		DisableUnlockWake: disableWake,
 	})

@@ -10,12 +10,12 @@
 // for comparison.
 //
 // The -adversarial flag runs the unlock-side-wake scenario instead:
-// one hot lock's spinners keep the global sleep target high while a
-// second (cold) lock's waiters all park; the tool measures the
-// unlock-to-reacquire handoff latency of the cold lock. With the
-// unlock-side wake (default) the handoff is microseconds; with -nowake
-// (the paper's original timeout-only design) the cold lock sits free
-// until the 100ms safety timeout.
+// one hot lock's waiters (more than there are Ps) keep the global
+// sleep target high while a second (cold) lock's waiters all park; the
+// tool measures the unlock-to-reacquire handoff latency of the cold
+// lock. With the unlock-side wake (default) the handoff is
+// microseconds; with -nowake (the paper's original timeout-only design)
+// the cold lock sits free until the 100ms safety timeout.
 //
 // The -oltp flag runs a transactional workload from internal/oltp
 // instead: a hierarchical lock manager and strict-2PL transactions
@@ -513,7 +513,7 @@ func checkBlameCapture() {
 // acquisition.
 func runAdversarial(hotWorkers int, duration time.Duration, noWake bool) {
 	const coldWaiters = 2
-	rt := lcrt.New(lcrt.Options{SpinBeforePark: 512, DisableUnlockWake: noWake})
+	rt := lcrt.New(lcrt.Options{DisableUnlockWake: noWake})
 	rt.Start()
 	hot := golc.NewNamedMutex(rt, "hot")
 	cold := golc.NewNamedMutex(rt, "cold")
@@ -580,8 +580,8 @@ func runAdversarial(hotWorkers int, duration time.Duration, noWake bool) {
 		default:
 		}
 		cold.Lock()
-		// Hold long enough for the cold waiters to blow through the
-		// park threshold and claim sleep slots.
+		// Hold long enough for the cold waiters to finish their grace
+		// spin and claim sleep slots.
 		//lint:allow heldcall the convoy is the point: this benchmark manufactures a long hold to drive waiters into the parked regime
 		time.Sleep(5 * time.Millisecond)
 		relNs.Store(int64(time.Since(t0)))

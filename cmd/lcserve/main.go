@@ -697,7 +697,7 @@ func writeProm(w io.Writer, store *kv.Store, db *oltp.DB, walLog *wal.Log, rt *l
 	pw := obs.NewPromWriter(w)
 	snap := rt.Snapshot()
 
-	pw.Counter("golc_controller_updates_total", "Controller census ticks.", nil, snap.Updates)
+	pw.Counter("golc_controller_updates_total", "Controller ticks.", nil, snap.Updates)
 	pw.Counter("golc_claims_total", "Sleep-slot claims (parks).", nil, snap.Claims)
 	pw.Counter("golc_forced_claims_total", "Unconditional parks (blocking policies).", nil, snap.ForcedClaims)
 	wakes := []obs.Label{{Key: "kind", Value: "controller"}}
@@ -711,7 +711,7 @@ func writeProm(w io.Writer, store *kv.Store, db *oltp.DB, walLog *wal.Log, rt *l
 	pw.Counter("golc_slot_rejects_total", "Claims refused because no sleep slot was free.", nil, snap.SlotRejects)
 	pw.Gauge("golc_spinners", "Waiters spinning now.", nil, float64(snap.Spinners))
 	pw.Gauge("golc_sleeping", "Waiters parked now.", nil, float64(snap.Sleeping))
-	pw.Gauge("golc_spin_target", "Controller spinner target T.", nil, float64(snap.Target))
+	pw.Gauge("golc_spin_target", "Controller sleep target T.", nil, float64(snap.Target))
 	pw.Gauge("golc_locks_registered", "Locks registered with the runtime.", nil, float64(snap.LocksRegistered))
 
 	pw.Histogram("golc_wait_seconds", "Lock acquisition wait time (first failed acquire to grant), all locks.", nil, snap.WaitHist)

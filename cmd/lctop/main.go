@@ -75,6 +75,10 @@ type runtimeSnap struct {
 	Sleeping        int    `json:"Sleeping"`
 	Target          int    `json:"Target"`
 	LocksRegistered int    `json:"LocksRegistered"`
+	// The last controller tick's inputs: why Target is what it is.
+	RunQueue float64 `json:"RunQueue"`
+	OSExcess int     `json:"OSExcess"`
+	Load     int     `json:"Load"`
 }
 
 type historyDoc struct {
@@ -175,8 +179,8 @@ func render(client *http.Client, base string, topLocks, topBlame int) (string, e
 	rt := stats.Runtime
 	fmt.Fprintf(&b, "lctop — %s  |  %s  |  %d shards, %d keys, %s latches\n",
 		base, time.Now().Format("15:04:05"), stats.Shards, stats.Keys, stats.LatchPolicy)
-	fmt.Fprintf(&b, "runtime: target=%d spinners=%d sleeping=%d locks=%d  wakes[ctl=%d unlock=%d timeout=%d]  sampling[hold=1/%d event=1/%d blame=1/%d]\n",
-		rt.Target, rt.Spinners, rt.Sleeping, rt.LocksRegistered,
+	fmt.Fprintf(&b, "runtime: target=%d load=%d (runq=%.1f os=%+d) sleeping=%d spinners=%d locks=%d  wakes[ctl=%d unlock=%d timeout=%d]  sampling[hold=1/%d event=1/%d blame=1/%d]\n",
+		rt.Target, rt.Load, rt.RunQueue, rt.OSExcess, rt.Sleeping, rt.Spinners, rt.LocksRegistered,
 		rt.ControllerWakes, rt.UnlockWakes, rt.TimeoutWakes,
 		stats.Sampling.Hold, stats.Sampling.Event, stats.Sampling.Blame)
 	if w := stats.Wal; w != nil {

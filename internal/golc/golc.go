@@ -5,12 +5,12 @@
 // The locks themselves are thin: ONE TATAS mutex (Mutex) and ONE
 // writer-preferring reader/writer variant (RWMutex), each parameterized
 // by a swappable ContentionPolicy that owns the entire wait side —
-// spin cadence, spin-then-park threshold, slot-pool parking, context
-// cancellation. The built-in policies are Spin (uncontrolled
-// baseline), Block (spin-then-block on the shared slot pool), and
-// LoadControlled (the paper's protocol: spinners interleave slot-
-// buffer checks into their spin loops and park when the controller
-// says the system is oversubscribed). Policies are selected by value
+// spin cadence, grace spin, slot-pool parking, context cancellation.
+// The built-in policies are Spin (uncontrolled baseline), Block
+// (spin-then-block on the shared slot pool), and LoadControlled (the
+// paper's protocol: spinners interleave slot-buffer checks into their
+// spin loops and park when the controller says the system is
+// oversubscribed). Policies are selected by value
 // (golc.New(name, golc.WithPolicy(golc.Spin))), by registry name
 // (PolicyByName), and hot-swapped on live locks (SetPolicy). All
 // release paths wake a parked waiter when no spinner remains
@@ -24,16 +24,16 @@
 // Runtime at construction and receive a Handle carrying the protocol
 // and per-lock metrics.
 //
-// The adaptation and its honest limits: the paper's controller reads
-// the OS's runnable-thread count via microstate accounting, but the Go
-// runtime does not expose a runnable-goroutine count, and goroutines
-// are multiplexed over OS threads the library cannot see. The default
-// sensor therefore uses the observable core of the paper's insight:
-// spinning waiters are, by definition, not making progress, so when
-// spinners accumulate across the process the system is oversubscribed
-// and all but a few should block. A custom runtime LoadFunc can supply
-// a real load signal where one exists (e.g., exported scheduler metrics
-// or an application-level admission counter).
+// The adaptation: the paper's controller compares the OS's runnable
+// threads with the hardware contexts, read via microstate accounting.
+// A Go program is scheduled at two levels, so the sensor reads both:
+// goroutines runnable but waiting for a P (Little's law over the Go
+// scheduler's latency histogram in runtime/metrics — a 1-in-8 sampled
+// signal) plus OS threads runnable beyond the CPUs (/proc/loadavg; 0
+// where there is none). That load plus the waiters already asleep is
+// the sleep target: with no excess load lc is a spinlock, under load
+// it parks as promptly as Block but only as many waiters as the load
+// calls for. A runtime LoadFunc replaces the sensor in tests.
 package golc
 
 import (

@@ -91,11 +91,10 @@ func TestNilRuntimeUsesDefault(t *testing.T) {
 }
 
 func TestRuntimeClaimsUnderOversubscription(t *testing.T) {
-	// Many more spinning goroutines than procs, short controller
-	// interval, and a park threshold low enough that short convoys
-	// qualify: claims must happen, and the lock's own counters must
-	// see them.
-	rt := newTestRuntime(t, lcrt.Options{Interval: 500 * time.Microsecond, SpinBeforePark: 64})
+	// Many more contending goroutines than procs and the default
+	// sensor: the run queue it measures is real excess load, so claims
+	// must happen, and the lock's own counters must see them.
+	rt := newTestRuntime(t, lcrt.Options{Interval: 500 * time.Microsecond})
 	mu := NewNamedMutex(rt, "hot")
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -315,10 +314,9 @@ func TestRWMutexMisuse(t *testing.T) {
 // intervals, not the timeout.
 func TestUnlockWakesParkedWaiter(t *testing.T) {
 	rt := newTestRuntime(t, lcrt.Options{
-		Interval:       time.Millisecond,
-		SleepTimeout:   10 * time.Second, // a timeout wake would blow the latency assert
-		SpinBeforePark: 64,
-		LoadFunc:       func() int { return 8 }, // hot "other locks" keep T high forever
+		Interval:     time.Millisecond,
+		SleepTimeout: 10 * time.Second,        // a timeout wake would blow the latency assert
+		LoadFunc:     func() int { return 8 }, // hot "other locks" keep T high forever
 	})
 	mu := NewMutex(rt)
 	mu.Lock()
@@ -359,10 +357,9 @@ func TestUnlockWakesParkedWaiter(t *testing.T) {
 // read hold must wake a parked writer the same way.
 func TestRUnlockWakesParkedWriter(t *testing.T) {
 	rt := newTestRuntime(t, lcrt.Options{
-		Interval:       time.Millisecond,
-		SleepTimeout:   10 * time.Second,
-		SpinBeforePark: 64,
-		LoadFunc:       func() int { return 8 },
+		Interval:     time.Millisecond,
+		SleepTimeout: 10 * time.Second,
+		LoadFunc:     func() int { return 8 },
 	})
 	mu := NewRWMutex(rt)
 	mu.RLock()
@@ -396,10 +393,9 @@ func TestRUnlockWakesParkedWriter(t *testing.T) {
 // a TimeoutWakes count.
 func TestRWMutexNoStrandOnWriterParkCommit(t *testing.T) {
 	rt := newTestRuntime(t, lcrt.Options{
-		Interval:       time.Millisecond,
-		SleepTimeout:   5 * time.Second,
-		SpinBeforePark: 64,
-		LoadFunc:       func() int { return 16 },
+		Interval:     time.Millisecond,
+		SleepTimeout: 5 * time.Second,
+		LoadFunc:     func() int { return 16 },
 	})
 	mu := NewRWMutex(rt)
 	var wg sync.WaitGroup
@@ -433,20 +429,20 @@ func TestRWMutexNoStrandOnWriterParkCommit(t *testing.T) {
 }
 
 // TestAdversarialTwoLocks is the paper-failure-mode scenario run with
-// real spinners (no LoadFunc): one hot lock's spinners keep the global
-// target high while a second lock's waiters all park; releasing the
-// second lock must hand it off via the unlock-side wake long before
-// the safety timeout. Kept short so CI runs it in -short mode too.
+// real load (no LoadFunc): one hot lock's oversubscribed waiters keep
+// the measured load, and so the global target, above zero while a
+// second lock's waiter parks; releasing the second lock must hand it
+// off via the unlock-side wake long before the safety timeout. Kept
+// short so CI runs it in -short mode too.
 func TestAdversarialTwoLocks(t *testing.T) {
 	rt := newTestRuntime(t, lcrt.Options{
-		Interval:       time.Millisecond,
-		SleepTimeout:   10 * time.Second,
-		SpinBeforePark: 64,
+		Interval:     time.Millisecond,
+		SleepTimeout: 10 * time.Second,
 	})
 	hot := NewNamedMutex(rt, "hot")
 	cold := NewNamedMutex(rt, "cold")
 
-	// Hot lock: spinners that never park (they hold the lock in turn,
+	// Hot lock: more contenders than Ps (they hold the lock in turn,
 	// with a critical section long enough that waiters accumulate).
 	stop := make(chan struct{})
 	var wg sync.WaitGroup

@@ -17,7 +17,7 @@ const (
 	EvForcedClaim                     // an unconditional park claim — blocking policies (Name: lock)
 	EvCtxCancel                       // a wait abandoned by context cancellation (Name: lock)
 	EvPolicySwap                      // a lock's contention policy was hot-swapped (Name: lock, Label: new policy)
-	EvControllerTick                  // one controller update (Arg: published sleep target)
+	EvControllerTick                  // one controller update (Arg: raw sleep target, Label: its inputs "runq=… os=… load=… sleeping=…")
 
 	// OLTP transaction-lifecycle events (Arg: transaction id).
 	EvTxnBlock       // a lock request queued behind a conflict (Name: resource)

@@ -80,19 +80,24 @@ type Acquire struct {
 //     resolve in well under it), then an unconditional sleep-slot
 //     claim, relying on the unlock-side wake for handoff. This is the
 //     classic spin-then-block lock, built from the same slot pool.
-//   - LoadControlled parks when told to: waiters spin to the runtime's
-//     park threshold and then follow the controller's sleep target —
-//     the paper's augmented-spinlock client protocol (§3.1.2).
+//   - LoadControlled parks when told to: the same grace spin, then
+//     waiters claim against the controller's sleep target — the
+//     paper's augmented-spinlock client protocol (§3.1.2). With no
+//     excess load the target is zero and it is Spin; under load it
+//     parks as promptly as Block, but only as many waiters as the
+//     load calls for.
 var (
 	Spin           ContentionPolicy = spinPolicy{}
 	Block          ContentionPolicy = blockPolicy{}
 	LoadControlled ContentionPolicy = lcPolicy{}
 )
 
-// blockGraceSpins is Block's grace spin before its first park: long
-// enough that a briefly-held latch hands off without a sleep, short
-// enough that real convoys deschedule almost immediately.
-const blockGraceSpins = 128
+// graceSpins is the spin every parking policy makes before its first
+// claim: long enough that a briefly-held latch hands off without a
+// sleep, short enough that real convoys deschedule almost immediately.
+// Whether to park after it is the controller's call (lc) or a given
+// (block), not a matter of spinning longer.
+const graceSpins = 128
 
 type spinPolicy struct{}
 
@@ -109,7 +114,7 @@ type blockPolicy struct{}
 func (blockPolicy) Name() string { return "block" }
 
 func (blockPolicy) Wait(ctx context.Context, h *lcrt.Handle, a Acquire) error {
-	return waitLoop(ctx, h, a, blockGraceSpins, (*lcrt.Handle).ClaimForced)
+	return waitLoop(ctx, h, a, graceSpins, (*lcrt.Handle).ClaimForced)
 }
 
 type lcPolicy struct{}
@@ -117,15 +122,15 @@ type lcPolicy struct{}
 func (lcPolicy) Name() string { return "lc" }
 
 func (lcPolicy) Wait(ctx context.Context, h *lcrt.Handle, a Acquire) error {
-	return waitLoop(ctx, h, a, h.ParkThreshold(), (*lcrt.Handle).TryClaim)
+	return waitLoop(ctx, h, a, graceSpins, (*lcrt.Handle).TryClaim)
 }
 
 // waitLoop is the shared acquire loop behind the built-in policies:
 // TATAS polling on the package spin cadence, a ctx check once per park
-// interval, and — when claim is non-nil and the waiter is past the
-// park threshold — the claim/re-check/sleep protocol every lock in
-// this package used to hand-roll. Custom policies are free to ignore
-// it and implement Wait from scratch.
+// interval, and — when claim is non-nil and the waiter is past its
+// grace spin — the claim/re-check/sleep protocol every lock in this
+// package used to hand-roll. Custom policies are free to ignore it and
+// implement Wait from scratch.
 func waitLoop(ctx context.Context, h *lcrt.Handle, a Acquire, park int, claim func(*lcrt.Handle) (lcrt.Ticket, bool)) error {
 	var done <-chan struct{}
 	if ctx != nil {
@@ -133,6 +138,18 @@ func waitLoop(ctx context.Context, h *lcrt.Handle, a Acquire, park int, claim fu
 	}
 	h.Spinning(1)
 	c := cadence{park: park}
+	// leave ends the wait without the lock (a cancellation). This waiter
+	// may be the very spinner that made a concurrent NoteUnlock skip its
+	// wake, so if the lock is free on the way out, offer the wake again:
+	// otherwise a parked waiter sits on a free lock until the timeout.
+	leave := func(err error) error {
+		h.Spinning(-1)
+		h.NoteSpins(c.spins)
+		if a.Free() {
+			h.NoteUnlock()
+		}
+		return err
+	}
 	for {
 		if a.Try() {
 			h.Spinning(-1)
@@ -147,9 +164,7 @@ func waitLoop(ctx context.Context, h *lcrt.Handle, a Acquire, park int, claim fu
 		if done != nil {
 			select {
 			case <-done:
-				h.Spinning(-1)
-				h.NoteSpins(c.spins)
-				return ctx.Err()
+				return leave(ctx.Err())
 			default:
 			}
 		}
@@ -170,9 +185,7 @@ func waitLoop(ctx context.Context, h *lcrt.Handle, a Acquire, park int, claim fu
 					a.PostPark()
 				}
 				if err != nil {
-					h.Spinning(-1)
-					h.NoteSpins(c.spins)
-					return err
+					return leave(err)
 				}
 			}
 			h.NoteSpins(c.spins)

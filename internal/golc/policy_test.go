@@ -46,17 +46,16 @@ func (sleepyPolicy) Wait(ctx context.Context, h *lcrt.Handle, a Acquire) error {
 
 var registerSleepy = sync.OnceValue(func() error { return RegisterPolicy(sleepyPolicy{}) })
 
-// conformanceRuntime: a short park threshold and a constant-high load
-// signal so the lc policy genuinely parks during the suite, plus a
-// sleep timeout short enough that a lost wakeup converts into visible
-// TimeoutWakes rather than a hang.
+// conformanceRuntime: a constant-high load signal so the lc policy
+// genuinely parks during the suite, plus a sleep timeout short enough
+// that a lost wakeup converts into visible TimeoutWakes rather than a
+// hang.
 func conformanceRuntime(t *testing.T) *lcrt.Runtime {
 	t.Helper()
 	rt := lcrt.New(lcrt.Options{
-		Interval:       time.Millisecond,
-		SpinBeforePark: 64,
-		SleepTimeout:   500 * time.Millisecond,
-		LoadFunc:       func() int { return 8 },
+		Interval:     time.Millisecond,
+		SleepTimeout: 500 * time.Millisecond,
+		LoadFunc:     func() int { return 8 },
 	})
 	rt.Start()
 	t.Cleanup(rt.Stop)
@@ -447,4 +446,147 @@ func TestPolicyHotSwap(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// waitFor polls cond until it holds, failing the test after 5s.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(50 * time.Microsecond)
+	}
+}
+
+// TestLCFollowsTheTarget: the controller's target is lc's only reason
+// to park. At target 0 a waiter spins however long the hold lasts and
+// never claims; at target 8 it parks as soon as its grace spin is over.
+func TestLCFollowsTheTarget(t *testing.T) {
+	for _, load := range []int{0, 8} {
+		t.Run(fmt.Sprintf("load=%d", load), func(t *testing.T) {
+			rt := newTestRuntime(t, lcrt.Options{
+				Interval:     time.Millisecond,
+				SleepTimeout: 10 * time.Second,
+				LoadFunc:     func() int { return load },
+			})
+			waitFor(t, "the first controller tick", func() bool {
+				s := rt.Snapshot()
+				return s.Updates > 0 && s.Target == load
+			})
+			mu := New("lc-target", WithRuntime(rt))
+			mu.Lock()
+			acquired := make(chan struct{})
+			go func() {
+				mu.Lock()
+				mu.Unlock()
+				close(acquired)
+			}()
+			if load == 0 {
+				waitFor(t, "the waiter to spin", func() bool { return mu.Stats().SpinningNow == 1 })
+				time.Sleep(20 * time.Millisecond) // thousands of spins past the grace
+			} else {
+				waitFor(t, "the waiter to park", func() bool { return mu.Stats().SleepingNow == 1 })
+			}
+			mu.Unlock()
+			select {
+			case <-acquired:
+			case <-time.After(5 * time.Second):
+				t.Fatalf("waiter stranded after unlock: %+v", mu.Stats())
+			}
+			st, snap := mu.Stats(), rt.Snapshot()
+			if load == 0 {
+				if st.Blocks != 0 || snap.Claims != 0 || snap.Cancels != 0 {
+					t.Fatalf("lc claimed a slot at target 0: %+v", snap)
+				}
+				return
+			}
+			if st.Blocks != 1 || st.UnlockWakes != 1 {
+				t.Fatalf("blocks/unlock-wakes = %d/%d, want 1/1", st.Blocks, st.UnlockWakes)
+			}
+			// The park came at the first claim check past the grace; the
+			// unlock wake hands over a free lock, so little is spun after.
+			if st.Spins < graceSpins || st.Spins > 2*graceSpins {
+				t.Fatalf("spins = %d, want about the grace spin (%d)", st.Spins, graceSpins)
+			}
+		})
+	}
+}
+
+// TestCancelledSpinnerDoesNotStrandParkedWaiter: a spinner that leaves
+// on cancellation may be the spinner a concurrent unlock counted on to
+// take the lock (NoteUnlock skips its wake while one is spinning). It
+// must pass the wake on, or the parked waiter sits on a free lock until
+// the safety timeout. Each round parks one waiter (the target has room
+// for exactly one), stands cancellable spinners beside it, and cancels
+// and unlocks back to back.
+func TestCancelledSpinnerDoesNotStrandParkedWaiter(t *testing.T) {
+	const rounds, spinners = 100, 3
+	// One lock seen as the test needs it: the holder's exclusive hold,
+	// the cancellable acquire under test and its release.
+	type lock struct {
+		lock, unlock func()
+		lockCtx      func(context.Context) error
+		unlockCtx    func()
+		stats        func() lcrt.LockStats
+	}
+	for _, variant := range []struct {
+		name string
+		new  func(rt *lcrt.Runtime) lock
+	}{
+		{"Mutex.LockCtx", func(rt *lcrt.Runtime) lock {
+			mu := New("cancel-strand", WithRuntime(rt))
+			return lock{mu.Lock, mu.Unlock, mu.LockCtx, mu.Unlock, mu.Stats}
+		}},
+		{"RWMutex.RLockCtx", func(rt *lcrt.Runtime) lock {
+			mu := NewRW("cancel-strand-rw", WithRuntime(rt))
+			return lock{mu.Lock, mu.Unlock, mu.RLockCtx, mu.RUnlock, mu.Stats}
+		}},
+	} {
+		t.Run(variant.name, func(t *testing.T) {
+			rt := newTestRuntime(t, lcrt.Options{
+				Interval:     time.Millisecond,
+				SleepTimeout: 5 * time.Second, // a strand fails its round long before this
+				LoadFunc:     func() int { return 1 },
+			})
+			waitFor(t, "target 1", func() bool { return rt.Snapshot().Target == 1 })
+			mu := variant.new(rt)
+			for round := 0; round < rounds; round++ {
+				mu.lock()
+				parked := make(chan struct{})
+				go func() {
+					if err := mu.lockCtx(context.Background()); err != nil {
+						t.Error(err)
+					}
+					mu.unlockCtx()
+					close(parked)
+				}()
+				waitFor(t, "the waiter to park", func() bool { return mu.stats().SleepingNow == 1 })
+				ctx, cancel := context.WithCancel(context.Background())
+				var wg sync.WaitGroup
+				for i := 0; i < spinners; i++ {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						if mu.lockCtx(ctx) == nil {
+							mu.unlockCtx()
+						}
+					}()
+				}
+				waitFor(t, "the spinners", func() bool { return mu.stats().SpinningNow == spinners })
+				cancel()
+				mu.unlock()
+				select {
+				case <-parked:
+				case <-time.After(2 * time.Second):
+					t.Fatalf("round %d: parked waiter stranded on a free lock: %+v", round, mu.stats())
+				}
+				wg.Wait()
+			}
+			if snap := rt.Snapshot(); snap.TimeoutWakes != 0 {
+				t.Fatalf("a waiter fell back to the safety timeout: %+v", snap)
+			}
+		})
+	}
 }

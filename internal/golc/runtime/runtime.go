@@ -8,12 +8,14 @@
 // with a Runtime and receive a Handle; the Handle carries the lock's
 // side of the protocol (spinner census, slot claims, parking, the
 // unlock-side wake) and its per-lock metrics. The controller
-// periodically reads the load sensor — by default a census of spinning
-// waiters across all registered locks, optionally a custom LoadFunc
-// where a real runnable-thread signal exists — and publishes a sleep
-// target T. Spinning waiters claim sleep slots against T exactly as in
-// the paper (S/W counters, immediate controller wakes on underload, a
-// safety timeout).
+// periodically reads the load sensor — runnable goroutines waiting for
+// a P plus OS threads runnable beyond the CPUs (see sensor), or a
+// custom LoadFunc — and publishes a sleep target T = load + sleeping.
+// Spinning waiters claim sleep slots against T exactly as in the paper
+// (S/W counters, immediate controller wakes on underload, a safety
+// timeout). The spinner census is not an input: it only tells an
+// unlocker whether an awake waiter is left (NoteUnlock), and is
+// reported.
 //
 // Most programs use the shared Default() runtime; tests and benchmarks
 // construct private ones with New.
@@ -40,6 +42,8 @@ package runtime
 import (
 	"context"
 	"expvar"
+	"fmt"
+	"math"
 	goruntime "runtime"
 	"sort"
 	"sync"
@@ -63,19 +67,9 @@ type Options struct {
 	SleepTimeout time.Duration
 	// BufferCap is the physical sleep-slot array size (default 1024).
 	BufferCap int
-	// KeepSpinners is how many spinning waiters the default policy
-	// leaves awake to preserve fast handoffs (default 2).
-	KeepSpinners int
-	// SpinBeforePark is how many spin iterations a waiter must burn
-	// before it may claim a sleep slot (default 4096). Short waits —
-	// a reader gated by a pending writer, a briefly-held fine-grained
-	// latch — resolve in well under that, so only waiters in a real
-	// convoy (holder preempted, lock oversubscribed) ever park. With
-	// one hot lock this changes nothing: convoyed waiters blow past
-	// the threshold in microseconds of wall time.
-	SpinBeforePark int
-	// LoadFunc, when non-nil, replaces the default spinner-census
-	// sensor.
+	// LoadFunc, when non-nil, replaces the default sensor and is
+	// published as the target as it stands (it is the test seam: a
+	// constant pins the target).
 	LoadFunc LoadFunc
 	// DisableUnlockWake turns off the unlock-side wake, leaving only
 	// controller wakes and the safety timeout — the paper's original
@@ -96,12 +90,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.BufferCap == 0 {
 		o.BufferCap = 1024
-	}
-	if o.KeepSpinners == 0 {
-		o.KeepSpinners = 2
-	}
-	if o.SpinBeforePark == 0 {
-		o.SpinBeforePark = 4096
 	}
 	if o.Recorder == nil {
 		o.Recorder = obs.NewRecorder()
@@ -155,11 +143,19 @@ type Snapshot struct {
 	CtxCancels      uint64 // parks abandoned by context cancellation
 	Cancels         uint64 // claims retired unused (lock freed before the park)
 	SlotRejects     uint64 // claims refused because no slot was free
-	Spinners        int
+	Spinners        int    // waiters spinning now: reported, not a controller input
 	Sleeping        int
-	Target          int
+	Target          int // the published sleep target, after clamping to [0, BufferCap]
 	LocksRegistered int
-	Locks           []LockStats
+
+	// The last controller tick's inputs — why Target is what it is.
+	// The default sensor sets Load = floor(RunQueue) + OSExcess and
+	// targets Load + sleeping; under a LoadFunc, Load is its return
+	// value and the other two are zero.
+	RunQueue float64 // mean goroutines runnable but waiting for a P over the tick
+	OSExcess int     // OS threads runnable beyond the CPUs; negative when CPUs idle
+	Load     int     // raw excess load, before sleepers are added and the target clamped
+	Locks    []LockStats
 
 	// Global latency distributions, across every lock of the runtime.
 	// WaitHist/HoldHist aggregate what the per-lock histograms record;
@@ -215,11 +211,16 @@ type Runtime struct {
 	rec *obs.Recorder
 
 	// spinners is the process-wide census of goroutines currently
-	// spinning in a registered lock (the default load signal).
+	// spinning in a registered lock.
 	spinners atomic.Int64
 
-	// target is the published sleep target T.
-	target atomic.Int64
+	// target is the published sleep target T. tickRunQueue (float64
+	// bits), tickOSExcess and tickLoad are the inputs of the controller
+	// tick that set it, kept for Snapshot.
+	target       atomic.Int64
+	tickRunQueue atomic.Uint64
+	tickOSExcess atomic.Int64
+	tickLoad     atomic.Int64
 
 	// s and w are the paper's S and W counters; s-w is the sleeper
 	// population (see sleeping for the required read order). Reads are
@@ -295,6 +296,11 @@ func (r *Runtime) Start() {
 	}
 	go func() {
 		defer close(r.done)
+		var sens *sensor
+		if r.opts.LoadFunc == nil {
+			sens = newSensor(loadavgPath)
+			defer sens.close()
+		}
 		tick := time.NewTicker(r.opts.Interval)
 		defer tick.Stop()
 		for {
@@ -302,7 +308,7 @@ func (r *Runtime) Start() {
 			case <-r.stop:
 				return
 			case <-tick.C:
-				r.update()
+				r.update(sens)
 			}
 		}
 	}()
@@ -384,6 +390,9 @@ func (r *Runtime) Snapshot() Snapshot {
 		Spinners:        int(r.spinners.Load()),
 		Sleeping:        r.sleeping(),
 		Target:          int(r.target.Load()),
+		RunQueue:        math.Float64frombits(r.tickRunQueue.Load()),
+		OSExcess:        int(r.tickOSExcess.Load()),
+		Load:            int(r.tickLoad.Load()),
 	}
 	r.regMu.Lock()
 	for wp := range r.locks {
@@ -441,20 +450,35 @@ func (r *Runtime) Publish(name string) {
 	expvar.Publish(name, expvar.Func(func() any { return r.Snapshot() }))
 }
 
-// update is one controller cycle: read the sensor, publish T.
-func (r *Runtime) update() {
+// update is one controller cycle: read the sensor, publish T. sens is
+// nil exactly when a LoadFunc replaces it.
+func (r *Runtime) update(sens *sensor) {
 	r.updates.Add(1)
-	var t int
-	if r.opts.LoadFunc != nil {
-		t = r.opts.LoadFunc()
+	var runQueue float64
+	var osExcess, load, t int
+	sleeping := r.sleeping()
+	if sens == nil {
+		load = r.opts.LoadFunc()
+		t = load
 	} else {
-		// Spinner census: everyone beyond KeepSpinners should sleep,
-		// and current sleepers count against the same budget.
-		t = int(r.spinners.Load()) - r.opts.KeepSpinners + r.sleeping()
+		runQueue, osExcess = sens.runQueue(), sens.osExcess()
+		// Flooring drops the fraction of a goroutine that timers and the
+		// controller's own wake-ups queue on an idle process. Current
+		// sleepers count against the same budget: they would be load if
+		// they woke.
+		load = int(runQueue) + osExcess
+		t = load + sleeping
 	}
-	// The raw sensor reading, before setTarget clamps it: the flight
-	// recorder should show what the controller saw, not what it kept.
-	r.rec.Event(obs.EvControllerTick, "", "", int64(t))
+	r.tickRunQueue.Store(math.Float64bits(runQueue))
+	r.tickOSExcess.Store(int64(osExcess))
+	r.tickLoad.Store(int64(load))
+	if r.rec.Enabled() {
+		// What the controller saw, and the target before setTarget
+		// clamps it: the flight recorder should show the decision's
+		// inputs, not only what it kept.
+		label := fmt.Sprintf("runq=%.1f os=%d load=%d sleeping=%d", runQueue, osExcess, load, sleeping)
+		r.rec.Event(obs.EvControllerTick, "", label, int64(t))
+	}
 	r.setTarget(t)
 }
 
@@ -580,6 +604,27 @@ func (r *Runtime) wakeHandle(h *Handle, except *sleeper) bool {
 	h.unlockWakes.Add(1)
 	close(s.ch)
 	return true
+}
+
+// wakeAllHandle detaches every parked waiter of h under one mu hold and
+// signals them after it: group notification (a wal commit group reaches
+// 60 waiters) for one lock round-trip instead of one per waiter.
+func (r *Runtime) wakeAllHandle(h *Handle) int {
+	r.mu.Lock()
+	woken := make([]*sleeper, 0, len(h.parked))
+	for len(h.parked) > 0 {
+		s := h.parked[len(h.parked)-1]
+		s.wake = wakeByUnlock
+		r.detach(s)
+		woken = append(woken, s)
+	}
+	r.mu.Unlock()
+	r.unlockWakes.Add(uint64(len(woken)))
+	h.unlockWakes.Add(uint64(len(woken)))
+	for _, s := range woken {
+		close(s.ch)
+	}
+	return len(woken)
 }
 
 // trySleep attempts the spinner-side slot claim for h. In the normal
@@ -874,10 +919,6 @@ func (h *Handle) RecordBlame(waiter, holder obs.SiteID, start int64) {
 	rec.RecordBlame(waiter, holder, h.name, d)
 }
 
-// ParkThreshold returns the runtime's SpinBeforePark setting; locks
-// gate their Park calls on it.
-func (h *Handle) ParkThreshold() int { return h.rt.opts.SpinBeforePark }
-
 // Runtime returns the runtime this handle is registered with.
 func (h *Handle) Runtime() *Runtime { return h.rt }
 
@@ -934,6 +975,11 @@ func (h *Handle) NoteUnlock() {
 // reporting whether there was one. NoteUnlock is the usual entry
 // point; WakeOne serves tests and custom lock code.
 func (h *Handle) WakeOne() bool { return h.rt.wakeHandle(h, nil) }
+
+// WakeAll unconditionally wakes every parked waiter of the lock and
+// returns how many there were, for waits that end for all waiters at
+// once (the wal's group commit) rather than for one acquirer.
+func (h *Handle) WakeAll() int { return h.rt.wakeAllHandle(h) }
 
 // A Ticket is a claimed sleep slot that has not been slept on yet. The
 // claim/sleep split has two jobs: a lock re-checks its state after the

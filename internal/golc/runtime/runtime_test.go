@@ -425,6 +425,68 @@ func TestNoteReleaseWakesOtherSleeper(t *testing.T) {
 	h.Spinning(-1)
 }
 
+// TestWakeAll: one call wakes every parked waiter of the handle — the
+// voluntary and the forced alike, and nobody else's — as unlock wakes,
+// and leaves their slots free.
+func TestWakeAll(t *testing.T) {
+	const n = 12
+	rt := New(Options{SleepTimeout: 10 * time.Second})
+	rt.setTarget(n)
+	h := rt.Register("group")
+	bystander := rt.Register("bystander")
+	var wg sync.WaitGroup
+	park := func(h *Handle, claim func(*Handle) (Ticket, bool)) {
+		h.Spinning(1)
+		tk, ok := claim(h)
+		if !ok {
+			t.Fatal("claim failed")
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			tk.Sleep()
+			h.Spinning(-1)
+		}()
+	}
+	for i := 0; i < n; i++ {
+		if i%2 == 0 {
+			park(h, (*Handle).TryClaim)
+		} else {
+			park(h, (*Handle).ClaimForced)
+		}
+	}
+	park(bystander, (*Handle).TryClaim)
+	if got := h.WakeAll(); got != n {
+		t.Fatalf("WakeAll = %d, want %d", got, n)
+	}
+	if got := h.WakeAll(); got != 0 {
+		t.Fatalf("second WakeAll = %d, want 0", got)
+	}
+	waitFor(t, "the group retired", func() bool { return rt.Snapshot().Sleeping == 1 })
+	snap := rt.Snapshot()
+	if snap.UnlockWakes != n || h.Stats().UnlockWakes != n || snap.TimeoutWakes+snap.ControllerWakes != 0 {
+		t.Fatalf("snapshot = %+v, want %d unlock wakes and no other", snap, n)
+	}
+	if _, sleeping := h.Waiters(); sleeping != 0 {
+		t.Fatalf("handle still counts %d sleepers", sleeping)
+	}
+	rt.mu.Lock()
+	occupied := 0
+	for _, s := range rt.slots {
+		if s != nil {
+			occupied++
+		}
+	}
+	rt.mu.Unlock()
+	if occupied != 1 {
+		t.Fatalf("%d slots occupied after WakeAll, want only the bystander's", occupied)
+	}
+	if !bystander.WakeOne() {
+		t.Fatal("bystander was not left parked")
+	}
+	wg.Wait()
+}
+
 // TestTicketCancel: a cancelled claim retires cleanly (S/W balanced,
 // slot free) and is counted as a cancel, not a wake.
 func TestTicketCancel(t *testing.T) {
@@ -496,19 +558,50 @@ func TestStopWakesParkedWaiters(t *testing.T) {
 	}
 }
 
-func TestDefaultPolicyTargetsExcessSpinners(t *testing.T) {
-	rt := New(Options{KeepSpinners: 2})
-	h := rt.Register("policy")
+// TestDefaultSensorTargetsLoadPlusSleeping: under the default sensor
+// the target is the measured load plus the current sleepers, clamped —
+// checked against the inputs the tick itself reports, since the load of
+// the machine running the test is not ours to fix. The spinner census
+// is reported and is no input.
+func TestDefaultSensorTargetsLoadPlusSleeping(t *testing.T) {
+	rt := New(Options{})
+	sens := newSensor(loadavgPath)
+	defer sens.close()
+	h := rt.Register("census")
 	h.Spinning(5)
-	rt.update()
-	if got := rt.Snapshot().Target; got != 3 {
-		t.Fatalf("target = %d, want 3 (5 spinners - 2 kept)", got)
+	defer h.Spinning(-5)
+
+	check := func(sleeping int) {
+		t.Helper()
+		rt.update(sens)
+		snap := rt.Snapshot()
+		if want := int(snap.RunQueue) + snap.OSExcess; snap.Load != want {
+			t.Fatalf("load = %d, want floor(%v)%+d = %d", snap.Load, snap.RunQueue, snap.OSExcess, want)
+		}
+		if want := min(max(snap.Load+sleeping, 0), len(rt.slots)); snap.Target != want {
+			t.Fatalf("target = %d, want clamp(load %d + sleeping %d) = %d", snap.Target, snap.Load, sleeping, want)
+		}
 	}
-	h.Spinning(-5)
-	rt.update()
-	if got := rt.Snapshot().Target; got != 0 {
-		t.Fatalf("target = %d, want 0", got)
+	check(0)
+	if got := rt.Snapshot().Spinners; got != 5 {
+		t.Fatalf("spinners = %d, want 5 reported", got)
 	}
+
+	// Two parked waiters count against the budget whatever the load is
+	// (a negative one wakes them, so Sleeping is not re-read after).
+	rt.setTarget(2)
+	var wg sync.WaitGroup
+	for i := 0; i < 2; i++ {
+		tk, ok := h.TryClaim()
+		if !ok {
+			t.Fatal("claim refused under target 2")
+		}
+		wg.Add(1)
+		go func() { defer wg.Done(); tk.Sleep() }()
+	}
+	check(2)
+	rt.setTarget(0)
+	wg.Wait()
 }
 
 func TestCustomLoadFunc(t *testing.T) {

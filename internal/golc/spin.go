@@ -4,20 +4,20 @@ import "runtime"
 
 // The TATAS spin cadence shared by every lock in this package: waiters
 // poll the lock word every iteration, check the sleep-slot pool every
-// parkCheckEvery iterations once past the spin-then-park threshold,
-// and yield to the Go scheduler every goschedEvery iterations (a hard
-// spin can starve the lock holder's goroutine off its P). Both are
-// powers of two so the cadence tests are single masks, cheap enough
-// for next to inline into every spin loop.
+// parkCheckEvery iterations once past the grace spin, and yield to the
+// Go scheduler every goschedEvery iterations (a hard spin can starve
+// the lock holder's goroutine off its P). Both are powers of two so the
+// cadence tests are single masks, cheap enough for next to inline into
+// every spin loop.
 const (
 	parkCheckEvery = 64
 	goschedEvery   = 256
 )
 
 // cadence tracks one waiter's position in the spin cadence. The zero
-// value is not useful: set park to the runtime's ParkThreshold, or to
-// noPark for loops that must never park (the spin baselines and the
-// nested acquires of lock holders).
+// value polls the park path from the first interval on: set park to
+// graceSpins, or to noPark for loops that must never park (the nested
+// acquires of lock holders).
 type cadence struct {
 	spins int
 	park  int
@@ -41,8 +41,8 @@ func (c *cadence) next() bool {
 }
 
 // slow is the once-per-parkCheckEvery tail of next: scheduler
-// cooperation and the spin-then-park threshold test. A call here is
-// noise — it runs on at most 1/64 of spin iterations.
+// cooperation and the grace-spin test. A call here is noise — it runs
+// on at most 1/64 of spin iterations.
 //
 //go:noinline
 func (c *cadence) slow() bool {

@@ -320,7 +320,7 @@ func TestApplyBatchConcurrent(t *testing.T) {
 // runtime and keeps counters; an uncontended store still reports all
 // zeros, whatever its policy.
 func TestLatchStats(t *testing.T) {
-	rt := lcrt.New(lcrt.Options{Interval: time.Millisecond, SpinBeforePark: 64})
+	rt := lcrt.New(lcrt.Options{Interval: time.Millisecond})
 	rt.Start()
 	t.Cleanup(rt.Stop)
 	s := newTestStore(t, Options{Shards: 1, IndexStripes: 1, Mode: LoadControlled, Runtime: rt})

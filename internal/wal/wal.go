@@ -514,10 +514,8 @@ func (l *Log) writeGroup(buf []byte, count int, last uint64) {
 	}
 	l.resolved.Store(last)
 	// Wake every parked durability waiter. Waiters from in-flight
-	// later groups re-check Try and re-park; the spurious wake is the
-	// price of group notification through a one-waiter wake API.
-	for l.h.WakeOne() {
-	}
+	// later groups re-check Try and re-park.
+	l.h.WakeAll()
 	if err == nil && l.segSize >= l.opts.SegmentBytes {
 		if rerr := l.rotate(); rerr != nil {
 			l.wedged.CompareAndSwap(nil, &wedge{err: fmt.Errorf("wal: log wedged: rotate: %w", rerr)})
