@@ -1,9 +1,6 @@
 // Command lcserve is the real load-controlled KV service: internal/kv
 // served over HTTP, every shard and index-stripe latch governed by the
-// single process-wide load-control runtime. It is one binary with two
-// jobs:
-//
-// Serve mode (default) — run the service:
+// single process-wide load-control runtime:
 //
 //	lcserve -addr :8080 -shards 16
 //	curl -X PUT -d tier-1 localhost:8080/kv/user:0001
@@ -16,7 +13,6 @@
 //	curl localhost:8080/stats/history  # retained snapshot series: per-lock wait p50/p99, blame top-K, convoy flags
 //	curl -o contention.pb.gz localhost:8080/debug/contention  # blame profile (go tool pprof contention.pb.gz)
 //	curl 'localhost:8080/debug/contention?fmt=folded'         # folded stacks for flamegraph tooling
-//	curl localhost:8080/debug/vars     # expvar (includes "golc")
 //	curl localhost:8080/policy         # current latch contention policy
 //	curl -X POST -d lc localhost:8080/policy   # hot-swap every latch's policy
 //
@@ -60,30 +56,24 @@
 //	  {"op":"read","table":"acct","key":"alice"},
 //	  {"op":"write","table":"acct","key":"alice","value":"100"}]}'
 //
-// Loadgen mode — demonstrate the paper's claim end to end: raise the
-// OS-thread multiprogramming level above the CPU count (the paper's
-// overload regime; -procs, default 8x NumCPU), drive the store with far
-// more client goroutines than CPUs, once with load control ON and once
-// OFF (uncontrolled spin latches), and print the throughput of each:
+// With -loadgen -target URL the binary is instead a concurrent HTTP
+// client aimed at an lcserve that is already running — the way to put
+// real contention (blame edges, wait histograms, history trends) into
+// a server being watched with lctop or scraped in CI:
 //
-//	lcserve -loadgen -conns 1000
-//	lcserve -loadgen -http        # same, through the real HTTP server
+//	lcserve -loadgen -target http://localhost:8080 -conns 64 -duration 2s
 //
-// With load control on, throughput degrades gracefully as the
-// multiprogramming level rises; with it off, latch holders descheduled
-// mid-critical-section leave hundreds of spinners burning whole kernel
-// quanta and throughput collapses.
+// Numbers come from lcperf (bash benchmark/run.sh); the lc-versus-spin
+// demonstration on one lock is examples/quickstart.
 package main
 
 import (
 	"context"
 	"encoding/json"
 	"errors"
-	"expvar"
 	"flag"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"net/http/pprof"
 	"os"
@@ -109,15 +99,13 @@ func main() {
 		addr     = flag.String("addr", ":8080", "serve address")
 		shards   = flag.Int("shards", 16, "primary shards")
 		stripes  = flag.Int("stripes", 8, "secondary-index stripes")
-		mode     = flag.String("mode", "load-control", "latch mode: load-control, spin or std")
+		mode     = flag.String("mode", "lc", "latch contention policy, any registered one: spin, block, lc")
 		policyFl = flag.String("policy", "waitdie", "deadlock policy for /txn transactions: waitdie or detect")
-		loadgen  = flag.Bool("loadgen", false, "run the built-in load generator and exit")
-		target   = flag.String("target", "", "loadgen drives this running lcserve base URL (e.g. http://localhost:8080) instead of spawning its own phases")
-		conns    = flag.Int("conns", 0, "loadgen client goroutines (0: 32x the multiprogramming level)")
-		duration = flag.Duration("duration", 2*time.Second, "loadgen measurement window per phase")
+		loadgen  = flag.Bool("loadgen", false, "be an HTTP load client for the running lcserve at -target, then exit")
+		target   = flag.String("target", "", "with -loadgen: base URL of the lcserve to drive (e.g. http://localhost:8080)")
+		conns    = flag.Int("conns", 64, "loadgen client goroutines")
+		duration = flag.Duration("duration", 2*time.Second, "loadgen run time")
 		keys     = flag.Int("keys", 512, "loadgen keyspace size")
-		procs    = flag.Int("procs", 0, "loadgen GOMAXPROCS — the OS-thread multiprogramming level (0: 8x NumCPU, the paper's overload regime; -1: leave as is)")
-		overHTTP = flag.Bool("http", false, "loadgen drives the real HTTP server instead of the store's data path directly")
 		pprofFl  = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 		mutexFr  = flag.Int("mutex-profile-fraction", 0, "runtime.SetMutexProfileFraction rate for the pprof mutex profile (0: off, 1: every event)")
 		blockRt  = flag.Int("block-profile-rate", 0, "runtime.SetBlockProfileRate threshold in ns for the pprof block profile (0: off, 1: every event)")
@@ -134,8 +122,8 @@ func main() {
 	flag.Parse()
 
 	// Profile samplers are process-wide and independent of -pprof (the
-	// profiles are also reachable through a debugger or expvar tooling),
-	// but they only pay off together.
+	// profiles are also reachable through a debugger), but they only pay
+	// off together.
 	if *mutexFr > 0 {
 		runtime.SetMutexProfileFraction(*mutexFr)
 	}
@@ -144,34 +132,16 @@ func main() {
 	}
 
 	if *loadgen {
-		// Target mode: the client half only, aimed at an lcserve that is
-		// already running — the way to put real concurrent load (and so
-		// real blame edges, wait histograms, history trends) into a
-		// server you are watching with lctop or scraping in CI. Shell
-		// loops around curl cannot do this: process spawn costs
-		// milliseconds while the conflict windows last microseconds.
-		if *target != "" {
-			if *conns <= 0 {
-				*conns = 64
-			}
-			driveTarget(strings.TrimRight(*target, "/"), *conns, *duration, *keys)
-			return
+		// Shell loops around curl cannot load a server this way: process
+		// spawn costs milliseconds while the conflict windows last
+		// microseconds.
+		if *target == "" {
+			fmt.Fprintln(os.Stderr, "lcserve: -loadgen needs -target URL (a running lcserve). "+
+				"For the lc-vs-spin demonstration run `go run ./examples/quickstart`; "+
+				"for measurements run `bash benchmark/run.sh`.")
+			os.Exit(2)
 		}
-		// The paper's pathology needs more OS threads than CPUs: a
-		// latch holder the kernel deschedules mid-critical-section
-		// while spinner threads burn whole quanta. Raising GOMAXPROCS
-		// above NumCPU reproduces that multiprogramming regime
-		// honestly — it is the x-axis of the paper's load sweeps.
-		if *procs == 0 {
-			*procs = 8 * runtime.NumCPU()
-		}
-		if *procs > 0 {
-			runtime.GOMAXPROCS(*procs)
-		}
-		if *conns <= 0 {
-			*conns = 32 * runtime.GOMAXPROCS(0)
-		}
-		runLoadgen(*shards, *stripes, *conns, *duration, *keys, *overHTTP)
+		driveTarget(strings.TrimRight(*target, "/"), *conns, *duration, *keys)
 		return
 	}
 
@@ -373,9 +343,9 @@ type handlerConfig struct {
 	// historical default of 8); the remainder is counted by the
 	// golc_metrics_locks_dropped gauge.
 	metricsTop int
-	// history, when non-nil, feeds /stats/history. Loadgen phases leave
-	// it nil (they live for seconds); the endpoint then serves an empty
-	// series rather than 404ing, so pollers need no special case.
+	// history, when non-nil, feeds /stats/history. With it nil the
+	// endpoint serves an empty series rather than 404ing, so pollers
+	// need no special case.
 	history *lcrt.History
 	// wal, when non-nil, adds the durability surface: a "wal" section
 	// in /stats, wal_* families in /metrics, and POST /policy flips the
@@ -392,10 +362,9 @@ func (c handlerConfig) topN() int {
 
 // newHandler builds the service mux for one store. rt is the
 // load-control runtime the store's latches registered with — the
-// observability endpoints (/stats, /metrics, /trace) read it directly
-// rather than going through the process-wide expvar, so a handler built
-// over a private runtime (as each HTTP loadgen phase does) reports its
-// own runtime, not the Default one.
+// observability endpoints (/stats, /metrics, /trace) read it directly,
+// so a handler built over a private runtime (as the tests do) reports
+// its own runtime, not the Default one.
 func newHandler(store *kv.Store, db *oltp.DB, rt *lcrt.Runtime, cfg handlerConfig) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/kv/", func(w http.ResponseWriter, r *http.Request) {
@@ -624,7 +593,6 @@ func newHandler(store *kv.Store, db *oltp.DB, rt *lcrt.Runtime, cfg handlerConfi
 			fmt.Fprintln(os.Stderr, "lcserve: /trace:", err)
 		}
 	})
-	mux.Handle("/debug/vars", expvar.Handler())
 	if cfg.withPprof {
 		// net/http/pprof registers only on http.DefaultServeMux, which
 		// this server never installs — mount its handlers explicitly.
@@ -670,13 +638,10 @@ func topLocksJSON(snap lcrt.Snapshot) string {
 	return string(b)
 }
 
-// snapshotJSON renders the runtime snapshot for /stats. Marshalling the
-// snapshot we already took (instead of reading the "golc" expvar, as
-// this helper once did) keeps the stats tied to the runtime actually
-// serving this handler's latches — the expvar only ever shows the
-// process-wide Default runtime, which is the wrong runtime for every
-// HTTP loadgen phase. On marshal failure the field degrades to an
-// explicit JSON null rather than corrupting the /stats document.
+// snapshotJSON renders the runtime snapshot for /stats: the snapshot
+// already taken from the runtime serving this handler's latches. On
+// marshal failure the field degrades to an explicit JSON null rather
+// than corrupting the /stats document.
 func snapshotJSON(snap lcrt.Snapshot) string {
 	b, err := json.Marshal(snap)
 	if err != nil {
@@ -787,140 +752,6 @@ func writeProm(w io.Writer, store *kv.Store, db *oltp.DB, walLog *wal.Log, rt *l
 	return pw.Err()
 }
 
-// result is one loadgen phase's outcome.
-type result struct {
-	policy string
-	rate   float64
-	snap   *lcrt.Snapshot
-}
-
-// runLoadgen runs the ON and OFF phases and prints the comparison.
-func runLoadgen(shards, stripes, conns int, duration time.Duration, keys int, overHTTP bool) {
-	transport := "direct"
-	if overHTTP {
-		transport = "http"
-	}
-	fmt.Printf("lcserve loadgen: %d client goroutines, GOMAXPROCS=%d on %d CPU(s), "+
-		"%d-shard kv, %s transport, %v per phase\n\n",
-		conns, runtime.GOMAXPROCS(0), runtime.NumCPU(), shards, transport, duration)
-
-	results := []result{
-		runPhase(golc.LoadControlled, shards, stripes, conns, duration, keys, overHTTP),
-		runPhase(golc.Spin, shards, stripes, conns, duration, keys, overHTTP),
-	}
-
-	fmt.Println("summary:")
-	for _, r := range results {
-		label := "load control OFF (spin latches)"
-		if r.policy == "lc" {
-			label = "load control ON"
-		}
-		fmt.Printf("  %-32s %12.0f ops/s\n", label, r.rate)
-	}
-	on, off := results[0], results[1]
-	if off.rate > 0 {
-		fmt.Printf("\nload control ON / OFF throughput ratio: %.2fx\n", on.rate/off.rate)
-	}
-	if s := on.snap; s != nil {
-		// The wake split is the handoff-latency story: unlock wakes are
-		// immediate handoffs, timeout wakes mean a latch sat free until
-		// the 100ms safety backstop.
-		fmt.Printf("controller: updates=%d claims=%d wakes[controller=%d unlock=%d timeout=%d] cancels=%d latches=%d\n",
-			s.Updates, s.Claims, s.ControllerWakes, s.UnlockWakes, s.TimeoutWakes, s.Cancels, s.LocksRegistered)
-		for _, ls := range s.TopContended(3) {
-			fmt.Printf("  hottest latch %-16s spins=%d blocks=%d unlock-wakes=%d timeout-wakes=%d\n",
-				ls.Name, ls.Spins, ls.Blocks, ls.UnlockWakes, ls.TimeoutWakes)
-		}
-	}
-	if on.rate >= off.rate {
-		fmt.Println("\nresult: load control sustained throughput under oversubscription; spin collapsed.")
-	} else {
-		fmt.Println("\nresult: WARNING — spin outperformed load control on this machine/configuration.")
-	}
-}
-
-// runPhase measures one latch contention policy end to end.
-func runPhase(pol golc.ContentionPolicy, shards, stripes, conns int, duration time.Duration, keys int, overHTTP bool) result {
-	rt := lcrt.New(lcrt.Options{})
-	rt.Start()
-	opts := kv.Options{Shards: shards, IndexStripes: stripes, Policy: pol, Runtime: rt}
-	store := kv.New(opts)
-	for i := 0; i < keys; i++ {
-		store.Put(keyName(i), fmt.Sprintf("tier-%d", i%16))
-	}
-
-	var do func(worker, i int) bool
-	var shutdown func()
-	if overHTTP {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		srv := &http.Server{Handler: newHandler(store, oltp.New(store,
-			oltp.Options{Runtime: rt, MaxRetries: oltp.DefaultMaxRetries}), rt, handlerConfig{})}
-		go srv.Serve(ln)
-		client := &http.Client{Transport: &http.Transport{
-			MaxIdleConns:        conns,
-			MaxIdleConnsPerHost: conns,
-		}}
-		base := "http://" + ln.Addr().String()
-		do = func(worker, i int) bool { return httpOp(client, base, worker, i, keys) }
-		shutdown = func() { srv.Close(); ln.Close(); client.CloseIdleConnections() }
-	} else {
-		do = func(worker, i int) bool { directOp(store, worker, i, keys); return true }
-		shutdown = func() {}
-	}
-
-	// Only successful operations count toward throughput: a failed
-	// request (refused dial, fd exhaustion) measured as an "op" would
-	// corrupt exactly the comparison this demo exists to make.
-	var ops, errs atomic.Uint64
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for w := 0; w < conns; w++ {
-		wg.Add(1)
-		go func(worker int) {
-			defer wg.Done()
-			for i := 0; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				if do(worker, i) {
-					ops.Add(1)
-				} else {
-					errs.Add(1)
-				}
-			}
-		}(w)
-	}
-
-	time.Sleep(duration / 4) // warmup
-	before := ops.Load()
-	t0 := time.Now()
-	time.Sleep(duration)
-	measured := ops.Load() - before
-	elapsed := time.Since(t0)
-	close(stop)
-	wg.Wait()
-	shutdown()
-
-	res := result{policy: pol.Name(), rate: float64(measured) / elapsed.Seconds()}
-	snap := rt.Snapshot()
-	res.snap = &snap
-	rt.Stop()
-	store.Close()
-	fmt.Printf("phase %-12s %12.0f ops/s (%d ops in %v)\n",
-		pol.Name(), res.rate, measured, elapsed.Round(time.Millisecond))
-	if n := errs.Load(); n > 0 {
-		fmt.Printf("phase %-12s WARNING: %d failed requests excluded from throughput\n",
-			pol.Name(), n)
-	}
-	return res
-}
-
 // driveTarget aims conns client goroutines at a running lcserve for
 // duration: the loadgen kv op mix plus a slice of deliberately
 // conflicting multi-op transactions on a two-key hot set, so the
@@ -999,20 +830,6 @@ func opKind(worker, i int) int {
 		return 2 // lookup
 	default:
 		return 3 // scan
-	}
-}
-
-func directOp(store *kv.Store, worker, i, keys int) {
-	key := keyName((worker*31 + i*17) % keys)
-	switch opKind(worker, i) {
-	case 0:
-		store.Get(key)
-	case 1:
-		store.Put(key, fmt.Sprintf("tier-%d", i%16))
-	case 2:
-		store.Lookup(fmt.Sprintf("tier-%d", i%16))
-	default:
-		store.Scan("user:0", 50)
 	}
 }
 

@@ -27,7 +27,7 @@ func main() {
 	// of locks registered with it.
 	rt := lcrt.New(lcrt.Options{})
 	rt.Start()
-	lcOps := drive(golc.NewMutex(rt), workers, time.Second)
+	lcOps := drive(golc.New("quickstart-lc", golc.WithRuntime(rt)), workers, time.Second)
 	st := rt.Snapshot()
 	rt.Stop()
 	fmt.Printf("load-control: %10.0f acquires/s  (claims=%d, controller wakes=%d)\n",

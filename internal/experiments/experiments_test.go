@@ -56,6 +56,7 @@ func TestUnknownExperiment(t *testing.T) {
 }
 
 func TestFig01Shape(t *testing.T) {
+	t.Parallel()
 	f, err := Run("fig01", quick())
 	if err != nil {
 		t.Fatal(err)
@@ -78,6 +79,7 @@ func TestFig01Shape(t *testing.T) {
 }
 
 func TestFig03Shape(t *testing.T) {
+	t.Parallel()
 	f, err := Run("fig03", quick())
 	if err != nil {
 		t.Fatal(err)
@@ -106,6 +108,7 @@ func TestFig03Shape(t *testing.T) {
 }
 
 func TestFig04Shape(t *testing.T) {
+	t.Parallel()
 	f, err := Run("fig04", quick())
 	if err != nil {
 		t.Fatal(err)
@@ -123,6 +126,7 @@ func TestFig04Shape(t *testing.T) {
 }
 
 func TestFig05Shape(t *testing.T) {
+	t.Parallel()
 	cfg := quick()
 	cfg.Window = 50 * time.Millisecond
 	f, err := Run("fig05", cfg)
@@ -153,6 +157,7 @@ func TestFig05Shape(t *testing.T) {
 }
 
 func TestFig06Shape(t *testing.T) {
+	t.Parallel()
 	cfg := quick()
 	f, err := Run("fig06", cfg)
 	if err != nil {
@@ -184,6 +189,7 @@ func TestFig06Shape(t *testing.T) {
 }
 
 func TestFig08Shape(t *testing.T) {
+	t.Parallel()
 	f, err := Run("fig08", quick())
 	if err != nil {
 		t.Fatal(err)
@@ -212,6 +218,7 @@ func TestFig08Shape(t *testing.T) {
 }
 
 func TestFig09Shape(t *testing.T) {
+	t.Parallel()
 	f, err := Run("fig09", quick())
 	if err != nil {
 		t.Fatal(err)
@@ -231,6 +238,7 @@ func TestFig09Shape(t *testing.T) {
 }
 
 func TestFig10Shape(t *testing.T) {
+	t.Parallel()
 	cfg := quick()
 	cfg.Warmup = 5 * time.Millisecond
 	cfg.Window = 25 * time.Millisecond
@@ -253,6 +261,7 @@ func TestFig10Shape(t *testing.T) {
 }
 
 func TestFig11Shape(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("fig11 sweeps 3 workloads x 3 locks")
 	}
@@ -281,6 +290,7 @@ func TestFig11Shape(t *testing.T) {
 }
 
 func TestFig12Shape(t *testing.T) {
+	t.Parallel()
 	cfg := quick()
 	cfg.Warmup = 5 * time.Millisecond
 	cfg.Window = 25 * time.Millisecond
@@ -307,6 +317,7 @@ func TestFig12Shape(t *testing.T) {
 }
 
 func TestAblationMCSShape(t *testing.T) {
+	t.Parallel()
 	f, err := Run("ablation-mcs", quick())
 	if err != nil {
 		t.Fatal(err)
@@ -333,6 +344,7 @@ func TestAblationMCSShape(t *testing.T) {
 }
 
 func TestAblationControlShape(t *testing.T) {
+	t.Parallel()
 	f, err := Run("ablation-control", quick())
 	if err != nil {
 		t.Fatal(err)
@@ -382,6 +394,7 @@ func indexOf(s, sub string) int {
 }
 
 func TestDeterministicFigure(t *testing.T) {
+	t.Parallel()
 	cfg := quick()
 	cfg.Warmup = 5 * time.Millisecond
 	cfg.Window = 20 * time.Millisecond

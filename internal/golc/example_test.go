@@ -17,7 +17,7 @@ func ExampleMutex() {
 	rt.Start()
 	defer rt.Stop()
 
-	mu := golc.NewMutex(rt)
+	mu := golc.New("mutex", golc.WithRuntime(rt))
 	counter := 0
 	var wg sync.WaitGroup
 	for i := 0; i < 16; i++ {
@@ -67,7 +67,7 @@ func Example_customPolicy() {
 	if err := golc.RegisterPolicy(politePolicy{}); err != nil {
 		panic(err)
 	}
-	p, err := golc.PolicyByName("polite") // what lcbench -policy does
+	p, err := golc.PolicyByName("polite") // what lcserve -mode does
 	if err != nil {
 		panic(err)
 	}
@@ -117,7 +117,7 @@ func ExampleMutex_LockCtx() {
 func ExampleRuntime_Snapshot() {
 	rt := lcrt.New(lcrt.Options{})
 	rt.Start()
-	mu := golc.NewNamedMutex(rt, "demo")
+	mu := golc.New("demo", golc.WithRuntime(rt))
 	mu.Lock()
 	mu.Unlock()
 	rt.Stop()

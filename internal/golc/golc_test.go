@@ -20,7 +20,7 @@ func newTestRuntime(t *testing.T, opts lcrt.Options) *lcrt.Runtime {
 
 func TestMutexMutualExclusion(t *testing.T) {
 	rt := newTestRuntime(t, lcrt.Options{})
-	mu := NewMutex(rt)
+	mu := New("mutex", WithRuntime(rt))
 	const workers, iters = 8, 5000
 	counter := 0
 	var wg sync.WaitGroup
@@ -65,7 +65,7 @@ func TestSpinPolicyMutualExclusion(t *testing.T) {
 }
 
 func TestUnlockOfUnlockedPanics(t *testing.T) {
-	mu := NewMutex(lcrt.New(lcrt.Options{}))
+	mu := New("mutex", WithRuntime(lcrt.New(lcrt.Options{})))
 	defer func() {
 		if recover() == nil {
 			t.Fatal("no panic on unlock of unlocked mutex")
@@ -75,7 +75,7 @@ func TestUnlockOfUnlockedPanics(t *testing.T) {
 }
 
 func TestNilRuntimeUsesDefault(t *testing.T) {
-	mu := NewMutex(nil)
+	mu := New("mutex")
 	defer mu.Close()
 	mu.Lock()
 	mu.Unlock()
@@ -95,7 +95,7 @@ func TestRuntimeClaimsUnderOversubscription(t *testing.T) {
 	// sensor: the run queue it measures is real excess load, so claims
 	// must happen, and the lock's own counters must see them.
 	rt := newTestRuntime(t, lcrt.Options{Interval: 500 * time.Microsecond})
-	mu := NewNamedMutex(rt, "hot")
+	mu := New("hot", WithRuntime(rt))
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	n := 8 * runtime.GOMAXPROCS(0)
@@ -145,7 +145,7 @@ func TestStopWakesSleepers(t *testing.T) {
 		SleepTimeout: 10 * time.Second, // only a controller wake can end the sleep
 	})
 	rt.Start()
-	mu := NewMutex(rt)
+	mu := New("mutex", WithRuntime(rt))
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for i := 0; i < 8*runtime.GOMAXPROCS(0); i++ {
@@ -180,7 +180,7 @@ func TestStopWakesSleepers(t *testing.T) {
 
 func TestSharedRuntimeAcrossMutexes(t *testing.T) {
 	rt := newTestRuntime(t, lcrt.Options{Interval: time.Millisecond})
-	a, b := NewNamedMutex(rt, "a"), NewNamedMutex(rt, "b")
+	a, b := New("a", WithRuntime(rt)), New("b", WithRuntime(rt))
 	var wg sync.WaitGroup
 	counter := [2]int{}
 	for i := 0; i < 4; i++ {
@@ -217,7 +217,7 @@ func TestSharedRuntimeAcrossMutexes(t *testing.T) {
 
 func TestRWMutexWriterExclusion(t *testing.T) {
 	rt := newTestRuntime(t, lcrt.Options{})
-	mu := NewRWMutex(rt)
+	mu := NewRW("rwmutex", WithRuntime(rt))
 	const workers, iters = 8, 3000
 	counter := 0
 	var wg sync.WaitGroup
@@ -240,7 +240,7 @@ func TestRWMutexWriterExclusion(t *testing.T) {
 
 func TestRWMutexReadersShareWritersExclude(t *testing.T) {
 	rt := newTestRuntime(t, lcrt.Options{})
-	mu := NewRWMutex(rt)
+	mu := NewRW("rwmutex", WithRuntime(rt))
 	var concurrentReaders, maxReaders atomic.Int32
 	value := 0
 	var wg sync.WaitGroup
@@ -286,7 +286,7 @@ func TestRWMutexReadersShareWritersExclude(t *testing.T) {
 func TestRWMutexMisuse(t *testing.T) {
 	rt := lcrt.New(lcrt.Options{})
 	t.Run("RUnlockUnlocked", func(t *testing.T) {
-		mu := NewRWMutex(rt)
+		mu := NewRW("rwmutex", WithRuntime(rt))
 		defer func() {
 			if recover() == nil {
 				t.Fatal("no panic")
@@ -295,7 +295,7 @@ func TestRWMutexMisuse(t *testing.T) {
 		mu.RUnlock()
 	})
 	t.Run("UnlockNotWriteHeld", func(t *testing.T) {
-		mu := NewRWMutex(rt)
+		mu := NewRW("rwmutex", WithRuntime(rt))
 		mu.RLock()
 		defer func() {
 			if recover() == nil {
@@ -318,7 +318,7 @@ func TestUnlockWakesParkedWaiter(t *testing.T) {
 		SleepTimeout: 10 * time.Second,        // a timeout wake would blow the latency assert
 		LoadFunc:     func() int { return 8 }, // hot "other locks" keep T high forever
 	})
-	mu := NewMutex(rt)
+	mu := New("mutex", WithRuntime(rt))
 	mu.Lock()
 	acquired := make(chan time.Duration, 1)
 	var released atomic.Int64
@@ -361,7 +361,7 @@ func TestRUnlockWakesParkedWriter(t *testing.T) {
 		SleepTimeout: 10 * time.Second,
 		LoadFunc:     func() int { return 8 },
 	})
-	mu := NewRWMutex(rt)
+	mu := NewRW("rwmutex", WithRuntime(rt))
 	mu.RLock()
 	acquired := make(chan struct{})
 	go func() {
@@ -397,7 +397,7 @@ func TestRWMutexNoStrandOnWriterParkCommit(t *testing.T) {
 		SleepTimeout: 5 * time.Second,
 		LoadFunc:     func() int { return 16 },
 	})
-	mu := NewRWMutex(rt)
+	mu := NewRW("rwmutex", WithRuntime(rt))
 	var wg sync.WaitGroup
 	for i := 0; i < 3; i++ {
 		wg.Add(2)
@@ -439,8 +439,8 @@ func TestAdversarialTwoLocks(t *testing.T) {
 		Interval:     time.Millisecond,
 		SleepTimeout: 10 * time.Second,
 	})
-	hot := NewNamedMutex(rt, "hot")
-	cold := NewNamedMutex(rt, "cold")
+	hot := New("hot", WithRuntime(rt))
+	cold := New("cold", WithRuntime(rt))
 
 	// Hot lock: more contenders than Ps (they hold the lock in turn,
 	// with a critical section long enough that waiters accumulate).
@@ -542,10 +542,10 @@ func TestTryLock(t *testing.T) {
 		name string
 		mu   TryLocker
 	}{
-		{"Mutex", NewMutex(rt)},
+		{"Mutex", New("mutex", WithRuntime(rt))},
 		{"Mutex/spin", New("try-spin", WithPolicy(Spin), WithRuntime(rt))},
 		{"Mutex/block", New("try-block", WithPolicy(Block), WithRuntime(rt))},
-		{"RWMutex", NewRWMutex(rt)},
+		{"RWMutex", NewRW("rwmutex", WithRuntime(rt))},
 		{"RWMutex/spin", NewRW("try-spin-rw", WithPolicy(Spin), WithRuntime(rt))},
 		{"sync.Mutex", new(sync.Mutex)},
 		{"sync.RWMutex", new(sync.RWMutex)},
@@ -571,7 +571,7 @@ func TestTryLock(t *testing.T) {
 // writer or the writer-preference gate.
 func TestTryRLock(t *testing.T) {
 	rt := newTestRuntime(t, lcrt.Options{})
-	mu := NewRWMutex(rt)
+	mu := NewRW("rwmutex", WithRuntime(rt))
 	if !mu.TryRLock() {
 		t.Fatal("TryRLock failed on a free lock")
 	}
@@ -617,7 +617,7 @@ func TestTryRLock(t *testing.T) {
 // holders (the mutual-exclusion property of the probe path).
 func TestTryLockConcurrent(t *testing.T) {
 	rt := newTestRuntime(t, lcrt.Options{})
-	mu := NewMutex(rt)
+	mu := New("mutex", WithRuntime(rt))
 	var holders atomic.Int32
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {

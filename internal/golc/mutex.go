@@ -53,8 +53,8 @@ func buildConfig(opts []Option) config {
 // wake (one atomic load when nothing is parked), so a free lock never
 // idles until the safety timeout regardless of policy.
 //
-// A Mutex must be created with New (or the legacy constructors); it
-// registers with a load-control Runtime at construction.
+// A Mutex must be created with New; it registers with a load-control
+// Runtime at construction.
 type Mutex struct {
 	noCopy noCopy
 
@@ -90,19 +90,6 @@ func New(name string, opts ...Option) *Mutex {
 	m.pol.Store(&c.pol)
 	m.h.NotePolicy(c.pol.Name())
 	return m
-}
-
-// NewMutex returns a load-controlled mutex registered with rt (the
-// process-wide Default runtime when rt is nil).
-//
-// Deprecated: use New, which also names the lock and selects a policy.
-func NewMutex(rt *lcrt.Runtime) *Mutex { return NewNamedMutex(rt, "mutex") }
-
-// NewNamedMutex is NewMutex with a metrics name for the lock.
-//
-// Deprecated: use New.
-func NewNamedMutex(rt *lcrt.Runtime, name string) *Mutex {
-	return New(name, WithRuntime(rt))
 }
 
 // Policy returns the lock's current contention policy.

@@ -320,7 +320,7 @@ func (r *Recorder) BlameEdges() []BlameEdge {
 }
 
 // BlameEntry is one leaderboard row: the display-form of a BlameEdge
-// for /stats, history ticks, and lcbench/lctop reports.
+// for /stats, history ticks, and lctop reports.
 type BlameEntry struct {
 	Waiter string `json:"waiter"`
 	Holder string `json:"holder"`

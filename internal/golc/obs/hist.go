@@ -14,7 +14,7 @@ import (
 // bucketing makes recording one bits.Len64 plus one atomic add, at the
 // cost of quantiles being exact only to a factor of two — which the
 // within-bucket interpolation in Quantile narrows far enough to agree
-// with sampled percentiles in practice (see BENCH_5.json).
+// with sampled percentiles in practice.
 const NumBuckets = 48
 
 // bucketOf maps an observation to its bucket index.
@@ -174,8 +174,8 @@ func (s *HistSnapshot) Quantile(q float64) int64 {
 	return BucketUpper(NumBuckets - 1)
 }
 
-// HistSummary is the compact rendering of a snapshot for /stats and
-// lcbench output: count, mean, and the standard percentile trio.
+// HistSummary is the compact rendering of a snapshot for /stats:
+// count, mean, and the standard percentile trio.
 type HistSummary struct {
 	Count  uint64 `json:"count"`
 	MeanNs int64  `json:"mean_ns"`

@@ -6,7 +6,7 @@ import (
 )
 
 // TraceProc is one process track in a Chrome trace dump: a named group
-// of events (one lcbench phase, one runtime). Event shards become the
+// of events (one runtime). Event shards become the
 // track's threads, which in practice separates concurrent goroutines'
 // timelines.
 type TraceProc struct {

@@ -201,7 +201,7 @@ var (
 	policies  = map[string]ContentionPolicy{}
 	policyAka = map[string]string{
 		// Aliases accepted by PolicyByName, kept for the flag spellings
-		// older tools used (lcserve -mode, kv.LockMode names).
+		// lcserve -mode has accepted.
 		"load-control":   "lc",
 		"loadcontrolled": "lc",
 		"std":            "block",
@@ -218,7 +218,7 @@ func init() {
 }
 
 // RegisterPolicy adds p to the registry under p.Name, making it
-// selectable by PolicyByName (lcbench -policy, lcserve POST /policy)
+// selectable by PolicyByName (lcserve -mode and POST /policy)
 // and enrolling it in the conformance suite's sweep. Empty and
 // duplicate names are rejected.
 func RegisterPolicy(p ContentionPolicy) error {

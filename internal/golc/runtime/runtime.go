@@ -41,7 +41,6 @@ package runtime
 
 import (
 	"context"
-	"expvar"
 	"fmt"
 	"math"
 	goruntime "runtime"
@@ -71,10 +70,6 @@ type Options struct {
 	// published as the target as it stands (it is the test seam: a
 	// constant pins the target).
 	LoadFunc LoadFunc
-	// DisableUnlockWake turns off the unlock-side wake, leaving only
-	// controller wakes and the safety timeout — the paper's original
-	// design, kept as an ablation baseline for benchmarks.
-	DisableUnlockWake bool
 	// Recorder is the runtime's flight recorder (default: a fresh
 	// enabled obs.NewRecorder()). Share one only between runtimes whose
 	// telemetry should aggregate.
@@ -132,7 +127,7 @@ type LockStats struct {
 // kept finding parked waiters with no spinner left.
 func (ls LockStats) Contention() uint64 { return ls.Blocks + ls.UnlockWakes }
 
-// Snapshot is a point-in-time view of the runtime, suitable for expvar.
+// Snapshot is a point-in-time view of the runtime; it marshals to JSON.
 type Snapshot struct {
 	Updates         uint64
 	Claims          uint64
@@ -278,13 +273,12 @@ var (
 	defaultRT   *Runtime
 )
 
-// Default returns the process-wide shared runtime, starting it (and
-// publishing its snapshot as the expvar "golc") on first use.
+// Default returns the process-wide shared runtime, starting it on
+// first use.
 func Default() *Runtime {
 	defaultOnce.Do(func() {
 		defaultRT = New(Options{})
 		defaultRT.Start()
-		defaultRT.Publish("golc")
 	})
 	return defaultRT
 }
@@ -434,20 +428,6 @@ func (s Snapshot) TopContended(n int) []LockStats {
 		top = top[:n]
 	}
 	return top
-}
-
-var pubMu sync.Mutex
-
-// Publish exports the runtime's Snapshot as an expvar under name.
-// Publishing an already-taken name is a no-op (expvar forbids
-// re-publishing), so restarts and tests are safe.
-func (r *Runtime) Publish(name string) {
-	pubMu.Lock()
-	defer pubMu.Unlock()
-	if expvar.Get(name) != nil {
-		return
-	}
-	expvar.Publish(name, expvar.Func(func() any { return r.Snapshot() }))
 }
 
 // update is one controller cycle: read the sensor, publish T. sens is
@@ -959,9 +939,6 @@ func (h *Handle) NoteSpins(n int) { h.spins.Add(uint64(n)) }
 // re-check is ordered after the release, so it sees the free lock and
 // cancels its park.
 func (h *Handle) NoteUnlock() {
-	if h.rt.opts.DisableUnlockWake {
-		return // before any atomic: the ablation must cost nothing
-	}
 	if h.sleepers.Load() == 0 {
 		return
 	}
@@ -1064,9 +1041,6 @@ func (t Ticket) Cancel() {
 // (no other sleeper) is one atomic load.
 func (t Ticket) NoteRelease() {
 	h := t.h
-	if h.rt.opts.DisableUnlockWake {
-		return
-	}
 	if h.sleepers.Load() <= 1 {
 		return // only our own claim is parked
 	}

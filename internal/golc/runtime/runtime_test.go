@@ -1,8 +1,6 @@
 package runtime
 
 import (
-	"encoding/json"
-	"expvar"
 	"fmt"
 	goruntime "runtime"
 	"sync"
@@ -353,32 +351,6 @@ func TestNoteUnlockSuppressedBySpinner(t *testing.T) {
 	h.Spinning(-2)
 }
 
-// TestNoteUnlockDisabled: the ablation switch turns the unlock-side
-// wake off, restoring the timeout-bounded stall of the original design.
-func TestNoteUnlockDisabled(t *testing.T) {
-	rt := New(Options{SleepTimeout: 30 * time.Millisecond, DisableUnlockWake: true})
-	rt.setTarget(1)
-	h := rt.Register("disabled")
-	h.Spinning(1)
-	tk, ok := h.TryClaim()
-	if !ok {
-		t.Fatal("claim failed")
-	}
-	done := make(chan struct{})
-	go func() {
-		tk.Sleep()
-		close(done)
-	}()
-	waitFor(t, "sleeper parked", func() bool { return rt.Snapshot().Sleeping == 1 })
-	h.NoteUnlock()
-	<-done
-	h.Spinning(-1)
-	snap := rt.Snapshot()
-	if snap.UnlockWakes != 0 || snap.TimeoutWakes != 1 {
-		t.Fatalf("snapshot = %+v, want the timeout path only", snap)
-	}
-}
-
 // TestNoteReleaseWakesOtherSleeper: a claimant that releases a gate on
 // its way to sleep must wake some OTHER parked waiter, never its own
 // freshly claimed slot (which a plain NoteUnlock would pick), and must
@@ -618,38 +590,10 @@ func TestCustomLoadFunc(t *testing.T) {
 	waitFor(t, "target=0", func() bool { return rt.Snapshot().Target == 0 })
 }
 
-// publishedLock pins TestPublishExpvar's handle for the life of the
-// process: expvar publication is once per process, so under -count>1
-// later runs read the first run's runtime — the registry is weak, and
-// only a reachable handle is guaranteed to still appear in it.
-var publishedLock *Handle
-
-func TestPublishExpvar(t *testing.T) {
-	rt := New(Options{})
-	// Deliberately never Closed (see publishedLock).
-	publishedLock = rt.Register("published-lock")
-	rt.Publish("golc-test")
-	rt.Publish("golc-test") // duplicate must not panic
-	v := expvar.Get("golc-test")
-	if v == nil {
-		t.Fatal("expvar not published")
-	}
-	var snap Snapshot
-	if err := json.Unmarshal([]byte(v.String()), &snap); err != nil {
-		t.Fatalf("expvar snapshot is not JSON: %v", err)
-	}
-	if snap.LocksRegistered != 1 || len(snap.Locks) != 1 || snap.Locks[0].Name != "published-lock" {
-		t.Fatalf("snapshot = %+v", snap)
-	}
-}
-
 func TestDefaultRuntimeSingleton(t *testing.T) {
 	a, b := Default(), Default()
 	if a != b {
 		t.Fatal("Default returned distinct runtimes")
-	}
-	if expvar.Get("golc") == nil {
-		t.Fatal("default runtime not published as expvar \"golc\"")
 	}
 }
 

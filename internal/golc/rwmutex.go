@@ -56,20 +56,6 @@ func NewRW(name string, opts ...Option) *RWMutex {
 	return m
 }
 
-// NewRWMutex returns a load-controlled reader/writer lock registered
-// with rt (the process-wide Default runtime when rt is nil).
-//
-// Deprecated: use NewRW, which also names the lock and selects a
-// policy.
-func NewRWMutex(rt *lcrt.Runtime) *RWMutex { return NewNamedRWMutex(rt, "rwmutex") }
-
-// NewNamedRWMutex is NewRWMutex with a metrics name for the lock.
-//
-// Deprecated: use NewRW.
-func NewNamedRWMutex(rt *lcrt.Runtime, name string) *RWMutex {
-	return NewRW(name, WithRuntime(rt))
-}
-
 // Policy returns the lock's current contention policy.
 func (m *RWMutex) Policy() ContentionPolicy { return *m.pol.Load() }
 

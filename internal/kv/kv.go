@@ -28,50 +28,6 @@ import (
 	lcrt "repro/internal/golc/runtime"
 )
 
-// LockMode names a latch contention policy. Since the golc API
-// redesign every latch is the one policy-parameterized golc.RWMutex;
-// LockMode survives as the benchmark-facing selector that maps onto
-// the golc built-ins (Options.Policy overrides it directly).
-type LockMode int
-
-const (
-	// LoadControlled waits under golc.LoadControlled: the real
-	// deployment mode, governed by the shared runtime's controller.
-	LoadControlled LockMode = iota
-	// Spin waits under golc.Spin, the uncontrolled baseline — the
-	// paper's "what collapses under oversubscription" comparison.
-	Spin
-	// Std waits under golc.Block: spin-then-block, the stand-in for a
-	// conventional blocking latch (it replaced the old sync.RWMutex
-	// mode when the latch types unified).
-	Std
-)
-
-func (m LockMode) String() string {
-	switch m {
-	case LoadControlled:
-		return "load-control"
-	case Spin:
-		return "spin"
-	case Std:
-		return "std"
-	default:
-		return fmt.Sprintf("LockMode(%d)", int(m))
-	}
-}
-
-// policy maps the mode onto a golc built-in.
-func (m LockMode) policy() golc.ContentionPolicy {
-	switch m {
-	case Spin:
-		return golc.Spin
-	case Std:
-		return golc.Block
-	default:
-		return golc.LoadControlled
-	}
-}
-
 // Options configures a Store.
 type Options struct {
 	// Shards is the number of primary shards (default 16).
@@ -79,11 +35,8 @@ type Options struct {
 	// IndexStripes is the number of secondary-index stripes
 	// (default 8).
 	IndexStripes int
-	// Mode selects the latch contention policy by benchmark name
-	// (default LoadControlled). Ignored when Policy is set.
-	Mode LockMode
-	// Policy, when non-nil, is the latch contention policy directly —
-	// any registered golc policy, not just the three Mode names.
+	// Policy is the latch contention policy — any registered golc
+	// policy (default golc.LoadControlled).
 	Policy golc.ContentionPolicy
 	// Runtime is the load-control runtime every latch registers with
 	// (default: the process-wide runtime).
@@ -98,7 +51,7 @@ func (o Options) withDefaults() Options {
 		o.IndexStripes = 8
 	}
 	if o.Policy == nil {
-		o.Policy = o.Mode.policy()
+		o.Policy = golc.LoadControlled
 	}
 	return o
 }
@@ -127,7 +80,6 @@ type stripe struct {
 
 // Store is the sharded store. Create with New.
 type Store struct {
-	opts    Options
 	pol     atomic.Pointer[golc.ContentionPolicy]
 	shards  []*shard
 	stripes []*stripe
@@ -137,7 +89,7 @@ type Store struct {
 // process-wide default runtime.
 func New(opts Options) *Store {
 	o := opts.withDefaults()
-	s := &Store{opts: o}
+	s := &Store{}
 	s.pol.Store(&o.Policy)
 	newLatch := func(name string) *golc.RWMutex {
 		return golc.NewRW(name, golc.WithPolicy(o.Policy), golc.WithRuntime(o.Runtime))
@@ -468,9 +420,3 @@ func (s *Store) Len() int {
 
 // Shards returns the shard count (for routing tests and stats).
 func (s *Store) Shards() int { return len(s.shards) }
-
-// Mode returns the store's construction-time lock mode.
-//
-// Deprecated: Mode is only meaningful when the store was built through
-// Options.Mode; use Policy, which tracks hot-swaps too.
-func (s *Store) Mode() LockMode { return s.opts.Mode }

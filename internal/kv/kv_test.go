@@ -8,12 +8,26 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/golc"
 	lcrt "repro/internal/golc/runtime"
 )
 
+// latchPolicies are the names the per-policy subtests run under: the
+// golc.PolicyByName spellings of lc, spin and block.
+var latchPolicies = []string{"load-control", "spin", "std"}
+
+func policyNamed(t *testing.T, name string) golc.ContentionPolicy {
+	t.Helper()
+	p, err := golc.PolicyByName(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
 func newTestStore(t *testing.T, opts Options) *Store {
 	t.Helper()
-	if opts.Mode == LoadControlled && opts.Runtime == nil {
+	if opts.Runtime == nil {
 		rt := lcrt.New(lcrt.Options{Interval: time.Millisecond})
 		rt.Start()
 		t.Cleanup(rt.Stop)
@@ -78,9 +92,9 @@ func TestShardRouting(t *testing.T) {
 }
 
 func TestPutGetDelete(t *testing.T) {
-	for _, mode := range []LockMode{LoadControlled, Spin, Std} {
-		t.Run(mode.String(), func(t *testing.T) {
-			s := newTestStore(t, Options{Shards: 8, IndexStripes: 4, Mode: mode})
+	for _, name := range latchPolicies {
+		t.Run(name, func(t *testing.T) {
+			s := newTestStore(t, Options{Shards: 8, IndexStripes: 4, Policy: policyNamed(t, name)})
 			if _, ok := s.Get("a"); ok {
 				t.Fatal("get on empty store")
 			}
@@ -241,9 +255,9 @@ func TestScanShard(t *testing.T) {
 // shard, keep the secondary index consistent, and later writes to the
 // same key win.
 func TestApplyBatch(t *testing.T) {
-	for _, mode := range []LockMode{LoadControlled, Spin, Std} {
-		t.Run(mode.String(), func(t *testing.T) {
-			s := newTestStore(t, Options{Shards: 8, IndexStripes: 4, Mode: mode})
+	for _, name := range latchPolicies {
+		t.Run(name, func(t *testing.T) {
+			s := newTestStore(t, Options{Shards: 8, IndexStripes: 4, Policy: policyNamed(t, name)})
 			s.Put("stale", "red")
 			s.ApplyBatch(nil) // no-op
 			s.ApplyBatch([]Write{
@@ -316,14 +330,14 @@ func TestApplyBatchConcurrent(t *testing.T) {
 
 // TestLatchStats: the aggregate must equal the sum of the runtime's
 // per-latch snapshot entries (including the wake-path split). Since
-// the policy API unified the latch types, every mode registers with a
+// the policy API unified the latch types, every policy registers with a
 // runtime and keeps counters; an uncontended store still reports all
 // zeros, whatever its policy.
 func TestLatchStats(t *testing.T) {
 	rt := lcrt.New(lcrt.Options{Interval: time.Millisecond})
 	rt.Start()
 	t.Cleanup(rt.Stop)
-	s := newTestStore(t, Options{Shards: 1, IndexStripes: 1, Mode: LoadControlled, Runtime: rt})
+	s := newTestStore(t, Options{Shards: 1, IndexStripes: 1, Runtime: rt})
 	const workers = 8
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -358,11 +372,11 @@ func TestLatchStats(t *testing.T) {
 		t.Fatalf("more wakes than parks: %+v", agg)
 	}
 
-	for _, mode := range []LockMode{Spin, Std} {
-		s := newTestStore(t, Options{Shards: 2, IndexStripes: 2, Mode: mode})
+	for _, pol := range []golc.ContentionPolicy{golc.Spin, golc.Block} {
+		s := newTestStore(t, Options{Shards: 2, IndexStripes: 2, Policy: pol})
 		s.Put("a", "1")
 		if agg := s.LatchStats(); agg.Spins != 0 || agg.Blocks != 0 {
-			t.Fatalf("%v mode counted contention on an uncontended store: %+v", mode, agg)
+			t.Fatalf("%s policy counted contention on an uncontended store: %+v", pol.Name(), agg)
 		}
 	}
 }
@@ -370,9 +384,9 @@ func TestLatchStats(t *testing.T) {
 // TestConcurrentMixedOps drives every operation from many goroutines
 // under -race, then verifies store/index agreement.
 func TestConcurrentMixedOps(t *testing.T) {
-	for _, mode := range []LockMode{LoadControlled, Spin, Std} {
-		t.Run(mode.String(), func(t *testing.T) {
-			s := newTestStore(t, Options{Shards: 8, IndexStripes: 4, Mode: mode})
+	for _, name := range latchPolicies {
+		t.Run(name, func(t *testing.T) {
+			s := newTestStore(t, Options{Shards: 8, IndexStripes: 4, Policy: policyNamed(t, name)})
 			const workers = 8
 			var wg sync.WaitGroup
 			for w := 0; w < workers; w++ {

@@ -6,14 +6,14 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/kv"
+	"repro/internal/golc"
 )
 
 // TestConflictSetup: the probe must land the requested population on
 // the requested partitions, and pickTouches must honor the shape
 // (count, distinctness, partition spread).
 func TestConflictSetup(t *testing.T) {
-	db := newTestDB(t, kv.Std, Options{})
+	db := newTestDB(t, golc.Block, Options{})
 	w := NewConflict(db, ConflictConfig{Partitions: 3, PerPartition: 64, RecordsPerTxn: 12, SpreadPartitions: 1})
 	cfg := w.Config()
 	if cfg.Partitions != 3 || cfg.PerPartition != 64 {
@@ -53,10 +53,10 @@ func TestConflictSetup(t *testing.T) {
 // (SpreadPartitions x HotPerPartition) is smaller than one
 // transaction's draw and OverlapFrac is 1.0, pickTouches must fall
 // back to the uniform population instead of rejection-sampling
-// forever. (Regression: `lcbench -oltp -workload conflict -overlap 1
-// -spread 1` hung with no output.)
+// forever. (Regression: OverlapFrac 1 with SpreadPartitions 1 hung
+// with no output.)
 func TestConflictPickTouchesExtremeOverlap(t *testing.T) {
-	db := newTestDB(t, kv.Std, Options{})
+	db := newTestDB(t, golc.Block, Options{})
 	w := NewConflict(db, ConflictConfig{
 		Partitions:       4,
 		RecordsPerTxn:    16,
@@ -97,7 +97,7 @@ func TestConflictWorkloadBothPolicies(t *testing.T) {
 			}
 			// Threshold low enough that the 12-record transactions
 			// escalate: the fold-in path runs under real concurrency.
-			db := newTestDB(t, kv.Std, Options{DeadlockPolicy: pol, MaxRetries: -1, EscalationThreshold: 8})
+			db := newTestDB(t, golc.Block, Options{DeadlockPolicy: pol, MaxRetries: -1, EscalationThreshold: 8})
 			w := NewConflict(db, ConflictConfig{
 				Partitions:      2,
 				PerPartition:    32,

@@ -6,7 +6,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/kv"
+	"repro/internal/golc"
 )
 
 // TestCtxCancelWait: the caller's context ending a logical lock wait is
@@ -15,7 +15,7 @@ import (
 // counted in CtxCancels rather than any abort counter, and leaves the
 // lock table clean.
 func TestCtxCancelWait(t *testing.T) {
-	db := newTestDB(t, kv.Std, Options{})
+	db := newTestDB(t, golc.Block, Options{})
 	id := RecordID("tbl", 0, "k")
 	ctx, cancel := context.WithCancel(context.Background())
 	older := db.BeginCtx(ctx) // older, so wait-die lets it wait
@@ -60,7 +60,7 @@ func TestCtxCancelWait(t *testing.T) {
 // TestRunCtxCancelledBeforeAttempt: a context already cancelled stops
 // RunCtx before fn ever runs.
 func TestRunCtxCancelledBeforeAttempt(t *testing.T) {
-	db := newTestDB(t, kv.Std, Options{})
+	db := newTestDB(t, golc.Block, Options{})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	ran := false
@@ -76,7 +76,7 @@ func TestRunCtxCancelledBeforeAttempt(t *testing.T) {
 // TestRunCtxCommits: RunCtx with a live context behaves exactly like
 // Run — commit on nil return, effects visible afterwards.
 func TestRunCtxCommits(t *testing.T) {
-	db := newTestDB(t, kv.Std, Options{})
+	db := newTestDB(t, golc.Block, Options{})
 	if err := db.RunCtx(context.Background(), func(tx *Txn) error {
 		return tx.Write("tbl", "k", "v")
 	}); err != nil {

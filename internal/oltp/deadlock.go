@@ -13,8 +13,8 @@ import (
 // (detection). The lock manager routes every die-vs-wait decision and
 // all waiter bookkeeping through this interface, so the two classic
 // answers to deadlock can be swapped under the same lock table and
-// compared on identical workloads (lcbench -oltp -policy {waitdie,
-// detect}).
+// compared on identical workloads (BenchmarkOLTPConflict{WaitDie,
+// Detect}).
 //
 // Implementations live in this package (the methods are unexported);
 // select one with NewWaitDiePolicy, NewDetectPolicy, or NewPolicy. A

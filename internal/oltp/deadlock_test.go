@@ -8,11 +8,11 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/kv"
+	"repro/internal/golc"
 )
 
-// TestNewPolicy pins the name→policy mapping used by lcbench/lcserve
-// flags, and that instances report their names back.
+// TestNewPolicy pins the name→policy mapping used by lcserve's
+// -policy flag, and that instances report their names back.
 func TestNewPolicy(t *testing.T) {
 	for name, want := range map[string]string{
 		"waitdie": "waitdie", "wait-die": "waitdie",
@@ -39,7 +39,7 @@ func TestNewPolicy(t *testing.T) {
 // with AbortDeadlock. Exactly one abort, no timeout backstop, lock
 // table drains.
 func TestDetectorTwoTxnCycle(t *testing.T) {
-	db := newTestDB(t, kv.Std, Options{DeadlockPolicy: NewDetectPolicy()})
+	db := newTestDB(t, golc.Block, Options{DeadlockPolicy: NewDetectPolicy()})
 	if got := db.PolicyName(); got != "detect" {
 		t.Fatalf("PolicyName = %q", got)
 	}
@@ -86,7 +86,7 @@ func TestDetectorTwoTxnCycle(t *testing.T) {
 // resource: cancelWaiter must wake it with AbortDeadlock while the
 // older requester keeps waiting and is then granted.
 func TestDetectorRemoteVictim(t *testing.T) {
-	db := newTestDB(t, kv.Std, Options{DeadlockPolicy: NewDetectPolicy()})
+	db := newTestDB(t, golc.Block, Options{DeadlockPolicy: NewDetectPolicy()})
 	t1 := db.Begin() // older
 	t2 := db.Begin() // younger
 	if err := t1.Write("tbl", "A", "t1"); err != nil {
@@ -130,7 +130,7 @@ func TestDetectorRemoteVictim(t *testing.T) {
 // through three records) so the DFS has to walk more than one edge:
 // exactly one victim (the youngest, T3), both survivors commit.
 func TestDetectorThreeTxnCycle(t *testing.T) {
-	db := newTestDB(t, kv.Std, Options{DeadlockPolicy: NewDetectPolicy()})
+	db := newTestDB(t, golc.Block, Options{DeadlockPolicy: NewDetectPolicy()})
 	t1, t2, t3 := db.Begin(), db.Begin(), db.Begin()
 	for txn, key := range map[*Txn]string{t1: "A", t2: "B", t3: "C"} {
 		if err := txn.Write("tbl", key, "v"); err != nil {
@@ -189,7 +189,7 @@ func TestDualUpgradeConflict(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			db := newTestDB(t, kv.Std, Options{DeadlockPolicy: tc.policy()})
+			db := newTestDB(t, golc.Block, Options{DeadlockPolicy: tc.policy()})
 			older := db.Begin()
 			younger := db.Begin()
 			// Both read the record: two S holders.
@@ -260,7 +260,7 @@ func TestDetectorConcurrentStress(t *testing.T) {
 	// TestConcurrentTransfers).
 	prev := goruntime.GOMAXPROCS(4 * goruntime.NumCPU())
 	defer goruntime.GOMAXPROCS(prev)
-	db := newTestDB(t, kv.Std, Options{DeadlockPolicy: NewDetectPolicy(), MaxRetries: -1})
+	db := newTestDB(t, golc.Block, Options{DeadlockPolicy: NewDetectPolicy(), MaxRetries: -1})
 	const keys = 6
 	for i := 0; i < keys; i++ {
 		db.Store().Put(storageKey("tbl", fmt.Sprintf("k%d", i)), "0")

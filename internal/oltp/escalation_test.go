@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"testing"
 
-	"repro/internal/kv"
+	"repro/internal/golc"
 )
 
 // keysInPartition probes the store's shard map for n distinct keys of
@@ -31,7 +31,7 @@ func keysInPartition(t *testing.T, db *DB, table string, part, n int) []string {
 // record locks at all, and commit still applies every buffered write.
 func TestEscalationFoldsRecords(t *testing.T) {
 	const th = 4
-	db := newTestDB(t, kv.Std, Options{EscalationThreshold: th})
+	db := newTestDB(t, golc.Block, Options{EscalationThreshold: th})
 	keys := keysInPartition(t, db, "tbl", 0, th+3)
 	pid := PartitionID("tbl", 0)
 	txn := db.Begin()
@@ -97,7 +97,7 @@ func TestEscalationFoldsRecords(t *testing.T) {
 // conflict (they need IX).
 func TestEscalationReadOnlyUsesS(t *testing.T) {
 	const th = 4
-	db := newTestDB(t, kv.Std, Options{EscalationThreshold: th})
+	db := newTestDB(t, golc.Block, Options{EscalationThreshold: th})
 	keys := keysInPartition(t, db, "tbl", 0, th+1)
 	for _, k := range keys {
 		db.Store().Put(storageKey("tbl", k), "seed")
@@ -136,9 +136,9 @@ func TestEscalationReadOnlyUsesS(t *testing.T) {
 
 // TestEscalationDisabled: EscalationThreshold < 0 must never escalate,
 // however many record locks pile up — the pre-escalation behavior,
-// selectable for comparison (lcbench -escalate -1).
+// selectable for comparison.
 func TestEscalationDisabled(t *testing.T) {
-	db := newTestDB(t, kv.Std, Options{EscalationThreshold: -1})
+	db := newTestDB(t, golc.Block, Options{EscalationThreshold: -1})
 	keys := keysInPartition(t, db, "tbl", 0, DefaultEscalationThreshold+8)
 	txn := db.Begin()
 	for _, k := range keys {
@@ -171,7 +171,7 @@ func TestEscalationDisabled(t *testing.T) {
 // escalation uncounted and the transaction abortable as usual.
 func TestEscalationIsPolicyGoverned(t *testing.T) {
 	const th = 4
-	db := newTestDB(t, kv.Std, Options{EscalationThreshold: th})
+	db := newTestDB(t, golc.Block, Options{EscalationThreshold: th})
 	keys := keysInPartition(t, db, "tbl", 0, th+2)
 	older := db.Begin()
 	if err := older.Write("tbl", keys[th+1], "old"); err != nil { // IX on the partition

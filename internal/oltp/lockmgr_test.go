@@ -6,23 +6,33 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/golc"
 	lcrt "repro/internal/golc/runtime"
 	"repro/internal/kv"
 )
 
-// newTestDB builds a DB over a fresh store on a private load-control
-// runtime (or spin/std latches), torn down with the test.
-func newTestDB(t *testing.T, mode kv.LockMode, opts Options) *DB {
+// latchPolicies are the names the per-policy subtests run under: the
+// golc.PolicyByName spellings of lc, spin and block.
+var latchPolicies = []string{"load-control", "spin", "std"}
+
+func policyNamed(t *testing.T, name string) golc.ContentionPolicy {
 	t.Helper()
-	kvOpts := kv.Options{Shards: 8, IndexStripes: 4, Mode: mode}
-	if mode == kv.LoadControlled {
-		rt := lcrt.New(lcrt.Options{Interval: time.Millisecond})
-		rt.Start()
-		t.Cleanup(rt.Stop)
-		kvOpts.Runtime = rt
-		opts.Runtime = rt
+	p, err := golc.PolicyByName(name)
+	if err != nil {
+		t.Fatal(err)
 	}
-	store := kv.New(kvOpts)
+	return p
+}
+
+// newTestDB builds a DB over a fresh store whose latches wait under pol
+// on a private load-control runtime, torn down with the test.
+func newTestDB(t *testing.T, pol golc.ContentionPolicy, opts Options) *DB {
+	t.Helper()
+	rt := lcrt.New(lcrt.Options{Interval: time.Millisecond})
+	rt.Start()
+	t.Cleanup(rt.Stop)
+	opts.Runtime = rt
+	store := kv.New(kv.Options{Shards: 8, IndexStripes: 4, Policy: pol, Runtime: rt})
 	t.Cleanup(store.Close)
 	db := New(store, opts)
 	t.Cleanup(db.Close)
@@ -83,7 +93,7 @@ func TestCompatMatrixLive(t *testing.T) {
 	for _, a := range modes {
 		for _, b := range modes {
 			t.Run(fmt.Sprintf("%v-then-%v", a, b), func(t *testing.T) {
-				db := newTestDB(t, kv.Std, Options{})
+				db := newTestDB(t, golc.Block, Options{})
 				id := PartitionID("tbl", 3)
 				older := db.Begin()
 				younger := db.Begin()
@@ -114,7 +124,7 @@ func TestCompatMatrixLive(t *testing.T) {
 // TestWaitDieOlderWaits: the older transaction must WAIT (not die) on
 // a younger holder, and be granted when the holder releases.
 func TestWaitDieOlderWaits(t *testing.T) {
-	db := newTestDB(t, kv.Std, Options{})
+	db := newTestDB(t, golc.Block, Options{})
 	id := RecordID("tbl", 0, "k")
 	older := db.Begin()
 	younger := db.Begin()
@@ -150,7 +160,7 @@ func TestWaitDieOlderWaits(t *testing.T) {
 // TestWaitTimeoutBackstop: a wait the holder never resolves ends in a
 // timeout abort, counted separately from wait-die.
 func TestWaitTimeoutBackstop(t *testing.T) {
-	db := newTestDB(t, kv.Std, Options{WaitTimeout: 30 * time.Millisecond})
+	db := newTestDB(t, golc.Block, Options{WaitTimeout: 30 * time.Millisecond})
 	id := RecordID("tbl", 0, "k")
 	older := db.Begin()
 	younger := db.Begin()
@@ -178,7 +188,7 @@ func TestWaitTimeoutBackstop(t *testing.T) {
 // must still queue (or die) behind an incompatible waiter, or writers
 // would starve — and wait-die must age-check against that waiter.
 func TestQueueFairnessGate(t *testing.T) {
-	db := newTestDB(t, kv.Std, Options{})
+	db := newTestDB(t, golc.Block, Options{})
 	id := RecordID("tbl", 0, "k")
 	writer := db.Begin()   // tid 1: oldest, so its X request queues
 	reader := db.Begin()   // tid 2: holds S
@@ -214,7 +224,7 @@ func TestQueueFairnessGate(t *testing.T) {
 // the first version forgot the grant and stranded them until their own
 // timeout.)
 func TestTimeoutWaiterRemovalGrantsQueue(t *testing.T) {
-	db := newTestDB(t, kv.Std, Options{WaitTimeout: 100 * time.Millisecond})
+	db := newTestDB(t, golc.Block, Options{WaitTimeout: 100 * time.Millisecond})
 	id := RecordID("tbl", 0, "k")
 	oldest := db.Begin() // tid 1
 	mid := db.Begin()    // tid 2

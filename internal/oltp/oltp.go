@@ -55,9 +55,9 @@
 //     (strict 2PL: nothing is released early, so reads are repeatable
 //     and writes are never exposed before commit).
 //
-// The TATP-style workload in tatp.go drives the whole stack; cmd/
-// lcbench -oltp sweeps it across spin, block, and load-control latch
-// modes as multiprogramming rises past the CPU count.
+// The TATP-style workload in tatp.go drives the whole stack; lcperf
+// (benchmark/) runs it under lc against spin and block at 1x and 8x
+// multiprogramming.
 package oltp
 
 import (
@@ -167,7 +167,7 @@ type Options struct {
 	// MaxRetries bounds DB.Run's abort-and-retry loop: the number of
 	// retries allowed after the first attempt. 0 — the zero value —
 	// means no retries (the first abort is terminal); <0 means
-	// unlimited (lcbench's MaxRetries: -1). Use DefaultMaxRetries for
+	// unlimited. Use DefaultMaxRetries for
 	// the standard bound. (Historically 0 was silently rewritten to
 	// 100, making "no retries" impossible to request.)
 	MaxRetries int

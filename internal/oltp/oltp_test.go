@@ -7,7 +7,7 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/kv"
+	"repro/internal/golc"
 )
 
 // TestRunCallerAborted: fn aborting the transaction itself and then
@@ -15,7 +15,7 @@ import (
 // ErrTxnDone from Run's blind Commit. (Regression for the
 // finished-transaction bug in DB.Run.)
 func TestRunCallerAborted(t *testing.T) {
-	db := newTestDB(t, kv.Std, Options{})
+	db := newTestDB(t, golc.Block, Options{})
 	err := db.Run(func(txn *Txn) error {
 		if err := txn.Write("tbl", "k", "v"); err != nil {
 			return err
@@ -42,7 +42,7 @@ func TestRunCallerAborted(t *testing.T) {
 // returning nil is success — Run must not call Commit again (which
 // returned ErrTxnDone and made the whole Run look failed).
 func TestRunFnCommitsItself(t *testing.T) {
-	db := newTestDB(t, kv.Std, Options{})
+	db := newTestDB(t, golc.Block, Options{})
 	err := db.Run(func(txn *Txn) error {
 		if err := txn.Write("tbl", "k", "self"); err != nil {
 			return err
@@ -66,7 +66,7 @@ func TestRunFnCommitsItself(t *testing.T) {
 // rolls back, and retries under the original timestamp, whether fn
 // left the transaction active or aborted it itself.
 func TestRunSwallowedAbortRetries(t *testing.T) {
-	db := newTestDB(t, kv.Std, Options{MaxRetries: -1})
+	db := newTestDB(t, golc.Block, Options{MaxRetries: -1})
 	blocker := db.Begin() // tid 1: older, holds X on k
 	if err := blocker.Write("tbl", "k", "blocker"); err != nil {
 		t.Fatal(err)
@@ -117,7 +117,7 @@ func TestRunSwallowedAbortRetries(t *testing.T) {
 // rolls back and returns the original kill order, and via Run the
 // attempt is retried like any other abort.
 func TestCommitRefusesKillOrder(t *testing.T) {
-	db := newTestDB(t, kv.Std, Options{MaxRetries: -1})
+	db := newTestDB(t, golc.Block, Options{MaxRetries: -1})
 	blocker := db.Begin() // older, holds X on "locked"
 	if err := blocker.Write("tbl", "locked", "b"); err != nil {
 		t.Fatal(err)
@@ -173,7 +173,7 @@ func TestCommitRefusesKillOrder(t *testing.T) {
 // the first abort is terminal — instead of being silently rewritten to
 // 100. (Regression for the sentinel-default bug.)
 func TestMaxRetriesZero(t *testing.T) {
-	db := newTestDB(t, kv.Std, Options{MaxRetries: 0})
+	db := newTestDB(t, golc.Block, Options{MaxRetries: 0})
 	blocker := db.Begin() // older: the younger Run below wait-dies
 	if err := blocker.Write("tbl", "k", "b"); err != nil {
 		t.Fatal(err)
@@ -196,7 +196,7 @@ func TestMaxRetriesZero(t *testing.T) {
 // TestMaxRetriesBounded: a positive bound is the retry count, so
 // MaxRetries: 2 means three attempts total.
 func TestMaxRetriesBounded(t *testing.T) {
-	db := newTestDB(t, kv.Std, Options{MaxRetries: 2})
+	db := newTestDB(t, golc.Block, Options{MaxRetries: 2})
 	blocker := db.Begin()
 	if err := blocker.Write("tbl", "k", "b"); err != nil {
 		t.Fatal(err)
@@ -225,7 +225,7 @@ func TestMaxRetriesBounded(t *testing.T) {
 // the scan output closes the window by construction — and drops the
 // per-write shard-latch traffic.)
 func TestReadPartitionInsertVsConcurrentPut(t *testing.T) {
-	db := newTestDB(t, kv.Std, Options{})
+	db := newTestDB(t, golc.Block, Options{})
 	// A fresh key in partition 0 that the txn inserts but never commits.
 	var fresh string
 	for i := 0; ; i++ {

@@ -7,13 +7,13 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"repro/internal/kv"
+	"repro/internal/golc"
 )
 
 // TestTATPLoad: initial population — every subscriber present, cf slot
 // 0 for even ids, spread across every partition.
 func TestTATPLoad(t *testing.T) {
-	db := newTestDB(t, kv.Std, Options{})
+	db := newTestDB(t, golc.Block, Options{})
 	w := NewTATP(db, TATPConfig{Subscribers: 256})
 	if w.Config().Subscribers != 256 {
 		t.Fatalf("config = %+v", w.Config())
@@ -32,7 +32,7 @@ func TestTATPLoad(t *testing.T) {
 // TestTATPMixShape: the kind picker must be read-heavy (the TATP
 // shape) and cover every kind.
 func TestTATPMixShape(t *testing.T) {
-	db := newTestDB(t, kv.Std, Options{})
+	db := newTestDB(t, golc.Block, Options{})
 	w := NewTATP(db, TATPConfig{Subscribers: 16})
 	rng := rand.New(rand.NewSource(1))
 	counts := make([]int, numTxnKinds)
@@ -59,9 +59,9 @@ func TestTATPConcurrent(t *testing.T) {
 	// TestConcurrentTransfers).
 	prev := goruntime.GOMAXPROCS(4 * goruntime.NumCPU())
 	defer goruntime.GOMAXPROCS(prev)
-	for _, mode := range []kv.LockMode{kv.LoadControlled, kv.Spin, kv.Std} {
-		t.Run(mode.String(), func(t *testing.T) {
-			db := newTestDB(t, mode, Options{MaxRetries: -1})
+	for _, name := range latchPolicies {
+		t.Run(name, func(t *testing.T) {
+			db := newTestDB(t, policyNamed(t, name), Options{MaxRetries: -1})
 			w := NewTATP(db, TATPConfig{Subscribers: 512, HotAccessFrac: 0.8, HotSetFrac: 1.0 / 128})
 			const workers = 8
 			const txns = 200
@@ -106,7 +106,7 @@ func TestTATPConcurrent(t *testing.T) {
 					t.Fatalf("cf row %q missing from index", p.Key)
 				}
 			}
-			t.Logf("mode=%v metrics=%+v", mode, m)
+			t.Logf("policy=%s metrics=%+v", name, m)
 		})
 	}
 }

@@ -7,16 +7,16 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/kv"
+	"repro/internal/golc"
 )
 
 // TestReadWriteCommit: basics — buffered writes are invisible until
 // commit, visible to the writer, and applied (with the secondary
 // index) at commit.
 func TestReadWriteCommit(t *testing.T) {
-	for _, mode := range []kv.LockMode{kv.LoadControlled, kv.Spin, kv.Std} {
-		t.Run(mode.String(), func(t *testing.T) {
-			db := newTestDB(t, mode, Options{})
+	for _, name := range latchPolicies {
+		t.Run(name, func(t *testing.T) {
+			db := newTestDB(t, policyNamed(t, name), Options{})
 			if err := db.Run(func(txn *Txn) error {
 				if _, ok, err := txn.Read("acct", "alice"); err != nil || ok {
 					return fmt.Errorf("read empty = %v, %v", ok, err)
@@ -50,7 +50,7 @@ func TestReadWriteCommit(t *testing.T) {
 // TestAbortDiscards: an aborted transaction's writes and deletes never
 // reach the store, and a finished txn rejects further operations.
 func TestAbortDiscards(t *testing.T) {
-	db := newTestDB(t, kv.Std, Options{})
+	db := newTestDB(t, golc.Block, Options{})
 	db.Store().Put("acct/bob", "50")
 	txn := db.Begin()
 	if err := txn.Write("acct", "bob", "999"); err != nil {
@@ -77,9 +77,9 @@ func TestAbortDiscards(t *testing.T) {
 // it with EXACTLY one abort (the younger, T2), after which both
 // transactions' work completes: T1 commits, T2's retry commits.
 func TestTwoTxnCycleOneAbort(t *testing.T) {
-	for _, mode := range []kv.LockMode{kv.LoadControlled, kv.Std} {
-		t.Run(mode.String(), func(t *testing.T) {
-			db := newTestDB(t, mode, Options{})
+	for _, name := range []string{"load-control", "std"} {
+		t.Run(name, func(t *testing.T) {
+			db := newTestDB(t, policyNamed(t, name), Options{})
 			t1 := db.Begin() // older
 			t2 := db.Begin() // younger
 			if err := t1.Write("tbl", "A", "t1"); err != nil {
@@ -128,7 +128,7 @@ func TestTwoTxnCycleOneAbort(t *testing.T) {
 // accumulated is released, the lock table drains to empty, and a
 // younger transaction can immediately take X on everything it held.
 func TestAbortReleasesAllLocks(t *testing.T) {
-	db := newTestDB(t, kv.LoadControlled, Options{})
+	db := newTestDB(t, golc.LoadControlled, Options{})
 	victim := db.Begin()
 	keys := []string{"a", "b", "c", "d", "e", "f", "g", "h"}
 	for _, k := range keys {
@@ -171,7 +171,7 @@ func TestAbortReleasesAllLocks(t *testing.T) {
 // record write inside that partition (IX vs S) while record writes in
 // other partitions proceed — the intention hierarchy doing its job.
 func TestHierarchyIntentionLocks(t *testing.T) {
-	db := newTestDB(t, kv.Std, Options{})
+	db := newTestDB(t, golc.Block, Options{})
 	// Find two keys on different partitions.
 	keyIn, keyOut := "", ""
 	for i := 0; i < 100 && (keyIn == "" || keyOut == ""); i++ {
@@ -213,7 +213,7 @@ func TestHierarchyIntentionLocks(t *testing.T) {
 // record write in the same partition upgrades the partition hold to
 // SIX — readable everywhere, writable below — and commits cleanly.
 func TestUpgradeToSIX(t *testing.T) {
-	db := newTestDB(t, kv.Std, Options{})
+	db := newTestDB(t, golc.Block, Options{})
 	db.Store().Put("tbl/seed", "s")
 	part := db.Store().ShardOf("tbl/seed")
 	txn := db.Begin()
@@ -237,7 +237,7 @@ func TestUpgradeToSIX(t *testing.T) {
 // TestReadPartitionOverlay: partition reads must see the transaction's
 // own buffered writes, deletes, and inserts, in key order.
 func TestReadPartitionOverlay(t *testing.T) {
-	db := newTestDB(t, kv.Std, Options{})
+	db := newTestDB(t, golc.Block, Options{})
 	// Three committed rows in one partition (probe until 3 land on 0).
 	var inPart []string
 	for i := 0; len(inPart) < 3; i++ {
@@ -297,7 +297,7 @@ func TestReadPartitionOverlay(t *testing.T) {
 func TestRunRetriesPreserveTID(t *testing.T) {
 	// Unlimited retries: the victim must still be alive whenever the
 	// blocker decides to commit, however slow this machine is.
-	db := newTestDB(t, kv.Std, Options{MaxRetries: -1})
+	db := newTestDB(t, golc.Block, Options{MaxRetries: -1})
 	blocker := db.Begin() // tid 1, holds X on the key
 	if err := blocker.Write("tbl", "k", "b"); err != nil {
 		t.Fatal(err)
@@ -334,9 +334,9 @@ func TestConcurrentTransfers(t *testing.T) {
 	// run to completion unchallenged and nothing contends).
 	prev := goruntime.GOMAXPROCS(4 * goruntime.NumCPU())
 	defer goruntime.GOMAXPROCS(prev)
-	for _, mode := range []kv.LockMode{kv.LoadControlled, kv.Spin, kv.Std} {
-		t.Run(mode.String(), func(t *testing.T) {
-			db := newTestDB(t, mode, Options{MaxRetries: -1})
+	for _, name := range latchPolicies {
+		t.Run(name, func(t *testing.T) {
+			db := newTestDB(t, policyNamed(t, name), Options{MaxRetries: -1})
 			const accounts = 8
 			const perAccount = 100
 			for i := 0; i < accounts; i++ {
@@ -412,7 +412,7 @@ func TestConcurrentTransfers(t *testing.T) {
 			if m.Commits == 0 {
 				t.Fatal("no commits recorded")
 			}
-			t.Logf("mode=%v metrics=%+v", mode, m)
+			t.Logf("policy=%s metrics=%+v", name, m)
 		})
 	}
 }
