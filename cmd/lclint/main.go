@@ -1,7 +1,7 @@
 // Command lclint runs the repo's lock-invariant analyzers (internal/lint)
 // over the packages named by its arguments:
 //
-//	go run ./cmd/lclint -facts ./...
+//	go run ./cmd/lclint ./...
 //
 // It prints one finding per line (file:line:col: message [analyzer]) and
 // exits 1 if anything is found — or if an -only/-list analyzer name is
@@ -10,21 +10,15 @@
 //
 // The analyzers are whole-program: per-package function summaries
 // (parks?, lock-class touch set, held-set delta, ctx-threading, blocking
-// work) resolve through a content-hash-keyed facts store, so a helper
-// that parks three packages away is still a parking call at this call
-// site. With -facts the store persists under the go build cache
-// ($(go env GOCACHE)/lclint-facts/<hash>.json) and repeat runs only
-// recompute facts for packages whose source — or whose module-internal
-// dependencies' source — changed; without it the store lives only for
-// the run.
+// work) are computed once per run for every package the roots import,
+// so a helper that parks three packages away is still a parking call at
+// this call site.
 //
 // Flags:
 //
 //	-list         print the analyzers and their invariants, then exit
 //	              (honors -only)
 //	-only a,b     run only the named analyzers
-//	-facts        persist package facts under the go build cache
-//	-factsdir d   persist package facts under d (implies -facts)
 //
 // Suppress a finding with an annotation on, or directly above, the
 // flagged line — the reason is mandatory:
@@ -43,8 +37,6 @@ import (
 func main() {
 	list := flag.Bool("list", false, "print analyzers and exit")
 	only := flag.String("only", "", "comma-separated analyzer names to run (default: all)")
-	facts := flag.Bool("facts", false, "persist package facts under the go build cache")
-	factsDir := flag.String("factsdir", "", "persist package facts under this directory (implies -facts)")
 	flag.Parse()
 
 	analyzers := lint.All()
@@ -66,13 +58,6 @@ func main() {
 		return
 	}
 
-	dir := ""
-	if *factsDir != "" {
-		dir = *factsDir
-	} else if *facts {
-		dir = lint.DefaultFactsDir()
-	}
-
 	patterns := flag.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
@@ -89,7 +74,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	diags := lint.NewProgram(loader, lint.NewFactsStore(dir), pkgs).Run(analyzers)
+	diags := lint.NewProgram(loader, pkgs).Run(analyzers)
 	for _, d := range diags {
 		pos := loader.Fset().Position(d.Pos)
 		fmt.Printf("%s: %s [%s]\n", pos, d.Message, d.Analyzer)

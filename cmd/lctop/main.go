@@ -22,85 +22,11 @@ import (
 	"sort"
 	"strings"
 	"time"
+
+	"repro/internal/golc/obs"
+	lcrt "repro/internal/golc/runtime"
+	"repro/internal/server"
 )
-
-// The wire shapes below mirror what lcserve emits. Decoding is
-// deliberately partial: unknown fields are ignored, so lctop keeps
-// working as /stats grows.
-
-type statsDoc struct {
-	Shards      int                              `json:"shards"`
-	Keys        int                              `json:"keys"`
-	LatchPolicy string                           `json:"latch_policy"`
-	Sampling    struct{ Hold, Event, Blame int } `json:"sampling"`
-	BlameTop    []blameEntry                     `json:"blame_top"`
-	Wal         *walSnap                         `json:"wal"` // null on a volatile server
-	Runtime     runtimeSnap                      `json:"runtime"`
-}
-
-// walSnap is the slice of lcserve's "wal" stats section the census line
-// needs; a nil pointer means the server runs without durability.
-type walSnap struct {
-	Appends    uint64   `json:"appends"`
-	Syncs      uint64   `json:"syncs"`
-	Segments   int      `json:"segments"`
-	DurableLSN uint64   `json:"durable_lsn"`
-	AppliedLSN uint64   `json:"applied_lsn"`
-	Wedged     string   `json:"wedged"`
-	GroupSize  histSumm `json:"group_size"`
-	SyncNs     histSumm `json:"sync_ns"`
-}
-
-type histSumm struct {
-	MeanNs int64 `json:"mean_ns"`
-	P50Ns  int64 `json:"p50_ns"`
-	P99Ns  int64 `json:"p99_ns"`
-}
-
-type blameEntry struct {
-	Waiter string `json:"waiter"`
-	Holder string `json:"holder"`
-	Lock   string `json:"lock"`
-	Count  uint64 `json:"count"`
-	NS     uint64 `json:"blocked_ns"`
-}
-
-type runtimeSnap struct {
-	Updates         uint64 `json:"Updates"`
-	Claims          uint64 `json:"Claims"`
-	ControllerWakes uint64 `json:"ControllerWakes"`
-	TimeoutWakes    uint64 `json:"TimeoutWakes"`
-	UnlockWakes     uint64 `json:"UnlockWakes"`
-	Spinners        int    `json:"Spinners"`
-	Sleeping        int    `json:"Sleeping"`
-	Target          int    `json:"Target"`
-	LocksRegistered int    `json:"LocksRegistered"`
-	// The last controller tick's inputs: why Target is what it is.
-	RunQueue float64 `json:"RunQueue"`
-	OSExcess int     `json:"OSExcess"`
-	Load     int     `json:"Load"`
-}
-
-type historyDoc struct {
-	IntervalNs int64           `json:"interval_ns"`
-	Records    []historyRecord `json:"records"`
-}
-
-type historyRecord struct {
-	TS    int64      `json:"ts_unix_ns"`
-	Locks []lockTick `json:"locks"`
-}
-
-type lockTick struct {
-	Name     string `json:"name"`
-	Policy   string `json:"policy"`
-	Spinning int64  `json:"spinning"`
-	Sleeping int64  `json:"sleeping"`
-	Waits    uint64 `json:"waits"`
-	WaitP50  int64  `json:"wait_p50_ns"`
-	WaitP99  int64  `json:"wait_p99_ns"`
-	Convoy   bool   `json:"convoy"`
-}
 
 func main() {
 	var (
@@ -166,11 +92,11 @@ func getJSON(client *http.Client, url string, v any) error {
 // render fetches one round of /stats + /stats/history and lays out the
 // frame as a string (so live mode can repaint it atomically).
 func render(client *http.Client, base string, topLocks, topBlame int) (string, error) {
-	var stats statsDoc
+	var stats server.Stats
 	if err := getJSON(client, base+"/stats", &stats); err != nil {
 		return "", err
 	}
-	var hist historyDoc
+	var hist server.History
 	if err := getJSON(client, base+"/stats/history", &hist); err != nil {
 		return "", err
 	}
@@ -194,7 +120,7 @@ func render(client *http.Client, base string, topLocks, topBlame int) (string, e
 		fmt.Fprintf(&b, "wal: durable=%d applied=%d segs=%d appends=%d syncs=%d  group[mean=%.1f p99=%d]  fsync[p50=%s p99=%s]%s\n",
 			w.DurableLSN, w.AppliedLSN, w.Segments, w.Appends, w.Syncs,
 			float64(w.GroupSize.MeanNs), w.GroupSize.P99Ns,
-			fmtNs(w.SyncNs.P50Ns), fmtNs(w.SyncNs.P99Ns), wedge)
+			fmtNs(w.SyncLatency.P50Ns), fmtNs(w.SyncLatency.P99Ns), wedge)
 	}
 	fmt.Fprintln(&b)
 
@@ -205,7 +131,7 @@ func render(client *http.Client, base string, topLocks, topBlame int) (string, e
 
 // renderLocks draws the per-lock table from the newest history record,
 // with a sparkline of each lock's wait-p99 across the retained series.
-func renderLocks(b *strings.Builder, recs []historyRecord, n int) {
+func renderLocks(b *strings.Builder, recs []lcrt.HistoryRecord, n int) {
 	if len(recs) == 0 {
 		fmt.Fprintf(b, "locks: no history yet (is -history-interval long, or the server just up?)\n\n")
 		return
@@ -217,7 +143,7 @@ func renderLocks(b *strings.Builder, recs []historyRecord, n int) {
 			series[lt.Name] = append(series[lt.Name], lt.WaitP99)
 		}
 	}
-	ticks := append([]lockTick(nil), latest.Locks...)
+	ticks := append([]lcrt.LockTick(nil), latest.Locks...)
 	sort.SliceStable(ticks, func(i, j int) bool { return ticks[i].WaitP99 > ticks[j].WaitP99 })
 	if len(ticks) > n {
 		ticks = ticks[:n]
@@ -236,7 +162,7 @@ func renderLocks(b *strings.Builder, recs []historyRecord, n int) {
 	fmt.Fprintln(b)
 }
 
-func renderBlame(b *strings.Builder, entries []blameEntry, n int) {
+func renderBlame(b *strings.Builder, entries []obs.BlameEntry, n int) {
 	if len(entries) == 0 {
 		fmt.Fprintf(b, "blame: no sampled contention yet\n")
 		return
@@ -251,7 +177,7 @@ func renderBlame(b *strings.Builder, entries []blameEntry, n int) {
 			holder = "unknown"
 		}
 		fmt.Fprintf(b, "%-34s %-34s %-18s %8d %10s\n",
-			clip(e.Waiter, 34), clip(holder, 34), clip(e.Lock, 18), e.Count, fmtNs(int64(e.NS)))
+			clip(e.Waiter, 34), clip(holder, 34), clip(e.Lock, 18), e.Count, fmtNs(int64(e.Ns)))
 	}
 }
 

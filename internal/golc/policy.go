@@ -197,16 +197,8 @@ func waitLoop(ctx context.Context, h *lcrt.Handle, a Acquire, park int, claim fu
 // The policy registry: names to policies, for flag/HTTP selection and
 // for iterating every registered policy in conformance tests.
 var (
-	policyMu  sync.RWMutex
-	policies  = map[string]ContentionPolicy{}
-	policyAka = map[string]string{
-		// Aliases accepted by PolicyByName, kept for the flag spellings
-		// lcserve -mode has accepted.
-		"load-control":   "lc",
-		"loadcontrolled": "lc",
-		"std":            "block",
-		"sync":           "block",
-	}
+	policyMu sync.RWMutex
+	policies = map[string]ContentionPolicy{}
 )
 
 func init() {
@@ -231,22 +223,15 @@ func RegisterPolicy(p ContentionPolicy) error {
 	if _, dup := policies[name]; dup {
 		return fmt.Errorf("golc: RegisterPolicy: %q already registered", name)
 	}
-	if _, dup := policyAka[name]; dup {
-		return fmt.Errorf("golc: RegisterPolicy: %q is a reserved alias", name)
-	}
 	policies[name] = p
 	return nil
 }
 
-// PolicyByName resolves a registered policy (or one of the documented
-// aliases: "load-control"/"loadcontrolled" → lc, "std"/"sync" →
-// block). The error lists what is available.
+// PolicyByName resolves a registered policy. The error lists what is
+// available.
 func PolicyByName(name string) (ContentionPolicy, error) {
 	policyMu.RLock()
 	defer policyMu.RUnlock()
-	if canon, ok := policyAka[name]; ok {
-		name = canon
-	}
 	if p, ok := policies[name]; ok {
 		return p, nil
 	}

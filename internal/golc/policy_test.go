@@ -63,15 +63,13 @@ func conformanceRuntime(t *testing.T) *lcrt.Runtime {
 }
 
 // TestRegisterPolicy pins the registry surface: built-ins resolvable
-// by name and alias, duplicates and unknowns rejected, names sorted.
+// by name, duplicates and unknowns rejected, names sorted.
 func TestRegisterPolicy(t *testing.T) {
 	if err := registerSleepy(); err != nil {
 		t.Fatal(err)
 	}
 	for name, want := range map[string]string{
 		"spin": "spin", "block": "block", "lc": "lc",
-		"load-control": "lc", "loadcontrolled": "lc",
-		"std": "block", "sync": "block",
 		"test-sleepy": "test-sleepy",
 	} {
 		p, err := PolicyByName(name)

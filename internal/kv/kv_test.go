@@ -12,17 +12,22 @@ import (
 	lcrt "repro/internal/golc/runtime"
 )
 
-// latchPolicies are the names the per-policy subtests run under: the
-// golc.PolicyByName spellings of lc, spin and block.
+// latchPolicies are the names the per-policy subtests run under;
+// "load-control" and "std" are the subtests' names for lc and block.
 var latchPolicies = []string{"load-control", "spin", "std"}
 
 func policyNamed(t *testing.T, name string) golc.ContentionPolicy {
 	t.Helper()
-	p, err := golc.PolicyByName(name)
-	if err != nil {
-		t.Fatal(err)
+	switch name {
+	case "load-control":
+		return golc.LoadControlled
+	case "spin":
+		return golc.Spin
+	case "std":
+		return golc.Block
 	}
-	return p
+	t.Fatalf("no latch policy for subtest name %q", name)
+	return nil
 }
 
 func newTestStore(t *testing.T, opts Options) *Store {

@@ -87,7 +87,7 @@ func TestBranchesClean(t *testing.T) {
 // Only package p loads as an analysis root: the parking helper lives
 // in the imported package q and is visible solely through its facts.
 // TestCrossPackageNeedsFacts in internal/lint proves the negative —
-// without the facts store these fixtures report nothing.
+// without cross-package facts these fixtures report nothing.
 func TestCrosspark(t *testing.T) {
 	linttest.Run(t, "nestedpark", "internal/lint/testdata/src/crosspark/p")
 }

@@ -20,7 +20,7 @@ import (
 //     e.g. DB.Run vs DB.RunCtx in a request handler;
 //  3. calling a function whose whole-program facts (FuncFacts.CtxBgWait)
 //     say it roots a transitively-parking wait at Background/TODO —
-//     the cross-package form of rule 1, caught through the facts store
+//     the cross-package form of rule 1, caught through the callee's facts
 //     even when the Background call is buried packages away.
 //
 // Rule 2's both-return-error gate is deliberate: golc's Lock() (void)

@@ -1,71 +1,54 @@
 package lint
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
-	"fmt"
 	"go/ast"
-	"go/parser"
 	"go/token"
 	"go/types"
-	"os"
-	"os/exec"
-	"path/filepath"
 	"sort"
-	"strconv"
 	"strings"
-	"sync"
 )
-
-// factsSchema versions the facts serialization. Bump it whenever the
-// meaning or shape of FuncFacts/PackageFacts changes: the schema number
-// feeds the content hash, so stale cache entries miss instead of being
-// misread.
-const factsSchema = 2
 
 // FuncFacts is the whole-program summary of one function — everything
 // an analyzer in another package needs to know about calling it,
 // without seeing its body. Facts are position-free by design (strings
-// and booleans only) so they serialize, survive across processes, and
-// are independent of any FileSet.
+// and booleans only), so they are independent of any FileSet.
 type FuncFacts struct {
 	// Parks: calling this function may reach a parking point (a golc
 	// Lock/RLock/LockCtx/RLockCtx, a ContentionPolicy.Wait, or a
 	// runtime Ticket.Sleep), transitively. ParkWhat describes the
 	// chain for reports ("q.inner → Lock on b.Mu").
-	Parks    bool   `json:"parks,omitempty"`
-	ParkWhat string `json:"parkWhat,omitempty"`
+	Parks    bool
+	ParkWhat string
 
 	// Classes is the set of acquisition-order classes this function
 	// blocking-acquires, transitively — the lockorder edges a call to
 	// it creates.
-	Classes []string `json:"classes,omitempty"`
+	Classes []string
 
 	// HeldDelta lists lock classes still held at some exit of this
 	// function: the acquire-helper contract (oltp's lm.lock(st) shape).
 	// A caller's held set grows by these classes at the call site.
-	HeldDelta []string `json:"heldDelta,omitempty"`
+	HeldDelta []string
 
 	// Releases lists lock classes this function releases without a
 	// matching in-function acquire — the release-helper dual of
 	// HeldDelta.
-	Releases []string `json:"releases,omitempty"`
+	Releases []string
 
 	// CtxBgWait: this function roots a (transitively) parking wait at
 	// context.Background()/TODO() with no context of its own in scope
 	// and no *Ctx drop-in sibling — a wait the deadlock detector's
 	// cancellation-kill cannot reach. CtxWhat describes the root for
 	// reports.
-	CtxBgWait bool   `json:"ctxBgWait,omitempty"`
-	CtxWhat   string `json:"ctxWhat,omitempty"`
+	CtxBgWait bool
+	CtxWhat   string
 
 	// Blocks: calling this function does blocking or alloc-heavy work
 	// (I/O, channel operations, time.Sleep, fmt printing to writers),
 	// transitively — heldcall's reason to keep it out of critical
 	// sections. BlockWhat describes the operation.
-	Blocks    bool   `json:"blocks,omitempty"`
-	BlockWhat string `json:"blockWhat,omitempty"`
+	Blocks    bool
+	BlockWhat string
 }
 
 func (f *FuncFacts) isZero() bool {
@@ -73,175 +56,21 @@ func (f *FuncFacts) isZero() bool {
 		len(f.Classes) == 0 && len(f.HeldDelta) == 0 && len(f.Releases) == 0
 }
 
-// PackageFacts is the serialized fact set of one package, keyed by the
-// content hash of its sources (and its module-internal dependencies'
-// hashes, recursively) — see hashPackageDir.
+// PackageFacts is the fact set of one package.
 type PackageFacts struct {
-	Schema     int    `json:"schema"`
-	ImportPath string `json:"importPath"`
-	Hash       string `json:"hash"`
-
 	// Funcs maps symbolOf keys ("(*repro/internal/golc.Mutex).Lock")
 	// to facts. Functions with all-zero facts are omitted.
-	Funcs map[string]*FuncFacts `json:"funcs,omitempty"`
+	Funcs map[string]*FuncFacts
 
 	// AtomicFields lists struct fields ("pkgpath.Type.field") this
 	// package touches through sync/atomic calls — atomicfield's
 	// "atomic anywhere means atomic everywhere" set.
-	AtomicFields []string `json:"atomicFields,omitempty"`
+	AtomicFields []string
 }
 
 // symbolOf keys a function in PackageFacts.Funcs. Origin strips any
 // instantiation so generic functions key by their declaration.
 func symbolOf(fn *types.Func) string { return fn.Origin().FullName() }
-
-// A FactsStore caches PackageFacts by (import path, content hash) — in
-// memory always, and under Dir as <hash>.json when Dir is non-empty
-// (cmd/lclint -facts points Dir under the build cache). A hash miss is
-// never an error: the caller recomputes from source and puts the fresh
-// entry back.
-type FactsStore struct {
-	dir string
-
-	mu           sync.Mutex
-	mem          map[string]*PackageFacts
-	hits, misses int
-}
-
-// NewFactsStore returns a store persisting under dir; dir == "" keeps
-// the store memory-only (shared across linttest runs in one process).
-func NewFactsStore(dir string) *FactsStore {
-	return &FactsStore{dir: dir, mem: make(map[string]*PackageFacts)}
-}
-
-// DefaultFactsDir is cmd/lclint's -facts location: an lclint-facts
-// subdirectory of the go build cache (falling back to the user cache
-// dir, then the system temp dir).
-func DefaultFactsDir() string {
-	out, err := exec.Command("go", "env", "GOCACHE").Output()
-	if dir := strings.TrimSpace(string(out)); err == nil && dir != "" && dir != "off" {
-		return filepath.Join(dir, "lclint-facts")
-	}
-	if dir, err := os.UserCacheDir(); err == nil {
-		return filepath.Join(dir, "lclint-facts")
-	}
-	return filepath.Join(os.TempDir(), "lclint-facts")
-}
-
-// Stats reports cache hits and misses (get calls that found, or failed
-// to find, a matching entry).
-func (s *FactsStore) Stats() (hits, misses int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.hits, s.misses
-}
-
-func (s *FactsStore) get(importPath, hash string) *PackageFacts {
-	if hash == "" {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	key := importPath + "\x00" + hash
-	if pf := s.mem[key]; pf != nil {
-		s.hits++
-		return pf
-	}
-	if s.dir != "" {
-		if data, err := os.ReadFile(filepath.Join(s.dir, hash+".json")); err == nil {
-			var pf PackageFacts
-			if json.Unmarshal(data, &pf) == nil && pf.Schema == factsSchema &&
-				pf.ImportPath == importPath && pf.Hash == hash {
-				s.mem[key] = &pf
-				s.hits++
-				return &pf
-			}
-		}
-	}
-	s.misses++
-	return nil
-}
-
-func (s *FactsStore) put(pf *PackageFacts) {
-	if pf.Hash == "" {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.mem[pf.ImportPath+"\x00"+pf.Hash] = pf
-	if s.dir == "" {
-		return
-	}
-	if err := os.MkdirAll(s.dir, 0o755); err != nil {
-		return
-	}
-	data, err := json.MarshalIndent(pf, "", "\t")
-	if err != nil {
-		return
-	}
-	// Write-then-rename keeps concurrent lclint runs from reading a
-	// torn entry.
-	tmp := filepath.Join(s.dir, "."+pf.Hash+".tmp")
-	if os.WriteFile(tmp, data, 0o644) == nil {
-		_ = os.Rename(tmp, filepath.Join(s.dir, pf.Hash+".json"))
-	}
-}
-
-// hashPackageDir computes the content hash of the package in dir: the
-// schema version, the import path, every non-test .go file's name and
-// contents (sorted), and — via depHash — the hash of every
-// module-internal import, recursively. Editing any source file in the
-// package or below it in the module's import graph therefore misses
-// the cache; editing an unrelated package does not.
-func hashPackageDir(dir, importPath string, depHash func(path string) string) (string, error) {
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		return "", err
-	}
-	var names []string
-	for _, e := range ents {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), ".go") && !strings.HasSuffix(e.Name(), "_test.go") {
-			names = append(names, e.Name())
-		}
-	}
-	sort.Strings(names)
-	if len(names) == 0 {
-		return "", fmt.Errorf("lint: no Go files in %s", dir)
-	}
-
-	h := sha256.New()
-	fmt.Fprintf(h, "lclint facts schema %d\npackage %s\n", factsSchema, importPath)
-	imports := make(map[string]bool)
-	fset := token.NewFileSet()
-	for _, name := range names {
-		data, err := os.ReadFile(filepath.Join(dir, name))
-		if err != nil {
-			return "", err
-		}
-		fmt.Fprintf(h, "file %s %d\n", name, len(data))
-		h.Write(data)
-		f, err := parser.ParseFile(fset, name, data, parser.ImportsOnly)
-		if err != nil {
-			continue // unparseable source fails type-checking later; the hash stays content-based
-		}
-		for _, imp := range f.Imports {
-			if p, err := strconv.Unquote(imp.Path.Value); err == nil {
-				imports[p] = true
-			}
-		}
-	}
-	paths := make([]string, 0, len(imports))
-	for p := range imports {
-		paths = append(paths, p)
-	}
-	sort.Strings(paths)
-	for _, p := range paths {
-		if dh := depHash(p); dh != "" {
-			fmt.Fprintf(h, "import %s %s\n", p, dh)
-		}
-	}
-	return hex.EncodeToString(h.Sum(nil)), nil
-}
 
 // addClass inserts c into the sorted set *set; reports whether it was
 // new.
@@ -317,10 +146,9 @@ func hasCtxSibling(pkg *Package, fn *types.Func) bool {
 	return isFn
 }
 
-// computePackageFacts builds pkg's serializable fact set. Same-package
-// call chains close by fixpoint; cross-package callees resolve through
-// prog's merged store (which loads or recomputes dependency facts on
-// demand). Function literals are excluded from the flat scan — a
+// computePackageFacts builds pkg's fact set. Same-package call chains
+// close by fixpoint; cross-package callees resolve through prog (which
+// computes dependency facts on demand). Function literals are excluded from the flat scan — a
 // closure's body runs when invoked, which the scan cannot place.
 func computePackageFacts(pkg *Package, prog *Program) *PackageFacts {
 	sup := newSuppressions([]*Package{pkg})
@@ -521,8 +349,6 @@ func computePackageFacts(pkg *Package, prog *Program) *PackageFacts {
 	}
 
 	pf := &PackageFacts{
-		Schema:       factsSchema,
-		ImportPath:   pkg.ImportPath,
 		Funcs:        make(map[string]*FuncFacts),
 		AtomicFields: atomicFields,
 	}

@@ -1,203 +1,9 @@
 package lint
 
 import (
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
-
-func TestHashPackageDirChangesWithSourceAndDeps(t *testing.T) {
-	dir := t.TempDir()
-	src := filepath.Join(dir, "x.go")
-	if err := os.WriteFile(src, []byte("package x\n\nfunc F() {}\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	noDeps := func(string) string { return "" }
-
-	h1, err := hashPackageDir(dir, "m/x", noDeps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h2, err := hashPackageDir(dir, "m/x", noDeps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h1 != h2 {
-		t.Fatalf("hash not deterministic: %s vs %s", h1, h2)
-	}
-	if h3, _ := hashPackageDir(dir, "m/y", noDeps); h3 == h1 {
-		t.Fatal("hash ignores the import path")
-	}
-
-	if err := os.WriteFile(src, []byte("package x\n\nfunc F() {}\n\nfunc G() {}\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	h4, err := hashPackageDir(dir, "m/x", noDeps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h4 == h1 {
-		t.Fatal("hash unchanged after source edit")
-	}
-
-	// A dependency's hash feeds the importer's hash.
-	if err := os.WriteFile(src, []byte("package x\n\nimport \"m/dep\"\n\nfunc F() { dep.G() }\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	depA := func(p string) string {
-		if p == "m/dep" {
-			return "aaaa"
-		}
-		return ""
-	}
-	depB := func(p string) string {
-		if p == "m/dep" {
-			return "bbbb"
-		}
-		return ""
-	}
-	hA, err := hashPackageDir(dir, "m/x", depA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hB, err := hashPackageDir(dir, "m/x", depB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hA == hB {
-		t.Fatal("hash ignores dependency hashes")
-	}
-}
-
-func TestFactsStoreRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	pf := &PackageFacts{
-		Schema:     factsSchema,
-		ImportPath: "m/x",
-		Hash:       "deadbeef",
-		Funcs: map[string]*FuncFacts{
-			"m/x.F": {Parks: true, ParkWhat: "Lock on mu", Classes: []string{"x.mu"}},
-			"m/x.G": {Blocks: true, BlockWhat: "channel send", HeldDelta: []string{"x.mu"}},
-		},
-		AtomicFields: []string{"m/x.S.n"},
-	}
-	NewFactsStore(dir).put(pf)
-
-	// A fresh store over the same directory must serve the entry from
-	// disk; a mismatched hash must miss.
-	s := NewFactsStore(dir)
-	got := s.get("m/x", "deadbeef")
-	if got == nil {
-		t.Fatal("disk round-trip lost the entry")
-	}
-	if !got.Funcs["m/x.F"].Parks || got.Funcs["m/x.F"].ParkWhat != "Lock on mu" {
-		t.Fatalf("round-trip mangled F's facts: %+v", got.Funcs["m/x.F"])
-	}
-	if got.Funcs["m/x.G"].BlockWhat != "channel send" || len(got.Funcs["m/x.G"].HeldDelta) != 1 {
-		t.Fatalf("round-trip mangled G's facts: %+v", got.Funcs["m/x.G"])
-	}
-	if len(got.AtomicFields) != 1 || got.AtomicFields[0] != "m/x.S.n" {
-		t.Fatalf("round-trip mangled AtomicFields: %v", got.AtomicFields)
-	}
-	if s.get("m/x", "0000") != nil {
-		t.Fatal("stale hash served from store")
-	}
-	if s.get("m/other", "deadbeef") != nil {
-		t.Fatal("entry served under the wrong import path")
-	}
-	hits, misses := s.Stats()
-	if hits != 1 || misses != 2 {
-		t.Fatalf("stats = %d hits / %d misses, want 1/2", hits, misses)
-	}
-}
-
-// writeTempModule lays out a two-package module: top imports leaf,
-// leaf's Send blocks on a channel.
-func writeTempModule(t *testing.T) string {
-	t.Helper()
-	dir := t.TempDir()
-	files := map[string]string{
-		"go.mod":       "module tmpmod\n\ngo 1.24\n",
-		"leaf/leaf.go": "package leaf\n\nfunc Send(ch chan int) {\n\tch <- 1\n}\n",
-		"top/top.go":   "package top\n\nimport \"tmpmod/leaf\"\n\nfunc Do(ch chan int) {\n\tleaf.Send(ch)\n}\n",
-	}
-	for name, content := range files {
-		path := filepath.Join(dir, filepath.FromSlash(name))
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return dir
-}
-
-// TestFactsRebuildOnSourceChange is the serialize → mutate → hash miss
-// → rebuild cycle over a real (temporary) module: the first run fills
-// the on-disk store, an unchanged second run is all hits, and editing
-// the dependency's source forces a recompute under a new hash.
-func TestFactsRebuildOnSourceChange(t *testing.T) {
-	mod := writeTempModule(t)
-	factsDir := filepath.Join(t.TempDir(), "facts")
-
-	leafFacts := func() (*PackageFacts, *FactsStore) {
-		t.Helper()
-		loader, err := NewLoader(mod)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pkgs, err := loader.Load("top")
-		if err != nil {
-			t.Fatal(err)
-		}
-		store := NewFactsStore(factsDir)
-		prog := NewProgram(loader, store, pkgs)
-		pf := prog.factsPkg("tmpmod/leaf")
-		if pf == nil {
-			t.Fatal("no facts for tmpmod/leaf")
-		}
-		return pf, store
-	}
-
-	pf1, store1 := leafFacts()
-	ff := pf1.Funcs["tmpmod/leaf.Send"]
-	if ff == nil || !ff.Blocks {
-		t.Fatalf("leaf.Send facts missing Blocks: %+v", ff)
-	}
-	if hits, _ := store1.Stats(); hits != 0 {
-		t.Fatalf("cold run hit the store %d times", hits)
-	}
-
-	pf2, store2 := leafFacts()
-	if pf2.Hash != pf1.Hash {
-		t.Fatalf("hash changed with no edit: %s vs %s", pf2.Hash, pf1.Hash)
-	}
-	if hits, _ := store2.Stats(); hits == 0 {
-		t.Fatal("unchanged second run never hit the on-disk store")
-	}
-
-	// Edit leaf: its hash — and, transitively, top's — must miss.
-	leafSrc := filepath.Join(mod, "leaf", "leaf.go")
-	data, err := os.ReadFile(leafSrc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	edited := strings.Replace(string(data), "func Send", "func Noop() {}\n\nfunc Send", 1)
-	if err := os.WriteFile(leafSrc, []byte(edited), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	pf3, _ := leafFacts()
-	if pf3.Hash == pf1.Hash {
-		t.Fatal("hash unchanged after source edit")
-	}
-	ff = pf3.Funcs["tmpmod/leaf.Send"]
-	if ff == nil || !ff.Blocks {
-		t.Fatalf("rebuilt facts lost leaf.Send: %+v", ff)
-	}
-}
 
 // TestCrossPackageNeedsFacts proves the crosspark/crossorder fixtures
 // are genuinely whole-program findings: without a loader (no facts for
@@ -228,7 +34,7 @@ func TestCrossPackageNeedsFacts(t *testing.T) {
 			t.Errorf("%s on %s without facts: got %d findings, want 0 (first: %s)",
 				tc.analyzer, tc.root, len(diags), diags[0].Message)
 		}
-		diags := NewProgram(loader, NewFactsStore(""), pkgs).Run(analyzers)
+		diags := NewProgram(loader, pkgs).Run(analyzers)
 		if len(diags) == 0 {
 			t.Errorf("%s on %s with facts: no findings", tc.analyzer, tc.root)
 			continue

@@ -27,11 +27,10 @@
 //
 // The analyzers are whole-program: per-package function summaries
 // (FuncFacts — parks?, lock-class touch set, held-set delta,
-// ctx-threading, blocking work) serialize to a content-hash-keyed
-// FactsStore (facts.go), and a Program resolves facts for imported
-// packages alongside their export data — from the store on a hash hit,
-// from source on demand otherwise — so a helper that parks three
-// packages away is still a parking call here.
+// ctx-threading, blocking work; facts.go), and a Program resolves
+// facts for imported packages alongside their export data, from source
+// on demand and once per run — so a helper that parks three packages
+// away is still a parking call here.
 //
 // The API deliberately mirrors golang.org/x/tools/go/analysis
 // (Analyzer/Pass/Diagnostic, testdata golden tests in linttest), but is
@@ -159,5 +158,5 @@ func ByName(names string) ([]*Analyzer, error) {
 // NewProgram(...).Run for callers with no Loader. Program.Run
 // documents the filtering and ordering contract.
 func Run(analyzers []*Analyzer, pkgs []*Package) []Diagnostic {
-	return NewProgram(nil, NewFactsStore(""), pkgs).Run(analyzers)
+	return NewProgram(nil, pkgs).Run(analyzers)
 }

@@ -20,12 +20,6 @@ import (
 	"repro/internal/lint"
 )
 
-// store is shared across every fixture run in the process: the second
-// test to load a fixture package hits the facts cached by the first,
-// exactly as repeated lclint -facts runs share the on-disk store. The
-// facts round-trip tests in internal/lint exercise the persistent path.
-var store = lint.NewFactsStore("")
-
 // wantRe extracts the patterns of one want comment: backquoted or
 // double-quoted chunks after "want".
 var wantRe = regexp.MustCompile("`[^`]*`|\"(?:[^\"\\\\]|\\\\.)*\"")
@@ -84,7 +78,7 @@ func Run(t *testing.T, analyzerNames string, fixtureDirs ...string) {
 		}
 	}
 
-	for _, d := range lint.NewProgram(loader, store, pkgs).Run(analyzers) {
+	for _, d := range lint.NewProgram(loader, pkgs).Run(analyzers) {
 		pos := loader.Fset().Position(d.Pos)
 		found := false
 		for _, w := range wants {

@@ -13,26 +13,22 @@ import (
 // conformance sweep's coverage) depend on runtime control flow. It also
 // reports statically-resolvable name collisions — two registered policy
 // types whose Name() methods return the same literal — and registrations
-// that shadow the built-in names and reserved aliases, which
-// RegisterPolicy would reject only at runtime.
+// that shadow the built-in names, which RegisterPolicy would reject
+// only at runtime.
 var Policyreg = &Analyzer{
 	Name: "policyreg",
 	Doc: "golc.RegisterPolicy must be called from init or main only (the registry " +
 		"is process-global; late registration makes policy lookup order-dependent), " +
-		"policy names must be unique, and the built-in names (spin, block, lc) and " +
-		"reserved aliases (load-control, loadcontrolled, std, sync) are off limits.",
+		"policy names must be unique, and the built-in names (spin, block, lc) " +
+		"are off limits.",
 	Run:   runPolicyreg,
 	Begin: beginPolicyreg,
 	End:   endPolicyreg,
 }
 
-// Built-in policy names and PolicyByName aliases, mirrored from
-// golc/policy.go. The golc package itself is exempt — it registers the
-// built-ins.
-var reservedPolicyNames = map[string]bool{
-	"spin": true, "block": true, "lc": true,
-	"load-control": true, "loadcontrolled": true, "std": true, "sync": true,
-}
+// Built-in policy names, mirrored from golc/policy.go. The golc package
+// itself is exempt — it registers the built-ins.
+var reservedPolicyNames = map[string]bool{"spin": true, "block": true, "lc": true}
 
 type policyReg struct {
 	pos  token.Pos
@@ -72,7 +68,7 @@ func runPolicyreg(pass *Pass) error {
 		}
 		if reservedPolicyNames[name] && !inGolc {
 			pass.Reportf(call.Pos(),
-				"policy name %q collides with a built-in policy or reserved alias; RegisterPolicy will fail at runtime", name)
+				"policy name %q collides with a built-in policy; RegisterPolicy will fail at runtime", name)
 		}
 		p := pass.Pkg.Fset.Position(call.Pos())
 		policyRegs[name] = append(policyRegs[name], policyReg{

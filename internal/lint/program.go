@@ -10,35 +10,27 @@ import (
 
 // A Program is one whole-program analysis run: the root packages under
 // analysis plus the merged facts view over everything they import.
-// Facts for a dependency come, in order of preference, from the
-// FactsStore (content-hash hit), or from parsing and type-checking the
-// dependency's source on demand through the loader — mirroring how
+// Facts for a dependency come from parsing and type-checking its source
+// on demand through the loader, once per Program — mirroring how
 // load.go resolves dependency *types* through export data, facts ride
 // alongside that export data rather than replacing it.
 type Program struct {
 	loader *Loader
-	store  *FactsStore
 	pkgs   []*Package
 
 	loaded   map[string]*Package      // import path → syntax+types (roots, plus on-demand deps)
 	facts    map[string]*PackageFacts // import path → facts (nil entry: tried and failed)
-	hashes   map[string]string
-	hashing  map[string]bool // cycle guard for pkgHash
-	building map[string]bool // cycle guard for factsPkg
+	building map[string]bool          // cycle guard for factsPkg
 }
 
 // NewProgram builds a Program over pkgs. loader may be nil (facts then
-// stop at the packages given — no cross-package resolution); store may
-// not be nil.
-func NewProgram(loader *Loader, store *FactsStore, pkgs []*Package) *Program {
+// stop at the packages given — no cross-package resolution).
+func NewProgram(loader *Loader, pkgs []*Package) *Program {
 	p := &Program{
 		loader:   loader,
-		store:    store,
 		pkgs:     pkgs,
 		loaded:   make(map[string]*Package),
 		facts:    make(map[string]*PackageFacts),
-		hashes:   make(map[string]string),
-		hashing:  make(map[string]bool),
 		building: make(map[string]bool),
 	}
 	for _, pkg := range pkgs {
@@ -56,34 +48,12 @@ func (p *Program) moduleInternal(path string) bool {
 	return path == p.loader.ModPath || strings.HasPrefix(path, p.loader.ModPath+"/")
 }
 
-// pkgHash memoizes the content hash of a module-internal package.
-func (p *Program) pkgHash(path string) string {
-	if h, ok := p.hashes[path]; ok {
-		return h
-	}
-	if p.loader == nil || !p.moduleInternal(path) {
-		p.hashes[path] = ""
-		return ""
-	}
-	if p.hashing[path] {
-		return "" // import cycle: compile would reject it; don't recurse
-	}
-	p.hashing[path] = true
-	defer delete(p.hashing, path)
-	h, err := hashPackageDir(p.loader.dirFor(path), path, p.pkgHash)
-	if err != nil {
-		h = ""
-	}
-	p.hashes[path] = h
-	return h
-}
-
-// factsPkg returns the facts of one package: memoized, then the store
-// by content hash, then computed from source — loading the source on
-// demand for a module-internal dependency that is not a root. A
-// package whose facts cannot be produced (outside the module, source
-// unavailable) resolves to nil and the analyzers treat its functions
-// as opaque — conservative, exactly like the pre-facts suite.
+// factsPkg returns the facts of one package: memoized, else computed
+// from source — loading the source on demand for a module-internal
+// dependency that is not a root. A package whose facts cannot be
+// produced (outside the module, source unavailable) resolves to nil and
+// the analyzers treat its functions as opaque — conservative, exactly
+// like the pre-facts suite.
 func (p *Program) factsPkg(path string) *PackageFacts {
 	if pf, ok := p.facts[path]; ok {
 		return pf
@@ -99,13 +69,6 @@ func (p *Program) factsPkg(path string) *PackageFacts {
 		p.facts[path] = nil
 		return nil
 	}
-	hash := p.pkgHash(path)
-	if p.store != nil {
-		if pf := p.store.get(path, hash); pf != nil {
-			p.facts[path] = pf
-			return pf
-		}
-	}
 	if pkg == nil {
 		lp, err := p.loader.loadDir(p.loader.dirFor(path))
 		if err != nil {
@@ -116,11 +79,7 @@ func (p *Program) factsPkg(path string) *PackageFacts {
 		p.loaded[path] = pkg
 	}
 	pf := computePackageFacts(pkg, p)
-	pf.Hash = hash
 	p.facts[path] = pf
-	if p.store != nil {
-		p.store.put(pf)
-	}
 	return pf
 }
 
@@ -175,9 +134,8 @@ func (p *Program) atomicFieldsFor(pkg *Package) map[string]string {
 // (same analyzer, position and message — e.g. from the walker's second
 // loop pass) collapse.
 func (p *Program) Run(analyzers []*Analyzer) []Diagnostic {
-	// Prime the facts for every root in deterministic order, so store
-	// writes and on-demand dependency loads do not depend on analyzer
-	// order.
+	// Prime the facts for every root in deterministic order, so
+	// on-demand dependency loads do not depend on analyzer order.
 	for _, pkg := range p.pkgs {
 		p.factsPkg(pkg.ImportPath)
 	}

@@ -1,8 +1,8 @@
 // Package p holds the failing side of the cross-package nestedpark
 // fixture. Only this package is loaded as an analysis root: every
 // finding below depends on whole-program facts for the imported
-// package q — resolved through the facts store, not from q's syntax —
-// so this fixture fails if cross-package fact resolution breaks.
+// package q — which the Program computes on demand, q not being a
+// root — so this fixture fails if cross-package fact resolution breaks.
 package p
 
 import (

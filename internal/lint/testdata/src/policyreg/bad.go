@@ -30,7 +30,7 @@ func (shadow) Name() string { return "spin" }
 func init() {
 	_ = golc.RegisterPolicy(dupA{})   // want `duplicate policy name "dup"`
 	_ = golc.RegisterPolicy(dupB{})   // want `duplicate policy name "dup"`
-	_ = golc.RegisterPolicy(shadow{}) // want `collides with a built-in policy or reserved alias`
+	_ = golc.RegisterPolicy(shadow{}) // want `collides with a built-in policy`
 }
 
 func setup() {

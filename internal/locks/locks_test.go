@@ -356,6 +356,27 @@ func TestLoadTriggeredBackoffSheds(t *testing.T) {
 	}
 }
 
+// TestLTBMonitorEntriesBounded: below the load target the monitor never
+// picks a victim, so ended waits must leave its list on their own — it
+// holds the waits in progress, not every wait there has been.
+func TestLTBMonitorEntriesBounded(t *testing.T) {
+	const workers = 2
+	h := newHarness(43, 4)
+	mon := NewLTBMonitor(h.env, h.p)
+	mon.Start()
+	l := NewLoadTriggeredBackoff(h.env, mon)
+	h.run(l, workers, 2*time.Microsecond, time.Microsecond, 20*time.Millisecond)
+	if mon.Sleeps != 0 {
+		t.Fatalf("monitor put %d spinners to sleep at %d threads on 4 contexts", mon.Sleeps, workers)
+	}
+	if h.acquires < 1000 {
+		t.Fatalf("only %d acquires; the test needs contended waits", h.acquires)
+	}
+	if n := len(mon.entries); n > workers {
+		t.Fatalf("%d monitor entries after %d acquires by %d threads", n, h.acquires, workers)
+	}
+}
+
 func TestEnvWatchMultiplexes(t *testing.T) {
 	k := sim.NewKernel(41)
 	m := cpu.NewMachine(k, cpu.Config{Contexts: 1})

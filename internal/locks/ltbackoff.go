@@ -2,6 +2,7 @@ package locks
 
 import (
 	"math"
+	"slices"
 	"time"
 
 	"repro/internal/cpu"
@@ -24,7 +25,9 @@ type LTBMonitor struct {
 	// MeanSleep is the mean of the exponential sleep distribution.
 	MeanSleep time.Duration
 
-	entries []*ltbEntry
+	// entries holds the waits in progress, oldest first: EndWait removes
+	// its entry, so the slice never outgrows the thread count.
+	entries []ltbEntry
 
 	// Sleeps counts threads put to sleep; a health metric for tests.
 	Sleeps uint64
@@ -35,7 +38,6 @@ type LTBMonitor struct {
 type ltbEntry struct {
 	t     *cpu.Thread
 	abort func() bool
-	dead  bool
 }
 
 // NewLTBMonitor creates (but does not start) a monitor for process p.
@@ -73,21 +75,13 @@ func (m *LTBMonitor) Start() {
 	th.SetRealtime(true)
 }
 
-// sleepOneSpinner aborts one randomly chosen live spinner's wait; the
-// lock wrapper then puts it to sleep. Returns false if no victim exists.
+// sleepOneSpinner aborts one randomly chosen spinner's wait; the lock
+// wrapper then puts it to sleep. Returns false if no victim exists.
 func (m *LTBMonitor) sleepOneSpinner() bool {
-	live := m.entries[:0]
-	for _, e := range m.entries {
-		if !e.dead {
-			live = append(live, e)
-		}
-	}
-	m.entries = live
-	if len(live) == 0 {
+	if len(m.entries) == 0 {
 		return false
 	}
-	e := live[m.env.Rng.Intn(len(live))]
-	if e.abort() {
+	if m.entries[m.env.Rng.Intn(len(m.entries))].abort() {
 		m.Sleeps++
 		return true
 	}
@@ -96,14 +90,17 @@ func (m *LTBMonitor) sleepOneSpinner() bool {
 
 // BeginWait implements WaitManager.
 func (m *LTBMonitor) BeginWait(t *cpu.Thread, abort func() bool) {
-	m.entries = append(m.entries, &ltbEntry{t: t, abort: abort})
+	m.entries = append(m.entries, ltbEntry{t: t, abort: abort})
 }
 
-// EndWait implements WaitManager.
+// EndWait implements WaitManager. A thread spins on one lock at a time,
+// so it has at most one entry; deleting in place keeps the others in
+// arrival order, which is the order sleepOneSpinner draws from.
 func (m *LTBMonitor) EndWait(t *cpu.Thread) {
-	for _, e := range m.entries {
-		if e.t == t && !e.dead {
-			e.dead = true
+	for i, e := range m.entries {
+		if e.t == t {
+			m.entries = slices.Delete(m.entries, i, i+1)
+			return
 		}
 	}
 }

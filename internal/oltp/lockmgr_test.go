@@ -11,17 +11,22 @@ import (
 	"repro/internal/kv"
 )
 
-// latchPolicies are the names the per-policy subtests run under: the
-// golc.PolicyByName spellings of lc, spin and block.
+// latchPolicies are the names the per-policy subtests run under;
+// "load-control" and "std" are the subtests' names for lc and block.
 var latchPolicies = []string{"load-control", "spin", "std"}
 
 func policyNamed(t *testing.T, name string) golc.ContentionPolicy {
 	t.Helper()
-	p, err := golc.PolicyByName(name)
-	if err != nil {
-		t.Fatal(err)
+	switch name {
+	case "load-control":
+		return golc.LoadControlled
+	case "spin":
+		return golc.Spin
+	case "std":
+		return golc.Block
 	}
-	return p
+	t.Fatalf("no latch policy for subtest name %q", name)
+	return nil
 }
 
 // newTestDB builds a DB over a fresh store whose latches wait under pol
@@ -239,7 +244,10 @@ func TestTimeoutWaiterRemovalGrantsQueue(t *testing.T) {
 	go func() { midDone <- db.lm.acquire(mid, id, X) }() // conflicts holder, older: queues
 	waitForCond(t, "mid queued", func() bool { return db.Metrics().LockWaits == 1 })
 	oldestDone := make(chan error, 1)
-	// Compatible with the S holder, gated ONLY by mid's queued X.
+	// Compatible with the S holder, gated ONLY by mid's queued X. The
+	// sleep is the gap between the two timeouts: without it they are a
+	// poll apart and a late wake of mid lets oldest's own timer win.
+	time.Sleep(50 * time.Millisecond)
 	go func() { oldestDone <- db.lm.acquire(oldest, id, S) }()
 	waitForCond(t, "oldest queued", func() bool { return db.Metrics().LockWaits == 2 })
 	// mid's timeout fires ~50ms before oldest's would; its removal must

@@ -1,4 +1,4 @@
-package main
+package server
 
 import (
 	"encoding/json"
@@ -19,7 +19,7 @@ import (
 	"repro/internal/wal"
 )
 
-// testServer is newHandler over a fresh store, DB and (when durable) a
+// testServer is NewHandler over a fresh store, DB and (when durable) a
 // write-ahead log in a temp directory, all on one private runtime.
 type testServer struct {
 	store *kv.Store
@@ -49,7 +49,7 @@ func newTestServer(t *testing.T, durable bool) *testServer {
 	}
 	s.db = oltp.New(s.store, oltp.Options{Runtime: rt, MaxRetries: oltp.DefaultMaxRetries, WAL: s.log})
 	t.Cleanup(s.db.Close)
-	s.h = newHandler(s.store, s.db, rt, handlerConfig{wal: s.log})
+	s.h = NewHandler(s.store, s.db, rt, nil, s.log)
 	return s
 }
 
@@ -151,10 +151,10 @@ func TestPolicyHotSwap(t *testing.T) {
 	s.want(t, "DELETE", "/policy", "", 405)
 }
 
-// TestStatsShape pins the /stats document to what its two readers
-// decode — benchmark/http.go's serverStats and cmd/lctop's statsDoc,
-// which declare it again by hand — so a change to one declaration
-// cannot silently starve the others.
+// TestStatsShape pins the /stats document, section by section, to what
+// its readers decode: benchmark/http.go's serverStats, which declares
+// its slice again by hand (lcperf builds from its own module), and the
+// fields lctop prints.
 func TestStatsShape(t *testing.T) {
 	for _, durable := range []bool{false, true} {
 		t.Run(fmt.Sprintf("durable=%v", durable), func(t *testing.T) {
@@ -206,7 +206,7 @@ func TestStatsShape(t *testing.T) {
 				}
 			}
 
-			// statsDoc (lctop): the rest of what it reads, and the
+			// lctop: the rest of what it reads, and the
 			// runtime fields it names one by one.
 			var shards, keys int
 			section("shards", &shards)
