@@ -60,22 +60,14 @@ func (politePolicy) Wait(ctx context.Context, h *lcrt.Handle, a golc.Acquire) er
 	}
 }
 
-// Example_customPolicy registers a user-defined contention policy and
-// runs an ordinary Mutex under it: same lock type, swapped wait
-// strategy — the point of the ContentionPolicy redesign.
+// Example_customPolicy runs an ordinary Mutex under a user-defined
+// contention policy, handed over by value: same lock type, swapped
+// wait strategy — the point of the ContentionPolicy redesign.
 func Example_customPolicy() {
-	if err := golc.RegisterPolicy(politePolicy{}); err != nil {
-		panic(err)
-	}
-	p, err := golc.PolicyByName("polite") // what lcserve -mode does
-	if err != nil {
-		panic(err)
-	}
-
 	rt := lcrt.New(lcrt.Options{})
 	rt.Start()
 	defer rt.Stop()
-	mu := golc.New("custom-demo", golc.WithPolicy(p), golc.WithRuntime(rt))
+	mu := golc.New("custom-demo", golc.WithPolicy(politePolicy{}), golc.WithRuntime(rt))
 
 	counter := 0
 	var wg sync.WaitGroup

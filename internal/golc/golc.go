@@ -11,11 +11,14 @@
 // paper's protocol: spinners interleave slot-buffer checks into their
 // spin loops and park when the controller says the system is
 // oversubscribed). Policies are selected by value
-// (golc.New(name, golc.WithPolicy(golc.Spin))), by registry name
-// (PolicyByName), and hot-swapped on live locks (SetPolicy). All
-// release paths wake a parked waiter when no spinner remains
-// (runtime.Handle.NoteUnlock), so a free lock never idles until the
-// safety timeout under any policy.
+// (golc.New(name, golc.WithPolicy(golc.Spin)) — a custom
+// ContentionPolicy goes in the same way), the built-ins also by name
+// (PolicyByName), and hot-swapped on live locks (SetPolicy). Every
+// contended wait of every lock is one call of Wait, the single seam
+// that runs the policy and records the wait. All release paths wake a
+// parked waiter when no spinner remains (runtime.Handle.NoteUnlock),
+// so a free lock never idles until the safety timeout under any
+// policy.
 //
 // All load-control policy state lives in the process-wide runtime
 // (internal/golc/runtime): one controller goroutine, one load sensor,
@@ -36,59 +39,8 @@
 // calls for. A runtime LoadFunc replaces the sensor in tests.
 package golc
 
-import (
-	"sync"
-
-	lcrt "repro/internal/golc/runtime"
-)
-
 // Locker is the subset of sync.Locker this package implements.
 type Locker interface {
 	Lock()
 	Unlock()
 }
-
-// RWLocker is the reader/writer interface implemented by RWMutex (and
-// satisfied by *sync.RWMutex).
-type RWLocker interface {
-	Lock()
-	Unlock()
-	RLock()
-	RUnlock()
-}
-
-// TryLocker is a Locker with a non-blocking acquire, implemented by
-// Mutex and RWMutex (and satisfied by *sync.Mutex and *sync.RWMutex).
-// A failed TryLock costs one atomic read-modify-write and touches no
-// load-control state, which makes it the right probe for callers that
-// want to count contention (try, then fall back to Lock) or avoid
-// blocking entirely.
-type TryLocker interface {
-	Locker
-	TryLock() bool
-}
-
-// StatLocker is the full contract of this package's lock types beyond
-// plain locking: registry lifecycle (Close) and per-lock load-control
-// counters (Stats). Code that manages pools of golc locks — kv's shard
-// latches, oltp's lock-table stripes — programs against this instead
-// of re-discovering the methods by type assertion.
-type StatLocker interface {
-	TryLocker
-	Close()
-	Stats() lcrt.LockStats
-}
-
-// Compile-time conformance: every lock type must keep satisfying the
-// package interfaces (and the sync types must keep satisfying the
-// plain ones), so an API break here fails the build, not a user.
-var (
-	_ StatLocker = (*Mutex)(nil)
-	_ StatLocker = (*RWMutex)(nil)
-	_ RWLocker   = (*RWMutex)(nil)
-
-	_ Locker    = (*sync.Mutex)(nil)
-	_ TryLocker = (*sync.Mutex)(nil)
-	_ RWLocker  = (*sync.RWMutex)(nil)
-	_ TryLocker = (*sync.RWMutex)(nil)
-)

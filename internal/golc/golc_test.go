@@ -535,12 +535,15 @@ func TestSpinPolicyRWMutex(t *testing.T) {
 }
 
 // TestTryLock covers the non-blocking acquire across every lock type
-// (all four implement TryLocker, as do the sync types).
+// (the sync types included: same method set).
 func TestTryLock(t *testing.T) {
 	rt := newTestRuntime(t, lcrt.Options{})
 	mutexes := []struct {
 		name string
-		mu   TryLocker
+		mu   interface {
+			Locker
+			TryLock() bool
+		}
 	}{
 		{"Mutex", New("mutex", WithRuntime(rt))},
 		{"Mutex/spin", New("try-spin", WithPolicy(Spin), WithRuntime(rt))},

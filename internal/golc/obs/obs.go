@@ -29,9 +29,8 @@ import (
 // Sampling defaults. Holds are sampled because stamping every
 // uncontended acquisition would put two clock reads on a ~10ns hot
 // path; 1-in-256 keeps the distribution honest at a few hundredths of
-// a nanosecond amortized. Events are not sampled by default — they
-// happen on slow paths only (a park, an abort) — but the knob exists
-// for event storms. Blame samples pay a runtime.Callers per hit, so
+// a nanosecond amortized. Events are not sampled — they happen on slow
+// paths only (a park, an abort). Blame samples pay a runtime.Callers per hit, so
 // they are sampled even though they only ever fire on the contended
 // slow path; 1-in-64 keeps the capture cost far below the waits it
 // measures.
@@ -111,10 +110,6 @@ func (r *Recorder) SetHoldSampling(n int) {
 
 // HoldSampling returns the active hold sampling rate (1 = every hold).
 func (r *Recorder) HoldSampling() int { return int(r.holdMask.Load()) + 1 }
-
-// SetEventSampling keeps one in every n ring events (n <= 1 keeps
-// all). Sampling is per ring shard, so interleavings stay fair.
-func (r *Recorder) SetEventSampling(n int) { r.ring.setSampling(n) }
 
 // EventSampling returns the active event sampling rate (1 = every
 // event).

@@ -3,9 +3,8 @@ package golc
 import (
 	"context"
 	"fmt"
-	"sort"
-	"sync"
 
+	"repro/internal/golc/obs"
 	lcrt "repro/internal/golc/runtime"
 )
 
@@ -22,12 +21,13 @@ import (
 //
 // Implementations must be safe for concurrent use by many waiters of
 // many locks: the built-ins are stateless values, and any per-waiter
-// state belongs on the Wait stack. Policies are identified by Name for
-// flag/HTTP selection (PolicyByName); custom policies join the same
-// registry via RegisterPolicy.
+// state belongs on the Wait stack. The built-ins are also selectable by
+// Name (PolicyByName, for flags and HTTP); a custom policy is handed to
+// WithPolicy or SetPolicy by value. Nothing but Wait (the function
+// below) calls a policy's Wait method.
 type ContentionPolicy interface {
-	// Name is the policy's stable registry name ("spin", "block",
-	// "lc"), used by flags, lcserve's /policy endpoint, and stats.
+	// Name is the policy's stable name ("spin", "block", "lc"), used by
+	// flags, lcserve's /policy endpoint, and stats.
 	Name() string
 
 	// Wait blocks the calling goroutine until a.Try succeeds (returns
@@ -68,6 +68,25 @@ type Acquire struct {
 	// and re-raises it in PostPark.
 	PrePark  func(t lcrt.Ticket)
 	PostPark func()
+}
+
+// Wait is the wait seam: the ONE place in the tree a ContentionPolicy's
+// Wait method is called (lclint's waitseam analyzer holds everything
+// else to that), bracketed by the runtime's BeginWait/End. Every
+// contended wait — Mutex and RWMutex slow paths, LockNested, the wal's
+// durability wait — is this call, which is what makes every wait under
+// every policy, built-in or custom, stamped into the wait histograms,
+// sampled into the blame matrix and reported when cancelled, with no
+// cooperation from the policy. It returns the waiter's blame site (0
+// unless this wait was sampled and succeeded) for the new holder to
+// publish, and pol's error.
+//
+// Call it one frame below the exported entry point (Lock → lockSlow →
+// Wait): the sampled site is the stack from that entry point up.
+func Wait(ctx context.Context, h *lcrt.Handle, pol ContentionPolicy, a Acquire) (obs.SiteID, error) {
+	w := h.BeginWait(2)
+	err := pol.Wait(ctx, h, a)
+	return w.End(err), err
 }
 
 // Built-in policies. All three run the same acquire loop (one TATAS
@@ -194,62 +213,19 @@ func waitLoop(ctx context.Context, h *lcrt.Handle, a Acquire, park int, claim fu
 	}
 }
 
-// The policy registry: names to policies, for flag/HTTP selection and
-// for iterating every registered policy in conformance tests.
-var (
-	policyMu sync.RWMutex
-	policies = map[string]ContentionPolicy{}
-)
-
-func init() {
-	for _, p := range []ContentionPolicy{Spin, Block, LoadControlled} {
-		if err := RegisterPolicy(p); err != nil {
-			panic(err)
-		}
-	}
-}
-
-// RegisterPolicy adds p to the registry under p.Name, making it
-// selectable by PolicyByName (lcserve -mode and POST /policy)
-// and enrolling it in the conformance suite's sweep. Empty and
-// duplicate names are rejected.
-func RegisterPolicy(p ContentionPolicy) error {
-	name := p.Name()
-	if name == "" {
-		return fmt.Errorf("golc: RegisterPolicy: empty policy name")
-	}
-	policyMu.Lock()
-	defer policyMu.Unlock()
-	if _, dup := policies[name]; dup {
-		return fmt.Errorf("golc: RegisterPolicy: %q already registered", name)
-	}
-	policies[name] = p
-	return nil
-}
-
-// PolicyByName resolves a registered policy. The error lists what is
-// available.
+// PolicyByName resolves a built-in policy by name, for flags and HTTP.
+// The set is closed; the error lists it.
 func PolicyByName(name string) (ContentionPolicy, error) {
-	policyMu.RLock()
-	defer policyMu.RUnlock()
-	if p, ok := policies[name]; ok {
-		return p, nil
+	switch name {
+	case "spin":
+		return Spin, nil
+	case "block":
+		return Block, nil
+	case "lc":
+		return LoadControlled, nil
 	}
-	return nil, fmt.Errorf("golc: unknown contention policy %q (registered: %v)", name, policyNamesLocked())
+	return nil, fmt.Errorf("golc: unknown contention policy %q (have: %v)", name, PolicyNames())
 }
 
-// PolicyNames returns every registered policy name, sorted.
-func PolicyNames() []string {
-	policyMu.RLock()
-	defer policyMu.RUnlock()
-	return policyNamesLocked()
-}
-
-func policyNamesLocked() []string {
-	names := make([]string, 0, len(policies))
-	for n := range policies {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
+// PolicyNames returns the names PolicyByName resolves, sorted.
+func PolicyNames() []string { return []string{"block", "lc", "spin"} }

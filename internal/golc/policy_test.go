@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -15,8 +17,8 @@ import (
 // sleepyPolicy is the conformance suite's user-defined toy policy:
 // poll-then-nap with a fixed backoff, no runtime parking at all. It
 // exists to prove the ContentionPolicy surface is implementable from
-// outside the built-in set and that RegisterPolicy enrolls it in
-// everything keyed off the registry.
+// outside the built-in set: it reaches locks by value (WithPolicy,
+// SetPolicy) and the suite sweeps it beside the built-ins.
 type sleepyPolicy struct{}
 
 func (sleepyPolicy) Name() string { return "test-sleepy" }
@@ -44,8 +46,6 @@ func (sleepyPolicy) Wait(ctx context.Context, h *lcrt.Handle, a Acquire) error {
 	}
 }
 
-var registerSleepy = sync.OnceValue(func() error { return RegisterPolicy(sleepyPolicy{}) })
-
 // conformanceRuntime: a constant-high load signal so the lc policy
 // genuinely parks during the suite, plus a sleep timeout short enough
 // that a lost wakeup converts into visible TimeoutWakes rather than a
@@ -62,67 +62,66 @@ func conformanceRuntime(t *testing.T) *lcrt.Runtime {
 	return rt
 }
 
-// TestRegisterPolicy pins the registry surface: built-ins resolvable
-// by name, duplicates and unknowns rejected, names sorted.
-func TestRegisterPolicy(t *testing.T) {
-	if err := registerSleepy(); err != nil {
-		t.Fatal(err)
+// TestPolicyByName pins the by-name surface: the closed set of
+// built-ins resolves, anything else — a custom policy's name included —
+// is refused with the set listed, and a custom policy goes in by value.
+func TestPolicyByName(t *testing.T) {
+	names := PolicyNames()
+	if !slices.Equal(names, []string{"block", "lc", "spin"}) {
+		t.Fatalf("PolicyNames() = %v", names)
 	}
-	for name, want := range map[string]string{
-		"spin": "spin", "block": "block", "lc": "lc",
-		"test-sleepy": "test-sleepy",
-	} {
+	for _, name := range names {
 		p, err := PolicyByName(name)
 		if err != nil {
 			t.Fatalf("PolicyByName(%q): %v", name, err)
 		}
-		if p.Name() != want {
-			t.Fatalf("PolicyByName(%q).Name() = %q, want %q", name, p.Name(), want)
+		if p.Name() != name {
+			t.Fatalf("PolicyByName(%q).Name() = %q", name, p.Name())
 		}
 	}
-	if _, err := PolicyByName("nonsense"); err == nil {
-		t.Fatal("PolicyByName(nonsense) did not error")
-	}
-	if err := RegisterPolicy(spinPolicy{}); err == nil {
-		t.Fatal("duplicate RegisterPolicy did not error")
-	}
-	if err := RegisterPolicy(LoadControlled); err == nil {
-		t.Fatal("re-registering a built-in did not error")
-	}
-	names := PolicyNames()
-	seen := map[string]bool{}
-	for i, n := range names {
-		seen[n] = true
-		if i > 0 && names[i-1] >= n {
-			t.Fatalf("PolicyNames not sorted: %v", names)
+	for _, name := range []string{"nonsense", "", sleepyPolicy{}.Name()} {
+		if _, err := PolicyByName(name); err == nil || !strings.Contains(err.Error(), "[block lc spin]") {
+			t.Fatalf("PolicyByName(%q) = %v, want an error listing the built-ins", name, err)
 		}
 	}
-	for _, want := range []string{"spin", "block", "lc", "test-sleepy"} {
-		if !seen[want] {
-			t.Fatalf("PolicyNames missing %q: %v", want, names)
-		}
+	mu := New("by-value", WithPolicy(sleepyPolicy{}), WithRuntime(conformanceRuntime(t)))
+	if got := mu.Stats().Policy; got != "test-sleepy" {
+		t.Fatalf("WithPolicy(custom): stats report policy %q", got)
+	}
+	mu.SetPolicy(Spin)
+	mu.SetPolicy(sleepyPolicy{})
+	if got := mu.Policy().Name(); got != "test-sleepy" {
+		t.Fatalf("SetPolicy(custom): Policy() = %q", got)
 	}
 }
 
-// eachPolicy runs f once per registered policy (the three built-ins
-// plus the toy sleepy policy), each under its own runtime.
-func eachPolicy(t *testing.T, f func(t *testing.T, rt *lcrt.Runtime, pol ContentionPolicy)) {
-	if err := registerSleepy(); err != nil {
-		t.Fatal(err)
-	}
+// conformancePolicies is what the suite sweeps: the three built-ins,
+// resolved by name, plus the toy sleepy policy.
+func conformancePolicies(t *testing.T) []ContentionPolicy {
+	t.Helper()
+	pols := []ContentionPolicy{sleepyPolicy{}}
 	for _, name := range PolicyNames() {
 		pol, err := PolicyByName(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Run(name, func(t *testing.T) {
+		pols = append(pols, pol)
+	}
+	return pols
+}
+
+// eachPolicy runs f once per conformance policy, each under its own
+// runtime.
+func eachPolicy(t *testing.T, f func(t *testing.T, rt *lcrt.Runtime, pol ContentionPolicy)) {
+	for _, pol := range conformancePolicies(t) {
+		t.Run(pol.Name(), func(t *testing.T) {
 			f(t, conformanceRuntime(t), pol)
 		})
 	}
 }
 
-// TestPolicyConformanceMutex: mutual exclusion under every registered
-// policy, with enough contention that parking policies actually park.
+// TestPolicyConformanceMutex: mutual exclusion under every
+// conformance policy, with enough contention that parking policies actually park.
 func TestPolicyConformanceMutex(t *testing.T) {
 	eachPolicy(t, func(t *testing.T, rt *lcrt.Runtime, pol ContentionPolicy) {
 		mu := New("conf-mu", WithPolicy(pol), WithRuntime(rt))
@@ -344,63 +343,87 @@ func TestPolicyConformanceStatsMonotonic(t *testing.T) {
 	})
 }
 
-// TestPolicyConformanceWaitRecorded: the wait-time seam lives in the
-// lock's slow path, outside every policy, so each registered policy —
-// including the user-defined sleepy one, which never touches the
-// runtime's park path — must feed the per-lock and global wait
-// histograms on a contended acquisition, for free.
+// TestPolicyConformanceWaitRecorded: the wait-time seam is golc.Wait,
+// outside every policy, so each policy — including the user-defined
+// sleepy one, which never touches the runtime's park path — must feed
+// the per-lock and global wait histograms on a contended acquisition,
+// for free. LockNested goes through the same seam under Spin whatever
+// the lock's policy: it is recorded like any wait, and never parks.
 func TestPolicyConformanceWaitRecorded(t *testing.T) {
+	// One lock as the test needs it: the first hold, the contended
+	// acquire under test, the release of either.
+	type lock struct {
+		lock, acquire, unlock func()
+		stats                 func() lcrt.LockStats
+	}
+	variants := []struct {
+		name   string
+		nested bool
+		new    func(rt *lcrt.Runtime, pol ContentionPolicy) lock
+	}{
+		{"Mutex.Lock", false, func(rt *lcrt.Runtime, pol ContentionPolicy) lock {
+			mu := New("conf-wait-obs", WithPolicy(pol), WithRuntime(rt))
+			return lock{mu.Lock, mu.Lock, mu.Unlock, mu.Stats}
+		}},
+		{"RWMutex.LockNested", true, func(rt *lcrt.Runtime, pol ContentionPolicy) lock {
+			mu := NewRW("conf-wait-obs-nested", WithPolicy(pol), WithRuntime(rt))
+			return lock{mu.Lock, mu.LockNested, mu.Unlock, mu.Stats}
+		}},
+	}
 	eachPolicy(t, func(t *testing.T, rt *lcrt.Runtime, pol ContentionPolicy) {
 		rt.Recorder().SetHoldSampling(1) // stamp every hold, not 1-in-256
-		mu := New("conf-wait-obs", WithPolicy(pol), WithRuntime(rt))
-		mu.Lock()
-		acquired := make(chan struct{})
-		go func() {
-			mu.Lock()
-			mu.Unlock()
-			close(acquired)
-		}()
-		deadline := time.Now().Add(5 * time.Second)
-		for mu.Stats().SpinningNow == 0 && mu.Stats().SleepingNow == 0 {
-			if time.Now().After(deadline) {
-				t.Fatal("waiter never started waiting")
-			}
-			time.Sleep(50 * time.Microsecond)
-		}
-		time.Sleep(2 * time.Millisecond) // accumulate measurable wait time
-		mu.Unlock()
-		select {
-		case <-acquired:
-		case <-time.After(5 * time.Second):
-			t.Fatalf("waiter stranded after unlock: %+v", mu.Stats())
-		}
-		st := mu.Stats()
-		if st.Wait.Count == 0 {
-			t.Fatalf("policy %s recorded no wait samples", pol.Name())
-		}
-		if st.Wait.Sum < uint64(time.Millisecond) {
-			t.Fatalf("policy %s wait sum = %v, want >= the ~2ms the waiter visibly waited",
-				pol.Name(), time.Duration(st.Wait.Sum))
-		}
-		// Sampling 1-in-1 makes every hold stamped: both the initial
-		// hold and the waiter's must have been recorded on release.
-		if st.Hold.Count < 2 {
-			t.Fatalf("policy %s recorded %d hold samples, want >= 2", pol.Name(), st.Hold.Count)
-		}
-		if snap := rt.Snapshot(); snap.WaitHist.Count < st.Wait.Count {
-			t.Fatalf("global wait histogram (%d) missing the lock's samples (%d)",
-				snap.WaitHist.Count, st.Wait.Count)
+		for _, variant := range variants {
+			t.Run(variant.name, func(t *testing.T) {
+				mu := variant.new(rt, pol)
+				mu.lock()
+				acquired := make(chan struct{})
+				go func() {
+					mu.acquire()
+					mu.unlock()
+					close(acquired)
+				}()
+				waitFor(t, "the waiter to start waiting", func() bool {
+					st := mu.stats()
+					return st.SpinningNow != 0 || st.SleepingNow != 0
+				})
+				time.Sleep(2 * time.Millisecond) // accumulate measurable wait time
+				mu.unlock()
+				select {
+				case <-acquired:
+				case <-time.After(5 * time.Second):
+					t.Fatalf("waiter stranded after unlock: %+v", mu.stats())
+				}
+				st := mu.stats()
+				if st.Wait.Count == 0 {
+					t.Fatalf("policy %s recorded no wait samples", pol.Name())
+				}
+				if st.Wait.Sum < uint64(time.Millisecond) {
+					t.Fatalf("policy %s wait sum = %v, want >= the ~2ms the waiter visibly waited",
+						pol.Name(), time.Duration(st.Wait.Sum))
+				}
+				// Sampling 1-in-1 makes every hold stamped: both the initial
+				// hold and the waiter's must have been recorded on release.
+				if st.Hold.Count < 2 {
+					t.Fatalf("policy %s recorded %d hold samples, want >= 2", pol.Name(), st.Hold.Count)
+				}
+				if snap := rt.Snapshot(); snap.WaitHist.Count < st.Wait.Count {
+					t.Fatalf("global wait histogram (%d) missing the lock's samples (%d)",
+						snap.WaitHist.Count, st.Wait.Count)
+				}
+				// The suite's runtime asks for 8 sleepers, so lc and block
+				// would park here; a nested acquire spins instead.
+				if variant.nested && (st.Spins == 0 || st.Blocks != 0) {
+					t.Fatalf("LockNested on a %s lock: spins/blocks = %d/%d, want >0/0", pol.Name(), st.Spins, st.Blocks)
+				}
+			})
 		}
 	})
 }
 
 // TestPolicyHotSwap flips a contended lock between every pair of
-// registered policies while workers hammer it: no lost update, no
+// conformance policies while workers hammer it: no lost update, no
 // stranded waiter, and the getter reports the last policy set.
 func TestPolicyHotSwap(t *testing.T) {
-	if err := registerSleepy(); err != nil {
-		t.Fatal(err)
-	}
 	rt := conformanceRuntime(t)
 	mu := New("swap", WithPolicy(Spin), WithRuntime(rt))
 	var counter atomic.Int64
@@ -423,11 +446,8 @@ func TestPolicyHotSwap(t *testing.T) {
 		}()
 	}
 	for round := 0; round < 3; round++ {
-		for _, name := range PolicyNames() {
-			p, err := PolicyByName(name)
-			if err != nil {
-				t.Fatal(err)
-			}
+		for _, p := range conformancePolicies(t) {
+			name := p.Name()
 			mu.SetPolicy(p)
 			if got := mu.Policy().Name(); got != name {
 				t.Fatalf("Policy() = %q after SetPolicy(%q)", got, name)

@@ -7,7 +7,9 @@
 // controller, so adding a lock never adds a controller. Locks register
 // with a Runtime and receive a Handle; the Handle carries the lock's
 // side of the protocol (spinner census, slot claims, parking, the
-// unlock-side wake) and its per-lock metrics. The controller
+// unlock-side wake) and its per-lock metrics, which contended waits
+// reach through one bracket — Handle.BeginWait, Waiting.End — held by
+// one caller, golc.Wait. The controller
 // periodically reads the load sensor — runnable goroutines waiting for
 // a P plus OS threads runnable beyond the CPUs (see sensor), or a
 // custom LoadFunc — and publishes a sleep target T = load + sleeping.
@@ -788,7 +790,7 @@ type Handle struct {
 	// policy names the lock's active contention policy (NotePolicy).
 	policy atomic.Pointer[string]
 
-	// wait and hold are the lock's latency histograms; RecordWait and
+	// wait and hold are the lock's latency histograms; Waiting.End and
 	// RecordHold feed both them and the runtime's global ones.
 	wait *obs.Histogram
 	hold *obs.Histogram
@@ -801,26 +803,61 @@ func (h *Handle) Name() string { return h.name }
 // their own events (policy swaps, cancelled waits).
 func (h *Handle) Obs() *obs.Recorder { return h.rt.rec }
 
-// WaitStart stamps the beginning of a contended acquisition, or
-// returns 0 when the recorder is disabled (callers skip RecordWait
-// then). This bracket — WaitStart before ContentionPolicy.Wait,
-// RecordWait after — is the single instrumentation seam that covers
-// every policy, built-in or registered.
-func (h *Handle) WaitStart() int64 {
-	rec := h.rt.rec
-	if !rec.Enabled() {
-		return 0
-	}
-	return rec.Now()
+// Waiting is one contended wait in flight: what BeginWait captured and
+// End needs to record it. It lives on the waiter's stack.
+type Waiting struct {
+	h      *Handle
+	start  int64      // recorder stamp; 0 when the recorder is disabled
+	waiter obs.SiteID // the waiter's acquire site; 0 unless blame-sampled
+	holder obs.SiteID // the holder published when the wait began
 }
 
-// RecordWait records a contended acquisition that began at start (a
-// WaitStart stamp) into the lock's and the runtime's wait histograms.
-func (h *Handle) RecordWait(start int64) {
+// BeginWait opens the wait bracket that Waiting.End closes. Its one
+// caller is golc.Wait, which runs the ContentionPolicy between the two,
+// so every wait of every lock under every policy passes this
+// attribution point. It stamps the wait and, on a blame-sampled wait
+// (the uncommon case; otherwise two atomic loads), captures the
+// waiter's acquire site — skipping skip frames above BeginWait's
+// caller — and reads whoever holds the lock right now: that holder
+// built the convoy this waiter is about to join.
+func (h *Handle) BeginWait(skip int) Waiting {
 	rec := h.rt.rec
-	d := rec.Now() - start
-	h.wait.Observe(d)
-	rec.Wait.Observe(d)
+	w := Waiting{h: h}
+	if rec.Enabled() {
+		w.start = rec.Now()
+	}
+	if rec.BlameSampled() {
+		w.waiter = rec.CallerSite(skip + 1)
+		w.holder = obs.SiteID(h.holderSite.Load())
+	}
+	return w
+}
+
+// End closes the bracket with the policy's verdict. A nil err is an
+// acquisition: the wait goes into the lock's and the runtime's wait
+// histograms, a sampled one into the blame matrix too, and the
+// waiter's site (0 unless sampled) is returned for the new holder to
+// publish. A non-nil err is a wait that was cancelled: only the event
+// is recorded.
+func (w Waiting) End(err error) obs.SiteID {
+	h, rec := w.h, w.h.rt.rec
+	if err != nil {
+		if w.start != 0 {
+			rec.Event(obs.EvCtxCancel, h.name, "", 0)
+		}
+		return 0
+	}
+	if w.start != 0 {
+		d := rec.Now() - w.start
+		h.wait.Observe(d)
+		rec.Wait.Observe(d)
+		if w.waiter != 0 {
+			h.blameCount.Add(1)
+			h.blameNs.Add(uint64(d))
+			rec.RecordBlame(w.waiter, w.holder, h.name, d)
+		}
+	}
+	return w.waiter
 }
 
 // HoldStamp forwards to the recorder's sampled hold stamping (see
@@ -849,29 +886,9 @@ func (h *Handle) PolicyName() string {
 	return ""
 }
 
-// BlameSample decides whether this contended acquisition is
-// blame-sampled and, when it is, captures the caller's acquire site
-// (skipping skip extra frames above BlameSample's caller). Returns 0
-// when the sample is skipped — the common case, two atomic loads.
-// Locks call it once per trip into their contended slow path, before
-// waiting, and thread the site through to RecordBlame.
-func (h *Handle) BlameSample(skip int) obs.SiteID {
-	rec := h.rt.rec
-	if !rec.BlameSampled() {
-		return 0
-	}
-	return rec.CallerSite(skip + 1)
-}
-
-// HolderSiteID returns the current holder's published acquire site, or
-// 0 when the holder was not blame-sampled (or the lock is free).
-// Waiters read it before waiting: blame pairs the waiter with whoever
-// held the lock when the wait began, which is who built the convoy.
-func (h *Handle) HolderSiteID() obs.SiteID { return obs.SiteID(h.holderSite.Load()) }
-
 // PublishHolderSite stamps site as the current holder's acquire site.
-// Call only while holding the lock, with the site captured by this
-// acquisition's BlameSample.
+// Call only while holding the lock, with the site this acquisition's
+// wait returned (Waiting.End).
 func (h *Handle) PublishHolderSite(site obs.SiteID) { h.holderSite.Store(uint64(site)) }
 
 // ClearHolderSite clears the published holder site on release. Callers
@@ -884,23 +901,6 @@ func (h *Handle) ClearHolderSite() {
 		h.holderSite.Store(0)
 	}
 }
-
-// RecordBlame records a blame edge: a sampled waiter (site waiter)
-// that began waiting at start (a WaitStart stamp) behind holder. It
-// feeds the recorder's blame matrix and the lock's blame counters.
-func (h *Handle) RecordBlame(waiter, holder obs.SiteID, start int64) {
-	rec := h.rt.rec
-	d := rec.Now() - start
-	if d < 0 {
-		d = 0
-	}
-	h.blameCount.Add(1)
-	h.blameNs.Add(uint64(d))
-	rec.RecordBlame(waiter, holder, h.name, d)
-}
-
-// Runtime returns the runtime this handle is registered with.
-func (h *Handle) Runtime() *Runtime { return h.rt }
 
 // Close unregisters the lock from the runtime's metrics registry. The
 // handle remains usable (a closed handle only stops appearing in
@@ -1048,19 +1048,6 @@ func (t Ticket) NoteRelease() {
 		return
 	}
 	h.rt.wakeHandle(h, t.s)
-}
-
-// Park is TryClaim+Sleep in one step: when a slot is open it parks the
-// caller and returns true. Locks that can re-check their state should
-// prefer the explicit TryClaim / Cancel / Sleep dance; Park serves
-// tests and callers with nothing to re-check.
-func (h *Handle) Park() bool {
-	t, ok := h.TryClaim()
-	if !ok {
-		return false
-	}
-	t.Sleep()
-	return true
 }
 
 // Waiters reports the lock's current waiter population: goroutines

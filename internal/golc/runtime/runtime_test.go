@@ -142,7 +142,8 @@ func TestSlotPoolHandoffConcurrent(t *testing.T) {
 				default:
 				}
 				h.Spinning(1)
-				if h.Park() {
+				if tk, ok := h.TryClaim(); ok {
+					tk.Sleep()
 					parked.Add(1)
 				}
 				h.Spinning(-1)
@@ -507,9 +508,11 @@ func TestStopWakesParkedWaiters(t *testing.T) {
 			h.Spinning(1)
 			// Retry until a slot opens (the first controller tick may
 			// not have published the target yet).
-			for !h.Park() {
+			tk, ok := h.TryClaim()
+			for ; !ok; tk, ok = h.TryClaim() {
 				time.Sleep(100 * time.Microsecond)
 			}
+			tk.Sleep()
 			h.Spinning(-1)
 		}()
 	}

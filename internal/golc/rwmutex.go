@@ -4,7 +4,6 @@ import (
 	"context"
 	"sync/atomic"
 
-	"repro/internal/golc/obs"
 	lcrt "repro/internal/golc/runtime"
 )
 
@@ -19,75 +18,27 @@ import (
 //
 // state encodes the lock: -1 while a writer holds it, otherwise the
 // reader count. wwait counts writers waiting (it gates new readers).
+// The embedded core's hold stamp and holder-site shadow cover WRITE
+// holds only. Sampled READERS publish their site too — a writer stuck
+// behind a read crowd blames the published reader — but without a
+// shadow: read holds overlap, so the last reader out clears
+// unconditionally through the load-guarded ClearHolderSite.
 type RWMutex struct {
 	noCopy noCopy
 
 	state atomic.Int32
 	wwait atomic.Int32
-	pol   atomic.Pointer[ContentionPolicy]
-	h     *lcrt.Handle
-
-	// Sampled hold-time measurement for WRITE holds only, exactly as
-	// in Mutex (plain fields, protected by the write hold itself).
-	// Reader holds are deliberately unmeasured: they overlap, so no
-	// single release "ends" a hold, and per-reader stamping would put
-	// shared writes on the read fast path. Wait time covers readers
-	// and writers alike.
-	holdSeq   uint64
-	holdStart int64
-
-	// ownSite shadows the published holder site for WRITE holds, as in
-	// Mutex (plain field under the write hold; Unlock clears from a
-	// plain read). Sampled READERS publish their site too — a writer
-	// stuck behind a read crowd blames the published reader — but
-	// without a shadow: read holds overlap, so the last reader out
-	// clears unconditionally through the load-guarded ClearHolderSite.
-	ownSite uint32
+	core
 }
 
 // NewRW returns a reader/writer lock named for metrics, registered
 // with the option's runtime (default: the process-wide runtime) and
 // waiting according to the option's policy (default: LoadControlled).
 func NewRW(name string, opts ...Option) *RWMutex {
-	c := buildConfig(opts)
-	m := &RWMutex{h: c.rt.Register(name)}
-	m.pol.Store(&c.pol)
-	m.h.NotePolicy(c.pol.Name())
+	m := &RWMutex{}
+	m.init(name, opts)
 	return m
 }
-
-// Policy returns the lock's current contention policy.
-func (m *RWMutex) Policy() ContentionPolicy { return *m.pol.Load() }
-
-// SetPolicy hot-swaps the lock's contention policy; semantics as for
-// Mutex.SetPolicy (new waits use p, standing waits drain under the old
-// policy).
-func (m *RWMutex) SetPolicy(p ContentionPolicy) {
-	m.pol.Store(&p)
-	m.h.NotePolicy(p.Name())
-	m.h.Obs().Event(obs.EvPolicySwap, m.h.Name(), p.Name(), 0)
-}
-
-// stampHold marks a write acquisition for sampled hold measurement;
-// see Mutex.stampHold.
-func (m *RWMutex) stampHold() {
-	m.holdSeq++
-	m.holdStart = m.h.HoldStamp(m.holdSeq)
-}
-
-// stampSite publishes a blame-sampled WRITE acquisition's site; see
-// Mutex.stampSite.
-func (m *RWMutex) stampSite(site obs.SiteID) {
-	m.ownSite = uint32(site)
-	m.h.PublishHolderSite(site)
-}
-
-// Close unregisters the lock from its runtime's metrics registry. The
-// lock stays usable; Close only removes it from snapshots.
-func (m *RWMutex) Close() { m.h.Close() }
-
-// Stats returns the lock's per-lock counters.
-func (m *RWMutex) Stats() lcrt.LockStats { return m.h.Stats() }
 
 // rAvailable reports whether a reader could take the lock right now.
 func (m *RWMutex) rAvailable() bool {
@@ -108,10 +59,8 @@ func (m *RWMutex) RLock() {
 	if m.tryR() {
 		return
 	}
-	// As in Mutex.Lock: Background cannot cancel, so an error is a
-	// policy contract breach and returning would fake a read hold.
 	if err := m.rlockSlow(context.Background()); err != nil {
-		panic("golc: policy " + m.Policy().Name() + " abandoned an uncancellable RLock: " + err.Error())
+		m.abandoned("RLock", err)
 	}
 }
 
@@ -128,35 +77,14 @@ func (m *RWMutex) RLockCtx(ctx context.Context) error {
 	return m.rlockSlow(ctx)
 }
 
+// rlockSlow waits for a read hold. A blame-sampled reader blames
+// whoever was published when its wait began — under writer preference
+// that is the writer holding (or a sampled reader crowding out) the
+// lock — and then publishes its own site, unshadowed (see RWMutex).
 func (m *RWMutex) rlockSlow(ctx context.Context) error {
-	// Same wait-time seam as Mutex.lockSlow: reader waits count too. A
-	// blame-sampled reader blames whoever was published when its wait
-	// began — under writer preference that is the writer holding (or a
-	// sampled reader crowding out) the lock. It then publishes its own
-	// site WITHOUT a shadow: read holds overlap, so the last RUnlock
-	// clears for everyone.
-	start := m.h.WaitStart()
-	waiter := m.h.BlameSample(1)
-	var holder obs.SiteID
-	if waiter != 0 {
-		holder = m.h.HolderSiteID()
-	}
-	err := m.Policy().Wait(ctx, m.h, Acquire{
-		Try:  m.tryR,
-		Free: m.rAvailable,
-	})
-	if start != 0 {
-		if err != nil {
-			m.h.Obs().Event(obs.EvCtxCancel, m.h.Name(), "", 0)
-		} else {
-			m.h.RecordWait(start)
-		}
-	}
-	if err == nil && waiter != 0 {
-		m.h.PublishHolderSite(waiter)
-		if start != 0 {
-			m.h.RecordBlame(waiter, holder, start)
-		}
+	site, err := Wait(ctx, m.h, m.Policy(), Acquire{Try: m.tryR, Free: m.rAvailable})
+	if site != 0 {
+		m.h.PublishHolderSite(site)
 	}
 	return err
 }
@@ -220,8 +148,8 @@ func (m *RWMutex) Lock() {
 		m.stampHold()
 		return
 	}
-	if err := m.lockSlow(context.Background()); err != nil {
-		panic("golc: policy " + m.Policy().Name() + " abandoned an uncancellable Lock: " + err.Error())
+	if err := m.lockSlow(context.Background(), m.Policy()); err != nil {
+		m.abandoned("Lock", err)
 	}
 }
 
@@ -240,17 +168,33 @@ func (m *RWMutex) LockCtx(ctx context.Context) error {
 		m.abandonWrite()
 		return err
 	}
-	return m.lockSlow(ctx)
+	return m.lockSlow(ctx, m.Policy())
 }
 
-func (m *RWMutex) lockSlow(ctx context.Context) error {
-	start := m.h.WaitStart()
-	waiter := m.h.BlameSample(1)
-	var holder obs.SiteID
-	if waiter != 0 {
-		holder = m.h.HolderSiteID()
+// LockNested acquires the lock for writing WITHOUT ever parking,
+// whatever the lock's policy, for acquires made while the caller
+// already holds another load-controlled lock: it is the writer slow
+// path under the Spin policy. A waiter that parked while holding a
+// lock would stall every waiter of that lock for up to the sleep
+// timeout — the same reason the paper's controller never blocks lock
+// holders (holder wakeup, §3.2.2). The spin goes through the same seam
+// as every other wait, so it is counted in the census and stripe-latch
+// convoys show up in the wait histograms and the blame matrix too.
+func (m *RWMutex) LockNested() {
+	m.wwait.Add(1)
+	if m.state.CompareAndSwap(0, -1) {
+		m.wwait.Add(-1)
+		m.stampHold()
+		return
 	}
-	err := m.Policy().Wait(ctx, m.h, Acquire{
+	if err := m.lockSlow(context.Background(), Spin); err != nil {
+		m.abandoned("LockNested", err)
+	}
+}
+
+// lockSlow waits for the write hold under pol, the gate already raised.
+func (m *RWMutex) lockSlow(ctx context.Context, pol ContentionPolicy) error {
+	site, err := Wait(ctx, m.h, pol, Acquire{
 		Try: func() bool {
 			if m.state.Load() == 0 && m.state.CompareAndSwap(0, -1) {
 				m.wwait.Add(-1)
@@ -279,22 +223,10 @@ func (m *RWMutex) lockSlow(ctx context.Context) error {
 		PostPark: func() { m.wwait.Add(1) },
 	})
 	if err != nil {
-		if start != 0 {
-			m.h.Obs().Event(obs.EvCtxCancel, m.h.Name(), "", 0)
-		}
 		m.abandonWrite()
 		return err
 	}
-	if start != 0 {
-		m.h.RecordWait(start)
-	}
-	m.stampHold()
-	if waiter != 0 {
-		m.stampSite(waiter)
-		if start != 0 {
-			m.h.RecordBlame(waiter, holder, start)
-		}
-	}
+	m.stampWaited(site)
 	return nil
 }
 
@@ -308,65 +240,11 @@ func (m *RWMutex) abandonWrite() {
 	}
 }
 
-// LockNested acquires the lock for writing WITHOUT ever parking,
-// whatever the lock's policy, for acquires made while the caller
-// already holds another load-controlled lock. A waiter that parked
-// while holding a lock would stall every waiter of that lock for up to
-// the sleep timeout — the same reason the paper's controller never
-// blocks lock holders (holder wakeup, §3.2.2). The spin is still
-// counted in the census, so it remains visible load.
-func (m *RWMutex) LockNested() {
-	m.wwait.Add(1)
-	if m.state.CompareAndSwap(0, -1) {
-		m.wwait.Add(-1)
-		m.stampHold()
-		return
-	}
-	h := m.h
-	// LockNested never runs a policy Wait, so it brackets its own spin
-	// loop — stripe-latch convoys show up in the wait histograms (and
-	// the blame matrix) too.
-	start := h.WaitStart()
-	waiter := h.BlameSample(1)
-	var holder obs.SiteID
-	if waiter != 0 {
-		holder = h.HolderSiteID()
-	}
-	h.Spinning(1)
-	c := cadence{park: noPark}
-	for {
-		if m.state.Load() == 0 && m.state.CompareAndSwap(0, -1) {
-			m.wwait.Add(-1)
-			h.Spinning(-1)
-			h.NoteSpins(c.spins)
-			if start != 0 {
-				h.RecordWait(start)
-			}
-			m.stampHold()
-			if waiter != 0 {
-				m.stampSite(waiter)
-				if start != 0 {
-					h.RecordBlame(waiter, holder, start)
-				}
-			}
-			return
-		}
-		c.next()
-	}
-}
-
 // Unlock releases the write hold, waking a parked waiter if no spinner
 // is left to take the lock. Sampled write holds are recorded after the
 // release, as in Mutex.Unlock.
 func (m *RWMutex) Unlock() {
-	start := m.holdStart
-	if start != 0 {
-		m.holdStart = 0
-	}
-	if m.ownSite != 0 {
-		m.ownSite = 0
-		m.h.ClearHolderSite()
-	}
+	start := m.releasing()
 	if !m.state.CompareAndSwap(-1, 0) {
 		panic("golc: Unlock of RWMutex not held for writing")
 	}

@@ -15,17 +15,12 @@ const (
 )
 
 // cadence tracks one waiter's position in the spin cadence. The zero
-// value polls the park path from the first interval on: set park to
-// graceSpins, or to noPark for loops that must never park (the nested
-// acquires of lock holders).
+// value takes the park path from the first interval on; set park to
+// graceSpins to hold it off for the grace spin.
 type cadence struct {
 	spins int
 	park  int
 }
-
-// noPark disables the park path of a cadence. It is a sentinel, not a
-// real threshold: spins would overflow long before reaching it.
-const noPark = int(^uint(0) >> 1)
 
 // next advances one failed-acquire iteration, yielding to the
 // scheduler on the Gosched cadence, and reports whether this iteration

@@ -42,14 +42,6 @@ func TestCtxlockClean(t *testing.T) {
 	linttest.Run(t, "ctxlock", "internal/lint/testdata/src/ctxlockok")
 }
 
-func TestPolicyreg(t *testing.T) {
-	linttest.Run(t, "policyreg", "internal/lint/testdata/src/policyreg")
-}
-
-func TestPolicyregClean(t *testing.T) {
-	linttest.Run(t, "policyreg", "internal/lint/testdata/src/policyregok")
-}
-
 func TestHeldcall(t *testing.T) {
 	linttest.Run(t, "heldcall", "internal/lint/testdata/src/heldcall")
 }

@@ -42,8 +42,8 @@ const (
 	kindAcqTry
 	// kindRelease: Unlock/RUnlock.
 	kindRelease
-	// kindPolicyWait: a ContentionPolicy.Wait call (interface or
-	// concrete) — the parking seam itself.
+	// kindPolicyWait: a call of a ContentionPolicy's Wait method
+	// (interface or concrete) — what golc.Wait, the seam, runs.
 	kindPolicyWait
 	// kindTicketSleep: runtime Ticket.Sleep/SleepCtx — the slot-pool
 	// park primitive policies build on.
@@ -52,8 +52,6 @@ const (
 	// function named "acquire" taking an oltp.ResourceID) — input to
 	// the table→partition→record hierarchy check.
 	kindLogicalAcq
-	// kindRegister: golc.RegisterPolicy.
-	kindRegister
 )
 
 // Logical hierarchy levels, ranked: an acquisition must never go up.
@@ -167,13 +165,9 @@ func classifyCall(info *types.Info, call *ast.CallExpr) callInfo {
 			}
 			return ci
 		}
-		// Package-qualified function: golc.RegisterPolicy.
+		// Package-qualified function.
 		if fn, ok := info.Uses[fun.Sel].(*types.Func); ok {
 			ci.callee, ci.name = fn, fn.Name()
-			if fn.Pkg() != nil && isGolcPkgPath(fn.Pkg().Path()) && fn.Name() == "RegisterPolicy" {
-				ci.kind = kindRegister
-				return ci
-			}
 			if ci.name == "acquire" && takesResourceID(fn) {
 				ci.kind = kindLogicalAcq
 				ci.level = logicalLevel(info, call)
@@ -191,19 +185,28 @@ func classifyCall(info *types.Info, call *ast.CallExpr) callInfo {
 	return ci
 }
 
-// isPolicyWait matches golc.ContentionPolicy.Wait — the interface
-// method or any concrete implementation: Wait(context.Context,
-// *runtime.Handle, ...).
+// isPolicyWait reports whether fn is a ContentionPolicy's Wait method:
+// the interface's own, or that of a type implementing the interface.
+// The interface is found through the method's golc.Acquire parameter
+// (its package declares it), the match is types.Implements on the
+// receiver — so a free function or a method of some non-policy type
+// that merely has Wait's shape is not one.
 func isPolicyWait(fn *types.Func) bool {
-	if fn.Name() != "Wait" {
-		return false
-	}
 	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Params().Len() < 2 || !isContextType(sig.Params().At(0).Type()) {
+	if !ok || fn.Name() != "Wait" || sig.Recv() == nil || sig.Params().Len() != 3 {
 		return false
 	}
-	h := derefNamed(sig.Params().At(1).Type())
-	return h != nil && isGolcRuntimePkgPath(namedPkgPath(h)) && h.Obj().Name() == "Handle"
+	acq := derefNamed(sig.Params().At(2).Type())
+	if acq == nil || !isGolcPkgPath(namedPkgPath(acq)) {
+		return false
+	}
+	tn, _ := acq.Obj().Pkg().Scope().Lookup("ContentionPolicy").(*types.TypeName)
+	if tn == nil {
+		return false
+	}
+	iface, _ := tn.Type().Underlying().(*types.Interface)
+	recv := sig.Recv().Type()
+	return iface != nil && (types.Implements(recv, iface) || types.Implements(types.NewPointer(recv), iface))
 }
 
 // takesResourceID reports whether fn has an oltp.ResourceID parameter —

@@ -1,4 +1,4 @@
-// Package lint is lclint's analysis framework plus the eight
+// Package lint is lclint's analysis framework plus the seven
 // repo-specific analyzers that machine-check the lock runtime's
 // correctness invariants (see cmd/lclint):
 //
@@ -14,15 +14,13 @@
 //     context.Background()/TODO() when a real deadline/cancel context
 //     is in scope — the deadlock detector's victim-kill path depends
 //     on waits being cancellable.
-//   - policyreg: golc.RegisterPolicy only from init/main, no duplicate
-//     or reserved policy names.
 //   - heldcall: no blocking or alloc-heavy work (I/O, channel
 //     operations, time.Sleep, fmt printing to writers) inside a golc
 //     critical section.
 //   - atomicfield: a struct field touched via sync/atomic anywhere
 //     must be accessed atomically everywhere.
-//   - waitseam: every ContentionPolicy.Wait invocation must be
-//     bracketed by Handle.WaitStart/RecordWait — the flight recorder's
+//   - waitseam: golc.Wait is the only caller of a ContentionPolicy's
+//     Wait method (matched by method identity) — the flight recorder's
 //     one-seam guarantee, pinned statically.
 //
 // The analyzers are whole-program: per-package function summaries
@@ -123,7 +121,7 @@ type Diagnostic struct {
 
 // All returns the full analyzer suite in reporting order.
 func All() []*Analyzer {
-	return []*Analyzer{Lockpair, Nestedpark, Lockorder, Ctxlock, Policyreg, Heldcall, Atomicfield, Waitseam}
+	return []*Analyzer{Lockpair, Nestedpark, Lockorder, Ctxlock, Heldcall, Atomicfield, Waitseam}
 }
 
 // ByName resolves a comma-separated analyzer list ("lockpair,ctxlock").

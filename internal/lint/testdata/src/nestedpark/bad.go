@@ -56,3 +56,10 @@ func policyWaitWhileHolding(p *pair, pol golc.ContentionPolicy, h *lcrt.Handle, 
 	defer p.a.Unlock()
 	return pol.Wait(context.Background(), h, acq) // want `parks while p\.a is held`
 }
+
+func seamWhileHolding(p *pair, pol golc.ContentionPolicy, h *lcrt.Handle, acq golc.Acquire) error {
+	p.a.Lock()
+	defer p.a.Unlock()
+	_, err := golc.Wait(context.Background(), h, pol, acq) // want `call to golc\.Wait may park .* while p\.a is held`
+	return err
+}

@@ -1,27 +1,49 @@
 // Package waitseam holds failing fixtures for the waitseam analyzer:
-// ContentionPolicy.Wait invocations missing one or both halves of the
-// Handle.WaitStart/RecordWait bracket.
+// calls of a ContentionPolicy's Wait method from anywhere but golc.Wait.
 package waitseam
 
 import (
 	"context"
+	"sync/atomic"
 
 	"repro/internal/golc"
 	lcrt "repro/internal/golc/runtime"
 )
 
-func unbracketed(ctx context.Context, p golc.ContentionPolicy, h *lcrt.Handle, acq golc.Acquire) error {
-	return p.Wait(ctx, h, acq) // want `Wait is not bracketed by Handle\.WaitStart/RecordWait`
+// Wait has the seam's name and signature but is not golc.Wait. A
+// shape-based match took it for a policy's Wait body and let the call
+// inside through.
+func Wait(ctx context.Context, h *lcrt.Handle, p golc.ContentionPolicy, a golc.Acquire) error {
+	return p.Wait(ctx, h, a) // want `policy Wait called outside golc\.Wait`
 }
 
-func headOnly(ctx context.Context, p golc.ContentionPolicy, h *lcrt.Handle, acq golc.Acquire) error {
-	start := h.WaitStart()
-	_ = start
-	return p.Wait(ctx, h, acq) // want `Wait has no Handle\.RecordWait after it`
+// lock is a hand-rolled lock whose slow path runs its policy directly:
+// the wait is never stamped, sampled or recorded.
+type lock struct {
+	state atomic.Int32
+	pol   golc.ContentionPolicy
+	h     *lcrt.Handle
 }
 
-func tailOnly(ctx context.Context, p golc.ContentionPolicy, h *lcrt.Handle, acq golc.Acquire) error {
-	err := p.Wait(ctx, h, acq) // want `Wait has no Handle\.WaitStart before it`
-	h.RecordWait(0)
-	return err
+func (l *lock) lockSlow(ctx context.Context) error {
+	return l.pol.Wait(ctx, l.h, golc.Acquire{ // want `policy Wait called outside golc\.Wait`
+		Try:  func() bool { return l.state.CompareAndSwap(0, 1) },
+		Free: func() bool { return l.state.Load() == 0 },
+	})
+}
+
+// nap is a policy; calling its Wait on the concrete type is no more
+// seamed than calling it through the interface.
+type nap struct{}
+
+func (nap) Name() string { return "nap" }
+
+func (nap) Wait(ctx context.Context, h *lcrt.Handle, a golc.Acquire) error {
+	for !a.Try() {
+	}
+	return nil
+}
+
+func concrete(ctx context.Context, h *lcrt.Handle, a golc.Acquire) error {
+	return nap{}.Wait(ctx, h, a) // want `policy Wait called outside golc\.Wait`
 }

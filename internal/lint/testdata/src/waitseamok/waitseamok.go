@@ -1,7 +1,7 @@
-// Package waitseamok holds clean fixtures for the waitseam analyzer:
-// the properly bracketed caller shape (lockSlow's), and a policy
-// implementation — which is inside the seam, not a caller of it — any
-// finding here is a false positive.
+// Package waitseamok holds clean fixtures for the waitseam analyzer: a
+// caller of golc.Wait, a policy whose Wait delegates to another
+// policy's — inside the seam, not a caller of it — and a type that
+// only has Wait's shape. Any finding here is a false positive.
 package waitseamok
 
 import (
@@ -11,17 +11,14 @@ import (
 	lcrt "repro/internal/golc/runtime"
 )
 
-// bracketed is the lockSlow shape: WaitStart before, RecordWait after.
-func bracketed(ctx context.Context, p golc.ContentionPolicy, h *lcrt.Handle, acq golc.Acquire) error {
-	start := h.WaitStart()
-	err := p.Wait(ctx, h, acq)
-	h.RecordWait(start)
+// seamed is the lockSlow shape: the wait goes through golc.Wait.
+func seamed(ctx context.Context, p golc.ContentionPolicy, h *lcrt.Handle, acq golc.Acquire) error {
+	_, err := golc.Wait(ctx, h, p, acq)
 	return err
 }
 
-// wrap is a delegating policy: its Wait body is inside the seam, so
-// the inner Wait call needs no bracket here — the caller of wrap.Wait
-// holds the bracket.
+// wrap is a delegating policy: its Wait body runs under whoever called
+// wrap.Wait — golc.Wait — so the inner call is already seamed.
 type wrap struct {
 	inner golc.ContentionPolicy
 }
@@ -30,4 +27,19 @@ func (w wrap) Name() string { return "wrap" }
 
 func (w wrap) Wait(ctx context.Context, h *lcrt.Handle, acq golc.Acquire) error {
 	return w.inner.Wait(ctx, h, acq)
+}
+
+// poller has a method of Wait's exact shape but no Name: it is not a
+// ContentionPolicy, no lock can run it, and calling it is nobody's
+// business here.
+type poller struct{}
+
+func (poller) Wait(ctx context.Context, h *lcrt.Handle, acq golc.Acquire) error {
+	for !acq.Try() {
+	}
+	return nil
+}
+
+func poll(ctx context.Context, h *lcrt.Handle, acq golc.Acquire) error {
+	return poller{}.Wait(ctx, h, acq)
 }

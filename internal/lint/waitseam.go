@@ -2,111 +2,49 @@ package lint
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 )
 
-// Waitseam pins the flight recorder's one-seam guarantee: every wait
-// the runtime ever performs funnels through ContentionPolicy.Wait, and
-// the caller of that seam (golc's lockSlow) brackets it with
-// Handle.WaitStart before and Handle.RecordWait after. The recorder's
-// wait histograms, the blame profiler's who-blocks-whom edges, and the
-// controller's wait/hold ratio all assume that bracket — an unbracketed
-// Wait is contention the whole observability stack silently never sees.
-// This analyzer makes the bracket a machine-checked invariant instead
-// of a code-review convention: any Wait invocation not preceded by a
-// WaitStart and followed by a RecordWait in the same function is a
-// finding. Policy implementations (the Wait methods themselves) are
-// exempt — they are inside the seam, not callers of it.
+// Waitseam pins the flight recorder's one-seam guarantee: golc.Wait is
+// the only caller of a ContentionPolicy's Wait method. That function
+// holds the bracket (runtime.Handle.BeginWait before, Waiting.End
+// after) the wait histograms and the blame profiler's who-blocks-whom
+// edges are built from, so a policy wait started anywhere else is
+// contention the whole observability stack silently never sees. Policy
+// implementations may delegate to another policy from their own Wait —
+// they are inside the seam, not callers of it.
 var Waitseam = &Analyzer{
 	Name: "waitseam",
-	Doc: "every ContentionPolicy.Wait invocation must be bracketed by " +
-		"Handle.WaitStart before and Handle.RecordWait after, in the same " +
-		"function; an unbracketed wait is invisible to the flight recorder's " +
-		"histograms and the contention blame profiler.",
+	Doc: "a ContentionPolicy's Wait method is called only by golc.Wait (and by " +
+		"another policy's Wait, delegating); a policy wait outside the seam is " +
+		"invisible to the flight recorder's histograms and the contention blame " +
+		"profiler. Methods are matched by identity, not by shape.",
 	Run: runWaitseam,
 }
 
 func runWaitseam(pass *Pass) error {
 	forEachFuncDecl(pass.Pkg, func(fd *ast.FuncDecl) {
-		if fn, _ := pass.Pkg.Info.Defs[fd.Name].(*types.Func); fn != nil && isPolicyWait(fn) {
-			return // a policy's own Wait body is inside the seam
+		if fn, _ := pass.Pkg.Info.Defs[fd.Name].(*types.Func); fn != nil && (isPolicyWait(fn) || isSeamFunc(fn)) {
+			return
 		}
-		type waitSite struct {
-			pos  token.Pos
-			name string
-		}
-		var waits []waitSite
-		var starts, records []token.Pos
 		ast.Inspect(fd.Body, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			ci := classifyCall(pass.Pkg.Info, call)
-			if ci.kind == kindPolicyWait {
-				waits = append(waits, waitSite{pos: call.Pos(), name: ci.name})
-				return true
-			}
-			switch handleMethod(pass.Pkg.Info, call) {
-			case "WaitStart":
-				starts = append(starts, call.Pos())
-			case "RecordWait":
-				records = append(records, call.Pos())
+			if call, ok := n.(*ast.CallExpr); ok {
+				if ci := classifyCall(pass.Pkg.Info, call); ci.kind == kindPolicyWait {
+					pass.Reportf(call.Pos(),
+						"policy %s called outside golc.Wait: an unseamed wait is invisible to the flight recorder and the blame profiler — call golc.Wait(ctx, h, policy, acquire) instead",
+						ci.name)
+				}
 			}
 			return true
 		})
-		for _, wt := range waits {
-			started, recorded := false, false
-			for _, p := range starts {
-				if p < wt.pos {
-					started = true
-					break
-				}
-			}
-			for _, p := range records {
-				if p > wt.pos {
-					recorded = true
-					break
-				}
-			}
-			switch {
-			case !started && !recorded:
-				pass.Reportf(wt.pos,
-					"%s is not bracketed by Handle.WaitStart/RecordWait: an unbracketed wait is invisible to the flight recorder and the blame profiler",
-					wt.name)
-			case !started:
-				pass.Reportf(wt.pos,
-					"%s has no Handle.WaitStart before it: the flight recorder cannot attribute this wait without the bracket",
-					wt.name)
-			case !recorded:
-				pass.Reportf(wt.pos,
-					"%s has no Handle.RecordWait after it: the wait's duration never reaches the flight recorder's histograms",
-					wt.name)
-			}
-		}
 	})
 	return nil
 }
 
-// handleMethod reports the method name when call is
-// (*runtime.Handle).WaitStart or (*runtime.Handle).RecordWait.
-func handleMethod(info *types.Info, call *ast.CallExpr) string {
-	fun, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return ""
-	}
-	sel, ok := info.Selections[fun]
-	if !ok || sel.Kind() != types.MethodVal {
-		return ""
-	}
-	fn, _ := sel.Obj().(*types.Func)
-	if fn == nil || (fn.Name() != "WaitStart" && fn.Name() != "RecordWait") {
-		return ""
-	}
-	n := derefNamed(sel.Recv())
-	if n == nil || !isGolcRuntimePkgPath(namedPkgPath(n)) || n.Obj().Name() != "Handle" {
-		return ""
-	}
-	return fn.Name()
+// isSeamFunc reports whether fn is the package-level function
+// golc.Wait.
+func isSeamFunc(fn *types.Func) bool {
+	sig, _ := fn.Type().(*types.Signature)
+	return fn.Name() == "Wait" && sig != nil && sig.Recv() == nil &&
+		fn.Pkg() != nil && isGolcPkgPath(fn.Pkg().Path())
 }

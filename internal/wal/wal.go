@@ -8,8 +8,8 @@
 // files, one fsync per commit group, torn-tail truncation on restart.
 // What makes it native to this repo rather than a generic WAL is where
 // its waits live. A committer that has staged its record waits for
-// durability through a ContentionPolicy on a runtime Handle
-// ("wal/group-commit") — exactly the wait seam golc locks use — so the
+// durability through golc.Wait on a runtime Handle
+// ("wal/group-commit") — the one wait seam golc locks use — so the
 // spin/block/lc policies, hot-swap, wait histograms, and blame edges
 // all apply to log waits like latch waits. Under load the durability
 // wait population is the fsync convoy the paper's controller is built
@@ -263,35 +263,19 @@ func (l *Log) WaitDurable(lsn uint64) error {
 	return fmt.Errorf("wal: lsn %d resolved but not durable and not wedged", lsn)
 }
 
-// waitSlow is the wait seam. The bracket (WaitStart / RecordWait) and
-// the blame sample mirror golc's lockSlow: this is the one other place
-// in the tree where a ContentionPolicy.Wait is invoked, and the
-// waitseam analyzer holds it to the same contract.
+// waitSlow waits for lsn to resolve through golc.Wait, the same seam as
+// every latch wait: bracketed, histogrammed and blame-sampled there.
 func (l *Log) waitSlow(lsn uint64) {
-	start := l.h.WaitStart()
-	waiter := l.h.BlameSample(1)
-	var holder obs.SiteID
-	if waiter != 0 {
-		holder = l.h.HolderSiteID()
-	}
-	err := l.Policy().Wait(context.Background(), l.h, golc.Acquire{
-		// "Acquisition" here is group notification, not mutual
-		// exclusion: every waiter whose LSN the syncer has resolved
-		// passes Try at once, and a woken waiter from a later group
-		// fails it and re-parks.
-		Try:  func() bool { return l.resolved.Load() >= lsn },
-		Free: func() bool { return l.resolved.Load() >= lsn },
-	})
-	if err != nil {
+	// "Acquisition" here is group notification, not mutual exclusion:
+	// every waiter whose LSN the syncer has resolved passes Try at
+	// once, and a woken waiter from a later group fails it and
+	// re-parks.
+	resolved := func() bool { return l.resolved.Load() >= lsn }
+	pol := l.Policy()
+	if _, err := golc.Wait(context.Background(), l.h, pol, golc.Acquire{Try: resolved, Free: resolved}); err != nil {
 		// Background context: a non-nil error means the policy broke
 		// Wait's contract. Returning would un-durably ack a commit.
-		panic("wal: policy " + l.Policy().Name() + " abandoned an uncancellable durability wait: " + err.Error())
-	}
-	if start != 0 {
-		l.h.RecordWait(start)
-	}
-	if waiter != 0 && start != 0 {
-		l.h.RecordBlame(waiter, holder, start)
+		panic("wal: policy " + pol.Name() + " abandoned an uncancellable durability wait: " + err.Error())
 	}
 }
 

@@ -197,6 +197,11 @@ func TestGroupCommitBatchesConcurrentCommitters(t *testing.T) {
 	if st.DurableLSN != n {
 		t.Fatalf("durable=%d want %d", st.DurableLSN, n)
 	}
+	// The committers that rode a group waited for it through golc.Wait:
+	// the seam's handle must have their waits in its histogram.
+	if waits := l.h.Stats().Wait.Count; waits == 0 || waits > n {
+		t.Fatalf("wal/group-commit recorded %d waits for %d commits behind a gated fsync", waits, n)
+	}
 }
 
 func TestSyncErrorSurfacesToCommitterAndWedgesLog(t *testing.T) {
