@@ -20,6 +20,7 @@ package kv
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -273,24 +274,32 @@ type Write struct {
 // across the batch is the caller's job (the oltp layer's logical
 // record locks provide it).
 func (s *Store) ApplyBatch(writes []Write) {
-	if len(writes) == 0 {
-		return
+	// One word per write, shard above position: ascending order of the
+	// words is ascending shard, slice order within a shard — a stable
+	// grouping out of a plain integer sort, and the caller's slice is
+	// left as it was. A batch whose shards already ascend (every
+	// single-shard batch) is not sorted at all, and one that fits the
+	// array allocates nothing.
+	var buf [16]uint64
+	order := buf[:0]
+	if len(writes) > len(buf) {
+		order = make([]uint64, 0, len(writes))
 	}
-	byShard := make(map[int][]Write)
-	order := make([]int, 0, 4)
-	for _, w := range writes {
-		idx := s.ShardOf(w.Key)
-		if _, seen := byShard[idx]; !seen {
-			order = append(order, idx)
-		}
-		byShard[idx] = append(byShard[idx], w)
+	sorted := true
+	for i, w := range writes {
+		k := uint64(s.ShardOf(w.Key))<<32 | uint64(i)
+		sorted = sorted && (i == 0 || order[i-1] < k)
+		order = append(order, k)
 	}
-	sort.Ints(order)
-	for _, idx := range order {
+	if !sorted {
+		slices.Sort(order)
+	}
+	for i := 0; i < len(order); {
+		idx := order[i] >> 32
 		sh := s.shards[idx]
 		sh.mu.Lock()
-		for _, w := range byShard[idx] {
-			if w.Delete {
+		for ; i < len(order) && order[i]>>32 == idx; i++ {
+			if w := writes[uint32(order[i])]; w.Delete {
 				s.deleteLocked(sh, w.Key)
 			} else {
 				s.putLocked(sh, w.Key, w.Value)

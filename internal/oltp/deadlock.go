@@ -70,8 +70,8 @@ func NewWaitDiePolicy() DeadlockPolicy { return waitDiePolicy{} }
 func (waitDiePolicy) PolicyName() string { return "waitdie" }
 
 func (waitDiePolicy) shouldDie(req *Txn, l *dbLock, goal Mode) bool {
-	for h, hm := range l.holders {
-		if h != req && !compat[hm][goal] && req.tid > h.tid {
+	for _, h := range l.holders {
+		if h.txn != req && !compat[h.mode][goal] && req.tid > h.txn.tid {
 			return true
 		}
 	}

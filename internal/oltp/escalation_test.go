@@ -57,9 +57,16 @@ func TestEscalationFoldsRecords(t *testing.T) {
 	if got := txn.heldMode(pid); got != X {
 		t.Fatalf("partition mode after escalation = %v, want X", got)
 	}
-	for id := range txn.held {
-		if id.Level == LevelRecord && id.Partition == 0 {
-			t.Fatalf("record lock %v survived escalation", id)
+	for _, e := range txn.held {
+		if e.id.Level == LevelRecord && e.id.Partition == 0 {
+			t.Fatalf("record lock %v survived escalation", e.id)
+		}
+	}
+	// The fold compacts held in place; what it vacated must be zeroed, or
+	// the backing array pins the retired heads and the ids' strings.
+	for i, e := range txn.held[len(txn.held):cap(txn.held)] {
+		if e != (heldLock{}) {
+			t.Fatalf("vacated held slot +%d not cleared after escalation: %+v", i, e)
 		}
 	}
 	// table + partition only: the lock table shrank mid-transaction.
@@ -150,8 +157,8 @@ func TestEscalationDisabled(t *testing.T) {
 		t.Fatalf("escalated with escalation disabled: %+v", m)
 	}
 	recs := 0
-	for id := range txn.held {
-		if id.Level == LevelRecord {
+	for _, e := range txn.held {
+		if e.id.Level == LevelRecord {
 			recs++
 		}
 	}

@@ -156,6 +156,7 @@ func classOf(id ResourceID) string {
 // cancellation always wins and no bookkeeping happens off-goroutine.
 type waiter struct {
 	txn     *Txn
+	cur     Mode // what txn holds on the lock while it waits (an upgrade), else ModeNone
 	mode    Mode // the full target mode (lub of held and wanted)
 	ready   chan struct{}
 	granted bool
@@ -163,11 +164,71 @@ type waiter struct {
 	cancel  context.CancelFunc
 }
 
-// dbLock is one logical lock: the granted group plus a FIFO wait
-// queue. Guarded by its stripe's latch.
+// holder is one member of a lock's granted group.
+type holder struct {
+	txn  *Txn
+	mode Mode
+}
+
+// dbLock is one lock head: the resource it names, the granted group
+// and a FIFO wait queue. Guarded by its stripe's latch.
+//
+// The granted group is kept twice. counts is its summary — holders per
+// mode — and is all the grant test reads, so deciding whether a request
+// fits costs the same with one holder or sixty. holders lists who they
+// are, in no particular order (removal swaps the last entry in); it is
+// walked only where identities matter: the wait-die age test, the
+// detector's edge set, the blame label, and a transaction finding its
+// own entry to upgrade or drop it.
 type dbLock struct {
-	holders map[*Txn]Mode
+	id      ResourceID
+	hash    uint64  // hashID(id): the stripe table's key
+	next    *dbLock // hash-collision chain while live, free list once retired
+	counts  [6]int32
+	holders []holder
 	waiters []*waiter
+}
+
+// holderOf returns the index of txn's entry in the granted group, or -1.
+func (l *dbLock) holderOf(txn *Txn) int {
+	for i := range l.holders {
+		if l.holders[i].txn == txn {
+			return i
+		}
+	}
+	return -1
+}
+
+// hold records that txn, holding cur (ModeNone: not a holder yet), now
+// holds mode.
+func (l *dbLock) hold(txn *Txn, cur, mode Mode) {
+	if cur == ModeNone {
+		l.holders = append(l.holders, holder{txn, mode})
+	} else {
+		l.holders[l.holderOf(txn)].mode = mode
+		l.counts[cur]--
+	}
+	l.counts[mode]++
+}
+
+// drop removes txn from the granted group. The vacated slot is zeroed:
+// a head outlives its holders (free list), and must not pin them.
+func (l *dbLock) drop(txn *Txn) {
+	i, last := l.holderOf(txn), len(l.holders)-1
+	l.counts[l.holders[i].mode]--
+	l.holders[i] = l.holders[last]
+	l.holders[last] = holder{}
+	l.holders = l.holders[:last]
+}
+
+// dequeue removes the waiter at position i, keeping queue order. It
+// copies down rather than re-slicing so the backing array neither
+// creeps forward nor keeps the departed waiter reachable.
+func (l *dbLock) dequeue(i int) {
+	last := len(l.waiters) - 1
+	copy(l.waiters[i:], l.waiters[i+1:])
+	l.waiters[last] = nil
+	l.waiters = l.waiters[:last]
 }
 
 // lmStripe is one slice of the lock table. The latch is the physical
@@ -175,9 +236,63 @@ type dbLock struct {
 // golc.Mutex registered with the shared runtime, so lock-manager
 // latching is governed exactly like every data latch — same runtime,
 // same swappable contention policy.
+//
+// The table is keyed by the id's hash — the word stripeFor already
+// computed — so a lookup never hashes the id's strings a second time;
+// ids whose hashes collide chain through dbLock.next. A head whose
+// group and queue have emptied is unlinked and kept on free, so a
+// stripe that has seen its peak allocates nothing per acquire.
 type lmStripe struct {
 	latch *golc.Mutex
-	locks map[ResourceID]*dbLock
+	locks map[uint64]*dbLock
+	free  *dbLock
+	live  int // linked heads (a chain makes len(locks) an undercount)
+}
+
+// head returns id's lock head, linking a fresh one if there is none.
+// Caller holds the latch.
+func (st *lmStripe) head(id ResourceID, hash uint64) *dbLock {
+	first := st.locks[hash]
+	for l := first; l != nil; l = l.next {
+		if l.id == id {
+			return l
+		}
+	}
+	l := st.free
+	if l != nil {
+		st.free = l.next
+		// Everything but the two backing arrays starts over (field by
+		// field: a whole-struct store pays a bulk write barrier).
+		l.counts, l.holders, l.waiters = [6]int32{}, l.holders[:0], l.waiters[:0]
+	} else {
+		l = new(dbLock)
+	}
+	l.id, l.hash, l.next = id, hash, first
+	st.locks[hash] = l
+	st.live++
+	return l
+}
+
+// retire unlinks l if nothing holds or awaits it and keeps it for
+// reuse. Caller holds the latch. A head some transaction still holds is
+// never retired, which is what lets Txn.held keep a pointer to it.
+func (st *lmStripe) retire(l *dbLock) {
+	if len(l.holders) != 0 || len(l.waiters) != 0 {
+		return
+	}
+	if first := st.locks[l.hash]; first != l {
+		for first.next != l {
+			first = first.next
+		}
+		first.next = l.next
+	} else if l.next != nil {
+		st.locks[l.hash] = l.next
+	} else {
+		delete(st.locks, l.hash)
+	}
+	st.live--
+	l.id = ResourceID{} // a parked head must not pin the id's strings
+	l.next, st.free = st.free, l
 }
 
 // lockManager is the DB's logical lock table. The deadlock policy owns
@@ -197,7 +312,7 @@ func newLockManager(pol golc.ContentionPolicy, o Options, m *Metrics, rec *obs.R
 		lm.stripes = append(lm.stripes, &lmStripe{
 			latch: golc.New(fmt.Sprintf("oltp/lm-%03d", i),
 				golc.WithPolicy(pol), golc.WithRuntime(latchRuntime(o))),
-			locks: make(map[ResourceID]*dbLock),
+			locks: make(map[uint64]*dbLock),
 		})
 	}
 	return lm
@@ -225,9 +340,10 @@ func (lm *lockManager) setPolicy(p golc.ContentionPolicy) {
 	}
 }
 
-// stripeFor routes a resource to its stripe (FNV-1a over the full id,
-// Fibonacci-spread like the kv shard map).
-func (lm *lockManager) stripeFor(id ResourceID) *lmStripe {
+// hashID is FNV-1a over the full id. It is computed once per acquire
+// and then stands in for the id everywhere a hash is needed: the stripe
+// choice, the stripe table's key, and the first word Txn.find compares.
+func hashID(id ResourceID) uint64 {
 	h := uint64(14695981039346656037)
 	mix := func(s string) {
 		for i := 0; i < len(s); i++ {
@@ -239,7 +355,13 @@ func (lm *lockManager) stripeFor(id ResourceID) *lmStripe {
 	h ^= uint64(id.Level)<<8 | uint64(uint32(id.Partition+1))
 	h *= 1099511628211
 	mix(id.Key)
-	return lm.stripes[(h*0x9e3779b97f4a7c15)%uint64(len(lm.stripes))]
+	return h
+}
+
+// stripeFor routes an id hash to its stripe (Fibonacci-spread like the
+// kv shard map).
+func (lm *lockManager) stripeFor(hash uint64) *lmStripe {
+	return lm.stripes[(hash*0x9e3779b97f4a7c15)%uint64(len(lm.stripes))]
 }
 
 // lock takes a stripe latch, counting physical contention: a TryLock
@@ -253,14 +375,17 @@ func (lm *lockManager) lock(st *lmStripe) {
 	st.latch.Lock() //lint:allow lockpair acquire helper by contract: every caller releases st.latch
 }
 
-// grantable reports whether txn may hold mode given the other current
-// holders (its own entry never conflicts with itself: upgrades pass).
-func grantable(l *dbLock, txn *Txn, mode Mode) bool {
-	for h, hm := range l.holders {
-		if h == txn {
-			continue
+// grantable reports whether a transaction holding cur on l (ModeNone:
+// nothing) may hold mode beside the rest of the granted group. Its own
+// hold never conflicts with itself, so one holder in cur is left out:
+// upgrades pass. Six steps whatever the group's size.
+func grantable(l *dbLock, cur, mode Mode) bool {
+	for m := IS; m <= X; m++ {
+		n := l.counts[m]
+		if m == cur {
+			n--
 		}
-		if !compat[hm][mode] {
+		if n > 0 && !compat[m][mode] {
 			return false
 		}
 	}
@@ -289,9 +414,9 @@ func conflictsQueue(l *dbLock, txn *Txn, mode Mode) bool {
 // DeadlockPolicy.shouldDie.
 func blockersOf(l *dbLock, txn *Txn, goal Mode) []*Txn {
 	var bs []*Txn
-	for h, hm := range l.holders {
-		if h != txn && !compat[hm][goal] {
-			bs = append(bs, h)
+	for _, h := range l.holders {
+		if h.txn != txn && !compat[h.mode][goal] {
+			bs = append(bs, h.txn)
 		}
 	}
 	for _, w := range l.waiters {
@@ -311,34 +436,47 @@ func blockersOf(l *dbLock, txn *Txn, goal Mode) []*Txn {
 // an *AbortError and the txn is marked for Run's retry; returns nil
 // once the lock is held, with txn.held updated.
 func (lm *lockManager) acquire(txn *Txn, id ResourceID, want Mode) error {
-	st := lm.stripeFor(id)
-	lm.lock(st)
-	l := st.locks[id]
-	if l == nil {
-		l = &dbLock{holders: make(map[*Txn]Mode, 2)}
-		st.locks[id] = l
+	_, err := lm.acquireAt(txn, id, want)
+	return err
+}
+
+// acquireAt is acquire, also returning where in txn.held the lock's
+// entry sits. The transaction's own record answers two questions
+// without the table: what it already holds (a request that covers
+// returns before any latch is taken) and, for an upgrade, which head (a
+// held head is never retired — see lmStripe.retire).
+func (lm *lockManager) acquireAt(txn *Txn, id ResourceID, want Mode) (int, error) {
+	hash := hashID(id)
+	at := txn.find(id, hash)
+	cur := ModeNone
+	if at >= 0 {
+		if cur = txn.held[at].mode; covers(cur, want) {
+			return at, nil
+		}
 	}
-	cur := l.holders[txn]
 	goal := lub[cur][want]
-	if cur != ModeNone && covers(cur, want) {
-		st.latch.Unlock()
-		return nil
+	st := lm.stripeFor(hash)
+	lm.lock(st)
+	var l *dbLock
+	if at >= 0 {
+		l = txn.held[at].lock
+	} else {
+		l = st.head(id, hash)
 	}
-	if grantable(l, txn, goal) && !conflictsQueue(l, txn, goal) {
-		l.holders[txn] = goal
+	if grantable(l, cur, goal) && !conflictsQueue(l, txn, goal) {
+		l.hold(txn, cur, goal)
 		st.latch.Unlock()
-		txn.noteHeld(id, goal)
-		return nil
+		return txn.noteHeld(at, id, hash, goal, l), nil
 	}
 	// Conflict: the policy decides between dying now and waiting.
+	// (A conflicted head has a holder or a waiter: nothing to retire.)
 	if lm.policy.shouldDie(txn, l, goal) {
-		lm.maybeFree(st, id, l)
 		st.latch.Unlock()
 		lm.m.WaitDieAborts.Add(1)
 		if lm.rec.Enabled() {
 			lm.rec.Event(obs.EvTxnAbort, id.String(), AbortWaitDie.String(), int64(txn.tid))
 		}
-		return txn.noteAbort(&AbortError{Reason: AbortWaitDie, Resource: id})
+		return at, txn.noteAbort(&AbortError{Reason: AbortWaitDie, Resource: id})
 	}
 	// Safe (or allowed) to wait. The holders entry (for an upgrade)
 	// keeps its current mode while we wait — we still hold that. The
@@ -359,13 +497,13 @@ func (lm *lockManager) acquire(txn *Txn, id ResourceID, want Mode) error {
 		blameW = lm.rec.NamedSite("oltp:" + classOf(id) + "/want-" + goal.String())
 		if len(blockers) > 0 {
 			hold := "queued" // blocker is itself still waiting (FIFO fairness edge)
-			if hm, held := l.holders[blockers[0]]; held {
-				hold = hm.String()
+			if i := l.holderOf(blockers[0]); i >= 0 {
+				hold = l.holders[i].mode.String()
 			}
 			blameH = lm.rec.NamedSite("oltp:" + classOf(id) + "/hold-" + hold)
 		}
 	}
-	w := &waiter{txn: txn, mode: goal, ready: make(chan struct{})}
+	w := &waiter{txn: txn, cur: cur, mode: goal, ready: make(chan struct{})}
 	// The wait context derives from the transaction's own: a deadlock
 	// policy kills the victim through w.cancel, and the caller walking
 	// away (BeginCtx/RunCtx) cancels the same wait from above.
@@ -403,8 +541,7 @@ func (lm *lockManager) acquire(txn *Txn, id ResourceID, want Mode) error {
 		// re-check (cancellations come in on the ctx arm now).
 		timer.Stop()
 		lm.policy.onWake(txn)
-		txn.noteHeld(id, goal)
-		return nil
+		return txn.noteHeld(at, id, hash, goal, l), nil
 	case <-w.ctx.Done():
 	case <-timer.C:
 	}
@@ -418,12 +555,11 @@ func (lm *lockManager) acquire(txn *Txn, id ResourceID, want Mode) error {
 	if w.granted {
 		st.latch.Unlock()
 		lm.policy.onWake(txn)
-		txn.noteHeld(id, goal)
-		return nil
+		return txn.noteHeld(at, id, hash, goal, l), nil
 	}
 	for i, q := range l.waiters {
 		if q == w {
-			l.waiters = append(l.waiters[:i], l.waiters[i+1:]...)
+			l.dequeue(i)
 			break
 		}
 	}
@@ -431,7 +567,7 @@ func (lm *lockManager) acquire(txn *Txn, id ResourceID, want Mode) error {
 	// been gated only by our (conflicting) request, exactly as when a
 	// holder leaves in releaseAll.
 	grant(l)
-	lm.maybeFree(st, id, l)
+	st.retire(l)
 	st.latch.Unlock()
 	lm.policy.onWake(txn)
 	if cerr := txn.ctx.Err(); cerr != nil {
@@ -443,7 +579,7 @@ func (lm *lockManager) acquire(txn *Txn, id ResourceID, want Mode) error {
 		if lm.rec.Enabled() {
 			lm.rec.Event(obs.EvTxnAbort, id.String(), "ctx-cancel", int64(txn.tid))
 		}
-		return fmt.Errorf("oltp: lock wait on %s cancelled by caller: %w", id, cerr)
+		return at, fmt.Errorf("oltp: lock wait on %s cancelled by caller: %w", id, cerr)
 	}
 	if w.ctx.Err() != nil {
 		// A policy ordered the abort. Checked before the timer so a
@@ -453,13 +589,13 @@ func (lm *lockManager) acquire(txn *Txn, id ResourceID, want Mode) error {
 		if lm.rec.Enabled() {
 			lm.rec.Event(obs.EvTxnAbort, id.String(), AbortDeadlock.String(), int64(txn.tid))
 		}
-		return txn.noteAbort(&AbortError{Reason: AbortDeadlock, Resource: id})
+		return at, txn.noteAbort(&AbortError{Reason: AbortDeadlock, Resource: id})
 	}
 	lm.m.TimeoutAborts.Add(1)
 	if lm.rec.Enabled() {
 		lm.rec.Event(obs.EvTxnAbort, id.String(), AbortTimeout.String(), int64(txn.tid))
 	}
-	return txn.noteAbort(&AbortError{Reason: AbortTimeout, Resource: id})
+	return at, txn.noteAbort(&AbortError{Reason: AbortTimeout, Resource: id})
 }
 
 // grant hands the lock to the longest-waiting compatible prefix of the
@@ -467,48 +603,43 @@ func (lm *lockManager) acquire(txn *Txn, id ResourceID, want Mode) error {
 func grant(l *dbLock) {
 	for len(l.waiters) > 0 {
 		w := l.waiters[0]
-		if !grantable(l, w.txn, w.mode) {
+		if !grantable(l, w.cur, w.mode) {
 			return
 		}
-		l.waiters = l.waiters[1:]
-		l.holders[w.txn] = w.mode
+		l.dequeue(0)
+		l.hold(w.txn, w.cur, w.mode)
 		w.granted = true
 		close(w.ready)
 	}
 }
 
-// maybeFree retires an empty lock-table entry. Caller holds the latch.
-func (lm *lockManager) maybeFree(st *lmStripe, id ResourceID, l *dbLock) {
-	if len(l.holders) == 0 && len(l.waiters) == 0 {
-		delete(st.locks, id)
-	}
-}
-
 // release drops txn's hold on one resource, waking newly grantable
-// waiters. Used by releaseAll and by escalation (record entries fold
-// into the partition hold and are dropped individually mid-txn — the
-// one sanctioned early release, since the coarser lock still covers
-// them).
-func (lm *lockManager) release(txn *Txn, id ResourceID) {
-	st := lm.stripeFor(id)
+// waiters. It goes straight to the head the held entry points at: no
+// hash, no table lookup. Used by releaseAll and by escalation (record
+// entries fold into the partition hold and are dropped individually
+// mid-txn — the one sanctioned early release, since the coarser lock
+// still covers them).
+func (lm *lockManager) release(txn *Txn, e *heldLock) {
+	st := lm.stripeFor(e.hash)
 	lm.lock(st)
-	if l := st.locks[id]; l != nil {
-		if _, held := l.holders[txn]; held {
-			delete(l.holders, txn)
-			grant(l)
-		}
-		lm.maybeFree(st, id, l)
-	}
+	e.lock.drop(txn)
+	grant(e.lock)
+	st.retire(e.lock)
 	st.latch.Unlock()
 }
 
 // releaseAll drops every lock txn holds (strict 2PL: called only from
-// Commit and Abort), waking newly grantable waiters as it goes.
+// Commit and Abort), waking newly grantable waiters as it goes. The
+// entries are zeroed, not just truncated away: the backing array lives
+// as long as the Txn and would otherwise pin retired heads and the
+// ids' strings.
 func (lm *lockManager) releaseAll(txn *Txn) {
-	for id := range txn.held {
-		lm.release(txn, id)
+	for i := range txn.held {
+		lm.release(txn, &txn.held[i])
 	}
 	clear(txn.held)
+	txn.held = txn.held[:0]
+	txn.index = nil
 }
 
 // entries counts live lock-table entries across all stripes (test and
@@ -520,7 +651,7 @@ func (lm *lockManager) entries() int {
 	n := 0
 	for _, st := range lm.stripes {
 		st.latch.Lock()
-		n += len(st.locks)
+		n += st.live
 		st.latch.Unlock()
 	}
 	return n

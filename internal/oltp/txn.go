@@ -34,10 +34,70 @@ type Txn struct {
 	ctx      context.Context
 	tid      uint64 // begin-timestamp: smaller = older, wins age-based conflicts
 	state    txnState
-	held     map[ResourceID]Mode
-	recCount map[ResourceID]int  // record locks held per partition (escalation trigger)
 	abortErr *AbortError         // the lock manager's kill order, if any (Run's retry signal)
-	writes   map[string]kv.Write // keyed by storage key; last write wins
+	writes   map[string]kv.Write // keyed by storage key; last write wins; nil until the first write
+
+	// held is every lock the transaction holds, in grant order. It starts
+	// on heldBuf, so the common transaction — a handful of locks — is one
+	// allocation, locks included. index is nil until held outgrows
+	// heldScan (see find).
+	held    []heldLock
+	index   map[uint64]int32
+	heldBuf [8]heldLock
+}
+
+// heldLock is one entry of Txn.held: what is held, and enough to get
+// back to it without the lock table — the id's hash (hashed once, at
+// acquire) and the lock head itself.
+type heldLock struct {
+	id   ResourceID
+	hash uint64
+	mode Mode
+	lock *dbLock
+	recs int32 // partition entries: record locks held beneath it (escalation trigger)
+}
+
+// heldScan is how many held locks find will scan linearly; past it the
+// transaction gets a hash→position map, so one holding thousands of
+// record locks (escalation off) does not go quadratic.
+const heldScan = 32
+
+// find returns id's position in t.held, or -1. hash is hashID(id); it
+// is the word compared first, so a miss rarely touches an id's strings.
+func (t *Txn) find(id ResourceID, hash uint64) int {
+	if t.index != nil {
+		i, ok := t.index[hash]
+		if !ok {
+			return -1
+		}
+		if t.held[i].id == id {
+			return int(i)
+		}
+		// Two held ids share a hash; the map knows only the first. Scan.
+	}
+	for i := range t.held {
+		if t.held[i].hash == hash && t.held[i].id == id {
+			return i
+		}
+	}
+	return -1
+}
+
+// reindex rebuilds index from held — or drops it when held is short
+// enough to scan. The first entry with a given hash owns its slot. It
+// is sized past held: a transaction that needs it is usually still
+// growing.
+func (t *Txn) reindex() {
+	t.index = nil
+	if len(t.held) <= heldScan {
+		return
+	}
+	t.index = make(map[uint64]int32, 2*len(t.held))
+	for i := range t.held {
+		if _, taken := t.index[t.held[i].hash]; !taken {
+			t.index[t.held[i].hash] = int32(i)
+		}
+	}
 }
 
 // TID returns the transaction's begin-timestamp (stable across Run's
@@ -56,17 +116,23 @@ func (t *Txn) active() error {
 	return nil
 }
 
-// noteHeld records a granted (or upgraded) lock. Called by the lock
-// manager on the transaction's own goroutine. Record grants bump the
-// per-partition count that drives escalation (upgrades of an
-// already-held record do not).
-func (t *Txn) noteHeld(id ResourceID, m Mode) {
-	if id.Level == LevelRecord {
-		if _, again := t.held[id]; !again {
-			t.recCount[PartitionID(id.Table, id.Partition)]++
-		}
+// noteHeld records a granted lock — an upgrade of the entry at
+// position at, or a new entry when at is negative — and returns its
+// position. Called by the lock manager on the transaction's own
+// goroutine.
+func (t *Txn) noteHeld(at int, id ResourceID, hash uint64, m Mode, l *dbLock) int {
+	if at >= 0 {
+		t.held[at].mode = m
+		return at
 	}
-	t.held[id] = m
+	at = len(t.held)
+	t.held = append(t.held, heldLock{id: id, hash: hash, mode: m, lock: l})
+	if t.index == nil {
+		t.reindex()
+	} else if _, taken := t.index[hash]; !taken {
+		t.index[hash] = int32(at)
+	}
+	return at
 }
 
 // noteAbort records the lock manager's kill order on the transaction
@@ -78,83 +144,92 @@ func (t *Txn) noteAbort(e *AbortError) error {
 	return e
 }
 
-// heldMode reports the mode t currently holds on id (ModeNone if none).
-func (t *Txn) heldMode(id ResourceID) Mode { return t.held[id] }
-
 // lockRecord climbs the hierarchy for one record access: intention
 // modes on table and partition, then the leaf mode on the record. A
 // coarse hold (S/SIX/X at an ancestor, per covering) short-circuits
-// the descent — that is the point of hierarchical locking.
+// the descent — that is the point of hierarchical locking. Each level
+// is one acquireAt: a request the transaction's hold already covers
+// comes back from it without touching the lock table.
 func (t *Txn) lockRecord(table string, part int, key string, write bool) error {
-	tblMode, leafIntent, leaf := IS, IS, S
+	intent, leaf := IS, S
 	if write {
-		tblMode, leafIntent, leaf = IX, IX, X
+		intent, leaf = IX, X
 	}
-	tm := t.heldMode(TableID(table))
-	if coarseCovers(tm, write) {
-		return nil
+	lm := t.db.lm
+	ti, err := lm.acquireAt(t, TableID(table), intent)
+	if err != nil || coarseCovers(t.held[ti].mode, write) {
+		return err
 	}
-	if !covers(tm, tblMode) {
-		if err := t.db.lm.acquire(t, TableID(table), tblMode); err != nil {
-			return err
-		}
+	pi, err := lm.acquireAt(t, PartitionID(table, part), intent)
+	if err != nil || coarseCovers(t.held[pi].mode, write) {
+		return err
 	}
-	pid := PartitionID(table, part)
-	pm := t.heldMode(pid)
-	if coarseCovers(pm, write) {
-		return nil
+	if th := t.db.opts.EscalationThreshold; th > 0 && int(t.held[pi].recs) >= th {
+		return t.escalate(pi, write)
 	}
-	if !covers(pm, leafIntent) {
-		if err := t.db.lm.acquire(t, pid, leafIntent); err != nil {
-			return err
-		}
+	// A record grant that adds an entry (an upgrade of a held record does
+	// not) counts toward the partition's escalation trigger.
+	n := len(t.held)
+	if _, err := lm.acquireAt(t, RecordID(table, part, key), leaf); err != nil {
+		return err
 	}
-	if th := t.db.opts.EscalationThreshold; th > 0 && t.recCount[pid] >= th {
-		return t.escalate(pid, write)
+	if len(t.held) > n {
+		t.held[pi].recs++
 	}
-	rid := RecordID(table, part, key)
-	if covers(t.heldMode(rid), leaf) {
-		return nil
-	}
-	return t.db.lm.acquire(t, rid, leaf)
+	return nil
 }
 
-// escalate folds a transaction's accumulated record locks under one
-// partition into a single partition-level hold: S when every folded
-// record hold and the triggering access are reads, X otherwise (an S
-// partition hold must never cover buffered writes — the commit would
-// write under a read lock). The acquire goes through the ordinary
-// policy-governed path, so escalation can wait, wait-die, or be picked
-// as a deadlock victim like any other request; the record entries are
-// dropped only after the coarser lock is granted, so there is no
-// window where neither granularity is held. The lub lattice does the
-// mode math: IS+S→S, IX+X→X, S+X→X — never a hole.
+// escalate folds a transaction's accumulated record locks under the
+// partition at t.held[pi] into a single partition-level hold: S when
+// every folded record hold and the triggering access are reads, X
+// otherwise (an S partition hold must never cover buffered writes — the
+// commit would write under a read lock). The acquire goes through the
+// ordinary policy-governed path, so escalation can wait, wait-die, or
+// be picked as a deadlock victim like any other request; the record
+// entries are dropped only after the coarser lock is granted, so there
+// is no window where neither granularity is held. The lub lattice does
+// the mode math: IS+S→S, IX+X→X, S+X→X — never a hole.
 //
 // This is the lock table's defense against one transaction ballooning
 // it (and its stripe latches) with thousands of record entries — after
 // escalation the transaction occupies O(1) entries per partition.
-func (t *Txn) escalate(pid ResourceID, write bool) error {
+func (t *Txn) escalate(pi int, write bool) error {
+	pid := t.held[pi].id
+	under := func(e *heldLock) bool {
+		return e.id.Level == LevelRecord && e.id.Table == pid.Table && e.id.Partition == pid.Partition
+	}
 	target := S
 	if write {
 		target = X
 	}
-	var recs []ResourceID
-	for id, m := range t.held {
-		if id.Level == LevelRecord && id.Table == pid.Table && id.Partition == pid.Partition {
-			if m != S {
-				target = X // an X record hold must stay write-covered
-			}
-			recs = append(recs, id)
+	for i := range t.held {
+		if e := &t.held[i]; under(e) && e.mode != S {
+			target = X // an X record hold must stay write-covered
+			break
 		}
 	}
-	if err := t.db.lm.acquire(t, pid, target); err != nil {
+	// The target is settled before the acquire and the fold works on
+	// positions after it: nothing computed from t.held is carried across
+	// a call that may grow it.
+	pi, err := t.db.lm.acquireAt(t, pid, target)
+	if err != nil {
 		return err
 	}
-	for _, id := range recs {
-		t.db.lm.release(t, id)
-		delete(t.held, id)
+	t.held[pi].recs = 0
+	kept := 0
+	for i := range t.held {
+		if e := &t.held[i]; under(e) {
+			t.db.lm.release(t, e)
+			continue
+		}
+		t.held[kept] = t.held[i]
+		kept++
 	}
-	delete(t.recCount, pid)
+	// Zero the vacated tail: it would pin retired heads and the ids'
+	// strings for as long as the transaction lives.
+	clear(t.held[kept:])
+	t.held = t.held[:kept]
+	t.reindex()
 	t.db.m.Escalations.Add(1)
 	if t.db.rec.Enabled() {
 		t.db.rec.Event(obs.EvEscalation, pid.String(), target.String(), int64(t.tid))
@@ -204,7 +279,7 @@ func (t *Txn) Write(table, key, value string) error {
 	if err := t.lockRecord(table, t.db.store.ShardOf(sk), key, true); err != nil {
 		return err
 	}
-	t.writes[sk] = kv.Write{Key: sk, Value: value}
+	t.buffer(kv.Write{Key: sk, Value: value})
 	return nil
 }
 
@@ -217,8 +292,17 @@ func (t *Txn) Delete(table, key string) error {
 	if err := t.lockRecord(table, t.db.store.ShardOf(sk), key, true); err != nil {
 		return err
 	}
-	t.writes[sk] = kv.Write{Key: sk, Delete: true}
+	t.buffer(kv.Write{Key: sk, Delete: true})
 	return nil
+}
+
+// buffer adds w to the write-set (read-only transactions never make
+// the map).
+func (t *Txn) buffer(w kv.Write) {
+	if t.writes == nil {
+		t.writes = make(map[string]kv.Write)
+	}
+	t.writes[w.Key] = w
 }
 
 // ReadPartition reads every record of table in partition part under
@@ -236,18 +320,13 @@ func (t *Txn) ReadPartition(table string, part int) ([]kv.KV, error) {
 		// with partition locks held would wedge every conflicting txn.
 		return nil, fmt.Errorf("oltp: partition %d out of range [0,%d)", part, t.db.store.Shards())
 	}
-	tm := t.heldMode(TableID(table))
-	if !coarseCovers(tm, false) {
-		if !covers(tm, IS) {
-			if err := t.db.lm.acquire(t, TableID(table), IS); err != nil {
-				return nil, err
-			}
-		}
-		pid := PartitionID(table, part)
-		if !covers(t.heldMode(pid), S) {
-			if err := t.db.lm.acquire(t, pid, S); err != nil {
-				return nil, err
-			}
+	ti, err := t.db.lm.acquireAt(t, TableID(table), IS)
+	if err != nil {
+		return nil, err
+	}
+	if !coarseCovers(t.held[ti].mode, false) {
+		if err := t.db.lm.acquire(t, PartitionID(table, part), S); err != nil {
+			return nil, err
 		}
 	}
 	prefix := table + "/"
