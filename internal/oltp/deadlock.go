@@ -75,6 +75,13 @@ func (waitDiePolicy) shouldDie(req *Txn, l *dbLock, goal Mode) bool {
 			return true
 		}
 	}
+	// Slot holders are holders too: the identity is what the age test
+	// needs, and a slot carries it.
+	for t, m := range l.in.holders() {
+		if t != req && !compat[m][goal] && req.tid > t.tid {
+			return true
+		}
+	}
 	for _, w := range l.waiters {
 		if w.txn != req && !compat[w.mode][goal] && req.tid > w.txn.tid {
 			return true
@@ -94,16 +101,18 @@ func (waitDiePolicy) onWake(*Txn)                                               
 // itself or a transaction parked on some other stripe — the latter is
 // woken with an AbortDeadlock by cancelling its wait context.
 //
-// The on-block edge set — conflicting holders plus conflicting queued
-// waiters — is complete for this FIFO lock manager: a transaction can
-// only ever come to block w if it already held or was already queued
-// on the lock when w parked (grant promotes strictly in queue order,
-// later arrivals queue behind w, and strict 2PL means holders never
-// return once they release), so no deadlock escapes the on-block
-// check. Edges can only go stale in the benign direction (a granted
-// waiter's edges linger until its onWake), which can at worst abort a
-// victim spuriously, never miss a cycle. The bounded-wait timeout
-// stays as a backstop tripwire all the same.
+// The on-block edge set — conflicting holders, named or in a node's
+// slots, plus conflicting queued waiters — is complete for this FIFO
+// lock manager: a transaction can only ever come to block w if it
+// already held or was already queued on the lock when w parked (grant
+// promotes strictly in queue order, later arrivals queue behind w, a
+// coarse w keeps its node's gate up so no new slot hold can land, and
+// strict 2PL means holders never return once they release), so no
+// deadlock escapes the on-block check. Edges can only go stale in the
+// benign direction (a granted waiter's edges linger until its onWake; a
+// slot claim that backs out from the gate may be seen for a moment),
+// which can at worst abort a victim spuriously, never miss a cycle. The
+// bounded-wait timeout stays as a backstop tripwire all the same.
 type detectPolicy struct {
 	mu      sync.Mutex
 	edges   map[*Txn]map[*Txn]struct{} // waiter → its blockers

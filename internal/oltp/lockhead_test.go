@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	goruntime "runtime"
+	"slices"
 	"strconv"
 	"testing"
 	"time"
@@ -24,13 +25,50 @@ func (t *Txn) heldMode(id ResourceID) Mode {
 	return ModeNone
 }
 
+// slotHold is one occupied slot: its index and what it holds.
+type slotHold struct {
+	i int
+	holder
+}
+
+// viewSlots reads node l's occupied slots once (a record head has
+// none). The checks below work from this view: under -race every slot
+// read is instrumented, and re-reading all of them per transaction and
+// mode would cost more than the rest of a step.
+func viewSlots(l *dbLock) []slotHold {
+	var v []slotHold
+	if l.in != nil {
+		for i := range l.in.slots {
+			if t, m := l.in.slots[i].load(); t != nil {
+				v = append(v, slotHold{i, holder{t, m}})
+			}
+		}
+	}
+	return v
+}
+
+// slotModeOf returns t's mode in the slot view, or ModeNone.
+func slotModeOf(slots []slotHold, t *Txn) Mode {
+	for _, s := range slots {
+		if s.txn == t {
+			return s.mode
+		}
+	}
+	return ModeNone
+}
+
 // holderWalkGrantable is the grant test as it was defined before the
 // lock head carried a summary of its granted group — walk the holders,
-// skip the requester, consult compat. It lives on here as the oracle
-// the counts-based grantable is held to.
-func holderWalkGrantable(l *dbLock, txn *Txn, mode Mode) bool {
+// named and in the slots, skip the requester, consult compat. It lives
+// on here as the oracle the counts-based grantable is held to.
+func holderWalkGrantable(l *dbLock, slots []slotHold, txn *Txn, mode Mode) bool {
 	for _, h := range l.holders {
 		if h.txn != txn && !compat[h.mode][mode] {
+			return false
+		}
+	}
+	for _, s := range slots {
+		if s.txn != txn && !compat[s.mode][mode] {
 			return false
 		}
 	}
@@ -39,18 +77,39 @@ func holderWalkGrantable(l *dbLock, txn *Txn, mode Mode) bool {
 
 // checkHead holds one linked lock head to its invariants. Caller holds
 // the stripe latch. A transaction's held list is read only while no
-// goroutine is driving it (!busy).
+// goroutine is driving it (!busy). A busy transaction may also be
+// claiming a slot that it is about to give back to the gate, so its
+// slot entries are left out of the compatibility check.
 func checkHead(l *dbLock, txns []*oracleTxn) error {
-	if len(l.holders) == 0 && len(l.waiters) == 0 {
+	if l.in == nil && len(l.holders) == 0 && len(l.waiters) == 0 {
 		return fmt.Errorf("%v: linked head with no holder and no waiter", l.id)
 	}
+	slots := viewSlots(l)
+	group := l.holders[:len(l.holders):len(l.holders)]
+	for _, s := range slots {
+		if s.mode != IS && s.mode != IX {
+			return fmt.Errorf("%v: slot %d holds %v", l.id, s.i, s.mode)
+		}
+		i := slices.IndexFunc(txns, func(tx *oracleTxn) bool { return tx.Txn == s.txn })
+		if i < 0 {
+			return fmt.Errorf("%v: slot %d held by txn %d, which has finished", l.id, s.i, s.txn.tid)
+		} else if txns[i].busy {
+			continue
+		}
+		if l.holderOf(s.txn) >= 0 {
+			return fmt.Errorf("%v: txn %d holds both by name and in slot %d", l.id, s.txn.tid, s.i)
+		}
+		group = append(group, s.holder)
+	}
 	var counts [6]int32
-	for i, h := range l.holders {
+	for i, h := range group {
 		if h.txn == nil || h.mode < IS || h.mode > X {
 			return fmt.Errorf("%v: holder %d is %+v", l.id, i, h)
 		}
-		counts[h.mode]++
-		for _, o := range l.holders[:i] {
+		if i < len(l.holders) {
+			counts[h.mode]++
+		}
+		for _, o := range group[:i] {
 			if o.txn == h.txn {
 				return fmt.Errorf("%v: txn %d listed twice", l.id, h.txn.tid)
 			}
@@ -63,6 +122,18 @@ func checkHead(l *dbLock, txns []*oracleTxn) error {
 	if counts != l.counts {
 		return fmt.Errorf("%v: counts %v, holders say %v", l.id, l.counts, counts)
 	}
+	if l.in != nil {
+		// The gate is up exactly while something coarse is held or
+		// awaited: down with one, a slot could be claimed beside it; up
+		// without one, nothing would ever lower it again.
+		coarse := l.counts[S]+l.counts[SIX]+l.counts[X] != 0
+		for _, w := range l.waiters {
+			coarse = coarse || w.mode > IX
+		}
+		if gate := l.in.gate.Load(); gate != coarse {
+			return fmt.Errorf("%v: gate up = %v with a coarse holder or waiter = %v (counts %v)", l.id, gate, coarse, l.counts)
+		}
+	}
 	for _, w := range l.waiters {
 		cur := ModeNone
 		if i := l.holderOf(w.txn); i >= 0 {
@@ -71,6 +142,9 @@ func checkHead(l *dbLock, txns []*oracleTxn) error {
 		if w.cur != cur {
 			return fmt.Errorf("%v: waiter txn %d recorded cur %v, holds %v", l.id, w.txn.tid, w.cur, cur)
 		}
+		if m := slotModeOf(slots, w.txn); m != ModeNone {
+			return fmt.Errorf("%v: waiter txn %d still holds %v in a slot", l.id, w.txn.tid, m)
+		}
 	}
 	for _, tx := range txns {
 		cur := ModeNone
@@ -78,23 +152,52 @@ func checkHead(l *dbLock, txns []*oracleTxn) error {
 			cur = l.holders[i].mode
 		}
 		for m := IS; m <= X; m++ {
-			if got, want := grantable(l, cur, m), holderWalkGrantable(l, tx.Txn, m); got != want {
-				return fmt.Errorf("%v: grantable(txn %d holding %v, %v) = %v, holder walk says %v (counts %v holders %v)",
-					l.id, tx.tid, cur, m, got, want, l.counts, l.holders)
+			if err := grantableAgrees(l, slots, tx.Txn, cur, m); err != nil {
+				return err
 			}
 		}
 		if tx.busy {
 			continue
 		}
-		// Table → transaction: an idle holder's own record agrees.
+		// Table → transaction: an idle holder's own record agrees, named
+		// or in a slot.
 		if i := l.holderOf(tx.Txn); i >= 0 {
 			at := tx.find(l.id, l.hash)
-			if at < 0 || tx.held[at].lock != l || tx.held[at].mode != l.holders[i].mode {
+			if at < 0 || tx.held[at].lock != l || tx.held[at].mode != l.holders[i].mode || tx.held[at].slot != 0 {
 				return fmt.Errorf("%v: holder txn %d (%v) has no matching held entry (at %d)", l.id, tx.tid, l.holders[i].mode, at)
+			}
+		}
+		for _, s := range slots {
+			if s.txn != tx.Txn {
+				continue
+			}
+			at := tx.find(l.id, l.hash)
+			if at < 0 || tx.held[at].lock != l || tx.held[at].mode != s.mode || tx.held[at].slot != int32(s.i)+1 {
+				return fmt.Errorf("%v: slot %d holder txn %d (%v) has no matching held entry (at %d)", l.id, s.i, tx.tid, s.mode, at)
 			}
 		}
 	}
 	return nil
+}
+
+// grantableAgrees holds grantable to the holder walk for txn holding cur
+// by name. A busy transaction's slot claim can land, or back out from
+// the gate, between the two reads of the slots, so a disagreement
+// counts only if it repeats over a slot view that held still.
+func grantableAgrees(l *dbLock, slots []slotHold, txn *Txn, cur, mode Mode) error {
+	view := slots
+	for try := 0; ; try++ {
+		got := grantable(l, txn, cur, mode)
+		if got == holderWalkGrantable(l, view, txn, mode) {
+			return nil
+		}
+		after := viewSlots(l)
+		if slices.Equal(after, view) && try >= 3 {
+			return fmt.Errorf("%v: grantable(txn %d holding %v, %v) = %v, holder walk disagrees (counts %v holders %v slots %v)",
+				l.id, txn.tid, cur, mode, got, l.counts, l.holders, view)
+		}
+		view = after
+	}
 }
 
 // checkLockTable holds the whole lock table, and every idle
@@ -118,6 +221,19 @@ func checkLockTable(lm *lockManager, txns []*oracleTxn) error {
 			}
 			if live != st.live {
 				return fmt.Errorf("stripe %d: live = %d, %d heads linked", si, st.live, live)
+			}
+			nodes := 0
+			for l := range st.eachNode() {
+				nodes++
+				if l.in == nil || l.id.Level == LevelRecord || hashID(l.id) != l.hash || lm.stripeFor(l.hash) != st || st.nodeOf(l.id, l.hash) != l {
+					return fmt.Errorf("stripe %d: node %v misfiled (hash %x)", si, l.id, l.hash)
+				}
+				if err := checkHead(l, txns); err != nil {
+					return err
+				}
+			}
+			if nodes != st.nnodes {
+				return fmt.Errorf("stripe %d: nnodes = %d, %d nodes linked", si, st.nnodes, nodes)
 			}
 			for l := st.free; l != nil; l = l.next {
 				if len(l.holders) != 0 || len(l.waiters) != 0 || l.id != (ResourceID{}) {
@@ -153,15 +269,23 @@ func checkLockTable(lm *lockManager, txns []*oracleTxn) error {
 			}
 			st := lm.stripeFor(e.hash)
 			st.latch.Lock()
-			linked := false
+			linked := e.id.Level != LevelRecord && st.nodeOf(e.id, e.hash) == e.lock
 			for l := st.locks[e.hash]; l != nil; l = l.next {
 				linked = linked || l == e.lock
 			}
-			i := -1
-			if linked {
-				i = e.lock.holderOf(tx.Txn)
+			var mode Mode
+			switch {
+			case !linked:
+			case e.slot != 0:
+				if t, m := e.lock.in.slots[e.slot-1].load(); t == tx.Txn {
+					mode = m
+				}
+			default:
+				if i := e.lock.holderOf(tx.Txn); i >= 0 {
+					mode = e.lock.holders[i].mode
+				}
 			}
-			ok := linked && e.hash == hashID(e.id) && e.lock.id == e.id && i >= 0 && e.lock.holders[i].mode == e.mode
+			ok := linked && e.hash == hashID(e.id) && e.lock.id == e.id && mode == e.mode
 			st.latch.Unlock()
 			if !ok {
 				return fmt.Errorf("txn %d: held entry %v (%v) does not match a live head (linked=%v)", tx.tid, e.id, e.mode, linked)
@@ -181,6 +305,28 @@ func checkLockTable(lm *lockManager, txns []*oracleTxn) error {
 	return nil
 }
 
+// lateIntent replays the race the fast path's second gate read exists
+// for: an IS or IX request at a node that saw the gate down just before
+// a coarse request raised it, so its slot claim (or upgrade) lands only
+// now. It must back out, then go through acquire like any request that
+// finds the gate up.
+func lateIntent(lm *lockManager, txn *Txn, id ResourceID, mode Mode) error {
+	hash := hashID(id)
+	switch at := txn.find(id, hash); {
+	case at < 0:
+		if l := lm.stripeFor(hash).nodeOf(id, hash); l != nil {
+			if _, ok := lm.enterSlot(txn, l, id, hash, mode); ok {
+				return nil
+			}
+		}
+	case txn.held[at].slot != 0 && txn.held[at].mode == IS && mode == IX:
+		if lm.raiseSlot(txn, at) {
+			return nil
+		}
+	}
+	return lm.acquire(txn, id, mode)
+}
+
 // oracleTxn is one of the differential test's transactions.
 type oracleTxn struct {
 	*Txn
@@ -198,6 +344,8 @@ type lockTableOracle struct {
 	txns []*oracleTxn
 	ids  []ResourceID // the table, its two partitions, their eight records
 	recs []ResourceID // the records among ids
+
+	slotWaits int // queued requests seen blocked by a slot holder
 }
 
 func (d *lockTableOracle) begin() *oracleTxn {
@@ -275,10 +423,13 @@ func (d *lockTableOracle) randomOp(tx *oracleTxn) func() error {
 	case x < 45: // a record access through the hierarchy (escalates at the threshold)
 		id, write := d.recs[d.rng.Intn(len(d.recs))], d.rng.Intn(3) == 0
 		return func() error { return tx.lockRecord(id.Table, id.Partition, id.Key, write) }
-	case x < 80: // any mode on any node: plain acquires and every upgrade
+	case x < 72: // any mode on any node: plain acquires and every upgrade
 		id, mode := d.ids[d.rng.Intn(len(d.ids))], IS+Mode(d.rng.Intn(5))
 		tx.rawRec = tx.rawRec || id.Level == LevelRecord
 		return func() error { return lm.acquire(tx.Txn, id, mode) }
+	case x < 80: // an intention request whose gate read predates the gate going up
+		id, mode := d.ids[d.rng.Intn(3)], IS+Mode(d.rng.Intn(2))
+		return func() error { return lateIntent(lm, tx.Txn, id, mode) }
 	case x < 90: // fold whatever is held under one partition
 		write := d.rng.Intn(2) == 0
 		for _, i := range d.rng.Perm(len(tx.held)) {
@@ -290,19 +441,36 @@ func (d *lockTableOracle) randomOp(tx *oracleTxn) func() error {
 	return nil
 }
 
-// blockers lists the idle transactions some queued request waits behind.
+// blockers lists the idle transactions some queued request waits
+// behind, by name or from a slot. It also tallies the waits on a slot
+// holder, the path the oracle must not finish without.
 func (d *lockTableOracle) blockers() []*oracleTxn {
 	var out []*oracleTxn
 	listed := map[*oracleTxn]bool{}
 	for _, st := range d.db.lm.stripes {
 		st.latch.Lock()
+		heads := slices.Collect(st.eachNode())
 		for _, first := range st.locks {
 			for l := first; l != nil; l = l.next {
-				for _, w := range l.waiters {
-					for _, tx := range d.txns {
-						if i := l.holderOf(tx.Txn); i >= 0 && !tx.busy && !listed[tx] && !compat[l.holders[i].mode][w.mode] {
-							out, listed[tx] = append(out, tx), true
-						}
+				heads = append(heads, l)
+			}
+		}
+		for _, l := range heads {
+			if len(l.waiters) == 0 {
+				continue
+			}
+			slots := viewSlots(l)
+			for _, w := range l.waiters {
+				for _, tx := range d.txns {
+					held := slotModeOf(slots, tx.Txn)
+					if held != ModeNone && !compat[held][w.mode] {
+						d.slotWaits++
+					}
+					if i := l.holderOf(tx.Txn); i >= 0 {
+						held = l.holders[i].mode
+					}
+					if held != ModeNone && !tx.busy && !listed[tx] && !compat[held][w.mode] {
+						out, listed[tx] = append(out, tx), true
 					}
 				}
 			}
@@ -387,10 +555,10 @@ func TestLockTableMatchesHolderWalk(t *testing.T) {
 		t.Fatalf("seed %d: %d lock-table entries left after every transaction finished", seed, n)
 	}
 	m := db.Metrics()
-	if m.LockWaits == 0 || m.TimeoutAborts == 0 || m.CtxCancels == 0 || m.WaitDieAborts == 0 || m.Escalations == 0 {
-		t.Fatalf("seed %d: the sequence missed a path it exists to cover: %+v", seed, m)
+	if m.LockWaits == 0 || m.TimeoutAborts == 0 || m.CtxCancels == 0 || m.WaitDieAborts == 0 || m.Escalations == 0 || d.slotWaits == 0 {
+		t.Fatalf("seed %d: the sequence missed a path it exists to cover: %+v, %d waits on a slot holder", seed, m, d.slotWaits)
 	}
-	t.Logf("%d steps: %+v", steps, m)
+	t.Logf("%d steps: %+v, %d waits on a slot holder", steps, m, d.slotWaits)
 }
 
 // TestHashCollisionChains forges what 64-bit FNV will not produce on

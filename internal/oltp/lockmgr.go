@@ -3,6 +3,8 @@ package oltp
 import (
 	"context"
 	"fmt"
+	"iter"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/golc"
@@ -149,19 +151,125 @@ func classOf(id ResourceID) string {
 // waiter is one blocked logical lock request. ready is closed exactly
 // once, by the grant path after setting granted under the stripe
 // latch. Cancellation (the detector's victim path) is context-based:
-// each wait carries its own cancellable context, a policy aborts the
-// waiter by calling cancel, and the waiter's OWN goroutine — the only
-// place that ever dequeues it — re-checks granted under the stripe
-// latch before treating the wake as an abort, so a grant racing a
-// cancellation always wins and no bookkeeping happens off-goroutine.
+// each wait carries its own context with the lock timeout as its
+// deadline, a policy aborts the waiter by calling cancel, and the
+// waiter's OWN goroutine — the only place that ever dequeues it —
+// re-checks granted under the stripe latch before treating the wake as
+// an abort, so a grant racing a cancellation always wins and no
+// bookkeeping happens off-goroutine.
 type waiter struct {
 	txn     *Txn
-	cur     Mode // what txn holds on the lock while it waits (an upgrade), else ModeNone
+	cur     Mode // what txn holds by name on the lock while it waits (an upgrade), else ModeNone
 	mode    Mode // the full target mode (lub of held and wanted)
 	ready   chan struct{}
 	granted bool
-	ctx     context.Context // done => a deadlock policy ordered this waiter to abort
+	ctx     context.Context // Canceled => a deadlock policy ordered this waiter to abort; DeadlineExceeded => the backstop
 	cancel  context.CancelFunc
+}
+
+// nodeSlots is how many intention holds a table or partition node keeps
+// off the latch; past it IS and IX requests take the latched head.
+// lcperf's 8x workloads run 32 workers per CPU, 64 on the 2-CPU host
+// measured, all holding intention locks on one or two table nodes for
+// their whole transaction. There 16 slots
+// sent 7.5% (tatp_8x) and 15% (write_durable_8x) of intention requests
+// to the head and kept all of 64 slots' throughput; 8 lost some.
+const nodeSlots = 16
+
+// nodeSweepMin is how many nodes a stripe links before the next link
+// first sweeps out the idle ones (see lmStripe.node).
+const nodeSweepMin = 64
+
+// slot is one intention hold taken without the latch. Only the holding
+// transaction writes it: txn is claimed by CAS before mode is stored,
+// and mode is cleared before txn is, so a reader that finds a txn with
+// ModeNone has caught a claim or a release in flight — not a holder.
+type slot struct {
+	txn  atomic.Pointer[Txn]
+	mode atomic.Int32
+}
+
+// load returns the slot's holder and mode, or nil.
+func (s *slot) load() (*Txn, Mode) {
+	t := s.txn.Load()
+	if t == nil {
+		return nil, ModeNone
+	}
+	if m := Mode(s.mode.Load()); m != ModeNone {
+		return t, m
+	}
+	return nil, ModeNone
+}
+
+func (s *slot) clear() {
+	s.mode.Store(int32(ModeNone))
+	s.txn.Store(nil)
+}
+
+// intents is the latch-free half of a table or partition node: IS and
+// IX holds by identity, one slot each, and the gate that shuts them out.
+// The gate is raised, under the stripe latch, by an S, SIX or X request
+// before it reads the slots; it comes down, under the latch, once the
+// node has no such holder or waiter. Every slot write is followed by a
+// gate read, and every gate raise by slot reads, so with Go's
+// sequentially consistent atomics one side always sees the other: a
+// claim that lands while the gate is up backs out to the latched head,
+// and one that landed before it is seen, by identity, by the wait-die
+// test, the detector's edge set and the grant test alike.
+type intents struct {
+	gate  atomic.Bool
+	slots [nodeSlots]slot
+}
+
+// holders yields every slot holder and its mode; a nil intents (a
+// record head) has none.
+func (in *intents) holders() iter.Seq2[*Txn, Mode] {
+	return func(yield func(*Txn, Mode) bool) {
+		if in == nil {
+			return
+		}
+		for i := range in.slots {
+			if t, m := in.slots[i].load(); t != nil && !yield(t, m) {
+				return
+			}
+		}
+	}
+}
+
+// modeOf returns t's slot mode, or ModeNone.
+func (in *intents) modeOf(t *Txn) Mode {
+	for h, m := range in.holders() {
+		if h == t {
+			return m
+		}
+	}
+	return ModeNone
+}
+
+// occupied reports whether any slot is claimed, settled or not.
+func (in *intents) occupied() bool {
+	for i := range in.slots {
+		if in.slots[i].txn.Load() != nil {
+			return true
+		}
+	}
+	return false
+}
+
+// claim puts txn into a free slot in mode and returns its index, or -1
+// if every slot is taken. Probing starts at a slot picked by tid, so
+// concurrent transactions mostly CAS different words.
+func (in *intents) claim(txn *Txn, mode Mode) int {
+	start := int(txn.tid % nodeSlots)
+	for k := range nodeSlots {
+		i := (start + k) % nodeSlots
+		s := &in.slots[i]
+		if s.txn.Load() == nil && s.txn.CompareAndSwap(nil, txn) {
+			s.mode.Store(int32(mode))
+			return i
+		}
+	}
+	return -1
 }
 
 // holder is one member of a lock's granted group.
@@ -180,13 +288,19 @@ type holder struct {
 // walked only where identities matter: the wait-die age test, the
 // detector's edge set, the blame label, and a transaction finding its
 // own entry to upgrade or drop it.
+//
+// A table or partition head is a node: it also carries intents, the
+// IS/IX holds taken without the latch. Those are outside counts and
+// holders, and only S, SIX and X conflict with them, so only those
+// requests read them.
 type dbLock struct {
 	id      ResourceID
 	hash    uint64  // hashID(id): the stripe table's key
-	next    *dbLock // hash-collision chain while live, free list once retired
+	next    *dbLock // record heads: hash-collision chain while live, free list once retired
 	counts  [6]int32
 	holders []holder
 	waiters []*waiter
+	in      *intents // nodes only
 }
 
 // holderOf returns the index of txn's entry in the granted group, or -1.
@@ -221,6 +335,20 @@ func (l *dbLock) drop(txn *Txn) {
 	l.holders = l.holders[:last]
 }
 
+// lowerGate reopens a node's fast path once no S, SIX or X hold or
+// request is left on it. Caller holds the latch.
+func (l *dbLock) lowerGate() {
+	if l.in == nil || !l.in.gate.Load() || l.counts[S]+l.counts[SIX]+l.counts[X] != 0 {
+		return
+	}
+	for _, w := range l.waiters {
+		if w.mode > IX {
+			return
+		}
+	}
+	l.in.gate.Store(false)
+}
+
 // dequeue removes the waiter at position i, keeping queue order. It
 // copies down rather than re-slicing so the backing array neither
 // creeps forward nor keeps the departed waiter reachable.
@@ -242,16 +370,103 @@ func (l *dbLock) dequeue(i int) {
 // ids whose hashes collide chain through dbLock.next. A head whose
 // group and queue have emptied is unlinked and kept on free, so a
 // stripe that has seen its peak allocates nothing per acquire.
+//
+// Table and partition nodes live apart, in nodes: the intention fast
+// path finds them without the latch, so the table is published
+// copy-on-write (buckets included) and a node is never recycled. A
+// fixed schema makes them few — its tables times the partitions — but
+// table names are outside input (lcserve's /txn takes them from the
+// request body), so an idle node is dropped by the sweep in node
+// rather than kept for the DB's lifetime.
 type lmStripe struct {
-	latch *golc.Mutex
-	locks map[uint64]*dbLock
-	free  *dbLock
-	live  int // linked heads (a chain makes len(locks) an undercount)
+	latch   *golc.Mutex
+	locks   map[uint64]*dbLock // record heads
+	free    *dbLock
+	live    int // linked record heads (a chain makes len(locks) an undercount)
+	nodes   atomic.Pointer[nodeTable]
+	nnodes  int // nodes linked
+	sweepAt int // nnodes at which the next link first sweeps
+}
+
+// nodeTable maps an id hash to the nodes with that hash.
+type nodeTable map[uint64][]*dbLock
+
+// nodeOf returns id's node, or nil if none is linked. No latch needed.
+func (st *lmStripe) nodeOf(id ResourceID, hash uint64) *dbLock {
+	if nt := st.nodes.Load(); nt != nil {
+		for _, l := range (*nt)[hash] {
+			if l.id == id {
+				return l
+			}
+		}
+	}
+	return nil
+}
+
+// eachNode yields the stripe's linked nodes.
+func (st *lmStripe) eachNode() iter.Seq[*dbLock] {
+	return func(yield func(*dbLock) bool) {
+		if nt := st.nodes.Load(); nt != nil {
+			for _, ls := range *nt {
+				for _, l := range ls {
+					if !yield(l) {
+						return
+					}
+				}
+			}
+		}
+	}
+}
+
+// node returns id's node, linking a fresh one if there is none. Caller
+// holds the latch. Every link copies the table; once the stripe has
+// sweepAt nodes, the copy leaves out the idle ones, so the table stays
+// within twice its busy size however many tables clients name.
+func (st *lmStripe) node(id ResourceID, hash uint64) *dbLock {
+	if l := st.nodeOf(id, hash); l != nil {
+		return l
+	}
+	l := &dbLock{id: id, hash: hash, in: new(intents)}
+	sweep := st.nnodes >= st.sweepAt
+	nt := make(nodeTable, st.nnodes+1)
+	st.nnodes = 1
+	for n := range st.eachNode() {
+		if sweep && n.retireNode() {
+			continue
+		}
+		nt[n.hash] = append(nt[n.hash], n)
+		st.nnodes++
+	}
+	nt[hash] = append(nt[hash], l)
+	if sweep {
+		st.sweepAt = max(nodeSweepMin, 2*st.nnodes)
+	}
+	st.nodes.Store(&nt)
+	return l
+}
+
+// retireNode reports whether node l is idle and, if it is, shuts it for
+// good: the gate goes up before the slots are read, so a claim racing
+// the sweep backs out to the latched path and finds l's successor.
+// Caller holds the latch.
+func (l *dbLock) retireNode() bool {
+	if len(l.holders) != 0 || len(l.waiters) != 0 {
+		return false
+	}
+	l.in.gate.Store(true)
+	if l.in.occupied() {
+		l.in.gate.Store(false)
+		return false
+	}
+	return true
 }
 
 // head returns id's lock head, linking a fresh one if there is none.
 // Caller holds the latch.
 func (st *lmStripe) head(id ResourceID, hash uint64) *dbLock {
+	if id.Level != LevelRecord {
+		return st.node(id, hash)
+	}
 	first := st.locks[hash]
 	for l := first; l != nil; l = l.next {
 		if l.id == id {
@@ -273,11 +488,12 @@ func (st *lmStripe) head(id ResourceID, hash uint64) *dbLock {
 	return l
 }
 
-// retire unlinks l if nothing holds or awaits it and keeps it for
-// reuse. Caller holds the latch. A head some transaction still holds is
-// never retired, which is what lets Txn.held keep a pointer to it.
+// retire unlinks record head l if nothing holds or awaits it and keeps
+// it for reuse. Caller holds the latch. A head some transaction still
+// holds is never retired, which is what lets Txn.held keep a pointer to
+// it.
 func (st *lmStripe) retire(l *dbLock) {
-	if len(l.holders) != 0 || len(l.waiters) != 0 {
+	if l.in != nil || len(l.holders) != 0 || len(l.waiters) != 0 {
 		return
 	}
 	if first := st.locks[l.hash]; first != l {
@@ -293,6 +509,16 @@ func (st *lmStripe) retire(l *dbLock) {
 	st.live--
 	l.id = ResourceID{} // a parked head must not pin the id's strings
 	l.next, st.free = st.free, l
+}
+
+// settle follows any change to l's granted group or queue: the queue's
+// compatible prefix is granted, a node's gate comes down once nothing
+// coarse is left, and an emptied record head is retired. Caller holds
+// the latch.
+func (st *lmStripe) settle(l *dbLock) {
+	grant(l)
+	l.lowerGate()
+	st.retire(l)
 }
 
 // lockManager is the DB's logical lock table. The deadlock policy owns
@@ -375,11 +601,13 @@ func (lm *lockManager) lock(st *lmStripe) {
 	st.latch.Lock() //lint:allow lockpair acquire helper by contract: every caller releases st.latch
 }
 
-// grantable reports whether a transaction holding cur on l (ModeNone:
-// nothing) may hold mode beside the rest of the granted group. Its own
+// grantable reports whether txn, holding cur by name on l (ModeNone:
+// nothing), may hold mode beside the rest of the granted group. Its own
 // hold never conflicts with itself, so one holder in cur is left out:
-// upgrades pass. Six steps whatever the group's size.
-func grantable(l *dbLock, cur, mode Mode) bool {
+// upgrades pass. Six steps whatever the group's size — plus, for a
+// coarse mode at a node, a look at the slots, whose IS and IX holds
+// every intention mode admits.
+func grantable(l *dbLock, txn *Txn, cur, mode Mode) bool {
 	for m := IS; m <= X; m++ {
 		n := l.counts[m]
 		if m == cur {
@@ -387,6 +615,13 @@ func grantable(l *dbLock, cur, mode Mode) bool {
 		}
 		if n > 0 && !compat[m][mode] {
 			return false
+		}
+	}
+	if mode > IX {
+		for t, m := range l.in.holders() {
+			if t != txn && !compat[m][mode] {
+				return false
+			}
 		}
 	}
 	return true
@@ -407,16 +642,21 @@ func conflictsQueue(l *dbLock, txn *Txn, mode Mode) bool {
 }
 
 // blockersOf collects every transaction this request would wait
-// behind: conflicting holders plus conflicting queued waiters (FIFO
-// fairness queues behind them, so they are wait edges too). Called
-// with the stripe latch held, and only on the park path — the
-// die-vs-wait decision itself walks the lock allocation-free via
-// DeadlockPolicy.shouldDie.
+// behind: conflicting holders, named or in a slot, plus conflicting
+// queued waiters (FIFO fairness queues behind them, so they are wait
+// edges too). Called with the stripe latch held, and only on the park
+// path — the die-vs-wait decision itself walks the lock allocation-free
+// via DeadlockPolicy.shouldDie.
 func blockersOf(l *dbLock, txn *Txn, goal Mode) []*Txn {
 	var bs []*Txn
 	for _, h := range l.holders {
 		if h.txn != txn && !compat[h.mode][goal] {
 			bs = append(bs, h.txn)
+		}
+	}
+	for t, m := range l.in.holders() {
+		if t != txn && !compat[m][goal] {
+			bs = append(bs, t)
 		}
 	}
 	for _, w := range l.waiters {
@@ -440,6 +680,69 @@ func (lm *lockManager) acquire(txn *Txn, id ResourceID, want Mode) error {
 	return err
 }
 
+// intent is the latch-free path for IS or IX at a table or partition
+// node. It reads the gate first and, if it is down, claims a slot (or
+// raises the transaction's own slot from IS to IX). It reports false —
+// the request takes the latched path — when the gate is up, the slots
+// are full, the node does not exist yet or the hold being upgraded is a
+// named one.
+func (lm *lockManager) intent(txn *Txn, st *lmStripe, at int, id ResourceID, hash uint64, goal Mode) (int, bool) {
+	if at >= 0 {
+		e := &txn.held[at]
+		return at, e.slot != 0 && !e.lock.in.gate.Load() && lm.raiseSlot(txn, at)
+	}
+	if l := st.nodeOf(id, hash); l != nil && !l.in.gate.Load() {
+		return lm.enterSlot(txn, l, id, hash, goal)
+	}
+	return at, false
+}
+
+// enterSlot claims a slot at node l for txn in mode, then reads the gate
+// again: if it came up since the caller saw it down, the claim is given
+// back — a release that finds the gate up — and the request must go to
+// the latched path. Returns the hold's position in txn.held.
+func (lm *lockManager) enterSlot(txn *Txn, l *dbLock, id ResourceID, hash uint64, mode Mode) (int, bool) {
+	i := l.in.claim(txn, mode)
+	if i < 0 {
+		return -1, false
+	}
+	if l.in.gate.Load() {
+		l.in.slots[i].clear()
+		lm.regrant(l)
+		return -1, false
+	}
+	at := txn.noteHeld(-1, id, hash, mode, l)
+	txn.held[at].slot = int32(i) + 1
+	return at, true
+}
+
+// raiseSlot moves txn's slot hold at position at from IS to IX, then
+// reads the gate again: if it came up meanwhile, the hold goes back to
+// IS — a downgrade that finds the gate up — and the request must go to
+// the latched path.
+func (lm *lockManager) raiseSlot(txn *Txn, at int) bool {
+	e := &txn.held[at]
+	s := &e.lock.in.slots[e.slot-1]
+	s.mode.Store(int32(IX))
+	if e.lock.in.gate.Load() {
+		s.mode.Store(int32(IS))
+		lm.regrant(e.lock)
+		return false
+	}
+	e.mode = IX
+	return true
+}
+
+// regrant follows a slot cleared or lowered while node l's gate is up:
+// a coarse request may be queued on it, and the last slot in its way is
+// what grants it.
+func (lm *lockManager) regrant(l *dbLock) {
+	st := lm.stripeFor(l.hash)
+	lm.lock(st)
+	grant(l)
+	st.latch.Unlock()
+}
+
 // acquireAt is acquire, also returning where in txn.held the lock's
 // entry sits. The transaction's own record answers two questions
 // without the table: what it already holds (a request that covers
@@ -456,14 +759,32 @@ func (lm *lockManager) acquireAt(txn *Txn, id ResourceID, want Mode) (int, error
 	}
 	goal := lub[cur][want]
 	st := lm.stripeFor(hash)
+	if goal <= IX && id.Level != LevelRecord {
+		if i, done := lm.intent(txn, st, at, id, hash, goal); done {
+			return i, nil
+		}
+	}
 	lm.lock(st)
 	var l *dbLock
 	if at >= 0 {
-		l = txn.held[at].lock
+		e := &txn.held[at]
+		l = e.lock
+		if e.slot != 0 {
+			// The request needs the latch, so the hold it upgrades joins
+			// the named group first: from here on cur is a named hold, as
+			// the grant test, the queue and release expect. Nobody else's
+			// conflicts change.
+			l.hold(txn, ModeNone, cur)
+			l.in.slots[e.slot-1].clear()
+			e.slot = 0
+		}
 	} else {
 		l = st.head(id, hash)
 	}
-	if grantable(l, cur, goal) && !conflictsQueue(l, txn, goal) {
+	if goal > IX && l.in != nil && !l.in.gate.Load() {
+		l.in.gate.Store(true) // shut the fast path before grantable reads the slots
+	}
+	if grantable(l, txn, cur, goal) && !conflictsQueue(l, txn, goal) {
 		l.hold(txn, cur, goal)
 		st.latch.Unlock()
 		return txn.noteHeld(at, id, hash, goal, l), nil
@@ -471,6 +792,7 @@ func (lm *lockManager) acquireAt(txn *Txn, id ResourceID, want Mode) (int, error
 	// Conflict: the policy decides between dying now and waiting.
 	// (A conflicted head has a holder or a waiter: nothing to retire.)
 	if lm.policy.shouldDie(txn, l, goal) {
+		l.lowerGate()
 		st.latch.Unlock()
 		lm.m.WaitDieAborts.Add(1)
 		if lm.rec.Enabled() {
@@ -482,9 +804,9 @@ func (lm *lockManager) acquireAt(txn *Txn, id ResourceID, want Mode) (int, error
 	// keeps its current mode while we wait — we still hold that. The
 	// blockers snapshot (the detector's wait edges) must be taken
 	// under the latch, before the queue can shift. The wait carries
-	// its own cancellable context: that is the deadlock policies'
-	// victim route (w.cancel wakes us with an abort order), the same
-	// shape golc's LockCtx gives physical waiters.
+	// its own context: w.cancel is the deadlock policies' victim route
+	// (it wakes us with an abort order), the same shape golc's LockCtx
+	// gives physical waiters, and its deadline is the lock timeout.
 	blockers := blockersOf(l, txn, goal)
 	// Logical blame: the same sampled who-blocks-whom attribution the
 	// physical locks get, but in the DB's own vocabulary — the resource
@@ -499,15 +821,18 @@ func (lm *lockManager) acquireAt(txn *Txn, id ResourceID, want Mode) (int, error
 			hold := "queued" // blocker is itself still waiting (FIFO fairness edge)
 			if i := l.holderOf(blockers[0]); i >= 0 {
 				hold = l.holders[i].mode.String()
+			} else if m := l.in.modeOf(blockers[0]); m != ModeNone {
+				hold = m.String()
 			}
 			blameH = lm.rec.NamedSite("oltp:" + classOf(id) + "/hold-" + hold)
 		}
 	}
 	w := &waiter{txn: txn, cur: cur, mode: goal, ready: make(chan struct{})}
 	// The wait context derives from the transaction's own: a deadlock
-	// policy kills the victim through w.cancel, and the caller walking
-	// away (BeginCtx/RunCtx) cancels the same wait from above.
-	w.ctx, w.cancel = context.WithCancel(txn.ctx)
+	// policy kills the victim through w.cancel, the caller walking away
+	// (BeginCtx/RunCtx) cancels the same wait from above, and the
+	// backstop is its deadline.
+	w.ctx, w.cancel = context.WithTimeout(txn.ctx, lm.timeout)
 	defer w.cancel() // release the context's resources on every path
 	l.waiters = append(l.waiters, w)
 	st.latch.Unlock()
@@ -534,18 +859,14 @@ func (lm *lockManager) acquireAt(txn *Txn, id ResourceID, want Mode) (int, error
 	// returns immediately.
 	lm.policy.onBlocked(lm, txn, id, w, blockers)
 
-	timer := time.NewTimer(lm.timeout)
 	select {
 	case <-w.ready:
 		// Only the grant path closes ready, so this wake needs no
-		// re-check (cancellations come in on the ctx arm now).
-		timer.Stop()
+		// re-check (cancellations come in on the ctx arm).
 		lm.policy.onWake(txn)
 		return txn.noteHeld(at, id, hash, goal, l), nil
 	case <-w.ctx.Done():
-	case <-timer.C:
 	}
-	timer.Stop()
 	// Cancelled or timed out — but a grant may have raced either wake.
 	// Resolve under the stripe latch, where granted is set: a granted
 	// waiter has already left the queue, and a racing cancellation or
@@ -566,10 +887,11 @@ func (lm *lockManager) acquireAt(txn *Txn, id ResourceID, want Mode) (int, error
 	// Our departure can unblock the queue: a waiter behind us may have
 	// been gated only by our (conflicting) request, exactly as when a
 	// holder leaves in releaseAll.
-	grant(l)
-	st.retire(l)
+	st.settle(l)
 	st.latch.Unlock()
 	lm.policy.onWake(txn)
+	// Whose abort it is, in this order: the caller's context, then a
+	// policy's cancel, then the deadline.
 	if cerr := txn.ctx.Err(); cerr != nil {
 		// The caller's own context ended the wait (RunCtx/BeginCtx).
 		// This is not a deadlock victim: the transaction would not win
@@ -581,10 +903,9 @@ func (lm *lockManager) acquireAt(txn *Txn, id ResourceID, want Mode) (int, error
 		}
 		return at, fmt.Errorf("oltp: lock wait on %s cancelled by caller: %w", id, cerr)
 	}
-	if w.ctx.Err() != nil {
-		// A policy ordered the abort. Checked before the timer so a
-		// cancellation that raced the timeout is credited to the
-		// detector that caused it, not the backstop.
+	if w.ctx.Err() == context.Canceled {
+		// A policy ordered the abort. A cancel that beat the deadline is
+		// credited to the detector that caused it, not the backstop.
 		lm.m.DetectedAborts.Add(1)
 		if lm.rec.Enabled() {
 			lm.rec.Event(obs.EvTxnAbort, id.String(), AbortDeadlock.String(), int64(txn.tid))
@@ -603,7 +924,7 @@ func (lm *lockManager) acquireAt(txn *Txn, id ResourceID, want Mode) (int, error
 func grant(l *dbLock) {
 	for len(l.waiters) > 0 {
 		w := l.waiters[0]
-		if !grantable(l, w.cur, w.mode) {
+		if !grantable(l, w.txn, w.cur, w.mode) {
 			return
 		}
 		l.dequeue(0)
@@ -618,13 +939,20 @@ func grant(l *dbLock) {
 // hash, no table lookup. Used by releaseAll and by escalation (record
 // entries fold into the partition hold and are dropped individually
 // mid-txn — the one sanctioned early release, since the coarser lock
-// still covers them).
+// still covers them). A slot hold is cleared without the latch; the
+// gate is read after the clear, as in enterSlot.
 func (lm *lockManager) release(txn *Txn, e *heldLock) {
+	if e.slot != 0 {
+		e.lock.in.slots[e.slot-1].clear()
+		if e.lock.in.gate.Load() {
+			lm.regrant(e.lock)
+		}
+		return
+	}
 	st := lm.stripeFor(e.hash)
 	lm.lock(st)
 	e.lock.drop(txn)
-	grant(e.lock)
-	st.retire(e.lock)
+	st.settle(e.lock)
 	st.latch.Unlock()
 }
 
@@ -642,16 +970,22 @@ func (lm *lockManager) releaseAll(txn *Txn) {
 	txn.index = nil
 }
 
-// entries counts live lock-table entries across all stripes (test and
-// stats hook: a quiescent DB must report zero — locks are strict-2PL,
-// so anything left over is a leak). It latches each stripe directly,
-// NOT through lm.lock: a monitoring probe must not inflate the
-// LatchMisses contention metric it is reported next to.
+// entries counts live lock-table entries across all stripes: record
+// heads, and nodes that someone holds — by name or in a slot — or
+// awaits (test and stats hook: a quiescent DB must report zero — locks
+// are strict-2PL, so anything left over is a leak). It latches each
+// stripe directly, NOT through lm.lock: a monitoring probe must not
+// inflate the LatchMisses contention metric it is reported next to.
 func (lm *lockManager) entries() int {
 	n := 0
 	for _, st := range lm.stripes {
 		st.latch.Lock()
 		n += st.live
+		for l := range st.eachNode() {
+			if len(l.holders) != 0 || len(l.waiters) != 0 || l.in.occupied() {
+				n++
+			}
+		}
 		st.latch.Unlock()
 	}
 	return n

@@ -31,6 +31,16 @@
 //     release is by pointer, and a request its own hold already covers
 //     never reaches the latch; emptied heads wait on a per-stripe free
 //     list, so an uncontended acquire and release allocate nothing.
+//   - IS and IX at table and partition nodes — every transaction's
+//     first two locks per table — do not take the latch at all: a node
+//     keeps 16 identity slots, and an intention request CASes itself
+//     into one while the node's gate is down, then reads the gate again
+//     and backs out to the latched head if it came up. An S, SIX or X
+//     request raises the gate under the latch before it reads the
+//     slots, so it sees every slot holder by identity — for its grant
+//     test, for wait-die's age test and for the detector's edges — and
+//     queues on them like on any holder; the last slot release grants
+//     it.
 //   - Logical waits block on a per-waiter channel, never on a latch:
 //     transactions hold locks for far too long for spinning to make
 //     sense, and a blocked transaction must not wedge the lock table.
@@ -335,10 +345,11 @@ func (db *DB) Metrics() MetricsSnapshot { return db.m.snapshot() }
 // PolicyName reports the deadlock policy in use ("waitdie", "detect").
 func (db *DB) PolicyName() string { return db.opts.DeadlockPolicy.PolicyName() }
 
-// LockEntries counts live lock-table entries across all stripes. A
-// quiescent DB must report zero under every policy — locks are strict
-// 2PL (escalation's record fold-in included), so anything left over is
-// a leak. It latches every stripe; meant for stats and tests, not hot
+// LockEntries counts live lock-table entries across all stripes; a
+// table or partition node held only through intention slots counts as
+// one entry, however many slots are taken. A quiescent DB must report
+// zero under every policy — locks are strict 2PL (escalation's record
+// fold-in included), so anything left over is a leak. It latches every stripe; meant for stats and tests, not hot
 // paths.
 func (db *DB) LockEntries() int { return db.lm.entries() }
 

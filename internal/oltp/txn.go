@@ -48,13 +48,15 @@ type Txn struct {
 
 // heldLock is one entry of Txn.held: what is held, and enough to get
 // back to it without the lock table — the id's hash (hashed once, at
-// acquire) and the lock head itself.
+// acquire) and the lock head itself. An IS or IX hold taken off the
+// latch names its node's slot instead of a place in the named group.
 type heldLock struct {
 	id   ResourceID
 	hash uint64
 	mode Mode
 	lock *dbLock
 	recs int32 // partition entries: record locks held beneath it (escalation trigger)
+	slot int32 // 1 + the index of lock.in's slot this hold sits in; 0 for a named hold
 }
 
 // heldScan is how many held locks find will scan linearly; past it the
