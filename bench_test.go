@@ -135,7 +135,7 @@ func benchOLTPConflict(b *testing.B, policyName string) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	store := kv.New(kv.Options{Shards: 16, IndexStripes: 8, Policy: golc.Block})
+	store := kv.New(kv.Options{Shards: 16, Policy: golc.Block})
 	b.Cleanup(store.Close)
 	// Threshold below RecordsPerTxn/partition so the escalation path
 	// runs too — otherwise escalations/op is a constant 0 and CI's
@@ -181,7 +181,7 @@ func BenchmarkKVScan(b *testing.B) {
 	rt := lcrt.New(lcrt.Options{})
 	rt.Start()
 	b.Cleanup(rt.Stop)
-	s := kv.New(kv.Options{Shards: 16, IndexStripes: 8, Runtime: rt})
+	s := kv.New(kv.Options{Shards: 16, Runtime: rt})
 	b.Cleanup(s.Close)
 	for i := 0; i < 4096; i++ {
 		s.Put(fmt.Sprintf("user:%05d", i), fmt.Sprintf("tier-%d", i%15))

@@ -1,12 +1,11 @@
 // Command lcserve is the real load-controlled KV service: internal/kv
-// served over HTTP, every shard and index-stripe latch governed by the
-// single process-wide load-control runtime:
+// served over HTTP, every shard latch governed by the single
+// process-wide load-control runtime:
 //
 //	lcserve -addr :8080 -shards 16
 //	curl -X PUT -d tier-1 localhost:8080/kv/user:0001
 //	curl localhost:8080/kv/user:0001
 //	curl 'localhost:8080/scan?prefix=user:&limit=10'
-//	curl 'localhost:8080/lookup?value=tier-1'
 //	curl localhost:8080/stats          # runtime + per-latch snapshot + histogram percentiles
 //	curl localhost:8080/metrics        # Prometheus text format (histograms included)
 //	curl 'localhost:8080/trace?sec=2'  # 2s flight-recorder dump, Chrome trace JSON (Perfetto)
@@ -22,8 +21,8 @@
 //
 // The /policy endpoint is the operator's overload lever: POST any
 // registered golc contention policy name (spin, block, lc) and every
-// shard, stripe, and lock-table latch flips to it live via SetPolicy —
-// e.g. moving a service that was started with spin latches onto
+// shard and lock-table latch flips to it live via SetPolicy — e.g.
+// moving a service that was started with spin latches onto
 // load-controlled waiting as multiprogramming climbs, without a
 // restart.
 //
@@ -275,18 +274,17 @@ const loadgenKeys = 512
 
 func keyName(i int) string { return fmt.Sprintf("user:%05d", i) }
 
-// opKind picks the operation mix: 60% get, 25% put, 10% lookup, 5% scan.
+// opKind picks the operation mix: 70% get, 25% put, 5% scan (the
+// lookup share that went with the secondary index moved to get).
 func opKind(worker, i int) int {
 	x := (worker*7919 + i) % 20
 	switch {
-	case x < 12:
+	case x < 14:
 		return 0 // get
-	case x < 17:
-		return 1 // put
 	case x < 19:
-		return 2 // lookup
+		return 1 // put
 	default:
-		return 3 // scan
+		return 2 // scan
 	}
 }
 
@@ -303,8 +301,6 @@ func httpOp(client *http.Client, base string, worker, i int) bool {
 		req, _ := http.NewRequest(http.MethodPut, base+"/kv/"+key,
 			strings.NewReader(fmt.Sprintf("tier-%d", i%16)))
 		resp, err = client.Do(req)
-	case 2:
-		resp, err = client.Get(base + "/lookup?value=" + fmt.Sprintf("tier-%d", i%16))
 	default:
 		resp, err = client.Get(base + "/scan?prefix=user:0&limit=50")
 	}

@@ -26,7 +26,7 @@ func TestRenderOnce(t *testing.T) {
 			rt := lcrt.New(lcrt.Options{Interval: time.Millisecond, LoadFunc: func() int { return 3 }})
 			rt.Start()
 			t.Cleanup(rt.Stop)
-			store := kv.New(kv.Options{Shards: 4, IndexStripes: 2, Runtime: rt})
+			store := kv.New(kv.Options{Shards: 4, Runtime: rt})
 			t.Cleanup(store.Close)
 			var log *wal.Log
 			if durable {

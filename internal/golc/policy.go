@@ -73,10 +73,10 @@ type Acquire struct {
 // Wait is the wait seam: the ONE place in the tree a ContentionPolicy's
 // Wait method is called (lclint's waitseam analyzer holds everything
 // else to that), bracketed by the runtime's BeginWait/End. Every
-// contended wait — Mutex and RWMutex slow paths, LockNested, the wal's
-// durability wait — is this call, which is what makes every wait under
-// every policy, built-in or custom, stamped into the wait histograms,
-// sampled into the blame matrix and reported when cancelled, with no
+// contended wait — Mutex and RWMutex slow paths, the wal's durability
+// wait — is this call, which is what makes every wait under every
+// policy, built-in or custom, stamped into the wait histograms, sampled
+// into the blame matrix and reported when cancelled, with no
 // cooperation from the policy. It returns the waiter's blame site (0
 // unless this wait was sampled and succeeded) for the new holder to
 // publish, and pol's error.

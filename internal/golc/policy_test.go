@@ -347,8 +347,7 @@ func TestPolicyConformanceStatsMonotonic(t *testing.T) {
 // outside every policy, so each policy — including the user-defined
 // sleepy one, which never touches the runtime's park path — must feed
 // the per-lock and global wait histograms on a contended acquisition,
-// for free. LockNested goes through the same seam under Spin whatever
-// the lock's policy: it is recorded like any wait, and never parks.
+// for free, on either lock type.
 func TestPolicyConformanceWaitRecorded(t *testing.T) {
 	// One lock as the test needs it: the first hold, the contended
 	// acquire under test, the release of either.
@@ -357,17 +356,16 @@ func TestPolicyConformanceWaitRecorded(t *testing.T) {
 		stats                 func() lcrt.LockStats
 	}
 	variants := []struct {
-		name   string
-		nested bool
-		new    func(rt *lcrt.Runtime, pol ContentionPolicy) lock
+		name string
+		new  func(rt *lcrt.Runtime, pol ContentionPolicy) lock
 	}{
-		{"Mutex.Lock", false, func(rt *lcrt.Runtime, pol ContentionPolicy) lock {
+		{"Mutex.Lock", func(rt *lcrt.Runtime, pol ContentionPolicy) lock {
 			mu := New("conf-wait-obs", WithPolicy(pol), WithRuntime(rt))
 			return lock{mu.Lock, mu.Lock, mu.Unlock, mu.Stats}
 		}},
-		{"RWMutex.LockNested", true, func(rt *lcrt.Runtime, pol ContentionPolicy) lock {
-			mu := NewRW("conf-wait-obs-nested", WithPolicy(pol), WithRuntime(rt))
-			return lock{mu.Lock, mu.LockNested, mu.Unlock, mu.Stats}
+		{"RWMutex.Lock", func(rt *lcrt.Runtime, pol ContentionPolicy) lock {
+			mu := NewRW("conf-wait-obs-rw", WithPolicy(pol), WithRuntime(rt))
+			return lock{mu.Lock, mu.Lock, mu.Unlock, mu.Stats}
 		}},
 	}
 	eachPolicy(t, func(t *testing.T, rt *lcrt.Runtime, pol ContentionPolicy) {
@@ -409,11 +407,6 @@ func TestPolicyConformanceWaitRecorded(t *testing.T) {
 				if snap := rt.Snapshot(); snap.WaitHist.Count < st.Wait.Count {
 					t.Fatalf("global wait histogram (%d) missing the lock's samples (%d)",
 						snap.WaitHist.Count, st.Wait.Count)
-				}
-				// The suite's runtime asks for 8 sleepers, so lc and block
-				// would park here; a nested acquire spins instead.
-				if variant.nested && (st.Spins == 0 || st.Blocks != 0) {
-					t.Fatalf("LockNested on a %s lock: spins/blocks = %d/%d, want >0/0", pol.Name(), st.Spins, st.Blocks)
 				}
 			})
 		}

@@ -148,7 +148,7 @@ func (m *RWMutex) Lock() {
 		m.stampHold()
 		return
 	}
-	if err := m.lockSlow(context.Background(), m.Policy()); err != nil {
+	if err := m.lockSlow(context.Background()); err != nil {
 		m.abandoned("Lock", err)
 	}
 }
@@ -168,33 +168,12 @@ func (m *RWMutex) LockCtx(ctx context.Context) error {
 		m.abandonWrite()
 		return err
 	}
-	return m.lockSlow(ctx, m.Policy())
+	return m.lockSlow(ctx)
 }
 
-// LockNested acquires the lock for writing WITHOUT ever parking,
-// whatever the lock's policy, for acquires made while the caller
-// already holds another load-controlled lock: it is the writer slow
-// path under the Spin policy. A waiter that parked while holding a
-// lock would stall every waiter of that lock for up to the sleep
-// timeout — the same reason the paper's controller never blocks lock
-// holders (holder wakeup, §3.2.2). The spin goes through the same seam
-// as every other wait, so it is counted in the census and stripe-latch
-// convoys show up in the wait histograms and the blame matrix too.
-func (m *RWMutex) LockNested() {
-	m.wwait.Add(1)
-	if m.state.CompareAndSwap(0, -1) {
-		m.wwait.Add(-1)
-		m.stampHold()
-		return
-	}
-	if err := m.lockSlow(context.Background(), Spin); err != nil {
-		m.abandoned("LockNested", err)
-	}
-}
-
-// lockSlow waits for the write hold under pol, the gate already raised.
-func (m *RWMutex) lockSlow(ctx context.Context, pol ContentionPolicy) error {
-	site, err := Wait(ctx, m.h, pol, Acquire{
+// lockSlow waits for the write hold, the gate already raised.
+func (m *RWMutex) lockSlow(ctx context.Context) error {
+	site, err := Wait(ctx, m.h, m.Policy(), Acquire{
 		Try: func() bool {
 			if m.state.Load() == 0 && m.state.CompareAndSwap(0, -1) {
 				m.wwait.Add(-1)

@@ -5,17 +5,12 @@
 //
 // The latch structure mirrors internal/storage: N shards each guarded
 // by its own reader/writer latch (bucket-per-latch, Fibonacci-spread
-// hashing), plus a striped secondary index mapping values back to the
-// keys that hold them. All latches register with one process-wide
-// load-control runtime, so contention on any shard is governed by the
-// same controller — the paper's decoupling claim, end to end.
+// hashing). All latches register with one process-wide load-control
+// runtime, so contention on any shard is governed by the same
+// controller — the paper's decoupling claim, end to end.
 //
-// Lock ordering: a shard latch may be held while acquiring index
-// stripe latches; stripe latches are always acquired in ascending
-// stripe order; neither is ever held while acquiring a shard latch.
-// This makes Put/Delete/ApplyBatch deadlock-free against each other
-// and against Scan (shard latches only, one at a time) and Lookup
-// (one stripe latch only).
+// Lock ordering: a write holds one shard latch, and ApplyBatch takes
+// its shards in ascending order.
 package kv
 
 import (
@@ -33,9 +28,6 @@ import (
 type Options struct {
 	// Shards is the number of primary shards (default 16).
 	Shards int
-	// IndexStripes is the number of secondary-index stripes
-	// (default 8).
-	IndexStripes int
 	// Policy is the latch contention policy — any registered golc
 	// policy (default golc.LoadControlled).
 	Policy golc.ContentionPolicy
@@ -47,9 +39,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.Shards <= 0 {
 		o.Shards = 16
-	}
-	if o.IndexStripes <= 0 {
-		o.IndexStripes = 8
 	}
 	if o.Policy == nil {
 		o.Policy = golc.LoadControlled
@@ -69,21 +58,10 @@ type shard struct {
 	items map[string]string
 }
 
-// stripe is one secondary-index bucket: value -> set of keys. Stripe
-// write latches are taken while a shard latch is held, so their
-// acquire path is always RWMutex.LockNested (never parks — a parked
-// holder would stall every waiter of the shard for up to the sleep
-// timeout).
-type stripe struct {
-	mu   *golc.RWMutex
-	keys map[string]map[string]struct{}
-}
-
 // Store is the sharded store. Create with New.
 type Store struct {
-	pol     atomic.Pointer[golc.ContentionPolicy]
-	shards  []*shard
-	stripes []*stripe
+	pol    atomic.Pointer[golc.ContentionPolicy]
+	shards []*shard
 }
 
 // New builds a store. With a nil Runtime, latches register with the
@@ -92,19 +70,10 @@ func New(opts Options) *Store {
 	o := opts.withDefaults()
 	s := &Store{}
 	s.pol.Store(&o.Policy)
-	newLatch := func(name string) *golc.RWMutex {
-		return golc.NewRW(name, golc.WithPolicy(o.Policy), golc.WithRuntime(o.Runtime))
-	}
 	for i := 0; i < o.Shards; i++ {
 		s.shards = append(s.shards, &shard{
-			mu:    newLatch(fmt.Sprintf("kv/shard-%03d", i)),
+			mu:    golc.NewRW(fmt.Sprintf("kv/shard-%03d", i), golc.WithPolicy(o.Policy), golc.WithRuntime(o.Runtime)),
 			items: make(map[string]string),
-		})
-	}
-	for i := 0; i < o.IndexStripes; i++ {
-		s.stripes = append(s.stripes, &stripe{
-			mu:   newLatch(fmt.Sprintf("kv/stripe-%03d", i)),
-			keys: make(map[string]map[string]struct{}),
 		})
 	}
 	return s
@@ -116,24 +85,18 @@ func (s *Store) Close() {
 	for _, sh := range s.shards {
 		sh.mu.Close()
 	}
-	for _, st := range s.stripes {
-		st.mu.Close()
-	}
 }
 
-// SetPolicy hot-swaps the contention policy of every shard and stripe
-// latch (see golc.RWMutex.SetPolicy: new waits use the policy
-// immediately, standing waits drain under the old one). This is the
-// serving-layer flip an operator uses to move a live store from spin
-// to load-controlled latches under overload — lcserve exposes it as
-// POST /policy.
+// SetPolicy hot-swaps the contention policy of every shard latch (see
+// golc.RWMutex.SetPolicy: new waits use the policy immediately,
+// standing waits drain under the old one). This is the serving-layer
+// flip an operator uses to move a live store from spin to
+// load-controlled latches under overload — lcserve exposes it as POST
+// /policy.
 func (s *Store) SetPolicy(p golc.ContentionPolicy) {
 	s.pol.Store(&p)
 	for _, sh := range s.shards {
 		sh.mu.SetPolicy(p)
-	}
-	for _, st := range s.stripes {
-		st.mu.SetPolicy(p)
 	}
 }
 
@@ -142,8 +105,8 @@ func (s *Store) SetPolicy(p golc.ContentionPolicy) {
 func (s *Store) Policy() golc.ContentionPolicy { return *s.pol.Load() }
 
 // LatchStats sums the per-latch load-control counters across every
-// shard and index stripe. Every policy keeps the counters (spin-policy
-// latches count spins but never park, so their Blocks stay zero). The
+// shard. Every policy keeps the counters (spin-policy latches count
+// spins but never park, so their Blocks stay zero). The
 // TimeoutWakes-vs-UnlockWakes split is the serving-layer view of the
 // wake path: timeout wakes mean a latch sat free until the safety
 // timeout; unlock wakes mean the release handed it off immediately.
@@ -151,8 +114,8 @@ func (s *Store) Policy() golc.ContentionPolicy { return *s.pol.Load() }
 // store-wide p99 wait is one Quantile call away.
 func (s *Store) LatchStats() lcrt.LockStats {
 	agg := lcrt.LockStats{Name: "kv/all"}
-	add := func(m *golc.RWMutex) {
-		ls := m.Stats()
+	for _, sh := range s.shards {
+		ls := sh.mu.Stats()
 		agg.Spins += ls.Spins
 		agg.Blocks += ls.Blocks
 		agg.ControllerWakes += ls.ControllerWakes
@@ -162,12 +125,6 @@ func (s *Store) LatchStats() lcrt.LockStats {
 		agg.BlameNs += ls.BlameNs
 		agg.Wait.Merge(ls.Wait)
 		agg.Hold.Merge(ls.Hold)
-	}
-	for _, sh := range s.shards {
-		add(sh.mu)
-	}
-	for _, st := range s.stripes {
-		add(st.mu)
 	}
 	return agg
 }
@@ -201,10 +158,6 @@ func (s *Store) shardFor(key string) *shard {
 	return s.shards[s.ShardOf(key)]
 }
 
-func (s *Store) stripeIdx(value string) int {
-	return ShardIndex(value, len(s.stripes))
-}
-
 // Get returns the value for key.
 func (s *Store) Get(key string) (string, bool) {
 	sh := s.shardFor(key)
@@ -215,23 +168,12 @@ func (s *Store) Get(key string) (string, bool) {
 }
 
 // Put stores value under key and returns the previous value, if any.
-// The secondary index is updated under the shard latch, so index and
-// store never disagree about a key's current value.
 func (s *Store) Put(key, value string) (string, bool) {
 	sh := s.shardFor(key)
 	sh.mu.Lock()
-	old, existed := s.putLocked(sh, key, value)
-	sh.mu.Unlock()
-	return old, existed
-}
-
-// putLocked is Put's body; the caller holds sh's write latch.
-func (s *Store) putLocked(sh *shard, key, value string) (string, bool) {
 	old, existed := sh.items[key]
 	sh.items[key] = value
-	if !existed || old != value {
-		s.reindex(key, old, existed, value, true)
-	}
+	sh.mu.Unlock()
 	return old, existed
 }
 
@@ -239,18 +181,9 @@ func (s *Store) putLocked(sh *shard, key, value string) (string, bool) {
 func (s *Store) Delete(key string) (string, bool) {
 	sh := s.shardFor(key)
 	sh.mu.Lock()
-	old, existed := s.deleteLocked(sh, key)
-	sh.mu.Unlock()
-	return old, existed
-}
-
-// deleteLocked is Delete's body; the caller holds sh's write latch.
-func (s *Store) deleteLocked(sh *shard, key string) (string, bool) {
 	old, existed := sh.items[key]
-	if existed {
-		delete(sh.items, key)
-		s.reindex(key, old, true, "", false)
-	}
+	delete(sh.items, key)
+	sh.mu.Unlock()
 	return old, existed
 }
 
@@ -300,75 +233,13 @@ func (s *Store) ApplyBatch(writes []Write) {
 		sh.mu.Lock()
 		for ; i < len(order) && order[i]>>32 == idx; i++ {
 			if w := writes[uint32(order[i])]; w.Delete {
-				s.deleteLocked(sh, w.Key)
+				delete(sh.items, w.Key)
 			} else {
-				s.putLocked(sh, w.Key, w.Value)
+				sh.items[w.Key] = w.Value
 			}
 		}
 		sh.mu.Unlock()
 	}
-}
-
-// reindex moves key from the old value's posting set to the new one.
-// Called with the key's shard latch held; takes the affected stripe
-// latches in ascending order (see the package lock-ordering note).
-func (s *Store) reindex(key, old string, hadOld bool, value string, hasNew bool) {
-	oi, ni := -1, -1
-	if hadOld {
-		oi = s.stripeIdx(old)
-	}
-	if hasNew {
-		ni = s.stripeIdx(value)
-	}
-	// Distinct affected stripes, ascending.
-	held := make([]int, 0, 2)
-	if oi >= 0 {
-		held = append(held, oi)
-	}
-	if ni >= 0 && ni != oi {
-		held = append(held, ni)
-	}
-	sort.Ints(held)
-	for _, i := range held {
-		//lint:allow lockpair released by the symmetric unlock loop at the end of this function
-		s.stripes[i].mu.LockNested() //lint:allow lockorder stripes are taken in ascending index order, so the self-edge cannot close a cycle
-	}
-	if hadOld {
-		set := s.stripes[oi].keys[old]
-		delete(set, key)
-		if len(set) == 0 {
-			delete(s.stripes[oi].keys, old)
-		}
-	}
-	if hasNew {
-		set := s.stripes[ni].keys[value]
-		if set == nil {
-			set = make(map[string]struct{})
-			s.stripes[ni].keys[value] = set
-		}
-		set[key] = struct{}{}
-	}
-	for _, i := range held {
-		s.stripes[i].mu.Unlock()
-	}
-}
-
-// Lookup returns the keys currently holding value (secondary index).
-//
-// Ordering contract: the result is in ascending lexicographic
-// (byte-wise) key order, always — deterministic output is part of the
-// API, not a best-effort nicety, so callers (and tests) may rely on it.
-func (s *Store) Lookup(value string) []string {
-	st := s.stripes[s.stripeIdx(value)]
-	st.mu.RLock()
-	set := st.keys[value]
-	out := make([]string, 0, len(set))
-	for k := range set {
-		out = append(out, k)
-	}
-	st.mu.RUnlock()
-	sort.Strings(out)
-	return out
 }
 
 // Scan returns up to limit pairs whose key has the given prefix

@@ -2,8 +2,8 @@ package kv
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
-	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -99,7 +99,7 @@ func TestShardRouting(t *testing.T) {
 func TestPutGetDelete(t *testing.T) {
 	for _, name := range latchPolicies {
 		t.Run(name, func(t *testing.T) {
-			s := newTestStore(t, Options{Shards: 8, IndexStripes: 4, Policy: policyNamed(t, name)})
+			s := newTestStore(t, Options{Shards: 8, Policy: policyNamed(t, name)})
 			if _, ok := s.Get("a"); ok {
 				t.Fatal("get on empty store")
 			}
@@ -128,36 +128,8 @@ func TestPutGetDelete(t *testing.T) {
 	}
 }
 
-func TestSecondaryIndex(t *testing.T) {
-	s := newTestStore(t, Options{Shards: 8, IndexStripes: 4})
-	s.Put("a", "red")
-	s.Put("b", "red")
-	s.Put("c", "blue")
-	if got := s.Lookup("red"); len(got) != 2 || got[0] != "a" || got[1] != "b" {
-		t.Fatalf("Lookup(red) = %v", got)
-	}
-	// Overwrite moves the key between posting sets.
-	s.Put("a", "blue")
-	if got := s.Lookup("red"); len(got) != 1 || got[0] != "b" {
-		t.Fatalf("Lookup(red) after move = %v", got)
-	}
-	if got := s.Lookup("blue"); len(got) != 2 || got[0] != "a" || got[1] != "c" {
-		t.Fatalf("Lookup(blue) = %v", got)
-	}
-	// Delete removes the posting.
-	s.Delete("b")
-	if got := s.Lookup("red"); len(got) != 0 {
-		t.Fatalf("Lookup(red) after delete = %v", got)
-	}
-	// Idempotent same-value put leaves the index intact.
-	s.Put("c", "blue")
-	if got := s.Lookup("blue"); len(got) != 2 {
-		t.Fatalf("Lookup(blue) after same-value put = %v", got)
-	}
-}
-
 func TestScan(t *testing.T) {
-	s := newTestStore(t, Options{Shards: 8, IndexStripes: 4})
+	s := newTestStore(t, Options{Shards: 8})
 	for i := 0; i < 50; i++ {
 		s.Put(fmt.Sprintf("user:%04d", i), fmt.Sprintf("v%d", i))
 	}
@@ -184,23 +156,16 @@ func TestScan(t *testing.T) {
 }
 
 // TestOrderingContract pins the documented deterministic ordering of
-// Lookup and Scan: ascending lexicographic key order, and limited
-// scans return the first matches in that order. Keys are inserted in
+// Scan: ascending lexicographic key order, and limited scans return
+// the first matches in that order. Keys are inserted in
 // shuffled order so map iteration or insertion order can't fake it.
 func TestOrderingContract(t *testing.T) {
-	s := newTestStore(t, Options{Shards: 8, IndexStripes: 4})
+	s := newTestStore(t, Options{Shards: 8})
 	perm := rand.New(rand.NewSource(7)).Perm(64)
 	for _, i := range perm {
 		s.Put(fmt.Sprintf("user:%04d", i), fmt.Sprintf("tier-%d", i%3))
 	}
 	for run := 0; run < 3; run++ { // deterministic across calls, too
-		keys := s.Lookup("tier-0")
-		if len(keys) == 0 {
-			t.Fatal("Lookup returned nothing")
-		}
-		if !sort.StringsAreSorted(keys) {
-			t.Fatalf("Lookup out of order: %v", keys)
-		}
 		all := s.Scan("user:", 0)
 		if len(all) != 64 {
 			t.Fatalf("scan matched %d", len(all))
@@ -222,7 +187,7 @@ func TestOrderingContract(t *testing.T) {
 // TestShardOf: the instance-level partition map must agree with the
 // package routing function for this store's shard count.
 func TestShardOf(t *testing.T) {
-	s := newTestStore(t, Options{Shards: 8, IndexStripes: 4})
+	s := newTestStore(t, Options{Shards: 8})
 	for i := 0; i < 100; i++ {
 		key := fmt.Sprintf("k%03d", i)
 		if got, want := s.ShardOf(key), ShardIndex(key, 8); got != want {
@@ -234,7 +199,7 @@ func TestShardOf(t *testing.T) {
 // TestScanShard: per-shard scans must be sorted, complete, and agree
 // with the routing map — together the shards partition the store.
 func TestScanShard(t *testing.T) {
-	s := newTestStore(t, Options{Shards: 8, IndexStripes: 4})
+	s := newTestStore(t, Options{Shards: 8})
 	for i := 0; i < 200; i++ {
 		s.Put(fmt.Sprintf("k%03d", i), "v")
 	}
@@ -257,12 +222,11 @@ func TestScanShard(t *testing.T) {
 }
 
 // TestApplyBatch: puts and deletes across shards apply atomically per
-// shard, keep the secondary index consistent, and later writes to the
-// same key win.
+// shard, and later writes to the same key win.
 func TestApplyBatch(t *testing.T) {
 	for _, name := range latchPolicies {
 		t.Run(name, func(t *testing.T) {
-			s := newTestStore(t, Options{Shards: 8, IndexStripes: 4, Policy: policyNamed(t, name)})
+			s := newTestStore(t, Options{Shards: 8, Policy: policyNamed(t, name)})
 			s.Put("stale", "red")
 			s.ApplyBatch(nil) // no-op
 			s.ApplyBatch([]Write{
@@ -272,17 +236,13 @@ func TestApplyBatch(t *testing.T) {
 				{Key: "stale", Delete: true},
 				{Key: "a", Value: "blue"}, // same-key overwrite in one batch
 			})
-			if v, ok := s.Get("a"); !ok || v != "blue" {
-				t.Fatalf("a = %q,%v", v, ok)
+			for k, want := range map[string]string{"a": "blue", "b": "blue", "c": "red"} {
+				if v, ok := s.Get(k); !ok || v != want {
+					t.Fatalf("%s = %q,%v, want %q", k, v, ok, want)
+				}
 			}
 			if _, ok := s.Get("stale"); ok {
 				t.Fatal("batch delete did not remove key")
-			}
-			if got := s.Lookup("red"); len(got) != 1 || got[0] != "c" {
-				t.Fatalf("Lookup(red) = %v", got)
-			}
-			if got := s.Lookup("blue"); len(got) != 2 || got[0] != "a" || got[1] != "b" {
-				t.Fatalf("Lookup(blue) = %v", got)
 			}
 			if s.Len() != 3 {
 				t.Fatalf("len = %d", s.Len())
@@ -292,43 +252,85 @@ func TestApplyBatch(t *testing.T) {
 }
 
 // TestApplyBatchConcurrent: concurrent batch commits and single-key
-// writers must not deadlock or corrupt the index (-race exercised).
+// writers must not deadlock or lose a write (-race exercised). Each
+// worker writes only its own keys, so its model of them is exact.
 func TestApplyBatchConcurrent(t *testing.T) {
-	s := newTestStore(t, Options{Shards: 8, IndexStripes: 4})
+	s := newTestStore(t, Options{Shards: 8})
+	models := make([]map[string]string, 8)
 	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
+	for w := range models {
+		models[w] = make(map[string]string)
 		wg.Add(1)
-		go func(seed int64) {
+		go func(w int) {
 			defer wg.Done()
-			rng := rand.New(rand.NewSource(seed))
+			rng, model := rand.New(rand.NewSource(int64(w))), models[w]
 			for i := 0; i < 500; i++ {
 				if rng.Intn(2) == 0 {
 					batch := make([]Write, 0, 4)
 					for j := 0; j < 4; j++ {
 						batch = append(batch, Write{
-							Key:    fmt.Sprintf("k%03d", rng.Intn(100)),
+							Key:    workerKey(w, rng.Intn(workerKeys)),
 							Value:  fmt.Sprintf("v%d", rng.Intn(8)),
 							Delete: rng.Intn(5) == 0,
 						})
 					}
 					s.ApplyBatch(batch)
+					for _, wr := range batch { // slice order: later writes win
+						if wr.Delete {
+							delete(model, wr.Key)
+						} else {
+							model[wr.Key] = wr.Value
+						}
+					}
 				} else {
-					s.Put(fmt.Sprintf("k%03d", rng.Intn(100)), fmt.Sprintf("v%d", rng.Intn(8)))
+					key, val := workerKey(w, rng.Intn(workerKeys)), fmt.Sprintf("v%d", rng.Intn(8))
+					s.Put(key, val)
+					model[key] = val
 				}
 			}
-		}(int64(w))
+		}(w)
 	}
 	wg.Wait()
-	// Quiescent store/index agreement, as in TestConcurrentMixedOps.
-	for _, p := range s.Scan("", 0) {
-		found := false
-		for _, k := range s.Lookup(p.Value) {
-			if k == p.Key {
-				found = true
+	checkModels(t, s, models)
+}
+
+// workerKeys is how many keys each worker of the concurrent tests owns.
+const workerKeys = 100
+
+// workerKey is key i of worker w: no two workers write the same key.
+func workerKey(w, i int) string { return fmt.Sprintf("w%d/k%03d", w, i) }
+
+// checkModels holds a quiescent store to the union of the workers'
+// models, through every read path: Get of every key a worker owns
+// (present or deleted), Len, Scan, and the union of every shard's
+// ScanShard.
+func checkModels(t *testing.T, s *Store, models []map[string]string) {
+	t.Helper()
+	want := make(map[string]string)
+	for w, model := range models {
+		maps.Copy(want, model)
+		for i := 0; i < workerKeys; i++ {
+			key := workerKey(w, i)
+			mv, mok := model[key]
+			if v, ok := s.Get(key); v != mv || ok != mok {
+				t.Fatalf("Get(%q) = %q,%v, model has %q,%v", key, v, ok, mv, mok)
 			}
 		}
-		if !found {
-			t.Fatalf("key %q (value %q) missing from index", p.Key, p.Value)
+	}
+	if n := s.Len(); n != len(want) {
+		t.Fatalf("Len = %d, models hold %d keys", n, len(want))
+	}
+	var shards []KV
+	for idx := 0; idx < s.Shards(); idx++ {
+		shards = append(shards, s.ScanShard(idx)...)
+	}
+	for what, pairs := range map[string][]KV{"Scan": s.Scan("", 0), "ScanShard union": shards} {
+		got := make(map[string]string, len(pairs))
+		for _, p := range pairs {
+			got[p.Key] = p.Value
+		}
+		if len(got) != len(pairs) || !maps.Equal(got, want) {
+			t.Fatalf("%s: %d pairs (%d keys) disagree with the models' %d keys", what, len(pairs), len(got), len(want))
 		}
 	}
 }
@@ -342,7 +344,7 @@ func TestLatchStats(t *testing.T) {
 	rt := lcrt.New(lcrt.Options{Interval: time.Millisecond})
 	rt.Start()
 	t.Cleanup(rt.Stop)
-	s := newTestStore(t, Options{Shards: 1, IndexStripes: 1, Runtime: rt})
+	s := newTestStore(t, Options{Shards: 1, Runtime: rt})
 	const workers = 8
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -378,7 +380,7 @@ func TestLatchStats(t *testing.T) {
 	}
 
 	for _, pol := range []golc.ContentionPolicy{golc.Spin, golc.Block} {
-		s := newTestStore(t, Options{Shards: 2, IndexStripes: 2, Policy: pol})
+		s := newTestStore(t, Options{Shards: 2, Policy: pol})
 		s.Put("a", "1")
 		if agg := s.LatchStats(); agg.Spins != 0 || agg.Blocks != 0 {
 			t.Fatalf("%s policy counted contention on an uncontended store: %+v", pol.Name(), agg)
@@ -387,59 +389,47 @@ func TestLatchStats(t *testing.T) {
 }
 
 // TestConcurrentMixedOps drives every operation from many goroutines
-// under -race, then verifies store/index agreement.
+// under -race. Each worker writes only its own keys, reads them back
+// against its model as it goes, and at quiescence the store must equal
+// the union of the models.
 func TestConcurrentMixedOps(t *testing.T) {
 	for _, name := range latchPolicies {
 		t.Run(name, func(t *testing.T) {
-			s := newTestStore(t, Options{Shards: 8, IndexStripes: 4, Policy: policyNamed(t, name)})
-			const workers = 8
+			s := newTestStore(t, Options{Shards: 8, Policy: policyNamed(t, name)})
+			models := make([]map[string]string, 8)
 			var wg sync.WaitGroup
-			for w := 0; w < workers; w++ {
+			for w := range models {
+				models[w] = make(map[string]string)
 				wg.Add(1)
-				go func(seed int64) {
+				go func(w int) {
 					defer wg.Done()
-					rng := rand.New(rand.NewSource(seed))
+					rng, model := rand.New(rand.NewSource(int64(w))), models[w]
 					for i := 0; i < 2000; i++ {
-						key := fmt.Sprintf("k%03d", rng.Intn(100))
+						key := workerKey(w, rng.Intn(workerKeys))
 						val := fmt.Sprintf("v%d", rng.Intn(10))
 						switch rng.Intn(10) {
 						case 0:
 							s.Delete(key)
+							delete(model, key)
 						case 1, 2:
 							s.Put(key, val)
+							model[key] = val
 						case 3:
-							s.Scan("k0", 10)
+							s.Scan("w0/", 10)
 						case 4:
-							s.Lookup(val)
+							s.ScanShard(s.ShardOf(key))
 						default:
-							s.Get(key)
+							mv, mok := model[key]
+							if v, ok := s.Get(key); v != mv || ok != mok {
+								t.Errorf("worker %d: Get(%q) = %q,%v, its last write left %q,%v", w, key, v, ok, mv, mok)
+								return
+							}
 						}
 					}
-				}(int64(w))
+				}(w)
 			}
 			wg.Wait()
-			// Quiescent check: every stored key is indexed under its
-			// value, and every index posting points at a live key.
-			pairs := s.Scan("", 0)
-			for _, p := range pairs {
-				found := false
-				for _, k := range s.Lookup(p.Value) {
-					if k == p.Key {
-						found = true
-					}
-				}
-				if !found {
-					t.Fatalf("key %q (value %q) missing from index", p.Key, p.Value)
-				}
-			}
-			for d := 0; d < 10; d++ {
-				val := fmt.Sprintf("v%d", d)
-				for _, k := range s.Lookup(val) {
-					if v, ok := s.Get(k); !ok || v != val {
-						t.Fatalf("index posting %q->%q stale (store has %q,%v)", val, k, v, ok)
-					}
-				}
-			}
+			checkModels(t, s, models)
 		})
 	}
 }

@@ -239,11 +239,6 @@ func computePackageFacts(pkg *Package, prog *Program) *PackageFacts {
 						addClass(&rf.facts.Classes, c)
 					}
 					rf.acqKeys[lockKeyOf(ci.recv, ci.read)] = true
-				case kindAcqNoPark:
-					if c := classOf(pkg.Info, ci.recv); c != "" {
-						addClass(&rf.facts.Classes, c)
-					}
-					rf.acqKeys[lockKeyOf(ci.recv, ci.read)] = true
 				case kindAcqTry:
 					rf.acqKeys[lockKeyOf(ci.recv, ci.read)] = true
 				case kindRelease:

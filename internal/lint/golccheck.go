@@ -34,9 +34,6 @@ const (
 	// kindAcqPark: Lock/RLock/LockCtx/RLockCtx on a golc lock — a
 	// blocking acquisition that may park, per the lock's policy.
 	kindAcqPark
-	// kindAcqNoPark: LockNested — blocking (it spins forever) but
-	// never parks; the sanctioned acquire-while-holding primitive.
-	kindAcqNoPark
 	// kindAcqTry: TryLock/TryRLock — non-blocking probe; holds the
 	// lock only on the true branch.
 	kindAcqTry
@@ -82,8 +79,6 @@ func acquireKindOf(name string) (kind callKind, read bool, ok bool) {
 		return kindAcqPark, false, true
 	case "RLock", "RLockCtx":
 		return kindAcqPark, true, true
-	case "LockNested":
-		return kindAcqNoPark, false, true
 	case "TryLock":
 		return kindAcqTry, false, true
 	case "TryRLock":

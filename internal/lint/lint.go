@@ -5,8 +5,8 @@
 //   - lockpair: every golc Lock/RLock acquisition must be released on
 //     every path out of the function (defer-aware).
 //   - nestedpark: no potentially-parking acquisition while a golc lock
-//     is held — the PR-1 "never park while holding" rule that
-//     RWMutex.LockNested exists for.
+//     is held — the runtime's "never park while holding" rule; TryLock
+//     is the sanctioned nested acquire.
 //   - lockorder: the static acquisition-order graph (golc lock classes
 //     plus oltp's table→partition→record logical hierarchy) must stay
 //     acyclic.

@@ -5,13 +5,12 @@ import (
 	"strings"
 )
 
-// Nestedpark enforces the runtime's founding rule (documented at
-// RWMutex.LockNested): a goroutine holding a golc lock must never
-// park, because with the load-controlled policy a parked holder pins a
-// wait slot while every thread queued on its lock pins more — the
-// admission controller interprets the stall as load and collapses the
-// slot pool. Acquire-while-holding must use LockNested (spins, never
-// parks) or TryLock. The check is intra-procedural plus whole-program
+// Nestedpark enforces the runtime's founding rule: a goroutine holding
+// a golc lock must never park, because with the load-controlled policy
+// a parked holder pins a wait slot while every thread queued on its
+// lock pins more — the admission controller interprets the stall as
+// load and collapses the slot pool. Acquire-while-holding must use
+// TryLock. The check is intra-procedural plus whole-program
 // call summaries (Pass.FactsOf): calling a function that transitively
 // reaches a parking point — in this package or any module package it
 // imports — counts as parking here.
@@ -20,8 +19,8 @@ var Nestedpark = &Analyzer{
 	Doc: "no potentially-parking operation (golc Lock/RLock/LockCtx/RLockCtx, " +
 		"ContentionPolicy.Wait, runtime Ticket.Sleep, or any call that transitively " +
 		"reaches one, across package boundaries) while a golc lock is held; use " +
-		"LockNested or TryLock for nested acquisition. Parking while holding " +
-		"deadlocks the load-controlled policy's slot pool.",
+		"TryLock for nested acquisition. Parking while holding deadlocks the " +
+		"load-controlled policy's slot pool.",
 	Run: runNestedpark,
 }
 
@@ -34,7 +33,7 @@ func runNestedpark(pass *Pass) error {
 				}
 				if h, ok := firstPhysical(held); ok {
 					pass.Reportf(ci.call.Pos(),
-						"%s may park while %s is held (acquired at line %d): use LockNested or TryLock — never park while holding a golc lock",
+						"%s may park while %s is held (acquired at line %d): use TryLock — never park while holding a golc lock",
 						ci.name, heldName(h), pass.Pkg.Fset.Position(h.pos).Line)
 				}
 			},

@@ -13,21 +13,21 @@ type beta struct{ mu *golc.RWMutex }
 
 func lockAlphaThenBeta(a *alpha, b *beta) {
 	a.mu.Lock()
-	b.mu.LockNested()
+	b.mu.Lock()
 	b.mu.Unlock()
 	a.mu.Unlock()
 }
 
 func lockBetaThenAlpha(a *alpha, b *beta) {
 	b.mu.Lock()
-	a.mu.LockNested() // want `acquisition-order cycle`
+	a.mu.Lock() // want `acquisition-order cycle`
 	a.mu.Unlock()
 	b.mu.Unlock()
 }
 
 func sameClassTwice(x, y *alpha) {
 	x.mu.Lock()
-	y.mu.LockNested() // want `nested acquisition of lock class`
+	y.mu.Lock() // want `nested acquisition of lock class`
 	y.mu.Unlock()
 	x.mu.Unlock()
 }

@@ -19,7 +19,7 @@ type store struct {
 
 func writePath(s *store) {
 	s.sh.mu.Lock()
-	s.st.mu.LockNested()
+	s.st.mu.Lock()
 	s.n++
 	s.st.mu.Unlock()
 	s.sh.mu.Unlock()
@@ -27,7 +27,7 @@ func writePath(s *store) {
 
 func deletePath(s *store) {
 	s.sh.mu.Lock()
-	s.st.mu.LockNested() // same direction as writePath: no cycle
+	s.st.mu.Lock() // same direction as writePath: no cycle
 	s.n--
 	s.st.mu.Unlock()
 	s.sh.mu.Unlock()

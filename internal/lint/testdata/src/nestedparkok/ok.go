@@ -1,6 +1,6 @@
 // Package nestedparkok holds clean fixtures for the nestedpark
-// analyzer: nested acquisition done the sanctioned ways (LockNested,
-// TryLock, or simply not overlapping) must produce no findings.
+// analyzer: nested acquisition done the sanctioned ways (TryLock, or
+// simply not overlapping) must produce no findings.
 package nestedparkok
 
 import "repro/internal/golc"
@@ -8,16 +8,7 @@ import "repro/internal/golc"
 type pair struct {
 	a *golc.Mutex
 	b *golc.Mutex
-	r *golc.RWMutex
 	n int
-}
-
-func lockNestedWhileHolding(p *pair) {
-	p.a.Lock()
-	p.r.LockNested() // never parks: the sanctioned nested acquire
-	p.n++
-	p.r.Unlock()
-	p.a.Unlock()
 }
 
 func tryWhileHolding(p *pair) {

@@ -795,7 +795,7 @@ func heldFromCall(info *types.Info, ci callInfo) heldLock {
 func (w *walker) fire(ci callInfo, st *walkState) {
 	second := w.second > 0
 	switch ci.kind {
-	case kindAcqPark, kindAcqNoPark:
+	case kindAcqPark:
 		if w.hooks.onAcquire != nil {
 			w.hooks.onAcquire(ci, append([]heldLock(nil), st.held...), second)
 		}

@@ -37,7 +37,7 @@ func newTestDB(t *testing.T, pol golc.ContentionPolicy, opts Options) *DB {
 	rt.Start()
 	t.Cleanup(rt.Stop)
 	opts.Runtime = rt
-	store := kv.New(kv.Options{Shards: 8, IndexStripes: 4, Policy: pol, Runtime: rt})
+	store := kv.New(kv.Options{Shards: 8, Policy: pol, Runtime: rt})
 	t.Cleanup(store.Close)
 	db := New(store, opts)
 	t.Cleanup(db.Close)

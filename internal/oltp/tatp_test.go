@@ -1,8 +1,10 @@
 package oltp
 
 import (
+	"fmt"
 	"math/rand"
 	goruntime "runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -93,17 +95,18 @@ func TestTATPConcurrent(t *testing.T) {
 			if n := db.lm.entries(); n != 0 {
 				t.Fatalf("lock table not empty: %d", n)
 			}
-			// Store/index agreement after the churn (same check the kv
-			// tests make), over the cf table that insert/delete hit.
-			for _, p := range db.Store().Scan("cf/", 0) {
-				found := false
-				for _, k := range db.Store().Lookup(p.Value) {
-					if k == p.Key {
-						found = true
-					}
+			// Rows intact after the churn (lcperf's end-of-run check):
+			// every subscriber row is its own profile, and every call
+			// forwarding row a forwarding number.
+			for id := 0; id < w.Config().Subscribers; id++ {
+				key := storageKey(subTable, subKey(id))
+				if v, ok := db.Store().Get(key); !ok || !strings.HasPrefix(v, fmt.Sprintf("sub=%d ", id)) {
+					t.Fatalf("%s = %q,%v", key, v, ok)
 				}
-				if !found {
-					t.Fatalf("cf row %q missing from index", p.Key)
+			}
+			for _, p := range db.Store().Scan(cfTable+"/", 0) {
+				if !strings.HasPrefix(p.Value, "fwd=+") {
+					t.Fatalf("%s = %q", p.Key, p.Value)
 				}
 			}
 			t.Logf("policy=%s metrics=%+v", name, m)

@@ -140,7 +140,7 @@ type Stats struct {
 	Sampling     Sampling             `json:"sampling"`
 	BlameDropped uint64               `json:"blame_dropped"`
 	BlameTop     []obs.BlameEntry     `json:"blame_top"`
-	Latches      lcrt.LockStats       `json:"latches"` // kv shard and stripe latches, summed
+	Latches      lcrt.LockStats       `json:"latches"` // kv shard latches, summed
 	Oltp         oltp.MetricsSnapshot `json:"oltp"`
 	// Wal is null for a volatile server, so pollers distinguish "no
 	// durability" from "durable but idle" without a probe.
@@ -244,17 +244,12 @@ func NewHandler(store *kv.Store, db *oltp.DB, rt *lcrt.Runtime, hist *lcrt.Histo
 			fmt.Fprintf(w, "%s=%s\n", p.Key, p.Value)
 		}
 	})
-	mux.HandleFunc("/lookup", func(w http.ResponseWriter, r *http.Request) {
-		for _, k := range store.Lookup(r.URL.Query().Get("value")) {
-			fmt.Fprintln(w, k)
-		}
-	})
 	mux.HandleFunc("/txn", func(w http.ResponseWriter, r *http.Request) {
 		handleTxn(db, w, r)
 	})
 	// The hot-swap lever: GET reports the current latch contention
-	// policy; POST flips every latch in the process — kv shards and
-	// stripes plus the oltp lock-table stripes — to the named policy.
+	// policy; POST flips every latch in the process — kv shard latches
+	// plus the oltp lock-table stripes — to the named policy.
 	mux.HandleFunc("/policy", func(w http.ResponseWriter, r *http.Request) {
 		switch r.Method {
 		case http.MethodGet:

@@ -33,7 +33,7 @@ func newTestServer(t *testing.T, durable bool) *testServer {
 	rt := lcrt.New(lcrt.Options{Interval: time.Millisecond})
 	rt.Start()
 	t.Cleanup(rt.Stop)
-	s := &testServer{store: kv.New(kv.Options{Shards: 4, IndexStripes: 2, Runtime: rt})}
+	s := &testServer{store: kv.New(kv.Options{Shards: 4, Runtime: rt})}
 	t.Cleanup(s.store.Close)
 	if durable {
 		var err error
@@ -127,6 +127,7 @@ func TestKVAndScanLimits(t *testing.T) {
 	}
 	s.want(t, "DELETE", "/kv/k", "", 204)
 	s.want(t, "DELETE", "/kv/k", "", 404)
+	s.want(t, "GET", "/lookup?value=v", "", 404) // no secondary index
 }
 
 func TestPolicyHotSwap(t *testing.T) {

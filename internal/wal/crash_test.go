@@ -48,7 +48,7 @@ func TestMain(m *testing.M) {
 func crashChild(dir string) {
 	rt := lcrt.New(lcrt.Options{})
 	rt.Start()
-	store := kv.New(kv.Options{Shards: 8, IndexStripes: 4, Runtime: rt})
+	store := kv.New(kv.Options{Shards: 8, Runtime: rt})
 	log, _, err := wal.Open(wal.Options{Dir: filepath.Join(dir, "wal"), Runtime: rt, Policy: golc.LoadControlled}, store)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "child:", err)
@@ -154,7 +154,7 @@ func TestCrashRecovery(t *testing.T) {
 	rt := lcrt.New(lcrt.Options{})
 	rt.Start()
 	defer rt.Stop()
-	store := kv.New(kv.Options{Shards: 8, IndexStripes: 4, Runtime: rt})
+	store := kv.New(kv.Options{Shards: 8, Runtime: rt})
 	log, rs, err := wal.Open(wal.Options{Dir: filepath.Join(dir, "wal"), Runtime: rt}, store)
 	if err != nil {
 		t.Fatalf("recovery: %v", err)

@@ -22,7 +22,7 @@ func testRuntime(t *testing.T) *lcrt.Runtime {
 }
 
 func testStore(rt *lcrt.Runtime) *kv.Store {
-	return kv.New(kv.Options{Shards: 8, IndexStripes: 4, Runtime: rt})
+	return kv.New(kv.Options{Shards: 8, Runtime: rt})
 }
 
 func openTest(t *testing.T, dir string, rt *lcrt.Runtime) (*Log, *kv.Store, RecoveryStats) {
