@@ -87,7 +87,7 @@ func main() {
 	var (
 		addr     = flag.String("addr", ":8080", "serve address")
 		shards   = flag.Int("shards", 16, "primary shards")
-		mode     = flag.String("mode", "lc", "latch contention policy, any registered one: spin, block, lc")
+		mode     = flag.String("mode", "lc", "latch contention policy: spin, block or lc")
 		policyFl = flag.String("policy", "waitdie", "deadlock policy for /txn transactions: waitdie or detect")
 		loadgen  = flag.Bool("loadgen", false, "be an HTTP load client for the running lcserve at -target, then exit")
 		target   = flag.String("target", "", "with -loadgen: base URL of the lcserve to drive (e.g. http://localhost:8080)")

@@ -20,7 +20,7 @@ import (
 //
 // Sites come in two flavors: stack sites (a captured PC chain, the
 // physical acquire path) and named sites (an interned label, e.g. the
-// oltp lock manager's logical table/partition blame classes). Both
+// oltp lock manager's logical partition/record blame classes). Both
 // share one ID space, so physical and logical edges live in the same
 // matrix and the same expositions.
 
@@ -222,7 +222,7 @@ func (r *Recorder) CallerSite(skip int) SiteID {
 }
 
 // NamedSite interns a logical (label-only) site, e.g. an oltp
-// table/partition blame class. Stable labels intern once and are cheap
+// partition/record blame class. Stable labels intern once and are cheap
 // thereafter.
 func (r *Recorder) NamedSite(name string) SiteID {
 	if name == "" {

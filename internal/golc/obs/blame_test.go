@@ -113,8 +113,8 @@ func TestBlameDropped(t *testing.T) {
 func TestWriteBlameFolded(t *testing.T) {
 	edges := []BlameEdge{
 		{
-			WaiterName: "oltp:table(acct)/want-X",
-			HolderName: "oltp:table(acct)/hold-S",
+			WaiterName: "oltp:partition(acct)/want-X",
+			HolderName: "oltp:partition(acct)/hold-S",
 			Lock:       "oltp/acct",
 			Count:      3,
 			Ns:         1500,
@@ -125,7 +125,7 @@ func TestWriteBlameFolded(t *testing.T) {
 	if err := WriteBlameFolded(&buf, edges); err != nil {
 		t.Fatal(err)
 	}
-	want := "oltp:table(acct)/want-X;lock:oltp/acct;holder:oltp:table(acct)/hold-S 1500\n" +
+	want := "oltp:partition(acct)/want-X;lock:oltp/acct;holder:oltp:partition(acct)/hold-S 1500\n" +
 		"spaced_site;lock:my_lock;holder:unknown 7\n"
 	if buf.String() != want {
 		t.Errorf("folded output:\n%q\nwant:\n%q", buf.String(), want)

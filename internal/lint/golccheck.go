@@ -47,19 +47,18 @@ const (
 	kindTicketSleep
 	// kindLogicalAcq: a lock-manager logical acquisition (a method or
 	// function named "acquire" taking an oltp.ResourceID) — input to
-	// the table→partition→record hierarchy check.
+	// the partition→record hierarchy check.
 	kindLogicalAcq
 )
 
 // Logical hierarchy levels, ranked: an acquisition must never go up.
 const (
 	levelUnknown = -1
-	levelTable   = 0
-	levelPart    = 1
-	levelRecord  = 2
+	levelPart    = 0
+	levelRecord  = 1
 )
 
-var levelNames = [...]string{"table", "partition", "record"}
+var levelNames = [...]string{"partition", "record"}
 
 // callInfo is one classified call.
 type callInfo struct {
@@ -221,7 +220,7 @@ func takesResourceID(fn *types.Func) bool {
 }
 
 // logicalLevel extracts the hierarchy level of a logical acquire's
-// ResourceID argument: a TableID/PartitionID/RecordID constructor call,
+// ResourceID argument: a PartitionID/RecordID constructor call,
 // or a composite literal with a constant Level field. Unrecognized
 // shapes return levelUnknown and produce no ordering edge.
 func logicalLevel(info *types.Info, call *ast.CallExpr) int {
@@ -244,8 +243,6 @@ func logicalLevel(info *types.Info, call *ast.CallExpr) int {
 				name = f.Sel.Name
 			}
 			switch name {
-			case "TableID":
-				return levelTable
 			case "PartitionID":
 				return levelPart
 			case "RecordID":
@@ -275,8 +272,6 @@ func logicalLevel(info *types.Info, call *ast.CallExpr) int {
 
 func levelByName(name string) int {
 	switch name {
-	case "LevelTable":
-		return levelTable
 	case "LevelPartition":
 		return levelPart
 	case "LevelRecord":

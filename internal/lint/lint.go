@@ -8,7 +8,7 @@
 //     is held — the runtime's "never park while holding" rule; TryLock
 //     is the sanctioned nested acquire.
 //   - lockorder: the static acquisition-order graph (golc lock classes
-//     plus oltp's table→partition→record logical hierarchy) must stay
+//     plus oltp's partition→record logical hierarchy) must stay
 //     acyclic.
 //   - ctxlock: context-aware acquisition paths must not be fed
 //     context.Background()/TODO() when a real deadline/cancel context

@@ -10,15 +10,15 @@ import (
 // Lockorder builds the program's static acquisition-order graph and
 // reports anything that could close a wait cycle. Nodes are lock
 // classes — "kv.shard.mu"-style struct fields, package-level lock vars,
-// and oltp's logical hierarchy levels (oltp/table, oltp/partition,
-// oltp/record). Edges come from a nested acquisition observed while
-// another class is held, directly or through the whole-program call
-// summaries (Pass.FactsOf) — a call into another module package that
+// and oltp's logical hierarchy levels (oltp/partition, oltp/record).
+// Edges come from a nested acquisition observed while another class is
+// held, directly or through the whole-program call summaries
+// (Pass.FactsOf) — a call into another module package that
 // transitively acquires a class draws the same edge a local
 // acquisition would. Three kinds of findings:
 //
 //   - a logical acquisition that climbs the hierarchy (record held,
-//     then table) — reported at the site;
+//     then partition) — reported at the site;
 //   - a same-class nested acquisition (the loop walker's second pass
 //     exposes iteration-carried holds) — reported at the site, because
 //     two instances of one class deadlock unless instances are totally
@@ -28,7 +28,7 @@ import (
 var Lockorder = &Analyzer{
 	Name: "lockorder",
 	Doc: "the static acquisition-order graph over golc lock classes and oltp's " +
-		"table→partition→record hierarchy must stay acyclic; a cycle is a potential " +
+		"partition→record hierarchy must stay acyclic; a cycle is a potential " +
 		"deadlock the waits-for detector would have to break by killing a victim.",
 	Run:   runLockorder,
 	Begin: beginLockorder,
@@ -88,7 +88,7 @@ func runLockorder(pass *Pass) error {
 					for _, h := range held {
 						if r := logicalRank(h.class); r > ci.level {
 							pass.Reportf(ci.call.Pos(),
-								"acquisition climbs the lock hierarchy: %s lock requested while a %s lock is held (order is table→partition→record)",
+								"acquisition climbs the lock hierarchy: %s lock requested while a %s lock is held (order is partition→record)",
 								levelNames[ci.level], levelNames[r])
 						}
 					}

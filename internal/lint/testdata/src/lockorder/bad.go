@@ -43,5 +43,5 @@ func climbsHierarchy(m *mgr) error {
 	if err := m.acquire(oltp.RecordID("t", 0, "k"), oltp.X); err != nil {
 		return err
 	}
-	return m.acquire(oltp.TableID("t"), oltp.IX) // want `climbs the lock hierarchy`
+	return m.acquire(oltp.PartitionID("t", 0), oltp.IX) // want `climbs the lock hierarchy`
 }

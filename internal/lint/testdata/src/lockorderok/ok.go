@@ -1,6 +1,6 @@
 // Package lockorderok holds clean fixtures for the lockorder analyzer:
 // a consistent two-class order used from several functions and a
-// proper table→partition→record descent must produce no findings.
+// proper partition→record descent must produce no findings.
 package lockorderok
 
 import (
@@ -47,9 +47,6 @@ func (m *mgr) acquire(id oltp.ResourceID, mode oltp.Mode) error {
 }
 
 func descendsHierarchy(m *mgr) error {
-	if err := m.acquire(oltp.TableID("t"), oltp.IX); err != nil {
-		return err
-	}
 	if err := m.acquire(oltp.PartitionID("t", 0), oltp.IX); err != nil {
 		return err
 	}

@@ -45,12 +45,13 @@ type DeadlockPolicy interface {
 	onWake(req *Txn)
 }
 
-// NewPolicy returns a fresh policy instance by name.
+// NewPolicy returns a fresh policy instance by its PolicyName; the set
+// is closed, so any other name is an error.
 func NewPolicy(name string) (DeadlockPolicy, error) {
 	switch name {
-	case "waitdie", "wait-die":
+	case "waitdie":
 		return NewWaitDiePolicy(), nil
-	case "detect", "detector":
+	case "detect":
 		return NewDetectPolicy(), nil
 	default:
 		return nil, fmt.Errorf("oltp: unknown deadlock policy %q (want waitdie or detect)", name)

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	goruntime "runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -12,22 +13,24 @@ import (
 )
 
 // TestNewPolicy pins the name→policy mapping used by lcserve's
-// -policy flag, and that instances report their names back.
+// -policy flag: each of the two names resolves to the policy that
+// reports it back, and anything else — a former alias included — is an
+// error that names the two.
 func TestNewPolicy(t *testing.T) {
-	for name, want := range map[string]string{
-		"waitdie": "waitdie", "wait-die": "waitdie",
-		"detect": "detect", "detector": "detect",
-	} {
+	for _, name := range []string{"waitdie", "detect"} {
 		p, err := NewPolicy(name)
 		if err != nil {
 			t.Fatalf("NewPolicy(%q): %v", name, err)
 		}
-		if p.PolicyName() != want {
-			t.Fatalf("NewPolicy(%q).PolicyName() = %q, want %q", name, p.PolicyName(), want)
+		if p.PolicyName() != name {
+			t.Fatalf("NewPolicy(%q).PolicyName() = %q", name, p.PolicyName())
 		}
 	}
-	if _, err := NewPolicy("nonsense"); err == nil {
-		t.Fatal("NewPolicy(nonsense) did not error")
+	for _, name := range []string{"wait-die", "nonsense"} {
+		_, err := NewPolicy(name)
+		if err == nil || !strings.Contains(err.Error(), "waitdie") || !strings.Contains(err.Error(), "detect") {
+			t.Fatalf("NewPolicy(%q) = %v, want an error naming waitdie and detect", name, err)
+		}
 	}
 }
 

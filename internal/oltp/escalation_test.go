@@ -69,9 +69,9 @@ func TestEscalationFoldsRecords(t *testing.T) {
 			t.Fatalf("vacated held slot +%d not cleared after escalation: %+v", i, e)
 		}
 	}
-	// table + partition only: the lock table shrank mid-transaction.
-	if n := db.LockEntries(); n != 2 {
-		t.Fatalf("lock-table entries after escalation = %d, want 2", n)
+	// The partition only: the lock table shrank mid-transaction.
+	if n := db.LockEntries(); n != 1 {
+		t.Fatalf("lock-table entries after escalation = %d, want 1", n)
 	}
 	// Further accesses under the escalated partition add no locks.
 	held := len(txn.held)

@@ -16,12 +16,12 @@ import (
 
 // TestCoarseLockUnderIntentionTraffic is the slot path's stress test:
 // workers run TATP-style reads and read-modify-writes on one table — IS
-// and IX at its table and partition nodes, off the latch — while
-// another loop runs ReadPartition (S at a partition) and escalating
-// transactions (X at a partition) on the same table. Every coarse
-// request must be granted without the backstop, what it locks must hold
-// still under it (a partition read twice reads the same), no increment
-// may be lost, and the lock table must drain. Run with -race in CI.
+// and IX at its partition nodes, off the latch — while another loop
+// runs ReadPartition (S at a partition) and escalating transactions (X
+// at a partition) on the same table. Every coarse request must be
+// granted without the backstop, what it locks must hold still under it
+// (a partition read twice reads the same), no increment may be lost,
+// and the lock table must drain. Run with -race in CI.
 func TestCoarseLockUnderIntentionTraffic(t *testing.T) {
 	prev := goruntime.GOMAXPROCS(4 * goruntime.NumCPU())
 	defer goruntime.GOMAXPROCS(prev)
@@ -160,7 +160,7 @@ func TestCoarseLockUnderIntentionTraffic(t *testing.T) {
 // leaves, and takes the gate down with it when it goes.
 func TestSlotsFullFallBackToHead(t *testing.T) {
 	db := newTestDB(t, golc.Block, Options{})
-	id := TableID("t")
+	id := PartitionID("t", 0)
 	hash := hashID(id)
 	older := db.Begin()
 	// The node's first request makes it, on the latched path.
@@ -242,7 +242,7 @@ func TestIdleNodesAreSwept(t *testing.T) {
 	if limit := len(db.lm.stripes) * (nodeSweepMin + 1); nodes > limit {
 		t.Fatalf("%d nodes linked after %d tables, want at most %d", nodes, tables, limit)
 	}
-	id := TableID("keep")
+	id := PartitionID("keep", db.Store().ShardOf(storageKey("keep", "k")))
 	hash := hashID(id)
 	if at := holder.find(id, hash); at < 0 || db.lm.stripeFor(hash).nodeOf(id, hash) != holder.held[at].lock {
 		t.Fatal("a held node was swept")

@@ -342,7 +342,7 @@ type lockTableOracle struct {
 	db   *DB
 	rng  *rand.Rand
 	txns []*oracleTxn
-	ids  []ResourceID // the table, its two partitions, their eight records
+	ids  []ResourceID // three partitions, then eight records in the first two
 	recs []ResourceID // the records among ids
 
 	slotWaits int // queued requests seen blocked by a slot holder
@@ -497,7 +497,7 @@ func TestLockTableMatchesHolderWalk(t *testing.T) {
 	t.Logf("seed %d (replay: OLTP_ORACLE_SEED=%d go test -run TestLockTableMatchesHolderWalk ./internal/oltp)", seed, seed)
 	db := newTestDB(t, golc.Block, Options{EscalationThreshold: 3, WaitTimeout: 2 * time.Millisecond})
 	d := &lockTableOracle{t: t, db: db, rng: rand.New(rand.NewSource(seed))}
-	d.ids = []ResourceID{TableID("t"), PartitionID("t", 0), PartitionID("t", 1)}
+	d.ids = []ResourceID{PartitionID("t", 0), PartitionID("t", 1), PartitionID("t", 2)}
 	for part := 0; part < 2; part++ {
 		for _, k := range keysInPartition(t, db, "t", part, 4) {
 			d.recs = append(d.recs, RecordID("t", part, k))
@@ -708,13 +708,13 @@ func TestBigTxnLockTable(t *testing.T) {
 		}
 	}
 	locked := time.Since(start)
-	// Every record, every partition (4096 keys leave none of 16 empty),
-	// the table.
-	if n := db.LockEntries(); n != records+parts+1 {
-		t.Fatalf("lock-table entries at peak = %d, want %d", n, records+parts+1)
+	// Every record and every partition (4096 keys leave none of 16
+	// empty).
+	if n := db.LockEntries(); n != records+parts {
+		t.Fatalf("lock-table entries at peak = %d, want %d", n, records+parts)
 	}
-	if len(txn.held) != records+parts+1 || len(txn.index) != len(txn.held) {
-		t.Fatalf("held %d entries, index %d, want %d each", len(txn.held), len(txn.index), records+parts+1)
+	if len(txn.held) != records+parts || len(txn.index) != len(txn.held) {
+		t.Fatalf("held %d entries, index %d, want %d each", len(txn.held), len(txn.index), records+parts)
 	}
 	if err := txn.Commit(); err != nil {
 		t.Fatal(err)

@@ -75,19 +75,17 @@ var lub = [6][6]Mode{
 // covers reports whether holding `held` already grants `want`.
 func covers(held, want Mode) bool { return lub[held][want] == held }
 
-// Level locates a resource in the hierarchy.
+// Level locates a resource in the hierarchy: a partition, or a record
+// beneath one.
 type Level int
 
 const (
-	LevelTable Level = iota
-	LevelPartition
+	LevelPartition Level = iota
 	LevelRecord
 )
 
 func (l Level) String() string {
 	switch l {
-	case LevelTable:
-		return "table"
 	case LevelPartition:
 		return "partition"
 	case LevelRecord:
@@ -97,9 +95,9 @@ func (l Level) String() string {
 	}
 }
 
-// ResourceID names one lockable node in the hierarchy. Partition is -1
-// at table level; Key is empty above record level. Record IDs carry
-// their partition so a lock dump reads hierarchically.
+// ResourceID names one lockable node in the hierarchy. Key is empty at
+// partition level. Record IDs carry their partition so a lock dump
+// reads hierarchically.
 type ResourceID struct {
 	Level     Level
 	Table     string
@@ -108,19 +106,10 @@ type ResourceID struct {
 }
 
 func (id ResourceID) String() string {
-	switch id.Level {
-	case LevelTable:
-		return fmt.Sprintf("table(%s)", id.Table)
-	case LevelPartition:
+	if id.Level == LevelPartition {
 		return fmt.Sprintf("partition(%s/%d)", id.Table, id.Partition)
-	default:
-		return fmt.Sprintf("record(%s/%d/%s)", id.Table, id.Partition, id.Key)
 	}
-}
-
-// TableID names a table node.
-func TableID(table string) ResourceID {
-	return ResourceID{Level: LevelTable, Table: table, Partition: -1}
+	return fmt.Sprintf("record(%s/%d/%s)", id.Table, id.Partition, id.Key)
 }
 
 // PartitionID names a partition node (partition ids are the kv store's
@@ -138,14 +127,10 @@ func RecordID(table string, part int, key string) ResourceID {
 // the per-record identity — blame aggregates classes of conflict, not
 // individual keys.
 func classOf(id ResourceID) string {
-	switch id.Level {
-	case LevelTable:
-		return "table(" + id.Table + ")"
-	case LevelPartition:
+	if id.Level == LevelPartition {
 		return "partition(" + id.Table + ")"
-	default:
-		return "record(" + id.Table + ")"
 	}
+	return "record(" + id.Table + ")"
 }
 
 // waiter is one blocked logical lock request. ready is closed exactly
@@ -167,13 +152,15 @@ type waiter struct {
 	cancel  context.CancelFunc
 }
 
-// nodeSlots is how many intention holds a table or partition node keeps
-// off the latch; past it IS and IX requests take the latched head.
-// lcperf's 8x workloads run 32 workers per CPU, 64 on the 2-CPU host
-// measured, all holding intention locks on one or two table nodes for
-// their whole transaction. There 16 slots
-// sent 7.5% (tatp_8x) and 15% (write_durable_8x) of intention requests
-// to the head and kept all of 64 slots' throughput; 8 lost some.
+// nodeSlots is how many intention holds a partition node keeps off the
+// latch; past it IS and IX requests take the latched head. The value
+// was sized when the hierarchy still had a table level, whose one or
+// two nodes every worker of lcperf's 8x workloads (64 on the 2-CPU host
+// measured) held for its whole transaction: there 16 slots sent 7.5%
+// (tatp_8x) and 15% (write_durable_8x) of intention requests to the
+// head and kept all of 64 slots' throughput; 8 lost some. A partition
+// node sees fewer holders than those table nodes did; the value has not
+// been re-tuned for it.
 const nodeSlots = 16
 
 // nodeSweepMin is how many nodes a stripe links before the next link
@@ -206,7 +193,7 @@ func (s *slot) clear() {
 	s.txn.Store(nil)
 }
 
-// intents is the latch-free half of a table or partition node: IS and
+// intents is the latch-free half of a partition node: IS and
 // IX holds by identity, one slot each, and the gate that shuts them out.
 // The gate is raised, under the stripe latch, by an S, SIX or X request
 // before it reads the slots; it comes down, under the latch, once the
@@ -289,7 +276,7 @@ type holder struct {
 // detector's edge set, the blame label, and a transaction finding its
 // own entry to upgrade or drop it.
 //
-// A table or partition head is a node: it also carries intents, the
+// A partition head is a node: it also carries intents, the
 // IS/IX holds taken without the latch. Those are outside counts and
 // holders, and only S, SIX and X conflict with them, so only those
 // requests read them.
@@ -371,13 +358,13 @@ func (l *dbLock) dequeue(i int) {
 // group and queue have emptied is unlinked and kept on free, so a
 // stripe that has seen its peak allocates nothing per acquire.
 //
-// Table and partition nodes live apart, in nodes: the intention fast
-// path finds them without the latch, so the table is published
-// copy-on-write (buckets included) and a node is never recycled. A
-// fixed schema makes them few — its tables times the partitions — but
-// table names are outside input (lcserve's /txn takes them from the
-// request body), so an idle node is dropped by the sweep in node
-// rather than kept for the DB's lifetime.
+// Partition nodes live apart, in nodes: the intention fast path finds
+// them without the latch, so the table is published copy-on-write
+// (buckets included) and a node is never recycled. A fixed schema makes
+// them few — its tables times the partitions — but table names are
+// outside input (lcserve's /txn takes them from the request body), so
+// an idle node is dropped by the sweep in node rather than kept for the
+// DB's lifetime.
 type lmStripe struct {
 	latch   *golc.Mutex
 	locks   map[uint64]*dbLock // record heads
@@ -521,6 +508,11 @@ func (st *lmStripe) settle(l *dbLock) {
 	st.retire(l)
 }
 
+// lockStripes is how many latched stripes the lock table is split into.
+// It is a constant, not an option, because every DB ever built has used
+// this count: no caller, test or benchmark needs another.
+const lockStripes = 32
+
 // lockManager is the DB's logical lock table. The deadlock policy owns
 // every die-vs-wait decision (see DeadlockPolicy).
 type lockManager struct {
@@ -534,7 +526,7 @@ type lockManager struct {
 
 func newLockManager(pol golc.ContentionPolicy, o Options, m *Metrics, rec *obs.Recorder, lockWait *obs.Histogram) *lockManager {
 	lm := &lockManager{timeout: o.WaitTimeout, policy: o.DeadlockPolicy, m: m, rec: rec, lockWait: lockWait}
-	for i := 0; i < o.LockStripes; i++ {
+	for i := range lockStripes {
 		lm.stripes = append(lm.stripes, &lmStripe{
 			latch: golc.New(fmt.Sprintf("oltp/lm-%03d", i),
 				golc.WithPolicy(pol), golc.WithRuntime(latchRuntime(o))),
@@ -578,7 +570,7 @@ func hashID(id ResourceID) uint64 {
 		}
 	}
 	mix(id.Table)
-	h ^= uint64(id.Level)<<8 | uint64(uint32(id.Partition+1))
+	h ^= uint64(id.Level)<<8 | uint64(uint32(id.Partition))
 	h *= 1099511628211
 	mix(id.Key)
 	return h
@@ -680,12 +672,11 @@ func (lm *lockManager) acquire(txn *Txn, id ResourceID, want Mode) error {
 	return err
 }
 
-// intent is the latch-free path for IS or IX at a table or partition
-// node. It reads the gate first and, if it is down, claims a slot (or
-// raises the transaction's own slot from IS to IX). It reports false —
-// the request takes the latched path — when the gate is up, the slots
-// are full, the node does not exist yet or the hold being upgraded is a
-// named one.
+// intent is the latch-free path for IS or IX at a partition node. It
+// reads the gate first and, if it is down, claims a slot (or raises the
+// transaction's own slot from IS to IX). It reports false — the request
+// takes the latched path — when the gate is up, the slots are full, the
+// node does not exist yet or the hold being upgraded is a named one.
 func (lm *lockManager) intent(txn *Txn, st *lmStripe, at int, id ResourceID, hash uint64, goal Mode) (int, bool) {
 	if at >= 0 {
 		e := &txn.held[at]

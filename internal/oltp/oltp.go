@@ -10,11 +10,14 @@
 // kernel quantum. The simulator models this (internal/storage); this
 // package runs it on actual hardware:
 //
-//   - Logical locks form a hierarchy — table → partition → record —
-//     with the standard intention modes (IS, IX, S, SIX, X) and
-//     compatibility matrix. Partitions are the kv store's shards
+//   - Logical locks form a hierarchy — partition → record — with the
+//     standard intention modes (IS, IX, S, SIX, X) and compatibility
+//     matrix. A partition is one table's part of a kv store shard
 //     (kv.Store.ShardOf), so a hot partition in the transaction layer
-//     is exactly a hot shard latch in the store.
+//     is exactly a hot shard latch in the store. There is no table
+//     level: every caller would take only IS or IX there, which never
+//     conflict, so such a lock could only cost — and every worker
+//     would share it.
 //   - The lock table itself is guarded by striped latches that are
 //     golc primitives registered with the shared load-control runtime
 //     under the store's contention policy, so lock-manager latching —
@@ -31,16 +34,15 @@
 //     release is by pointer, and a request its own hold already covers
 //     never reaches the latch; emptied heads wait on a per-stripe free
 //     list, so an uncontended acquire and release allocate nothing.
-//   - IS and IX at table and partition nodes — every transaction's
-//     first two locks per table — do not take the latch at all: a node
-//     keeps 16 identity slots, and an intention request CASes itself
-//     into one while the node's gate is down, then reads the gate again
-//     and backs out to the latched head if it came up. An S, SIX or X
-//     request raises the gate under the latch before it reads the
-//     slots, so it sees every slot holder by identity — for its grant
-//     test, for wait-die's age test and for the detector's edges — and
-//     queues on them like on any holder; the last slot release grants
-//     it.
+//   - IS and IX at partition nodes — every record access's first
+//     lock — do not take the latch at all: a node keeps 16 identity
+//     slots, and an intention request CASes itself into one while the
+//     node's gate is down, then reads the gate again and backs out to
+//     the latched head if it came up. An S, SIX or X request raises
+//     the gate under the latch before it reads the slots, so it sees
+//     every slot holder by identity — for its grant test, for
+//     wait-die's age test and for the detector's edges — and queues on
+//     them like on any holder; the last slot release grants it.
 //   - Logical waits block on a per-waiter channel, never on a latch:
 //     transactions hold locks for far too long for spinning to make
 //     sense, and a blocked transaction must not wedge the lock table.
@@ -178,8 +180,6 @@ type Options struct {
 	// policy instance may carry per-DB state — never share one
 	// instance between DBs.
 	DeadlockPolicy DeadlockPolicy
-	// LockStripes is the number of lock-table stripes (default 32).
-	LockStripes int
 	// WaitTimeout bounds one logical lock wait (default 2s). Both
 	// deadlock policies resolve conflicts themselves, so this firing
 	// means overload or a bug; it is counted separately in Metrics.
@@ -208,9 +208,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.DeadlockPolicy == nil {
 		o.DeadlockPolicy = NewWaitDiePolicy()
-	}
-	if o.LockStripes <= 0 {
-		o.LockStripes = 32
 	}
 	if o.WaitTimeout == 0 {
 		o.WaitTimeout = 2 * time.Second
@@ -346,8 +343,8 @@ func (db *DB) Metrics() MetricsSnapshot { return db.m.snapshot() }
 func (db *DB) PolicyName() string { return db.opts.DeadlockPolicy.PolicyName() }
 
 // LockEntries counts live lock-table entries across all stripes; a
-// table or partition node held only through intention slots counts as
-// one entry, however many slots are taken. A quiescent DB must report
+// partition node held only through intention slots counts as one
+// entry, however many slots are taken. A quiescent DB must report
 // zero under every policy — locks are strict 2PL (escalation's record
 // fold-in included), so anything left over is a leak. It latches every stripe; meant for stats and tests, not hot
 // paths.

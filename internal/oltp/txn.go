@@ -146,9 +146,9 @@ func (t *Txn) noteAbort(e *AbortError) error {
 	return e
 }
 
-// lockRecord climbs the hierarchy for one record access: intention
-// modes on table and partition, then the leaf mode on the record. A
-// coarse hold (S/SIX/X at an ancestor, per covering) short-circuits
+// lockRecord descends the hierarchy for one record access: the
+// intention mode on the partition, then the leaf mode on the record. A
+// coarse hold (S/SIX/X at the partition, per covering) short-circuits
 // the descent — that is the point of hierarchical locking. Each level
 // is one acquireAt: a request the transaction's hold already covers
 // comes back from it without touching the lock table.
@@ -158,10 +158,6 @@ func (t *Txn) lockRecord(table string, part int, key string, write bool) error {
 		intent, leaf = IX, X
 	}
 	lm := t.db.lm
-	ti, err := lm.acquireAt(t, TableID(table), intent)
-	if err != nil || coarseCovers(t.held[ti].mode, write) {
-		return err
-	}
 	pi, err := lm.acquireAt(t, PartitionID(table, part), intent)
 	if err != nil || coarseCovers(t.held[pi].mode, write) {
 		return err
@@ -239,9 +235,9 @@ func (t *Txn) escalate(pi int, write bool) error {
 	return nil
 }
 
-// coarseCovers reports whether a hold at an ancestor level already
-// grants the whole subtree for this access: S, SIX and X cover reads;
-// only X covers writes (SIX still needs record-level X below).
+// coarseCovers reports whether a partition hold already grants the
+// whole subtree for this access: S, SIX and X cover reads; only X
+// covers writes (SIX still needs record-level X below).
 func coarseCovers(m Mode, write bool) bool {
 	if write {
 		return m == X
@@ -250,8 +246,8 @@ func coarseCovers(m Mode, write bool) bool {
 }
 
 // Read returns the committed value for (table, key) — or this
-// transaction's own buffered write. Locks: IS table → IS partition →
-// S record (strict 2PL, so reads are repeatable).
+// transaction's own buffered write. Locks: IS partition → S record
+// (strict 2PL, so reads are repeatable).
 func (t *Txn) Read(table, key string) (string, bool, error) {
 	if err := t.active(); err != nil {
 		return "", false, err
@@ -270,9 +266,9 @@ func (t *Txn) Read(table, key string) (string, bool, error) {
 	return v, ok, nil
 }
 
-// Write buffers a put of (table, key) = value. Locks: IX table → IX
-// partition → X record, taken now (growing phase); the store is only
-// touched at Commit.
+// Write buffers a put of (table, key) = value. Locks: IX partition → X
+// record, taken now (growing phase); the store is only touched at
+// Commit.
 func (t *Txn) Write(table, key, value string) error {
 	if err := t.active(); err != nil {
 		return err
@@ -322,14 +318,8 @@ func (t *Txn) ReadPartition(table string, part int) ([]kv.KV, error) {
 		// with partition locks held would wedge every conflicting txn.
 		return nil, fmt.Errorf("oltp: partition %d out of range [0,%d)", part, t.db.store.Shards())
 	}
-	ti, err := t.db.lm.acquireAt(t, TableID(table), IS)
-	if err != nil {
+	if err := t.db.lm.acquire(t, PartitionID(table, part), S); err != nil {
 		return nil, err
-	}
-	if !coarseCovers(t.held[ti].mode, false) {
-		if err := t.db.lm.acquire(t, PartitionID(table, part), S); err != nil {
-			return nil, err
-		}
 	}
 	prefix := table + "/"
 	scanned := t.db.store.ScanShard(part)

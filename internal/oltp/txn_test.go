@@ -21,8 +21,16 @@ func TestReadWriteCommit(t *testing.T) {
 				if _, ok, err := txn.Read("acct", "alice"); err != nil || ok {
 					return fmt.Errorf("read empty = %v, %v", ok, err)
 				}
+				// Partition IS and record S: nothing above the partition.
+				if len(txn.held) != 2 {
+					return fmt.Errorf("one read holds %d locks, want 2", len(txn.held))
+				}
 				if err := txn.Write("acct", "alice", "100"); err != nil {
 					return err
+				}
+				// IS→IX and S→X, both upgraded in place.
+				if len(txn.held) != 2 {
+					return fmt.Errorf("read then write of one key holds %d locks, want 2", len(txn.held))
 				}
 				// Read-your-writes.
 				if v, ok, err := txn.Read("acct", "alice"); err != nil || !ok || v != "100" {
@@ -124,7 +132,7 @@ func TestTwoTxnCycleOneAbort(t *testing.T) {
 }
 
 // TestAbortReleasesAllLocks: an aborted transaction must leave
-// NOTHING locked — every record, partition, and table lock it
+// NOTHING locked — every record and partition lock it
 // accumulated is released, the lock table drains to empty, and a
 // younger transaction can immediately take X on everything it held.
 func TestAbortReleasesAllLocks(t *testing.T) {
@@ -139,8 +147,8 @@ func TestAbortReleasesAllLocks(t *testing.T) {
 	if _, err := victim.ReadPartition("tbl", 0); err != nil { // adds a partition-level lock
 		t.Fatal(err)
 	}
-	if held := len(victim.held); held < len(keys)+2 {
-		t.Fatalf("victim holds %d locks, expected at least %d (records+table+partitions)", held, len(keys)+2)
+	if held := len(victim.held); held < len(keys)+1 {
+		t.Fatalf("victim holds %d locks, expected at least %d (records+partitions)", held, len(keys)+1)
 	}
 	if db.lm.entries() == 0 {
 		t.Fatal("lock table empty while victim holds locks")
@@ -199,8 +207,7 @@ func TestHierarchyIntentionLocks(t *testing.T) {
 		t.Fatalf("write into S-locked partition = %v, want wait-die abort", err)
 	}
 	writer.Abort()
-	// Write outside it: proceeds (IS table from scanner is compatible
-	// with IX table; partition 0's S is not touched).
+	// Write outside it: proceeds (partition 0's S is not touched).
 	writer2 := db.Begin()
 	if err := writer2.Write("tbl", keyOut, "v"); err != nil {
 		t.Fatalf("write outside S-locked partition: %v", err)
