@@ -19,8 +19,8 @@
 // /debug/pprof/. golc latch waits live in the flight recorder
 // (/metrics, /trace, /debug/contention), not the runtime's profiles.
 //
-// The /policy endpoint is the operator's overload lever: POST any
-// registered golc contention policy name (spin, block, lc) and every
+// The /policy endpoint is the operator's overload lever: POST a golc
+// contention policy name (spin, block, lc) and every
 // shard and lock-table latch flips to it live via SetPolicy — e.g.
 // moving a service that was started with spin latches onto
 // load-controlled waiting as multiprogramming climbs, without a

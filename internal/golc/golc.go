@@ -3,22 +3,18 @@
 // adapted to the Go runtime.
 //
 // The locks themselves are thin: ONE TATAS mutex (Mutex) and ONE
-// writer-preferring reader/writer variant (RWMutex), each parameterized
-// by a swappable ContentionPolicy that owns the entire wait side —
-// spin cadence, grace spin, slot-pool parking, context cancellation.
-// The built-in policies are Spin (uncontrolled baseline), Block
-// (spin-then-block on the shared slot pool), and LoadControlled (the
-// paper's protocol: spinners interleave slot-buffer checks into their
-// spin loops and park when the controller says the system is
-// oversubscribed). Policies are selected by value
-// (golc.New(name, golc.WithPolicy(golc.Spin)) — a custom
-// ContentionPolicy goes in the same way), the built-ins also by name
-// (PolicyByName), and hot-swapped on live locks (SetPolicy). Every
-// contended wait of every lock is one call of Wait, the single seam
-// that runs the policy and records the wait. All release paths wake a
-// parked waiter when no spinner remains (runtime.Handle.NoteUnlock),
-// so a free lock never idles until the safety timeout under any
-// policy.
+// writer-preferring reader/writer variant (RWMutex), each waiting
+// under a swappable ContentionPolicy — Spin (uncontrolled baseline),
+// Block (spin-then-block on the shared slot pool), or LoadControlled,
+// the default (the paper's protocol: spinners interleave slot-buffer
+// checks into their spin loops and park when the controller says the
+// system is oversubscribed). Policies are selected by value
+// (WithPolicy) or by name (PolicyByName) and hot-swapped on live locks
+// (SetPolicy). Every contended wait of every lock is one call of Wait,
+// the single seam that runs the policy and records the wait. All
+// release paths wake a parked waiter when no spinner remains
+// (runtime.Handle.NoteUnlock), so a free lock never idles until the
+// safety timeout under any policy.
 //
 // All load-control policy state lives in the process-wide runtime
 // (internal/golc/runtime): one controller goroutine, one load sensor,

@@ -25,31 +25,16 @@ type Option func(*config)
 func WithRuntime(rt *lcrt.Runtime) Option { return func(c *config) { c.rt = rt } }
 
 // WithPolicy sets the lock's initial contention policy (default
-// LoadControlled): a built-in, by value or resolved through
-// PolicyByName, or any ContentionPolicy of the caller's own. See
-// SetPolicy for runtime hot-swap.
+// LoadControlled, the zero value), by value or resolved through
+// PolicyByName. See SetPolicy for runtime hot-swap.
 func WithPolicy(p ContentionPolicy) Option { return func(c *config) { c.pol = p } }
-
-func buildConfig(opts []Option) config {
-	var c config
-	for _, o := range opts {
-		o(&c)
-	}
-	if c.rt == nil {
-		c.rt = lcrt.Default()
-	}
-	if c.pol == nil {
-		c.pol = LoadControlled
-	}
-	return c
-}
 
 // core is what Mutex and RWMutex are apart from their lock word: the
 // swappable policy, the runtime handle, and the bookkeeping of one
 // exclusive hold. The lock types embed it, so Policy, SetPolicy, Close
 // and Stats are declared once for both.
 type core struct {
-	pol atomic.Pointer[ContentionPolicy]
+	pol atomic.Uint32 // a ContentionPolicy
 	h   *lcrt.Handle
 
 	// holdSeq counts acquisitions and holdStart carries the recorder
@@ -74,24 +59,29 @@ type core struct {
 // init registers the lock under name with the options' runtime and
 // installs the options' policy.
 func (c *core) init(name string, opts []Option) {
-	cfg := buildConfig(opts)
+	var cfg config
+	for _, o := range opts {
+		o(&cfg)
+	}
+	if cfg.rt == nil {
+		cfg.rt = lcrt.Default()
+	}
 	c.h = cfg.rt.Register(name)
-	c.pol.Store(&cfg.pol)
+	c.pol.Store(uint32(cfg.pol))
 	c.h.NotePolicy(cfg.pol.Name())
 }
 
 // Policy returns the lock's current contention policy.
-func (c *core) Policy() ContentionPolicy { return *c.pol.Load() }
+func (c *core) Policy() ContentionPolicy { return ContentionPolicy(c.pol.Load()) }
 
 // SetPolicy hot-swaps the lock's contention policy. New acquisition
-// attempts use p immediately; a waiter already inside the old policy's
-// Wait finishes its acquisition under the old policy (it re-reads
-// nothing mid-wait), so a flip under load completes as the standing
-// waiters drain — no acquisition is ever lost or woken incorrectly,
-// because all policies share the same lock word and park/wake
-// protocol.
+// attempts use p immediately; a waiter already inside Wait finishes its
+// acquisition under the old policy (it re-reads nothing mid-wait), so a
+// flip under load completes as the standing waiters drain — no
+// acquisition is ever lost or woken incorrectly, because all policies
+// share the same lock word and park/wake protocol.
 func (c *core) SetPolicy(p ContentionPolicy) {
-	c.pol.Store(&p)
+	c.pol.Store(uint32(p))
 	c.h.NotePolicy(p.Name())
 	c.h.Obs().Event(obs.EvPolicySwap, c.h.Name(), p.Name(), 0)
 }
@@ -146,23 +136,12 @@ func (c *core) releasing() int64 {
 	return start
 }
 
-// abandoned reports a policy that returned an error from a wait no
-// context could cancel. That breaks Wait's contract, and returning
-// would let the caller enter the critical section without the lock:
-// fail loudly.
-func (c *core) abandoned(op string, err error) {
-	panic("golc: policy " + c.Policy().Name() + " abandoned an uncancellable " + op + ": " + err.Error())
-}
-
 // Mutex is THE mutual-exclusion lock of this package: a TATAS lock
-// word whose entire wait side — spin cadence, spin-then-park
-// threshold, slot-pool parking, or none of the above — is owned by a
-// swappable ContentionPolicy. Under the LoadControlled policy it is
-// the paper's augmented spinlock (§3.1.2); under Spin it is the
-// uncontrolled baseline; under Block it is a spin-then-block lock on
-// the same slot pool. The unlock path always offers the unlock-side
-// wake (one atomic load when nothing is parked), so a free lock never
-// idles until the safety timeout regardless of policy.
+// word whose wait side is its swappable ContentionPolicy — under
+// LoadControlled, the paper's augmented spinlock (§3.1.2). The unlock
+// path always offers the unlock-side wake (one atomic load when nothing
+// is parked), so a free lock never idles until the safety timeout
+// regardless of policy.
 //
 // A Mutex must be created with New; it registers with a load-control
 // Runtime at construction.
@@ -200,9 +179,7 @@ func (m *Mutex) Lock() {
 		m.stampHold()
 		return
 	}
-	if err := m.lockSlow(context.Background()); err != nil {
-		m.abandoned("Lock", err)
-	}
+	_ = m.lockSlow(context.Background()) // a Background wait cannot fail
 }
 
 // LockCtx is Lock with a cancellation route: if ctx is cancelled

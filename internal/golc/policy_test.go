@@ -14,38 +14,6 @@ import (
 	lcrt "repro/internal/golc/runtime"
 )
 
-// sleepyPolicy is the conformance suite's user-defined toy policy:
-// poll-then-nap with a fixed backoff, no runtime parking at all. It
-// exists to prove the ContentionPolicy surface is implementable from
-// outside the built-in set: it reaches locks by value (WithPolicy,
-// SetPolicy) and the suite sweeps it beside the built-ins.
-type sleepyPolicy struct{}
-
-func (sleepyPolicy) Name() string { return "test-sleepy" }
-
-func (sleepyPolicy) Wait(ctx context.Context, h *lcrt.Handle, a Acquire) error {
-	var done <-chan struct{}
-	if ctx != nil {
-		done = ctx.Done()
-	}
-	h.Spinning(1)
-	defer h.Spinning(-1)
-	spins := 0
-	for {
-		if a.Try() {
-			h.NoteSpins(spins)
-			return nil
-		}
-		spins++
-		select {
-		case <-done:
-			h.NoteSpins(spins)
-			return ctx.Err()
-		case <-time.After(50 * time.Microsecond):
-		}
-	}
-}
-
 // conformanceRuntime: a constant-high load signal so the lc policy
 // genuinely parks during the suite, plus a sleep timeout short enough
 // that a lost wakeup converts into visible TimeoutWakes rather than a
@@ -62,9 +30,10 @@ func conformanceRuntime(t *testing.T) *lcrt.Runtime {
 	return rt
 }
 
-// TestPolicyByName pins the by-name surface: the closed set of
-// built-ins resolves, anything else — a custom policy's name included —
-// is refused with the set listed, and a custom policy goes in by value.
+// TestPolicyByName pins the by-name surface and the defaults: the
+// closed set resolves and every name round-trips, anything else is
+// refused with the set listed, and the zero policy — what a lock built
+// without WithPolicy runs — is lc.
 func TestPolicyByName(t *testing.T) {
 	names := PolicyNames()
 	if !slices.Equal(names, []string{"block", "lc", "spin"}) {
@@ -79,27 +48,28 @@ func TestPolicyByName(t *testing.T) {
 			t.Fatalf("PolicyByName(%q).Name() = %q", name, p.Name())
 		}
 	}
-	for _, name := range []string{"nonsense", "", sleepyPolicy{}.Name()} {
+	for _, name := range []string{"nonsense", "", "load-control"} {
 		if _, err := PolicyByName(name); err == nil || !strings.Contains(err.Error(), "[block lc spin]") {
-			t.Fatalf("PolicyByName(%q) = %v, want an error listing the built-ins", name, err)
+			t.Fatalf("PolicyByName(%q) = %v, want an error listing the set", name, err)
 		}
 	}
-	mu := New("by-value", WithPolicy(sleepyPolicy{}), WithRuntime(conformanceRuntime(t)))
-	if got := mu.Stats().Policy; got != "test-sleepy" {
-		t.Fatalf("WithPolicy(custom): stats report policy %q", got)
+	var zero ContentionPolicy
+	if zero != LoadControlled || zero.Name() != "lc" {
+		t.Fatalf("zero ContentionPolicy = %d %q, want LoadControlled", zero, zero.Name())
 	}
-	mu.SetPolicy(Spin)
-	mu.SetPolicy(sleepyPolicy{})
-	if got := mu.Policy().Name(); got != "test-sleepy" {
-		t.Fatalf("SetPolicy(custom): Policy() = %q", got)
+	rt := conformanceRuntime(t)
+	for _, st := range []lcrt.LockStats{New("default", WithRuntime(rt)).Stats(), NewRW("default-rw", WithRuntime(rt)).Stats()} {
+		if st.Policy != "lc" {
+			t.Fatalf("%s built without WithPolicy reports policy %q, want lc", st.Name, st.Policy)
+		}
 	}
 }
 
-// conformancePolicies is what the suite sweeps: the three built-ins,
-// resolved by name, plus the toy sleepy policy.
+// conformancePolicies is what the suite sweeps: the three policies,
+// resolved by name.
 func conformancePolicies(t *testing.T) []ContentionPolicy {
 	t.Helper()
-	pols := []ContentionPolicy{sleepyPolicy{}}
+	var pols []ContentionPolicy
 	for _, name := range PolicyNames() {
 		pol, err := PolicyByName(name)
 		if err != nil {
@@ -277,8 +247,8 @@ func TestPolicyConformanceNoLostWakeup(t *testing.T) {
 			mu.Unlock()
 			close(acquired)
 		}()
-		// Give parking policies time to actually park (the sleepy and
-		// spin policies just wait their cadence out).
+		// Give parking policies time to actually park (spin just waits
+		// its cadence out).
 		deadline := time.Now().Add(time.Second)
 		for mu.Stats().SpinningNow == 0 && mu.Stats().SleepingNow == 0 {
 			if time.Now().After(deadline) {
@@ -344,10 +314,10 @@ func TestPolicyConformanceStatsMonotonic(t *testing.T) {
 }
 
 // TestPolicyConformanceWaitRecorded: the wait-time seam is golc.Wait,
-// outside every policy, so each policy — including the user-defined
-// sleepy one, which never touches the runtime's park path — must feed
-// the per-lock and global wait histograms on a contended acquisition,
-// for free, on either lock type.
+// around every policy's loop, so each policy — spin included, which
+// never touches the runtime's park path — must feed the per-lock and
+// global wait histograms on a contended acquisition, on either lock
+// type.
 func TestPolicyConformanceWaitRecorded(t *testing.T) {
 	// One lock as the test needs it: the first hold, the contended
 	// acquire under test, the release of either.
@@ -414,7 +384,7 @@ func TestPolicyConformanceWaitRecorded(t *testing.T) {
 }
 
 // TestPolicyHotSwap flips a contended lock between every pair of
-// conformance policies while workers hammer it: no lost update, no
+// policies while workers hammer it: no lost update, no
 // stranded waiter, and the getter reports the last policy set.
 func TestPolicyHotSwap(t *testing.T) {
 	rt := conformanceRuntime(t)
@@ -597,6 +567,60 @@ func TestCancelledSpinnerDoesNotStrandParkedWaiter(t *testing.T) {
 			}
 			if snap := rt.Snapshot(); snap.TimeoutWakes != 0 {
 				t.Fatalf("a waiter fell back to the safety timeout: %+v", snap)
+			}
+		})
+	}
+}
+
+// TestTimeoutWakeFoundFree: a park that the safety timeout ends counts
+// as TimeoutWakesFree only if the lock is free when the waiter looks
+// again — a release that skipped its wake. The flag stands in for a
+// lock, and PrePark clears it without NoteUnlock, after the post-claim
+// re-check, so nothing but the 5ms backstop can end that park. Block
+// parks on its first claim, and the controller never wakes a forced
+// sleeper.
+func TestTimeoutWakeFoundFree(t *testing.T) {
+	for _, released := range []bool{true, false} {
+		t.Run(fmt.Sprintf("released=%v", released), func(t *testing.T) {
+			rt := newTestRuntime(t, lcrt.Options{SleepTimeout: 5 * time.Millisecond})
+			h := rt.Register("flag")
+			var held atomic.Bool
+			held.Store(true)
+			acq := Acquire{
+				Try:  func() bool { return held.CompareAndSwap(false, true) },
+				Free: func() bool { return !held.Load() },
+				PrePark: func(lcrt.Ticket) {
+					if released {
+						held.Store(false)
+					}
+				},
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			errc := make(chan error, 1)
+			go func() {
+				_, err := Wait(ctx, h, Block, acq)
+				errc <- err
+			}()
+			if released {
+				if err := <-errc; err != nil {
+					t.Fatalf("Wait = %v", err)
+				}
+			} else {
+				waitFor(t, "a timeout wake", func() bool { return h.Stats().TimeoutWakes > 0 })
+				cancel()
+				if err := <-errc; !errors.Is(err, context.Canceled) {
+					t.Fatalf("Wait = %v, want context.Canceled", err)
+				}
+			}
+			st, snap := h.Stats(), rt.Snapshot()
+			want := uint64(0)
+			if released {
+				want = 1
+			}
+			if st.TimeoutWakes == 0 || st.TimeoutWakesFree != want || snap.TimeoutWakesFree != want {
+				t.Fatalf("timeout wakes %d, free %d (runtime %d), want free %d",
+					st.TimeoutWakes, st.TimeoutWakesFree, snap.TimeoutWakesFree, want)
 			}
 		})
 	}

@@ -96,14 +96,15 @@ func (o Options) withDefaults() Options {
 
 // LockStats is the per-lock slice of a Snapshot.
 type LockStats struct {
-	Name            string
-	Spins           uint64 // spin-loop iterations while waiting
-	Blocks          uint64 // slot claims, each of which parks a waiter
-	ControllerWakes uint64 // parks ended by a controller wake
-	TimeoutWakes    uint64 // parks ended by the safety timeout
-	UnlockWakes     uint64 // parks ended by the lock's own unlock
-	SpinningNow     int64  // waiters spinning at snapshot time
-	SleepingNow     int64  // waiters parked at snapshot time
+	Name             string
+	Spins            uint64 // spin-loop iterations while waiting
+	Blocks           uint64 // slot claims, each of which parks a waiter
+	ControllerWakes  uint64 // parks ended by a controller wake
+	TimeoutWakes     uint64 // parks ended by the safety timeout
+	TimeoutWakesFree uint64 // of those, wakes whose waiter then found the lock free: a missed wake, or a release racing the timeout
+	UnlockWakes      uint64 // parks ended by the lock's own unlock
+	SpinningNow      int64  // waiters spinning at snapshot time
+	SleepingNow      int64  // waiters parked at snapshot time
 
 	// Policy names the lock's active contention policy, as reported by
 	// the lock through NotePolicy (empty for locks that never did).
@@ -131,19 +132,20 @@ func (ls LockStats) Contention() uint64 { return ls.Blocks + ls.UnlockWakes }
 
 // Snapshot is a point-in-time view of the runtime; it marshals to JSON.
 type Snapshot struct {
-	Updates         uint64
-	Claims          uint64
-	ForcedClaims    uint64 // unconditional parks (ClaimForced: blocking policies)
-	ControllerWakes uint64
-	TimeoutWakes    uint64
-	UnlockWakes     uint64
-	CtxCancels      uint64 // parks abandoned by context cancellation
-	Cancels         uint64 // claims retired unused (lock freed before the park)
-	SlotRejects     uint64 // claims refused because no slot was free
-	Spinners        int    // waiters spinning now: reported, not a controller input
-	Sleeping        int
-	Target          int // the published sleep target, after clamping to [0, BufferCap]
-	LocksRegistered int
+	Updates          uint64
+	Claims           uint64
+	ForcedClaims     uint64 // unconditional parks (ClaimForced: blocking policies)
+	ControllerWakes  uint64
+	TimeoutWakes     uint64
+	TimeoutWakesFree uint64 // timeout wakes that found the lock free (see LockStats)
+	UnlockWakes      uint64
+	CtxCancels       uint64 // parks abandoned by context cancellation
+	Cancels          uint64 // claims retired unused (lock freed before the park)
+	SlotRejects      uint64 // claims refused because no slot was free
+	Spinners         int    // waiters spinning now: reported, not a controller input
+	Sleeping         int
+	Target           int // the published sleep target, after clamping to [0, BufferCap]
+	LocksRegistered  int
 
 	// The last controller tick's inputs — why Target is what it is.
 	// The default sensor sets Load = floor(RunQueue) + OSExcess and
@@ -237,15 +239,16 @@ type Runtime struct {
 	regMu sync.Mutex
 	locks map[weak.Pointer[Handle]]struct{}
 
-	updates         atomic.Uint64
-	claims          atomic.Uint64
-	forcedClaims    atomic.Uint64
-	controllerWakes atomic.Uint64
-	timeoutWakes    atomic.Uint64
-	unlockWakes     atomic.Uint64
-	ctxCancels      atomic.Uint64
-	cancels         atomic.Uint64
-	slotRejects     atomic.Uint64
+	updates          atomic.Uint64
+	claims           atomic.Uint64
+	forcedClaims     atomic.Uint64
+	controllerWakes  atomic.Uint64
+	timeoutWakes     atomic.Uint64
+	timeoutWakesFree atomic.Uint64
+	unlockWakes      atomic.Uint64
+	ctxCancels       atomic.Uint64
+	cancels          atomic.Uint64
+	slotRejects      atomic.Uint64
 
 	started  atomic.Bool
 	stopping atomic.Bool
@@ -374,21 +377,22 @@ func (r *Runtime) sleeping() int {
 // counters, per-lock entries sorted by name for stable output.
 func (r *Runtime) Snapshot() Snapshot {
 	snap := Snapshot{
-		Updates:         r.updates.Load(),
-		Claims:          r.claims.Load(),
-		ForcedClaims:    r.forcedClaims.Load(),
-		ControllerWakes: r.controllerWakes.Load(),
-		TimeoutWakes:    r.timeoutWakes.Load(),
-		UnlockWakes:     r.unlockWakes.Load(),
-		CtxCancels:      r.ctxCancels.Load(),
-		Cancels:         r.cancels.Load(),
-		SlotRejects:     r.slotRejects.Load(),
-		Spinners:        int(r.spinners.Load()),
-		Sleeping:        r.sleeping(),
-		Target:          int(r.target.Load()),
-		RunQueue:        math.Float64frombits(r.tickRunQueue.Load()),
-		OSExcess:        int(r.tickOSExcess.Load()),
-		Load:            int(r.tickLoad.Load()),
+		Updates:          r.updates.Load(),
+		Claims:           r.claims.Load(),
+		ForcedClaims:     r.forcedClaims.Load(),
+		ControllerWakes:  r.controllerWakes.Load(),
+		TimeoutWakes:     r.timeoutWakes.Load(),
+		TimeoutWakesFree: r.timeoutWakesFree.Load(),
+		UnlockWakes:      r.unlockWakes.Load(),
+		CtxCancels:       r.ctxCancels.Load(),
+		Cancels:          r.cancels.Load(),
+		SlotRejects:      r.slotRejects.Load(),
+		Spinners:         int(r.spinners.Load()),
+		Sleeping:         r.sleeping(),
+		Target:           int(r.target.Load()),
+		RunQueue:         math.Float64frombits(r.tickRunQueue.Load()),
+		OSExcess:         int(r.tickOSExcess.Load()),
+		Load:             int(r.tickLoad.Load()),
 	}
 	r.regMu.Lock()
 	for wp := range r.locks {
@@ -672,18 +676,17 @@ func (r *Runtime) trySleep(h *Handle, forced bool) *sleeper {
 // sleep parks until a wake, the timeout, or ctx cancellation, then
 // retires from the buffer (W++ for voluntary claims), clearing its own
 // slot on the timeout and cancellation paths. A nil ctx (or one that
-// can never be cancelled) costs nothing extra. It returns nil for a
-// wake or timeout and ctx.Err() for a cancellation; on the
-// cancellation path, a wake that raced in and was consumed by this
-// sleeper is forwarded to the handle's next parked waiter, so an
+// can never be cancelled) costs nothing extra. It reports whether the
+// park ended on the timeout, and returns ctx.Err() for a cancellation;
+// on the cancellation path, a wake that raced in and was consumed by
+// this sleeper is forwarded to the handle's next parked waiter, so an
 // abandoned park cannot eat an unlock-side handoff.
-func (r *Runtime) sleep(s *sleeper, ctx context.Context) error {
+func (r *Runtime) sleep(s *sleeper, ctx context.Context) (timedOut bool, err error) {
 	var done <-chan struct{}
 	if ctx != nil {
 		done = ctx.Done()
 	}
 	timer := time.NewTimer(r.opts.SleepTimeout)
-	var err error
 	select {
 	case <-s.ch:
 	case <-timer.C:
@@ -699,6 +702,7 @@ func (r *Runtime) sleep(s *sleeper, ctx context.Context) error {
 			r.ctxCancels.Add(1)
 			reason = "cancel"
 		} else {
+			timedOut = true
 			r.timeoutWakes.Add(1)
 			s.h.timeoutWakes.Add(1)
 			reason = "timeout"
@@ -726,7 +730,7 @@ func (r *Runtime) sleep(s *sleeper, ctx context.Context) error {
 	if forward {
 		r.wakeHandle(s.h, nil)
 	}
-	return err
+	return timedOut, err
 }
 
 // cancel retires a claim without sleeping on it: the lock turned out
@@ -766,11 +770,12 @@ type Handle struct {
 	// unlock-side wake O(1) access instead of a pool scan.
 	parked []*sleeper
 
-	spins           atomic.Uint64
-	blocks          atomic.Uint64
-	controllerWakes atomic.Uint64
-	timeoutWakes    atomic.Uint64
-	unlockWakes     atomic.Uint64
+	spins            atomic.Uint64
+	blocks           atomic.Uint64
+	controllerWakes  atomic.Uint64
+	timeoutWakes     atomic.Uint64
+	timeoutWakesFree atomic.Uint64
+	unlockWakes      atomic.Uint64
 
 	// blameCount/blameNs mirror the lock's contributions to the blame
 	// matrix, so per-lock stats can show blame volume without scanning
@@ -917,6 +922,14 @@ func (h *Handle) Spinning(delta int) {
 	h.spinning.Add(int64(delta))
 }
 
+// NoteTimeoutWakeFree counts a timeout wake after which the waiter
+// found the lock free (LockStats.TimeoutWakesFree): the caller re-checks
+// its lock once SleepCtx reports the timeout.
+func (h *Handle) NoteTimeoutWakeFree() {
+	h.rt.timeoutWakesFree.Add(1)
+	h.timeoutWakesFree.Add(1)
+}
+
 // NoteSpins adds n spin-loop iterations to the lock's counters. Locks
 // batch this (accumulate locally, report on exit) to keep the spin loop
 // free of shared-counter traffic.
@@ -1018,12 +1031,14 @@ func (t Ticket) Sleep() { t.SleepCtx(nil) } //nolint:errcheck // nil ctx cannot 
 // already consumed is forwarded to the handle's next sleeper) and
 // ctx.Err() is returned. A nil ctx — or one whose Done channel is nil,
 // like context.Background() — never cancels and costs nothing extra.
-// Either way the waiter rejoins the spinner census before returning;
-// a cancelled caller is expected to leave its acquire loop itself.
-func (t Ticket) SleepCtx(ctx context.Context) error {
-	err := t.h.rt.sleep(t.s, ctx)
+// timedOut reports a park ended by the safety timeout rather than a
+// wake. Either way the waiter rejoins the spinner census before
+// returning; a cancelled caller is expected to leave its acquire loop
+// itself.
+func (t Ticket) SleepCtx(ctx context.Context) (timedOut bool, err error) {
+	timedOut, err = t.h.rt.sleep(t.s, ctx)
 	t.h.Spinning(1)
-	return err
+	return timedOut, err
 }
 
 // Cancel retires the claim without parking — the caller re-checked its
@@ -1061,18 +1076,19 @@ func (h *Handle) Waiters() (spinning, sleeping int64) {
 // Stats returns the lock's counters.
 func (h *Handle) Stats() LockStats {
 	return LockStats{
-		Name:            h.name,
-		Spins:           h.spins.Load(),
-		Blocks:          h.blocks.Load(),
-		ControllerWakes: h.controllerWakes.Load(),
-		TimeoutWakes:    h.timeoutWakes.Load(),
-		UnlockWakes:     h.unlockWakes.Load(),
-		SpinningNow:     h.spinning.Load(),
-		SleepingNow:     h.sleepers.Load(),
-		Policy:          h.PolicyName(),
-		BlameCount:      h.blameCount.Load(),
-		BlameNs:         h.blameNs.Load(),
-		Wait:            h.wait.Snapshot(),
-		Hold:            h.hold.Snapshot(),
+		Name:             h.name,
+		Spins:            h.spins.Load(),
+		Blocks:           h.blocks.Load(),
+		ControllerWakes:  h.controllerWakes.Load(),
+		TimeoutWakes:     h.timeoutWakes.Load(),
+		TimeoutWakesFree: h.timeoutWakesFree.Load(),
+		UnlockWakes:      h.unlockWakes.Load(),
+		SpinningNow:      h.spinning.Load(),
+		SleepingNow:      h.sleepers.Load(),
+		Policy:           h.PolicyName(),
+		BlameCount:       h.blameCount.Load(),
+		BlameNs:          h.blameNs.Load(),
+		Wait:             h.wait.Snapshot(),
+		Hold:             h.hold.Snapshot(),
 	}
 }

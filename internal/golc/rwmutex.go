@@ -59,9 +59,7 @@ func (m *RWMutex) RLock() {
 	if m.tryR() {
 		return
 	}
-	if err := m.rlockSlow(context.Background()); err != nil {
-		m.abandoned("RLock", err)
-	}
+	_ = m.rlockSlow(context.Background()) // a Background wait cannot fail
 }
 
 // RLockCtx is RLock with a cancellation route: if ctx is cancelled
@@ -148,9 +146,7 @@ func (m *RWMutex) Lock() {
 		m.stampHold()
 		return
 	}
-	if err := m.lockSlow(context.Background()); err != nil {
-		m.abandoned("Lock", err)
-	}
+	_ = m.lockSlow(context.Background()) // a Background wait cannot fail
 }
 
 // LockCtx is Lock with a cancellation route: if ctx is cancelled

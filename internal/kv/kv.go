@@ -18,7 +18,6 @@ import (
 	"slices"
 	"sort"
 	"strings"
-	"sync/atomic"
 
 	"repro/internal/golc"
 	lcrt "repro/internal/golc/runtime"
@@ -28,8 +27,8 @@ import (
 type Options struct {
 	// Shards is the number of primary shards (default 16).
 	Shards int
-	// Policy is the latch contention policy — any registered golc
-	// policy (default golc.LoadControlled).
+	// Policy is the latch contention policy (zero value:
+	// golc.LoadControlled).
 	Policy golc.ContentionPolicy
 	// Runtime is the load-control runtime every latch registers with
 	// (default: the process-wide runtime).
@@ -39,9 +38,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.Shards <= 0 {
 		o.Shards = 16
-	}
-	if o.Policy == nil {
-		o.Policy = golc.LoadControlled
 	}
 	return o
 }
@@ -60,7 +56,6 @@ type shard struct {
 
 // Store is the sharded store. Create with New.
 type Store struct {
-	pol    atomic.Pointer[golc.ContentionPolicy]
 	shards []*shard
 }
 
@@ -69,7 +64,6 @@ type Store struct {
 func New(opts Options) *Store {
 	o := opts.withDefaults()
 	s := &Store{}
-	s.pol.Store(&o.Policy)
 	for i := 0; i < o.Shards; i++ {
 		s.shards = append(s.shards, &shard{
 			mu:    golc.NewRW(fmt.Sprintf("kv/shard-%03d", i), golc.WithPolicy(o.Policy), golc.WithRuntime(o.Runtime)),
@@ -94,7 +88,6 @@ func (s *Store) Close() {
 // load-controlled latches under overload — lcserve exposes it as POST
 // /policy.
 func (s *Store) SetPolicy(p golc.ContentionPolicy) {
-	s.pol.Store(&p)
 	for _, sh := range s.shards {
 		sh.mu.SetPolicy(p)
 	}
@@ -102,7 +95,7 @@ func (s *Store) SetPolicy(p golc.ContentionPolicy) {
 
 // Policy returns the contention policy the store's latches currently
 // use (the last SetPolicy value, initially Options.Policy).
-func (s *Store) Policy() golc.ContentionPolicy { return *s.pol.Load() }
+func (s *Store) Policy() golc.ContentionPolicy { return s.shards[0].mu.Policy() }
 
 // LatchStats sums the per-latch load-control counters across every
 // shard. Every policy keeps the counters (spin-policy latches count
@@ -120,6 +113,7 @@ func (s *Store) LatchStats() lcrt.LockStats {
 		agg.Blocks += ls.Blocks
 		agg.ControllerWakes += ls.ControllerWakes
 		agg.TimeoutWakes += ls.TimeoutWakes
+		agg.TimeoutWakesFree += ls.TimeoutWakesFree
 		agg.UnlockWakes += ls.UnlockWakes
 		agg.BlameCount += ls.BlameCount
 		agg.BlameNs += ls.BlameNs

@@ -27,7 +27,7 @@ func policyNamed(t *testing.T, name string) golc.ContentionPolicy {
 		return golc.Block
 	}
 	t.Fatalf("no latch policy for subtest name %q", name)
-	return nil
+	return 0
 }
 
 func newTestStore(t *testing.T, opts Options) *Store {
@@ -345,6 +345,9 @@ func TestLatchStats(t *testing.T) {
 	rt.Start()
 	t.Cleanup(rt.Stop)
 	s := newTestStore(t, Options{Shards: 1, Runtime: rt})
+	if got := s.Policy().Name(); got != "lc" {
+		t.Fatalf("store built without a policy runs %q, want lc", got)
+	}
 	const workers = 8
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -367,11 +370,13 @@ func TestLatchStats(t *testing.T) {
 		want.Blocks += ls.Blocks
 		want.ControllerWakes += ls.ControllerWakes
 		want.TimeoutWakes += ls.TimeoutWakes
+		want.TimeoutWakesFree += ls.TimeoutWakesFree
 		want.UnlockWakes += ls.UnlockWakes
 	}
 	if agg.Spins != want.Spins || agg.Blocks != want.Blocks ||
 		agg.ControllerWakes != want.ControllerWakes ||
-		agg.TimeoutWakes != want.TimeoutWakes || agg.UnlockWakes != want.UnlockWakes {
+		agg.TimeoutWakes != want.TimeoutWakes || agg.TimeoutWakesFree != want.TimeoutWakesFree ||
+		agg.UnlockWakes != want.UnlockWakes {
 		t.Fatalf("aggregate %+v != runtime sum %+v", agg, want)
 	}
 	// Wake accounting must balance: every ended park was counted once.

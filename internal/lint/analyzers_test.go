@@ -58,14 +58,6 @@ func TestAtomicfieldClean(t *testing.T) {
 	linttest.Run(t, "atomicfield", "internal/lint/testdata/src/atomicfieldok")
 }
 
-func TestWaitseam(t *testing.T) {
-	linttest.Run(t, "waitseam", "internal/lint/testdata/src/waitseam")
-}
-
-func TestWaitseamClean(t *testing.T) {
-	linttest.Run(t, "waitseam", "internal/lint/testdata/src/waitseamok")
-}
-
 // The branches fixtures pin the walker's labeled break/continue and
 // goto handling, which both lockpair and nestedpark depend on.
 func TestBranches(t *testing.T) {

@@ -14,8 +14,8 @@ import (
 // and booleans only), so they are independent of any FileSet.
 type FuncFacts struct {
 	// Parks: calling this function may reach a parking point (a golc
-	// Lock/RLock/LockCtx/RLockCtx, a ContentionPolicy.Wait, or a
-	// runtime Ticket.Sleep), transitively. ParkWhat describes the
+	// Lock/RLock/LockCtx/RLockCtx or a runtime Ticket.Sleep — golc.Wait
+	// among the functions that reach one), transitively. ParkWhat describes the
 	// chain for reports ("q.inner → Lock on b.Mu").
 	Parks    bool
 	ParkWhat string
@@ -246,10 +246,10 @@ func computePackageFacts(pkg *Package, prog *Program) *PackageFacts {
 					if _, ok := rf.relKeys[key]; !ok {
 						rf.relKeys[key] = classOf(pkg.Info, ci.recv)
 					}
-				case kindPolicyWait, kindTicketSleep:
+				case kindTicketSleep:
 					if !rf.facts.Parks {
 						rf.facts.Parks = true
-						rf.facts.ParkWhat = "policy wait (" + ci.name + ")"
+						rf.facts.ParkWhat = "slot-pool park (" + ci.name + ")"
 					}
 				case kindNone:
 					if what, ok := blockingCall(pkg.Info, ci); ok {
@@ -381,8 +381,7 @@ func scanCtxBgFact(pkg *Package, sup *suppressions, ci callInfo, call *ast.CallE
 			continue
 		}
 		switch {
-		case ci.kind == kindAcqPark || ci.kind == kindPolicyWait ||
-			ci.kind == kindTicketSleep || ci.kind == kindLogicalAcq:
+		case ci.kind == kindAcqPark || ci.kind == kindTicketSleep || ci.kind == kindLogicalAcq:
 			facts.CtxBgWait = true
 			facts.CtxWhat = "context." + ctor + "() into " + callName(call)
 		case ci.kind == kindNone && ci.callee != nil:

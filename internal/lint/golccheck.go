@@ -39,11 +39,8 @@ const (
 	kindAcqTry
 	// kindRelease: Unlock/RUnlock.
 	kindRelease
-	// kindPolicyWait: a call of a ContentionPolicy's Wait method
-	// (interface or concrete) — what golc.Wait, the seam, runs.
-	kindPolicyWait
 	// kindTicketSleep: runtime Ticket.Sleep/SleepCtx — the slot-pool
-	// park primitive policies build on.
+	// park primitive golc.Wait builds on.
 	kindTicketSleep
 	// kindLogicalAcq: a lock-manager logical acquisition (a method or
 	// function named "acquire" taking an oltp.ResourceID) — input to
@@ -143,10 +140,6 @@ func classifyCall(info *types.Info, call *ast.CallExpr) callInfo {
 					return ci
 				}
 			}
-			if isPolicyWait(fn) {
-				ci.kind = kindPolicyWait
-				return ci
-			}
 			if n := derefNamed(recvT); n != nil && isGolcRuntimePkgPath(namedPkgPath(n)) &&
 				n.Obj().Name() == "Ticket" && (ci.name == "Sleep" || ci.name == "SleepCtx") {
 				ci.kind = kindTicketSleep
@@ -177,30 +170,6 @@ func classifyCall(info *types.Info, call *ast.CallExpr) callInfo {
 		}
 	}
 	return ci
-}
-
-// isPolicyWait reports whether fn is a ContentionPolicy's Wait method:
-// the interface's own, or that of a type implementing the interface.
-// The interface is found through the method's golc.Acquire parameter
-// (its package declares it), the match is types.Implements on the
-// receiver — so a free function or a method of some non-policy type
-// that merely has Wait's shape is not one.
-func isPolicyWait(fn *types.Func) bool {
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || fn.Name() != "Wait" || sig.Recv() == nil || sig.Params().Len() != 3 {
-		return false
-	}
-	acq := derefNamed(sig.Params().At(2).Type())
-	if acq == nil || !isGolcPkgPath(namedPkgPath(acq)) {
-		return false
-	}
-	tn, _ := acq.Obj().Pkg().Scope().Lookup("ContentionPolicy").(*types.TypeName)
-	if tn == nil {
-		return false
-	}
-	iface, _ := tn.Type().Underlying().(*types.Interface)
-	recv := sig.Recv().Type()
-	return iface != nil && (types.Implements(recv, iface) || types.Implements(types.NewPointer(recv), iface))
 }
 
 // takesResourceID reports whether fn has an oltp.ResourceID parameter —

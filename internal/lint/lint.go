@@ -1,4 +1,4 @@
-// Package lint is lclint's analysis framework plus the seven
+// Package lint is lclint's analysis framework plus the six
 // repo-specific analyzers that machine-check the lock runtime's
 // correctness invariants (see cmd/lclint):
 //
@@ -19,9 +19,6 @@
 //     critical section.
 //   - atomicfield: a struct field touched via sync/atomic anywhere
 //     must be accessed atomically everywhere.
-//   - waitseam: golc.Wait is the only caller of a ContentionPolicy's
-//     Wait method (matched by method identity) — the flight recorder's
-//     one-seam guarantee, pinned statically.
 //
 // The analyzers are whole-program: per-package function summaries
 // (FuncFacts — parks?, lock-class touch set, held-set delta,
@@ -121,7 +118,7 @@ type Diagnostic struct {
 
 // All returns the full analyzer suite in reporting order.
 func All() []*Analyzer {
-	return []*Analyzer{Lockpair, Nestedpark, Lockorder, Ctxlock, Heldcall, Atomicfield, Waitseam}
+	return []*Analyzer{Lockpair, Nestedpark, Lockorder, Ctxlock, Heldcall, Atomicfield}
 }
 
 // ByName resolves a comma-separated analyzer list ("lockpair,ctxlock").

@@ -51,10 +51,12 @@ func helperThatParks(mu *golc.Mutex) {
 	mu.Unlock()
 }
 
-func policyWaitWhileHolding(p *pair, pol golc.ContentionPolicy, h *lcrt.Handle, acq golc.Acquire) error {
+func ticketSleepWhileHolding(p *pair, h *lcrt.Handle) {
 	p.a.Lock()
 	defer p.a.Unlock()
-	return pol.Wait(context.Background(), h, acq) // want `parks while p\.a is held`
+	if t, ok := h.TryClaim(); ok {
+		t.Sleep() // want `Sleep parks while p\.a is held`
+	}
 }
 
 func seamWhileHolding(p *pair, pol golc.ContentionPolicy, h *lcrt.Handle, acq golc.Acquire) error {

@@ -25,7 +25,7 @@ type hooks struct {
 	// onAcquire fires for every golc acquire (all kinds) and logical
 	// acquire, with the locks held *before* this acquisition.
 	onAcquire func(ci callInfo, held []heldLock, second bool)
-	// onPark fires for non-acquire park points (policy Wait, ticket
+	// onPark fires for non-acquire park points (ticket
 	// Sleep/SleepCtx).
 	onPark func(ci callInfo, held []heldLock, second bool)
 	// onCall fires for calls the classifier does not recognize —
@@ -816,7 +816,7 @@ func (w *walker) fire(ci callInfo, st *walkState) {
 			// with a hold injected from an acquire-helper's facts.
 			st.releaseClass(classOf(w.info, ci.recv))
 		}
-	case kindPolicyWait, kindTicketSleep:
+	case kindTicketSleep:
 		if w.hooks.onPark != nil {
 			w.hooks.onPark(ci, append([]heldLock(nil), st.held...), second)
 		}

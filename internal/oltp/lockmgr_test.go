@@ -26,7 +26,7 @@ func policyNamed(t *testing.T, name string) golc.ContentionPolicy {
 		return golc.Block
 	}
 	t.Fatalf("no latch policy for subtest name %q", name)
-	return nil
+	return 0
 }
 
 // newTestDB builds a DB over a fresh store whose latches wait under pol

@@ -346,8 +346,8 @@ func (db *DB) PolicyName() string { return db.opts.DeadlockPolicy.PolicyName() }
 // partition node held only through intention slots counts as one
 // entry, however many slots are taken. A quiescent DB must report
 // zero under every policy — locks are strict 2PL (escalation's record
-// fold-in included), so anything left over is a leak. It latches every stripe; meant for stats and tests, not hot
-// paths.
+// fold-in included), so anything left over is a leak. It latches every
+// stripe; meant for stats and tests, not hot paths.
 func (db *DB) LockEntries() int { return db.lm.entries() }
 
 // Close removes the lock manager's stripe latches from the runtime's

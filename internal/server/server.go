@@ -55,7 +55,9 @@ type txnResponse struct {
 
 // handleTxn executes one transaction via DB.RunCtx under the request's
 // context (wait-die aborts are retried under the original timestamp;
-// only terminal failures reach the client, as 409; a client that
+// only terminal failures reach the client: an abort whose retry budget
+// ran out as 409, anything else — a commit the log could not make
+// durable — as 503, since retrying it fails the same way; a client that
 // disconnects mid-wait cancels its own lock waits instead of queueing
 // until timeout).
 func handleTxn(db *oltp.DB, w http.ResponseWriter, r *http.Request) {
@@ -122,7 +124,11 @@ func handleTxn(db *oltp.DB, w http.ResponseWriter, r *http.Request) {
 	})
 	w.Header().Set("Content-Type", "application/json")
 	if err != nil {
-		w.WriteHeader(http.StatusConflict)
+		code := http.StatusConflict
+		if !errors.Is(err, oltp.ErrAborted) {
+			code = http.StatusServiceUnavailable
+		}
+		w.WriteHeader(code)
 		json.NewEncoder(w).Encode(txnResponse{Committed: false, Error: err.Error()})
 		return
 	}

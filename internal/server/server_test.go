@@ -2,10 +2,12 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strconv"
 	"strings"
 	"testing"
@@ -106,6 +108,44 @@ func TestTxn(t *testing.T) {
 		}
 	}
 	s.want(t, "GET", "/txn", "", 405)
+}
+
+// TestTxnFailureCodes: an abort that used up the wait-die retry budget
+// is a conflict, 409. A commit the log cannot make durable is not: every
+// retry fails the same way, so it is 503.
+func TestTxnFailureCodes(t *testing.T) {
+	const write = `{"ops":[{"op":"write","table":"acct","key":"a","value":"1"}]}`
+	t.Run("aborted", func(t *testing.T) {
+		s := newTestServer(t, false)
+		blocker := s.db.Begin() // older: every attempt of the request wait-dies
+		if err := blocker.Write("acct", "a", "b"); err != nil {
+			t.Fatal(err)
+		}
+		defer blocker.Abort()
+		if out := s.want(t, "POST", "/txn", write, 409); !strings.Contains(out, "giving up") {
+			t.Fatalf("409 body = %s, want the exhausted retry budget", out)
+		}
+	})
+	t.Run("not durable", func(t *testing.T) {
+		rt := lcrt.New(lcrt.Options{Interval: time.Millisecond})
+		rt.Start()
+		t.Cleanup(rt.Stop)
+		store := kv.New(kv.Options{Shards: 4, Runtime: rt})
+		t.Cleanup(store.Close)
+		fail := errors.New("injected fsync failure")
+		log, _, err := wal.Open(wal.Options{Dir: t.TempDir(), Runtime: rt,
+			SyncHook: func(*os.File) error { return fail }}, store)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { log.Close() }) // wedged: Close returns the injected error
+		db := oltp.New(store, oltp.Options{Runtime: rt, MaxRetries: oltp.DefaultMaxRetries, WAL: log})
+		t.Cleanup(db.Close)
+		s := &testServer{store: store, db: db, log: log, h: NewHandler(store, db, rt, nil, log)}
+		if out := s.want(t, "POST", "/txn", write, 503); !strings.Contains(out, "not durable") {
+			t.Fatalf("503 body = %s, want the durability failure", out)
+		}
+	})
 }
 
 func TestKVAndScanLimits(t *testing.T) {

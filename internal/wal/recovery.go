@@ -204,8 +204,6 @@ func Open(opts Options, store *kv.Store) (*Log, RecoveryStats, error) {
 	l.tail = golc.New("wal/tail", golc.WithRuntime(opts.Runtime), golc.WithPolicy(opts.Policy))
 	l.h = opts.Runtime.Register("wal/group-commit")
 	l.h.NotePolicy(opts.Policy.Name())
-	pol := opts.Policy
-	l.pol.Store(&pol)
 	l.site = l.h.Obs().NamedSite("wal/fsync")
 
 	if err := l.openSegment(l.next); err != nil {

@@ -55,7 +55,7 @@ type Options struct {
 	Runtime *lcrt.Runtime
 
 	// Policy is the initial ContentionPolicy for both the tail latch
-	// and the group-commit durability waits. Default: LoadControlled.
+	// and the group-commit durability waits. Zero value: LoadControlled.
 	Policy golc.ContentionPolicy
 
 	// SyncHook, when non-nil, replaces the fsync on the active
@@ -74,9 +74,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Runtime == nil {
 		o.Runtime = lcrt.Default()
-	}
-	if o.Policy == nil {
-		o.Policy = golc.LoadControlled
 	}
 	return o
 }
@@ -125,10 +122,9 @@ type Log struct {
 	store *kv.Store
 	dirf  *os.File // open handle on Dir, for directory fsyncs
 
-	tail *golc.Mutex  // staging latch: buffer, LSN counter
+	tail *golc.Mutex  // staging latch: buffer, LSN counter; its policy is the log's
 	h    *lcrt.Handle // group-commit durability wait seam
-	pol  atomic.Pointer[golc.ContentionPolicy]
-	site obs.SiteID // "wal/fsync" blame site, published while syncing
+	site obs.SiteID   // "wal/fsync" blame site, published while syncing
 
 	// Staged state, guarded by tail. spare is the syncer's return
 	// lane for the swapped-out buffer, so steady state recycles two
@@ -271,12 +267,8 @@ func (l *Log) waitSlow(lsn uint64) {
 	// once, and a woken waiter from a later group fails it and
 	// re-parks.
 	resolved := func() bool { return l.resolved.Load() >= lsn }
-	pol := l.Policy()
-	if _, err := golc.Wait(context.Background(), l.h, pol, golc.Acquire{Try: resolved, Free: resolved}); err != nil {
-		// Background context: a non-nil error means the policy broke
-		// Wait's contract. Returning would un-durably ack a commit.
-		panic("wal: policy " + pol.Name() + " abandoned an uncancellable durability wait: " + err.Error())
-	}
+	// A Background wait cannot fail; the blame site has no holder to go to.
+	_, _ = golc.Wait(context.Background(), l.h, l.Policy(), golc.Acquire{Try: resolved, Free: resolved})
 }
 
 // NoteApplied records that the committed batch at lsn has been applied
@@ -317,13 +309,12 @@ func (l *Log) Sync() error {
 }
 
 // Policy returns the current durability-wait policy.
-func (l *Log) Policy() golc.ContentionPolicy { return *l.pol.Load() }
+func (l *Log) Policy() golc.ContentionPolicy { return l.tail.Policy() }
 
 // SetPolicy hot-swaps the contention policy for both the tail latch
 // and the group-commit durability waits, mirroring golc.Mutex: waiters
-// already inside the old policy's Wait drain under it.
+// already inside golc.Wait drain under the old policy.
 func (l *Log) SetPolicy(p golc.ContentionPolicy) {
-	l.pol.Store(&p)
 	l.tail.SetPolicy(p)
 	l.h.NotePolicy(p.Name())
 	l.h.Obs().Event(obs.EvPolicySwap, l.h.Name(), p.Name(), 0)

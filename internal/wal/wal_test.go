@@ -516,3 +516,15 @@ func TestOpenRefusesNonEmptyStore(t *testing.T) {
 		t.Fatal("Open accepted a non-empty store")
 	}
 }
+
+func TestOpenDefaultsToLC(t *testing.T) {
+	rt := testRuntime(t)
+	l, _, err := Open(Options{Dir: t.TempDir(), Runtime: rt}, testStore(rt))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	if got := l.Policy().Name(); got != "lc" {
+		t.Fatalf("log opened without a policy runs %q, want lc", got)
+	}
+}
