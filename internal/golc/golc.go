@@ -29,10 +29,11 @@
 // goroutines runnable but waiting for a P (Little's law over the Go
 // scheduler's latency histogram in runtime/metrics — a 1-in-8 sampled
 // signal) plus OS threads runnable beyond the CPUs (/proc/loadavg; 0
-// where there is none). That load plus the waiters already asleep is
-// the sleep target: with no excess load lc is a spinlock, under load
-// it parks as promptly as Block but only as many waiters as the load
-// calls for. A runtime LoadFunc replaces the sensor in tests.
+// where there is none). The sign of that load sets the sleep target:
+// with no excess load it is at most the waiters already asleep, so lc
+// is a spinlock; with excess load it is the whole slot pool, so lc
+// parks every waiter past its grace spin, as Block does. A runtime
+// LoadFunc replaces the sensor in tests.
 package golc
 
 // Locker is the subset of sync.Locker this package implements.

@@ -26,9 +26,9 @@ type ContentionPolicy uint8
 //   - LoadControlled, the zero value, parks when told to: a brief grace
 //     spin, then waiters claim against the controller's sleep target —
 //     the paper's augmented-spinlock client protocol (§3.1.2). With no
-//     excess load the target is zero and it is Spin; under load it
-//     parks as promptly as Block, but only as many waiters as the load
-//     calls for.
+//     excess load the target admits no claim and it is Spin; while the
+//     sensor reads excess load the target is the whole slot pool and it
+//     parks as promptly as Block. It switches on the load's sign.
 //   - Spin never parks: the uncontrolled baseline, the paper's "what
 //     collapses under oversubscription" comparison.
 //   - Block parks whenever it can: the same grace spin (short holds

@@ -91,10 +91,16 @@ type LockTick struct {
 
 // HistoryRecord is one snapshot tick: the runtime-wide census plus
 // every registered lock's interval view and the cumulative blame
-// leaderboard as of the tick.
+// leaderboard as of the tick. Load, RunQueue and OSExcess are the
+// inputs of the last controller tick (see Snapshot): Target saturates
+// at the pool while the load is positive, so they are what explains a
+// park after the fact.
 type HistoryRecord struct {
 	TS       int64            `json:"ts_unix_ns"`
 	Target   int              `json:"target"`
+	Load     int              `json:"load"`
+	RunQueue float64          `json:"run_queue"`
+	OSExcess int              `json:"os_excess"`
 	Spinners int              `json:"spinners"`
 	Sleeping int              `json:"sleeping"`
 	Locks    []LockTick       `json:"locks"`
@@ -170,6 +176,9 @@ func (h *History) tick(now int64) {
 	rec := HistoryRecord{
 		TS:       now,
 		Target:   snap.Target,
+		Load:     snap.Load,
+		RunQueue: snap.RunQueue,
+		OSExcess: snap.OSExcess,
 		Spinners: snap.Spinners,
 		Sleeping: snap.Sleeping,
 		BlameTop: h.rt.rec.BlameTop(h.opts.TopK),

@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	goruntime "runtime"
 	"testing"
 	"time"
 )
@@ -22,11 +23,22 @@ func TestHistoryIntervalQuantiles(t *testing.T) {
 	defer h.Close()
 	hist := NewHistory(rt, HistoryOptions{})
 
+	// One overloaded controller tick first: the record keeps its inputs
+	// beside the saturated target.
+	sens, _ := fakeLoadavg(t, goruntime.NumCPU()+3) // OSExcess = +2
+	rt.update(sens)
+	snap := rt.Snapshot()
+
 	observeWaits(h, 100, time.Millisecond)
 	hist.tick(1)
 	recs := hist.Records()
 	if len(recs) != 1 || len(recs[0].Locks) != 1 {
 		t.Fatalf("after one tick: %d records, locks=%v", len(recs), recs)
+	}
+	if r := recs[0]; r.Target != len(rt.slots) || r.Load != snap.Load || r.Load < 2 ||
+		r.RunQueue != snap.RunQueue || r.OSExcess != 2 {
+		t.Fatalf("record target/load/runq/os = %d/%d/%v/%d, want %d/%d/%v/2 from the tick",
+			r.Target, r.Load, r.RunQueue, r.OSExcess, len(rt.slots), snap.Load, snap.RunQueue)
 	}
 	lt := recs[0].Locks[0]
 	if lt.Name != "hist-lock" || lt.Waits != 100 {

@@ -12,12 +12,16 @@
 // one caller, golc.Wait. The controller
 // periodically reads the load sensor — runnable goroutines waiting for
 // a P plus OS threads runnable beyond the CPUs (see sensor), or a
-// custom LoadFunc — and publishes a sleep target T = load + sleeping.
-// Spinning waiters claim sleep slots against T exactly as in the paper
-// (S/W counters, immediate controller wakes on underload, a safety
-// timeout). The spinner census is not an input: it only tells an
-// unlocker whether an awake waiter is left (NoteUnlock), and is
-// reported.
+// custom LoadFunc — and publishes a sleep target T. Under the default
+// sensor the sign of the load decides, not its magnitude: while it
+// reads excess load T is the whole slot pool, so every waiter past its
+// grace parks; otherwise T = load + sleeping, which admits no new claim
+// at zero load and wakes −load sleepers below it. A LoadFunc is
+// published as it stands. Spinning waiters claim sleep slots against T
+// exactly as in the paper (S/W counters, immediate controller wakes on
+// underload, a safety timeout). The spinner census is not an input: it
+// only tells an unlocker whether an awake waiter is left (NoteUnlock),
+// and is reported.
 //
 // Most programs use the shared Default() runtime; tests and benchmarks
 // construct private ones with New.
@@ -142,6 +146,7 @@ type Snapshot struct {
 	CtxCancels       uint64 // parks abandoned by context cancellation
 	Cancels          uint64 // claims retired unused (lock freed before the park)
 	SlotRejects      uint64 // claims refused because no slot was free
+	ClaimRefusals    uint64 // voluntary claims refused by the target test (sleeping ≥ Target)
 	Spinners         int    // waiters spinning now: reported, not a controller input
 	Sleeping         int
 	Target           int // the published sleep target, after clamping to [0, BufferCap]
@@ -149,11 +154,13 @@ type Snapshot struct {
 
 	// The last controller tick's inputs — why Target is what it is.
 	// The default sensor sets Load = floor(RunQueue) + OSExcess and
-	// targets Load + sleeping; under a LoadFunc, Load is its return
+	// targets the whole pool (BufferCap) while Load > 0, Load + sleeping
+	// otherwise, so under overload Target saturates and only these
+	// inputs say how overloaded; under a LoadFunc, Load is its return
 	// value and the other two are zero.
 	RunQueue float64 // mean goroutines runnable but waiting for a P over the tick
 	OSExcess int     // OS threads runnable beyond the CPUs; negative when CPUs idle
-	Load     int     // raw excess load, before sleepers are added and the target clamped
+	Load     int     // raw excess load: its sign picks the target law, then the target is clamped
 	Locks    []LockStats
 
 	// Global latency distributions, across every lock of the runtime.
@@ -249,6 +256,7 @@ type Runtime struct {
 	ctxCancels       atomic.Uint64
 	cancels          atomic.Uint64
 	slotRejects      atomic.Uint64
+	claimRefusals    atomic.Uint64
 
 	started  atomic.Bool
 	stopping atomic.Bool
@@ -387,6 +395,7 @@ func (r *Runtime) Snapshot() Snapshot {
 		CtxCancels:       r.ctxCancels.Load(),
 		Cancels:          r.cancels.Load(),
 		SlotRejects:      r.slotRejects.Load(),
+		ClaimRefusals:    r.claimRefusals.Load(),
 		Spinners:         int(r.spinners.Load()),
 		Sleeping:         r.sleeping(),
 		Target:           int(r.target.Load()),
@@ -449,11 +458,20 @@ func (r *Runtime) update(sens *sensor) {
 	} else {
 		runQueue, osExcess = sens.runQueue(), sens.osExcess()
 		// Flooring drops the fraction of a goroutine that timers and the
-		// controller's own wake-ups queue on an idle process. Current
-		// sleepers count against the same budget: they would be load if
-		// they woke.
+		// controller's own wake-ups queue on an idle process.
 		load = int(runQueue) + osExcess
-		t = load + sleeping
+		if load > 0 {
+			// Trust the sign, not the magnitude: a convoy brings dozens
+			// of spinners inside one tick, and admitting only load more
+			// sleepers per tick leaves most of them spinning through it.
+			// Overloaded, every waiter past its grace parks, as under Block.
+			t = len(r.slots)
+		} else {
+			// Current sleepers count against the budget — they would be
+			// load if they woke — so zero load admits no new claim and
+			// negative load wakes −load of them.
+			t = load + sleeping
+		}
 	}
 	r.tickRunQueue.Store(math.Float64bits(runQueue))
 	r.tickOSExcess.Store(int64(osExcess))
@@ -615,14 +633,13 @@ func (r *Runtime) wakeAllHandle(h *Handle) int {
 
 // trySleep attempts the spinner-side slot claim for h. In the normal
 // (voluntary) form it returns nil when the target leaves no openings
-// (the common fast path: three atomic loads). The physical slot is
-// found by scanning from the claim cursor, so holes left by
-// out-of-order wakes are always usable. With the target capped at the
-// pool size, occupied voluntary slots never exceed the sleeping
-// population; the SlotRejects branch is a tripwire for protocol bugs
-// plus the one honest way forced claims can fail (a blocking policy
-// can fill the pool past the target, since its claims are
-// unconditional).
+// (the common fast path: three atomic loads and the ClaimRefusals
+// count). The physical slot is found by scanning from the claim
+// cursor, so holes left by out-of-order wakes are always usable. Under
+// overload the target is the whole pool, so voluntary claims can
+// honestly fill it, and forced claims can too (a blocking policy's
+// claims are unconditional); a claim refused on the target counts in
+// ClaimRefusals, one that found no free slot in SlotRejects.
 //
 // The forced form (blocking policies) skips the target test entirely:
 // the waiter parks because its policy always parks, not because the
@@ -632,6 +649,7 @@ func (r *Runtime) wakeAllHandle(h *Handle) int {
 // cannot miss the Stop drain.
 func (r *Runtime) trySleep(h *Handle, forced bool) *sleeper {
 	if !forced && int64(r.sleeping()) >= r.target.Load() {
+		r.claimRefusals.Add(1)
 		return nil
 	}
 	r.mu.Lock()
@@ -641,6 +659,7 @@ func (r *Runtime) trySleep(h *Handle, forced bool) *sleeper {
 			return nil
 		}
 	} else if int64(r.sleeping()) >= r.target.Load() {
+		r.claimRefusals.Add(1)
 		r.mu.Unlock()
 		return nil
 	}
@@ -984,7 +1003,8 @@ type Ticket struct {
 }
 
 // TryClaim attempts the spinner-side slot claim without sleeping. The
-// no-openings case is three atomic loads. A successful claim leaves
+// no-openings case is three atomic loads and a counter bump
+// (Snapshot.ClaimRefusals). A successful claim leaves
 // the spinner census (the waiter is committed to parking unless it
 // Cancels); Sleep and Cancel both rejoin it.
 func (h *Handle) TryClaim() (Ticket, bool) {

@@ -287,8 +287,34 @@ func TestSlotRejectMetric(t *testing.T) {
 	if s := rt.trySleep(h, false); s != nil {
 		t.Fatal("claim succeeded with a full pool")
 	}
-	if rejects := rt.Snapshot().SlotRejects; rejects != 1 {
-		t.Fatalf("SlotRejects = %d, want 1", rejects)
+	if snap := rt.Snapshot(); snap.SlotRejects != 1 || snap.ClaimRefusals != 0 {
+		t.Fatalf("SlotRejects = %d, ClaimRefusals = %d; want 1, 0", snap.SlotRejects, snap.ClaimRefusals)
+	}
+}
+
+// TestClaimRefusalMetric: a voluntary claim the target refuses counts
+// once in ClaimRefusals (not in SlotRejects); a forced claim never
+// meets the target test, and a claim under the whole-pool target is
+// admitted.
+func TestClaimRefusalMetric(t *testing.T) {
+	const bufCap = 4
+	rt := New(Options{BufferCap: bufCap})
+	h := rt.Register("refused")
+	if s := rt.trySleep(h, false); s != nil {
+		t.Fatal("claim admitted at target 0")
+	}
+	if s := rt.trySleep(h, true); s == nil {
+		t.Fatal("forced claim refused at target 0")
+	}
+	if snap := rt.Snapshot(); snap.ClaimRefusals != 1 || snap.SlotRejects != 0 {
+		t.Fatalf("at target 0: ClaimRefusals = %d, SlotRejects = %d; want 1, 0", snap.ClaimRefusals, snap.SlotRejects)
+	}
+	rt.setTarget(bufCap)
+	if s := rt.trySleep(h, false); s == nil {
+		t.Fatalf("claim refused at target %d: %+v", bufCap, rt.Snapshot())
+	}
+	if n := rt.Snapshot().ClaimRefusals; n != 1 {
+		t.Fatalf("ClaimRefusals = %d after an admitted claim, want still 1", n)
 	}
 }
 
@@ -533,48 +559,66 @@ func TestStopWakesParkedWaiters(t *testing.T) {
 	}
 }
 
-// TestDefaultSensorTargetsLoadPlusSleeping: under the default sensor
-// the target is the measured load plus the current sleepers, clamped —
-// checked against the inputs the tick itself reports, since the load of
-// the machine running the test is not ours to fix. The spinner census
-// is reported and is no input.
-func TestDefaultSensorTargetsLoadPlusSleeping(t *testing.T) {
-	rt := New(Options{})
-	sens := newSensor(loadavgPath)
-	defer sens.close()
+// TestDefaultSensorTargetFollowsLoadSign: under the default sensor the
+// target is the whole slot pool while the load is positive, and the
+// load plus the current sleepers, clamped, otherwise. The OS term reads
+// a fake /proc/loadavg, so each tick's sign is fixed whatever the
+// machine running the test is doing; the run-queue term is this
+// process's own and can only add. The spinner census is reported and
+// is no input.
+func TestDefaultSensorTargetFollowsLoadSign(t *testing.T) {
+	const bufCap = 64
+	rt := New(Options{BufferCap: bufCap, SleepTimeout: 10 * time.Second})
+	ncpu := goruntime.NumCPU()
+	sens, setRunning := fakeLoadavg(t, ncpu+2) // OSExcess = +1
 	h := rt.Register("census")
 	h.Spinning(5)
 	defer h.Spinning(-5)
 
-	check := func(sleeping int) {
+	tick := func() Snapshot {
 		t.Helper()
 		rt.update(sens)
 		snap := rt.Snapshot()
 		if want := int(snap.RunQueue) + snap.OSExcess; snap.Load != want {
 			t.Fatalf("load = %d, want floor(%v)%+d = %d", snap.Load, snap.RunQueue, snap.OSExcess, want)
 		}
-		if want := min(max(snap.Load+sleeping, 0), len(rt.slots)); snap.Target != want {
-			t.Fatalf("target = %d, want clamp(load %d + sleeping %d) = %d", snap.Target, snap.Load, sleeping, want)
-		}
-	}
-	check(0)
-	if got := rt.Snapshot().Spinners; got != 5 {
-		t.Fatalf("spinners = %d, want 5 reported", got)
+		return snap
 	}
 
-	// Two parked waiters count against the budget whatever the load is
-	// (a negative one wakes them, so Sleeping is not re-read after).
-	rt.setTarget(2)
+	// Overloaded: the pool, not the magnitude of the load.
+	snap := tick()
+	if snap.OSExcess != 1 || snap.Load < 1 || snap.Target != bufCap {
+		t.Fatalf("overloaded tick: os %d, load %d, target %d; want 1, >= 1, %d (the pool)",
+			snap.OSExcess, snap.Load, snap.Target, bufCap)
+	}
+	if snap.Spinners != 5 {
+		t.Fatalf("spinners = %d, want 5 reported", snap.Spinners)
+	}
+
+	// Two waiters park under that target, and count against the budget
+	// once the CPUs idle: the target is clamp(load + 2), and the
+	// controller wakes the surplus in the same tick (so Sleeping is not
+	// re-read after it).
 	var wg sync.WaitGroup
 	for i := 0; i < 2; i++ {
 		tk, ok := h.TryClaim()
 		if !ok {
-			t.Fatal("claim refused under target 2")
+			t.Fatalf("claim refused under the overloaded target: %+v", rt.Snapshot())
 		}
 		wg.Add(1)
 		go func() { defer wg.Done(); tk.Sleep() }()
 	}
-	check(2)
+	setRunning(1) // OSExcess = -NumCPU
+	snap = tick()
+	if snap.OSExcess != -ncpu || snap.Load > 0 {
+		t.Fatalf("idle tick: os %d, load %d; want %d, <= 0", snap.OSExcess, snap.Load, -ncpu)
+	}
+	if want := min(max(snap.Load+2, 0), bufCap); snap.Target != want {
+		t.Fatalf("target = %d, want clamp(load %d + sleeping 2) = %d", snap.Target, snap.Load, want)
+	}
+	if want := uint64(2 - snap.Target); snap.ControllerWakes != want {
+		t.Fatalf("controller wakes = %d, want the %d sleepers past the target", snap.ControllerWakes, want)
+	}
 	rt.setTarget(0)
 	wg.Wait()
 }

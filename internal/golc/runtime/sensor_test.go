@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	goruntime "runtime"
@@ -67,6 +68,25 @@ func TestOSExcess(t *testing.T) {
 	if got := s.osExcess(); got != 0 {
 		t.Errorf("missing file: osExcess = %d, want 0", got)
 	}
+}
+
+// fakeLoadavg returns a sensor whose OS term reads a temporary
+// /proc/loadavg stand-in, and a setter for the file's nr_running (the
+// descriptor stays open and is re-read, as TestOSExcess checks). The
+// run-queue term is this process's own.
+func fakeLoadavg(t *testing.T, running int) (*sensor, func(running int)) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "loadavg")
+	set := func(running int) {
+		t.Helper()
+		if err := os.WriteFile(path, []byte(fmt.Sprintf("1.00 1.00 1.00 %d/85 1\n", running)), 0o600); err != nil {
+			t.Fatal(err)
+		}
+	}
+	set(running)
+	s := newSensor(path)
+	t.Cleanup(s.close)
+	return s, set
 }
 
 // TestRunQueueEstimate pins the scale of the sampled signal: with 32

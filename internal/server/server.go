@@ -438,12 +438,16 @@ func writeProm(w io.Writer, store *kv.Store, db *oltp.DB, walLog *wal.Log, rt *l
 	pw.Counter("golc_wakes_total", "", wakes, snap.UnlockWakes)
 	wakes[0].Value = "timeout"
 	pw.Counter("golc_wakes_total", "", wakes, snap.TimeoutWakes)
+	// A subset of kind="timeout", so its own family: as a kind, summing
+	// the kinds would count it twice.
+	pw.Counter("golc_timeout_wakes_free_total", "Timeout wakes whose waiter then found the lock free (a missed wake).", nil, snap.TimeoutWakesFree)
 	pw.Counter("golc_ctx_cancels_total", "Parks abandoned by context cancellation.", nil, snap.CtxCancels)
 	pw.Counter("golc_claim_cancels_total", "Claims retired unused (lock freed before the park).", nil, snap.Cancels)
 	pw.Counter("golc_slot_rejects_total", "Claims refused because no sleep slot was free.", nil, snap.SlotRejects)
+	pw.Counter("golc_claim_refusals_total", "Voluntary claims refused by the sleep target.", nil, snap.ClaimRefusals)
 	pw.Gauge("golc_spinners", "Waiters spinning now.", nil, float64(snap.Spinners))
 	pw.Gauge("golc_sleeping", "Waiters parked now.", nil, float64(snap.Sleeping))
-	pw.Gauge("golc_spin_target", "Controller sleep target T.", nil, float64(snap.Target))
+	pw.Gauge("golc_spin_target", "Controller sleep target T: the slot pool size while the load is positive, load + sleeping otherwise.", nil, float64(snap.Target))
 	pw.Gauge("golc_locks_registered", "Locks registered with the runtime.", nil, float64(snap.LocksRegistered))
 
 	pw.Histogram("golc_wait_seconds", "Lock acquisition wait time (first failed acquire to grant), all locks.", nil, snap.WaitHist)

@@ -270,8 +270,8 @@ func TestStatsShape(t *testing.T) {
 			section("blame_top", &blameTop)
 			var rtFields map[string]json.RawMessage
 			section("runtime", &rtFields)
-			for _, k := range []string{"Updates", "Claims", "ControllerWakes", "TimeoutWakes", "UnlockWakes",
-				"Spinners", "Sleeping", "Target", "LocksRegistered", "RunQueue", "OSExcess", "Load"} {
+			for _, k := range []string{"Updates", "Claims", "ControllerWakes", "TimeoutWakes", "TimeoutWakesFree", "UnlockWakes",
+				"ClaimRefusals", "Spinners", "Sleeping", "Target", "LocksRegistered", "RunQueue", "OSExcess", "Load"} {
 				if _, ok := rtFields[k]; !ok {
 					t.Errorf("runtime has no %q", k)
 				}
@@ -282,7 +282,7 @@ func TestStatsShape(t *testing.T) {
 
 // TestMetricsHistograms: every histogram series in /metrics has its le
 // labels ascending, its buckets cumulative, and _count equal to the
-// +Inf bucket.
+// +Inf bucket. The runtime counters /stats carries are there too.
 func TestMetricsHistograms(t *testing.T) {
 	s := newTestServer(t, true)
 	for i := 0; i < 8; i++ {
@@ -294,6 +294,7 @@ func TestMetricsHistograms(t *testing.T) {
 	}
 	buckets := map[string]*series{}
 	counts := map[string]float64{}
+	names := map[string]bool{}
 	for _, line := range strings.Split(s.want(t, "GET", "/metrics", "", 200), "\n") {
 		if line == "" || line[0] == '#' {
 			continue
@@ -305,6 +306,7 @@ func TestMetricsHistograms(t *testing.T) {
 		}
 		name, labels, _ := strings.Cut(line[:sp], "{")
 		labels = strings.TrimSuffix(labels, "}")
+		names[name] = true
 		switch {
 		case strings.HasSuffix(name, "_bucket"):
 			// le is the last label the writer emits.
@@ -345,6 +347,12 @@ func TestMetricsHistograms(t *testing.T) {
 	}
 	if c := counts["oltp_commit_seconds{}"]; c != 8 {
 		t.Errorf("oltp_commit_seconds_count = %v, want 8", c)
+	}
+	for _, want := range []string{"golc_wakes_total", "golc_timeout_wakes_free_total", "golc_slot_rejects_total",
+		"golc_claim_refusals_total", "golc_spin_target"} {
+		if !names[want] {
+			t.Errorf("no %s sample in /metrics", want)
+		}
 	}
 }
 
