@@ -1,10 +1,8 @@
 package golc_test
 
 import (
-	"context"
 	"fmt"
 	"sync"
-	"time"
 
 	"repro/internal/golc"
 	lcrt "repro/internal/golc/runtime"
@@ -34,24 +32,6 @@ func ExampleMutex() {
 	wg.Wait()
 	fmt.Println(counter)
 	// Output: 1600
-}
-
-// ExampleMutex_LockCtx shows context-aware acquisition: a waiter
-// blocked on a held lock leaves cleanly when its context is cancelled.
-func ExampleMutex_LockCtx() {
-	rt := lcrt.New(lcrt.Options{})
-	rt.Start()
-	defer rt.Stop()
-
-	mu := golc.New("ctx-demo", golc.WithRuntime(rt))
-	mu.Lock() // held: the waiter below cannot acquire
-
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
-	defer cancel()
-	err := mu.LockCtx(ctx)
-	fmt.Println(err)
-	mu.Unlock()
-	// Output: context deadline exceeded
 }
 
 // ExampleRuntime_Snapshot shows reading runtime and per-lock activity.

@@ -570,52 +570,6 @@ func TestTryLock(t *testing.T) {
 	}
 }
 
-// TestTryRLock: readers probe past reader-held locks but never past a
-// writer or the writer-preference gate.
-func TestTryRLock(t *testing.T) {
-	rt := newTestRuntime(t, lcrt.Options{})
-	mu := NewRW("rwmutex", WithRuntime(rt))
-	if !mu.TryRLock() {
-		t.Fatal("TryRLock failed on a free lock")
-	}
-	if !mu.TryRLock() {
-		t.Fatal("TryRLock failed alongside another reader")
-	}
-	mu.RUnlock()
-	mu.RUnlock()
-	if !mu.TryLock() {
-		t.Fatal("TryLock failed on a free lock")
-	}
-	if mu.TryRLock() {
-		t.Fatal("TryRLock succeeded under a writer")
-	}
-	mu.Unlock()
-
-	// A blocked waiting writer must gate TryRLock (writer preference).
-	mu.RLock()
-	writerIn := make(chan struct{})
-	go func() {
-		close(writerIn)
-		mu.Lock()
-		mu.Unlock()
-	}()
-	<-writerIn
-	deadline := time.Now().Add(2 * time.Second)
-	gated := false
-	for time.Now().Before(deadline) {
-		if !mu.TryRLock() {
-			gated = true
-			break
-		}
-		mu.RUnlock() // writer not queued yet; retry
-		time.Sleep(100 * time.Microsecond)
-	}
-	if !gated {
-		t.Fatal("TryRLock never observed the writer-preference gate")
-	}
-	mu.RUnlock() // release the read hold so the writer can finish
-}
-
 // TestTryLockConcurrent: under contention TryLock must never grant two
 // holders (the mutual-exclusion property of the probe path).
 func TestTryLockConcurrent(t *testing.T) {

@@ -1,7 +1,6 @@
 package golc
 
 import (
-	"context"
 	"sync/atomic"
 
 	"repro/internal/golc/obs"
@@ -179,33 +178,14 @@ func (m *Mutex) Lock() {
 		m.stampHold()
 		return
 	}
-	_ = m.lockSlow(context.Background()) // a Background wait cannot fail
+	m.lockSlow()
 }
 
-// LockCtx is Lock with a cancellation route: if ctx is cancelled
-// before the lock is acquired — mid-spin or mid-park, per the policy —
-// it returns ctx.Err() with the lock not held. A nil error means the
-// lock is held exactly as after Lock.
-func (m *Mutex) LockCtx(ctx context.Context) error {
-	if m.state.CompareAndSwap(0, 1) {
-		m.stampHold()
-		return nil
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	return m.lockSlow(ctx)
-}
-
-func (m *Mutex) lockSlow(ctx context.Context) error {
-	site, err := Wait(ctx, m.h, m.Policy(), Acquire{
+func (m *Mutex) lockSlow() {
+	m.stampWaited(Wait(m.h, m.Policy(), Acquire{
 		Try:  func() bool { return m.state.Load() == 0 && m.state.CompareAndSwap(0, 1) },
 		Free: func() bool { return m.state.Load() == 0 },
-	})
-	if err == nil {
-		m.stampWaited(site)
-	}
-	return err
+	}))
 }
 
 // Unlock releases the mutex, waking a parked waiter if no spinner is

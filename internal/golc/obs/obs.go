@@ -7,9 +7,9 @@
 //     read. The runtime records acquisition wait time, hold time, and
 //     park duration into them, per lock and globally.
 //   - Ring: a bounded, sharded ring of typed events (park, wake,
-//     forced claim, ctx-cancel, policy hot-swap, controller tick, and
-//     the oltp transaction lifecycle) with nanosecond timestamps — the
-//     flight recorder proper. Old events are overwritten, memory is
+//     forced claim, policy hot-swap, controller tick, and the oltp
+//     transaction lifecycle) with nanosecond timestamps — the flight
+//     recorder proper. Old events are overwritten, memory is
 //     bounded, and a sampling knob sheds load under event storms.
 //   - Exposition: a hand-rolled Prometheus text writer (PromWriter)
 //     and a Chrome-tracing JSON writer (WriteChromeTrace) whose output

@@ -15,7 +15,6 @@ const (
 	EvPark           EventType = iota // a waiter claimed a sleep slot (Name: lock)
 	EvWake                            // a park ended (Name: lock, Label: who woke it, Dur: time asleep)
 	EvForcedClaim                     // an unconditional park claim — blocking policies (Name: lock)
-	EvCtxCancel                       // a wait abandoned by context cancellation (Name: lock)
 	EvPolicySwap                      // a lock's contention policy was hot-swapped (Name: lock, Label: new policy)
 	EvControllerTick                  // one controller update (Arg: raw sleep target, Label: its inputs "runq=… os=… load=… sleeping=…")
 
@@ -36,7 +35,6 @@ var eventNames = [numEventTypes]string{
 	EvPark:           "park",
 	EvWake:           "wake",
 	EvForcedClaim:    "forced-claim",
-	EvCtxCancel:      "ctx-cancel",
 	EvPolicySwap:     "policy-swap",
 	EvControllerTick: "controller-tick",
 	EvTxnBlock:       "txn-block",

@@ -1,7 +1,6 @@
 package golc
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/golc/obs"
@@ -80,80 +79,50 @@ type Acquire struct {
 	Free func() bool
 
 	// PrePark, when non-nil, is called with the claimed ticket just
-	// before the waiter sleeps, and PostPark after the sleep returns
-	// (always paired, even when the sleep was cancelled). They exist
-	// for gates a waiter must not hold while unconscious: the RWMutex
-	// writer drops its writer-preference claim in PrePark — waking a
-	// reader the doomed gate had stranded, via Ticket.NoteRelease —
-	// and re-raises it in PostPark.
+	// before the waiter sleeps, and PostPark after the sleep returns.
+	// They exist for gates a waiter must not hold while unconscious: the
+	// RWMutex writer drops its writer-preference claim in PrePark —
+	// waking a reader the doomed gate had stranded, via
+	// Ticket.NoteRelease — and re-raises it in PostPark.
 	PrePark  func(t lcrt.Ticket)
 	PostPark func()
 }
 
 // Wait is the wait seam: every contended wait — Mutex and RWMutex slow
 // paths, the wal's durability wait — is this call. It blocks until a.Try
-// succeeds (nil) or ctx is cancelled (ctx.Err(), with the lock not
-// acquired and all census and gate state restored); a nil or
-// never-cancellable ctx (context.Background) cannot fail and costs
-// nothing. The caller has already failed one uncontended attempt.
+// succeeds, and has no other way out: physical waits are uncancellable
+// by design. A park ends on a controller wake, an unlock wake or the
+// safety timeout, and the waiter goes back to acquiring. The caller has
+// already failed one uncontended attempt.
 //
 // The runtime's BeginWait/End bracket around pol's loop is what makes
-// every wait under every policy stamped into the wait histograms,
-// sampled into the blame matrix and reported when cancelled. It returns
-// the waiter's blame site (0 unless this wait was sampled and
-// succeeded) for the new holder to publish.
+// every wait under every policy stamped into the wait histograms and
+// sampled into the blame matrix. It returns the waiter's blame site (0
+// unless this wait was sampled) for the new holder to publish.
 //
 // Call it one frame below the exported entry point (Lock → lockSlow →
 // Wait): the sampled site is the stack from that entry point up.
-func Wait(ctx context.Context, h *lcrt.Handle, pol ContentionPolicy, a Acquire) (obs.SiteID, error) {
+func Wait(h *lcrt.Handle, pol ContentionPolicy, a Acquire) obs.SiteID {
 	w := h.BeginWait(2)
 	p := &policies[pol]
-	err := waitLoop(ctx, h, a, p.grace, p.claim)
-	return w.End(err), err
+	waitLoop(h, a, p.grace, p.claim)
+	return w.End()
 }
 
 // waitLoop is the acquire loop behind every policy: TATAS polling on
-// the package spin cadence, a ctx check once per park interval, and —
-// when claim is non-nil and the waiter is past its grace spin — the
-// claim/re-check/sleep protocol.
-func waitLoop(ctx context.Context, h *lcrt.Handle, a Acquire, grace int, claim func(*lcrt.Handle) (lcrt.Ticket, bool)) error {
-	var done <-chan struct{}
-	if ctx != nil {
-		done = ctx.Done()
-	}
+// the package spin cadence and — when claim is non-nil and the waiter
+// is past its grace spin — the claim/re-check/sleep protocol once per
+// park interval (for Spin, claim is nil and the loop never parks).
+func waitLoop(h *lcrt.Handle, a Acquire, grace int, claim func(*lcrt.Handle) (lcrt.Ticket, bool)) {
 	h.Spinning(1)
 	c := cadence{park: grace}
-	// leave ends the wait without the lock (a cancellation). This waiter
-	// may be the very spinner that made a concurrent NoteUnlock skip its
-	// wake, so if the lock is free on the way out, offer the wake again:
-	// otherwise a parked waiter sits on a free lock until the timeout.
-	leave := func(err error) error {
-		h.Spinning(-1)
-		h.NoteSpins(c.spins)
-		if a.Free() {
-			h.NoteUnlock()
-		}
-		return err
-	}
 	for {
 		if a.Try() {
 			h.Spinning(-1)
 			h.NoteSpins(c.spins)
-			return nil
+			return
 		}
-		if !c.next() {
-			continue
-		}
-		// Once per park interval: cheap cancellation poll, then the
-		// park path (for Spin, claim is nil and the loop never parks).
-		if done != nil {
-			select {
-			case <-done:
-				return leave(ctx.Err())
-			default:
-			}
-		}
-		if claim == nil {
+		if !c.next() || claim == nil {
 			continue
 		}
 		if t, ok := claim(h); ok {
@@ -165,12 +134,9 @@ func waitLoop(ctx context.Context, h *lcrt.Handle, a Acquire, grace int, claim f
 				if a.PrePark != nil {
 					a.PrePark(t)
 				}
-				timedOut, err := t.SleepCtx(ctx)
+				timedOut := t.Sleep()
 				if a.PostPark != nil {
 					a.PostPark()
-				}
-				if err != nil {
-					return leave(err)
 				}
 				if timedOut && a.Free() {
 					// The backstop found the lock free: a release

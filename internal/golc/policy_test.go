@@ -1,8 +1,6 @@
 package golc
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"slices"
 	"strings"
@@ -175,62 +173,6 @@ func TestPolicyConformanceTryLock(t *testing.T) {
 			t.Fatal("TryLock failed after Unlock")
 		}
 		mu.Unlock()
-	})
-}
-
-// TestPolicyConformanceLockCtx: a waiter blocked mid-wait — mid-park
-// for the parking policies — must return ctx.Err() promptly on
-// cancellation, leave the lock usable, and restore the census.
-func TestPolicyConformanceLockCtx(t *testing.T) {
-	eachPolicy(t, func(t *testing.T, rt *lcrt.Runtime, pol ContentionPolicy) {
-		for _, variant := range []struct {
-			name    string
-			lockCtx func(mu *RWMutex, ctx context.Context) error
-		}{
-			{"LockCtx", func(mu *RWMutex, ctx context.Context) error { return mu.LockCtx(ctx) }},
-			{"RLockCtx", func(mu *RWMutex, ctx context.Context) error { return mu.RLockCtx(ctx) }},
-		} {
-			t.Run(variant.name, func(t *testing.T) {
-				mu := NewRW("conf-ctx", WithPolicy(pol), WithRuntime(rt))
-				mu.Lock() // readers and writers both blocked
-				ctx, cancel := context.WithCancel(context.Background())
-				errc := make(chan error, 1)
-				go func() { errc <- variant.lockCtx(mu, ctx) }()
-				// Wait until the waiter is visibly mid-wait (spinning or
-				// parked) before cancelling: that is the case that used
-				// to have no exit.
-				deadline := time.Now().Add(5 * time.Second)
-				for {
-					if st := mu.Stats(); st.SpinningNow > 0 || st.SleepingNow > 0 {
-						break
-					}
-					if time.Now().After(deadline) {
-						t.Fatal("waiter never started waiting")
-					}
-					time.Sleep(50 * time.Microsecond)
-				}
-				cancel()
-				select {
-				case err := <-errc:
-					if !errors.Is(err, context.Canceled) {
-						t.Fatalf("LockCtx = %v, want context.Canceled", err)
-					}
-				case <-time.After(5 * time.Second):
-					t.Fatalf("cancelled waiter never returned: %+v", mu.Stats())
-				}
-				if st := mu.Stats(); st.SpinningNow != 0 || st.SleepingNow != 0 {
-					t.Fatalf("census not restored after cancellation: %+v", st)
-				}
-				// The lock must be fully usable afterwards.
-				mu.Unlock()
-				if err := mu.LockCtx(context.Background()); err != nil {
-					t.Fatal(err)
-				}
-				mu.Unlock()
-				mu.RLock()
-				mu.RUnlock()
-			})
-		}
 	})
 }
 
@@ -495,90 +437,16 @@ func TestLCFollowsTheTarget(t *testing.T) {
 	}
 }
 
-// TestCancelledSpinnerDoesNotStrandParkedWaiter: a spinner that leaves
-// on cancellation may be the spinner a concurrent unlock counted on to
-// take the lock (NoteUnlock skips its wake while one is spinning). It
-// must pass the wake on, or the parked waiter sits on a free lock until
-// the safety timeout. Each round parks one waiter (the target has room
-// for exactly one), stands cancellable spinners beside it, and cancels
-// and unlocks back to back.
-func TestCancelledSpinnerDoesNotStrandParkedWaiter(t *testing.T) {
-	const rounds, spinners = 100, 3
-	// One lock seen as the test needs it: the holder's exclusive hold,
-	// the cancellable acquire under test and its release.
-	type lock struct {
-		lock, unlock func()
-		lockCtx      func(context.Context) error
-		unlockCtx    func()
-		stats        func() lcrt.LockStats
-	}
-	for _, variant := range []struct {
-		name string
-		new  func(rt *lcrt.Runtime) lock
-	}{
-		{"Mutex.LockCtx", func(rt *lcrt.Runtime) lock {
-			mu := New("cancel-strand", WithRuntime(rt))
-			return lock{mu.Lock, mu.Unlock, mu.LockCtx, mu.Unlock, mu.Stats}
-		}},
-		{"RWMutex.RLockCtx", func(rt *lcrt.Runtime) lock {
-			mu := NewRW("cancel-strand-rw", WithRuntime(rt))
-			return lock{mu.Lock, mu.Unlock, mu.RLockCtx, mu.RUnlock, mu.Stats}
-		}},
-	} {
-		t.Run(variant.name, func(t *testing.T) {
-			rt := newTestRuntime(t, lcrt.Options{
-				Interval:     time.Millisecond,
-				SleepTimeout: 5 * time.Second, // a strand fails its round long before this
-				LoadFunc:     func() int { return 1 },
-			})
-			waitFor(t, "target 1", func() bool { return rt.Snapshot().Target == 1 })
-			mu := variant.new(rt)
-			for round := 0; round < rounds; round++ {
-				mu.lock()
-				parked := make(chan struct{})
-				go func() {
-					if err := mu.lockCtx(context.Background()); err != nil {
-						t.Error(err)
-					}
-					mu.unlockCtx()
-					close(parked)
-				}()
-				waitFor(t, "the waiter to park", func() bool { return mu.stats().SleepingNow == 1 })
-				ctx, cancel := context.WithCancel(context.Background())
-				var wg sync.WaitGroup
-				for i := 0; i < spinners; i++ {
-					wg.Add(1)
-					go func() {
-						defer wg.Done()
-						if mu.lockCtx(ctx) == nil {
-							mu.unlockCtx()
-						}
-					}()
-				}
-				waitFor(t, "the spinners", func() bool { return mu.stats().SpinningNow == spinners })
-				cancel()
-				mu.unlock()
-				select {
-				case <-parked:
-				case <-time.After(2 * time.Second):
-					t.Fatalf("round %d: parked waiter stranded on a free lock: %+v", round, mu.stats())
-				}
-				wg.Wait()
-			}
-			if snap := rt.Snapshot(); snap.TimeoutWakes != 0 {
-				t.Fatalf("a waiter fell back to the safety timeout: %+v", snap)
-			}
-		})
-	}
-}
-
 // TestTimeoutWakeFoundFree: a park that the safety timeout ends counts
 // as TimeoutWakesFree only if the lock is free when the waiter looks
 // again — a release that skipped its wake. The flag stands in for a
-// lock, and PrePark clears it without NoteUnlock, after the post-claim
-// re-check, so nothing but the 5ms backstop can end that park. Block
-// parks on its first claim, and the controller never wakes a forced
-// sleeper.
+// lock, and PrePark runs after the post-claim re-check. Released, it
+// clears the flag without NoteUnlock, so nothing but the 5ms backstop
+// can end that park. Held, the backstop ends the first park on a held
+// flag, and the next PrePark releases it the way a lock does, with the
+// unlock-side wake: the order is fixed, so no later timeout can find
+// the flag free. Block parks on its first claim, and the controller
+// never wakes a forced sleeper.
 func TestTimeoutWakeFoundFree(t *testing.T) {
 	for _, released := range []bool{true, false} {
 		t.Run(fmt.Sprintf("released=%v", released), func(t *testing.T) {
@@ -586,33 +454,19 @@ func TestTimeoutWakeFoundFree(t *testing.T) {
 			h := rt.Register("flag")
 			var held atomic.Bool
 			held.Store(true)
-			acq := Acquire{
+			Wait(h, Block, Acquire{
 				Try:  func() bool { return held.CompareAndSwap(false, true) },
 				Free: func() bool { return !held.Load() },
 				PrePark: func(lcrt.Ticket) {
-					if released {
+					switch {
+					case released:
 						held.Store(false)
+					case h.Stats().TimeoutWakes > 0:
+						held.Store(false)
+						h.NoteUnlock()
 					}
 				},
-			}
-			ctx, cancel := context.WithCancel(context.Background())
-			defer cancel()
-			errc := make(chan error, 1)
-			go func() {
-				_, err := Wait(ctx, h, Block, acq)
-				errc <- err
-			}()
-			if released {
-				if err := <-errc; err != nil {
-					t.Fatalf("Wait = %v", err)
-				}
-			} else {
-				waitFor(t, "a timeout wake", func() bool { return h.Stats().TimeoutWakes > 0 })
-				cancel()
-				if err := <-errc; !errors.Is(err, context.Canceled) {
-					t.Fatalf("Wait = %v, want context.Canceled", err)
-				}
-			}
+			})
 			st, snap := h.Stats(), rt.Snapshot()
 			want := uint64(0)
 			if released {

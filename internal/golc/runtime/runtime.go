@@ -19,9 +19,12 @@
 // at zero load and wakes −load sleepers below it. A LoadFunc is
 // published as it stands. Spinning waiters claim sleep slots against T
 // exactly as in the paper (S/W counters, immediate controller wakes on
-// underload, a safety timeout). The spinner census is not an input: it
-// only tells an unlocker whether an awake waiter is left (NoteUnlock),
-// and is reported.
+// underload, a safety timeout). Outside the Stop drain a park ends in
+// one of three ways — a controller wake, the lock's unlock wake, or the
+// timeout — and never on cancellation: physical waits are uncancellable
+// by design. The spinner census is not an input: it only tells an
+// unlocker whether an awake waiter is left (NoteUnlock), and is
+// reported.
 //
 // Most programs use the shared Default() runtime; tests and benchmarks
 // construct private ones with New.
@@ -35,7 +38,7 @@
 //     parked waiter when the lock is released with parked waiters and
 //     no spinners left, enforcing a per-lock floor of one awake waiter.
 //     The 100ms safety timeout remains only as the last-resort backstop
-//     (controller death, custom lock code that never calls NoteUnlock).
+//     (controller death; a wake missed anyway shows as TimeoutWakesFree).
 //   - The metrics registry holds locks weakly. A registered lock stays
 //     visible in Snapshot until its Handle's Close is called or the
 //     Handle becomes unreachable, whichever comes first: registry
@@ -46,7 +49,6 @@
 package runtime
 
 import (
-	"context"
 	"fmt"
 	"math"
 	goruntime "runtime"
@@ -143,7 +145,6 @@ type Snapshot struct {
 	TimeoutWakes     uint64
 	TimeoutWakesFree uint64 // timeout wakes that found the lock free (see LockStats)
 	UnlockWakes      uint64
-	CtxCancels       uint64 // parks abandoned by context cancellation
 	Cancels          uint64 // claims retired unused (lock freed before the park)
 	SlotRejects      uint64 // claims refused because no slot was free
 	ClaimRefusals    uint64 // voluntary claims refused by the target test (sleeping ≥ Target)
@@ -177,10 +178,9 @@ type Snapshot struct {
 // fields after ch are maintained under Runtime.mu. forced marks a claim
 // made through ClaimForced: it bypasses the sleep target and is
 // excluded from the S/W counters (the controller neither asked for it
-// nor may wake it — only the lock's own unlock, the safety timeout, a
-// context cancellation, or the Stop drain end it). gone flips when some
-// wake path detaches the sleeper, so racing paths settle who consumed
-// it.
+// nor may wake it — only the lock's own unlock, the safety timeout, or
+// the Stop drain end it). gone flips when some wake path detaches the
+// sleeper, so racing paths settle who consumed it.
 type sleeper struct {
 	ch     chan struct{}
 	idx    int
@@ -253,7 +253,6 @@ type Runtime struct {
 	timeoutWakes     atomic.Uint64
 	timeoutWakesFree atomic.Uint64
 	unlockWakes      atomic.Uint64
-	ctxCancels       atomic.Uint64
 	cancels          atomic.Uint64
 	slotRejects      atomic.Uint64
 	claimRefusals    atomic.Uint64
@@ -392,7 +391,6 @@ func (r *Runtime) Snapshot() Snapshot {
 		TimeoutWakes:     r.timeoutWakes.Load(),
 		TimeoutWakesFree: r.timeoutWakesFree.Load(),
 		UnlockWakes:      r.unlockWakes.Load(),
-		CtxCancels:       r.ctxCancels.Load(),
 		Cancels:          r.cancels.Load(),
 		SlotRejects:      r.slotRejects.Load(),
 		ClaimRefusals:    r.claimRefusals.Load(),
@@ -692,47 +690,25 @@ func (r *Runtime) trySleep(h *Handle, forced bool) *sleeper {
 	return s
 }
 
-// sleep parks until a wake, the timeout, or ctx cancellation, then
-// retires from the buffer (W++ for voluntary claims), clearing its own
-// slot on the timeout and cancellation paths. A nil ctx (or one that
-// can never be cancelled) costs nothing extra. It reports whether the
-// park ended on the timeout, and returns ctx.Err() for a cancellation;
-// on the cancellation path, a wake that raced in and was consumed by
-// this sleeper is forwarded to the handle's next parked waiter, so an
-// abandoned park cannot eat an unlock-side handoff.
-func (r *Runtime) sleep(s *sleeper, ctx context.Context) (timedOut bool, err error) {
-	var done <-chan struct{}
-	if ctx != nil {
-		done = ctx.Done()
-	}
+// sleep parks until a wake or the timeout, then retires from the
+// buffer (W++ for voluntary claims), clearing its own slot on the
+// timeout path. It reports whether the park ended on the timeout.
+func (r *Runtime) sleep(s *sleeper) (timedOut bool) {
 	timer := time.NewTimer(r.opts.SleepTimeout)
 	select {
 	case <-s.ch:
 	case <-timer.C:
-	case <-done:
-		err = ctx.Err()
 	}
 	timer.Stop()
-	forward := false
-	reason := ""
+	reason := "timeout"
 	r.mu.Lock()
 	if r.detach(s) {
-		if err != nil {
-			r.ctxCancels.Add(1)
-			reason = "cancel"
-		} else {
-			timedOut = true
-			r.timeoutWakes.Add(1)
-			s.h.timeoutWakes.Add(1)
-			reason = "timeout"
-		}
+		timedOut = true
+		r.timeoutWakes.Add(1)
+		s.h.timeoutWakes.Add(1)
 	} else {
 		// Someone woke this sleeper; s.wake (written by the waker
-		// under mu) says who. If the cancellation won the select
-		// anyway, the wake must not be lost.
-		if err != nil {
-			forward = true
-		}
+		// under mu) says who.
 		reason = wakeLabels[s.wake]
 	}
 	if !s.forced {
@@ -746,10 +722,7 @@ func (r *Runtime) sleep(s *sleeper, ctx context.Context) (timedOut bool, err err
 		r.rec.Park.Observe(d)
 		r.rec.Span(obs.EvWake, s.h.name, reason, 0, d)
 	}
-	if forward {
-		r.wakeHandle(s.h, nil)
-	}
-	return timedOut, err
+	return timedOut
 }
 
 // cancel retires a claim without sleeping on it: the lock turned out
@@ -824,7 +797,7 @@ type Handle struct {
 func (h *Handle) Name() string { return h.name }
 
 // Obs returns the runtime's flight recorder, for locks that emit
-// their own events (policy swaps, cancelled waits).
+// their own events (policy swaps).
 func (h *Handle) Obs() *obs.Recorder { return h.rt.rec }
 
 // Waiting is one contended wait in flight: what BeginWait captured and
@@ -857,20 +830,12 @@ func (h *Handle) BeginWait(skip int) Waiting {
 	return w
 }
 
-// End closes the bracket with the policy's verdict. A nil err is an
-// acquisition: the wait goes into the lock's and the runtime's wait
-// histograms, a sampled one into the blame matrix too, and the
-// waiter's site (0 unless sampled) is returned for the new holder to
-// publish. A non-nil err is a wait that was cancelled: only the event
-// is recorded.
-func (w Waiting) End(err error) obs.SiteID {
+// End closes the bracket once the wait has acquired: the wait goes into
+// the lock's and the runtime's wait histograms, a sampled one into the
+// blame matrix too, and the waiter's site (0 unless sampled) is
+// returned for the new holder to publish.
+func (w Waiting) End() obs.SiteID {
 	h, rec := w.h, w.h.rt.rec
-	if err != nil {
-		if w.start != 0 {
-			rec.Event(obs.EvCtxCancel, h.name, "", 0)
-		}
-		return 0
-	}
 	if w.start != 0 {
 		d := rec.Now() - w.start
 		h.wait.Observe(d)
@@ -935,7 +900,7 @@ func (h *Handle) Close() { h.rt.unregister(h.self) }
 
 // Spinning adjusts the shared spinner census by delta. Locks call
 // Spinning(1) when a waiter starts spinning and Spinning(-1) when it
-// acquires or gives up.
+// acquires.
 func (h *Handle) Spinning(delta int) {
 	h.rt.spinners.Add(int64(delta))
 	h.spinning.Add(int64(delta))
@@ -943,7 +908,7 @@ func (h *Handle) Spinning(delta int) {
 
 // NoteTimeoutWakeFree counts a timeout wake after which the waiter
 // found the lock free (LockStats.TimeoutWakesFree): the caller re-checks
-// its lock once SleepCtx reports the timeout.
+// its lock once Sleep reports the timeout.
 func (h *Handle) NoteTimeoutWakeFree() {
 	h.rt.timeoutWakesFree.Add(1)
 	h.timeoutWakesFree.Add(1)
@@ -980,11 +945,6 @@ func (h *Handle) NoteUnlock() {
 	h.rt.wakeHandle(h, nil)
 }
 
-// WakeOne unconditionally wakes one of the lock's parked waiters,
-// reporting whether there was one. NoteUnlock is the usual entry
-// point; WakeOne serves tests and custom lock code.
-func (h *Handle) WakeOne() bool { return h.rt.wakeHandle(h, nil) }
-
 // WakeAll unconditionally wakes every parked waiter of the lock and
 // returns how many there were, for waits that end for all waiters at
 // once (the wal's group commit) rather than for one acquirer.
@@ -1014,10 +974,10 @@ func (h *Handle) TryClaim() (Ticket, bool) {
 // ClaimForced claims a sleep slot unconditionally — no target test, no
 // S/W accounting — for policies that always park contended waiters
 // (golc's Block policy). A forced sleeper is woken only by the lock's
-// own unlock (NoteUnlock/WakeOne), the safety timeout, a context
-// cancellation, or the Stop drain; the controller ignores it. It fails
-// when the slot pool is physically full or the runtime is stopping —
-// callers fall back to spinning.
+// own unlock (NoteUnlock, WakeAll), the safety timeout, or the Stop
+// drain; the controller ignores it. It fails when the slot pool is
+// physically full or the runtime is stopping — callers fall back to
+// spinning.
 func (h *Handle) ClaimForced() (Ticket, bool) {
 	return h.claim(true)
 }
@@ -1043,22 +1003,13 @@ func (h *Handle) claim(forced bool) (Ticket, bool) {
 }
 
 // Sleep parks on the claimed slot until a controller wake, an unlock
-// wake, or the safety timeout, then rejoins the spinner census.
-func (t Ticket) Sleep() { t.SleepCtx(nil) } //nolint:errcheck // nil ctx cannot err
-
-// SleepCtx is Sleep with a cancellation route: if ctx is cancelled
-// while parked, the park is abandoned promptly (any wake it had
-// already consumed is forwarded to the handle's next sleeper) and
-// ctx.Err() is returned. A nil ctx — or one whose Done channel is nil,
-// like context.Background() — never cancels and costs nothing extra.
-// timedOut reports a park ended by the safety timeout rather than a
-// wake. Either way the waiter rejoins the spinner census before
-// returning; a cancelled caller is expected to leave its acquire loop
-// itself.
-func (t Ticket) SleepCtx(ctx context.Context) (timedOut bool, err error) {
-	timedOut, err = t.h.rt.sleep(t.s, ctx)
+// wake, or the safety timeout — a park cannot be cancelled — then
+// rejoins the spinner census. timedOut reports a park ended by the
+// safety timeout rather than a wake.
+func (t Ticket) Sleep() (timedOut bool) {
+	timedOut = t.h.rt.sleep(t.s)
 	t.h.Spinning(1)
-	return timedOut, err
+	return timedOut
 }
 
 // Cancel retires the claim without parking — the caller re-checked its
@@ -1083,14 +1034,6 @@ func (t Ticket) NoteRelease() {
 		return
 	}
 	h.rt.wakeHandle(h, t.s)
-}
-
-// Waiters reports the lock's current waiter population: goroutines
-// spinning in its acquire loops and goroutines parked in the slot pool
-// on its behalf. Point-in-time reads of two atomics — cheap enough for
-// deadlock bookkeeping and contention dashboards to poll.
-func (h *Handle) Waiters() (spinning, sleeping int64) {
-	return h.spinning.Load(), h.sleepers.Load()
 }
 
 // Stats returns the lock's counters.

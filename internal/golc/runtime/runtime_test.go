@@ -63,7 +63,9 @@ func TestSleeperTimeoutPath(t *testing.T) {
 		t.Fatal("claim failed with open target")
 	}
 	start := time.Now()
-	rt.sleep(s, nil)
+	if !rt.sleep(s) {
+		t.Fatal("sleep did not report the timeout")
+	}
 	if time.Since(start) < 15*time.Millisecond {
 		t.Fatal("sleep returned before timeout without a wake")
 	}
@@ -86,7 +88,7 @@ func TestControllerWakePath(t *testing.T) {
 	}
 	done := make(chan struct{})
 	go func() {
-		rt.sleep(s, nil)
+		rt.sleep(s)
 		close(done)
 	}()
 	time.Sleep(10 * time.Millisecond)
@@ -219,7 +221,7 @@ func TestSnapshotSleepingBoundedUnderChurn(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				h.WakeOne()
+				rt.wakeHandle(h, nil)
 			}
 		}
 	}()
@@ -256,10 +258,10 @@ func TestTrySleepScansPastOccupiedSlots(t *testing.T) {
 	// Wake B (slot 1) and retire it; slot 0 stays occupied by A. The
 	// old placement computed idx = S % cap = 2 % 2 = 0 — occupied —
 	// and refused, despite slot 1 being free.
-	if !hB.WakeOne() {
-		t.Fatal("WakeOne found no sleeper for B")
+	if !rt.wakeHandle(hB, nil) {
+		t.Fatal("no sleeper of B to wake")
 	}
-	rt.sleep(sb, nil) // retires immediately: channel already closed
+	rt.sleep(sb) // retires immediately: channel already closed
 	sc := rt.trySleep(hB, false)
 	if sc == nil {
 		t.Fatalf("claim refused with a free slot in the pool: %+v", rt.Snapshot())
@@ -406,7 +408,7 @@ func TestNoteReleaseWakesOtherSleeper(t *testing.T) {
 	}
 	otherDone := make(chan struct{})
 	go func() {
-		rt.sleep(other, nil)
+		rt.sleep(other)
 		close(otherDone)
 	}()
 	waitFor(t, "both parked", func() bool { return rt.Snapshot().Sleeping == 2 })
@@ -466,7 +468,7 @@ func TestWakeAll(t *testing.T) {
 	if snap.UnlockWakes != n || h.Stats().UnlockWakes != n || snap.TimeoutWakes+snap.ControllerWakes != 0 {
 		t.Fatalf("snapshot = %+v, want %d unlock wakes and no other", snap, n)
 	}
-	if _, sleeping := h.Waiters(); sleeping != 0 {
+	if sleeping := h.Stats().SleepingNow; sleeping != 0 {
 		t.Fatalf("handle still counts %d sleepers", sleeping)
 	}
 	rt.mu.Lock()
@@ -480,7 +482,7 @@ func TestWakeAll(t *testing.T) {
 	if occupied != 1 {
 		t.Fatalf("%d slots occupied after WakeAll, want only the bystander's", occupied)
 	}
-	if !bystander.WakeOne() {
+	if !rt.wakeHandle(bystander, nil) {
 		t.Fatal("bystander was not left parked")
 	}
 	wg.Wait()
@@ -676,32 +678,33 @@ func TestWeakRegistrationReclaimsLeakedHandles(t *testing.T) {
 	}
 }
 
-// TestWaitersExposure: the spinning/sleeping point-in-time counts used
-// for deadlock bookkeeping and the /stats top-N view.
+// TestWaitersExposure: the spinning/sleeping point-in-time counts that
+// LockStats carries for the /stats top-N view follow a waiter from
+// spinning to claimed to retired.
 func TestWaitersExposure(t *testing.T) {
 	rt := New(Options{SleepTimeout: 10 * time.Second})
 	rt.setTarget(1)
 	h := rt.Register("waiters")
 	defer h.Close()
+	now := func() (int64, int64) {
+		ls := h.Stats()
+		return ls.SpinningNow, ls.SleepingNow
+	}
 	h.Spinning(1)
-	if sp, sl := h.Waiters(); sp != 1 || sl != 0 {
-		t.Fatalf("Waiters = %d,%d after Spinning(1)", sp, sl)
+	if sp, sl := now(); sp != 1 || sl != 0 {
+		t.Fatalf("SpinningNow, SleepingNow = %d,%d after Spinning(1)", sp, sl)
 	}
 	tk, ok := h.TryClaim()
 	if !ok {
 		t.Fatal("claim failed with open target")
 	}
-	if sp, sl := h.Waiters(); sp != 0 || sl != 1 {
-		t.Fatalf("Waiters = %d,%d after claim", sp, sl)
-	}
-	ls := h.Stats()
-	if ls.SpinningNow != 0 || ls.SleepingNow != 1 {
-		t.Fatalf("Stats now-counts = %+v", ls)
+	if sp, sl := now(); sp != 0 || sl != 1 {
+		t.Fatalf("SpinningNow, SleepingNow = %d,%d after claim", sp, sl)
 	}
 	tk.Cancel()
 	h.Spinning(-1)
-	if sp, sl := h.Waiters(); sp != 0 || sl != 0 {
-		t.Fatalf("Waiters = %d,%d after cancel", sp, sl)
+	if sp, sl := now(); sp != 0 || sl != 0 {
+		t.Fatalf("SpinningNow, SleepingNow = %d,%d after cancel", sp, sl)
 	}
 }
 

@@ -1,7 +1,6 @@
 package golc
 
 import (
-	"context"
 	"sync/atomic"
 
 	lcrt "repro/internal/golc/runtime"
@@ -59,32 +58,17 @@ func (m *RWMutex) RLock() {
 	if m.tryR() {
 		return
 	}
-	_ = m.rlockSlow(context.Background()) // a Background wait cannot fail
-}
-
-// RLockCtx is RLock with a cancellation route: if ctx is cancelled
-// before the read hold is acquired it returns ctx.Err() with the lock
-// not held.
-func (m *RWMutex) RLockCtx(ctx context.Context) error {
-	if m.tryR() {
-		return nil
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	return m.rlockSlow(ctx)
+	m.rlockSlow()
 }
 
 // rlockSlow waits for a read hold. A blame-sampled reader blames
 // whoever was published when its wait began — under writer preference
 // that is the writer holding (or a sampled reader crowding out) the
 // lock — and then publishes its own site, unshadowed (see RWMutex).
-func (m *RWMutex) rlockSlow(ctx context.Context) error {
-	site, err := Wait(ctx, m.h, m.Policy(), Acquire{Try: m.tryR, Free: m.rAvailable})
-	if site != 0 {
+func (m *RWMutex) rlockSlow() {
+	if site := Wait(m.h, m.Policy(), Acquire{Try: m.tryR, Free: m.rAvailable}); site != 0 {
 		m.h.PublishHolderSite(site)
 	}
-	return err
 }
 
 // RUnlock releases one read hold. Validation happens before the
@@ -120,24 +104,6 @@ func (m *RWMutex) TryLock() bool {
 	return m.state.CompareAndSwap(0, -1)
 }
 
-// TryRLock acquires the lock for reading if no writer holds or awaits
-// it, without spinning or parking. It retries only CAS failures caused
-// by reader-count churn, never a writer.
-func (m *RWMutex) TryRLock() bool {
-	for {
-		if m.wwait.Load() != 0 {
-			return false
-		}
-		s := m.state.Load()
-		if s < 0 {
-			return false
-		}
-		if m.state.CompareAndSwap(s, s+1) {
-			return true
-		}
-	}
-}
-
 // Lock acquires the lock for writing.
 func (m *RWMutex) Lock() {
 	m.wwait.Add(1)
@@ -146,30 +112,12 @@ func (m *RWMutex) Lock() {
 		m.stampHold()
 		return
 	}
-	_ = m.lockSlow(context.Background()) // a Background wait cannot fail
-}
-
-// LockCtx is Lock with a cancellation route: if ctx is cancelled
-// before the write hold is acquired it returns ctx.Err() with the lock
-// not held, the writer-preference gate dropped, and any reader the
-// doomed gate had parked woken.
-func (m *RWMutex) LockCtx(ctx context.Context) error {
-	m.wwait.Add(1)
-	if m.state.CompareAndSwap(0, -1) {
-		m.wwait.Add(-1)
-		m.stampHold()
-		return nil
-	}
-	if err := ctx.Err(); err != nil {
-		m.abandonWrite()
-		return err
-	}
-	return m.lockSlow(ctx)
+	m.lockSlow()
 }
 
 // lockSlow waits for the write hold, the gate already raised.
-func (m *RWMutex) lockSlow(ctx context.Context) error {
-	site, err := Wait(ctx, m.h, m.Policy(), Acquire{
+func (m *RWMutex) lockSlow() {
+	site := Wait(m.h, m.Policy(), Acquire{
 		Try: func() bool {
 			if m.state.Load() == 0 && m.state.CompareAndSwap(0, -1) {
 				m.wwait.Add(-1)
@@ -197,22 +145,7 @@ func (m *RWMutex) lockSlow(ctx context.Context) error {
 		},
 		PostPark: func() { m.wwait.Add(1) },
 	})
-	if err != nil {
-		m.abandonWrite()
-		return err
-	}
 	m.stampWaited(site)
-	return nil
-}
-
-// abandonWrite retires a cancelled write acquisition: the gate drops,
-// and — exactly as when a parking writer drops it — any reader the
-// gate had stranded into a park is woken.
-func (m *RWMutex) abandonWrite() {
-	m.wwait.Add(-1)
-	if m.state.Load() >= 0 {
-		m.h.NoteUnlock()
-	}
 }
 
 // Unlock releases the write hold, waking a parked waiter if no spinner

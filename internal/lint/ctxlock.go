@@ -14,7 +14,7 @@ import (
 // parameter carrying a context field such as an oltp txn):
 //
 //  1. context.Background()/context.TODO() must not be passed where a
-//     context.Context is expected (LockCtx, context.WithCancel, ...);
+//     context.Context is expected (RunCtx, context.WithCancel, ...);
 //  2. calling a method M when a drop-in M+"Ctx" variant exists (same
 //     receiver, leading context parameter, both returning error) —
 //     e.g. DB.Run vs DB.RunCtx in a request handler;
@@ -23,11 +23,10 @@ import (
 //     the cross-package form of rule 1, caught through the callee's facts
 //     even when the Background call is buried packages away.
 //
-// Rule 2's both-return-error gate is deliberate: golc's Lock() (void)
-// vs LockCtx() (error) is a contract change, not a drop-in, and latch
-// acquisitions inside the runtime are intentionally non-cancellable.
-// Rule 3 inherits the same exemptions at fact-generation time: golc's
-// own Background roots (the documented uncancellable contract),
+// Rule 2's both-return-error gate is deliberate: a void M next to an
+// erroring M+"Ctx" is a contract change, not a drop-in. golc's locks
+// have no Ctx variants at all: physical waits are uncancellable by
+// design. Rule 3 inherits the same exemptions at fact-generation time:
 // functions with a *Ctx sibling, and functions that have a real
 // context of their own (rule 1 fires there instead).
 var Ctxlock = &Analyzer{

@@ -14,8 +14,8 @@ import (
 // and booleans only), so they are independent of any FileSet.
 type FuncFacts struct {
 	// Parks: calling this function may reach a parking point (a golc
-	// Lock/RLock/LockCtx/RLockCtx or a runtime Ticket.Sleep — golc.Wait
-	// among the functions that reach one), transitively. ParkWhat describes the
+	// Lock/RLock or a runtime Ticket.Sleep — golc.Wait among the
+	// functions that reach one), transitively. ParkWhat describes the
 	// chain for reports ("q.inner → Lock on b.Mu").
 	Parks    bool
 	ParkWhat string
@@ -152,7 +152,6 @@ func hasCtxSibling(pkg *Package, fn *types.Func) bool {
 // closure's body runs when invoked, which the scan cannot place.
 func computePackageFacts(pkg *Package, prog *Program) *PackageFacts {
 	sup := newSuppressions([]*Package{pkg})
-	golcPkg := isGolcPkgPath(pkg.ImportPath)
 
 	type rawFact struct {
 		facts      *FuncFacts
@@ -194,10 +193,9 @@ func computePackageFacts(pkg *Package, prog *Program) *PackageFacts {
 			relKeys:    make(map[string]string),
 		}
 		// A function with a real context of its own is rule-1
-		// territory at its own sites; golc's Background roots are the
-		// documented uncancellable contract; a *Ctx sibling is rule-2
-		// territory. None of those should surface as caller-side facts.
-		ctxExempt := golcPkg || hasCtxSibling(pkg, fn)
+		// territory at its own sites; a *Ctx sibling is rule-2
+		// territory. Neither should surface as caller-side facts.
+		ctxExempt := hasCtxSibling(pkg, fn)
 		if !ctxExempt {
 			var sources []string
 			sources = appendCtxSources(pkg.Info, sources, fd.Recv)

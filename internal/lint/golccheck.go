@@ -31,16 +31,16 @@ type callKind int
 
 const (
 	kindNone callKind = iota
-	// kindAcqPark: Lock/RLock/LockCtx/RLockCtx on a golc lock — a
-	// blocking acquisition that may park, per the lock's policy.
+	// kindAcqPark: Lock/RLock on a golc lock — a blocking acquisition
+	// that may park, per the lock's policy.
 	kindAcqPark
-	// kindAcqTry: TryLock/TryRLock — non-blocking probe; holds the
-	// lock only on the true branch.
+	// kindAcqTry: TryLock — non-blocking probe; holds the lock only on
+	// the true branch.
 	kindAcqTry
 	// kindRelease: Unlock/RUnlock.
 	kindRelease
-	// kindTicketSleep: runtime Ticket.Sleep/SleepCtx — the slot-pool
-	// park primitive golc.Wait builds on.
+	// kindTicketSleep: runtime Ticket.Sleep — the slot-pool park
+	// primitive golc.Wait builds on.
 	kindTicketSleep
 	// kindLogicalAcq: a lock-manager logical acquisition (a method or
 	// function named "acquire" taking an oltp.ResourceID) — input to
@@ -62,7 +62,7 @@ type callInfo struct {
 	kind   callKind
 	call   *ast.CallExpr
 	recv   ast.Expr    // lock receiver expression (acquire/release kinds)
-	read   bool        // RLock/RLockCtx/TryRLock/RUnlock
+	read   bool        // RLock/RUnlock
 	name   string      // method/function name
 	callee *types.Func // resolved callee, when any (for summaries)
 	level  int         // logical hierarchy level for kindLogicalAcq
@@ -71,14 +71,12 @@ type callInfo struct {
 // matching release/acquire method-name pairs.
 func acquireKindOf(name string) (kind callKind, read bool, ok bool) {
 	switch name {
-	case "Lock", "LockCtx":
+	case "Lock":
 		return kindAcqPark, false, true
-	case "RLock", "RLockCtx":
+	case "RLock":
 		return kindAcqPark, true, true
 	case "TryLock":
 		return kindAcqTry, false, true
-	case "TryRLock":
-		return kindAcqTry, true, true
 	case "Unlock":
 		return kindRelease, false, true
 	case "RUnlock":
@@ -141,7 +139,7 @@ func classifyCall(info *types.Info, call *ast.CallExpr) callInfo {
 				}
 			}
 			if n := derefNamed(recvT); n != nil && isGolcRuntimePkgPath(namedPkgPath(n)) &&
-				n.Obj().Name() == "Ticket" && (ci.name == "Sleep" || ci.name == "SleepCtx") {
+				n.Obj().Name() == "Ticket" && ci.name == "Sleep" {
 				ci.kind = kindTicketSleep
 				return ci
 			}

@@ -17,7 +17,7 @@ import (
 // lock (acquire helpers) are the reason //lint:allow exists.
 var Lockpair = &Analyzer{
 	Name: "lockpair",
-	Doc: "golc Lock/RLock/TryLock/LockCtx acquisitions must be released on every path " +
+	Doc: "golc Lock/RLock/TryLock acquisitions must be released on every path " +
 		"out of the acquiring function (defer-aware). An acquisition that escapes a " +
 		"function without its Unlock/RUnlock is either a leak — every later acquirer " +
 		"parks forever, and with the load-controlled policy the whole slot pool drains — " +

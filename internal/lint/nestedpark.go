@@ -16,7 +16,7 @@ import (
 // imports — counts as parking here.
 var Nestedpark = &Analyzer{
 	Name: "nestedpark",
-	Doc: "no potentially-parking operation (golc Lock/RLock/LockCtx/RLockCtx, " +
+	Doc: "no potentially-parking operation (golc Lock/RLock, " +
 		"golc.Wait, runtime Ticket.Sleep, or any call that transitively " +
 		"reaches one, across package boundaries) while a golc lock is held; use " +
 		"TryLock for nested acquisition. Parking while holding deadlocks the " +

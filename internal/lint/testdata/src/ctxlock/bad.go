@@ -6,29 +6,20 @@ package ctxlock
 import (
 	"context"
 	"net/http"
-
-	"repro/internal/golc"
 )
-
-func handlerBackground(w http.ResponseWriter, r *http.Request, mu *golc.Mutex) {
-	if err := mu.LockCtx(context.Background()); err != nil { // want `context.Background\(\) passed to mu\.LockCtx`
-		return
-	}
-	mu.Unlock()
-}
-
-func todoUnderRealCtx(ctx context.Context, mu *golc.Mutex) error {
-	if err := mu.LockCtx(context.TODO()); err != nil { // want `context.TODO\(\) passed to mu\.LockCtx`
-		return err
-	}
-	mu.Unlock()
-	return nil
-}
 
 type fakeDB struct{}
 
 func (d *fakeDB) Run(fn func() error) error                         { return fn() }
 func (d *fakeDB) RunCtx(ctx context.Context, fn func() error) error { return fn() }
+
+func handlerBackground(w http.ResponseWriter, r *http.Request, d *fakeDB) error {
+	return d.RunCtx(context.Background(), func() error { return nil }) // want `context.Background\(\) passed to d\.RunCtx`
+}
+
+func todoUnderRealCtx(ctx context.Context, d *fakeDB) error {
+	return d.RunCtx(context.TODO(), func() error { return nil }) // want `context.TODO\(\) passed to d\.RunCtx`
+}
 
 func handlerIgnoresVariant(r *http.Request, d *fakeDB) error {
 	return d.Run(func() error { return nil }) // want `context-aware variant RunCtx`
@@ -40,12 +31,9 @@ func waiterFromBackground(t *fakeTxn) (context.Context, context.CancelFunc) {
 	return context.WithCancel(context.Background()) // want `context.Background\(\) passed to context.WithCancel`
 }
 
-func literalInheritsScope(r *http.Request, mu *golc.Mutex) func() {
-	return func() {
+func literalInheritsScope(r *http.Request, d *fakeDB) func() error {
+	return func() error {
 		// The closure captures r from the handler above it.
-		if err := mu.LockCtx(context.Background()); err != nil { // want `context.Background\(\) passed to mu\.LockCtx`
-			return
-		}
-		mu.Unlock()
+		return d.RunCtx(context.Background(), func() error { return nil }) // want `context.Background\(\) passed to d\.RunCtx`
 	}
 }

@@ -10,45 +10,30 @@ import (
 	"repro/internal/golc"
 )
 
-func handlerThreadsCtx(w http.ResponseWriter, r *http.Request, mu *golc.Mutex) {
-	if err := mu.LockCtx(r.Context()); err != nil {
-		return
-	}
-	mu.Unlock()
-}
-
-func realCtxThreaded(ctx context.Context, mu *golc.Mutex) error {
-	if err := mu.LockCtx(ctx); err != nil {
-		return err
-	}
-	mu.Unlock()
-	return nil
-}
-
 type fakeDB struct{}
 
 func (d *fakeDB) Run(fn func() error) error                         { return fn() }
 func (d *fakeDB) RunCtx(ctx context.Context, fn func() error) error { return fn() }
 
-func handlerUsesVariant(r *http.Request, d *fakeDB) error {
+func handlerThreadsCtx(w http.ResponseWriter, r *http.Request, d *fakeDB) error {
 	return d.RunCtx(r.Context(), func() error { return nil })
+}
+
+func realCtxThreaded(ctx context.Context, d *fakeDB) error {
+	return d.RunCtx(ctx, func() error { return nil })
 }
 
 // rootConstructor has no context in scope: Background is the only
 // correct root here and must not be flagged.
-func rootConstructor(mu *golc.Mutex) (context.Context, context.CancelFunc, error) {
+func rootConstructor(d *fakeDB) (context.Context, context.CancelFunc, error) {
 	ctx, cancel := context.WithCancel(context.Background())
-	err := mu.LockCtx(ctx)
-	if err == nil {
-		mu.Unlock()
-	}
-	return ctx, cancel, err
+	return ctx, cancel, d.RunCtx(ctx, func() error { return nil })
 }
 
-// voidLockIsNotDropIn: Lock() has no error contract, so switching it to
-// LockCtx is a judgment call the analyzer deliberately leaves alone —
-// runtime-internal latch holds are intentionally non-cancellable.
-func voidLockIsNotDropIn(r *http.Request, mu *golc.Mutex) {
+// physicalLockUnderRequest: a golc lock has no Ctx variant — physical
+// waits are uncancellable by design — so Lock under a request context
+// is not a finding.
+func physicalLockUnderRequest(r *http.Request, mu *golc.Mutex) {
 	mu.Lock()
 	mu.Unlock()
 }

@@ -60,10 +60,10 @@ func tryNegated(g *guarded) {
 }
 
 func tryViaVariable(g *guarded) {
-	ok := g.rw.TryRLock()
+	ok := g.rw.TryLock()
 	if ok {
 		g.n++
-		g.rw.RUnlock()
+		g.rw.Unlock()
 	}
 }
 

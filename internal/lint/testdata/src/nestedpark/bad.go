@@ -4,8 +4,6 @@
 package nestedpark
 
 import (
-	"context"
-
 	"repro/internal/golc"
 	lcrt "repro/internal/golc/runtime"
 )
@@ -30,14 +28,11 @@ func readNested(p *pair) {
 	p.a.Unlock()
 }
 
-func ctxNested(ctx context.Context, p *pair) error {
+func writeNested(p *pair) {
 	p.a.Lock()
 	defer p.a.Unlock()
-	if err := p.r.LockCtx(ctx); err != nil { // want `may park while p\.a is held`
-		return err
-	}
+	p.r.Lock() // want `may park while p\.a is held`
 	p.r.Unlock()
-	return nil
 }
 
 func viaHelper(p *pair) {
@@ -59,9 +54,8 @@ func ticketSleepWhileHolding(p *pair, h *lcrt.Handle) {
 	}
 }
 
-func seamWhileHolding(p *pair, pol golc.ContentionPolicy, h *lcrt.Handle, acq golc.Acquire) error {
+func seamWhileHolding(p *pair, pol golc.ContentionPolicy, h *lcrt.Handle, acq golc.Acquire) {
 	p.a.Lock()
 	defer p.a.Unlock()
-	_, err := golc.Wait(context.Background(), h, pol, acq) // want `call to golc\.Wait may park .* while p\.a is held`
-	return err
+	golc.Wait(h, pol, acq) // want `call to golc\.Wait may park .* while p\.a is held`
 }

@@ -25,8 +25,7 @@ type hooks struct {
 	// onAcquire fires for every golc acquire (all kinds) and logical
 	// acquire, with the locks held *before* this acquisition.
 	onAcquire func(ci callInfo, held []heldLock, second bool)
-	// onPark fires for non-acquire park points (ticket
-	// Sleep/SleepCtx).
+	// onPark fires for non-acquire park points (ticket Sleep).
 	onPark func(ci callInfo, held []heldLock, second bool)
 	// onCall fires for calls the classifier does not recognize —
 	// candidates for the whole-program call summaries.

@@ -796,8 +796,9 @@ func (lm *lockManager) acquireAt(txn *Txn, id ResourceID, want Mode) (int, error
 	// blockers snapshot (the detector's wait edges) must be taken
 	// under the latch, before the queue can shift. The wait carries
 	// its own context: w.cancel is the deadlock policies' victim route
-	// (it wakes us with an abort order), the same shape golc's LockCtx
-	// gives physical waiters, and its deadline is the lock timeout.
+	// (it wakes us with an abort order), and its deadline is the lock
+	// timeout. Logical waits are the cancellable ones; golc's physical
+	// waits never are.
 	blockers := blockersOf(l, txn, goal)
 	// Logical blame: the same sampled who-blocks-whom attribution the
 	// physical locks get, but in the DB's own vocabulary — the resource

@@ -441,7 +441,6 @@ func writeProm(w io.Writer, store *kv.Store, db *oltp.DB, walLog *wal.Log, rt *l
 	// A subset of kind="timeout", so its own family: as a kind, summing
 	// the kinds would count it twice.
 	pw.Counter("golc_timeout_wakes_free_total", "Timeout wakes whose waiter then found the lock free (a missed wake).", nil, snap.TimeoutWakesFree)
-	pw.Counter("golc_ctx_cancels_total", "Parks abandoned by context cancellation.", nil, snap.CtxCancels)
 	pw.Counter("golc_claim_cancels_total", "Claims retired unused (lock freed before the park).", nil, snap.Cancels)
 	pw.Counter("golc_slot_rejects_total", "Claims refused because no sleep slot was free.", nil, snap.SlotRejects)
 	pw.Counter("golc_claim_refusals_total", "Voluntary claims refused by the sleep target.", nil, snap.ClaimRefusals)

@@ -26,7 +26,6 @@
 package wal
 
 import (
-	"context"
 	"fmt"
 	"os"
 	"sync"
@@ -267,8 +266,8 @@ func (l *Log) waitSlow(lsn uint64) {
 	// once, and a woken waiter from a later group fails it and
 	// re-parks.
 	resolved := func() bool { return l.resolved.Load() >= lsn }
-	// A Background wait cannot fail; the blame site has no holder to go to.
-	_, _ = golc.Wait(context.Background(), l.h, l.Policy(), golc.Acquire{Try: resolved, Free: resolved})
+	// The returned blame site is dropped: there is no holder to publish it.
+	golc.Wait(l.h, l.Policy(), golc.Acquire{Try: resolved, Free: resolved})
 }
 
 // NoteApplied records that the committed batch at lsn has been applied
