@@ -111,13 +111,9 @@ func benchSimLock(b *testing.B, f locks.Factory, lc bool) {
 	b.ReportMetric(float64(acquires)/virtual.Seconds(), "acquire/s")
 }
 
-func BenchmarkSimLockTATAS(b *testing.B)    { benchSimLock(b, locks.NewTATAS, false) }
-func BenchmarkSimLockBackoff(b *testing.B)  { benchSimLock(b, locks.NewBackoff, false) }
-func BenchmarkSimLockTicket(b *testing.B)   { benchSimLock(b, locks.NewTicket, false) }
 func BenchmarkSimLockMCS(b *testing.B)      { benchSimLock(b, locks.NewMCS, false) }
 func BenchmarkSimLockTPMCS(b *testing.B)    { benchSimLock(b, locks.NewTPMCS, false) }
 func BenchmarkSimLockAdaptive(b *testing.B) { benchSimLock(b, locks.NewAdaptiveMutex, false) }
-func BenchmarkSimLockBlocking(b *testing.B) { benchSimLock(b, locks.NewBlockingMutex, false) }
 func BenchmarkSimLockLC(b *testing.B)       { benchSimLock(b, locks.NewTPMCS, true) }
 
 // benchOLTPConflict runs the multi-statement conflict mix (internal/

@@ -123,11 +123,3 @@ func (f *Kalman1D) Update(z float64) float64 {
 
 // Value returns the current state estimate.
 func (f *Kalman1D) Value() float64 { return f.x }
-
-// Gain returns the current steady-state blend factor p/(p+R).
-func (f *Kalman1D) Gain() float64 {
-	if !f.init {
-		return 1
-	}
-	return (f.p + f.Q) / (f.p + f.Q + f.R)
-}

@@ -19,17 +19,6 @@ type Options struct {
 	// controller wake (paper: 100ms, roughly ten scheduler slices).
 	SleepTimeout time.Duration
 
-	// TargetLoad is the desired runnable-thread count; 0 means the
-	// machine's hardware context count.
-	TargetLoad int
-
-	// BufferCap is the physical sleep-slot array size.
-	BufferCap int
-
-	// ClaimDelay is how long a spinning thread takes to notice an open
-	// slot and CAS into it.
-	ClaimDelay time.Duration
-
 	// DisableSensor turns off load measurement; the target is then
 	// driven externally via ForceTarget (used by the Figure 8 bump
 	// test).
@@ -41,32 +30,25 @@ type Options struct {
 
 	// Policy, when non-nil, replaces the default sleep-target policy.
 	// It receives the (filtered) measured load, the current sleeper
-	// count and the desired runnable count, and returns the new sleep
-	// target. §6.2.1's PID variant plugs in here.
+	// count and the desired runnable count (the machine's hardware
+	// context count), and returns the new sleep target. §6.2.1's PID variant plugs in here.
 	Policy func(load float64, sleeping, targetLoad int) int
-
-	// HolderWake enables the §6.1.2 extension: waiters of a lock whose
-	// holder was load-controlled while spinning on another lock may
-	// wake that holder directly, bounding nested-lock inversions to a
-	// context switch.
-	HolderWake bool
 }
 
-func (o Options) withDefaults(m *cpu.Machine) Options {
+const (
+	// bufferCap is the physical sleep-slot array size.
+	bufferCap = 4096
+	// claimDelay is how long a spinning thread takes to notice an open
+	// slot and CAS into it.
+	claimDelay = 500 * time.Nanosecond
+)
+
+func (o Options) withDefaults() Options {
 	if o.Interval == 0 {
 		o.Interval = 7 * time.Millisecond
 	}
 	if o.SleepTimeout == 0 {
 		o.SleepTimeout = 100 * time.Millisecond
-	}
-	if o.TargetLoad == 0 {
-		o.TargetLoad = m.Contexts()
-	}
-	if o.BufferCap == 0 {
-		o.BufferCap = 4096
-	}
-	if o.ClaimDelay == 0 {
-		o.ClaimDelay = 500 * time.Nanosecond
 	}
 	return o
 }
@@ -88,40 +70,23 @@ type Controller struct {
 	stopped bool
 
 	// Updates counts controller cycles; LastLoad is the most recent
-	// measurement (after filtering); HolderWakes counts §6.1.2
-	// holder-wake requests honoured.
-	Updates     uint64
-	LastLoad    float64
-	HolderWakes uint64
-
-	// sleepingAt maps a sleeping thread to its slot; held tracks LC
-	// locks owned per thread (both §6.1.2, HolderWake mode).
-	sleepingAt map[*cpu.Thread]int
-	held       map[*cpu.Thread]map[*LCLock]struct{}
+	// measurement (after filtering).
+	Updates  uint64
+	LastLoad float64
 }
 
 // NewController creates a controller for process p. Call Start to launch
 // the daemon thread.
 func NewController(p *cpu.Process, opts Options) *Controller {
-	m := p.Machine()
-	o := opts.withDefaults(m)
 	c := &Controller{
-		m:          m,
-		p:          p,
-		opts:       o,
-		Buffer:     NewSlotBuffer(o.BufferCap),
-		sleepingAt: make(map[*cpu.Thread]int),
-		held:       make(map[*cpu.Thread]map[*LCLock]struct{}),
+		m:      p.Machine(),
+		p:      p,
+		opts:   opts.withDefaults(),
+		Buffer: NewSlotBuffer(bufferCap),
 	}
 	c.registry = newRegistry(c)
 	return c
 }
-
-// Process returns the controlled process.
-func (c *Controller) Process() *cpu.Process { return c.p }
-
-// Options returns the effective options.
-func (c *Controller) Options() Options { return c.opts }
 
 // Start launches the controller daemon in the controlled process. The
 // daemon runs in the real-time class, standing in for the prompt
@@ -162,15 +127,15 @@ func (c *Controller) update(t *cpu.Thread) {
 	c.Updates++
 	var target int
 	if c.opts.Policy != nil {
-		target = c.opts.Policy(raw, c.Buffer.Sleeping(), c.opts.TargetLoad)
+		target = c.opts.Policy(raw, c.Buffer.Sleeping(), c.m.Contexts())
 	} else {
 		// Runnable + already-sleeping is the load the process would
-		// offer if no one slept; the excess over the desired runnable
+		// offer if no one slept; the excess over the hardware context
 		// count is the sleep target. (The daemon itself sleeps through
 		// almost the whole interval, so its own contribution to the
 		// measurement is negligible.)
 		offered := raw + float64(c.Buffer.Sleeping())
-		target = int(math.Round(offered)) - c.opts.TargetLoad
+		target = int(math.Round(offered)) - c.m.Contexts()
 	}
 	c.setTarget(target)
 }
@@ -211,15 +176,7 @@ func (c *Controller) SleepInSlot(t *cpu.Thread, idx int) {
 		c.Buffer.Leave(idx, t)
 		return
 	}
-	if c.opts.HolderWake && c.holdsContestedLock(t) {
-		// §6.1.2: we hold a lock someone is waiting for; sleeping here
-		// would strand them. Surrender the slot and keep spinning.
-		c.Buffer.Leave(idx, t)
-		return
-	}
-	c.noteSleeping(t, idx)
 	t.Park(c.opts.SleepTimeout)
-	c.clearSleeping(t)
 	c.Buffer.Leave(idx, t)
 }
 
@@ -272,13 +229,13 @@ func (r *registry) ClaimedSlot(t *cpu.Thread) (int, bool) {
 }
 
 // offer schedules slot claims for random spinners while openings remain.
-// Each claim lands after ClaimDelay, modelling the spinner noticing the
+// Each claim lands after claimDelay, modelling the spinner noticing the
 // open slot during its unrolled polling loop (paper §3.2.3).
 func (r *registry) offer() {
 	r.compact()
 	for r.c.Buffer.Openings()-r.pending > 0 && r.pending < len(r.entries) {
 		r.pending++
-		r.c.m.K.After(r.c.opts.ClaimDelay, r.claimOne)
+		r.c.m.K.After(claimDelay, r.claimOne)
 	}
 }
 

@@ -265,6 +265,26 @@ func TestNestedLockLimitation(t *testing.T) {
 	}
 }
 
+func TestSubIntervalSpikeInvisible(t *testing.T) {
+	// §6.1.1: a load spike much shorter than the controller interval
+	// must pass unnoticed (no sleepers created for it).
+	w := newLCWorld(35, 4, Options{Interval: 20 * time.Millisecond})
+	w.ctl.Start()
+	l := NewLCLock(w.env, w.ctl)
+	w.spawnWorkers(l, 3, 2*time.Microsecond, 2*time.Microsecond) // 75% load
+	w.k.RunFor(50 * time.Millisecond)
+	// Spike: 8 extra CPU-bound threads for 2ms (a tenth of the
+	// interval), then gone.
+	for i := 0; i < 8; i++ {
+		w.p.NewThread("spike", func(th *cpu.Thread) { th.Compute(2 * time.Millisecond) })
+	}
+	before := w.ctl.Buffer.Claims
+	w.k.RunFor(3 * time.Millisecond) // spike happens and ends
+	if got := w.ctl.Buffer.Claims - before; got != 0 {
+		t.Fatalf("controller reacted mid-interval: %d claims", got)
+	}
+}
+
 func TestControllerStops(t *testing.T) {
 	w := newLCWorld(37, 2, Options{})
 	w.ctl.Start()

@@ -24,8 +24,6 @@ type LCLock struct {
 type ManagedLock interface {
 	AcquireManaged(t *cpu.Thread, mgr locks.WaitManager) locks.WaitStatus
 	Release(t *cpu.Thread)
-	Holder() *cpu.Thread
-	QueueLength() int
 	Name() string
 }
 
@@ -57,22 +55,10 @@ func FactoryOverMCS(ctl *Controller) locks.Factory {
 // Name implements locks.Lock.
 func (l *LCLock) Name() string { return l.name }
 
-// Inner exposes the underlying managed lock (for tests and metrics).
-func (l *LCLock) Inner() ManagedLock { return l.inner }
-
 // Acquire implements locks.Lock.
 func (l *LCLock) Acquire(t *cpu.Thread) {
 	reg := l.ctl.Registry()
 	for {
-		if l.ctl.opts.HolderWake {
-			// §6.1.2 extension: if the current holder was put to sleep
-			// by load control (it claimed a slot while spinning on a
-			// second lock), wake it so this wait is bounded by a
-			// context switch rather than the 100ms sleep timeout.
-			if h := l.inner.Holder(); h != nil {
-				l.ctl.RequestWake(h)
-			}
-		}
 		status := l.inner.AcquireManaged(t, reg)
 		if status == locks.WaitGranted {
 			// A slot claim may have raced with the grant and lost;
@@ -80,7 +66,6 @@ func (l *LCLock) Acquire(t *cpu.Thread) {
 			if idx, ok := reg.ClaimedSlot(t); ok {
 				l.ctl.Buffer.Leave(idx, t)
 			}
-			l.ctl.noteAcquired(t, l)
 			return
 		}
 		// Aborted: we claimed a sleep slot. Sleep, then retry from
@@ -95,7 +80,4 @@ func (l *LCLock) Acquire(t *cpu.Thread) {
 }
 
 // Release implements locks.Lock.
-func (l *LCLock) Release(t *cpu.Thread) {
-	l.ctl.noteReleased(t, l)
-	l.inner.Release(t)
-}
+func (l *LCLock) Release(t *cpu.Thread) { l.inner.Release(t) }

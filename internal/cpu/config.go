@@ -10,7 +10,7 @@
 // whose read cost grows with the thread count.
 //
 // Threads are written as ordinary sequential code (sim.Proc) calling
-// Compute, SpinWait, Park, IO and Yield; the scheduler preempts them
+// Compute, SpinWait, Park and IO; the scheduler preempts them
 // transparently, including in the middle of a Compute or a spin — which
 // is exactly how preempted lock holders and preempted spinners arise.
 package cpu
@@ -45,9 +45,6 @@ type Config struct {
 	// HandoffDelay is the time for a spinning waiter to observe a lock
 	// release (1-2 cache miss latencies).
 	HandoffDelay time.Duration
-
-	// YieldCost is the syscall overhead of sched_yield.
-	YieldCost time.Duration
 
 	// AccountingBaseCost and AccountingPerThread model the microstate
 	// accounting read: Solaris traverses every thread in the process,
@@ -86,7 +83,6 @@ func DefaultConfig() Config {
 		SwitchCost:              12 * time.Microsecond,
 		ResumeCost:              3 * time.Microsecond,
 		HandoffDelay:            250 * time.Nanosecond,
-		YieldCost:               2 * time.Microsecond,
 		AccountingBaseCost:      2 * time.Microsecond,
 		AccountingPerThreadCost: 300 * time.Nanosecond,
 	}
@@ -113,9 +109,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.HandoffDelay == 0 {
 		c.HandoffDelay = d.HandoffDelay
-	}
-	if c.YieldCost == 0 {
-		c.YieldCost = d.YieldCost
 	}
 	if c.AccountingBaseCost == 0 {
 		c.AccountingBaseCost = d.AccountingBaseCost

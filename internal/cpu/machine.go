@@ -79,9 +79,6 @@ func (m *Machine) RunningThreads() int {
 	return n
 }
 
-// RunQueueLength returns the number of threads waiting for a context.
-func (m *Machine) RunQueueLength() int { return m.sched.runq.len() + m.sched.rtq.len() }
-
 // Utilization returns the fraction of context-time spent non-idle since
 // machine start (includes switching and spinning).
 func (m *Machine) Utilization() float64 {

@@ -282,40 +282,6 @@ func TestSpinPrioInvAccounting(t *testing.T) {
 	}
 }
 
-func TestYieldRotatesThreads(t *testing.T) {
-	k, _, p := testMachine(1)
-	var order []string
-	p.NewThread("a", func(th *Thread) {
-		th.Compute(time.Millisecond)
-		order = append(order, "a1")
-		th.Yield()
-		th.Compute(time.Millisecond)
-		order = append(order, "a2")
-	})
-	p.NewThread("b", func(th *Thread) {
-		th.Compute(time.Millisecond)
-		order = append(order, "b1")
-	})
-	k.RunFor(time.Second)
-	if len(order) != 3 || order[0] != "a1" || order[1] != "b1" || order[2] != "a2" {
-		t.Fatalf("order = %v, want [a1 b1 a2]", order)
-	}
-}
-
-func TestYieldNoopWhenAlone(t *testing.T) {
-	k, m, p := testMachine(1)
-	p.NewThread("a", func(th *Thread) {
-		th.Compute(time.Millisecond)
-		before := m.Switches
-		th.Yield()
-		if m.Switches != before {
-			t.Error("yield with empty runq switched")
-		}
-		th.Compute(time.Millisecond)
-	})
-	k.RunFor(time.Second)
-}
-
 func TestRealtimePreemptsTimeSharing(t *testing.T) {
 	k, _, p := testMachine(1)
 	var rtRan sim.Time

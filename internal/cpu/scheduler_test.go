@@ -194,15 +194,13 @@ func TestRunnableNeverNegative(t *testing.T) {
 		r := k.Rand().Fork()
 		p.NewThread("w", func(th *Thread) {
 			for j := 0; j < 30; j++ {
-				switch r.Intn(4) {
+				switch r.Intn(3) {
 				case 0:
 					th.Compute(time.Duration(r.Intn(int(time.Millisecond))))
 				case 1:
 					th.IO(time.Duration(r.Intn(int(time.Millisecond))))
 				case 2:
 					th.Park(time.Duration(r.Intn(int(5 * time.Millisecond))))
-				case 3:
-					th.Yield()
 				}
 			}
 		})

@@ -204,34 +204,6 @@ func (t *Thread) IO(d time.Duration) {
 	t.awaitExecuting()
 }
 
-// Yield gives up the context if anyone is waiting for one.
-func (t *Thread) Yield() {
-	t.Compute(t.m.Cfg.YieldCost)
-	s := t.m.sched
-	if s.runq.len()+s.rtq.len() == 0 {
-		return
-	}
-	now := t.m.K.Now()
-	t.suspendActivity(now)
-	t.chargeQuantum(now)
-	c := t.ctx
-	c.thread = nil
-	t.ctx = nil
-	t.executing = false
-	t.state = stateRunnable
-	t.runnableSince = now
-	if t.preemptHook != nil {
-		t.preemptHook(t)
-	}
-	if t.rt {
-		s.rtq.push(t)
-	} else {
-		s.runq.push(t)
-	}
-	s.dispatch(c)
-	t.awaitExecuting()
-}
-
 // --- external API (events / other threads) ---
 
 // Unpark wakes a parked thread (lwp_unpark). If the thread is not

@@ -1,6 +1,10 @@
 package experiments
 
 import (
+	"crypto/sha256"
+	"fmt"
+	"runtime"
+	"runtime/debug"
 	"testing"
 	"time"
 )
@@ -32,6 +36,59 @@ func maxY(s Series) float64 {
 
 func lastY(s Series) float64 { return s.Y[len(s.Y)-1] }
 
+// figureHashes holds the SHA-256 of the table each shape test renders,
+// keyed by figure ID. The simulator is deterministic, so a change here
+// means a figure changed: a refactor must leave every hash alone, and a
+// change meant to move a figure records the new hash the failure prints.
+// Tests that run quick() unchanged render exactly the tables of
+// `lcsim -all -quick`; fig05, fig10, fig11 and fig12 shorten its windows.
+var figureHashes = map[string]string{
+	"ablation-control": "1dca92fd36f5394bc2e7c9de97adeed09688d4eb5ac5e887a98bc163e552bd61",
+	"ablation-mcs":     "476d33292d635fe746826e9909f6483e8752184e65bc196bfc27407a9ed67777",
+	"fig01":            "15b8d4bf9b0a5bb6a1e181211ed8dd9a4bdcfad6d5a9204d425d752ebe1244d0",
+	"fig03":            "b4461c8f8df86bd9d94458da7ac8db57a49c7748118b494c0413f73bd3a56d9f",
+	"fig04":            "386f6bb6363bb1f0d410172e7644cd6ad1185a159cb7f56b23a93ec925d0a1f9",
+	"fig05":            "9a3c164d4702439985ff3547627ed0242cb9f3db7fd502b66aa3ad13380ba931",
+	"fig06":            "9c297710bcd75fa647fa869379479db5755c105392669b0311efbdafd7913da1",
+	"fig08":            "8d15a03e770a09ef2fd35d4f72fb93e39df500369360582cd6d6e853db727b46",
+	"fig09":            "e5369861facf43f020c1757c15f631aae6e8f36f410970cde16d3a0fe2398375",
+	"fig10":            "f1d5a46326d0ceba0b52f721e0cb84186c9aae67d0b8497a1b79f9220a6e9205",
+	"fig11":            "af55722639aa50ac29a43d4be25ad16ce518d3f7d0691992c7df16e5bb168051",
+	"fig12":            "c5b4e5382e64c2a02fe89d6bb299fa6a94dca4c71ff0baf5507155c16f361170",
+}
+
+// checkTableHash compares f's rendered table with its recorded hash.
+func checkTableHash(t *testing.T, f *Figure) {
+	t.Helper()
+	if !recordedFloatingPoint() {
+		return
+	}
+	got := fmt.Sprintf("%x", sha256.Sum256([]byte(f.Table())))
+	if want := figureHashes[f.ID]; got != want {
+		t.Errorf("%s: table sha256 %s, recorded %s; if the figure is meant to change, record the new hash in figureHashes", f.ID, got, want)
+	}
+}
+
+// recordedFloatingPoint reports whether this binary rounds floating
+// point as the one that recorded figureHashes: linux/amd64 below
+// GOAMD64=v3. Go may fuse a multiply and an add into one FMA, which
+// rounds once instead of twice, on other architectures and from v3 on.
+func recordedFloatingPoint() bool {
+	if runtime.GOOS != "linux" || runtime.GOARCH != "amd64" {
+		return false
+	}
+	bi, ok := debug.ReadBuildInfo()
+	if !ok {
+		return false
+	}
+	for _, s := range bi.Settings {
+		if s.Key == "GOAMD64" {
+			return s.Value == "v1" || s.Value == "v2"
+		}
+	}
+	return false
+}
+
 func TestRegistryComplete(t *testing.T) {
 	want := []string{
 		"ablation-control", "ablation-mcs",
@@ -61,6 +118,7 @@ func TestFig01Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkTableHash(t, f)
 	spin := seriesByName(t, f, "Spinning")
 	block := seriesByName(t, f, "Blocking")
 	// Spinning peaks then collapses past 100% load.
@@ -84,6 +142,7 @@ func TestFig03Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkTableHash(t, f)
 	inv := seriesByName(t, f, "Prio-Invert")
 	cont := seriesByName(t, f, "Contention")
 	// No inversion below 100% load; lots at 2x.
@@ -113,6 +172,7 @@ func TestFig04Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkTableHash(t, f)
 	sw := seriesByName(t, f, "SwitchRate")
 	tp := seriesByName(t, f, "Throughput")
 	// Switch rate grows strongly once the mutex starts blocking.
@@ -133,6 +193,7 @@ func TestFig05Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkTableHash(t, f)
 	if len(f.Notes) < 3 {
 		t.Fatalf("missing variability notes: %v", f.Notes)
 	}
@@ -163,6 +224,7 @@ func TestFig06Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkTableHash(t, f)
 	s := seriesByName(t, f, "CPUsUtilized")
 	// TPC-C with clients = contexts/2: most threads blocked at any
 	// instant, so runnable stays well below the client count but above
@@ -194,6 +256,7 @@ func TestFig08Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkTableHash(t, f)
 	target := seriesByName(t, f, "Target")
 	measured := seriesByName(t, f, "Measured")
 	if len(target.X) != 5 {
@@ -223,6 +286,7 @@ func TestFig09Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkTableHash(t, f)
 	if len(f.Series) != 3 {
 		t.Fatalf("want 3 series, got %d", len(f.Series))
 	}
@@ -246,6 +310,7 @@ func TestFig10Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkTableHash(t, f)
 	for _, s := range f.Series {
 		if len(s.X) != 8 {
 			t.Fatalf("series %s has %d points", s.Name, len(s.X))
@@ -272,6 +337,7 @@ func TestFig11Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkTableHash(t, f)
 	if len(f.Series) != 9 {
 		t.Fatalf("want 9 series, got %d", len(f.Series))
 	}
@@ -298,6 +364,7 @@ func TestFig12Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkTableHash(t, f)
 	selfRaw := seriesByName(t, f, "Self+LC (other raw)")
 	// Competition reduces but must not starve self (paper: ~35% of
 	// peak retained even against a non-LC adversary at 150%).
@@ -322,6 +389,7 @@ func TestAblationMCSShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkTableHash(t, f)
 	s := f.Series[0]
 	if len(s.Y) != 4 {
 		t.Fatalf("want 4 variants, got %d", len(s.Y))
@@ -349,6 +417,7 @@ func TestAblationControlShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkTableHash(t, f)
 	s := f.Series[0]
 	if len(s.Y) != 4 {
 		t.Fatalf("want 4 variants, got %d", len(s.Y))

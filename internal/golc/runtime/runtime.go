@@ -72,17 +72,14 @@ type Options struct {
 	// SleepTimeout bounds a sleeper's wait without a controller or
 	// unlock wake (default 100ms, as in the paper).
 	SleepTimeout time.Duration
-	// BufferCap is the physical sleep-slot array size (default 1024).
-	BufferCap int
 	// LoadFunc, when non-nil, replaces the default sensor and is
 	// published as the target as it stands (it is the test seam: a
 	// constant pins the target).
 	LoadFunc LoadFunc
-	// Recorder is the runtime's flight recorder (default: a fresh
-	// enabled obs.NewRecorder()). Share one only between runtimes whose
-	// telemetry should aggregate.
-	Recorder *obs.Recorder
 }
+
+// poolSize is the physical sleep-slot array size.
+const poolSize = 1024
 
 func (o Options) withDefaults() Options {
 	if o.Interval == 0 {
@@ -90,12 +87,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.SleepTimeout == 0 {
 		o.SleepTimeout = 100 * time.Millisecond
-	}
-	if o.BufferCap == 0 {
-		o.BufferCap = 1024
-	}
-	if o.Recorder == nil {
-		o.Recorder = obs.NewRecorder()
 	}
 	return o
 }
@@ -150,12 +141,12 @@ type Snapshot struct {
 	ClaimRefusals    uint64 // voluntary claims refused by the target test (sleeping ≥ Target)
 	Spinners         int    // waiters spinning now: reported, not a controller input
 	Sleeping         int
-	Target           int // the published sleep target, after clamping to [0, BufferCap]
+	Target           int // the published sleep target, after clamping to [0, poolSize]
 	LocksRegistered  int
 
 	// The last controller tick's inputs — why Target is what it is.
 	// The default sensor sets Load = floor(RunQueue) + OSExcess and
-	// targets the whole pool (BufferCap) while Load > 0, Load + sleeping
+	// targets the whole pool (poolSize) while Load > 0, Load + sleeping
 	// otherwise, so under overload Target saturates and only these
 	// inputs say how overloaded; under a LoadFunc, Load is its return
 	// value and the other two are zero.
@@ -212,8 +203,7 @@ var wakeLabels = [...]string{wakeNone: "", wakeByController: "controller", wakeB
 type Runtime struct {
 	opts Options
 
-	// rec is the runtime's flight recorder (== opts.Recorder, cached
-	// for the hot paths).
+	// rec is the runtime's flight recorder.
 	rec *obs.Recorder
 
 	// spinners is the process-wide census of goroutines currently
@@ -266,11 +256,10 @@ type Runtime struct {
 
 // New builds a runtime; call Start to launch its controller goroutine.
 func New(opts Options) *Runtime {
-	o := opts.withDefaults()
 	return &Runtime{
-		opts:  o,
-		rec:   o.Recorder,
-		slots: make([]*sleeper, o.BufferCap),
+		opts:  opts.withDefaults(),
+		rec:   obs.NewRecorder(),
+		slots: make([]*sleeper, poolSize),
 		locks: make(map[weak.Pointer[Handle]]struct{}),
 		stop:  make(chan struct{}),
 		done:  make(chan struct{}),

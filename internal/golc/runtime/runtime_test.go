@@ -9,6 +9,14 @@ import (
 	"time"
 )
 
+// newPool builds a runtime whose slot pool has n slots, small enough for
+// a test to fill.
+func newPool(opts Options, n int) *Runtime {
+	rt := New(opts)
+	rt.slots = make([]*sleeper, n)
+	return rt
+}
+
 func TestRegisterUnregisterConcurrent(t *testing.T) {
 	rt := New(Options{Interval: time.Millisecond})
 	rt.Start()
@@ -128,7 +136,7 @@ func TestTrySleepRespectsTarget(t *testing.T) {
 func TestSlotPoolHandoffConcurrent(t *testing.T) {
 	// Many goroutines park and get woken while the target oscillates:
 	// S/W accounting must balance and nobody may hang.
-	rt := New(Options{SleepTimeout: 50 * time.Millisecond, BufferCap: 64})
+	rt := newPool(Options{SleepTimeout: 50 * time.Millisecond}, 64)
 	h := rt.Register("handoff")
 	var wg sync.WaitGroup
 	var parked atomic.Uint64
@@ -185,7 +193,7 @@ func TestSlotPoolHandoffConcurrent(t *testing.T) {
 // assert Sleeping stays within its physical bounds.
 func TestSnapshotSleepingBoundedUnderChurn(t *testing.T) {
 	const bufCap = 64
-	rt := New(Options{SleepTimeout: time.Millisecond, BufferCap: bufCap})
+	rt := newPool(Options{SleepTimeout: time.Millisecond}, bufCap)
 	h := rt.Register("churn")
 	rt.setTarget(bufCap)
 	stop := make(chan struct{})
@@ -246,7 +254,7 @@ func TestSnapshotSleepingBoundedUnderChurn(t *testing.T) {
 // old wrap-placement bug: a claim whose S-mod-cap slot was occupied
 // was refused even though wakes had left holes elsewhere in the pool.
 func TestTrySleepScansPastOccupiedSlots(t *testing.T) {
-	rt := New(Options{BufferCap: 2})
+	rt := newPool(Options{}, 2)
 	hA := rt.Register("a")
 	hB := rt.Register("b")
 	rt.setTarget(2)
@@ -277,7 +285,7 @@ func TestTrySleepScansPastOccupiedSlots(t *testing.T) {
 // TestSlotRejectMetric forces a genuinely full pool and checks the
 // rejected claim is counted.
 func TestSlotRejectMetric(t *testing.T) {
-	rt := New(Options{BufferCap: 2})
+	rt := newPool(Options{}, 2)
 	h := rt.Register("full")
 	rt.setTarget(2)
 	if rt.trySleep(h, false) == nil || rt.trySleep(h, false) == nil {
@@ -300,7 +308,7 @@ func TestSlotRejectMetric(t *testing.T) {
 // admitted.
 func TestClaimRefusalMetric(t *testing.T) {
 	const bufCap = 4
-	rt := New(Options{BufferCap: bufCap})
+	rt := newPool(Options{}, bufCap)
 	h := rt.Register("refused")
 	if s := rt.trySleep(h, false); s != nil {
 		t.Fatal("claim admitted at target 0")
@@ -570,7 +578,7 @@ func TestStopWakesParkedWaiters(t *testing.T) {
 // is no input.
 func TestDefaultSensorTargetFollowsLoadSign(t *testing.T) {
 	const bufCap = 64
-	rt := New(Options{BufferCap: bufCap, SleepTimeout: 10 * time.Second})
+	rt := newPool(Options{SleepTimeout: 10 * time.Second}, bufCap)
 	ncpu := goruntime.NumCPU()
 	sens, setRunning := fakeLoadavg(t, ncpu+2) // OSExcess = +1
 	h := rt.Register("census")
@@ -611,9 +619,23 @@ func TestDefaultSensorTargetFollowsLoadSign(t *testing.T) {
 		go func() { defer wg.Done(); tk.Sleep() }()
 	}
 	setRunning(1) // OSExcess = -NumCPU
-	snap = tick()
-	if snap.OSExcess != -ncpu || snap.Load > 0 {
-		t.Fatalf("idle tick: os %d, load %d; want %d, <= 0", snap.OSExcess, snap.Load, -ncpu)
+	// The run-queue term is real: a tick taken just after this process's
+	// goroutines queued behind other processes' threads (go test ./...
+	// runs packages side by side) reads load > 0 whatever the fake OS
+	// term says. Such a tick only re-targets the pool, so re-tick until
+	// one reads idle.
+	for try := 0; ; try++ {
+		snap = tick()
+		if snap.OSExcess != -ncpu {
+			t.Fatalf("idle tick: os %d, want %d", snap.OSExcess, -ncpu)
+		}
+		if snap.Load <= 0 {
+			break
+		}
+		if try == 100 {
+			t.Fatalf("idle tick: load %d after %d ticks; want <= 0", snap.Load, try+1)
+		}
+		time.Sleep(time.Millisecond)
 	}
 	if want := min(max(snap.Load+2, 0), bufCap); snap.Target != want {
 		t.Fatalf("target = %d, want clamp(load %d + sleeping 2) = %d", snap.Target, snap.Load, want)

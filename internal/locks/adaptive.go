@@ -160,87 +160,3 @@ func (l *AdaptiveMutex) notifyHolderBlocked() {
 		}
 	}
 }
-
-// BlockingMutex is a pure blocking mutex (no spin phase): every
-// contended acquire parks and every release wakes the FIFO head with a
-// direct handoff. Purely for reference; the paper notes such locks are
-// only used where spinning would deadlock.
-type BlockingMutex struct {
-	env      *Env
-	holder   *cpu.Thread
-	sleepers []*cpu.Thread
-}
-
-// NewBlockingMutex returns a pure blocking mutex factory.
-func NewBlockingMutex(env *Env) Lock { return &BlockingMutex{env: env} }
-
-// Name implements Lock.
-func (l *BlockingMutex) Name() string { return "blocking" }
-
-// Acquire implements Lock.
-func (l *BlockingMutex) Acquire(t *cpu.Thread) {
-	t.Compute(l.env.Costs.Acquire)
-	if l.holder == nil {
-		l.holder = t
-		return
-	}
-	t.Compute(l.env.Costs.ParkSyscall)
-	l.sleepers = append(l.sleepers, t)
-	for l.holder != t {
-		t.Park(0)
-	}
-}
-
-// Release implements Lock. Direct handoff: the woken thread owns the
-// lock when it runs (no barging).
-func (l *BlockingMutex) Release(t *cpu.Thread) {
-	if l.holder != t {
-		panic("blocking: release by non-holder")
-	}
-	t.Compute(l.env.Costs.Release)
-	if len(l.sleepers) == 0 {
-		l.holder = nil
-		return
-	}
-	w := l.sleepers[0]
-	l.sleepers = l.sleepers[1:]
-	l.holder = w
-	t.Compute(l.env.Costs.UnparkSyscall)
-	w.Unpark()
-}
-
-// SpinThenYield spins briefly, then repeatedly yields the CPU between
-// probes — using the scheduler as a backoff mechanism (paper §2.2's
-// spin-then-yield family).
-type SpinThenYield struct {
-	env   *Env
-	inner *TATAS
-}
-
-// NewSpinThenYield returns a spin-then-yield lock factory.
-func NewSpinThenYield(env *Env) Lock {
-	return &SpinThenYield{env: env, inner: newTATAS(env, false)}
-}
-
-// Name implements Lock.
-func (l *SpinThenYield) Name() string { return "spin-then-yield" }
-
-// Acquire implements Lock. Model: probe the inner lock's availability;
-// if it stays held past the patience window, yield and retry.
-func (l *SpinThenYield) Acquire(t *cpu.Thread) {
-	for {
-		if l.inner.holder == nil && len(l.inner.waiting) == 0 {
-			l.inner.Acquire(t)
-			return
-		}
-		// Spin for the patience window via a bounded wait, then yield.
-		t.Compute(l.env.Costs.AdaptivePatience)
-		if l.inner.holder == nil {
-			continue
-		}
-		t.Yield()
-	}
-}
-
-// Release implements Lock.
-func (l *SpinThenYield) Release(t *cpu.Thread) { l.inner.Release(t) }

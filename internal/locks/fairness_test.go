@@ -38,7 +38,6 @@ func TestQueueLocksAreFair(t *testing.T) {
 		f    Factory
 	}{
 		{"mcs", NewMCS},
-		{"ticket", NewTicket},
 		{"tp-mcs", NewTPMCS},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -59,52 +58,6 @@ func TestQueueLocksAreFair(t *testing.T) {
 				t.Fatalf("%s: unfair shares: %v", tc.name, counts)
 			}
 		})
-	}
-}
-
-// TestCentralizedLocksMakeProgressForAll: TATAS is unfair by design, but
-// nobody may starve outright over a long run.
-func TestCentralizedLocksMakeProgressForAll(t *testing.T) {
-	counts := acquireCounts(5, NewTATAS, 6, 60*time.Millisecond)
-	for i, c := range counts {
-		if c == 0 {
-			t.Fatalf("thread %d starved: %v", i, counts)
-		}
-	}
-}
-
-// TestBackoffReducesHerdCost: with many waiters, backoff's handoffs
-// avoid the linear herd penalty, so at high waiter counts it should not
-// be drastically slower than plain TATAS.
-func TestBackoffReducesHerdCost(t *testing.T) {
-	sum := func(xs []int) int {
-		s := 0
-		for _, x := range xs {
-			s += x
-		}
-		return s
-	}
-	plain := sum(acquireCounts(7, NewTATAS, 16, 30*time.Millisecond))
-	backoff := sum(acquireCounts(7, NewBackoff, 16, 30*time.Millisecond))
-	if backoff < plain/3 {
-		t.Fatalf("backoff collapsed: %d vs plain %d", backoff, plain)
-	}
-	if plain == 0 || backoff == 0 {
-		t.Fatal("no progress")
-	}
-}
-
-// TestSpinThenYieldSurvivesOverload: the yield loop must not livelock
-// when threads far outnumber contexts.
-func TestSpinThenYieldSurvivesOverload(t *testing.T) {
-	h := newHarness(9, 2)
-	l := NewSpinThenYield(h.env)
-	h.run(l, 8, 2*time.Microsecond, 5*time.Microsecond, 100*time.Millisecond)
-	if h.acquires < 500 {
-		t.Fatalf("spin-then-yield starved: %d acquires", h.acquires)
-	}
-	if h.maxInCS != 1 {
-		t.Fatal("exclusion violated")
 	}
 }
 

@@ -1,9 +1,9 @@
-// Package locks implements the synchronization primitives the paper
-// studies, as event-driven equivalents running on the simulated machine:
-// test-and-set spinning (with and without backoff), ticket locks, MCS
-// queue locks, time-published MCS (TP-MCS), spin-then-yield, the
-// Solaris-style adaptive (spin-then-block) mutex, a pure blocking mutex,
-// and the authors' earlier load-triggered backoff scheme (paper §2.3).
+// Package locks implements the synchronization primitives the paper's
+// figures compare, as event-driven equivalents running on the simulated
+// machine: MCS queue locks, time-published MCS (TP-MCS), the
+// Solaris-style adaptive (spin-then-block) mutex the paper benchmarks as
+// pthread, and the authors' earlier load-triggered backoff scheme (paper
+// §2.3).
 //
 // All locks implement mutual exclusion over simulated threads; the
 // differences the paper cares about — how waiters wait, who is woken on
@@ -60,9 +60,6 @@ type Costs struct {
 	// critical section).
 	Acquire time.Duration
 	Release time.Duration
-	// HerdPenalty is extra handoff delay per additional spinner on
-	// centralized (non-queue-based) locks, modelling coherence traffic.
-	HerdPenalty time.Duration
 	// ParkSyscall and UnparkSyscall are the user/kernel crossing costs
 	// of blocking, charged in addition to the scheduler's context
 	// switch cost.
@@ -78,9 +75,6 @@ type Costs struct {
 	// (paper §2.1): overloaded queues fill with stale nodes that every
 	// handoff must walk over.
 	TPRemoval time.Duration
-	// BackoffBase and BackoffMax bound the exponential backoff window.
-	BackoffBase time.Duration
-	BackoffMax  time.Duration
 }
 
 // DefaultCosts returns constants calibrated to the paper's platform
@@ -89,13 +83,10 @@ func DefaultCosts() Costs {
 	return Costs{
 		Acquire:          80 * time.Nanosecond,
 		Release:          60 * time.Nanosecond,
-		HerdPenalty:      50 * time.Nanosecond,
 		ParkSyscall:      1500 * time.Nanosecond,
 		UnparkSyscall:    1500 * time.Nanosecond,
 		AdaptivePatience: 1500 * time.Nanosecond,
 		TPRemoval:        350 * time.Nanosecond,
-		BackoffBase:      1 * time.Microsecond,
-		BackoffMax:       64 * time.Microsecond,
 	}
 }
 

@@ -55,14 +55,9 @@ var allFactories = []struct {
 	name string
 	f    Factory
 }{
-	{"tatas", NewTATAS},
-	{"backoff", NewBackoff},
-	{"ticket", NewTicket},
 	{"mcs", NewMCS},
 	{"tp-mcs", NewTPMCS},
 	{"adaptive", NewAdaptiveMutex},
-	{"blocking", NewBlockingMutex},
-	{"spin-then-yield", NewSpinThenYield},
 }
 
 func TestMutualExclusionAllLocks(t *testing.T) {
@@ -289,43 +284,6 @@ func TestSpinAccountingSplitsContentionAndInversion(t *testing.T) {
 	}
 }
 
-func TestBlockingMutexFIFOHandoff(t *testing.T) {
-	h := newHarness(29, 8)
-	l := NewBlockingMutex(h.env)
-	var order []int
-	for i := 0; i < 5; i++ {
-		i := i
-		h.p.NewThread(fmt.Sprintf("w%d", i), func(t *cpu.Thread) {
-			t.Compute(time.Duration(i+1) * 10 * time.Microsecond)
-			l.Acquire(t)
-			order = append(order, i)
-			t.Compute(200 * time.Microsecond)
-			l.Release(t)
-		})
-	}
-	h.k.RunFor(time.Second)
-	for i, v := range order {
-		if v != i {
-			t.Fatalf("order = %v, want FIFO", order)
-		}
-	}
-}
-
-func TestBlockingHandoffCostsContextSwitch(t *testing.T) {
-	// Two threads ping-ponging a blocking mutex with tiny critical
-	// sections: throughput is bounded by context switches.
-	h := newHarness(31, 4)
-	l := NewBlockingMutex(h.env)
-	h.run(l, 2, 500*time.Nanosecond, 0, 20*time.Millisecond)
-	spin := newHarness(31, 4)
-	ls := NewTPMCS(spin.env)
-	spin.run(ls, 2, 500*time.Nanosecond, 0, 20*time.Millisecond)
-	if h.acquires*3 > spin.acquires {
-		t.Fatalf("blocking (%d) should be far slower than spinning (%d) for short CS",
-			h.acquires, spin.acquires)
-	}
-}
-
 func TestLoadTriggeredBackoffSheds(t *testing.T) {
 	k := sim.NewKernel(37)
 	m := cpu.NewMachine(k, cpu.Config{Contexts: 4})
@@ -377,13 +335,15 @@ func TestLTBMonitorEntriesBounded(t *testing.T) {
 	}
 }
 
+// TestEnvWatchMultiplexes: two watchers of one thread both see its
+// preemptions, and cancelling one stops it without silencing the other.
 func TestEnvWatchMultiplexes(t *testing.T) {
 	k := sim.NewKernel(41)
 	m := cpu.NewMachine(k, cpu.Config{Contexts: 1})
 	p := m.NewProcess("p")
 	env := NewEnv(m)
-	th := p.NewThread("a", func(t *cpu.Thread) { t.Compute(25 * time.Millisecond) })
-	p.NewThread("b", func(t *cpu.Thread) { t.Compute(25 * time.Millisecond) })
+	th := p.NewThread("a", func(t *cpu.Thread) { t.Compute(100 * time.Millisecond) })
+	p.NewThread("b", func(t *cpu.Thread) { t.Compute(100 * time.Millisecond) })
 	var n1, n2 int
 	c1 := env.Watch(th, func(*cpu.Thread) { n1++ }, nil)
 	env.Watch(th, func(*cpu.Thread) { n2++ }, nil)
@@ -392,12 +352,14 @@ func TestEnvWatchMultiplexes(t *testing.T) {
 		t.Fatalf("watchers missed preemption: n1=%d n2=%d", n1, n2)
 	}
 	c1()
-	before := n2
+	n1Before, n2Before := n1, n2
 	k.RunFor(60 * time.Millisecond)
-	if n1 != 1 && n1 != before {
-		// n1 must not have advanced after cancel; capture loosely:
+	if n1 != n1Before {
+		t.Fatalf("cancelled watcher fired %d more times", n1-n1Before)
 	}
-	_ = before
+	if n2 == n2Before {
+		t.Fatal("live watcher stopped firing after the other was cancelled")
+	}
 }
 
 func TestDeterministicLockBench(t *testing.T) {

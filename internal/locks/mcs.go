@@ -1,13 +1,10 @@
 package locks
 
 import (
-	"time"
-
 	"repro/internal/cpu"
 )
 
-// qnode is a waiter's queue entry, shared by MCS, TP-MCS and the ticket
-// lock models.
+// qnode is a waiter's queue entry, shared by MCS and TP-MCS.
 type qnode struct {
 	t       *cpu.Thread
 	granted bool
@@ -35,12 +32,6 @@ func NewMCS(env *Env) Lock {
 
 // Name implements Lock.
 func (l *MCS) Name() string { return "mcs" }
-
-// Holder returns the current owner (nil if free).
-func (l *MCS) Holder() *cpu.Thread { return l.holder }
-
-// QueueLength returns the number of queued waiters.
-func (l *MCS) QueueLength() int { return l.liveQueueLen() }
 
 func (l *MCS) forEachSpinner(fn func(*cpu.Thread)) {
 	for _, n := range l.queue {
@@ -139,69 +130,4 @@ func (l *MCS) Release(t *cpu.Thread) {
 	}
 	l.holder = nil
 	l.guard.set(nil)
-}
-
-// Ticket is a ticket lock: FIFO like MCS (so equally vulnerable to
-// preempted waiters) but all waiters poll a shared now-serving counter,
-// adding a small herd penalty proportional to the waiter count.
-type Ticket struct {
-	env    *Env
-	holder *cpu.Thread
-	queue  []*qnode
-	guard  holderGuard
-}
-
-// NewTicket returns a ticket lock factory.
-func NewTicket(env *Env) Lock {
-	l := &Ticket{env: env}
-	l.guard = holderGuard{env: env, spinners: l.forEachSpinner}
-	return l
-}
-
-// Name implements Lock.
-func (l *Ticket) Name() string { return "ticket" }
-
-func (l *Ticket) forEachSpinner(fn func(*cpu.Thread)) {
-	for _, n := range l.queue {
-		if n.t.Spinning() {
-			fn(n.t)
-		}
-	}
-}
-
-// Acquire implements Lock.
-func (l *Ticket) Acquire(t *cpu.Thread) {
-	t.Compute(l.env.Costs.Acquire)
-	if l.holder == nil && len(l.queue) == 0 {
-		l.holder = t
-		l.guard.set(t)
-		return
-	}
-	n := &qnode{t: t}
-	l.queue = append(l.queue, n)
-	l.guard.markSpinner(t)
-	if t.SpinWait() != SpinGranted {
-		panic("ticket: unexpected spin result")
-	}
-}
-
-// Release implements Lock.
-func (l *Ticket) Release(t *cpu.Thread) {
-	if l.holder != t {
-		panic("ticket: release by non-holder")
-	}
-	t.Compute(l.env.Costs.Release)
-	if len(l.queue) == 0 {
-		l.holder = nil
-		l.guard.set(nil)
-		return
-	}
-	n := l.queue[0]
-	l.queue = l.queue[1:]
-	n.granted = true
-	l.holder = n.t
-	l.guard.set(n.t)
-	// Shared-counter polling: every waiter takes the coherence miss.
-	delay := l.env.M.Cfg.HandoffDelay + time.Duration(len(l.queue))*l.env.Costs.HerdPenalty
-	l.env.M.K.After(delay, func() { n.t.SpinWake(SpinGranted) })
 }

@@ -61,12 +61,6 @@ func newTPMCS(env *Env) *TPMCS {
 // Name implements Lock.
 func (l *TPMCS) Name() string { return "tp-mcs" }
 
-// Holder returns the current owner (nil if free).
-func (l *TPMCS) Holder() *cpu.Thread { return l.holder }
-
-// QueueLength returns the number of queued waiters.
-func (l *TPMCS) QueueLength() int { return len(l.queue) }
-
 func (l *TPMCS) forEachSpinner(fn func(*cpu.Thread)) {
 	for _, n := range l.queue {
 		if n.t.Spinning() {

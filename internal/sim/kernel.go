@@ -11,7 +11,6 @@ package sim
 import (
 	"container/heap"
 	"fmt"
-	"math"
 	"time"
 )
 
@@ -21,9 +20,6 @@ type Time int64
 // Duration is a span of virtual time in nanoseconds. It converts directly
 // from time.Duration.
 type Duration = time.Duration
-
-// MaxTime is the largest representable virtual time.
-const MaxTime = Time(math.MaxInt64)
 
 // Event is a scheduled callback. Events are created by Kernel.At and
 // Kernel.After and may be cancelled until they fire.
@@ -42,18 +38,14 @@ func (e *Event) Time() Time { return e.at }
 // Cancelled reports whether Cancel was called before the event fired.
 func (e *Event) Cancelled() bool { return e.cancel }
 
-// Fired reports whether the event's callback has run.
-func (e *Event) Fired() bool { return e.fired }
-
 // Kernel is a discrete-event simulation executor.
 //
 // The zero value is not usable; construct with NewKernel.
 type Kernel struct {
-	now    Time
-	seq    uint64
-	queue  eventHeap
-	rng    *RNG
-	closed bool
+	now   Time
+	seq   uint64
+	queue eventHeap
+	rng   *RNG
 
 	// yield is the rendezvous channel used by process goroutines to
 	// return control to the kernel loop. Only one process runs at a

@@ -1,10 +1,9 @@
 // Package stats provides the small statistics toolkit the experiment
-// harnesses use: running moments, histograms with percentiles, and
-// time-weighted series for load traces.
+// harnesses use: running moments and time-weighted series for load
+// traces.
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
@@ -66,58 +65,6 @@ func (r *Running) CoV() float64 {
 		return 0
 	}
 	return r.Stddev() / math.Abs(r.mean)
-}
-
-// Sample is a stored set of observations supporting percentiles.
-type Sample struct {
-	xs     []float64
-	sorted bool
-}
-
-// Add records one observation.
-func (s *Sample) Add(x float64) {
-	s.xs = append(s.xs, x)
-	s.sorted = false
-}
-
-// N returns the observation count.
-func (s *Sample) N() int { return len(s.xs) }
-
-// Percentile returns the p-th percentile (0 <= p <= 100) by linear
-// interpolation; 0 for an empty sample.
-func (s *Sample) Percentile(p float64) float64 {
-	if len(s.xs) == 0 {
-		return 0
-	}
-	if !s.sorted {
-		sort.Float64s(s.xs)
-		s.sorted = true
-	}
-	if p <= 0 {
-		return s.xs[0]
-	}
-	if p >= 100 {
-		return s.xs[len(s.xs)-1]
-	}
-	pos := p / 100 * float64(len(s.xs)-1)
-	lo := int(pos)
-	frac := pos - float64(lo)
-	if lo+1 >= len(s.xs) {
-		return s.xs[lo]
-	}
-	return s.xs[lo]*(1-frac) + s.xs[lo+1]*frac
-}
-
-// Mean returns the sample mean.
-func (s *Sample) Mean() float64 {
-	if len(s.xs) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, x := range s.xs {
-		sum += x
-	}
-	return sum / float64(len(s.xs))
 }
 
 // TimeSeries is a step function of float64 over int64 timestamps,
@@ -207,54 +154,4 @@ func (s *TimeSeries) MinMax() (lo, hi float64) {
 		}
 	}
 	return lo, hi
-}
-
-// Histogram is a fixed-width bucket histogram over [lo, hi).
-type Histogram struct {
-	lo, hi  float64
-	buckets []int
-	under   int
-	over    int
-	n       int
-}
-
-// NewHistogram builds a histogram with nb buckets spanning [lo, hi).
-func NewHistogram(lo, hi float64, nb int) *Histogram {
-	if hi <= lo || nb <= 0 {
-		panic("stats: invalid histogram bounds")
-	}
-	return &Histogram{lo: lo, hi: hi, buckets: make([]int, nb)}
-}
-
-// Add records one observation.
-func (h *Histogram) Add(x float64) {
-	h.n++
-	switch {
-	case x < h.lo:
-		h.under++
-	case x >= h.hi:
-		h.over++
-	default:
-		i := int((x - h.lo) / (h.hi - h.lo) * float64(len(h.buckets)))
-		if i == len(h.buckets) {
-			i--
-		}
-		h.buckets[i]++
-	}
-}
-
-// N returns the total count.
-func (h *Histogram) N() int { return h.n }
-
-// Bucket returns the count in bucket i.
-func (h *Histogram) Bucket(i int) int { return h.buckets[i] }
-
-// String renders a compact ASCII summary.
-func (h *Histogram) String() string {
-	out := ""
-	w := (h.hi - h.lo) / float64(len(h.buckets))
-	for i, c := range h.buckets {
-		out += fmt.Sprintf("[%8.3g,%8.3g) %d\n", h.lo+float64(i)*w, h.lo+float64(i+1)*w, c)
-	}
-	return out
 }

@@ -53,32 +53,6 @@ func TestRunningMatchesDirectComputation(t *testing.T) {
 	}
 }
 
-func TestSamplePercentiles(t *testing.T) {
-	var s Sample
-	for i := 1; i <= 100; i++ {
-		s.Add(float64(i))
-	}
-	if got := s.Percentile(0); got != 1 {
-		t.Fatalf("p0 = %v", got)
-	}
-	if got := s.Percentile(100); got != 100 {
-		t.Fatalf("p100 = %v", got)
-	}
-	if got := s.Percentile(50); math.Abs(got-50.5) > 1e-9 {
-		t.Fatalf("p50 = %v, want 50.5", got)
-	}
-	if got := s.Percentile(90); math.Abs(got-90.1) > 1e-9 {
-		t.Fatalf("p90 = %v, want 90.1", got)
-	}
-}
-
-func TestSampleEmpty(t *testing.T) {
-	var s Sample
-	if s.Percentile(50) != 0 || s.Mean() != 0 {
-		t.Fatal("empty sample should return zeros")
-	}
-}
-
 func TestTimeSeriesAt(t *testing.T) {
 	var ts TimeSeries
 	ts.Record(10, 1)
@@ -150,27 +124,6 @@ func TestTimeSeriesMinMax(t *testing.T) {
 	lo, hi := ts.MinMax()
 	if lo != -2 || hi != 11 {
 		t.Fatalf("MinMax = %v, %v", lo, hi)
-	}
-}
-
-func TestHistogramBuckets(t *testing.T) {
-	h := NewHistogram(0, 10, 10)
-	for i := 0; i < 10; i++ {
-		h.Add(float64(i) + 0.5)
-	}
-	h.Add(-1)  // under
-	h.Add(10)  // over (right-open)
-	h.Add(100) // over
-	for i := 0; i < 10; i++ {
-		if h.Bucket(i) != 1 {
-			t.Fatalf("bucket %d = %d, want 1", i, h.Bucket(i))
-		}
-	}
-	if h.under != 1 || h.over != 2 {
-		t.Fatalf("under/over = %d/%d", h.under, h.over)
-	}
-	if h.N() != 13 {
-		t.Fatalf("N = %d", h.N())
 	}
 }
 

@@ -287,7 +287,7 @@ func TestEngineUnderDifferentLatches(t *testing.T) {
 	}{
 		{"tpmcs", locks.NewTPMCS},
 		{"adaptive", locks.NewAdaptiveMutex},
-		{"tatas", locks.NewTATAS},
+		{"mcs", locks.NewMCS},
 	} {
 		t.Run(f.name, func(t *testing.T) {
 			w := newWorld(10, 2, Config{Latch: f.fac})

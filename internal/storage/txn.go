@@ -54,13 +54,6 @@ func (x *Txn) Read(table string, key uint64) (Row, bool, error) {
 	return r, ok, nil
 }
 
-// ReadDirty reads without logical locking (latch-only), as engines do
-// for internal lookups.
-func (x *Txn) ReadDirty(table string, key uint64) (Row, bool) {
-	x.mustBeOpen()
-	return x.e.Table(table).get(x.th, key)
-}
-
 // Update applies fn to the row under an exclusive logical lock, logging
 // and recording undo. Reports whether the key existed.
 func (x *Txn) Update(table string, key uint64, fn func(Row) Row) (bool, error) {
