@@ -3,8 +3,8 @@
 // domain metrics) plus microbenchmarks of the simulator itself. The
 // real stack is measured by lcperf (bash benchmark/run.sh); the only
 // real-stack benchmarks here are the two paths lcperf does not run —
-// the conflict workload under both deadlock policies with escalation,
-// and kv prefix scans.
+// the conflict workload under wait-die with escalation, and kv prefix
+// scans.
 //
 // Figure benchmarks report two custom metrics where meaningful:
 //
@@ -116,27 +116,21 @@ func BenchmarkSimLockTPMCS(b *testing.B)    { benchSimLock(b, locks.NewTPMCS, fa
 func BenchmarkSimLockAdaptive(b *testing.B) { benchSimLock(b, locks.NewAdaptiveMutex, false) }
 func BenchmarkSimLockLC(b *testing.B)       { benchSimLock(b, locks.NewTPMCS, true) }
 
-// benchOLTPConflict runs the multi-statement conflict mix (internal/
-// oltp: overlapping read-modify-write record sets in random order —
-// the deadlock-prone shape) under one deadlock policy at
+// BenchmarkOLTPConflict runs the multi-statement conflict mix
+// (internal/oltp: overlapping read-modify-write record sets in random
+// order — the deadlock-prone shape) under wait-die at
 // oversubscription. Each iteration is one committed transaction
 // including its retries; aborts/op and escalations/op report how much
-// conflict-resolution work the policy did. Keeping both policy
-// benchmarks in the tree means CI's -benchtime 1x smoke compiles and
-// runs both code paths on every push.
-func benchOLTPConflict(b *testing.B, policyName string) {
+// conflict-resolution work wait-die did.
+func BenchmarkOLTPConflict(b *testing.B) {
 	prev := runtime.GOMAXPROCS(8 * runtime.NumCPU())
 	defer runtime.GOMAXPROCS(prev)
-	pol, err := oltp.NewPolicy(policyName)
-	if err != nil {
-		b.Fatal(err)
-	}
 	store := kv.New(kv.Options{Shards: 16, Policy: golc.Block})
 	b.Cleanup(store.Close)
 	// Threshold below RecordsPerTxn/partition so the escalation path
 	// runs too — otherwise escalations/op is a constant 0 and CI's
 	// -benchtime 1x smoke never exercises the fold-in under -bench.
-	db := oltp.New(store, oltp.Options{MaxRetries: -1, DeadlockPolicy: pol, EscalationThreshold: 8})
+	db := oltp.New(store, oltp.Options{MaxRetries: -1, EscalationThreshold: 8})
 	b.Cleanup(db.Close)
 	w := oltp.NewConflict(db, oltp.ConflictConfig{
 		Partitions:       4,
@@ -168,9 +162,6 @@ func benchOLTPConflict(b *testing.B, policyName string) {
 	b.ReportMetric(float64(m.Aborts)/float64(b.N), "aborts/op")
 	b.ReportMetric(float64(m.Escalations)/float64(b.N), "escalations/op")
 }
-
-func BenchmarkOLTPConflictWaitDie(b *testing.B) { benchOLTPConflict(b, "waitdie") }
-func BenchmarkOLTPConflictDetect(b *testing.B)  { benchOLTPConflict(b, "detect") }
 
 // BenchmarkKVScan measures prefix scans (one shard latch at a time).
 func BenchmarkKVScan(b *testing.B) {

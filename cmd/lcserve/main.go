@@ -88,7 +88,6 @@ func main() {
 		addr     = flag.String("addr", ":8080", "serve address")
 		shards   = flag.Int("shards", 16, "primary shards")
 		mode     = flag.String("mode", "lc", "latch contention policy: spin, block or lc")
-		policyFl = flag.String("policy", "waitdie", "deadlock policy for /txn transactions: waitdie or detect")
 		loadgen  = flag.Bool("loadgen", false, "be an HTTP load client for the running lcserve at -target, then exit")
 		target   = flag.String("target", "", "with -loadgen: base URL of the lcserve to drive (e.g. http://localhost:8080)")
 		conns    = flag.Int("conns", 64, "loadgen client goroutines")
@@ -120,11 +119,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "lcserve:", err)
 		os.Exit(2)
 	}
-	policy, err := oltp.NewPolicy(*policyFl)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
 	store := kv.New(kv.Options{Shards: *shards, Policy: lockPolicy})
 	// Durability: the WAL must open against the store while it is still
 	// empty — recovery seeds it from the checkpoint and replays the redo
@@ -143,13 +137,13 @@ func main() {
 			rs.CheckpointLSN, rs.CheckpointKeys, rs.SegmentsScanned,
 			rs.RecordsReplayed, rs.WritesReplayed, rs.TornBytes, rs.DroppedSegments, rs.MaxLSN)
 	}
-	db := oltp.New(store, oltp.Options{MaxRetries: oltp.DefaultMaxRetries, DeadlockPolicy: policy, WAL: walLog})
+	db := oltp.New(store, oltp.Options{MaxRetries: oltp.DefaultMaxRetries, WAL: walLog})
 	durability := "volatile"
 	if walLog != nil {
 		durability = "durable, wal at " + *walDir
 	}
-	fmt.Printf("lcserve: serving %d-shard kv (%s latches, %s deadlock policy, %s) on %s\n",
-		store.Shards(), store.Policy().Name(), db.PolicyName(), durability, *addr)
+	fmt.Printf("lcserve: serving %d-shard kv (%s latches, %s) on %s\n",
+		store.Shards(), store.Policy().Name(), durability, *addr)
 	// Serve mode registers every latch with the process-wide runtime
 	// (kv.Options.Runtime nil), so that is the runtime the handler's
 	// stats/metrics/trace endpoints observe. -blame-sampling takes

@@ -19,10 +19,9 @@ const (
 	EvControllerTick                  // one controller update (Arg: raw sleep target, Label: its inputs "runq=… os=… load=… sleeping=…")
 
 	// OLTP transaction-lifecycle events (Arg: transaction id).
-	EvTxnBlock       // a lock request queued behind a conflict (Name: resource)
-	EvTxnAbort       // the lock manager killed a transaction (Label: why)
-	EvDeadlockVictim // the detector picked this transaction out of a cycle
-	EvEscalation     // record locks folded into a partition lock (Name: partition)
+	EvTxnBlock   // a lock request queued behind a conflict (Name: resource)
+	EvTxnAbort   // the lock manager killed a transaction (Label: why)
+	EvEscalation // record locks folded into a partition lock (Name: partition)
 
 	// WAL durability events.
 	EvWalAppend // a redo record was staged on the log tail (Name: log, Arg: bytes)
@@ -39,7 +38,6 @@ var eventNames = [numEventTypes]string{
 	EvControllerTick: "controller-tick",
 	EvTxnBlock:       "txn-block",
 	EvTxnAbort:       "txn-abort",
-	EvDeadlockVictim: "deadlock-victim",
 	EvEscalation:     "escalation",
 	EvWalAppend:      "wal-append",
 	EvWalSync:        "wal-sync",

@@ -856,8 +856,8 @@ func (h *Handle) RecordHold(start int64) {
 // hot-swap.
 func (h *Handle) NotePolicy(name string) { h.policy.Store(&name) }
 
-// PolicyName returns the name last recorded by NotePolicy ("" if none).
-func (h *Handle) PolicyName() string {
+// policyName returns the name last recorded by NotePolicy ("" if none).
+func (h *Handle) policyName() string {
 	if p := h.policy.Load(); p != nil {
 		return *p
 	}
@@ -1037,7 +1037,7 @@ func (h *Handle) Stats() LockStats {
 		UnlockWakes:      h.unlockWakes.Load(),
 		SpinningNow:      h.spinning.Load(),
 		SleepingNow:      h.sleepers.Load(),
-		Policy:           h.PolicyName(),
+		Policy:           h.policyName(),
 		BlameCount:       h.blameCount.Load(),
 		BlameNs:          h.blameNs.Load(),
 		Wait:             h.wait.Snapshot(),

@@ -5,13 +5,14 @@ import (
 	"go/types"
 )
 
-// Ctxlock guards the deadlock detector's kill path: a victim txn is
-// aborted by cancelling the context its lock waits run under, so a wait
-// rooted at context.Background() in a path that *has* a real
-// deadline/cancel context is unkillable. Two rules, both active only
-// when a real context is in scope (a context.Context parameter, a
-// parameter with a Context() method such as *http.Request, or a
-// parameter carrying a context field such as an oltp txn):
+// Ctxlock guards the client's way out of a logical wait: a request
+// whose client has gone ends its lock waits by cancelling the context
+// they run under, so a wait rooted at context.Background() in a path
+// that *has* a real deadline/cancel context cannot be cancelled. Three
+// rules, all active only when a real context is in scope (a
+// context.Context parameter, a parameter with a Context() method such
+// as *http.Request, or a parameter carrying a context field such as an
+// oltp txn):
 //
 //  1. context.Background()/context.TODO() must not be passed where a
 //     context.Context is expected (RunCtx, context.WithCancel, ...);
@@ -33,8 +34,8 @@ var Ctxlock = &Analyzer{
 	Name: "ctxlock",
 	Doc: "paths that have a real deadline/cancel context (request handlers, txn " +
 		"paths) must thread it into context-aware acquisition instead of " +
-		"context.Background()/TODO(); the deadlock detector kills victims by " +
-		"cancellation, and a Background-rooted wait cannot be killed.",
+		"context.Background()/TODO(); the client's context cancels its own " +
+		"logical waits, and a Background-rooted wait cannot be cancelled.",
 	Run: runCtxlock,
 }
 

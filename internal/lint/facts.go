@@ -37,9 +37,8 @@ type FuncFacts struct {
 
 	// CtxBgWait: this function roots a (transitively) parking wait at
 	// context.Background()/TODO() with no context of its own in scope
-	// and no *Ctx drop-in sibling — a wait the deadlock detector's
-	// cancellation-kill cannot reach. CtxWhat describes the root for
-	// reports.
+	// and no *Ctx drop-in sibling — a wait the client's context cannot
+	// cancel. CtxWhat describes the root for reports.
 	CtxBgWait bool
 	CtxWhat   string
 

@@ -12,8 +12,8 @@
 //     acyclic.
 //   - ctxlock: context-aware acquisition paths must not be fed
 //     context.Background()/TODO() when a real deadline/cancel context
-//     is in scope — the deadlock detector's victim-kill path depends
-//     on waits being cancellable.
+//     is in scope — a client's context cancels its own logical waits
+//     only if they run under it.
 //   - heldcall: no blocking or alloc-heavy work (I/O, channel
 //     operations, time.Sleep, fmt printing to writers) inside a golc
 //     critical section.

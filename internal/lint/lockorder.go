@@ -29,7 +29,7 @@ var Lockorder = &Analyzer{
 	Name: "lockorder",
 	Doc: "the static acquisition-order graph over golc lock classes and oltp's " +
 		"partition→record hierarchy must stay acyclic; a cycle is a potential " +
-		"deadlock the waits-for detector would have to break by killing a victim.",
+		"deadlock.",
 	Run:   runLockorder,
 	Begin: beginLockorder,
 	End:   endLockorder,

@@ -10,9 +10,8 @@ import (
 // configurable fraction of them drawn from a small shared hot set, in
 // RANDOM order — deliberately unsorted, so two transactions regularly
 // grab overlapping records in opposite orders. That is the shape where
-// the deadlock policies diverge (wait-die kills eagerly on every
-// age-inverted conflict; the detector waits and kills only real
-// cycles) and where lock escalation pays off (a transaction touching
+// deadlocks would form (wait-die kills on every age-inverted conflict,
+// so none does) and where lock escalation pays off (a transaction touching
 // many records in one partition folds them into one partition lock
 // instead of ballooning the lock table). TATP, by contrast, touches
 // one or two records per transaction and never exercises either.

@@ -81,69 +81,56 @@ func TestConflictPickTouchesExtremeOverlap(t *testing.T) {
 }
 
 // TestConflictWorkloadBothPolicies runs the conflict mix concurrently
-// under wait-die and under the detector (-race): every transaction
-// commits via retries, the increment conservation holds (commits ×
-// writes-per-commit == sum of counters), and the quiescent lock table
-// is empty under both policies — the acceptance check that neither
-// policy leaks entries.
+// under wait-die (-race): every transaction commits via retries, the
+// increment conservation holds (commits × writes-per-commit == sum of
+// counters), and the quiescent lock table is empty — the acceptance
+// check that wait-die leaks no entries.
 func TestConflictWorkloadBothPolicies(t *testing.T) {
 	prev := goruntime.GOMAXPROCS(4 * goruntime.NumCPU())
 	defer goruntime.GOMAXPROCS(prev)
-	for _, name := range []string{"waitdie", "detect"} {
-		t.Run(name, func(t *testing.T) {
-			pol, err := NewPolicy(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Threshold low enough that the 12-record transactions
-			// escalate: the fold-in path runs under real concurrency.
-			db := newTestDB(t, golc.Block, Options{DeadlockPolicy: pol, MaxRetries: -1, EscalationThreshold: 8})
-			w := NewConflict(db, ConflictConfig{
-				Partitions:      2,
-				PerPartition:    32,
-				RecordsPerTxn:   12,
-				OverlapFrac:     0.7,
-				HotPerPartition: 4,
-				WriteFrac:       1.0, // every touch writes: conservation is checkable
-			})
-			const workers = 6
-			const txns = 40
-			var wg sync.WaitGroup
-			for i := 0; i < workers; i++ {
-				wg.Add(1)
-				go func(seed int64) {
-					defer wg.Done()
-					rng := rand.New(rand.NewSource(seed*31 + 5))
-					for j := 0; j < txns; j++ {
-						if err := w.Run(rng); err != nil {
-							t.Errorf("conflict txn failed terminally: %v", err)
-							return
-						}
-					}
-				}(int64(i))
-			}
-			wg.Wait()
-			m := db.Metrics()
-			if m.Commits != workers*txns {
-				t.Fatalf("commits = %d, want %d", m.Commits, workers*txns)
-			}
-			// Every committed transaction incremented exactly
-			// RecordsPerTxn counters; aborted attempts must have
-			// contributed nothing.
-			want := workers * txns * w.Config().RecordsPerTxn
-			if got := w.TotalWrites(); got != want {
-				t.Fatalf("counter sum = %d, want %d (lost or doubled writes)", got, want)
-			}
-			if n := db.LockEntries(); n != 0 {
-				t.Fatalf("quiescent lock table has %d entries under %s", n, name)
-			}
-			if name == "detect" && m.WaitDieAborts != 0 {
-				t.Fatalf("wait-die aborts under the detector: %+v", m)
-			}
-			if name == "waitdie" && m.DetectedAborts != 0 {
-				t.Fatalf("detected aborts under wait-die: %+v", m)
-			}
-			t.Logf("policy=%s metrics=%+v", name, m)
+	t.Run("waitdie", func(t *testing.T) {
+		// Threshold low enough that the 12-record transactions
+		// escalate: the fold-in path runs under real concurrency.
+		db := newTestDB(t, golc.Block, Options{MaxRetries: -1, EscalationThreshold: 8})
+		w := NewConflict(db, ConflictConfig{
+			Partitions:      2,
+			PerPartition:    32,
+			RecordsPerTxn:   12,
+			OverlapFrac:     0.7,
+			HotPerPartition: 4,
+			WriteFrac:       1.0, // every touch writes: conservation is checkable
 		})
-	}
+		const workers = 6
+		const txns = 40
+		var wg sync.WaitGroup
+		for i := 0; i < workers; i++ {
+			wg.Add(1)
+			go func(seed int64) {
+				defer wg.Done()
+				rng := rand.New(rand.NewSource(seed*31 + 5))
+				for j := 0; j < txns; j++ {
+					if err := w.Run(rng); err != nil {
+						t.Errorf("conflict txn failed terminally: %v", err)
+						return
+					}
+				}
+			}(int64(i))
+		}
+		wg.Wait()
+		m := db.Metrics()
+		if m.Commits != workers*txns {
+			t.Fatalf("commits = %d, want %d", m.Commits, workers*txns)
+		}
+		// Every committed transaction incremented exactly
+		// RecordsPerTxn counters; aborted attempts must have
+		// contributed nothing.
+		want := workers * txns * w.Config().RecordsPerTxn
+		if got := w.TotalWrites(); got != want {
+			t.Fatalf("counter sum = %d, want %d (lost or doubled writes)", got, want)
+		}
+		if n := db.LockEntries(); n != 0 {
+			t.Fatalf("quiescent lock table has %d entries", n)
+		}
+		t.Logf("metrics=%+v", m)
+	})
 }

@@ -47,7 +47,7 @@ func TestCtxCancelWait(t *testing.T) {
 	if m.CtxCancels != 1 {
 		t.Fatalf("CtxCancels = %d, want 1", m.CtxCancels)
 	}
-	if m.TimeoutAborts != 0 || m.DetectedAborts != 0 || m.WaitDieAborts != 0 {
+	if m.TimeoutAborts != 0 || m.WaitDieAborts != 0 {
 		t.Fatalf("cancellation miscredited: %+v", m)
 	}
 	older.Abort()

@@ -172,7 +172,7 @@ func TestEscalationDisabled(t *testing.T) {
 }
 
 // TestEscalationIsPolicyGoverned: the escalated partition acquire goes
-// through the same deadlock policy as any other request — here a
+// through the same wait-die test as any other request — here a
 // younger transaction escalating to X collides with an older
 // transaction's IX partition hold and must wait-die, leaving the
 // escalation uncounted and the transaction abortable as usual.

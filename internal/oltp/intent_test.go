@@ -25,132 +25,123 @@ import (
 func TestCoarseLockUnderIntentionTraffic(t *testing.T) {
 	prev := goruntime.GOMAXPROCS(4 * goruntime.NumCPU())
 	defer goruntime.GOMAXPROCS(prev)
-	for _, name := range []string{"waitdie", "detect"} {
-		t.Run(name, func(t *testing.T) {
-			pol, err := NewPolicy(name)
+	t.Run("waitdie", func(t *testing.T) {
+		const th = 4
+		db := newTestDB(t, golc.Block, Options{MaxRetries: -1, EscalationThreshold: th})
+		const parts, perPart = 2, 8
+		var keys [parts][]string
+		for p := range parts {
+			keys[p] = keysInPartition(t, db, "t", p, perPart)
+			for _, k := range keys[p] {
+				db.Store().Put(storageKey("t", k), "0")
+			}
+		}
+		// increment is one read-modify-write, the unit of the
+		// conservation check at the end.
+		increment := func(txn *Txn, k string) error {
+			v, _, err := txn.Read("t", k)
 			if err != nil {
-				t.Fatal(err)
+				return err
 			}
-			const th = 4
-			db := newTestDB(t, golc.Block, Options{DeadlockPolicy: pol, MaxRetries: -1, EscalationThreshold: th})
-			const parts, perPart = 2, 8
-			var keys [parts][]string
-			for p := range parts {
-				keys[p] = keysInPartition(t, db, "t", p, perPart)
-				for _, k := range keys[p] {
-					db.Store().Put(storageKey("t", k), "0")
-				}
-			}
-			// increment is one read-modify-write, the unit of the
-			// conservation check at the end.
-			increment := func(txn *Txn, k string) error {
-				v, _, err := txn.Read("t", k)
-				if err != nil {
-					return err
-				}
-				n, _ := strconv.Atoi(v)
-				return txn.Write("t", k, strconv.Itoa(n+1))
-			}
-			var increments atomic.Int64
-			var stop atomic.Bool
-			var wg sync.WaitGroup
-			defer func() { stop.Store(true); wg.Wait() }()
-			const workers = 6
-			for w := range workers {
-				wg.Add(1)
-				go func(rng *rand.Rand) {
-					defer wg.Done()
-					for !stop.Load() {
-						k := keys[rng.Intn(parts)][rng.Intn(perPart)]
-						write := rng.Intn(4) == 0
-						err := db.Run(func(txn *Txn) error {
-							if write {
-								return increment(txn, k)
-							}
-							_, _, err := txn.Read("t", k)
-							return err
-						})
-						if err != nil {
-							t.Errorf("intention txn failed terminally: %v", err)
-							return
-						}
+			n, _ := strconv.Atoi(v)
+			return txn.Write("t", k, strconv.Itoa(n+1))
+		}
+		var increments atomic.Int64
+		var stop atomic.Bool
+		var wg sync.WaitGroup
+		defer func() { stop.Store(true); wg.Wait() }()
+		const workers = 6
+		for w := range workers {
+			wg.Add(1)
+			go func(rng *rand.Rand) {
+				defer wg.Done()
+				for !stop.Load() {
+					k := keys[rng.Intn(parts)][rng.Intn(perPart)]
+					write := rng.Intn(4) == 0
+					err := db.Run(func(txn *Txn) error {
 						if write {
-							increments.Add(1)
+							return increment(txn, k)
 						}
+						_, _, err := txn.Read("t", k)
+						return err
+					})
+					if err != nil {
+						t.Errorf("intention txn failed terminally: %v", err)
+						return
 					}
-				}(rand.New(rand.NewSource(int64(w))))
-			}
-
-			rng := rand.New(rand.NewSource(99))
-			const coarse = 200
-			for i := range coarse {
-				p := rng.Intn(parts)
-				var err error
-				if i%2 == 0 {
-					err = db.Run(func(txn *Txn) error {
-						first, err := txn.ReadPartition("t", p)
-						if err != nil {
-							return err
-						}
-						goruntime.Gosched()
-						second, err := txn.ReadPartition("t", p)
-						if err != nil {
-							return err
-						}
-						if !slices.Equal(first, second) {
-							return fmt.Errorf("partition %d changed under its S lock:\n%v\n%v", p, first, second)
-						}
-						return nil
-					})
-				} else {
-					// th+1 increments under one partition: the last escalates
-					// to partition X over whatever IX slots are held there.
-					err = db.Run(func(txn *Txn) error {
-						for _, k := range keys[p][:th+1] {
-							if err := increment(txn, k); err != nil {
-								return err
-							}
-						}
-						return nil
-					})
-					if err == nil {
-						increments.Add(th + 1)
+					if write {
+						increments.Add(1)
 					}
 				}
-				if err != nil {
-					t.Fatalf("coarse txn %d: %v", i, err)
-				}
-			}
-			stop.Store(true)
-			wg.Wait()
+			}(rand.New(rand.NewSource(int64(w))))
+		}
 
-			total := 0
-			for p := range parts {
-				for _, k := range keys[p] {
-					v, _ := db.Store().Get(storageKey("t", k))
-					n, _ := strconv.Atoi(v)
-					total += n
+		rng := rand.New(rand.NewSource(99))
+		const coarse = 200
+		for i := range coarse {
+			p := rng.Intn(parts)
+			var err error
+			if i%2 == 0 {
+				err = db.Run(func(txn *Txn) error {
+					first, err := txn.ReadPartition("t", p)
+					if err != nil {
+						return err
+					}
+					goruntime.Gosched()
+					second, err := txn.ReadPartition("t", p)
+					if err != nil {
+						return err
+					}
+					if !slices.Equal(first, second) {
+						return fmt.Errorf("partition %d changed under its S lock:\n%v\n%v", p, first, second)
+					}
+					return nil
+				})
+			} else {
+				// th+1 increments under one partition: the last escalates
+				// to partition X over whatever IX slots are held there.
+				err = db.Run(func(txn *Txn) error {
+					for _, k := range keys[p][:th+1] {
+						if err := increment(txn, k); err != nil {
+							return err
+						}
+					}
+					return nil
+				})
+				if err == nil {
+					increments.Add(th + 1)
 				}
 			}
-			if int64(total) != increments.Load() {
-				t.Fatalf("counters sum to %d, %d increments committed (lost or doubled writes)", total, increments.Load())
+			if err != nil {
+				t.Fatalf("coarse txn %d: %v", i, err)
 			}
-			m := db.Metrics()
-			if m.TimeoutAborts != 0 {
-				t.Fatalf("timeout backstop fired %d times: %+v", m.TimeoutAborts, m)
+		}
+		stop.Store(true)
+		wg.Wait()
+
+		total := 0
+		for p := range parts {
+			for _, k := range keys[p] {
+				v, _ := db.Store().Get(storageKey("t", k))
+				n, _ := strconv.Atoi(v)
+				total += n
 			}
-			if m.Escalations < coarse/2 {
-				t.Fatalf("escalations = %d, want at least %d: %+v", m.Escalations, coarse/2, m)
-			}
-			if n := db.LockEntries(); n != 0 {
-				t.Fatalf("quiescent lock table has %d entries", n)
-			}
-			if name == "detect" && m.WaitDieAborts != 0 {
-				t.Fatalf("wait-die aborts under the detector: %+v", m)
-			}
-			t.Logf("policy=%s metrics=%+v", name, m)
-		})
-	}
+		}
+		if int64(total) != increments.Load() {
+			t.Fatalf("counters sum to %d, %d increments committed (lost or doubled writes)", total, increments.Load())
+		}
+		m := db.Metrics()
+		if m.TimeoutAborts != 0 {
+			t.Fatalf("timeout backstop fired %d times: %+v", m.TimeoutAborts, m)
+		}
+		if m.Escalations < coarse/2 {
+			t.Fatalf("escalations = %d, want at least %d: %+v", m.Escalations, coarse/2, m)
+		}
+		if n := db.LockEntries(); n != 0 {
+			t.Fatalf("quiescent lock table has %d entries", n)
+		}
+		t.Logf("metrics=%+v", m)
+	})
 }
 
 // TestSlotsFullFallBackToHead: past nodeSlots intention holders the next
@@ -189,11 +180,14 @@ func TestSlotsFullFallBackToHead(t *testing.T) {
 	waitForCond(t, "X request queued", func() bool { return db.Metrics().LockWaits == 1 })
 	st := db.lm.stripeFor(hash)
 	st.latch.Lock()
-	blockers := blockersOf(l, older, X)
+	holders := len(l.holders)
+	for range l.in.holders() {
+		holders++
+	}
 	gate := l.in.gate.Load()
 	st.latch.Unlock()
-	if len(blockers) != nodeSlots+1 || !gate {
-		t.Fatalf("queued X sees %d blockers (want %d), gate up = %v", len(blockers), nodeSlots+1, gate)
+	if holders != nodeSlots+1 || !gate {
+		t.Fatalf("queued X waits on %d holders (want %d), gate up = %v", holders, nodeSlots+1, gate)
 	}
 	// With the gate up a younger IS cannot take a slot: it meets the queued
 	// X on the latched path, and wait-die kills it.

@@ -135,21 +135,17 @@ func classOf(id ResourceID) string {
 
 // waiter is one blocked logical lock request. ready is closed exactly
 // once, by the grant path after setting granted under the stripe
-// latch. Cancellation (the detector's victim path) is context-based:
-// each wait carries its own context with the lock timeout as its
-// deadline, a policy aborts the waiter by calling cancel, and the
-// waiter's OWN goroutine — the only place that ever dequeues it —
-// re-checks granted under the stripe latch before treating the wake as
-// an abort, so a grant racing a cancellation always wins and no
-// bookkeeping happens off-goroutine.
+// latch. Only the caller's context or the lock timeout can end the
+// wait otherwise, and the waiter's OWN goroutine — the only place that
+// ever dequeues it — re-checks granted under the stripe latch before
+// treating that wake as an abort, so a grant racing it always wins and
+// no bookkeeping happens off-goroutine.
 type waiter struct {
 	txn     *Txn
 	cur     Mode // what txn holds by name on the lock while it waits (an upgrade), else ModeNone
 	mode    Mode // the full target mode (lub of held and wanted)
 	ready   chan struct{}
 	granted bool
-	ctx     context.Context // Canceled => a deadlock policy ordered this waiter to abort; DeadlineExceeded => the backstop
-	cancel  context.CancelFunc
 }
 
 // nodeSlots is how many intention holds a partition node keeps off the
@@ -202,7 +198,7 @@ func (s *slot) clear() {
 // sequentially consistent atomics one side always sees the other: a
 // claim that lands while the gate is up backs out to the latched head,
 // and one that landed before it is seen, by identity, by the wait-die
-// test, the detector's edge set and the grant test alike.
+// test and the grant test alike.
 type intents struct {
 	gate  atomic.Bool
 	slots [nodeSlots]slot
@@ -221,16 +217,6 @@ func (in *intents) holders() iter.Seq2[*Txn, Mode] {
 			}
 		}
 	}
-}
-
-// modeOf returns t's slot mode, or ModeNone.
-func (in *intents) modeOf(t *Txn) Mode {
-	for h, m := range in.holders() {
-		if h == t {
-			return m
-		}
-	}
-	return ModeNone
 }
 
 // occupied reports whether any slot is claimed, settled or not.
@@ -273,8 +259,8 @@ type holder struct {
 // fits costs the same with one holder or sixty. holders lists who they
 // are, in no particular order (removal swaps the last entry in); it is
 // walked only where identities matter: the wait-die age test, the
-// detector's edge set, the blame label, and a transaction finding its
-// own entry to upgrade or drop it.
+// blame label, and a transaction finding its own entry to upgrade or
+// drop it.
 //
 // A partition head is a node: it also carries intents, the
 // IS/IX holds taken without the latch. Those are outside counts and
@@ -513,19 +499,18 @@ func (st *lmStripe) settle(l *dbLock) {
 // this count: no caller, test or benchmark needs another.
 const lockStripes = 32
 
-// lockManager is the DB's logical lock table. The deadlock policy owns
-// every die-vs-wait decision (see DeadlockPolicy).
+// lockManager is the DB's logical lock table. Wait-die (mustDie) makes
+// every die-vs-wait decision.
 type lockManager struct {
 	stripes  []*lmStripe
 	timeout  time.Duration
-	policy   DeadlockPolicy
 	m        *Metrics
 	rec      *obs.Recorder  // flight recorder for txn lifecycle events
 	lockWait *obs.Histogram // logical lock wait durations (the DB's)
 }
 
 func newLockManager(pol golc.ContentionPolicy, o Options, m *Metrics, rec *obs.Recorder, lockWait *obs.Histogram) *lockManager {
-	lm := &lockManager{timeout: o.WaitTimeout, policy: o.DeadlockPolicy, m: m, rec: rec, lockWait: lockWait}
+	lm := &lockManager{timeout: o.WaitTimeout, m: m, rec: rec, lockWait: lockWait}
 	for i := range lockStripes {
 		lm.stripes = append(lm.stripes, &lmStripe{
 			latch: golc.New(fmt.Sprintf("oltp/lm-%03d", i),
@@ -633,40 +618,32 @@ func conflictsQueue(l *dbLock, txn *Txn, mode Mode) bool {
 	return false
 }
 
-// blockersOf collects every transaction this request would wait
-// behind: conflicting holders, named or in a slot, plus conflicting
-// queued waiters (FIFO fairness queues behind them, so they are wait
-// edges too). Called with the stripe latch held, and only on the park
-// path — the die-vs-wait decision itself walks the lock allocation-free
-// via DeadlockPolicy.shouldDie.
-func blockersOf(l *dbLock, txn *Txn, goal Mode) []*Txn {
-	var bs []*Txn
+// firstBlocker names what the first transaction a conflicted request
+// waits behind holds: the mode of a conflicting holder, named or in a
+// slot, else "queued" — with no holder in the way, the conflict is a
+// queued waiter FIFO fairness puts it behind. It is the hold side of
+// the logical blame label, so it runs under the stripe latch and only
+// when blame is sampled.
+func firstBlocker(l *dbLock, txn *Txn, goal Mode) string {
 	for _, h := range l.holders {
 		if h.txn != txn && !compat[h.mode][goal] {
-			bs = append(bs, h.txn)
+			return h.mode.String()
 		}
 	}
 	for t, m := range l.in.holders() {
 		if t != txn && !compat[m][goal] {
-			bs = append(bs, t)
+			return m.String()
 		}
 	}
-	for _, w := range l.waiters {
-		if w.txn != txn && !compat[w.mode][goal] {
-			bs = append(bs, w.txn)
-		}
-	}
-	return bs
+	return "queued"
 }
 
 // acquire takes (or upgrades to) mode on id for txn, blocking if
-// incompatible. Conflicts are resolved by the DB's DeadlockPolicy:
-// wait-die aborts a requester younger than any of its blockers on the
-// spot (every wait edge then points old→young, so no cycle can form);
-// the detector lets every conflict wait and aborts the youngest member
-// of any waits-for cycle the block creates. Either way the loser gets
-// an *AbortError and the txn is marked for Run's retry; returns nil
-// once the lock is held, with txn.held updated.
+// incompatible. Conflicts are resolved by wait-die: a requester younger
+// than any of its blockers aborts on the spot with an *AbortError and
+// the txn is marked for Run's retry (every wait edge then points
+// old→young, so no cycle can form). Returns nil once the lock is held,
+// with txn.held updated.
 func (lm *lockManager) acquire(txn *Txn, id ResourceID, want Mode) error {
 	_, err := lm.acquireAt(txn, id, want)
 	return err
@@ -780,9 +757,9 @@ func (lm *lockManager) acquireAt(txn *Txn, id ResourceID, want Mode) (int, error
 		st.latch.Unlock()
 		return txn.noteHeld(at, id, hash, goal, l), nil
 	}
-	// Conflict: the policy decides between dying now and waiting.
+	// Conflict: wait-die decides between dying now and waiting.
 	// (A conflicted head has a holder or a waiter: nothing to retire.)
-	if lm.policy.shouldDie(txn, l, goal) {
+	if mustDie(txn, l, goal) {
 		l.lowerGate()
 		st.latch.Unlock()
 		lm.m.WaitDieAborts.Add(1)
@@ -791,15 +768,9 @@ func (lm *lockManager) acquireAt(txn *Txn, id ResourceID, want Mode) (int, error
 		}
 		return at, txn.noteAbort(&AbortError{Reason: AbortWaitDie, Resource: id})
 	}
-	// Safe (or allowed) to wait. The holders entry (for an upgrade)
-	// keeps its current mode while we wait — we still hold that. The
-	// blockers snapshot (the detector's wait edges) must be taken
-	// under the latch, before the queue can shift. The wait carries
-	// its own context: w.cancel is the deadlock policies' victim route
-	// (it wakes us with an abort order), and its deadline is the lock
-	// timeout. Logical waits are the cancellable ones; golc's physical
-	// waits never are.
-	blockers := blockersOf(l, txn, goal)
+	// Safe to wait. The holders entry (for an upgrade) keeps its
+	// current mode while we wait — we still hold that.
+	//
 	// Logical blame: the same sampled who-blocks-whom attribution the
 	// physical locks get, but in the DB's own vocabulary — the resource
 	// class and mode the blocked request wants vs what its first
@@ -809,23 +780,15 @@ func (lm *lockManager) acquireAt(txn *Txn, id ResourceID, want Mode) (int, error
 	var blameW, blameH obs.SiteID
 	if lm.rec.BlameSampled() {
 		blameW = lm.rec.NamedSite("oltp:" + classOf(id) + "/want-" + goal.String())
-		if len(blockers) > 0 {
-			hold := "queued" // blocker is itself still waiting (FIFO fairness edge)
-			if i := l.holderOf(blockers[0]); i >= 0 {
-				hold = l.holders[i].mode.String()
-			} else if m := l.in.modeOf(blockers[0]); m != ModeNone {
-				hold = m.String()
-			}
-			blameH = lm.rec.NamedSite("oltp:" + classOf(id) + "/hold-" + hold)
-		}
+		blameH = lm.rec.NamedSite("oltp:" + classOf(id) + "/hold-" + firstBlocker(l, txn, goal))
 	}
 	w := &waiter{txn: txn, cur: cur, mode: goal, ready: make(chan struct{})}
-	// The wait context derives from the transaction's own: a deadlock
-	// policy kills the victim through w.cancel, the caller walking away
-	// (BeginCtx/RunCtx) cancels the same wait from above, and the
-	// backstop is its deadline.
-	w.ctx, w.cancel = context.WithTimeout(txn.ctx, lm.timeout)
-	defer w.cancel() // release the context's resources on every path
+	// The wait context derives from the transaction's own: the caller
+	// walking away (BeginCtx/RunCtx) ends the wait from above, and the
+	// backstop is its deadline. Logical waits are the cancellable ones;
+	// golc's physical waits never are.
+	ctx, cancel := context.WithTimeout(txn.ctx, lm.timeout)
+	defer cancel() // release the context's resources on every path
 	l.waiters = append(l.waiters, w)
 	st.latch.Unlock()
 	lm.m.LockWaits.Add(1)
@@ -846,28 +809,21 @@ func (lm *lockManager) acquireAt(txn *Txn, id ResourceID, want Mode) (int, error
 			}
 		}
 	}()
-	// The detector records wait edges and runs its cycle check here —
-	// possibly cancelling w itself, in which case the wait below
-	// returns immediately.
-	lm.policy.onBlocked(lm, txn, id, w, blockers)
-
 	select {
 	case <-w.ready:
 		// Only the grant path closes ready, so this wake needs no
 		// re-check (cancellations come in on the ctx arm).
-		lm.policy.onWake(txn)
 		return txn.noteHeld(at, id, hash, goal, l), nil
-	case <-w.ctx.Done():
+	case <-ctx.Done():
 	}
 	// Cancelled or timed out — but a grant may have raced either wake.
 	// Resolve under the stripe latch, where granted is set: a granted
 	// waiter has already left the queue, and a racing cancellation or
 	// timeout must not abort a transaction that is, in fact, holding
-	// the lock (the cycle the detector saw is broken either way).
+	// the lock.
 	lm.lock(st)
 	if w.granted {
 		st.latch.Unlock()
-		lm.policy.onWake(txn)
 		return txn.noteHeld(at, id, hash, goal, l), nil
 	}
 	for i, q := range l.waiters {
@@ -881,12 +837,10 @@ func (lm *lockManager) acquireAt(txn *Txn, id ResourceID, want Mode) (int, error
 	// holder leaves in releaseAll.
 	st.settle(l)
 	st.latch.Unlock()
-	lm.policy.onWake(txn)
-	// Whose abort it is, in this order: the caller's context, then a
-	// policy's cancel, then the deadline.
+	// Whose abort it is: the caller's context, else the deadline.
 	if cerr := txn.ctx.Err(); cerr != nil {
 		// The caller's own context ended the wait (RunCtx/BeginCtx).
-		// This is not a deadlock victim: the transaction would not win
+		// This is not a wait-die abort: the transaction would not win
 		// anything by being retried older, because nobody is waiting for
 		// the answer anymore. Surface the caller's error, terminally.
 		lm.m.CtxCancels.Add(1)
@@ -894,15 +848,6 @@ func (lm *lockManager) acquireAt(txn *Txn, id ResourceID, want Mode) (int, error
 			lm.rec.Event(obs.EvTxnAbort, id.String(), "ctx-cancel", int64(txn.tid))
 		}
 		return at, fmt.Errorf("oltp: lock wait on %s cancelled by caller: %w", id, cerr)
-	}
-	if w.ctx.Err() == context.Canceled {
-		// A policy ordered the abort. A cancel that beat the deadline is
-		// credited to the detector that caused it, not the backstop.
-		lm.m.DetectedAborts.Add(1)
-		if lm.rec.Enabled() {
-			lm.rec.Event(obs.EvTxnAbort, id.String(), AbortDeadlock.String(), int64(txn.tid))
-		}
-		return at, txn.noteAbort(&AbortError{Reason: AbortDeadlock, Resource: id})
 	}
 	lm.m.TimeoutAborts.Add(1)
 	if lm.rec.Enabled() {

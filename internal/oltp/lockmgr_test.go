@@ -274,3 +274,106 @@ func waitForCond(t *testing.T, what string, cond func() bool) {
 	}
 	t.Fatalf("condition %q not reached within 5s", what)
 }
+
+// TestLogicalBlameLabels pins the lock manager's blame vocabulary with
+// every blocked acquire sampled: the waiter side names the resource
+// class and the wanted mode, the holder side what the first blocker
+// holds — a named mode, a slot's mode, or "queued" for a conflicting
+// waiter the request queues behind.
+func TestLogicalBlameLabels(t *testing.T) {
+	// hasEdge reports whether db recorded blame from want to hold on
+	// table tbl's logical locks.
+	hasEdge := func(db *DB, tbl, want, hold string) bool {
+		for _, e := range db.Recorder().BlameTop(-1) {
+			if e.Lock == "oltp/"+tbl && e.Waiter == want && e.Holder == hold {
+				return true
+			}
+		}
+		return false
+	}
+	sampledDB := func(t *testing.T) *DB {
+		db := newTestDB(t, golc.Block, Options{})
+		db.Recorder().SetBlameSampling(1)
+		return db
+	}
+
+	t.Run("named-holder", func(t *testing.T) {
+		db := sampledDB(t)
+		older, younger := db.Begin(), db.Begin()
+		if _, _, err := younger.Read("tbl", "k"); err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan error, 1)
+		go func() { done <- older.Write("tbl", "k", "v") }()
+		waitForCond(t, "X parked behind S", func() bool { return db.Metrics().LockWaits == 1 })
+		younger.Abort()
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+		older.Abort()
+		if !hasEdge(db, "tbl", "oltp:record(tbl)/want-X", "oltp:record(tbl)/hold-S") {
+			t.Fatalf("no want-X/hold-S edge in %+v", db.Recorder().BlameTop(-1))
+		}
+	})
+
+	t.Run("queued-waiter", func(t *testing.T) {
+		db := sampledDB(t)
+		// Oldest first: the reader, then the writer it will queue
+		// behind, then the S holder the writer waits on.
+		reader, writer, holder := db.Begin(), db.Begin(), db.Begin()
+		if _, _, err := holder.Read("tbl", "k"); err != nil {
+			t.Fatal(err)
+		}
+		wdone := make(chan error, 1)
+		go func() { wdone <- writer.Write("tbl", "k", "v") }()
+		waitForCond(t, "X parked behind S", func() bool { return db.Metrics().LockWaits == 1 })
+		// The reader's S fits the holder's S; only the queued X is in
+		// its way.
+		rdone := make(chan error, 1)
+		go func() {
+			_, _, err := reader.Read("tbl", "k")
+			rdone <- err
+		}()
+		waitForCond(t, "S parked behind queued X", func() bool { return db.Metrics().LockWaits == 2 })
+		holder.Abort()
+		if err := <-wdone; err != nil {
+			t.Fatal(err)
+		}
+		writer.Abort()
+		if err := <-rdone; err != nil {
+			t.Fatal(err)
+		}
+		reader.Abort()
+		if !hasEdge(db, "tbl", "oltp:record(tbl)/want-S", "oltp:record(tbl)/hold-queued") {
+			t.Fatalf("no want-S/hold-queued edge in %+v", db.Recorder().BlameTop(-1))
+		}
+	})
+
+	t.Run("slot-holder", func(t *testing.T) {
+		db := sampledDB(t)
+		id := PartitionID("t", 0)
+		// The node's first request makes it on the latched path; the
+		// next IX then lands in a slot.
+		if err := db.Run(func(txn *Txn) error { return db.lm.acquire(txn, id, IS) }); err != nil {
+			t.Fatal(err)
+		}
+		older, younger := db.Begin(), db.Begin()
+		if err := db.lm.acquire(younger, id, IX); err != nil {
+			t.Fatal(err)
+		}
+		if younger.held[0].slot == 0 {
+			t.Fatal("IX at an existing node did not take a slot")
+		}
+		done := make(chan error, 1)
+		go func() { done <- db.lm.acquire(older, id, S) }()
+		waitForCond(t, "S parked behind a slot", func() bool { return db.Metrics().LockWaits == 1 })
+		younger.Abort()
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+		older.Abort()
+		if !hasEdge(db, "t", "oltp:partition(t)/want-S", "oltp:partition(t)/hold-IX") {
+			t.Fatalf("no want-S/hold-IX edge in %+v", db.Recorder().BlameTop(-1))
+		}
+	})
+}

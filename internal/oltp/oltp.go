@@ -40,28 +40,22 @@
 //     node's gate is down, then reads the gate again and backs out to
 //     the latched head if it came up. An S, SIX or X request raises
 //     the gate under the latch before it reads the slots, so it sees
-//     every slot holder by identity — for its grant test, for
-//     wait-die's age test and for the detector's edges — and queues on
-//     them like on any holder; the last slot release grants it.
+//     every slot holder by identity — for its grant test and for
+//     wait-die's age test — and queues on them like on any holder; the
+//     last slot release grants it.
 //   - Logical waits block on a per-waiter channel, never on a latch:
 //     transactions hold locks for far too long for spinning to make
 //     sense, and a blocked transaction must not wedge the lock table.
 //     No goroutine ever parks while holding a latch (the paper's
 //     never-block-a-lock-holder rule, end to end).
-//   - Deadlock handling is pluggable (Options.DeadlockPolicy). The
-//     default is wait-die avoidance on transaction begin-timestamps: a
-//     requester younger than any conflicting holder or queued
-//     conflicting waiter aborts immediately (counted in Metrics);
-//     older requesters wait, so every wait edge points old→young and
-//     cycles cannot form. The alternative is a waits-for-graph
-//     detector: every conflict waits, edges are recorded when a
-//     request parks, a cycle check runs on-block, and the youngest
-//     transaction in any cycle is aborted — fewer, better-targeted
-//     aborts at the price of letting real cycles form first. A
-//     bounded-wait timeout remains as a backstop tripwire under both.
-//     DB.Run retries aborted transactions under their original
-//     timestamp, which is what makes either policy live: a
-//     transaction only ever gets older, so it eventually wins.
+//   - Deadlocks are avoided by wait-die on transaction
+//     begin-timestamps: a requester younger than any conflicting
+//     holder or queued conflicting waiter aborts immediately (counted
+//     in Metrics); older requesters wait, so every wait edge points
+//     old→young and cycles cannot form. A bounded-wait timeout remains
+//     as a backstop tripwire. DB.Run retries aborted transactions
+//     under their original timestamp, which is what makes wait-die
+//     live: a transaction only ever gets older, so it eventually wins.
 //   - Lock escalation defends the lock table itself: when a
 //     transaction's record-lock count under one partition crosses
 //     Options.EscalationThreshold, the next record access under that
@@ -69,8 +63,8 @@
 //     instead, and the accumulated record entries are dropped — a
 //     transaction can no longer balloon the lock table (and its
 //     stripe latches) with thousands of record locks. The escalated
-//     acquire is an ordinary policy-governed request: it can wait,
-//     wait-die, or be picked as a deadlock victim like any other.
+//     acquire is an ordinary request: it can wait or wait-die like any
+//     other.
 //   - Transactions buffer writes (reads see their own writes) and
 //     apply them at commit through kv.Store.ApplyBatch — one shard
 //     latch acquisition per touched shard — then release every lock
@@ -115,15 +109,12 @@ type AbortReason int
 
 const (
 	// AbortWaitDie: the requester was younger than a conflicting
-	// holder or queued waiter (the deadlock-avoidance policy).
+	// holder or queued waiter (deadlock avoidance).
 	AbortWaitDie AbortReason = iota
 	// AbortTimeout: a lock wait exceeded Options.WaitTimeout (the
-	// backstop; under either policy this indicates overload or a bug,
-	// not routine deadlock resolution).
+	// backstop; it indicates overload or a bug, not routine deadlock
+	// resolution).
 	AbortTimeout
-	// AbortDeadlock: the waits-for-graph detector found a cycle and
-	// this transaction was its youngest member.
-	AbortDeadlock
 )
 
 func (r AbortReason) String() string {
@@ -132,8 +123,6 @@ func (r AbortReason) String() string {
 		return "wait-die"
 	case AbortTimeout:
 		return "timeout"
-	case AbortDeadlock:
-		return "deadlock"
 	default:
 		return fmt.Sprintf("AbortReason(%d)", int(r))
 	}
@@ -175,14 +164,9 @@ type Options struct {
 	// with, whatever their contention policy (default: the process-wide
 	// runtime).
 	Runtime *lcrt.Runtime
-	// DeadlockPolicy resolves logical lock conflicts (default:
-	// NewWaitDiePolicy(); the alternative is NewDetectPolicy()). A
-	// policy instance may carry per-DB state — never share one
-	// instance between DBs.
-	DeadlockPolicy DeadlockPolicy
-	// WaitTimeout bounds one logical lock wait (default 2s). Both
-	// deadlock policies resolve conflicts themselves, so this firing
-	// means overload or a bug; it is counted separately in Metrics.
+	// WaitTimeout bounds one logical lock wait (default 2s). Wait-die
+	// resolves conflicts itself, so this firing means overload or a
+	// bug; it is counted separately in Metrics.
 	WaitTimeout time.Duration
 	// MaxRetries bounds DB.Run's abort-and-retry loop: the number of
 	// retries allowed after the first attempt. 0 — the zero value —
@@ -206,9 +190,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.DeadlockPolicy == nil {
-		o.DeadlockPolicy = NewWaitDiePolicy()
-	}
 	if o.WaitTimeout == 0 {
 		o.WaitTimeout = 2 * time.Second
 	}
@@ -221,47 +202,44 @@ func (o Options) withDefaults() Options {
 // Metrics is the DB's counter set. All fields are atomics; read them
 // through Snapshot.
 type Metrics struct {
-	Begins         atomic.Uint64
-	Commits        atomic.Uint64
-	Aborts         atomic.Uint64
-	Retries        atomic.Uint64
-	WaitDieAborts  atomic.Uint64
-	DetectedAborts atomic.Uint64 // victims of the waits-for-graph detector
-	TimeoutAborts  atomic.Uint64
-	Escalations    atomic.Uint64 // record→partition lock escalations
-	LockWaits      atomic.Uint64 // logical lock requests that blocked
-	LatchMisses    atomic.Uint64 // lock-table latch TryLock misses (physical contention)
-	CtxCancels     atomic.Uint64 // lock waits ended by the caller's context (not a deadlock victim)
+	Begins        atomic.Uint64
+	Commits       atomic.Uint64
+	Aborts        atomic.Uint64
+	Retries       atomic.Uint64
+	WaitDieAborts atomic.Uint64
+	TimeoutAborts atomic.Uint64
+	Escalations   atomic.Uint64 // record→partition lock escalations
+	LockWaits     atomic.Uint64 // logical lock requests that blocked
+	LatchMisses   atomic.Uint64 // lock-table latch TryLock misses (physical contention)
+	CtxCancels    atomic.Uint64 // lock waits ended by the caller's context (not a retryable abort)
 }
 
 // MetricsSnapshot is a point-in-time copy of Metrics, JSON-friendly.
 type MetricsSnapshot struct {
-	Begins         uint64 `json:"begins"`
-	Commits        uint64 `json:"commits"`
-	Aborts         uint64 `json:"aborts"`
-	Retries        uint64 `json:"retries"`
-	WaitDieAborts  uint64 `json:"wait_die_aborts"`
-	DetectedAborts uint64 `json:"detected_aborts"`
-	TimeoutAborts  uint64 `json:"timeout_aborts"`
-	Escalations    uint64 `json:"escalations"`
-	LockWaits      uint64 `json:"lock_waits"`
-	LatchMisses    uint64 `json:"latch_misses"`
-	CtxCancels     uint64 `json:"ctx_cancels"`
+	Begins        uint64 `json:"begins"`
+	Commits       uint64 `json:"commits"`
+	Aborts        uint64 `json:"aborts"`
+	Retries       uint64 `json:"retries"`
+	WaitDieAborts uint64 `json:"wait_die_aborts"`
+	TimeoutAborts uint64 `json:"timeout_aborts"`
+	Escalations   uint64 `json:"escalations"`
+	LockWaits     uint64 `json:"lock_waits"`
+	LatchMisses   uint64 `json:"latch_misses"`
+	CtxCancels    uint64 `json:"ctx_cancels"`
 }
 
 func (m *Metrics) snapshot() MetricsSnapshot {
 	return MetricsSnapshot{
-		Begins:         m.Begins.Load(),
-		Commits:        m.Commits.Load(),
-		Aborts:         m.Aborts.Load(),
-		Retries:        m.Retries.Load(),
-		WaitDieAborts:  m.WaitDieAborts.Load(),
-		DetectedAborts: m.DetectedAborts.Load(),
-		TimeoutAborts:  m.TimeoutAborts.Load(),
-		Escalations:    m.Escalations.Load(),
-		LockWaits:      m.LockWaits.Load(),
-		LatchMisses:    m.LatchMisses.Load(),
-		CtxCancels:     m.CtxCancels.Load(),
+		Begins:        m.Begins.Load(),
+		Commits:       m.Commits.Load(),
+		Aborts:        m.Aborts.Load(),
+		Retries:       m.Retries.Load(),
+		WaitDieAborts: m.WaitDieAborts.Load(),
+		TimeoutAborts: m.TimeoutAborts.Load(),
+		Escalations:   m.Escalations.Load(),
+		LockWaits:     m.LockWaits.Load(),
+		LatchMisses:   m.LatchMisses.Load(),
+		CtxCancels:    m.CtxCancels.Load(),
 	}
 }
 
@@ -275,7 +253,7 @@ type DB struct {
 	m     Metrics
 
 	// rec is the latch runtime's flight recorder: transaction
-	// lifecycle events (block, abort, deadlock victim, escalation)
+	// lifecycle events (block, abort, escalation)
 	// land in the same ring as the physical lock events, so one trace
 	// shows both layers. commitLat and lockWait are the DB's logical
 	// latency distributions: successful DB.Run wall time (retries and
@@ -317,8 +295,7 @@ func (db *DB) CommitLatency() obs.HistSnapshot { return db.commitLat.Snapshot() 
 func (db *DB) LockWaitHist() obs.HistSnapshot { return db.lockWait.Snapshot() }
 
 // SetLatchPolicy hot-swaps the contention policy of the lock table's
-// stripe latches (the physical latches, not the logical
-// DeadlockPolicy). Pair it with kv.Store.SetPolicy so data-path and
+// stripe latches (the physical latches, not the logical locks). Pair it with kv.Store.SetPolicy so data-path and
 // lock-manager latches stay governed alike; lcserve's POST /policy
 // does both.
 func (db *DB) SetLatchPolicy(p golc.ContentionPolicy) { db.lm.setPolicy(p) }
@@ -339,13 +316,10 @@ func (db *DB) WAL() *wal.Log { return db.wal }
 // Metrics returns a point-in-time copy of the DB's counters.
 func (db *DB) Metrics() MetricsSnapshot { return db.m.snapshot() }
 
-// PolicyName reports the deadlock policy in use ("waitdie", "detect").
-func (db *DB) PolicyName() string { return db.opts.DeadlockPolicy.PolicyName() }
-
 // LockEntries counts live lock-table entries across all stripes; a
 // partition node held only through intention slots counts as one
 // entry, however many slots are taken. A quiescent DB must report
-// zero under every policy — locks are strict 2PL (escalation's record
+// zero — locks are strict 2PL (escalation's record
 // fold-in included), so anything left over is a leak. It latches every
 // stripe; meant for stats and tests, not hot paths.
 func (db *DB) LockEntries() int { return db.lm.entries() }
@@ -375,7 +349,7 @@ func (db *DB) begin(ctx context.Context, tid uint64) *Txn {
 
 // Run executes fn in a transaction, committing on nil return if fn has
 // not finished the transaction itself. Aborted transactions (wait-die,
-// detected deadlock, timeout) are retried under their ORIGINAL
+// timeout) are retried under their ORIGINAL
 // begin-timestamp — the retried transaction only ever gets relatively
 // older, which is what guarantees it eventually wins every age-based
 // conflict. Any other error rolls back and is returned as-is.
@@ -397,7 +371,7 @@ func (db *DB) Run(fn func(*Txn) error) error {
 // ctx is cancelled, backoff sleeps wake on cancellation, and every
 // logical lock wait inside an attempt is cancellable (see BeginCtx).
 // Cancellation surfaces as an error wrapping ctx.Err() and is never
-// retried — unlike a deadlock-victim abort, the transaction is not
+// retried — unlike a wait-die abort, the transaction is not
 // going to be re-run older and win; the caller has left.
 func (db *DB) RunCtx(ctx context.Context, fn func(*Txn) error) error {
 	var t0 int64

@@ -28,9 +28,9 @@ const (
 type Txn struct {
 	db *DB
 	// ctx is the caller's context (never nil; Begin uses Background).
-	// Logical lock waits derive their cancellable wait context from it,
-	// so the caller leaving kills the wait just like a deadlock victim
-	// order does — except it is terminal rather than retried.
+	// Logical lock waits derive their wait context from it, so the
+	// caller leaving ends the wait; unlike a wait-die abort that is
+	// terminal rather than retried.
 	ctx      context.Context
 	tid      uint64 // begin-timestamp: smaller = older, wins age-based conflicts
 	state    txnState
@@ -182,8 +182,8 @@ func (t *Txn) lockRecord(table string, part int, key string, write bool) error {
 // every folded record hold and the triggering access are reads, X
 // otherwise (an S partition hold must never cover buffered writes — the
 // commit would write under a read lock). The acquire goes through the
-// ordinary policy-governed path, so escalation can wait, wait-die, or
-// be picked as a deadlock victim like any other request; the record
+// ordinary path, so escalation can wait or wait-die like any other
+// request; the record
 // entries are dropped only after the coarser lock is granted, so there
 // is no window where neither granularity is held. The lub lattice does
 // the mode math: IS+S→S, IX+X→X, S+X→X — never a hole.
@@ -363,8 +363,8 @@ func (t *Txn) ReadPartition(table string, part int) ([]kv.KV, error) {
 // locks are held until after the writes land, so no other transaction
 // can observe a partial commit.
 //
-// A transaction the lock manager ordered to abort (wait-die, detected
-// deadlock, timeout — some acquire returned an *AbortError) cannot
+// A transaction the lock manager ordered to abort (wait-die or
+// timeout — some acquire returned an *AbortError) cannot
 // commit: its write-set is partial by construction. Commit rolls it
 // back and returns the original kill order, so a caller that swallowed
 // the acquire error cannot sneak partial work into the store — DB.Run

@@ -140,7 +140,6 @@ type Stats struct {
 	Shards      int    `json:"shards"`
 	Keys        int    `json:"keys"`
 	LatchPolicy string `json:"latch_policy"`
-	Policy      string `json:"policy"` // deadlock policy of /txn
 	LockEntries int    `json:"lock_entries"`
 	// Sampling is the recorder's 1-in-N rates: holds, events, blame.
 	Sampling     Sampling             `json:"sampling"`
@@ -293,7 +292,6 @@ func NewHandler(store *kv.Store, db *oltp.DB, rt *lcrt.Runtime, hist *lcrt.Histo
 			Shards:       store.Shards(),
 			Keys:         store.Len(),
 			LatchPolicy:  store.Policy().Name(),
-			Policy:       db.PolicyName(),
 			LockEntries:  db.LockEntries(),
 			Sampling:     Sampling{Hold: rec.HoldSampling(), Event: rec.EventSampling(), Blame: rec.BlameSampling()},
 			BlameDropped: rec.BlameDropped(),
@@ -370,7 +368,7 @@ func NewHandler(store *kv.Store, db *oltp.DB, rt *lcrt.Runtime, hist *lcrt.Histo
 	})
 	// Flight-recorder dump: collect sec seconds of lock events (park,
 	// wake, forced claim, policy swap, controller tick, txn aborts,
-	// deadlock victims, escalations ...) and return them as Chrome trace
+	// escalations ...) and return them as Chrome trace
 	// JSON — load the file in Perfetto (ui.perfetto.dev) or
 	// chrome://tracing. sec=0 skips the wait and dumps whatever the
 	// bounded ring currently holds.
@@ -484,14 +482,12 @@ func writeProm(w io.Writer, store *kv.Store, db *oltp.DB, walLog *wal.Log, rt *l
 	pw.Counter("oltp_retries_total", "Run retries after kill orders.", nil, m.Retries)
 	abortKind := []obs.Label{{Key: "kind", Value: "waitdie"}}
 	pw.Counter("oltp_policy_aborts_total", "Lock-manager kill orders by cause.", abortKind, m.WaitDieAborts)
-	abortKind[0].Value = "deadlock"
-	pw.Counter("oltp_policy_aborts_total", "", abortKind, m.DetectedAborts)
 	abortKind[0].Value = "timeout"
 	pw.Counter("oltp_policy_aborts_total", "", abortKind, m.TimeoutAborts)
 	pw.Counter("oltp_escalations_total", "Record-to-partition lock escalations.", nil, m.Escalations)
 	pw.Counter("oltp_lock_waits_total", "Logical lock requests that blocked.", nil, m.LockWaits)
 	pw.Counter("oltp_latch_misses_total", "Lock-table latch TryLock misses (physical contention).", nil, m.LatchMisses)
-	pw.Counter("oltp_ctx_cancels_total", "Logical lock waits ended by the caller's context (client gone, not a deadlock victim).", nil, m.CtxCancels)
+	pw.Counter("oltp_ctx_cancels_total", "Logical lock waits ended by the caller's context (client gone, not a wait-die abort).", nil, m.CtxCancels)
 	pw.Gauge("oltp_lock_entries", "Live lock-table entries.", nil, float64(db.LockEntries()))
 	pw.Histogram("oltp_commit_seconds", "Committed-transaction latency, Run entry to commit.", nil, db.CommitLatency())
 	pw.Histogram("oltp_lock_wait_seconds", "Blocked logical lock acquisition wait time.", nil, db.LockWaitHist())
