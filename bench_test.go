@@ -4,7 +4,8 @@
 // real stack is measured by lcperf (bash benchmark/run.sh); the only
 // real-stack benchmarks here are the two paths lcperf does not run —
 // the conflict workload under wait-die with escalation, and kv prefix
-// scans.
+// scans — and a single-goroutine TATP mix whose B/op and allocs/op pin
+// what one transaction allocates.
 //
 // Figure benchmarks report two custom metrics where meaningful:
 //
@@ -161,6 +162,31 @@ func BenchmarkOLTPConflict(b *testing.B) {
 	}
 	b.ReportMetric(float64(m.Aborts)/float64(b.N), "aborts/op")
 	b.ReportMetric(float64(m.Escalations)/float64(b.N), "escalations/op")
+}
+
+// BenchmarkOLTPTATP runs the TATP mix lcperf's tatp workloads run,
+// on one goroutine: no lock waits, so each iteration is one
+// transaction's own cost through oltp, the lock manager and kv, and
+// B/op and allocs/op are what that transaction leaves to the collector.
+func BenchmarkOLTPTATP(b *testing.B) {
+	rt := lcrt.New(lcrt.Options{})
+	rt.Start()
+	b.Cleanup(rt.Stop)
+	store := kv.New(kv.Options{Runtime: rt})
+	b.Cleanup(store.Close)
+	db := oltp.New(store, oltp.Options{Runtime: rt})
+	b.Cleanup(db.Close)
+	w := oltp.NewTATP(db, oltp.TATPConfig{HotAccessFrac: -1})
+	rng := rand.New(rand.NewSource(1))
+	b.ReportAllocs()
+	for b.Loop() {
+		if err := w.Run(w.PickKind(rng), rng); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if n := db.LockEntries(); n != 0 {
+		b.Fatalf("quiescent lock table has %d entries", n)
+	}
 }
 
 // BenchmarkKVScan measures prefix scans (one shard latch at a time).

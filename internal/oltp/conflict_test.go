@@ -1,8 +1,10 @@
 package oltp
 
 import (
+	"errors"
 	"math/rand"
 	goruntime "runtime"
+	"strconv"
 	"sync"
 	"testing"
 
@@ -77,6 +79,41 @@ func TestConflictPickTouchesExtremeOverlap(t *testing.T) {
 			}
 			seen[tc.key] = true
 		}
+	}
+}
+
+// TestConflictCorruptCounter: a stored counter that is not a number
+// fails the writing transaction instead of restarting it from 0, and
+// adds nothing to TotalWrites, so the conservation check sees it.
+func TestConflictCorruptCounter(t *testing.T) {
+	db := newTestDB(t, golc.Block, Options{})
+	w := NewConflict(db, ConflictConfig{Partitions: 1, PerPartition: 8, RecordsPerTxn: 2, WriteFrac: 1})
+	for _, k := range w.keys[0] {
+		db.Store().Put(storageKey(conflictTable, k), "7")
+	}
+	if got := w.TotalWrites(); got != 7*8 {
+		t.Fatalf("TotalWrites = %d, want %d", got, 7*8)
+	}
+	bad := storageKey(conflictTable, w.keys[0][3])
+	db.Store().Put(bad, "x7")
+	if got := w.TotalWrites(); got != 7*7 {
+		t.Fatalf("TotalWrites with one corrupt counter = %d, want %d", got, 7*7)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; ; i++ {
+		err := w.Run(rng)
+		if err != nil {
+			if !errors.Is(err, strconv.ErrSyntax) {
+				t.Fatalf("corrupt counter failed the transaction with %v", err)
+			}
+			break
+		}
+		if i == 1000 {
+			t.Fatal("1,000 transactions never touched the corrupt counter")
+		}
+	}
+	if v, _ := db.Store().Get(bad); v != "x7" {
+		t.Fatalf("corrupt counter rewritten to %q", v)
 	}
 }
 

@@ -58,8 +58,8 @@ func TestEscalationFoldsRecords(t *testing.T) {
 		t.Fatalf("partition mode after escalation = %v, want X", got)
 	}
 	for _, e := range txn.held {
-		if e.id.Level == LevelRecord && e.id.Partition == 0 {
-			t.Fatalf("record lock %v survived escalation", e.id)
+		if id := e.lock.id; id.Level == LevelRecord && id.Partition == 0 {
+			t.Fatalf("record lock %v survived escalation", id)
 		}
 	}
 	// The fold compacts held in place; what it vacated must be zeroed, or
@@ -158,7 +158,7 @@ func TestEscalationDisabled(t *testing.T) {
 	}
 	recs := 0
 	for _, e := range txn.held {
-		if e.id.Level == LevelRecord {
+		if e.lock.id.Level == LevelRecord {
 			recs++
 		}
 	}

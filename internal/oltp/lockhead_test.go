@@ -11,6 +11,7 @@ import (
 	"strconv"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/golc"
 	lcrt "repro/internal/golc/runtime"
@@ -264,12 +265,13 @@ func checkLockTable(lm *lockManager, txns []*oracleTxn) error {
 		}
 		recs := map[ResourceID]int32{}
 		for _, e := range tx.held {
-			if e.id.Level == LevelRecord {
-				recs[PartitionID(e.id.Table, e.id.Partition)]++
-			}
 			st := lm.stripeFor(e.hash)
 			st.latch.Lock()
-			linked := e.id.Level != LevelRecord && st.nodeOf(e.id, e.hash) == e.lock
+			id := e.lock.id
+			if id.Level == LevelRecord {
+				recs[PartitionID(id.Table, id.Partition)]++
+			}
+			linked := id.Level != LevelRecord && st.nodeOf(id, e.hash) == e.lock
 			for l := st.locks[e.hash]; l != nil; l = l.next {
 				linked = linked || l == e.lock
 			}
@@ -285,17 +287,17 @@ func checkLockTable(lm *lockManager, txns []*oracleTxn) error {
 					mode = e.lock.holders[i].mode
 				}
 			}
-			ok := linked && e.hash == hashID(e.id) && e.lock.id == e.id && mode == e.mode
+			ok := linked && e.hash == hashID(id) && mode == e.mode
 			st.latch.Unlock()
 			if !ok {
-				return fmt.Errorf("txn %d: held entry %v (%v) does not match a live head (linked=%v)", tx.tid, e.id, e.mode, linked)
+				return fmt.Errorf("txn %d: held entry %v (%v) does not match a live head (linked=%v)", tx.tid, id, e.mode, linked)
 			}
 		}
 		for _, e := range tx.held {
 			// recs is what lockRecord counted; acquires made around it
 			// (tx.rawRec) are record entries it never saw.
-			if e.id.Level == LevelPartition && (e.recs > recs[e.id] || !tx.rawRec && e.recs != recs[e.id]) {
-				return fmt.Errorf("txn %d: %v counts %d records beneath it, held lists %d", tx.tid, e.id, e.recs, recs[e.id])
+			if id := e.lock.id; id.Level == LevelPartition && (e.recs > recs[id] || !tx.rawRec && e.recs != recs[id]) {
+				return fmt.Errorf("txn %d: %v counts %d records beneath it, held lists %d", tx.tid, id, e.recs, recs[id])
 			}
 		}
 		if tx.index != nil && len(tx.held) <= heldScan {
@@ -315,7 +317,7 @@ func lateIntent(lm *lockManager, txn *Txn, id ResourceID, mode Mode) error {
 	switch at := txn.find(id, hash); {
 	case at < 0:
 		if l := lm.stripeFor(hash).nodeOf(id, hash); l != nil {
-			if _, ok := lm.enterSlot(txn, l, id, hash, mode); ok {
+			if _, ok := lm.enterSlot(txn, l, mode); ok {
 				return nil
 			}
 		}
@@ -433,7 +435,7 @@ func (d *lockTableOracle) randomOp(tx *oracleTxn) func() error {
 	case x < 90: // fold whatever is held under one partition
 		write := d.rng.Intn(2) == 0
 		for _, i := range d.rng.Perm(len(tx.held)) {
-			if tx.held[i].id.Level == LevelPartition {
+			if tx.held[i].lock.id.Level == LevelPartition {
 				return func() error { return tx.escalate(i, write) }
 			}
 		}
@@ -598,11 +600,16 @@ func TestHashCollisionChains(t *testing.T) {
 	}
 	st.latch.Unlock()
 
+	// A held entry names its resource through its head, so the colliding
+	// entries sit on real heads, linked (and retired again) like any
+	// other.
 	txn := db.Begin()
 	n := heldScan + 9
+	st.latch.Lock()
 	for i := 0; i < n; i++ { // ids pair up on a hash: i and i^1 collide
-		txn.noteHeld(-1, RecordID("t", 0, strconv.Itoa(i)), uint64(i/2), S, nil)
+		txn.noteHeld(-1, uint64(i/2), S, st.head(RecordID("t", 0, strconv.Itoa(i)), uint64(i/2)))
 	}
+	st.latch.Unlock()
 	if txn.index == nil {
 		t.Fatalf("no index after %d held locks", n)
 	}
@@ -617,12 +624,23 @@ func TestHashCollisionChains(t *testing.T) {
 	if at := txn.find(RecordID("t", 0, "absent"), 1<<40); at != -1 {
 		t.Fatalf("find(absent id, unused hash) = %d", at)
 	}
+	st.latch.Lock()
+	for _, e := range txn.held {
+		st.retire(e.lock)
+	}
+	st.latch.Unlock()
+	if st.live != 0 {
+		t.Fatalf("after retiring the held entries' heads: live=%d", st.live)
+	}
 }
 
 // TestTxnAllocBudget pins the heap allocations of the paths the lock
 // table rebuild emptied. It is the repeatable count beside the
-// throughput numbers: at the parent commit every TATP transaction cost
-// 27 (three maps per Txn, a dbLock and a holders map per lock).
+// throughput numbers: before that rebuild every TATP transaction cost
+// 27 (three maps per Txn, a dbLock and a holders map per lock), and
+// before held entries lost their copy of the id, the write-set its map
+// and TATP its fmt formatting, a GetSubscriberData cost 4 allocations
+// and ~810 B, an UpdateLocation 11 and ~1,450 B.
 func TestTxnAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under the race detector")
@@ -632,10 +650,11 @@ func TestTxnAllocBudget(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, c := range []struct {
 		kind   TxnKind
-		budget float64
+		allocs uint64
+		bytes  uint64
 	}{
-		{GetSubscriberData, 8}, // the Txn, the closure, two key Sprintfs
-		{UpdateLocation, 11},   // + the profile, the write-set, the batch
+		{GetSubscriberData, 3, 448}, // the Txn and the two keys
+		{UpdateLocation, 5, 576},    // the Txn, the key, the profile, the storage key, the write-set
 	} {
 		run := func() {
 			if err := w.Run(c.kind, rng); err != nil {
@@ -645,10 +664,13 @@ func TestTxnAllocBudget(t *testing.T) {
 		for i := 0; i < 64; i++ {
 			run() // warm the stripes' free lists
 		}
-		if got := testing.AllocsPerRun(500, run); got > c.budget {
-			t.Errorf("%v: %.0f allocations per transaction, budget %.0f", c.kind, got, c.budget)
-		} else {
-			t.Logf("%v: %.0f allocations per transaction (budget %.0f)", c.kind, got, c.budget)
+		allocs, bytes := heapPerRun(500, run)
+		t.Logf("%v: %d allocations, %d B per transaction (budgets %d, %d B)", c.kind, allocs, bytes, c.allocs, c.bytes)
+		if allocs > c.allocs {
+			t.Errorf("%v: %d allocations per transaction, budget %d", c.kind, allocs, c.allocs)
+		}
+		if bytes > c.bytes {
+			t.Errorf("%v: %d B allocated per transaction, budget %d B", c.kind, bytes, c.bytes)
 		}
 	}
 
@@ -685,6 +707,35 @@ func TestTxnAllocBudget(t *testing.T) {
 	if got := testing.AllocsPerRun(1000, func() { db.Store().Put(sk, fresh[next]); next++ }); got != 0 {
 		t.Errorf("Put of a fresh value on an existing key: %.0f allocations, want 0", got)
 	}
+}
+
+// TestTxnFootprint pins the size of what every transaction allocates
+// first: a held entry names its resource through its lock head alone,
+// so eight inline entries keep a Txn in the 384 B size class.
+func TestTxnFootprint(t *testing.T) {
+	if got := unsafe.Sizeof(heldLock{}); got != 32 {
+		t.Errorf("heldLock is %d B, want 32", got)
+	}
+	if got := unsafe.Sizeof(Txn{}); got > 384 {
+		t.Errorf("Txn is %d B, want at most 384", got)
+	}
+}
+
+// heapPerRun is testing.AllocsPerRun that also reports bytes: the
+// allocations and bytes (runtime.MemStats.Mallocs, TotalAlloc) per call
+// of f over runs calls, after one warm-up call, on one P. Like
+// AllocsPerRun it rounds down, so a stray allocation by another
+// goroutine does not count against f.
+func heapPerRun(runs uint64, f func()) (allocs, bytes uint64) {
+	defer goruntime.GOMAXPROCS(goruntime.GOMAXPROCS(1))
+	f()
+	var before, after goruntime.MemStats
+	goruntime.ReadMemStats(&before)
+	for range runs {
+		f()
+	}
+	goruntime.ReadMemStats(&after)
+	return (after.Mallocs - before.Mallocs) / runs, (after.TotalAlloc - before.TotalAlloc) / runs
 }
 
 // TestBigTxnLockTable: one transaction holding thousands of record

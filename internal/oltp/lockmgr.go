@@ -660,7 +660,7 @@ func (lm *lockManager) intent(txn *Txn, st *lmStripe, at int, id ResourceID, has
 		return at, e.slot != 0 && !e.lock.in.gate.Load() && lm.raiseSlot(txn, at)
 	}
 	if l := st.nodeOf(id, hash); l != nil && !l.in.gate.Load() {
-		return lm.enterSlot(txn, l, id, hash, goal)
+		return lm.enterSlot(txn, l, goal)
 	}
 	return at, false
 }
@@ -669,7 +669,7 @@ func (lm *lockManager) intent(txn *Txn, st *lmStripe, at int, id ResourceID, has
 // again: if it came up since the caller saw it down, the claim is given
 // back — a release that finds the gate up — and the request must go to
 // the latched path. Returns the hold's position in txn.held.
-func (lm *lockManager) enterSlot(txn *Txn, l *dbLock, id ResourceID, hash uint64, mode Mode) (int, bool) {
+func (lm *lockManager) enterSlot(txn *Txn, l *dbLock, mode Mode) (int, bool) {
 	i := l.in.claim(txn, mode)
 	if i < 0 {
 		return -1, false
@@ -679,7 +679,7 @@ func (lm *lockManager) enterSlot(txn *Txn, l *dbLock, id ResourceID, hash uint64
 		lm.regrant(l)
 		return -1, false
 	}
-	at := txn.noteHeld(-1, id, hash, mode, l)
+	at := txn.noteHeld(-1, l.hash, mode, l)
 	txn.held[at].slot = int32(i) + 1
 	return at, true
 }
@@ -755,7 +755,7 @@ func (lm *lockManager) acquireAt(txn *Txn, id ResourceID, want Mode) (int, error
 	if grantable(l, txn, cur, goal) && !conflictsQueue(l, txn, goal) {
 		l.hold(txn, cur, goal)
 		st.latch.Unlock()
-		return txn.noteHeld(at, id, hash, goal, l), nil
+		return txn.noteHeld(at, hash, goal, l), nil
 	}
 	// Conflict: wait-die decides between dying now and waiting.
 	// (A conflicted head has a holder or a waiter: nothing to retire.)
@@ -813,7 +813,7 @@ func (lm *lockManager) acquireAt(txn *Txn, id ResourceID, want Mode) (int, error
 	case <-w.ready:
 		// Only the grant path closes ready, so this wake needs no
 		// re-check (cancellations come in on the ctx arm).
-		return txn.noteHeld(at, id, hash, goal, l), nil
+		return txn.noteHeld(at, hash, goal, l), nil
 	case <-ctx.Done():
 	}
 	// Cancelled or timed out — but a grant may have raced either wake.
@@ -824,7 +824,7 @@ func (lm *lockManager) acquireAt(txn *Txn, id ResourceID, want Mode) (int, error
 	lm.lock(st)
 	if w.granted {
 		st.latch.Unlock()
-		return txn.noteHeld(at, id, hash, goal, l), nil
+		return txn.noteHeld(at, hash, goal, l), nil
 	}
 	for i, q := range l.waiters {
 		if q == w {
@@ -896,8 +896,7 @@ func (lm *lockManager) release(txn *Txn, e *heldLock) {
 // releaseAll drops every lock txn holds (strict 2PL: called only from
 // Commit and Abort), waking newly grantable waiters as it goes. The
 // entries are zeroed, not just truncated away: the backing array lives
-// as long as the Txn and would otherwise pin retired heads and the
-// ids' strings.
+// as long as the Txn and would otherwise pin retired heads.
 func (lm *lockManager) releaseAll(txn *Txn) {
 	for i := range txn.held {
 		lm.release(txn, &txn.held[i])

@@ -65,11 +65,13 @@
 //     stripe latches) with thousands of record locks. The escalated
 //     acquire is an ordinary request: it can wait or wait-die like any
 //     other.
-//   - Transactions buffer writes (reads see their own writes) and
-//     apply them at commit through kv.Store.ApplyBatch — one shard
-//     latch acquisition per touched shard — then release every lock
-//     (strict 2PL: nothing is released early, so reads are repeatable
-//     and writes are never exposed before commit).
+//   - Transactions buffer writes (reads see their own writes) in a
+//     slice with one entry per key, the last write winning in place,
+//     and hand that slice at commit to the log as the redo record and
+//     to kv.Store.ApplyBatch as the batch — one shard latch
+//     acquisition per touched shard — then release every lock (strict
+//     2PL: nothing is released early, so reads are repeatable and
+//     writes are never exposed before commit).
 //
 // The TATP-style workload in tatp.go drives the whole stack; lcperf
 // (benchmark/) runs it under lc at 1x and 8x multiprogramming, each

@@ -3,6 +3,7 @@ package oltp
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 )
 
 // The TATP-style workload: the telecom benchmark's shape (a big
@@ -93,10 +94,51 @@ const (
 	cfTable  = "cf"
 )
 
-func subKey(id int) string      { return fmt.Sprintf("%08d", id) }
-func cfKey(id, slot int) string { return fmt.Sprintf("%08d:%d", id, slot) }
+// The row formats below run in every transaction, so they are built
+// with strconv into a stack buffer and cost only the allocation of the
+// string. The output is fmt's byte for byte (lcperf checks rows by
+// their "sub=<id> " prefix); ids and versions are never negative.
+
+// appendPadded appends n (≥ 0) in decimal, zero-padded to width: fmt's
+// %0<width>d.
+func appendPadded(b []byte, n, width int) []byte {
+	var d [20]byte
+	digits := strconv.AppendInt(d[:0], int64(n), 10)
+	for i := len(digits); i < width; i++ {
+		b = append(b, '0')
+	}
+	return append(b, digits...)
+}
+
+// subKey is "%08d" of id.
+func subKey(id int) string {
+	var b [20]byte
+	return string(appendPadded(b[:0], id, 8))
+}
+
+// cfKey is "%08d:%d" of id and slot.
+func cfKey(id, slot int) string {
+	var b [48]byte
+	k := append(appendPadded(b[:0], id, 8), ':')
+	return string(strconv.AppendInt(k, int64(slot), 10))
+}
+
+// profile is "sub=%d bit=%d hex=%x ver=%d" of id, id&1, id&0xff and
+// version.
 func profile(id, version int) string {
-	return fmt.Sprintf("sub=%d bit=%d hex=%x ver=%d", id, id&1, id&0xff, version)
+	var b [80]byte
+	p := strconv.AppendInt(append(b[:0], "sub="...), int64(id), 10)
+	p = strconv.AppendInt(append(p, " bit="...), int64(id&1), 10)
+	p = strconv.AppendInt(append(p, " hex="...), int64(id&0xff), 16)
+	p = strconv.AppendInt(append(p, " ver="...), int64(version), 10)
+	return string(p)
+}
+
+// forwarding is a call-forwarding row's value: "fwd=+%09d" of version
+// modulo 1e9.
+func forwarding(version int) string {
+	var b [24]byte
+	return string(appendPadded(append(b[:0], "fwd=+"...), version%1_000_000_000, 9))
 }
 
 // NewTATP populates the store (directly, not transactionally — initial
@@ -148,16 +190,20 @@ func (w *TATP) Run(kind TxnKind, rng *rand.Rand) error {
 	id := w.pickSubscriber(rng)
 	slot := rng.Intn(w.cfg.CFSlots)
 	version := rng.Int()
+	// The keys are formatted once, outside the closures: a retried
+	// attempt reuses them, and UpdateLocation's read and write share one.
+	sub := subKey(id)
 	switch kind {
 	case GetSubscriberData:
+		cf := cfKey(id, slot)
 		return w.db.Run(func(t *Txn) error {
-			if _, ok, err := t.Read(subTable, subKey(id)); err != nil || !ok {
+			if _, ok, err := t.Read(subTable, sub); err != nil || !ok {
 				if err != nil {
 					return err
 				}
 				return fmt.Errorf("tatp: subscriber %d missing", id)
 			}
-			_, _, err := t.Read(cfTable, cfKey(id, slot))
+			_, _, err := t.Read(cfTable, cf)
 			return err
 		})
 	case UpdateLocation:
@@ -165,41 +211,44 @@ func (w *TATP) Run(kind TxnKind, rng *rand.Rand) error {
 		// classic wait-die collision when two sessions hit the same
 		// hot subscriber.
 		return w.db.Run(func(t *Txn) error {
-			_, ok, err := t.Read(subTable, subKey(id))
+			_, ok, err := t.Read(subTable, sub)
 			if err != nil {
 				return err
 			}
 			if !ok {
 				return fmt.Errorf("tatp: subscriber %d missing", id)
 			}
-			return t.Write(subTable, subKey(id), profile(id, version))
+			return t.Write(subTable, sub, profile(id, version))
 		})
 	case UpdateSubscriberData:
+		cf := cfKey(id, slot)
 		return w.db.Run(func(t *Txn) error {
-			if err := t.Write(subTable, subKey(id), profile(id, version)); err != nil {
+			if err := t.Write(subTable, sub, profile(id, version)); err != nil {
 				return err
 			}
-			return t.Write(cfTable, cfKey(id, slot), fmt.Sprintf("fwd=+%09d", version%1_000_000_000))
+			return t.Write(cfTable, cf, forwarding(version))
 		})
 	case InsertCallForwarding:
+		cf := cfKey(id, slot)
 		return w.db.Run(func(t *Txn) error {
-			if _, ok, err := t.Read(subTable, subKey(id)); err != nil || !ok {
+			if _, ok, err := t.Read(subTable, sub); err != nil || !ok {
 				if err != nil {
 					return err
 				}
 				return fmt.Errorf("tatp: subscriber %d missing", id)
 			}
-			return t.Write(cfTable, cfKey(id, slot), fmt.Sprintf("fwd=+%09d", version%1_000_000_000))
+			return t.Write(cfTable, cf, forwarding(version))
 		})
 	case DeleteCallForwarding:
+		cf := cfKey(id, slot)
 		return w.db.Run(func(t *Txn) error {
-			if _, ok, err := t.Read(subTable, subKey(id)); err != nil || !ok {
+			if _, ok, err := t.Read(subTable, sub); err != nil || !ok {
 				if err != nil {
 					return err
 				}
 				return fmt.Errorf("tatp: subscriber %d missing", id)
 			}
-			return t.Delete(cfTable, cfKey(id, slot))
+			return t.Delete(cfTable, cf)
 		})
 	default:
 		return fmt.Errorf("tatp: unknown txn kind %v", kind)

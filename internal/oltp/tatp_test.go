@@ -2,6 +2,7 @@ package oltp
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	goruntime "runtime"
 	"strings"
@@ -28,6 +29,34 @@ func TestTATPLoad(t *testing.T) {
 	}
 	if v, ok := db.Store().Get("sub/00000042"); !ok || v == "" {
 		t.Fatalf("subscriber 42 = %q,%v", v, ok)
+	}
+}
+
+// TestTATPFormatsMatchFmt: the strconv row formats are their fmt
+// forms byte for byte — ids from 0 to past eight digits, versions past
+// 1e9 (where the forwarding value wraps).
+func TestTATPFormatsMatchFmt(t *testing.T) {
+	ids := []int{0, 1, 9, 10, 42, 255, 256, 4095, 1234567, 12345678, 99999999, 100000000, 123456789012}
+	versions := []int{0, 1, 999_999_999, 1_000_000_000, 1_000_000_001, 1_234_567_891, math.MaxInt}
+	for _, id := range ids {
+		if got, want := subKey(id), fmt.Sprintf("%08d", id); got != want {
+			t.Errorf("subKey(%d) = %q, want %q", id, got, want)
+		}
+		for _, slot := range []int{0, 3, 10, 1234} {
+			if got, want := cfKey(id, slot), fmt.Sprintf("%08d:%d", id, slot); got != want {
+				t.Errorf("cfKey(%d, %d) = %q, want %q", id, slot, got, want)
+			}
+		}
+		for _, v := range versions {
+			if got, want := profile(id, v), fmt.Sprintf("sub=%d bit=%d hex=%x ver=%d", id, id&1, id&0xff, v); got != want {
+				t.Errorf("profile(%d, %d) = %q, want %q", id, v, got, want)
+			}
+		}
+	}
+	for _, v := range versions {
+		if got, want := forwarding(v), fmt.Sprintf("fwd=+%09d", v%1_000_000_000); got != want {
+			t.Errorf("forwarding(%d) = %q, want %q", v, got, want)
+		}
 	}
 }
 

@@ -34,8 +34,14 @@ type Txn struct {
 	ctx      context.Context
 	tid      uint64 // begin-timestamp: smaller = older, wins age-based conflicts
 	state    txnState
-	abortErr *AbortError         // the lock manager's kill order, if any (Run's retry signal)
-	writes   map[string]kv.Write // keyed by storage key; last write wins; nil until the first write
+	abortErr *AbortError // the lock manager's kill order, if any (Run's retry signal)
+
+	// writes is the buffered write-set, one entry per storage key in
+	// first-write order, the last write to a key winning: Commit hands
+	// it to the log and the store as the batch itself. windex is nil
+	// until writes outgrows heldScan (see written).
+	writes []kv.Write
+	windex map[string]int32
 
 	// held is every lock the transaction holds, in grant order. It starts
 	// on heldBuf, so the common transaction — a handful of locks — is one
@@ -48,10 +54,17 @@ type Txn struct {
 
 // heldLock is one entry of Txn.held: what is held, and enough to get
 // back to it without the lock table — the id's hash (hashed once, at
-// acquire) and the lock head itself. An IS or IX hold taken off the
-// latch names its node's slot instead of a place in the named group.
+// acquire) and the lock head itself, whose id names the resource. An
+// IS or IX hold taken off the latch names its node's slot instead of a
+// place in the named group.
+//
+// Reading lock.id without the stripe latch is safe while the entry is
+// held: lmStripe.retire never retires a head that has a holder, a
+// record head's id is written under the latch before the grant the
+// transaction saw, and a node's id never changes. Once the entry is
+// released the head may be retired and its id cleared, so nothing reads
+// it after release.
 type heldLock struct {
-	id   ResourceID
 	hash uint64
 	mode Mode
 	lock *dbLock
@@ -72,13 +85,13 @@ func (t *Txn) find(id ResourceID, hash uint64) int {
 		if !ok {
 			return -1
 		}
-		if t.held[i].id == id {
+		if t.held[i].lock.id == id {
 			return int(i)
 		}
 		// Two held ids share a hash; the map knows only the first. Scan.
 	}
 	for i := range t.held {
-		if t.held[i].hash == hash && t.held[i].id == id {
+		if t.held[i].hash == hash && t.held[i].lock.id == id {
 			return i
 		}
 	}
@@ -102,6 +115,23 @@ func (t *Txn) reindex() {
 	}
 }
 
+// written returns the position of storage key sk in t.writes, or -1.
+// Up to heldScan entries it scans; past that it asks windex.
+func (t *Txn) written(sk string) int {
+	if t.windex != nil {
+		if i, ok := t.windex[sk]; ok {
+			return int(i)
+		}
+		return -1
+	}
+	for i := range t.writes {
+		if t.writes[i].Key == sk {
+			return i
+		}
+	}
+	return -1
+}
+
 // TID returns the transaction's begin-timestamp (stable across Run's
 // retries — that is what makes wait-die live).
 func (t *Txn) TID() uint64 { return t.tid }
@@ -122,13 +152,13 @@ func (t *Txn) active() error {
 // position at, or a new entry when at is negative — and returns its
 // position. Called by the lock manager on the transaction's own
 // goroutine.
-func (t *Txn) noteHeld(at int, id ResourceID, hash uint64, m Mode, l *dbLock) int {
+func (t *Txn) noteHeld(at int, hash uint64, m Mode, l *dbLock) int {
 	if at >= 0 {
 		t.held[at].mode = m
 		return at
 	}
 	at = len(t.held)
-	t.held = append(t.held, heldLock{id: id, hash: hash, mode: m, lock: l})
+	t.held = append(t.held, heldLock{hash: hash, mode: m, lock: l})
 	if t.index == nil {
 		t.reindex()
 	} else if _, taken := t.index[hash]; !taken {
@@ -192,9 +222,13 @@ func (t *Txn) lockRecord(table string, part int, key string, write bool) error {
 // it (and its stripe latches) with thousands of record entries — after
 // escalation the transaction occupies O(1) entries per partition.
 func (t *Txn) escalate(pi int, write bool) error {
-	pid := t.held[pi].id
+	pid := t.held[pi].lock.id
+	// under reads the entry's id through its head, so the fold below
+	// tests each entry before releasing it: a released head may be
+	// retired and its id cleared.
 	under := func(e *heldLock) bool {
-		return e.id.Level == LevelRecord && e.id.Table == pid.Table && e.id.Partition == pid.Partition
+		id := &e.lock.id
+		return id.Level == LevelRecord && id.Table == pid.Table && id.Partition == pid.Partition
 	}
 	target := S
 	if write {
@@ -223,8 +257,8 @@ func (t *Txn) escalate(pi int, write bool) error {
 		t.held[kept] = t.held[i]
 		kept++
 	}
-	// Zero the vacated tail: it would pin retired heads and the ids'
-	// strings for as long as the transaction lives.
+	// Zero the vacated tail: it would pin retired heads for as long as
+	// the transaction lives.
 	clear(t.held[kept:])
 	t.held = t.held[:kept]
 	t.reindex()
@@ -253,11 +287,9 @@ func (t *Txn) Read(table, key string) (string, bool, error) {
 		return "", false, err
 	}
 	sk := storageKey(table, key)
-	if w, ok := t.writes[sk]; ok {
-		if w.Delete {
-			return "", false, nil
-		}
-		return w.Value, true, nil
+	if i := t.written(sk); i >= 0 {
+		w := t.writes[i]
+		return w.Value, !w.Delete, nil
 	}
 	if err := t.lockRecord(table, t.db.store.ShardOf(sk), key, false); err != nil {
 		return "", false, err
@@ -294,13 +326,26 @@ func (t *Txn) Delete(table, key string) error {
 	return nil
 }
 
-// buffer adds w to the write-set (read-only transactions never make
-// the map).
+// buffer adds w to the write-set, replacing an earlier write to the
+// same key in place (read-only transactions never allocate one). Past
+// heldScan entries the set gets its key→position index, sized past the
+// set as reindex sizes held's: a transaction that needs it is usually
+// still growing.
 func (t *Txn) buffer(w kv.Write) {
-	if t.writes == nil {
-		t.writes = make(map[string]kv.Write)
+	if i := t.written(w.Key); i >= 0 {
+		t.writes[i] = w
+		return
 	}
-	t.writes[w.Key] = w
+	t.writes = append(t.writes, w)
+	switch {
+	case t.windex != nil:
+		t.windex[w.Key] = int32(len(t.writes) - 1)
+	case len(t.writes) > heldScan:
+		t.windex = make(map[string]int32, 2*len(t.writes))
+		for i := range t.writes {
+			t.windex[t.writes[i].Key] = int32(i)
+		}
+	}
 }
 
 // ReadPartition reads every record of table in partition part under
@@ -330,7 +375,8 @@ func (t *Txn) ReadPartition(table string, part int) ([]kv.KV, error) {
 			continue
 		}
 		seen[p.Key] = struct{}{}
-		if w, buffered := t.writes[p.Key]; buffered {
+		if i := t.written(p.Key); i >= 0 {
+			w := t.writes[i]
 			if w.Delete {
 				continue
 			}
@@ -345,14 +391,14 @@ func (t *Txn) ReadPartition(table string, part int) ([]kv.KV, error) {
 	// non-transactional Put landing between ScanShard and Get made the
 	// insert look already-overlaid and silently dropped the
 	// transaction's own buffered write from its own read.
-	for sk, w := range t.writes {
-		if w.Delete || !strings.HasPrefix(sk, prefix) || t.db.store.ShardOf(sk) != part {
+	for _, w := range t.writes {
+		if w.Delete || !strings.HasPrefix(w.Key, prefix) || t.db.store.ShardOf(w.Key) != part {
 			continue
 		}
-		if _, ok := seen[sk]; ok {
+		if _, ok := seen[w.Key]; ok {
 			continue // overlaid in place above
 		}
-		out = append(out, kv.KV{Key: strings.TrimPrefix(sk, prefix), Value: w.Value})
+		out = append(out, kv.KV{Key: strings.TrimPrefix(w.Key, prefix), Value: w.Value})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
 	return out, nil
@@ -377,11 +423,9 @@ func (t *Txn) Commit() error {
 		t.Abort()
 		return t.abortErr
 	}
-	if len(t.writes) > 0 {
-		batch := make([]kv.Write, 0, len(t.writes))
-		for _, w := range t.writes {
-			batch = append(batch, w)
-		}
+	if batch := t.writes; len(batch) > 0 {
+		// The write-set is the batch: one entry per key, which is all
+		// the log record and ApplyBatch ask of it.
 		if w := t.db.wal; w != nil {
 			// Write-ahead: the record must be durable before the batch
 			// touches the store. Commit returns once this record's
@@ -416,6 +460,7 @@ func (t *Txn) Abort() {
 		return
 	}
 	clear(t.writes)
+	t.writes, t.windex = t.writes[:0], nil
 	t.db.lm.releaseAll(t)
 	t.state = txnAborted
 	t.db.m.Aborts.Add(1)

@@ -3,11 +3,14 @@ package oltp
 import (
 	"errors"
 	"fmt"
+	"maps"
 	goruntime "runtime"
+	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/golc"
+	"repro/internal/kv"
 )
 
 // TestReadWriteCommit: basics — buffered writes are invisible until
@@ -297,6 +300,136 @@ func TestReadPartitionOverlay(t *testing.T) {
 		t.Errorf("untouched row wrong: %v", got)
 	}
 	txn.Abort()
+}
+
+// readOwn fails t unless txn reads (table, key) as want (found) or as
+// absent (!found).
+func readOwn(t *testing.T, txn *Txn, table, key, want string, found bool) {
+	t.Helper()
+	if v, ok, err := txn.Read(table, key); err != nil || ok != found || v != want {
+		t.Fatalf("read %s/%s = %q,%v,%v; want %q,%v", table, key, v, ok, err, want, found)
+	}
+}
+
+// TestWriteSetLastWriteWins: put, delete and put again on one key each
+// read back as the transaction's own latest write, leave one write-set
+// entry, and commit as the last write.
+func TestWriteSetLastWriteWins(t *testing.T) {
+	db := newTestDB(t, golc.Block, Options{})
+	db.Store().Put("acct/carol", "10")
+	txn := db.Begin()
+	readOwn(t, txn, "acct", "carol", "10", true)
+	if err := txn.Write("acct", "carol", "20"); err != nil {
+		t.Fatal(err)
+	}
+	readOwn(t, txn, "acct", "carol", "20", true)
+	if err := txn.Delete("acct", "carol"); err != nil {
+		t.Fatal(err)
+	}
+	readOwn(t, txn, "acct", "carol", "", false)
+	if err := txn.Write("acct", "carol", "30"); err != nil {
+		t.Fatal(err)
+	}
+	readOwn(t, txn, "acct", "carol", "30", true)
+	if len(txn.writes) != 1 {
+		t.Fatalf("three writes to one key buffered %d entries, want 1", len(txn.writes))
+	}
+	if err := txn.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if v, ok := db.Store().Get("acct/carol"); !ok || v != "30" {
+		t.Fatalf("store after commit = %q,%v, want 30", v, ok)
+	}
+}
+
+// TestWriteSetPastScan: a 1,000-write transaction crosses heldScan, so
+// its write-set is looked up through the key index; rewrites and
+// deletes after that replace entries in place, ReadPartition overlays
+// them, and the commit leaves exactly each key's last write.
+func TestWriteSetPastScan(t *testing.T) {
+	const n = 1000
+	db := newTestDB(t, golc.Block, Options{})
+	key := func(i int) string { return fmt.Sprintf("k%04d", i) }
+	txn := db.Begin()
+	want := map[string]string{}
+	for i := 0; i < n; i++ {
+		if err := txn.Write("big", key(i), "v1"); err != nil {
+			t.Fatal(err)
+		}
+		want[key(i)] = "v1"
+	}
+	if txn.windex == nil || len(txn.windex) != n || len(txn.writes) != n {
+		t.Fatalf("after %d writes: %d entries, index %d", n, len(txn.writes), len(txn.windex))
+	}
+	for i := 0; i < n; i += 100 {
+		if err := txn.Write("big", key(i), "v2"); err != nil {
+			t.Fatal(err)
+		}
+		want[key(i)] = "v2"
+		readOwn(t, txn, "big", key(i), "v2", true)
+		if err := txn.Delete("big", key(i+1)); err != nil {
+			t.Fatal(err)
+		}
+		delete(want, key(i+1))
+		readOwn(t, txn, "big", key(i+1), "", false)
+	}
+	if err := txn.Write("big", key(n+1), "new"); err != nil {
+		t.Fatal(err)
+	}
+	want[key(n+1)] = "new"
+	readOwn(t, txn, "big", key(n+1), "new", true)
+	readOwn(t, txn, "big", key(n+2), "", false)
+	if len(txn.writes) != n+1 || len(txn.windex) != n+1 {
+		t.Fatalf("write-set has %d entries, index %d, want %d: rewrites must replace in place", len(txn.writes), len(txn.windex), n+1)
+	}
+	got := map[string]string{}
+	for p := 0; p < db.Store().Shards(); p++ {
+		rows, err := txn.ReadPartition("big", p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range rows {
+			got[r.Key] = r.Value
+		}
+	}
+	if !maps.Equal(got, want) {
+		t.Fatalf("partition reads see %d rows, want %d", len(got), len(want))
+	}
+	if err := txn.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	got = map[string]string{}
+	for _, r := range db.Store().Scan("big/", 0) {
+		got[strings.TrimPrefix(r.Key, "big/")] = r.Value
+	}
+	if !maps.Equal(got, want) {
+		t.Fatalf("store holds %d rows after commit, want %d", len(got), len(want))
+	}
+}
+
+// TestAbortEmptiesWriteSet: an aborted transaction keeps nothing
+// buffered: no entry, no index, and no key or value left in the
+// slice's backing array.
+func TestAbortEmptiesWriteSet(t *testing.T) {
+	db := newTestDB(t, golc.Block, Options{})
+	txn := db.Begin()
+	for i := 0; i < 2*heldScan; i++ {
+		if err := txn.Write("t", fmt.Sprintf("k%03d", i), "v"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	txn.Abort()
+	if len(txn.writes) != 0 || txn.windex != nil {
+		t.Fatalf("after abort: %d writes buffered, index %v", len(txn.writes), txn.windex != nil)
+	}
+	for i, w := range txn.writes[:cap(txn.writes)] {
+		if w != (kv.Write{}) {
+			t.Fatalf("aborted write-set still references write %d: %+v", i, w)
+		}
+	}
+	if n := db.Store().Len(); n != 0 {
+		t.Fatalf("store holds %d keys after abort", n)
+	}
 }
 
 // TestRunRetriesPreserveTID: Run's retries must reuse the original
