@@ -9,10 +9,9 @@
 // next to vet and -race.
 //
 // The analyzers are whole-program: per-package function summaries
-// (parks?, lock-class touch set, held-set delta, ctx-threading, blocking
-// work) are computed once per run for every package the roots import,
-// so a helper that parks three packages away is still a parking call at
-// this call site.
+// (parks?, held-set delta, ctx-threading, blocking work) are computed
+// once per run for every package the roots import, so a helper that
+// parks three packages away is still a parking call at this call site.
 //
 // Flags:
 //

@@ -8,7 +8,7 @@ import (
 
 // Each analyzer gets one failing fixture (want-annotated) and one clean
 // fixture (no annotations; any finding fails the test). Fixtures load
-// in separate runs so their acquisition graphs cannot interact.
+// in separate runs so their facts cannot interact.
 
 func TestLockpair(t *testing.T) {
 	linttest.Run(t, "lockpair", "internal/lint/testdata/src/lockpair")
@@ -24,14 +24,6 @@ func TestNestedpark(t *testing.T) {
 
 func TestNestedparkClean(t *testing.T) {
 	linttest.Run(t, "nestedpark", "internal/lint/testdata/src/nestedparkok")
-}
-
-func TestLockorder(t *testing.T) {
-	linttest.Run(t, "lockorder", "internal/lint/testdata/src/lockorder")
-}
-
-func TestLockorderClean(t *testing.T) {
-	linttest.Run(t, "lockorder", "internal/lint/testdata/src/lockorderok")
 }
 
 func TestCtxlock(t *testing.T) {
@@ -74,10 +66,4 @@ func TestBranchesClean(t *testing.T) {
 // without cross-package facts these fixtures report nothing.
 func TestCrosspark(t *testing.T) {
 	linttest.Run(t, "nestedpark", "internal/lint/testdata/src/crosspark/p")
-}
-
-// Only package b loads as a root; the cycle's forward edge exists only
-// in package a's facts.
-func TestCrossorder(t *testing.T) {
-	linttest.Run(t, "lockorder", "internal/lint/testdata/src/crossorder/b")
 }

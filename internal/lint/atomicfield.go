@@ -1,92 +1,39 @@
 package lint
 
 import (
-	"go/ast"
+	"go/types"
 )
 
-// Atomicfield pins the memory-model half of the flight recorder's
-// seqlock trick: a struct field that any code reads or writes through
-// sync/atomic must be accessed atomically *everywhere*, because one
-// plain access racing an atomic one is undefined behavior the race
-// detector only catches if the schedule cooperates. The atomic set is
-// whole-program — a field marked atomic by a dependency (through its
-// serialized AtomicFields facts) flags plain accesses here.
-//
-// The one sanctioned exception is the lock-protected seam — the shape
-// of golc's holdSeq/holdStart hold stamping: the lock holder writes
-// the field plainly (mutual exclusion orders the writers) while an
-// out-of-band sampler reads it atomically and re-checks a sequence
-// number. Such seams carry an explicit decision record at the
-// holder-side sites:
-//
-//	//lint:allow atomicfield holder-side write; readers use Load + seq re-check
+// Atomicfield keeps every shared word a typed atomic (atomic.Int64,
+// atomic.Uint64, atomic.Pointer, ...) rather than a plain field handed
+// to sync/atomic's package-level functions (atomic.AddUint64(&x.n, 1)).
+// One plain access racing an atomic one is undefined behavior the race
+// detector only catches if the schedule cooperates. A typed atomic
+// makes "atomic anywhere means atomic everywhere" hold by construction:
+// the compiler rejects a plain read or write of it, and go vet's
+// copylocks rejects a copy. So the rule needs no whole-program field
+// set: any use of a receiverless sync/atomic function is the finding.
 var Atomicfield = &Analyzer{
 	Name: "atomicfield",
-	Doc: "a struct field accessed through sync/atomic anywhere must be accessed " +
-		"atomically everywhere (whole-program, via package facts); a plain access " +
-		"racing an atomic one is undefined behavior. Lock-protected holder-side " +
-		"seams are suppressed with a reasoned //lint:allow atomicfield.",
+	Doc: "shared words are typed atomics (atomic.Int64, atomic.Uint64, ...), never " +
+		"plain fields passed to sync/atomic's package-level functions: a typed " +
+		"atomic cannot be read or written plainly, so no plain access can race " +
+		"an atomic one.",
 	Run: runAtomicfield,
 }
 
 func runAtomicfield(pass *Pass) error {
-	// The everywhere-atomic set for this package: fields its own source
-	// touches atomically, plus AtomicFields facts from every
-	// module-internal package it (transitively) imports.
-	where := make(map[string]string)
-	if pass.Prog != nil {
-		for sym, owner := range pass.Prog.atomicFieldsFor(pass.Pkg) {
-			where[sym] = owner
+	for id, obj := range pass.Pkg.Info.Uses {
+		fn, ok := obj.(*types.Func)
+		if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "sync/atomic" {
+			continue
 		}
-		if pf := pass.Prog.factsPkg(pass.Pkg.ImportPath); pf != nil {
-			for _, sym := range pf.AtomicFields {
-				where[sym] = pass.Pkg.ImportPath
-			}
+		if fn.Type().(*types.Signature).Recv() != nil {
+			continue // a typed atomic's method
 		}
-	}
-
-	for _, f := range pass.Pkg.Files {
-		// Selectors consumed as &x.f arguments of sync/atomic calls are
-		// the atomic accesses themselves — everything else is plain.
-		marked := make(map[*ast.SelectorExpr]bool)
-		ast.Inspect(f, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			if len(atomicCallFields(pass.Pkg.Info, call)) == 0 {
-				return true
-			}
-			if sym, se := addrFieldSym(pass.Pkg.Info, call.Args[0]); sym != "" {
-				marked[se] = true
-				if _, ok := where[sym]; !ok {
-					where[sym] = pass.Pkg.ImportPath
-				}
-			}
-			return true
-		})
-		ast.Inspect(f, func(n ast.Node) bool {
-			se, ok := n.(*ast.SelectorExpr)
-			if !ok || marked[se] {
-				return true
-			}
-			sym := fieldSymbol(pass.Pkg.Info, se)
-			if sym == "" {
-				return true
-			}
-			owner, atomic := where[sym]
-			if !atomic {
-				return true
-			}
-			at := "in this package"
-			if owner != pass.Pkg.ImportPath {
-				at = "in " + owner
-			}
-			pass.Reportf(se.Sel.Pos(),
-				"plain access to %s, which is accessed via sync/atomic %s: one plain access racing an atomic one is undefined behavior — use sync/atomic here too, or record the lock-protected-seam decision with //lint:allow atomicfield <reason>",
-				sym, at)
-			return true
-		})
+		pass.Reportf(id.Pos(),
+			"atomic.%s on a plain word: declare it as a typed atomic (atomic.Int64, atomic.Uint64, ...) so no access to it can be plain",
+			fn.Name())
 	}
 	return nil
 }

@@ -20,11 +20,6 @@ type FuncFacts struct {
 	Parks    bool
 	ParkWhat string
 
-	// Classes is the set of acquisition-order classes this function
-	// blocking-acquires, transitively — the lockorder edges a call to
-	// it creates.
-	Classes []string
-
 	// HeldDelta lists lock classes still held at some exit of this
 	// function: the acquire-helper contract (oltp's lm.lock(st) shape).
 	// A caller's held set grows by these classes at the call site.
@@ -52,7 +47,7 @@ type FuncFacts struct {
 
 func (f *FuncFacts) isZero() bool {
 	return !f.Parks && !f.CtxBgWait && !f.Blocks &&
-		len(f.Classes) == 0 && len(f.HeldDelta) == 0 && len(f.Releases) == 0
+		len(f.HeldDelta) == 0 && len(f.Releases) == 0
 }
 
 // PackageFacts is the fact set of one package.
@@ -60,11 +55,6 @@ type PackageFacts struct {
 	// Funcs maps symbolOf keys ("(*repro/internal/golc.Mutex).Lock")
 	// to facts. Functions with all-zero facts are omitted.
 	Funcs map[string]*FuncFacts
-
-	// AtomicFields lists struct fields ("pkgpath.Type.field") this
-	// package touches through sync/atomic calls — atomicfield's
-	// "atomic anywhere means atomic everywhere" set.
-	AtomicFields []string
 }
 
 // symbolOf keys a function in PackageFacts.Funcs. Origin strips any
@@ -82,11 +72,6 @@ func addClass(set *[]string, c string) bool {
 	copy((*set)[i+1:], (*set)[i:])
 	(*set)[i] = c
 	return true
-}
-
-func hasClass(set []string, c string) bool {
-	i := sort.SearchStrings(set, c)
-	return i < len(set) && set[i] == c
 }
 
 // chainWhat prefixes a description with the function it routes
@@ -107,11 +92,6 @@ func foldFacts(dst *FuncFacts, via string, src *FuncFacts) bool {
 		dst.Parks = true
 		dst.ParkWhat = chainWhat(via, src.ParkWhat)
 		changed = true
-	}
-	for _, c := range src.Classes {
-		if addClass(&dst.Classes, c) {
-			changed = true
-		}
 	}
 	if src.Blocks && !dst.Blocks {
 		dst.Blocks = true
@@ -232,9 +212,6 @@ func computePackageFacts(pkg *Package, prog *Program) *PackageFacts {
 						rf.facts.Parks = true
 						rf.facts.ParkWhat = ci.name + " on " + types.ExprString(ci.recv)
 					}
-					if c := classOf(pkg.Info, ci.recv); c != "" {
-						addClass(&rf.facts.Classes, c)
-					}
 					rf.acqKeys[lockKeyOf(ci.recv, ci.read)] = true
 				case kindAcqTry:
 					rf.acqKeys[lockKeyOf(ci.recv, ci.read)] = true
@@ -270,7 +247,7 @@ func computePackageFacts(pkg *Package, prog *Program) *PackageFacts {
 		fns = append(fns, fn)
 	})
 
-	// Close parks/classes/blocks/ctx over the same-package call graph.
+	// Close parks/blocks/ctx over the same-package call graph.
 	for changed := true; changed; {
 		changed = false
 		for _, fn := range fns {
@@ -311,7 +288,7 @@ func computePackageFacts(pkg *Package, prog *Program) *PackageFacts {
 		walkFuncSum(pkg.Info, fd.Body, crossFacts, hooks{
 			onExit: func(pos token.Pos, held []heldLock) {
 				for _, h := range held {
-					if h.logical || h.class == "" {
+					if h.class == "" {
 						continue
 					}
 					addClass(&delta, h.class)
@@ -327,23 +304,7 @@ func computePackageFacts(pkg *Package, prog *Program) *PackageFacts {
 		}
 	})
 
-	// Fields this package touches through sync/atomic.
-	var atomicFields []string
-	for _, f := range pkg.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			if call, ok := n.(*ast.CallExpr); ok {
-				for _, sym := range atomicCallFields(pkg.Info, call) {
-					addClass(&atomicFields, sym)
-				}
-			}
-			return true
-		})
-	}
-
-	pf := &PackageFacts{
-		Funcs:        make(map[string]*FuncFacts),
-		AtomicFields: atomicFields,
-	}
+	pf := &PackageFacts{Funcs: make(map[string]*FuncFacts)}
 	for fn, rf := range raw {
 		if rf.facts.isZero() {
 			continue
@@ -378,7 +339,7 @@ func scanCtxBgFact(pkg *Package, sup *suppressions, ci callInfo, call *ast.CallE
 			continue
 		}
 		switch {
-		case ci.kind == kindAcqPark || ci.kind == kindTicketSleep || ci.kind == kindLogicalAcq:
+		case ci.kind == kindAcqPark || ci.kind == kindTicketSleep:
 			facts.CtxBgWait = true
 			facts.CtxWhat = "context." + ctor + "() into " + callName(call)
 		case ci.kind == kindNone && ci.callee != nil:
@@ -391,63 +352,6 @@ func scanCtxBgFact(pkg *Package, sup *suppressions, ci callInfo, call *ast.CallE
 		}
 		return
 	}
-}
-
-// atomicCallFields returns the field symbols ("pkgpath.Type.field")
-// whose addresses call passes as the location of a package-level
-// sync/atomic function (atomic.AddUint64(&x.f, 1)) — the marks that
-// put a field into atomicfield's everywhere-atomic set. Only the first
-// argument counts: it is the address every sync/atomic function
-// operates on, while later pointer arguments (CompareAndSwapPointer's
-// old/new) and the value arguments of typed-atomic methods
-// (p.Store(&x.f)) are plain values, not atomic accesses of the field.
-func atomicCallFields(info *types.Info, call *ast.CallExpr) []string {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return nil
-	}
-	fn, _ := info.Uses[sel.Sel].(*types.Func)
-	if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "sync/atomic" {
-		return nil
-	}
-	if sig, ok := fn.Type().(*types.Signature); !ok || sig.Recv() != nil {
-		return nil // a typed-atomic method: the receiver is the location
-	}
-	if len(call.Args) == 0 {
-		return nil
-	}
-	if sym, _ := addrFieldSym(info, call.Args[0]); sym != "" {
-		return []string{sym}
-	}
-	return nil
-}
-
-// addrFieldSym matches an `&x.f` argument and returns f's field symbol
-// plus the selector node (so the access is not also counted as plain).
-func addrFieldSym(info *types.Info, arg ast.Expr) (string, *ast.SelectorExpr) {
-	ue, ok := ast.Unparen(arg).(*ast.UnaryExpr)
-	if !ok || ue.Op != token.AND {
-		return "", nil
-	}
-	se, ok := ast.Unparen(ue.X).(*ast.SelectorExpr)
-	if !ok {
-		return "", nil
-	}
-	return fieldSymbol(info, se), se
-}
-
-// fieldSymbol names a struct-field selection by full package path,
-// owner type, and field ("repro/internal/golc.Mutex.holdSeq").
-func fieldSymbol(info *types.Info, se *ast.SelectorExpr) string {
-	sel, ok := info.Selections[se]
-	if !ok || sel.Kind() != types.FieldVal {
-		return ""
-	}
-	owner := derefNamed(sel.Recv())
-	if owner == nil || owner.Obj().Pkg() == nil {
-		return ""
-	}
-	return owner.Obj().Pkg().Path() + "." + owner.Obj().Name() + "." + sel.Obj().Name()
 }
 
 func selectHasDefault(s *ast.SelectStmt) bool {

@@ -5,8 +5,8 @@ import (
 	"testing"
 )
 
-// TestCrossPackageNeedsFacts proves the crosspark/crossorder fixtures
-// are genuinely whole-program findings: without a loader (no facts for
+// TestCrossPackageNeedsFacts proves the crosspark fixtures are
+// genuinely whole-program findings: without a loader (no facts for
 // imports) the analyzers report nothing on the same roots.
 func TestCrossPackageNeedsFacts(t *testing.T) {
 	loader, err := NewLoader(".")
@@ -19,7 +19,6 @@ func TestCrossPackageNeedsFacts(t *testing.T) {
 		wantSub  string
 	}{
 		{"nestedpark", "internal/lint/testdata/src/crosspark/p", "may park"},
-		{"lockorder", "internal/lint/testdata/src/crossorder/b", "acquisition-order cycle"},
 	}
 	for _, tc := range cases {
 		analyzers, err := ByName(tc.analyzer)

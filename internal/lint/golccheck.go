@@ -17,10 +17,6 @@ func isGolcRuntimePkgPath(path string) bool {
 	return path == "repro/internal/golc/runtime" || strings.HasSuffix(path, "/internal/golc/runtime")
 }
 
-func isOltpPkgPath(path string) bool {
-	return path == "repro/internal/oltp" || strings.HasSuffix(path, "/internal/oltp")
-}
-
 func isWalPkgPath(path string) bool {
 	return path == "repro/internal/wal" || strings.HasSuffix(path, "/internal/wal")
 }
@@ -42,20 +38,7 @@ const (
 	// kindTicketSleep: runtime Ticket.Sleep — the slot-pool park
 	// primitive golc.Wait builds on.
 	kindTicketSleep
-	// kindLogicalAcq: a lock-manager logical acquisition (a method or
-	// function named "acquire" taking an oltp.ResourceID) — input to
-	// the partition→record hierarchy check.
-	kindLogicalAcq
 )
-
-// Logical hierarchy levels, ranked: an acquisition must never go up.
-const (
-	levelUnknown = -1
-	levelPart    = 0
-	levelRecord  = 1
-)
-
-var levelNames = [...]string{"partition", "record"}
 
 // callInfo is one classified call.
 type callInfo struct {
@@ -65,7 +48,6 @@ type callInfo struct {
 	read   bool        // RLock/RUnlock
 	name   string      // method/function name
 	callee *types.Func // resolved callee, when any (for summaries)
-	level  int         // logical hierarchy level for kindLogicalAcq
 }
 
 // matching release/acquire method-name pairs.
@@ -121,7 +103,7 @@ func isGolcLockType(t types.Type) bool {
 // classifyCall inspects one call and reports what it does to the lock
 // protocol, if anything.
 func classifyCall(info *types.Info, call *ast.CallExpr) callInfo {
-	ci := callInfo{kind: kindNone, call: call, level: levelUnknown}
+	ci := callInfo{kind: kindNone, call: call}
 	switch fun := call.Fun.(type) {
 	case *ast.SelectorExpr:
 		if sel, ok := info.Selections[fun]; ok && sel.Kind() == types.MethodVal {
@@ -141,110 +123,19 @@ func classifyCall(info *types.Info, call *ast.CallExpr) callInfo {
 			if n := derefNamed(recvT); n != nil && isGolcRuntimePkgPath(namedPkgPath(n)) &&
 				n.Obj().Name() == "Ticket" && ci.name == "Sleep" {
 				ci.kind = kindTicketSleep
-				return ci
-			}
-			if ci.name == "acquire" && takesResourceID(fn) {
-				ci.kind = kindLogicalAcq
-				ci.level = logicalLevel(info, call)
-				return ci
 			}
 			return ci
 		}
 		// Package-qualified function.
 		if fn, ok := info.Uses[fun.Sel].(*types.Func); ok {
 			ci.callee, ci.name = fn, fn.Name()
-			if ci.name == "acquire" && takesResourceID(fn) {
-				ci.kind = kindLogicalAcq
-				ci.level = logicalLevel(info, call)
-			}
 		}
 	case *ast.Ident:
 		if fn, ok := info.Uses[fun].(*types.Func); ok {
 			ci.callee, ci.name = fn, fn.Name()
-			if ci.name == "acquire" && takesResourceID(fn) {
-				ci.kind = kindLogicalAcq
-				ci.level = logicalLevel(info, call)
-			}
 		}
 	}
 	return ci
-}
-
-// takesResourceID reports whether fn has an oltp.ResourceID parameter —
-// the shape of a hierarchical lock-manager acquire.
-func takesResourceID(fn *types.Func) bool {
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok {
-		return false
-	}
-	for i := 0; i < sig.Params().Len(); i++ {
-		if n := derefNamed(sig.Params().At(i).Type()); n != nil &&
-			isOltpPkgPath(namedPkgPath(n)) && n.Obj().Name() == "ResourceID" {
-			return true
-		}
-	}
-	return false
-}
-
-// logicalLevel extracts the hierarchy level of a logical acquire's
-// ResourceID argument: a PartitionID/RecordID constructor call,
-// or a composite literal with a constant Level field. Unrecognized
-// shapes return levelUnknown and produce no ordering edge.
-func logicalLevel(info *types.Info, call *ast.CallExpr) int {
-	for _, arg := range call.Args {
-		t, ok := info.Types[arg]
-		if !ok {
-			continue
-		}
-		n := derefNamed(t.Type)
-		if n == nil || !isOltpPkgPath(namedPkgPath(n)) || n.Obj().Name() != "ResourceID" {
-			continue
-		}
-		switch e := ast.Unparen(arg).(type) {
-		case *ast.CallExpr:
-			name := ""
-			switch f := e.Fun.(type) {
-			case *ast.Ident:
-				name = f.Name
-			case *ast.SelectorExpr:
-				name = f.Sel.Name
-			}
-			switch name {
-			case "PartitionID":
-				return levelPart
-			case "RecordID":
-				return levelRecord
-			}
-		case *ast.CompositeLit:
-			for _, el := range e.Elts {
-				kv, ok := el.(*ast.KeyValueExpr)
-				if !ok {
-					continue
-				}
-				if k, ok := kv.Key.(*ast.Ident); !ok || k.Name != "Level" {
-					continue
-				}
-				switch v := ast.Unparen(kv.Value).(type) {
-				case *ast.Ident:
-					return levelByName(v.Name)
-				case *ast.SelectorExpr:
-					return levelByName(v.Sel.Name)
-				}
-			}
-		}
-		return levelUnknown
-	}
-	return levelUnknown
-}
-
-func levelByName(name string) int {
-	switch name {
-	case "LevelPartition":
-		return levelPart
-	case "LevelRecord":
-		return levelRecord
-	}
-	return levelUnknown
 }
 
 // displayFunc names fn for a report: bare name inside its own package,
@@ -274,12 +165,14 @@ func lockKeyOf(recv ast.Expr, read bool) string {
 	return types.ExprString(recv) + suffix
 }
 
-// classOf maps a lock receiver expression to its acquisition-order
-// class. Struct fields classify as "pkg.Type.field" (every kv shard
-// latch is one class); package-level vars as "pkg.var". Locals and
-// parameters return "" — a lock that reaches a function as an opaque
-// argument has no stable class, and guessing by type would fuse every
-// golc.Mutex in the program into one node.
+// classOf maps a lock receiver expression to its lock class: the name
+// an acquire or release helper's facts (HeldDelta, Releases) give the
+// lock across function boundaries. Struct fields classify as
+// "pkg.Type.field" (every kv shard latch is one class); package-level
+// vars as "pkg.var". Locals and parameters return "" — a lock that
+// reaches a function as an opaque argument has no stable class, and
+// guessing by type would pair every golc.Mutex release with any
+// helper's hold.
 func classOf(info *types.Info, recv ast.Expr) string {
 	switch e := ast.Unparen(recv).(type) {
 	case *ast.SelectorExpr:

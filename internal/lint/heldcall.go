@@ -38,7 +38,7 @@ func runHeldcall(pass *Pass) error {
 				if second || ci.callee == nil {
 					return
 				}
-				h, ok := firstPhysical(held)
+				h, ok := firstHeld(held)
 				if !ok {
 					return
 				}
@@ -62,7 +62,7 @@ func runHeldcall(pass *Pass) error {
 				if second {
 					return
 				}
-				if h, ok := firstPhysical(held); ok {
+				if h, ok := firstHeld(held); ok {
 					pass.Reportf(pos,
 						"%s while %s is held (acquired at line %d): a channel operation inside a critical section convoys every waiter behind the lock",
 						what, heldName(h), pass.Pkg.Fset.Position(h.pos).Line)

@@ -1,4 +1,4 @@
-// Package lint is lclint's analysis framework plus the six
+// Package lint is lclint's analysis framework plus the five
 // repo-specific analyzers that machine-check the lock runtime's
 // correctness invariants (see cmd/lclint):
 //
@@ -7,9 +7,6 @@
 //   - nestedpark: no potentially-parking acquisition while a golc lock
 //     is held — the runtime's "never park while holding" rule; TryLock
 //     is the sanctioned nested acquire.
-//   - lockorder: the static acquisition-order graph (golc lock classes
-//     plus oltp's partition→record logical hierarchy) must stay
-//     acyclic.
 //   - ctxlock: context-aware acquisition paths must not be fed
 //     context.Background()/TODO() when a real deadline/cancel context
 //     is in scope — a client's context cancels its own logical waits
@@ -17,12 +14,13 @@
 //   - heldcall: no blocking or alloc-heavy work (I/O, channel
 //     operations, time.Sleep, fmt printing to writers) inside a golc
 //     critical section.
-//   - atomicfield: a struct field touched via sync/atomic anywhere
-//     must be accessed atomically everywhere.
+//   - atomicfield: shared words are typed atomics (atomic.Int64, ...),
+//     never plain fields handed to sync/atomic's package-level
+//     functions.
 //
 // The analyzers are whole-program: per-package function summaries
-// (FuncFacts — parks?, lock-class touch set, held-set delta,
-// ctx-threading, blocking work; facts.go), and a Program resolves
+// (FuncFacts — parks?, held-set delta, ctx-threading, blocking work;
+// facts.go), and a Program resolves
 // facts for imported packages alongside their export data, from source
 // on demand and once per run — so a helper that parks three packages
 // away is still a parking call here.
@@ -66,16 +64,6 @@ type Analyzer struct {
 	// Run analyzes one package and reports findings through
 	// pass.Report.
 	Run func(pass *Pass) error
-
-	// Begin, when non-nil, resets any cross-package state before a
-	// whole-program run (lockorder accumulates its acquisition graph
-	// across packages).
-	Begin func()
-
-	// End, when non-nil, runs after every package has been analyzed
-	// and may report program-wide findings (e.g. lock-order cycles
-	// whose edges live in different packages).
-	End func(report func(Diagnostic))
 }
 
 // A Pass carries one package through one analyzer.
@@ -118,7 +106,7 @@ type Diagnostic struct {
 
 // All returns the full analyzer suite in reporting order.
 func All() []*Analyzer {
-	return []*Analyzer{Lockpair, Nestedpark, Lockorder, Ctxlock, Heldcall, Atomicfield}
+	return []*Analyzer{Lockpair, Nestedpark, Ctxlock, Heldcall, Atomicfield}
 }
 
 // ByName resolves a comma-separated analyzer list ("lockpair,ctxlock").

@@ -31,14 +31,14 @@ func runNestedpark(pass *Pass) error {
 				if ci.kind != kindAcqPark {
 					return
 				}
-				if h, ok := firstPhysical(held); ok {
+				if h, ok := firstHeld(held); ok {
 					pass.Reportf(ci.call.Pos(),
 						"%s may park while %s is held (acquired at line %d): use TryLock — never park while holding a golc lock",
 						ci.name, heldName(h), pass.Pkg.Fset.Position(h.pos).Line)
 				}
 			},
 			onPark: func(ci callInfo, held []heldLock, second bool) {
-				if h, ok := firstPhysical(held); ok {
+				if h, ok := firstHeld(held); ok {
 					pass.Reportf(ci.call.Pos(),
 						"%s parks while %s is held (acquired at line %d): never park while holding a golc lock",
 						ci.name, heldName(h), pass.Pkg.Fset.Position(h.pos).Line)
@@ -52,7 +52,7 @@ func runNestedpark(pass *Pass) error {
 				if ff == nil || !ff.Parks {
 					return
 				}
-				if h, ok := firstPhysical(held); ok {
+				if h, ok := firstHeld(held); ok {
 					pass.Reportf(ci.call.Pos(),
 						"call to %s may park (%s) while %s is held (acquired at line %d): never park while holding a golc lock",
 						displayFunc(ci.callee, ci.callee.Pkg() == pass.Pkg.Types), ff.ParkWhat,
@@ -64,13 +64,11 @@ func runNestedpark(pass *Pass) error {
 	return nil
 }
 
-func firstPhysical(held []heldLock) (heldLock, bool) {
-	for _, h := range held {
-		if !h.logical {
-			return h, true
-		}
+func firstHeld(held []heldLock) (heldLock, bool) {
+	if len(held) == 0 {
+		return heldLock{}, false
 	}
-	return heldLock{}, false
+	return held[0], true
 }
 
 func heldName(h heldLock) string {

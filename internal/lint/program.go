@@ -96,37 +96,6 @@ func (p *Program) FactsOf(fn *types.Func) *FuncFacts {
 	return pf.Funcs[symbolOf(fn)]
 }
 
-// atomicFieldsFor returns the union of AtomicFields facts over pkg's
-// module-internal transitive imports, mapping each field symbol to the
-// package that touches it atomically.
-func (p *Program) atomicFieldsFor(pkg *Package) map[string]string {
-	out := make(map[string]string)
-	seen := make(map[*types.Package]bool)
-	var visit func(t *types.Package)
-	visit = func(t *types.Package) {
-		if t == nil || seen[t] {
-			return
-		}
-		seen[t] = true
-		if p.moduleInternal(t.Path()) {
-			if pf := p.factsPkg(t.Path()); pf != nil {
-				for _, f := range pf.AtomicFields {
-					if _, ok := out[f]; !ok {
-						out[f] = t.Path()
-					}
-				}
-			}
-		}
-		for _, imp := range t.Imports() {
-			visit(imp)
-		}
-	}
-	for _, imp := range pkg.Types.Imports() {
-		visit(imp)
-	}
-	return out
-}
-
 // Run applies analyzers to the program's root packages and returns
 // surviving findings sorted by position: suppressed findings are
 // dropped, malformed suppressions are added (a //lint:allow with no
@@ -144,22 +113,12 @@ func (p *Program) Run(analyzers []*Analyzer) []Diagnostic {
 	collect := func(d Diagnostic) { diags = append(diags, d) }
 
 	for _, a := range analyzers {
-		if a.Begin != nil {
-			a.Begin()
-		}
-	}
-	for _, a := range analyzers {
 		for _, pkg := range p.pkgs {
 			pass := &Pass{Analyzer: a, Pkg: pkg, Prog: p, report: collect}
 			if err := a.Run(pass); err != nil {
 				collect(Diagnostic{Analyzer: a.Name, Pos: token.NoPos,
 					Message: fmt.Sprintf("internal error in %s: %v", pkg.ImportPath, err)})
 			}
-		}
-	}
-	for _, a := range analyzers {
-		if a.End != nil {
-			a.End(collect)
 		}
 	}
 

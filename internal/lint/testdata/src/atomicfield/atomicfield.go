@@ -1,6 +1,6 @@
 // Package atomicfield holds failing fixtures for the atomicfield
-// analyzer: fields touched through sync/atomic somewhere and plainly
-// elsewhere.
+// analyzer: plain words handed to sync/atomic's package-level
+// functions, called directly or taken as a function value.
 package atomicfield
 
 import "sync/atomic"
@@ -11,14 +11,15 @@ type counter struct {
 }
 
 func bump(c *counter) {
-	atomic.AddUint64(&c.n, 1)
+	atomic.AddUint64(&c.n, 1) // want `atomic\.AddUint64 on a plain word`
 }
 
 func read(c *counter) uint64 {
-	return c.n // want `plain access to .*atomicfield\.counter\.n`
+	return atomic.LoadUint64(&c.n) // want `atomic\.LoadUint64 on a plain word`
 }
 
 func reset(c *counter) {
-	c.n = 0 // want `plain access to .*atomicfield\.counter\.n`
 	c.hits = 0
+	store := atomic.StoreUint64 // want `atomic\.StoreUint64 on a plain word`
+	store(&c.n, 0)
 }

@@ -1,37 +1,26 @@
 // Package atomicfieldok holds clean fixtures for the atomicfield
-// analyzer: typed atomics (atomic everywhere by construction), fields
-// never touched atomically, and the sanctioned lock-protected seam
-// with its reasoned suppression — any finding here is a false positive.
+// analyzer: typed atomics (atomic everywhere by construction) and
+// fields never touched atomically — any finding here is a false
+// positive.
 package atomicfieldok
 
 import "sync/atomic"
 
-// Typed atomics cannot be accessed plainly; no bookkeeping needed.
 type gauge struct {
-	val atomic.Int64
-	buf int64 // plain everywhere
+	val  atomic.Int64
+	last atomic.Pointer[string]
+	cfg  atomic.Value
+	buf  int64 // plain everywhere
 }
 
-func set(g *gauge) { g.val.Store(1) }
+func set(g *gauge, s *string) {
+	g.val.Store(1)
+	g.last.Store(s)
+	g.cfg.Store(s)
+}
 
-func get(g *gauge) int64 { return g.val.Load() }
+func get(g *gauge) int64 { return g.val.Add(1) + g.val.Load() }
+
+func swap(g *gauge, old, new *string) bool { return g.last.CompareAndSwap(old, new) }
 
 func drain(g *gauge) { g.buf++ }
-
-// The lock-protected seam: the holder writes seq plainly (the lock
-// orders all writers), a sampler reads it atomically and re-checks.
-// The holder-side accesses carry the decision record.
-type seam struct {
-	seq uint64
-}
-
-func sample(s *seam) uint64 {
-	return atomic.LoadUint64(&s.seq)
-}
-
-func holderWrite(s *seam) {
-	//lint:allow atomicfield holder-side write ordered by the seam's lock; readers Load and re-check seq
-	s.seq++
-	//lint:allow atomicfield holder-side write ordered by the seam's lock; readers Load and re-check seq
-	s.seq++
-}

@@ -6,6 +6,7 @@ package nestedpark
 import (
 	"repro/internal/golc"
 	lcrt "repro/internal/golc/runtime"
+	"repro/internal/oltp"
 )
 
 type pair struct {
@@ -58,4 +59,19 @@ func seamWhileHolding(p *pair, pol golc.ContentionPolicy, h *lcrt.Handle, acq go
 	p.a.Lock()
 	defer p.a.Unlock()
 	golc.Wait(h, pol, acq) // want `call to golc\.Wait may park .* while p\.a is held`
+}
+
+// A lock-manager-shaped acquire is an ordinary call: whatever its name
+// and parameters, it parks if its body reaches a parking point.
+type mgr struct{ latch golc.Mutex }
+
+func (m *mgr) acquire(id oltp.ResourceID, mode oltp.Mode) {
+	m.latch.Lock()
+	m.latch.Unlock()
+}
+
+func acquireWhileHolding(outer *golc.Mutex, m *mgr) {
+	outer.Lock()
+	m.acquire(oltp.RecordID("t", 0, "k"), oltp.X) // want `call to mgr\.acquire may park \(Lock on m\.latch\) while outer is held`
+	outer.Unlock()
 }

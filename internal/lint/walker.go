@@ -8,10 +8,9 @@ import (
 
 // heldLock is one lock known to be held at a program point.
 type heldLock struct {
-	key       string    // intra-procedural identity (lockKeyOf); "" for logical and synthetic locks
-	class     string    // acquisition-order class (classOf / logical level); may be ""
+	key       string    // intra-procedural identity (lockKeyOf); "" for synthetic holds
+	class     string    // lock class (classOf); may be ""
 	read      bool      // reader-side hold
-	logical   bool      // oltp lock-manager logical lock, not a golc latch
 	synthetic bool      // injected from a callee's HeldDelta facts, not acquired here
 	name      string    // acquiring method name ("Lock", "TryLock", ...), or "call to f" for synthetic holds
 	pos       token.Pos // acquisition site
@@ -19,11 +18,11 @@ type heldLock struct {
 
 // hooks receives walker events. The `second` flag marks events from the
 // second pass over a loop body (the pass that exposes iteration-carried
-// holds); analyzers that would double-report ignore it, lockorder wants
-// it for self-edges.
+// holds); analyzers whose first-pass findings already cover it ignore
+// it.
 type hooks struct {
-	// onAcquire fires for every golc acquire (all kinds) and logical
-	// acquire, with the locks held *before* this acquisition.
+	// onAcquire fires for every golc acquire (all kinds), with the
+	// locks held *before* this acquisition.
 	onAcquire func(ci callInfo, held []heldLock, second bool)
 	// onPark fires for non-acquire park points (ticket Sleep).
 	onPark func(ci callInfo, held []heldLock, second bool)
@@ -107,8 +106,6 @@ func (s *walkState) exitHeld() []heldLock {
 	var out []heldLock
 	for _, h := range s.held {
 		switch {
-		case h.logical:
-			continue
 		case h.synthetic:
 			if s.deferredCls[h.class] {
 				continue
@@ -553,8 +550,8 @@ func (w *walker) condTry(cond ast.Expr, st *walkState) (ci callInfo, negated, is
 // loopBody analyzes a loop body twice: once from the entry state, once
 // from the merged after-one-iteration state. The second pass is what
 // exposes iteration-carried holds (a Lock in iteration i still held
-// when iteration i+1 acquires) to lockorder; its events are flagged so
-// other analyzers can skip them. Continue states (labeled or not)
+// when iteration i+1 acquires) to nestedpark; its events are flagged so
+// analyzers that would double-report can skip them. Continue states (labeled or not)
 // rejoin before the post statement; break states rejoin the fall-out
 // state. Returns true when the loop is a terminating statement (no
 // condition, no break out of it).
@@ -776,18 +773,8 @@ func (w *walker) exprArgsOnly(call *ast.CallExpr, st *walkState) {
 }
 
 func heldFromCall(info *types.Info, ci callInfo) heldLock {
-	h := heldLock{name: ci.name, read: ci.read, pos: ci.call.Pos()}
-	switch ci.kind {
-	case kindLogicalAcq:
-		h.logical = true
-		if ci.level >= 0 {
-			h.class = "oltp/" + levelNames[ci.level]
-		}
-	default:
-		h.key = lockKeyOf(ci.recv, ci.read)
-		h.class = classOf(info, ci.recv)
-	}
-	return h
+	return heldLock{name: ci.name, read: ci.read, pos: ci.call.Pos(),
+		key: lockKeyOf(ci.recv, ci.read), class: classOf(info, ci.recv)}
 }
 
 // fire dispatches one classified call against the current state.
@@ -804,11 +791,6 @@ func (w *walker) fire(ci callInfo, st *walkState) {
 		if w.hooks.onAcquire != nil {
 			w.hooks.onAcquire(ci, append([]heldLock(nil), st.held...), second)
 		}
-	case kindLogicalAcq:
-		if w.hooks.onAcquire != nil {
-			w.hooks.onAcquire(ci, append([]heldLock(nil), st.held...), second)
-		}
-		st.add(heldFromCall(w.info, ci))
 	case kindRelease:
 		if !st.releaseKey(lockKeyOf(ci.recv, ci.read)) {
 			// No textual acquire in this function: the release may pair
