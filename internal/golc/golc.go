@@ -5,10 +5,10 @@
 // The locks themselves are thin: ONE TATAS mutex (Mutex) and ONE
 // writer-preferring reader/writer variant (RWMutex), each waiting
 // under a swappable ContentionPolicy — Spin (uncontrolled baseline),
-// Block (spin-then-block on the shared slot pool), or LoadControlled,
-// the default (the paper's protocol: spinners interleave slot-buffer
-// checks into their spin loops and park when the controller says the
-// system is oversubscribed). Policies are selected by value
+// Block (spin-then-block on the lock's own parked list), or
+// LoadControlled, the default (the paper's protocol: spinners interleave
+// sleep-buffer checks into their spin loops and park when the controller
+// says the system is oversubscribed). Policies are selected by value
 // (WithPolicy) or by name (PolicyByName) and hot-swapped on live locks
 // (SetPolicy). Every contended wait of every lock is one call of Wait,
 // the single seam that runs the policy and records the wait. All
@@ -18,10 +18,12 @@
 //
 // All load-control policy state lives in the process-wide runtime
 // (internal/golc/runtime): one controller goroutine, one load sensor,
-// and one sleep-slot pool shared by every lock in the process, which
-// is the paper's central architectural claim. Locks register with a
-// Runtime at construction and receive a Handle carrying the protocol
-// and per-lock metrics.
+// and one sleep buffer (the paper's S and W counters) shared by every
+// lock in the process, which is the paper's central architectural
+// claim. Locks register with a Runtime at construction and receive a
+// Handle carrying the protocol, the lock's parked waiters under the
+// Handle's own mutex, and per-lock metrics; no park takes a
+// process-wide lock.
 //
 // The adaptation: the paper's controller compares the OS's runnable
 // threads with the hardware contexts, read via microstate accounting.
@@ -31,8 +33,8 @@
 // signal) plus OS threads runnable beyond the CPUs (/proc/loadavg; 0
 // where there is none). The sign of that load sets the sleep target:
 // with no excess load it is at most the waiters already asleep, so lc
-// is a spinlock; with excess load it is the whole slot pool, so lc
-// parks every waiter past its grace spin, as Block does. A runtime
+// is a spinlock; with excess load it is its maximum, so lc parks every
+// waiter past its grace spin, as Block does. A runtime
 // LoadFunc replaces the sensor in tests.
 package golc
 

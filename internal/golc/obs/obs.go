@@ -58,7 +58,7 @@ type Recorder struct {
 
 	// Wait is time from first failed acquire attempt to acquisition;
 	// Hold is time from (sampled) acquisition to release; Park is time
-	// actually spent asleep in the slot pool, one observation per park.
+	// actually spent parked, one observation per park.
 	Wait *Histogram
 	Hold *Histogram
 	Park *Histogram

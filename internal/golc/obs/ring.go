@@ -12,7 +12,7 @@ type EventType uint8
 
 const (
 	// Lock/runtime events.
-	EvPark           EventType = iota // a waiter claimed a sleep slot (Name: lock)
+	EvPark           EventType = iota // a waiter made a voluntary sleep claim (Name: lock)
 	EvWake                            // a park ended (Name: lock, Label: who woke it, Dur: time asleep)
 	EvForcedClaim                     // an unconditional park claim — blocking policies (Name: lock)
 	EvPolicySwap                      // a lock's contention policy was hot-swapped (Name: lock, Label: new policy)

@@ -26,14 +26,14 @@ type ContentionPolicy uint8
 //     spin, then waiters claim against the controller's sleep target —
 //     the paper's augmented-spinlock client protocol (§3.1.2). With no
 //     excess load the target admits no claim and it is Spin; while the
-//     sensor reads excess load the target is the whole slot pool and it
+//     sensor reads excess load the target is at its maximum and it
 //     parks as promptly as Block. It switches on the load's sign.
 //   - Spin never parks: the uncontrolled baseline, the paper's "what
 //     collapses under oversubscription" comparison.
 //   - Block parks whenever it can: the same grace spin (short holds
-//     resolve in well under it), then an unconditional sleep-slot
-//     claim, relying on the unlock-side wake for handoff. This is the
-//     classic spin-then-block lock, built from the same slot pool.
+//     resolve in well under it), then an unconditional sleep claim,
+//     relying on the unlock-side wake for handoff. This is the classic
+//     spin-then-block lock, parked on the same per-lock lists.
 const (
 	LoadControlled ContentionPolicy = iota
 	Spin
@@ -72,7 +72,7 @@ type Acquire struct {
 	Try func() bool
 
 	// Free reports whether the lock looks acquirable right now. Wait
-	// consults it after claiming a sleep slot and before sleeping: if
+	// consults it after claiming sleep and before sleeping: if
 	// the holder released in between (and saw the claim), parking would
 	// strand the unlock-side wake, so the claim is cancelled and the
 	// waiter goes to take the free lock instead.

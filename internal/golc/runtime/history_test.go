@@ -35,10 +35,10 @@ func TestHistoryIntervalQuantiles(t *testing.T) {
 	if len(recs) != 1 || len(recs[0].Locks) != 1 {
 		t.Fatalf("after one tick: %d records, locks=%v", len(recs), recs)
 	}
-	if r := recs[0]; r.Target != len(rt.slots) || r.Load != snap.Load || r.Load < 2 ||
+	if r := recs[0]; r.Target != maxTarget || r.Load != snap.Load || r.Load < 2 ||
 		r.RunQueue != snap.RunQueue || r.OSExcess != 2 {
 		t.Fatalf("record target/load/runq/os = %d/%d/%v/%d, want %d/%d/%v/2 from the tick",
-			r.Target, r.Load, r.RunQueue, r.OSExcess, len(rt.slots), snap.Load, snap.RunQueue)
+			r.Target, r.Load, r.RunQueue, r.OSExcess, maxTarget, snap.Load, snap.RunQueue)
 	}
 	lt := recs[0].Locks[0]
 	if lt.Name != "hist-lock" || lt.Waits != 100 {

@@ -1,35 +1,41 @@
 // Package runtime is the process-wide load-control runtime: one
-// controller goroutine, one load sensor, and one shared sleep-slot pool
-// governing every load-controlled lock in the process.
+// controller goroutine, one load sensor, and one sleep buffer — the
+// paper's S and W counters — governing every load-controlled lock in
+// the process.
 //
 // This is the paper's core architectural claim made concrete: contention
 // management is decoupled from scheduling by a single per-process load
 // controller, so adding a lock never adds a controller. Locks register
 // with a Runtime and receive a Handle; the Handle carries the lock's
-// side of the protocol (spinner census, slot claims, parking, the
-// unlock-side wake) and its per-lock metrics, which contended waits
+// side of the protocol (spinner count, sleep claims, its parked list,
+// the unlock-side wake) and its per-lock metrics, which contended waits
 // reach through one bracket — Handle.BeginWait, Waiting.End — held by
 // one caller, golc.Wait. The controller
 // periodically reads the load sensor — runnable goroutines waiting for
 // a P plus OS threads runnable beyond the CPUs (see sensor), or a
 // custom LoadFunc — and publishes a sleep target T. Under the default
 // sensor the sign of the load decides, not its magnitude: while it
-// reads excess load T is the whole slot pool, so every waiter past its
-// grace parks; otherwise T = load + sleeping, which admits no new claim
-// at zero load and wakes −load sleepers below it. A LoadFunc is
-// published as it stands. Spinning waiters claim sleep slots against T
-// exactly as in the paper (S/W counters, immediate controller wakes on
-// underload, a safety timeout). Outside the Stop drain a park ends in
-// one of three ways — a controller wake, the lock's unlock wake, or the
-// timeout — and never on cancellation: physical waits are uncancellable
-// by design. The spinner census is not an input: it only tells an
-// unlocker whether an awake waiter is left (NoteUnlock), and is
+// reads excess load T is maxTarget, so every waiter past its grace
+// parks; otherwise T = load + sleeping, which admits no new claim at
+// zero load and wakes −load sleepers below it. A LoadFunc is published
+// as it stands. Spinning waiters claim sleep against T exactly as in
+// the paper (S/W counters, immediate controller wakes on underload, a
+// safety timeout). Outside the Stop drain a park ends in one of three
+// ways — a controller wake, the lock's unlock wake, or the timeout —
+// and never on cancellation: physical waits are uncancellable by
+// design. The spinner counts are not an input: they only tell an
+// unlocker whether an awake waiter is left (NoteUnlock), and are
 // reported.
+//
+// No park takes a process-wide lock. A sleeper lives only on its own
+// lock's parked list, under that Handle's mutex; S and W are the only
+// state every park shares. The controller finds sleepers through the
+// lock registry.
 //
 // Most programs use the shared Default() runtime; tests and benchmarks
 // construct private ones with New.
 //
-// Two properties of the shared pool to know about:
+// Two properties of the shared buffer to know about:
 //
 //   - A lock whose waiters have all parked is not stranded until the
 //     safety timeout. Each Handle tracks its own parked waiters, and
@@ -44,8 +50,8 @@
 //     Handle becomes unreachable, whichever comes first: registry
 //     entries are weak pointers with a GC cleanup, so transient locks
 //     created without a Close cannot grow the registry without bound.
-//     Close remains the prompt, deterministic path (metrics disappear
-//     immediately); GC collection is the backstop for code that forgot.
+//     Close hides the lock from Snapshot at once; only the GC cleanup
+//     removes its entry, so the Stop drain still reaches its sleepers.
 package runtime
 
 import (
@@ -78,8 +84,9 @@ type Options struct {
 	LoadFunc LoadFunc
 }
 
-// poolSize is the physical sleep-slot array size.
-const poolSize = 1024
+// maxTarget clamps the sleep target: the target the default sensor
+// publishes under overload.
+const maxTarget = 1024
 
 func (o Options) withDefaults() Options {
 	if o.Interval == 0 {
@@ -95,7 +102,7 @@ func (o Options) withDefaults() Options {
 type LockStats struct {
 	Name             string
 	Spins            uint64 // spin-loop iterations while waiting
-	Blocks           uint64 // slot claims, each of which parks a waiter
+	Blocks           uint64 // sleep claims, each of which parks a waiter
 	ControllerWakes  uint64 // parks ended by a controller wake
 	TimeoutWakes     uint64 // parks ended by the safety timeout
 	TimeoutWakesFree uint64 // of those, wakes whose waiter then found the lock free: a missed wake, or a release racing the timeout
@@ -137,16 +144,16 @@ type Snapshot struct {
 	TimeoutWakesFree uint64 // timeout wakes that found the lock free (see LockStats)
 	UnlockWakes      uint64
 	Cancels          uint64 // claims retired unused (lock freed before the park)
-	SlotRejects      uint64 // claims refused because no slot was free
+	SlotRejects      uint64 // always 0: there is no slot array to fill (kept for lcperf)
 	ClaimRefusals    uint64 // voluntary claims refused by the target test (sleeping ≥ Target)
-	Spinners         int    // waiters spinning now: reported, not a controller input
+	Spinners         int    // waiters spinning now, summed over Locks: reported, not a controller input
 	Sleeping         int
-	Target           int // the published sleep target, after clamping to [0, poolSize]
+	Target           int // the published sleep target, after clamping to [0, maxTarget]
 	LocksRegistered  int
 
 	// The last controller tick's inputs — why Target is what it is.
 	// The default sensor sets Load = floor(RunQueue) + OSExcess and
-	// targets the whole pool (poolSize) while Load > 0, Load + sleeping
+	// targets maxTarget while Load > 0, Load + sleeping
 	// otherwise, so under overload Target saturates and only these
 	// inputs say how overloaded; under a LoadFunc, Load is its return
 	// value and the other two are zero.
@@ -157,24 +164,23 @@ type Snapshot struct {
 
 	// Global latency distributions, across every lock of the runtime.
 	// WaitHist/HoldHist aggregate what the per-lock histograms record;
-	// ParkHist is time actually spent asleep in the slot pool.
+	// ParkHist is time actually spent parked, claim to retirement.
 	WaitHist obs.HistSnapshot
 	HoldHist obs.HistSnapshot
 	ParkHist obs.HistSnapshot
 }
 
 // sleeper is one parked waiter: a channel closed by whichever wake path
-// (controller, unlock, timeout drain) gets there first. idx is its slot
-// in the pool; hpos is its position in its handle's parked list. All
-// fields after ch are maintained under Runtime.mu. forced marks a claim
-// made through ClaimForced: it bypasses the sleep target and is
-// excluded from the S/W counters (the controller neither asked for it
-// nor may wake it — only the lock's own unlock, the safety timeout, or
-// the Stop drain end it). gone flips when some wake path detaches the
-// sleeper, so racing paths settle who consumed it.
+// (controller, unlock, timeout drain) gets there first. hpos is its
+// position in its handle's parked list; hpos, gone and wake are
+// maintained under h.mu. forced marks a claim made through ClaimForced:
+// it bypasses the sleep target and is excluded from the S/W counters
+// (the controller neither asked for it nor may wake it — only the
+// lock's own unlock, the safety timeout, or the Stop drain end it).
+// gone flips when some wake path detaches the sleeper, so racing paths
+// settle who consumed it.
 type sleeper struct {
 	ch     chan struct{}
-	idx    int
 	h      *Handle
 	hpos   int
 	forced bool
@@ -182,8 +188,8 @@ type sleeper struct {
 	// t0 is the recorder stamp taken at claim time (0 when the
 	// recorder was disabled); the sleeper's own goroutine reads it
 	// after waking to record park duration. wake identifies which path
-	// ended the park; written under Runtime.mu by the waker, read
-	// under mu by the woken goroutine.
+	// ended the park; written under h.mu by the waker, read under h.mu
+	// by the woken goroutine.
 	t0   int64
 	wake uint8
 }
@@ -199,16 +205,12 @@ const (
 var wakeLabels = [...]string{wakeNone: "", wakeByController: "controller", wakeByUnlock: "unlock", wakeByDrain: "drain"}
 
 // Runtime owns the controller goroutine, the load sensor, and the
-// sleep-slot pool shared by every registered lock.
+// S/W sleep buffer shared by every registered lock.
 type Runtime struct {
 	opts Options
 
 	// rec is the runtime's flight recorder.
 	rec *obs.Recorder
-
-	// spinners is the process-wide census of goroutines currently
-	// spinning in a registered lock.
-	spinners atomic.Int64
 
 	// target is the published sleep target T. tickRunQueue (float64
 	// bits), tickOSExcess and tickLoad are the inputs of the controller
@@ -218,33 +220,28 @@ type Runtime struct {
 	tickOSExcess atomic.Int64
 	tickLoad     atomic.Int64
 
-	// s and w are the paper's S and W counters; s-w is the sleeper
-	// population (see sleeping for the required read order). Reads are
-	// lock-free (the spinner fast path); all mutations take mu.
+	// s and w are the paper's S and W counters; s-w is the voluntary
+	// sleeper population (see sleeping for the required read order). A
+	// voluntary claim advances s by CAS against the target (admit); its
+	// retirement bumps w. No lock guards either.
 	s, w atomic.Uint64
 
-	mu    sync.Mutex
-	slots []*sleeper
-	scan  int // wake cursor: where wakeOne resumes its scan
-	place int // claim cursor: where trySleep resumes its free-slot scan
-
-	// locks is the weak metrics registry: entries do not keep a Handle
+	// locks is the weak lock registry: entries do not keep a Handle
 	// alive. A weak.Pointer is a stable, comparable proxy for its
 	// Handle, so it can key the set while the Handle remains
 	// collectable; dead entries are removed by each Handle's GC cleanup
-	// and opportunistically pruned by Snapshot.
+	// and opportunistically pruned by Snapshot. The controller wake
+	// finds sleepers through it.
 	regMu sync.Mutex
 	locks map[weak.Pointer[Handle]]struct{}
 
 	updates          atomic.Uint64
-	claims           atomic.Uint64
 	forcedClaims     atomic.Uint64
 	controllerWakes  atomic.Uint64
 	timeoutWakes     atomic.Uint64
 	timeoutWakesFree atomic.Uint64
 	unlockWakes      atomic.Uint64
 	cancels          atomic.Uint64
-	slotRejects      atomic.Uint64
 	claimRefusals    atomic.Uint64
 
 	started  atomic.Bool
@@ -259,7 +256,6 @@ func New(opts Options) *Runtime {
 	return &Runtime{
 		opts:  opts.withDefaults(),
 		rec:   obs.NewRecorder(),
-		slots: make([]*sleeper, poolSize),
 		locks: make(map[weak.Pointer[Handle]]struct{}),
 		stop:  make(chan struct{}),
 		done:  make(chan struct{}),
@@ -310,10 +306,11 @@ func (r *Runtime) Start() {
 }
 
 // Stop terminates the controller and wakes every sleeper — forced
-// parks included. Safe to call more than once, and safe on a runtime
-// that was never started. After Stop, new forced claims are refused
-// (their callers fall back to spinning), so no waiter can park on a
-// runtime with nobody left to wake it.
+// parks and the parks of Closed locks included. Safe to call more than
+// once, and safe on a runtime that was never started. After Stop, new
+// claims of both kinds are refused (their callers fall back to
+// spinning), so no waiter can park on a runtime with nobody left to
+// wake it.
 func (r *Runtime) Stop() {
 	r.stopping.Store(true)
 	r.stopOnce.Do(func() { close(r.stop) })
@@ -340,27 +337,25 @@ func (r *Runtime) Register(name string) *Handle {
 		wait: obs.NewHistogram(2),
 		hold: obs.NewHistogram(2),
 	}
-	h.self = weak.Make(h)
+	wp := weak.Make(h)
 	r.regMu.Lock()
-	r.locks[h.self] = struct{}{}
+	r.locks[wp] = struct{}{}
 	r.regMu.Unlock()
 	// The cleanup receives the weak pointer, not h (AddCleanup forbids
-	// the argument keeping ptr reachable). Running it after an explicit
-	// Close is a harmless double delete.
-	goruntime.AddCleanup(h, func(wp weak.Pointer[Handle]) { r.unregister(wp) }, h.self)
+	// the argument keeping ptr reachable). It is the only delete: a
+	// Closed handle stays listed, hidden, while it can still park.
+	goruntime.AddCleanup(h, func(wp weak.Pointer[Handle]) {
+		r.regMu.Lock()
+		delete(r.locks, wp)
+		r.regMu.Unlock()
+	}, wp)
 	return h
 }
 
-// unregister detaches a registry entry (Handle.Close or GC cleanup).
-func (r *Runtime) unregister(wp weak.Pointer[Handle]) {
-	r.regMu.Lock()
-	delete(r.locks, wp)
-	r.regMu.Unlock()
-}
-
-// sleeping returns the current sleeper population S-W. W must be
-// loaded before S: claims increment S and retirements increment W, and
-// W never passes S, so loading W first can only transiently overcount.
+// sleeping returns the current voluntary sleeper population S-W. W
+// must be loaded before S: claims increment S and retirements increment
+// W, and W never passes S, so loading W first can only transiently
+// overcount.
 // Loading S first races a concurrent retirement into a wrapped uint64
 // difference — a bogus huge Sleeping.
 func (r *Runtime) sleeping() int {
@@ -374,16 +369,14 @@ func (r *Runtime) sleeping() int {
 func (r *Runtime) Snapshot() Snapshot {
 	snap := Snapshot{
 		Updates:          r.updates.Load(),
-		Claims:           r.claims.Load(),
+		Claims:           r.s.Load(),
 		ForcedClaims:     r.forcedClaims.Load(),
 		ControllerWakes:  r.controllerWakes.Load(),
 		TimeoutWakes:     r.timeoutWakes.Load(),
 		TimeoutWakesFree: r.timeoutWakesFree.Load(),
 		UnlockWakes:      r.unlockWakes.Load(),
 		Cancels:          r.cancels.Load(),
-		SlotRejects:      r.slotRejects.Load(),
 		ClaimRefusals:    r.claimRefusals.Load(),
-		Spinners:         int(r.spinners.Load()),
 		Sleeping:         r.sleeping(),
 		Target:           int(r.target.Load()),
 		RunQueue:         math.Float64frombits(r.tickRunQueue.Load()),
@@ -394,15 +387,19 @@ func (r *Runtime) Snapshot() Snapshot {
 	for wp := range r.locks {
 		h := wp.Value()
 		if h == nil {
-			// Collected before its cleanup ran: prune now so
-			// LocksRegistered counts only live locks.
+			// Collected before its cleanup ran: prune it now.
 			delete(r.locks, wp)
 			continue
 		}
-		snap.Locks = append(snap.Locks, h.Stats())
+		if h.closed.Load() {
+			continue
+		}
+		ls := h.Stats()
+		snap.Spinners += int(ls.SpinningNow)
+		snap.Locks = append(snap.Locks, ls)
 	}
-	snap.LocksRegistered = len(r.locks)
 	r.regMu.Unlock()
+	snap.LocksRegistered = len(snap.Locks)
 	snap.WaitHist = r.rec.Wait.Snapshot()
 	snap.HoldHist = r.rec.Hold.Snapshot()
 	snap.ParkHist = r.rec.Park.Snapshot()
@@ -452,7 +449,7 @@ func (r *Runtime) update(sens *sensor) {
 			// of spinners inside one tick, and admitting only load more
 			// sleepers per tick leaves most of them spinning through it.
 			// Overloaded, every waiter past its grace parks, as under Block.
-			t = len(r.slots)
+			t = maxTarget
 		} else {
 			// Current sleepers count against the budget — they would be
 			// load if they woke — so zero load admits no new claim and
@@ -475,25 +472,15 @@ func (r *Runtime) update(sens *sensor) {
 
 // setTarget publishes T and wakes surplus sleepers immediately.
 func (r *Runtime) setTarget(t int) {
-	if t < 0 {
-		t = 0
-	}
-	if t > len(r.slots) {
-		t = len(r.slots)
-	}
+	t = min(max(t, 0), maxTarget)
 	r.target.Store(int64(t))
 	if t == 0 {
-		// Wake until the pool is verifiably empty. Stop relies on
-		// this: a claim racing the store above either completes its
-		// slot insert under mu before a wakeOne scan (which then
-		// finds it) or fails its target re-check under mu. There is
-		// no herd to avoid — at target zero every sleeper must wake.
-		// Forced sleepers are drained only when the runtime is
-		// stopping: a routine target-zero tick must not turn blocking
-		// policies into 2ms polls.
-		drain := r.stopping.Load()
-		for r.wakeOne(drain) {
-		}
+		// Wake every sleeper: at target zero there is no herd to avoid.
+		// Forced sleepers are drained only when the runtime is stopping:
+		// a routine target-zero tick must not turn blocking policies
+		// into 2ms polls. One pass is the whole Stop drain, because a
+		// claim racing it is refused (see trySleep).
+		r.wake(math.MaxInt, r.stopping.Load())
 		return
 	}
 	// Wake exactly the surplus, computed once: a woken sleeper only
@@ -501,24 +488,19 @@ func (r *Runtime) setTarget(t int) {
 	// would count it as still asleep and a small target decrease
 	// would stampede every sleeper awake. A claim racing a decrease
 	// is healed by the next controller tick.
-	excess := r.sleeping() - t
-	for i := 0; i < excess; i++ {
-		if !r.wakeOne(false) {
-			break
-		}
+	if excess := r.sleeping() - t; excess > 0 {
+		r.wake(excess, false)
 	}
 }
 
-// detach removes s from the slot pool and from its handle's parked
-// list, reporting whether s was still attached (false means another
-// wake path already consumed it). Caller holds mu.
-func (r *Runtime) detach(s *sleeper) bool {
+// detach takes s off h's parked list, reporting whether s was still
+// attached (false means another wake path already consumed it). Caller
+// holds h.mu.
+func (h *Handle) detach(s *sleeper) bool {
 	if s.gone {
 		return false
 	}
 	s.gone = true
-	r.slots[s.idx] = nil
-	h := s.h
 	last := len(h.parked) - 1
 	moved := h.parked[last]
 	h.parked[s.hpos] = moved
@@ -529,54 +511,65 @@ func (r *Runtime) detach(s *sleeper) bool {
 	return true
 }
 
-// wakeOne scans for an occupied slot, clears it and signals the
-// sleeper. Forced sleepers are skipped unless drain is set (the Stop
-// drain): the controller never asked them to sleep, so it has no
-// business waking them early.
-func (r *Runtime) wakeOne(drain bool) bool {
-	r.mu.Lock()
-	n := len(r.slots)
-	for i := 0; i < n; i++ {
-		idx := (r.scan + i) % n
-		if s := r.slots[idx]; s != nil {
+// wake detaches and signals up to n sleepers, one registered lock at a
+// time. regMu is held only to list the locks with parked waiters,
+// Closed ones included. Forced sleepers are skipped unless drain is set
+// (the Stop drain): the controller never asked them to sleep, so it has
+// no business waking them early.
+func (r *Runtime) wake(n int, drain bool) {
+	if !drain && r.sleeping() == 0 {
+		return // no voluntary sleeper: the idle tick
+	}
+	var hs []*Handle
+	r.regMu.Lock()
+	for wp := range r.locks {
+		if h := wp.Value(); h != nil && h.sleepers.Load() > 0 {
+			hs = append(hs, h)
+		}
+	}
+	r.regMu.Unlock()
+	for _, h := range hs {
+		h.mu.Lock()
+		// Backwards, so detach's swap-with-last only moves a sleeper
+		// this loop has already passed.
+		for i := len(h.parked) - 1; i >= 0 && n > 0; i-- {
+			s := h.parked[i]
 			if s.forced && !drain {
 				continue
 			}
-			if s.forced {
-				s.wake = wakeByDrain
-			} else {
-				s.wake = wakeByController
-			}
-			r.detach(s)
-			r.scan = (idx + 1) % n
-			r.mu.Unlock()
+			h.detach(s)
+			n--
 			// A drained forced sleeper is shutdown bookkeeping, not a
 			// controller decision: counting it as a ControllerWakes
 			// would contradict the forced-claim semantics ("the
 			// controller may not wake it") and skew the wake split.
-			if !s.forced {
+			if s.forced {
+				s.wake = wakeByDrain
+			} else {
+				s.wake = wakeByController
 				r.controllerWakes.Add(1)
-				s.h.controllerWakes.Add(1)
+				h.controllerWakes.Add(1)
 			}
 			close(s.ch)
-			return true
+		}
+		h.mu.Unlock()
+		if n == 0 {
+			return
 		}
 	}
-	r.mu.Unlock()
-	return false
 }
 
 // wakeHandle is the unlock-side wake: it signals one of h's parked
 // waiters (never the one holding the except claim, when given —
 // a waiter that is itself committed to parking must not wake its own
-// slot, or the wake is wasted on an immediate no-op sleep). Unlike
+// claim, or the wake is wasted on an immediate no-op sleep). Unlike
 // controller wakes it does not consult the target — the lock is free
 // and someone must go get it. The woken sleeper retires normally
-// (W++), so the pool opens a slot that another lock's spinner may
-// claim: the awake-waiter floor transfers the sleep quota rather than
-// shrinking the sleeping population the controller asked for.
+// (W++), which opens room under the target that another lock's spinner
+// may claim: the awake-waiter floor transfers the sleep quota rather
+// than shrinking the sleeping population the controller asked for.
 func (r *Runtime) wakeHandle(h *Handle, except *sleeper) bool {
-	r.mu.Lock()
+	h.mu.Lock()
 	var s *sleeper
 	for _, cand := range h.parked {
 		if cand != except {
@@ -585,31 +578,31 @@ func (r *Runtime) wakeHandle(h *Handle, except *sleeper) bool {
 		}
 	}
 	if s == nil {
-		r.mu.Unlock()
+		h.mu.Unlock()
 		return false
 	}
 	s.wake = wakeByUnlock
-	r.detach(s)
-	r.mu.Unlock()
+	h.detach(s)
+	h.mu.Unlock()
 	r.unlockWakes.Add(1)
 	h.unlockWakes.Add(1)
 	close(s.ch)
 	return true
 }
 
-// wakeAllHandle detaches every parked waiter of h under one mu hold and
-// signals them after it: group notification (a wal commit group reaches
-// 60 waiters) for one lock round-trip instead of one per waiter.
+// wakeAllHandle detaches every parked waiter of h under one h.mu hold
+// and signals them after it: group notification (a wal commit group
+// reaches 60 waiters) for one lock round-trip instead of one per waiter.
 func (r *Runtime) wakeAllHandle(h *Handle) int {
-	r.mu.Lock()
+	h.mu.Lock()
 	woken := make([]*sleeper, 0, len(h.parked))
 	for len(h.parked) > 0 {
 		s := h.parked[len(h.parked)-1]
 		s.wake = wakeByUnlock
-		r.detach(s)
+		h.detach(s)
 		woken = append(woken, s)
 	}
-	r.mu.Unlock()
+	h.mu.Unlock()
 	r.unlockWakes.Add(uint64(len(woken)))
 	h.unlockWakes.Add(uint64(len(woken)))
 	for _, s := range woken {
@@ -618,70 +611,80 @@ func (r *Runtime) wakeAllHandle(h *Handle) int {
 	return len(woken)
 }
 
-// trySleep attempts the spinner-side slot claim for h. In the normal
-// (voluntary) form it returns nil when the target leaves no openings
-// (the common fast path: three atomic loads and the ClaimRefusals
-// count). The physical slot is found by scanning from the claim
-// cursor, so holes left by out-of-order wakes are always usable. Under
-// overload the target is the whole pool, so voluntary claims can
-// honestly fill it, and forced claims can too (a blocking policy's
-// claims are unconditional); a claim refused on the target counts in
-// ClaimRefusals, one that found no free slot in SlotRejects.
+// admit is the voluntary claim's target test: it advances S while the
+// sleeper population S−W is under the target, and reports whether it
+// did.
+func (r *Runtime) admit() bool {
+	for {
+		w := r.w.Load() // before S, as in sleeping
+		s := r.s.Load()
+		if int64(s-w) >= r.target.Load() {
+			return false
+		}
+		if r.s.CompareAndSwap(s, s+1) {
+			return true
+		}
+	}
+}
+
+// trySleep attempts the spinner-side sleep claim for h. In the
+// voluntary form it returns nil when the target leaves no openings (the
+// common refusal: three atomic loads and the ClaimRefusals count).
+// Under overload the target is maxTarget, so voluntary claims are
+// admitted as freely as forced ones.
 //
 // The forced form (blocking policies) skips the target test entirely:
 // the waiter parks because its policy always parks, not because the
 // controller asked. Forced claims stay out of the S/W counters — the
-// controller's sleeping population is only what it ordered asleep —
-// and are refused once the runtime is stopping, so a late parker
-// cannot miss the Stop drain.
+// controller's sleeping population is only what it ordered asleep.
+//
+// Both forms re-check stopping under h.mu after counting the claim in
+// h.sleepers. Stop stores stopping before its drain lists the locks
+// with sleepers, so a racing claim either sees stopping and is refused
+// or is listed, and then found under h.mu. A voluntary claim refused
+// there has already advanced S, so it retires as a Cancel.
 func (r *Runtime) trySleep(h *Handle, forced bool) *sleeper {
-	if !forced && int64(r.sleeping()) >= r.target.Load() {
+	if !forced && !r.admit() {
 		r.claimRefusals.Add(1)
 		return nil
 	}
-	r.mu.Lock()
-	if forced {
-		if r.stopping.Load() {
-			r.mu.Unlock()
-			return nil
+	s := &sleeper{ch: make(chan struct{}), h: h, forced: forced}
+	h.mu.Lock()
+	h.sleepers.Add(1)
+	if r.stopping.Load() {
+		h.sleepers.Add(-1)
+		h.mu.Unlock()
+		if !forced {
+			r.cancels.Add(1)
+			r.w.Add(1)
 		}
-	} else if int64(r.sleeping()) >= r.target.Load() {
-		r.claimRefusals.Add(1)
-		r.mu.Unlock()
 		return nil
 	}
-	n := len(r.slots)
-	idx := -1
-	for i := 0; i < n; i++ {
-		if j := (r.place + i) % n; r.slots[j] == nil {
-			idx = j
-			break
-		}
-	}
-	if idx < 0 {
-		r.slotRejects.Add(1)
-		r.mu.Unlock()
-		return nil
-	}
-	r.place = (idx + 1) % n
-	s := &sleeper{ch: make(chan struct{}), idx: idx, h: h, forced: forced}
-	r.slots[idx] = s
 	s.hpos = len(h.parked)
 	h.parked = append(h.parked, s)
-	h.sleepers.Add(1)
+	h.mu.Unlock()
 	if forced {
 		r.forcedClaims.Add(1)
-	} else {
-		r.s.Add(1)
-		r.claims.Add(1)
 	}
-	r.mu.Unlock()
 	return s
 }
 
-// sleep parks until a wake or the timeout, then retires from the
-// buffer (W++ for voluntary claims), clearing its own slot on the
-// timeout path. It reports whether the park ended on the timeout.
+// retire takes s off its lock's parked list unless a wake path already
+// did, reporting whether it did, and retires the claim from the buffer
+// (W++ for voluntary claims).
+func (r *Runtime) retire(s *sleeper) bool {
+	h := s.h
+	h.mu.Lock()
+	detached := h.detach(s)
+	h.mu.Unlock()
+	if !s.forced {
+		r.w.Add(1)
+	}
+	return detached
+}
+
+// sleep parks until a wake or the timeout, then retires. It reports
+// whether the park ended on the timeout.
 func (r *Runtime) sleep(s *sleeper) (timedOut bool) {
 	timer := time.NewTimer(r.opts.SleepTimeout)
 	select {
@@ -689,21 +692,16 @@ func (r *Runtime) sleep(s *sleeper) (timedOut bool) {
 	case <-timer.C:
 	}
 	timer.Stop()
+	timedOut = r.retire(s)
 	reason := "timeout"
-	r.mu.Lock()
-	if r.detach(s) {
-		timedOut = true
+	if timedOut {
 		r.timeoutWakes.Add(1)
 		s.h.timeoutWakes.Add(1)
 	} else {
 		// Someone woke this sleeper; s.wake (written by the waker
-		// under mu) says who.
+		// under h.mu, which retire has taken since) says who.
 		reason = wakeLabels[s.wake]
 	}
-	if !s.forced {
-		r.w.Add(1)
-	}
-	r.mu.Unlock()
 	if s.t0 != 0 {
 		// The park ends here, whatever ended it: one observation per
 		// park, spanning claim to retirement.
@@ -716,18 +714,12 @@ func (r *Runtime) sleep(s *sleeper) (timedOut bool) {
 
 // cancel retires a claim without sleeping on it: the lock turned out
 // to be free after the claim, so the waiter returns to acquiring. If a
-// wake consumed the slot first that wake is already accounted; either
-// way the claim retires (W++ for voluntary claims), keeping S/W
-// balanced.
+// wake consumed the sleeper first that wake is already accounted;
+// either way the claim retires, keeping S/W balanced.
 func (r *Runtime) cancel(s *sleeper) {
-	r.mu.Lock()
-	if r.detach(s) {
+	if r.retire(s) {
 		r.cancels.Add(1)
 	}
-	if !s.forced {
-		r.w.Add(1)
-	}
-	r.mu.Unlock()
 }
 
 // Handle is one registered lock's connection to the runtime: the
@@ -735,10 +727,8 @@ func (r *Runtime) cancel(s *sleeper) {
 type Handle struct {
 	rt   *Runtime
 	name string
-	// self is this handle's registry key (see Register).
-	self weak.Pointer[Handle]
 
-	// spinning is this lock's slice of the census; sleepers counts its
+	// spinning counts this lock's spinning waiters; sleepers counts its
 	// parked waiters. NoteUnlock reads them (sleepers first) to decide
 	// whether a wake is needed; TryClaim moves a waiter from one to the
 	// other (sleepers up inside the claim, spinning down after), so by
@@ -747,9 +737,13 @@ type Handle struct {
 	spinning atomic.Int64
 	sleepers atomic.Int64
 
-	// parked lists this lock's sleepers (guarded by rt.mu), giving the
-	// unlock-side wake O(1) access instead of a pool scan.
+	// mu guards parked, this lock's sleepers: every claim, retire and
+	// wake of the lock takes it, and no other lock's park does.
+	mu     sync.Mutex
 	parked []*sleeper
+
+	// closed hides the lock from Snapshot (Close).
+	closed atomic.Bool
 
 	spins            atomic.Uint64
 	blocks           atomic.Uint64
@@ -880,20 +874,18 @@ func (h *Handle) ClearHolderSite() {
 	}
 }
 
-// Close unregisters the lock from the runtime's metrics registry. The
-// handle remains usable (a closed handle only stops appearing in
-// Snapshot), so a racing Lock never observes a torn-down handle.
-// Registration is also GC-aware (see Register), so Close is about
-// prompt, deterministic removal rather than correctness.
-func (h *Handle) Close() { h.rt.unregister(h.self) }
+// Close removes the lock from Snapshot. The handle remains usable (a
+// closed handle only stops appearing in Snapshot), so a racing Lock
+// never observes a torn-down handle, and its registry entry stays
+// until the GC cleanup (see Register), so Stop still wakes its
+// sleepers. Close is about prompt, deterministic metrics rather than
+// correctness.
+func (h *Handle) Close() { h.closed.Store(true) }
 
-// Spinning adjusts the shared spinner census by delta. Locks call
+// Spinning adjusts the lock's spinner count by delta. Locks call
 // Spinning(1) when a waiter starts spinning and Spinning(-1) when it
 // acquires.
-func (h *Handle) Spinning(delta int) {
-	h.rt.spinners.Add(int64(delta))
-	h.spinning.Add(int64(delta))
-}
+func (h *Handle) Spinning(delta int) { h.spinning.Add(int64(delta)) }
 
 // NoteTimeoutWakeFree counts a timeout wake after which the waiter
 // found the lock free (LockStats.TimeoutWakesFree): the caller re-checks
@@ -916,7 +908,7 @@ func (h *Handle) NoteSpins(n int) { h.spins.Add(uint64(n)) }
 // one atomic load.
 //
 // The protocol cannot strand a waiter: a parker claims (making its
-// sleeper visible and leaving the spinning census) and then re-checks
+// sleeper visible and leaving the lock's spinners) and then re-checks
 // the lock state, sleeping only if the lock is still held (else
 // Ticket.Cancel). An unlocker releases and then reads sleepers and
 // spinning. If the parker saw the lock held, its claim is ordered
@@ -939,7 +931,7 @@ func (h *Handle) NoteUnlock() {
 // once (the wal's group commit) rather than for one acquirer.
 func (h *Handle) WakeAll() int { return h.rt.wakeAllHandle(h) }
 
-// A Ticket is a claimed sleep slot that has not been slept on yet. The
+// A Ticket is a sleep claim that has not been slept on yet. The
 // claim/sleep split has two jobs: a lock re-checks its state after the
 // claim and cancels the park if the lock was released in between (see
 // NoteUnlock), and a lock can release auxiliary state only once the
@@ -951,22 +943,21 @@ type Ticket struct {
 	s *sleeper
 }
 
-// TryClaim attempts the spinner-side slot claim without sleeping. The
+// TryClaim attempts the spinner-side sleep claim without sleeping. The
 // no-openings case is three atomic loads and a counter bump
 // (Snapshot.ClaimRefusals). A successful claim leaves
-// the spinner census (the waiter is committed to parking unless it
-// Cancels); Sleep and Cancel both rejoin it.
+// the lock's spinners (the waiter is committed to parking unless it
+// Cancels); Sleep and Cancel both rejoin them.
 func (h *Handle) TryClaim() (Ticket, bool) {
 	return h.claim(false)
 }
 
-// ClaimForced claims a sleep slot unconditionally — no target test, no
-// S/W accounting — for policies that always park contended waiters
-// (golc's Block policy). A forced sleeper is woken only by the lock's
-// own unlock (NoteUnlock, WakeAll), the safety timeout, or the Stop
-// drain; the controller ignores it. It fails when the slot pool is
-// physically full or the runtime is stopping — callers fall back to
-// spinning.
+// ClaimForced claims sleep unconditionally — no target test, no S/W
+// accounting — for policies that always park contended waiters (golc's
+// Block policy). A forced sleeper is woken only by the lock's own
+// unlock (NoteUnlock, WakeAll), the safety timeout, or the Stop drain;
+// the controller ignores it. It fails only once the runtime is
+// stopping — callers fall back to spinning.
 func (h *Handle) ClaimForced() (Ticket, bool) {
 	return h.claim(true)
 }
@@ -991,9 +982,9 @@ func (h *Handle) claim(forced bool) (Ticket, bool) {
 	return Ticket{h: h, s: s}, true
 }
 
-// Sleep parks on the claimed slot until a controller wake, an unlock
-// wake, or the safety timeout — a park cannot be cancelled — then
-// rejoins the spinner census. timedOut reports a park ended by the
+// Sleep parks on the claim until a controller wake, an unlock wake, or
+// the safety timeout — a park cannot be cancelled — then rejoins the
+// lock's spinners. timedOut reports a park ended by the
 // safety timeout rather than a wake.
 func (t Ticket) Sleep() (timedOut bool) {
 	timedOut = t.h.rt.sleep(t.s)
@@ -1002,7 +993,7 @@ func (t Ticket) Sleep() (timedOut bool) {
 }
 
 // Cancel retires the claim without parking — the caller re-checked its
-// lock and found it free — and rejoins the spinner census.
+// lock and found it free — and rejoins the lock's spinners.
 func (t Ticket) Cancel() {
 	t.h.rt.cancel(t.s)
 	t.h.Spinning(1)
@@ -1012,7 +1003,7 @@ func (t Ticket) Cancel() {
 // parking: a claimant that releases a gate on its way to sleep (the
 // RWMutex writer dropping its writer-preference claim) must wake a
 // waiter that parked behind that gate — but never its own freshly
-// claimed slot, which a plain NoteUnlock would pick. The common path
+// claim, which a plain NoteUnlock would pick. The common path
 // (no other sleeper) is one atomic load.
 func (t Ticket) NoteRelease() {
 	h := t.h

@@ -9,14 +9,6 @@ import (
 	"time"
 )
 
-// newPool builds a runtime whose slot pool has n slots, small enough for
-// a test to fill.
-func newPool(opts Options, n int) *Runtime {
-	rt := New(opts)
-	rt.slots = make([]*sleeper, n)
-	return rt
-}
-
 func TestRegisterUnregisterConcurrent(t *testing.T) {
 	rt := New(Options{Interval: time.Millisecond})
 	rt.Start()
@@ -55,9 +47,6 @@ func TestRegisterUnregisterConcurrent(t *testing.T) {
 	snapper.Wait()
 	if n := rt.Snapshot().LocksRegistered; n != 0 {
 		t.Fatalf("registry not empty after churn: %d locks", n)
-	}
-	if rt.spinners.Load() != 0 {
-		t.Fatalf("census nonzero after churn: %d", rt.spinners.Load())
 	}
 }
 
@@ -133,10 +122,11 @@ func TestTrySleepRespectsTarget(t *testing.T) {
 	}
 }
 
-func TestSlotPoolHandoffConcurrent(t *testing.T) {
+func TestParkHandoffConcurrent(t *testing.T) {
 	// Many goroutines park and get woken while the target oscillates:
-	// S/W accounting must balance and nobody may hang.
-	rt := newPool(Options{SleepTimeout: 50 * time.Millisecond}, 64)
+	// S/W accounting must balance (every claim S counts ends in exactly
+	// one wake or cancel) and nobody may hang.
+	rt := New(Options{SleepTimeout: 50 * time.Millisecond})
 	h := rt.Register("handoff")
 	var wg sync.WaitGroup
 	var parked atomic.Uint64
@@ -193,7 +183,7 @@ func TestSlotPoolHandoffConcurrent(t *testing.T) {
 // assert Sleeping stays within its physical bounds.
 func TestSnapshotSleepingBoundedUnderChurn(t *testing.T) {
 	const bufCap = 64
-	rt := newPool(Options{SleepTimeout: time.Millisecond}, bufCap)
+	rt := New(Options{SleepTimeout: time.Millisecond})
 	h := rt.Register("churn")
 	rt.setTarget(bufCap)
 	stop := make(chan struct{})
@@ -202,7 +192,7 @@ func TestSnapshotSleepingBoundedUnderChurn(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
+			for n := 0; ; n++ {
 				select {
 				case <-stop:
 					return
@@ -211,7 +201,7 @@ func TestSnapshotSleepingBoundedUnderChurn(t *testing.T) {
 				h.Spinning(1)
 				if tk, ok := h.TryClaim(); ok {
 					// Alternate the two retirement paths.
-					if tk.s.idx%2 == 0 {
+					if n%2 == 0 {
 						tk.Cancel()
 					} else {
 						tk.Sleep()
@@ -250,65 +240,12 @@ func TestSnapshotSleepingBoundedUnderChurn(t *testing.T) {
 	}
 }
 
-// TestTrySleepScansPastOccupiedSlots is the regression test for the
-// old wrap-placement bug: a claim whose S-mod-cap slot was occupied
-// was refused even though wakes had left holes elsewhere in the pool.
-func TestTrySleepScansPastOccupiedSlots(t *testing.T) {
-	rt := newPool(Options{}, 2)
-	hA := rt.Register("a")
-	hB := rt.Register("b")
-	rt.setTarget(2)
-	sa := rt.trySleep(hA, false) // slot 0
-	sb := rt.trySleep(hB, false) // slot 1
-	if sa == nil || sb == nil {
-		t.Fatal("initial claims failed")
-	}
-	// Wake B (slot 1) and retire it; slot 0 stays occupied by A. The
-	// old placement computed idx = S % cap = 2 % 2 = 0 — occupied —
-	// and refused, despite slot 1 being free.
-	if !rt.wakeHandle(hB, nil) {
-		t.Fatal("no sleeper of B to wake")
-	}
-	rt.sleep(sb) // retires immediately: channel already closed
-	sc := rt.trySleep(hB, false)
-	if sc == nil {
-		t.Fatalf("claim refused with a free slot in the pool: %+v", rt.Snapshot())
-	}
-	if sc.idx != 1 {
-		t.Fatalf("claim placed at slot %d, want the freed slot 1", sc.idx)
-	}
-	if rejects := rt.Snapshot().SlotRejects; rejects != 0 {
-		t.Fatalf("SlotRejects = %d, want 0", rejects)
-	}
-}
-
-// TestSlotRejectMetric forces a genuinely full pool and checks the
-// rejected claim is counted.
-func TestSlotRejectMetric(t *testing.T) {
-	rt := newPool(Options{}, 2)
-	h := rt.Register("full")
-	rt.setTarget(2)
-	if rt.trySleep(h, false) == nil || rt.trySleep(h, false) == nil {
-		t.Fatal("claims under target failed")
-	}
-	// Both physical slots are occupied; raise the logical target past
-	// the physical population by hand so only placement can refuse.
-	rt.target.Store(3)
-	if s := rt.trySleep(h, false); s != nil {
-		t.Fatal("claim succeeded with a full pool")
-	}
-	if snap := rt.Snapshot(); snap.SlotRejects != 1 || snap.ClaimRefusals != 0 {
-		t.Fatalf("SlotRejects = %d, ClaimRefusals = %d; want 1, 0", snap.SlotRejects, snap.ClaimRefusals)
-	}
-}
-
 // TestClaimRefusalMetric: a voluntary claim the target refuses counts
-// once in ClaimRefusals (not in SlotRejects); a forced claim never
-// meets the target test, and a claim under the whole-pool target is
-// admitted.
+// once in ClaimRefusals; a forced claim never meets the target test,
+// and a claim under the target is admitted.
 func TestClaimRefusalMetric(t *testing.T) {
 	const bufCap = 4
-	rt := newPool(Options{}, bufCap)
+	rt := New(Options{})
 	h := rt.Register("refused")
 	if s := rt.trySleep(h, false); s != nil {
 		t.Fatal("claim admitted at target 0")
@@ -316,8 +253,8 @@ func TestClaimRefusalMetric(t *testing.T) {
 	if s := rt.trySleep(h, true); s == nil {
 		t.Fatal("forced claim refused at target 0")
 	}
-	if snap := rt.Snapshot(); snap.ClaimRefusals != 1 || snap.SlotRejects != 0 {
-		t.Fatalf("at target 0: ClaimRefusals = %d, SlotRejects = %d; want 1, 0", snap.ClaimRefusals, snap.SlotRejects)
+	if n := rt.Snapshot().ClaimRefusals; n != 1 {
+		t.Fatalf("at target 0: ClaimRefusals = %d, want 1", n)
 	}
 	rt.setTarget(bufCap)
 	if s := rt.trySleep(h, false); s == nil {
@@ -390,7 +327,7 @@ func TestNoteUnlockSuppressedBySpinner(t *testing.T) {
 
 // TestNoteReleaseWakesOtherSleeper: a claimant that releases a gate on
 // its way to sleep must wake some OTHER parked waiter, never its own
-// freshly claimed slot (which a plain NoteUnlock would pick), and must
+// fresh claim (which a plain NoteUnlock would pick), and must
 // not wake at all when its own claim is the only one parked.
 func TestNoteReleaseWakesOtherSleeper(t *testing.T) {
 	rt := New(Options{SleepTimeout: 10 * time.Second})
@@ -409,7 +346,7 @@ func TestNoteReleaseWakesOtherSleeper(t *testing.T) {
 	}
 
 	// An older sleeper exists: NoteRelease from the newer claim must
-	// wake the older one and leave its own slot parked.
+	// wake the older one and leave its own claim parked.
 	other := rt.trySleep(h, false) // stands in for the stranded reader
 	if other == nil {
 		t.Fatal("second claim failed")
@@ -435,8 +372,7 @@ func TestNoteReleaseWakesOtherSleeper(t *testing.T) {
 }
 
 // TestWakeAll: one call wakes every parked waiter of the handle — the
-// voluntary and the forced alike, and nobody else's — as unlock wakes,
-// and leaves their slots free.
+// voluntary and the forced alike, and nobody else's — as unlock wakes.
 func TestWakeAll(t *testing.T) {
 	const n = 12
 	rt := New(Options{SleepTimeout: 10 * time.Second})
@@ -479,17 +415,6 @@ func TestWakeAll(t *testing.T) {
 	if sleeping := h.Stats().SleepingNow; sleeping != 0 {
 		t.Fatalf("handle still counts %d sleepers", sleeping)
 	}
-	rt.mu.Lock()
-	occupied := 0
-	for _, s := range rt.slots {
-		if s != nil {
-			occupied++
-		}
-	}
-	rt.mu.Unlock()
-	if occupied != 1 {
-		t.Fatalf("%d slots occupied after WakeAll, want only the bystander's", occupied)
-	}
 	if !rt.wakeHandle(bystander, nil) {
 		t.Fatal("bystander was not left parked")
 	}
@@ -497,7 +422,7 @@ func TestWakeAll(t *testing.T) {
 }
 
 // TestTicketCancel: a cancelled claim retires cleanly (S/W balanced,
-// slot free) and is counted as a cancel, not a wake.
+// off the parked list) and is counted as a cancel, not a wake.
 func TestTicketCancel(t *testing.T) {
 	rt := New(Options{})
 	rt.setTarget(1)
@@ -516,7 +441,7 @@ func TestTicketCancel(t *testing.T) {
 	if snap.ControllerWakes+snap.TimeoutWakes+snap.UnlockWakes != 0 {
 		t.Fatalf("cancel was counted as a wake: %+v", snap)
 	}
-	// The slot must be reusable immediately.
+	// The target's room must be reusable immediately.
 	if s := rt.trySleep(h, false); s == nil {
 		t.Fatal("claim after cancel failed")
 	}
@@ -528,57 +453,146 @@ func TestStopUnstartedRuntime(t *testing.T) {
 	rt.Stop() // idempotent
 }
 
+// TestStopWakesParkedWaiters: Stop wakes every sleeper — voluntary
+// ones, forced ones (which no controller wake takes), and forced ones
+// on a lock Closed before Stop — and refuses every claim after it.
 func TestStopWakesParkedWaiters(t *testing.T) {
-	rt := New(Options{
-		Interval:     time.Millisecond,
-		SleepTimeout: 10 * time.Second,
-		LoadFunc:     func() int { return 4 },
-	})
-	rt.Start()
-	h := rt.Register("shutdown")
+	for _, tc := range []struct {
+		name           string
+		forced, closed bool
+	}{
+		{"voluntary", false, false},
+		{"forced", true, false},
+		{"forced-closed", true, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rt := New(Options{
+				Interval:     time.Millisecond,
+				SleepTimeout: 10 * time.Second,
+				LoadFunc:     func() int { return 4 },
+			})
+			rt.Start()
+			h := rt.Register("shutdown")
+			claim := (*Handle).TryClaim
+			if tc.forced {
+				claim = (*Handle).ClaimForced
+			}
+			var wg sync.WaitGroup
+			for i := 0; i < 4; i++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					h.Spinning(1)
+					// Retry until the target opens (the first controller
+					// tick may not have published it yet).
+					tk, ok := claim(h)
+					for ; !ok; tk, ok = claim(h) {
+						time.Sleep(100 * time.Microsecond)
+					}
+					tk.Sleep()
+					h.Spinning(-1)
+				}()
+			}
+			waitFor(t, "4 sleepers parked", func() bool { return h.Stats().SleepingNow == 4 })
+			if tc.closed {
+				h.Close()
+			}
+			rt.Stop()
+			done := make(chan struct{})
+			go func() { wg.Wait(); close(done) }()
+			select {
+			case <-done:
+			case <-time.After(5 * time.Second):
+				t.Fatalf("Stop left waiters parked: %+v", h.Stats())
+			}
+			if _, ok := h.TryClaim(); ok {
+				t.Fatal("TryClaim admitted after Stop")
+			}
+			if _, ok := h.ClaimForced(); ok {
+				t.Fatal("ClaimForced admitted after Stop")
+			}
+		})
+	}
+}
+
+// TestControllerWakeSpansHandles: a target decrease wakes exactly its
+// surplus of voluntary sleepers, wherever they are parked, and leaves a
+// forced sleeper parked.
+func TestControllerWakeSpansHandles(t *testing.T) {
+	const perHandle, k = 2, 4
+	rt := New(Options{SleepTimeout: 10 * time.Second})
+	rt.setTarget(3 * perHandle)
+	hs := []*Handle{rt.Register("a"), rt.Register("b"), rt.Register("c")}
 	var wg sync.WaitGroup
-	for i := 0; i < 4; i++ {
+	park := func(h *Handle, claim func(*Handle) (Ticket, bool)) {
+		h.Spinning(1)
+		tk, ok := claim(h)
+		if !ok {
+			t.Fatalf("claim on %s refused: %+v", h.Name(), rt.Snapshot())
+		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			h.Spinning(1)
-			// Retry until a slot opens (the first controller tick may
-			// not have published the target yet).
-			tk, ok := h.TryClaim()
-			for ; !ok; tk, ok = h.TryClaim() {
-				time.Sleep(100 * time.Microsecond)
-			}
 			tk.Sleep()
 			h.Spinning(-1)
 		}()
 	}
-	deadline := time.Now().Add(2 * time.Second)
-	for rt.Snapshot().Sleeping < 4 {
-		if time.Now().After(deadline) {
-			t.Fatalf("sleepers never accumulated: %+v", rt.Snapshot())
+	for _, h := range hs {
+		for i := 0; i < perHandle; i++ {
+			park(h, (*Handle).TryClaim)
 		}
-		time.Sleep(time.Millisecond)
 	}
-	rt.Stop()
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("Stop left waiters parked")
+	forced := hs[0]
+	park(forced, (*Handle).ClaimForced)
+	parked := func() (n int64) {
+		for _, h := range hs {
+			n += h.Stats().SleepingNow
+		}
+		return n
 	}
+	waitFor(t, "all parked", func() bool { return parked() == 3*perHandle+1 })
+
+	rt.setTarget(rt.sleeping() - k)
+	waitFor(t, "the surplus retired", func() bool { return rt.Snapshot().Sleeping == 3*perHandle-k })
+	if snap := rt.Snapshot(); snap.ControllerWakes != k {
+		t.Fatalf("ControllerWakes = %d, want %d", snap.ControllerWakes, k)
+	}
+	if n := parked(); n != 3*perHandle+1-k {
+		t.Fatalf("%d waiters parked after the wake, want %d", n, 3*perHandle+1-k)
+	}
+	// Each handle holds only perHandle voluntary sleepers, so k of them
+	// come from more than one handle.
+	spanned := 0
+	for _, h := range hs {
+		if h.Stats().ControllerWakes > 0 {
+			spanned++
+		}
+	}
+	if spanned < (k+perHandle-1)/perHandle {
+		t.Fatalf("the wake reached %d handles, want at least %d", spanned, (k+perHandle-1)/perHandle)
+	}
+	forced.mu.Lock()
+	kept := false
+	for _, s := range forced.parked {
+		kept = kept || s.forced
+	}
+	forced.mu.Unlock()
+	if !kept {
+		t.Fatal("the controller woke the forced sleeper")
+	}
+	rt.Stop() // drains the rest, the forced sleeper included
+	wg.Wait()
 }
 
 // TestDefaultSensorTargetFollowsLoadSign: under the default sensor the
-// target is the whole slot pool while the load is positive, and the
+// target is maxTarget while the load is positive, and the
 // load plus the current sleepers, clamped, otherwise. The OS term reads
 // a fake /proc/loadavg, so each tick's sign is fixed whatever the
 // machine running the test is doing; the run-queue term is this
-// process's own and can only add. The spinner census is reported and
+// process's own and can only add. The spinner count is reported and
 // is no input.
 func TestDefaultSensorTargetFollowsLoadSign(t *testing.T) {
-	const bufCap = 64
-	rt := newPool(Options{SleepTimeout: 10 * time.Second}, bufCap)
+	rt := New(Options{SleepTimeout: 10 * time.Second})
 	ncpu := goruntime.NumCPU()
 	sens, setRunning := fakeLoadavg(t, ncpu+2) // OSExcess = +1
 	h := rt.Register("census")
@@ -595,11 +609,11 @@ func TestDefaultSensorTargetFollowsLoadSign(t *testing.T) {
 		return snap
 	}
 
-	// Overloaded: the pool, not the magnitude of the load.
+	// Overloaded: maxTarget, not the magnitude of the load.
 	snap := tick()
-	if snap.OSExcess != 1 || snap.Load < 1 || snap.Target != bufCap {
-		t.Fatalf("overloaded tick: os %d, load %d, target %d; want 1, >= 1, %d (the pool)",
-			snap.OSExcess, snap.Load, snap.Target, bufCap)
+	if snap.OSExcess != 1 || snap.Load < 1 || snap.Target != maxTarget {
+		t.Fatalf("overloaded tick: os %d, load %d, target %d; want 1, >= 1, %d",
+			snap.OSExcess, snap.Load, snap.Target, maxTarget)
 	}
 	if snap.Spinners != 5 {
 		t.Fatalf("spinners = %d, want 5 reported", snap.Spinners)
@@ -622,7 +636,7 @@ func TestDefaultSensorTargetFollowsLoadSign(t *testing.T) {
 	// The run-queue term is real: a tick taken just after this process's
 	// goroutines queued behind other processes' threads (go test ./...
 	// runs packages side by side) reads load > 0 whatever the fake OS
-	// term says. Such a tick only re-targets the pool, so re-tick until
+	// term says. Such a tick only re-targets maxTarget, so re-tick until
 	// one reads idle.
 	for try := 0; ; try++ {
 		snap = tick()
@@ -637,7 +651,7 @@ func TestDefaultSensorTargetFollowsLoadSign(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if want := min(max(snap.Load+2, 0), bufCap); snap.Target != want {
+	if want := min(max(snap.Load+2, 0), maxTarget); snap.Target != want {
 		t.Fatalf("target = %d, want clamp(load %d + sleeping 2) = %d", snap.Target, snap.Load, want)
 	}
 	if want := uint64(2 - snap.Target); snap.ControllerWakes != want {

@@ -3,7 +3,7 @@ package golc
 import "runtime"
 
 // The TATAS spin cadence shared by every lock in this package: waiters
-// poll the lock word every iteration, check the sleep-slot pool every
+// poll the lock word every iteration, check the sleep target every
 // parkCheckEvery iterations once past the grace spin, and yield to the
 // Go scheduler every goschedEvery iterations (a hard spin can starve
 // the lock holder's goroutine off its P). Both are powers of two so the
@@ -24,7 +24,7 @@ type cadence struct {
 
 // next advances one failed-acquire iteration, yielding to the
 // scheduler on the Gosched cadence, and reports whether this iteration
-// should take the park path (claim a sleep slot). It must stay under
+// should take the park path (claim sleep). It must stay under
 // the compiler's inlining budget — the spin loop is the hot path —
 // which is why everything off the every-iteration path lives in slow.
 func (c *cadence) next() bool {

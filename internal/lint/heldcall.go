@@ -9,7 +9,7 @@ import (
 
 // Heldcall keeps blocking and alloc-heavy work out of golc critical
 // sections. A golc lock's hold time is the denominator of the entire
-// load-control loop: the paper's controller sizes the slot pool from
+// load-control loop: the paper's controller sizes the sleep buffer from
 // observed wait/hold ratios, so one fmt.Fprintf to a socket or one
 // channel send inside a critical section doesn't just slow the holder
 // — it convoys every waiter behind the lock and feeds the controller a

@@ -20,7 +20,7 @@ var Lockpair = &Analyzer{
 	Doc: "golc Lock/RLock/TryLock acquisitions must be released on every path " +
 		"out of the acquiring function (defer-aware). An acquisition that escapes a " +
 		"function without its Unlock/RUnlock is either a leak — every later acquirer " +
-		"parks forever, and with the load-controlled policy the whole slot pool drains — " +
+		"parks forever, and with the load-controlled policy the whole sleep buffer drains — " +
 		"or an acquire-helper contract that must be recorded with //lint:allow.",
 	Run: runLockpair,
 }

@@ -7,9 +7,9 @@ import (
 
 // Nestedpark enforces the runtime's founding rule: a goroutine holding
 // a golc lock must never park, because with the load-controlled policy
-// a parked holder pins a wait slot while every thread queued on its
-// lock pins more — the admission controller interprets the stall as
-// load and collapses the slot pool. Acquire-while-holding must use
+// a parked holder holds a sleep claim while every thread queued on its
+// lock takes more — the admission controller interprets the stall as
+// load and collapses the sleep buffer. Acquire-while-holding must use
 // TryLock. The check is intra-procedural plus whole-program
 // call summaries (Pass.FactsOf): calling a function that transitively
 // reaches a parking point — in this package or any module package it
@@ -20,7 +20,7 @@ var Nestedpark = &Analyzer{
 		"golc.Wait, runtime Ticket.Sleep, or any call that transitively " +
 		"reaches one, across package boundaries) while a golc lock is held; use " +
 		"TryLock for nested acquisition. Parking while holding deadlocks the " +
-		"load-controlled policy's slot pool.",
+		"load-controlled policy's sleep buffer.",
 	Run: runNestedpark,
 }
 

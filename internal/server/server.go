@@ -440,16 +440,15 @@ func writeProm(w io.Writer, store *kv.Store, db *oltp.DB, walLog *wal.Log, rt *l
 	// the kinds would count it twice.
 	pw.Counter("golc_timeout_wakes_free_total", "Timeout wakes whose waiter then found the lock free (a missed wake).", nil, snap.TimeoutWakesFree)
 	pw.Counter("golc_claim_cancels_total", "Claims retired unused (lock freed before the park).", nil, snap.Cancels)
-	pw.Counter("golc_slot_rejects_total", "Claims refused because no sleep slot was free.", nil, snap.SlotRejects)
 	pw.Counter("golc_claim_refusals_total", "Voluntary claims refused by the sleep target.", nil, snap.ClaimRefusals)
 	pw.Gauge("golc_spinners", "Waiters spinning now.", nil, float64(snap.Spinners))
 	pw.Gauge("golc_sleeping", "Waiters parked now.", nil, float64(snap.Sleeping))
-	pw.Gauge("golc_spin_target", "Controller sleep target T: the slot pool size while the load is positive, load + sleeping otherwise.", nil, float64(snap.Target))
+	pw.Gauge("golc_spin_target", "Controller sleep target T: its maximum (1024) while the load is positive, load + sleeping otherwise.", nil, float64(snap.Target))
 	pw.Gauge("golc_locks_registered", "Locks registered with the runtime.", nil, float64(snap.LocksRegistered))
 
 	pw.Histogram("golc_wait_seconds", "Lock acquisition wait time (first failed acquire to grant), all locks.", nil, snap.WaitHist)
 	pw.Histogram("golc_hold_seconds", "Sampled lock hold time (acquire to release), all locks.", nil, snap.HoldHist)
-	pw.Histogram("golc_park_seconds", "Time waiters actually spent asleep in the slot pool.", nil, snap.ParkHist)
+	pw.Histogram("golc_park_seconds", "Time waiters actually spent parked, claim to retirement.", nil, snap.ParkHist)
 
 	// Per-lock series for the hottest locks only: one series per
 	// registered lock would blow up scrape cardinality on stores with

@@ -348,7 +348,7 @@ func TestMetricsHistograms(t *testing.T) {
 	if c := counts["oltp_commit_seconds{}"]; c != 8 {
 		t.Errorf("oltp_commit_seconds_count = %v, want 8", c)
 	}
-	for _, want := range []string{"golc_wakes_total", "golc_timeout_wakes_free_total", "golc_slot_rejects_total",
+	for _, want := range []string{"golc_wakes_total", "golc_timeout_wakes_free_total",
 		"golc_claim_refusals_total", "golc_spin_target"} {
 		if !names[want] {
 			t.Errorf("no %s sample in /metrics", want)

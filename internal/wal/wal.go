@@ -13,8 +13,8 @@
 // spin/block/lc policies, hot-swap, wait histograms, and blame edges
 // all apply to log waits like latch waits. Under load the durability
 // wait population is the fsync convoy the paper's controller is built
-// to manage: admitted waiters spin briefly and park on the slot pool,
-// and the group-commit wake is the unlock-side wake.
+// to manage: admitted waiters spin briefly and park on the handle's
+// parked list, and the group-commit wake is the unlock-side wake.
 //
 // Concurrency layout: appenders stage encoded records into an
 // in-memory tail buffer under a golc.Mutex ("wal/tail") — pure memory
