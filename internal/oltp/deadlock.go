@@ -14,7 +14,11 @@ func mustDie(req *Txn, l *dbLock, goal Mode) bool {
 		}
 	}
 	// Slot holders are holders too: the identity is what the age test
-	// needs, and a slot carries it.
+	// needs, and a slot carries it. Only a coarse goal gets past compat
+	// to read t.tid, and the coarse request raised the gate before it
+	// read the slots: t's holder, if it has released since, is blocked in
+	// regrant on this latch, so its record is not yet recycled (see
+	// intents).
 	for t, m := range l.in.holders() {
 		if t != req && !compat[m][goal] && req.tid > t.tid {
 			return true

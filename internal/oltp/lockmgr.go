@@ -199,6 +199,15 @@ func (s *slot) clear() {
 // claim that lands while the gate is up backs out to the latched head,
 // and one that landed before it is seen, by identity, by the wait-die
 // test and the grant test alike.
+//
+// DB.Run recycles its Txn records, so a slot pointer can outlive the
+// transaction it named. Only mustDie reads through one (the holder's
+// tid); every other reader compares it. mustDie runs under the stripe
+// latch, with the gate raised before the slots were read. A holder whose
+// pointer it read clears its slot after that read and then finds the
+// gate up, so it must regrant — on that same latch. Its Run therefore
+// cannot return and recycle the record while the reader holds the latch;
+// and a holder that cleared first, gate down, was not seen at all.
 type intents struct {
 	gate  atomic.Bool
 	slots [nodeSlots]slot
@@ -896,7 +905,8 @@ func (lm *lockManager) release(txn *Txn, e *heldLock) {
 // releaseAll drops every lock txn holds (strict 2PL: called only from
 // Commit and Abort), waking newly grantable waiters as it goes. The
 // entries are zeroed, not just truncated away: the backing array lives
-// as long as the Txn and would otherwise pin retired heads.
+// as long as the Txn, which Run recycles, and would otherwise pin
+// retired heads.
 func (lm *lockManager) releaseAll(txn *Txn) {
 	for i := range txn.held {
 		lm.release(txn, &txn.held[i])

@@ -71,7 +71,9 @@
 //     to kv.Store.ApplyBatch as the batch — one shard latch
 //     acquisition per touched shard — then release every lock (strict
 //     2PL: nothing is released early, so reads are repeatable and
-//     writes are never exposed before commit).
+//     writes are never exposed before commit). DB.Run recycles its
+//     transaction records, and with them that slice and the held-lock
+//     one, so a small transaction allocates neither.
 //
 // The TATP-style workload in tatp.go drives the whole stack; lcperf
 // (benchmark/) runs it under lc at 1x and 8x multiprogramming, each
@@ -82,6 +84,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -253,6 +256,8 @@ type DB struct {
 	opts  Options
 	tids  atomic.Uint64
 	m     Metrics
+	// txns holds the records Run has finished with (see DB.run).
+	txns sync.Pool
 
 	// rec is the latch runtime's flight recorder: transaction
 	// lifecycle events (block, abort, escalation)
@@ -333,20 +338,40 @@ func (db *DB) LockEntries() int { return db.lm.entries() }
 func (db *DB) Close() { db.lm.close() }
 
 // Begin starts a transaction with a fresh begin-timestamp. Prefer Run,
-// which also handles abort-and-retry.
-func (db *DB) Begin() *Txn { return db.begin(context.Background(), db.tids.Add(1)) }
+// which also handles abort-and-retry. The Txn is the caller's: DB never
+// reuses it.
+func (db *DB) Begin() *Txn { return db.begin(new(Txn), context.Background(), db.tids.Add(1)) }
 
 // BeginCtx is Begin with a caller context: every logical lock wait the
 // transaction enters is cancelled when ctx is — the wait returns an
 // error wrapping ctx.Err() (not an AbortError: a caller cancellation is
 // terminal, not a retry signal), counted in Metrics.CtxCancels.
-func (db *DB) BeginCtx(ctx context.Context) *Txn { return db.begin(ctx, db.tids.Add(1)) }
+func (db *DB) BeginCtx(ctx context.Context) *Txn { return db.begin(new(Txn), ctx, db.tids.Add(1)) }
 
-func (db *DB) begin(ctx context.Context, tid uint64) *Txn {
+// begin starts t as a transaction: a fresh record, or one whose last
+// attempt has ended — committed or aborted, every lock released. It goes
+// field by field (a whole-struct store pays a bulk write barrier), and
+// the held and write-set arrays stay, emptied, unless a big transaction
+// grew them past heldScan: a recycled record must not carry one big
+// transaction's arrays into every later one.
+func (db *DB) begin(t *Txn, ctx context.Context, tid uint64) *Txn {
 	db.m.Begins.Add(1)
-	t := &Txn{db: db, ctx: ctx, tid: tid}
-	t.held = t.heldBuf[:0]
+	t.db, t.tid, t.state = db, tid, txnActive
+	t.ctx = ctx
+	t.abortErr = nil
+	clear(t.writes) // a committed write-set is still in place
+	t.writes, t.windex = emptied(t.writes), nil
+	t.held, t.index = emptied(t.held), nil
 	return t
+}
+
+// emptied returns s cut to length 0, or nil once its capacity has passed
+// heldScan.
+func emptied[E any](s []E) []E {
+	if cap(s) > heldScan {
+		return nil
+	}
+	return s[:0]
 }
 
 // Run executes fn in a transaction, committing on nil return if fn has
@@ -364,6 +389,9 @@ func (db *DB) begin(ctx context.Context, tid uint64) *Txn {
 // aborted the transaction voluntarily and returned nil, Run returns
 // ErrCallerAborted instead of the old confusing ErrTxnDone from a
 // doomed Commit call.
+//
+// The *Txn fn receives is valid only until fn returns: Run recycles it
+// for later transactions. A Txn from Begin is the caller's to keep.
 func (db *DB) Run(fn func(*Txn) error) error {
 	return db.RunCtx(context.Background(), fn)
 }
@@ -374,7 +402,8 @@ func (db *DB) Run(fn func(*Txn) error) error {
 // logical lock wait inside an attempt is cancellable (see BeginCtx).
 // Cancellation surfaces as an error wrapping ctx.Err() and is never
 // retried — unlike a wait-die abort, the transaction is not
-// going to be re-run older and win; the caller has left.
+// going to be re-run older and win; the caller has left. As with Run,
+// fn's *Txn is valid only until fn returns.
 func (db *DB) RunCtx(ctx context.Context, fn func(*Txn) error) error {
 	var t0 int64
 	if db.rec.Enabled() {
@@ -389,13 +418,30 @@ func (db *DB) RunCtx(ctx context.Context, fn func(*Txn) error) error {
 	return err
 }
 
+// run takes a record from db.txns, runs the attempts on it, and puts it
+// back only after the last attempt has ended in Commit or Abort. By then
+// it holds no lock: no lock head, queue or slot names it, and no reader
+// still has a pointer it read from a slot (see intents). A panicking fn
+// skips the Put, so a record that may still hold locks is never reused.
 func (db *DB) run(ctx context.Context, fn func(*Txn) error) error {
+	t, _ := db.txns.Get().(*Txn)
+	if t == nil {
+		t = new(Txn)
+	}
+	err := db.attempts(ctx, t, fn)
+	db.txns.Put(t)
+	return err
+}
+
+// attempts is Run's retry loop. Every attempt restarts t through begin,
+// under the one begin-timestamp.
+func (db *DB) attempts(ctx context.Context, t *Txn, fn func(*Txn) error) error {
 	tid := db.tids.Add(1)
 	for attempt := 0; ; attempt++ {
 		if cerr := ctx.Err(); cerr != nil {
 			return fmt.Errorf("oltp: run cancelled before attempt %d: %w", attempt+1, cerr)
 		}
-		t := db.begin(ctx, tid)
+		db.begin(t, ctx, tid)
 		err := fn(t)
 		if err == nil {
 			switch {

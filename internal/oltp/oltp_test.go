@@ -1,13 +1,16 @@
 package oltp
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/golc"
+	"repro/internal/kv"
 )
 
 // TestRunCallerAborted: fn aborting the transaction itself and then
@@ -213,6 +216,188 @@ func TestMaxRetriesBounded(t *testing.T) {
 		t.Fatalf("Retries = %d, want 2", m.Retries)
 	}
 	blocker.Abort()
+}
+
+// TestRunRecycledTxnStartsClean: DB.Run recycles its Txn records, so
+// whatever an earlier Run leaves on its record must not reach the next
+// Run handed that record. After each kind of dirt, the next Run must see
+// no buffered write, carry no kill order (so it commits rather than
+// retrying; MaxRetries 0 makes a retry a failure), hold nothing, in
+// arrays no bigger than heldScan, share it with no other Run, and wait
+// on a lock until its holder commits — not until the earlier Run's
+// cancelled context says stop.
+//
+// A record is reused only most of the time (the pool drops some under
+// -race), so each case repeats until the clean Run got the dirty one's.
+func TestRunRecycledTxnStartsClean(t *testing.T) {
+	db := newTestDB(t, golc.Block, Options{MaxRetries: 0, EscalationThreshold: -1})
+	errBoom := errors.New("boom")
+	for _, c := range []struct {
+		name string
+		// dirty runs a Run that leaves its record dirty, recording the
+		// record in *rec and checking what the Run returned.
+		dirty func(t *testing.T, rec **Txn)
+	}{
+		{"buffered write then fn error", func(t *testing.T, rec **Txn) {
+			err := db.Run(func(txn *Txn) error {
+				*rec = txn
+				if err := txn.Write("t", "ghost", "v"); err != nil {
+					return err
+				}
+				return errBoom
+			})
+			if !errors.Is(err, errBoom) {
+				t.Fatalf("Run = %v, want %v", err, errBoom)
+			}
+		}},
+		{"committed write", func(t *testing.T, rec **Txn) {
+			err := db.Run(func(txn *Txn) error {
+				*rec = txn
+				return txn.Write("t", "kept", "v")
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"write-set past heldScan", func(t *testing.T, rec **Txn) {
+			err := db.Run(func(txn *Txn) error {
+				*rec = txn
+				for i := range heldScan + 8 {
+					if err := txn.Write("t", fmt.Sprintf("w%d", i), "v"); err != nil {
+						return err
+					}
+				}
+				if txn.windex == nil {
+					t.Error("no write-set index past heldScan writes")
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"lock set past heldScan", func(t *testing.T, rec **Txn) {
+			err := db.Run(func(txn *Txn) error {
+				*rec = txn
+				for i := range heldScan + 8 {
+					if _, _, err := txn.Read("t", fmt.Sprintf("r%d", i)); err != nil {
+						return err
+					}
+				}
+				if txn.index == nil {
+					t.Error("no held index past heldScan locks")
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"wait-die kill order", func(t *testing.T, rec **Txn) {
+			older := db.Begin()
+			defer older.Abort()
+			if err := older.Write("t", "contended", "o"); err != nil {
+				t.Fatal(err)
+			}
+			err := db.Run(func(txn *Txn) error {
+				*rec = txn
+				_, _, err := txn.Read("t", "contended")
+				return err
+			})
+			if !errors.Is(err, ErrAborted) || (*rec).abortErr == nil {
+				t.Fatalf("Run = %v, want a wait-die abort left on the record", err)
+			}
+		}},
+		{"cancelled ctx", func(t *testing.T, rec **Txn) {
+			ctx, cancel := context.WithCancel(context.Background())
+			err := db.RunCtx(ctx, func(txn *Txn) error {
+				*rec = txn
+				if txn.ctx != ctx {
+					t.Error("RunCtx's record does not carry its ctx")
+				}
+				_, _, err := txn.Read("t", "x")
+				return err
+			})
+			cancel()
+			if err != nil {
+				t.Fatal(err)
+			}
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			for try := 0; ; try++ {
+				if try == 100 {
+					t.Fatal("no Run reused the dirty record in 100 tries")
+				}
+				var dirty, clean *Txn
+				c.dirty(t, &dirty)
+				waits := db.Metrics().LockWaits
+				holderDone := make(chan error, 1)
+				err := db.Run(func(txn *Txn) error {
+					clean = txn
+					if txn.abortErr != nil || len(txn.writes) != 0 || len(txn.held) != 0 ||
+						txn.windex != nil || txn.index != nil {
+						return fmt.Errorf("record starts with abortErr %v, %d writes, %d held, indexes %v %v",
+							txn.abortErr, len(txn.writes), len(txn.held), txn.windex != nil, txn.index != nil)
+					}
+					if cap(txn.writes) > heldScan || cap(txn.held) > heldScan {
+						return fmt.Errorf("record keeps arrays of capacity %d (writes) and %d (held), past heldScan",
+							cap(txn.writes), cap(txn.held))
+					}
+					// Nor may the arrays pin what an earlier Run wrote or locked.
+					for _, w := range txn.writes[:cap(txn.writes)] {
+						if w != (kv.Write{}) {
+							return fmt.Errorf("write-set array still holds %+v", w)
+						}
+					}
+					for _, e := range txn.held[:cap(txn.held)] {
+						if e != (heldLock{}) {
+							return fmt.Errorf("held array still holds %+v", e)
+						}
+					}
+					// A record goes back once, after its last attempt: a
+					// Run inside this one gets a record of its own.
+					var inner *Txn
+					if err := db.Run(func(in *Txn) error { inner = in; return nil }); err != nil {
+						return err
+					}
+					if inner == txn {
+						return errors.New("a nested Run was handed its caller's record")
+					}
+					if _, ok, err := txn.Read("t", "ghost"); err != nil || ok {
+						return fmt.Errorf("read of an earlier Run's buffered write: found %v, err %v", ok, err)
+					}
+					// A younger holder: the wait-die test lets this older
+					// transaction wait, and only the holder's commit may
+					// end that wait.
+					holder := db.Begin()
+					if err := holder.Write("t", "held", "h"); err != nil {
+						return err
+					}
+					go func() {
+						for db.Metrics().LockWaits == waits {
+							time.Sleep(100 * time.Microsecond)
+						}
+						holderDone <- holder.Commit()
+					}()
+					_, _, err := txn.Read("t", "held")
+					return err
+				})
+				if err != nil {
+					t.Fatalf("Run after the dirty record: %v", err)
+				}
+				if err := <-holderDone; err != nil {
+					t.Fatal(err)
+				}
+				if n := db.LockEntries(); n != 0 {
+					t.Fatalf("lock table not empty: %d", n)
+				}
+				if clean == dirty {
+					return
+				}
+			}
+		})
+	}
 }
 
 // TestReadPartitionInsertVsConcurrentPut: a transaction's buffered

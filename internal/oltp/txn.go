@@ -43,13 +43,12 @@ type Txn struct {
 	writes []kv.Write
 	windex map[string]int32
 
-	// held is every lock the transaction holds, in grant order. It starts
-	// on heldBuf, so the common transaction — a handful of locks — is one
-	// allocation, locks included. index is nil until held outgrows
-	// heldScan (see find).
-	held    []heldLock
-	index   map[uint64]int32
-	heldBuf [8]heldLock
+	// held is every lock the transaction holds, in grant order. A record
+	// DB.Run recycles keeps this array, as it keeps writes' (see
+	// DB.begin), so the common transaction allocates neither. index is
+	// nil until held outgrows heldScan (see find).
+	held  []heldLock
+	index map[uint64]int32
 }
 
 // heldLock is one entry of Txn.held: what is held, and enough to get
