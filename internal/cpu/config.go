@@ -9,10 +9,12 @@
 // I/O completions and unparks, and per-process microstate accounting
 // whose read cost grows with the thread count.
 //
-// Threads are written as ordinary sequential code (sim.Proc) calling
-// Compute, SpinWait, Park and IO; the scheduler preempts them
-// transparently, including in the middle of a Compute or a spin — which
-// is exactly how preempted lock holders and preempted spinners arise.
+// A thread's body is ordinary sequential code calling Compute, SpinWait,
+// Park and IO. It runs as a sim.Proc coroutine that parks whenever it
+// waits on a kernel event and is resumed by that event; the scheduler
+// preempts threads transparently, including in the middle of a Compute
+// or a spin — which is exactly how preempted lock holders and preempted
+// spinners arise.
 package cpu
 
 import "time"

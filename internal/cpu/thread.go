@@ -252,7 +252,7 @@ func (t *Thread) SetSpinPrioInv(inv bool) {
 
 // --- internals ---
 
-// await parks the thread's goroutine until any of the thread's wake
+// await parks the thread's body until any of the thread's wake
 // sources fires (dispatch completion, compute completion, spin wake).
 func (t *Thread) await() { t.proc.Park() }
 
@@ -263,13 +263,9 @@ func (t *Thread) awaitExecuting() {
 	}
 }
 
-// resume hands control to the thread's goroutine (must be parked).
-func (t *Thread) resume() {
-	if t.proc.Done() || !t.proc.Parked() {
-		panic("cpu: resume of non-parked thread " + t.name)
-	}
-	t.proc.Unpark()
-}
+// resume hands control to the thread's body, which must be parked:
+// Unpark panics, naming the thread, otherwise.
+func (t *Thread) resume() { t.proc.Unpark() }
 
 // becomeRunnable transitions from New/Blocked/IO to Runnable.
 func (t *Thread) becomeRunnable() {

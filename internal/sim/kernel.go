@@ -3,9 +3,10 @@
 // The kernel maintains a virtual clock in nanoseconds and an event queue
 // ordered by (time, sequence). Events are either plain callbacks or
 // resumptions of simulated processes (see Proc). All simulated activity
-// executes sequentially on the caller's goroutine or on exactly one
-// process goroutine at a time, so a simulation is deterministic given a
-// fixed seed and is safe to inspect from event callbacks without locks.
+// executes sequentially: a process is a coroutine that runs only while
+// resumed and hands control back when it parks, so a simulation is
+// deterministic given a fixed seed and is safe to inspect from event
+// callbacks without locks.
 package sim
 
 import (
@@ -47,24 +48,13 @@ type Kernel struct {
 	queue eventHeap
 	rng   *RNG
 
-	// yield is the rendezvous channel used by process goroutines to
-	// return control to the kernel loop. Only one process runs at a
-	// time, so a single channel suffices.
-	yield chan struct{}
-
-	// running counts live process goroutines, for leak detection.
-	procs int
-
 	// Stepped counts processed events, for tests and budgeting.
 	Stepped uint64
 }
 
 // NewKernel returns a kernel with its clock at zero and the given RNG seed.
 func NewKernel(seed uint64) *Kernel {
-	return &Kernel{
-		rng:   NewRNG(seed),
-		yield: make(chan struct{}),
-	}
+	return &Kernel{rng: NewRNG(seed)}
 }
 
 // Now returns the current virtual time.

@@ -1,66 +1,37 @@
 package sim
 
-import "fmt"
-
-// Proc is a simulated process: a goroutine whose execution is interleaved
-// with the event loop such that exactly one of (kernel, some proc) runs
-// at any instant. Procs let simulated threads be written as ordinary
-// sequential code that calls blocking primitives (Sleep, Park) instead of
-// hand-written state machines.
-//
-// Control transfer protocol: the kernel resumes a proc by sending on its
-// private resume channel and then blocks on the kernel's shared yield
-// channel; the proc gives control back by the mirror-image operation.
-// Because transfers are strictly paired, no two procs ever run
-// concurrently and the simulation stays deterministic.
-type Proc struct {
-	k      *Kernel
-	name   string
-	resume chan procSignal
-	done   bool
-	parked bool
-
-	// wake, when non-nil, is the pending timeout event for a timed park.
-	wake *Event
-}
-
-// procSignal carries the reason a park ended.
-type procSignal int
-
-// Park outcomes.
-const (
-	// WakeSignal means another party called Unpark (or a scheduled
-	// resume fired).
-	WakeSignal procSignal = iota
-	// WakeTimeout means a timed park expired.
-	WakeTimeout
+import (
+	"fmt"
+	"iter"
 )
 
-// Spawn creates a process and schedules its body to start at the current
-// virtual time (as a regular event). The body runs on its own goroutine
-// but only while the kernel has handed it control.
-func (k *Kernel) Spawn(name string, body func(p *Proc)) *Proc {
-	p := &Proc{k: k, name: name, resume: make(chan procSignal)}
-	k.procs++
-	k.After(0, func() {
-		go func() {
-			defer func() {
-				p.done = true
-				k.procs--
-				k.yield <- struct{}{}
-			}()
-			body(p)
-		}()
-		// Control now belongs to the new goroutine; block until it
-		// parks or finishes so the invariant "exactly one runner"
-		// holds.
-		<-k.yield
-	})
-	return p
+// Proc is a simulated process: a coroutine (iter.Pull) that runs only
+// while an event callback or another proc has resumed it, and hands
+// control back when it parks or finishes. Procs let simulated threads be
+// written as ordinary sequential code that calls a blocking Park instead
+// of hand-written state machines. A panic in the body unwinds into
+// whoever resumed it, and from there to the caller of Step, RunUntil or
+// Drain.
+type Proc struct {
+	name   string
+	next   func() (struct{}, bool)
+	yield  func(struct{}) bool
+	done   bool
+	parked bool
 }
 
-// Name returns the process name given at Spawn.
-func (p *Proc) Name() string { return p.name }
+// Spawn creates a process and schedules its body to start at the current
+// virtual time (as a regular event).
+func (k *Kernel) Spawn(name string, body func(p *Proc)) *Proc {
+	p := &Proc{name: name}
+	p.next, _ = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
+		body(p)
+		p.done = true
+	})
+	k.After(0, func() { p.next() })
+	return p
+}
 
 // Done reports whether the process body has returned.
 func (p *Proc) Done() bool { return p.done }
@@ -69,83 +40,23 @@ func (p *Proc) Done() bool { return p.done }
 // virtual CPU from the kernel's perspective).
 func (p *Proc) Parked() bool { return p.parked }
 
-// yieldToKernel transfers control back to the event loop and blocks
-// until the kernel resumes this proc. Must be called on the proc's
-// goroutine.
-func (p *Proc) yieldToKernel() procSignal {
+// Park gives control back to whoever resumed the process and blocks
+// until Unpark. It must be called from the process's own body.
+func (p *Proc) Park() {
 	p.parked = true
-	p.k.yield <- struct{}{}
-	sig := <-p.resume
+	p.yield(struct{}{})
 	p.parked = false
-	return sig
 }
 
-// resumeProc hands control to a parked proc and waits for it to yield
-// again. Must be called from the kernel loop (inside an event callback).
-func (k *Kernel) resumeProc(p *Proc, sig procSignal) {
+// Unpark resumes a parked process and returns once it parks again or
+// finishes. It may be called from an event callback or from another
+// process.
+func (p *Proc) Unpark() {
 	if p.done {
 		panic(fmt.Sprintf("sim: resuming finished proc %q", p.name))
 	}
 	if !p.parked {
 		panic(fmt.Sprintf("sim: resuming running proc %q", p.name))
 	}
-	p.resume <- sig
-	<-k.yield
-}
-
-// Park blocks the process until Unpark is called. It returns WakeSignal.
-func (p *Proc) Park() procSignal {
-	return p.yieldToKernel()
-}
-
-// ParkTimeout blocks the process until Unpark is called or d elapses,
-// whichever comes first.
-func (p *Proc) ParkTimeout(d Duration) procSignal {
-	p.wake = p.k.After(d, func() {
-		p.wake = nil
-		p.k.resumeProc(p, WakeTimeout)
-	})
-	sig := p.yieldToKernel()
-	if sig != WakeTimeout && p.wake != nil {
-		p.k.Cancel(p.wake)
-		p.wake = nil
-	}
-	return sig
-}
-
-// ParkAt is like ParkTimeout but with an absolute deadline.
-func (p *Proc) ParkAt(deadline Time) procSignal {
-	if deadline <= p.k.Now() {
-		return WakeTimeout
-	}
-	return p.ParkTimeout(Duration(deadline - p.k.Now()))
-}
-
-// Unpark resumes a parked process from an event callback or from another
-// process. When called from another process, control transfers
-// immediately to the target and returns to the caller once the target
-// parks again; to avoid that inversion, UnparkDeferred is usually what
-// model code wants.
-func (p *Proc) Unpark() {
-	p.k.resumeProc(p, WakeSignal)
-}
-
-// UnparkDeferred schedules the wakeup as a zero-delay event, preserving
-// the caller's control flow. This is the normal way model code wakes a
-// process.
-func (p *Proc) UnparkDeferred() {
-	p.k.After(0, func() {
-		if !p.done && p.parked {
-			p.k.resumeProc(p, WakeSignal)
-		}
-	})
-}
-
-// Sleep advances the process past d of virtual time.
-func (p *Proc) Sleep(d Duration) {
-	if d <= 0 {
-		return
-	}
-	p.k.After(d, func() { p.k.resumeProc(p, WakeSignal) })
-	p.yieldToKernel()
+	p.next()
 }

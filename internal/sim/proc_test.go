@@ -5,11 +5,27 @@ import (
 	"time"
 )
 
+// sleep parks p until d of virtual time has passed.
+func sleep(k *Kernel, p *Proc, d Duration) {
+	k.After(d, p.Unpark)
+	p.Park()
+}
+
+// mustPanic runs f and returns the value it panicked with, failing the
+// test if it returned normally.
+func mustPanic(t *testing.T, f func()) (got any) {
+	t.Helper()
+	defer func() { got = recover() }()
+	f()
+	t.Fatal("no panic")
+	return nil
+}
+
 func TestProcSleepAdvancesTime(t *testing.T) {
 	k := NewKernel(1)
 	var woke Time = -1
 	k.Spawn("sleeper", func(p *Proc) {
-		p.Sleep(100 * time.Nanosecond)
+		sleep(k, p, 100*time.Nanosecond)
 		woke = k.Now()
 	})
 	k.Drain()
@@ -23,7 +39,7 @@ func TestProcSequentialSleeps(t *testing.T) {
 	var marks []Time
 	k.Spawn("p", func(p *Proc) {
 		for i := 0; i < 5; i++ {
-			p.Sleep(10)
+			sleep(k, p, 10)
 			marks = append(marks, k.Now())
 		}
 	})
@@ -39,15 +55,15 @@ func TestTwoProcsInterleaveDeterministically(t *testing.T) {
 	k := NewKernel(1)
 	var order []string
 	k.Spawn("a", func(p *Proc) {
-		p.Sleep(10)
+		sleep(k, p, 10)
 		order = append(order, "a10")
-		p.Sleep(20) // wakes at 30
+		sleep(k, p, 20) // wakes at 30
 		order = append(order, "a30")
 	})
 	k.Spawn("b", func(p *Proc) {
-		p.Sleep(20)
+		sleep(k, p, 20)
 		order = append(order, "b20")
-		p.Sleep(20) // wakes at 40
+		sleep(k, p, 20) // wakes at 40
 		order = append(order, "b40")
 	})
 	k.Drain()
@@ -66,75 +82,19 @@ func TestParkAndDeferredUnpark(t *testing.T) {
 	k := NewKernel(1)
 	var woke Time = -1
 	p := k.Spawn("parker", func(p *Proc) {
-		if sig := p.Park(); sig != WakeSignal {
-			t.Errorf("sig = %v, want WakeSignal", sig)
-		}
+		p.Park()
 		woke = k.Now()
 	})
-	k.After(500, func() { p.UnparkDeferred() })
+	k.After(500, p.Unpark)
 	k.Drain()
 	if woke != 500 {
 		t.Fatalf("woke at %d, want 500", woke)
 	}
 }
 
-func TestParkTimeoutExpires(t *testing.T) {
-	k := NewKernel(1)
-	var sig procSignal
-	var woke Time
-	k.Spawn("p", func(p *Proc) {
-		sig = p.ParkTimeout(250)
-		woke = k.Now()
-	})
-	k.Drain()
-	if sig != WakeTimeout {
-		t.Fatalf("sig = %v, want WakeTimeout", sig)
-	}
-	if woke != 250 {
-		t.Fatalf("woke at %d, want 250", woke)
-	}
-}
-
-func TestParkTimeoutUnparkedEarly(t *testing.T) {
-	k := NewKernel(1)
-	var sig procSignal
-	var woke Time
-	p := k.Spawn("p", func(p *Proc) {
-		sig = p.ParkTimeout(1000)
-		woke = k.Now()
-	})
-	k.After(100, func() { p.UnparkDeferred() })
-	k.Drain()
-	if sig != WakeSignal {
-		t.Fatalf("sig = %v, want WakeSignal", sig)
-	}
-	if woke != 100 {
-		t.Fatalf("woke at %d, want 100", woke)
-	}
-	if k.Pending() != 0 {
-		t.Fatalf("timeout event leaked: %d pending", k.Pending())
-	}
-}
-
-func TestParkAtPastDeadlineReturnsImmediately(t *testing.T) {
-	k := NewKernel(1)
-	done := false
-	k.Spawn("p", func(p *Proc) {
-		p.Sleep(100)
-		if sig := p.ParkAt(50); sig != WakeTimeout {
-			t.Errorf("sig = %v, want WakeTimeout", sig)
-		}
-		done = true
-	})
-	k.Drain()
-	if !done {
-		t.Fatal("proc did not finish")
-	}
-}
-
 func TestProcDoneFlag(t *testing.T) {
 	k := NewKernel(1)
-	p := k.Spawn("p", func(p *Proc) { p.Sleep(10) })
+	p := k.Spawn("p", func(p *Proc) { sleep(k, p, 10) })
 	if p.Done() {
 		t.Fatal("done before running")
 	}
@@ -144,30 +104,26 @@ func TestProcDoneFlag(t *testing.T) {
 	}
 }
 
-func TestUnparkDeferredOnFinishedProcIsNoop(t *testing.T) {
-	k := NewKernel(1)
-	p := k.Spawn("p", func(p *Proc) {})
-	k.After(10, func() { p.UnparkDeferred() })
-	k.Drain() // must not panic
-}
-
 func TestManyProcsNoLeak(t *testing.T) {
 	k := NewKernel(1)
 	const n = 200
 	finished := 0
+	var procs []*Proc
 	for i := 0; i < n; i++ {
 		d := Duration(i)
-		k.Spawn("p", func(p *Proc) {
-			p.Sleep(d)
+		procs = append(procs, k.Spawn("p", func(p *Proc) {
+			sleep(k, p, d)
 			finished++
-		})
+		}))
 	}
 	k.Drain()
 	if finished != n {
 		t.Fatalf("finished = %d, want %d", finished, n)
 	}
-	if k.procs != 0 {
-		t.Fatalf("proc leak: %d live", k.procs)
+	for i, p := range procs {
+		if !p.Done() {
+			t.Fatalf("proc %d not done after drain", i)
+		}
 	}
 }
 
@@ -180,17 +136,66 @@ func TestProcToProcUnpark(t *testing.T) {
 		order = append(order, "a-woke")
 	})
 	k.Spawn("b", func(p *Proc) {
-		p.Sleep(100)
+		sleep(k, p, 100)
 		order = append(order, "b-unparks")
-		a.UnparkDeferred()
-		p.Sleep(1)
+		// Control passes to a and comes back when a finishes.
+		a.Unpark()
+		order = append(order, "b-resumed")
+		sleep(k, p, 1)
 		order = append(order, "b-after")
 	})
 	k.Drain()
-	want := []string{"b-unparks", "a-woke", "b-after"}
+	want := []string{"b-unparks", "a-woke", "b-resumed", "b-after"}
+	if len(order) != len(want) {
+		t.Fatalf("order = %v, want %v", order, want)
+	}
 	for i := range want {
-		if i >= len(order) || order[i] != want[i] {
+		if order[i] != want[i] {
 			t.Fatalf("order = %v, want %v", order, want)
 		}
+	}
+}
+
+// TestProcPanicReachesKernelCaller checks that a panic in a proc body
+// unwinds into the goroutine that runs the kernel loop, where it can be
+// recovered, whether the body started from its spawn event or was
+// resumed by Unpark.
+func TestProcPanicReachesKernelCaller(t *testing.T) {
+	k := NewKernel(1)
+	k.Spawn("early", func(p *Proc) { panic("boom at start") })
+	if got := mustPanic(t, k.Drain); got != "boom at start" {
+		t.Fatalf("Drain panicked with %v", got)
+	}
+
+	k = NewKernel(1)
+	k.Spawn("late", func(p *Proc) {
+		sleep(k, p, 10)
+		panic("boom after park")
+	})
+	if got := mustPanic(t, func() { k.RunUntil(100) }); got != "boom after park" {
+		t.Fatalf("RunUntil panicked with %v", got)
+	}
+	if k.Now() != 10 {
+		t.Fatalf("clock at %d after the panic, want 10", k.Now())
+	}
+}
+
+// TestUnparkGuards checks that Unpark refuses a proc that is not parked,
+// naming it.
+func TestUnparkGuards(t *testing.T) {
+	k := NewKernel(1)
+	fin := k.Spawn("fin", func(p *Proc) {})
+	k.Drain()
+	if got := mustPanic(t, fin.Unpark); got != `sim: resuming finished proc "fin"` {
+		t.Fatalf("unparking a finished proc panicked with %v", got)
+	}
+
+	var got any
+	k.Spawn("self", func(p *Proc) {
+		got = mustPanic(t, p.Unpark)
+	})
+	k.Drain()
+	if got != `sim: resuming running proc "self"` {
+		t.Fatalf("unparking a running proc panicked with %v", got)
 	}
 }

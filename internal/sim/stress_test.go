@@ -67,24 +67,37 @@ func TestRandomEventSoup(t *testing.T) {
 }
 
 // TestManyProcsRandomSleeps interleaves dozens of procs with random
-// sleeps and parks; at the end no proc may be left running and all
-// events must have drained.
+// sleeps and parks, woken by timer events or directly by a peer; at the
+// end no proc may be left running and all events must have drained.
 func TestManyProcsRandomSleeps(t *testing.T) {
 	k := NewKernel(99)
 	const n = 64
 	finished := 0
 	var procs []*Proc
+	var waiting []*Proc // parked until a peer unparks them
+	wakeOne := func() {
+		w := waiting[0]
+		waiting = waiting[1:]
+		w.Unpark()
+	}
 	for i := 0; i < n; i++ {
 		r := k.Rand().Fork()
 		p := k.Spawn("p", func(p *Proc) {
 			for j := 0; j < 20; j++ {
-				switch r.Intn(3) {
+				switch r.Intn(4) {
 				case 0:
-					p.Sleep(Duration(r.Intn(int(time.Millisecond))))
+					sleep(k, p, Duration(r.Intn(int(time.Millisecond))))
 				case 1:
-					p.ParkTimeout(Duration(r.Intn(int(time.Millisecond)) + 1))
+					k.At(k.Now()+Time(r.Intn(int(time.Millisecond))+1), p.Unpark)
+					p.Park()
 				case 2:
-					p.Sleep(Duration(r.Intn(1000)))
+					sleep(k, p, Duration(r.Intn(1000)))
+				case 3:
+					waiting = append(waiting, p)
+					p.Park()
+				}
+				if len(waiting) > 0 && r.Intn(2) == 0 {
+					wakeOne()
 				}
 			}
 			finished++
@@ -92,6 +105,11 @@ func TestManyProcsRandomSleeps(t *testing.T) {
 		procs = append(procs, p)
 	}
 	k.Drain()
+	// Procs still waiting on a peer have no one left to wake them.
+	for len(waiting) > 0 {
+		wakeOne()
+		k.Drain()
+	}
 	if finished != n {
 		t.Fatalf("finished = %d, want %d", finished, n)
 	}
