@@ -105,10 +105,10 @@ func render(client *http.Client, base string, topLocks, topBlame int) (string, e
 	rt := stats.Runtime
 	fmt.Fprintf(&b, "lctop — %s  |  %s  |  %d shards, %d keys, %s latches\n",
 		base, time.Now().Format("15:04:05"), stats.Shards, stats.Keys, stats.LatchPolicy)
-	fmt.Fprintf(&b, "runtime: target=%d load=%d (runq=%.1f os=%+d) sleeping=%d spinners=%d locks=%d  wakes[ctl=%d unlock=%d timeout=%d]  sampling[hold=1/%d event=1/%d blame=1/%d]\n",
+	fmt.Fprintf(&b, "runtime: target=%d load=%d (runq=%.1f os=%+d) sleeping=%d spinners=%d locks=%d  wakes[ctl=%d unlock=%d timeout=%d]  sampling[hold=1/%d blame=1/%d]\n",
 		rt.Target, rt.Load, rt.RunQueue, rt.OSExcess, rt.Sleeping, rt.Spinners, rt.LocksRegistered,
 		rt.ControllerWakes, rt.UnlockWakes, rt.TimeoutWakes,
-		stats.Sampling.Hold, stats.Sampling.Event, stats.Sampling.Blame)
+		stats.Sampling.Hold, stats.Sampling.Blame)
 	if w := stats.Wal; w != nil {
 		// Group size (commits per fsync) is the batching story in one
 		// number: mean ~1 means every commit pays its own fsync, large

@@ -90,8 +90,7 @@ func TestRenderOnce(t *testing.T) {
 				fmt.Sprintf("%d shards, %d keys, %s latches", want.Shards, want.Keys, want.LatchPolicy),
 				fmt.Sprintf("target=%d load=%d (runq=%.1f os=%+d) sleeping=%d spinners=%d locks=%d ",
 					r.Target, r.Load, r.RunQueue, r.OSExcess, r.Sleeping, r.Spinners, r.LocksRegistered),
-				fmt.Sprintf("sampling[hold=1/%d event=1/%d blame=1/%d]",
-					want.Sampling.Hold, want.Sampling.Event, want.Sampling.Blame),
+				fmt.Sprintf("sampling[hold=1/%d blame=1/%d]", want.Sampling.Hold, want.Sampling.Blame),
 				"P99 TREND",
 			}
 			if w := want.Wal; !durable {

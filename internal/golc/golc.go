@@ -11,7 +11,8 @@
 // says the system is oversubscribed). Policies are selected by value
 // (WithPolicy) or by name (PolicyByName) and hot-swapped on live locks
 // (SetPolicy). Every contended wait of every lock is one call of Wait,
-// the single seam that runs the policy and records the wait. All
+// the single seam: it runs the runtime's Handle.Wait, which spins,
+// parks and records the wait, under the policy's park mode. All
 // release paths wake a parked waiter when no spinner remains
 // (runtime.Handle.NoteUnlock), so a free lock never idles until the
 // safety timeout under any policy.

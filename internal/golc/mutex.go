@@ -182,7 +182,7 @@ func (m *Mutex) Lock() {
 }
 
 func (m *Mutex) lockSlow() {
-	m.stampWaited(Wait(m.h, m.Policy(), Acquire{
+	m.stampWaited(Wait(m.h, m.Policy(), lcrt.Acquire{
 		Try:  func() bool { return m.state.Load() == 0 && m.state.CompareAndSwap(0, 1) },
 		Free: func() bool { return m.state.Load() == 0 },
 	}))

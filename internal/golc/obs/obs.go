@@ -9,8 +9,8 @@
 //   - Ring: a bounded, sharded ring of typed events (park, wake,
 //     forced claim, policy hot-swap, controller tick, and the oltp
 //     transaction lifecycle) with nanosecond timestamps — the flight
-//     recorder proper. Old events are overwritten, memory is
-//     bounded, and a sampling knob sheds load under event storms.
+//     recorder proper. Old events are overwritten and memory is
+//     bounded; every event is kept, as events fire on slow paths only.
 //   - Exposition: a hand-rolled Prometheus text writer (PromWriter)
 //     and a Chrome-tracing JSON writer (WriteChromeTrace) whose output
 //     loads in Perfetto / chrome://tracing.
@@ -36,7 +36,6 @@ import (
 // measures.
 const (
 	DefaultHoldSampling  = 256
-	DefaultEventSampling = 1
 	DefaultBlameSampling = 64
 
 	defaultRingShards = 8
@@ -110,10 +109,6 @@ func (r *Recorder) SetHoldSampling(n int) {
 
 // HoldSampling returns the active hold sampling rate (1 = every hold).
 func (r *Recorder) HoldSampling() int { return int(r.holdMask.Load()) + 1 }
-
-// EventSampling returns the active event sampling rate (1 = every
-// event).
-func (r *Recorder) EventSampling() int { return r.ring.Sampling() }
 
 // SetBlameSampling blame-samples one in every n contended acquisitions
 // (n is rounded up to a power of two; n <= 1 samples every one).

@@ -3,7 +3,6 @@ package obs
 import (
 	"sort"
 	"sync"
-	"sync/atomic"
 	"unsafe"
 )
 
@@ -70,7 +69,6 @@ type Event struct {
 // an abort), where one uncontended lock round-trip is noise — and it
 // keeps concurrent dumps trivially race-free.
 type ringShard struct {
-	seq atomic.Uint64 // emit attempts, for sampling
 	mu  sync.Mutex
 	buf []Event
 	pos int // next write index
@@ -82,8 +80,7 @@ type ringShard struct {
 // bounded at shards*size events forever; new events overwrite the
 // oldest within their shard.
 type Ring struct {
-	sampleEvery atomic.Uint64
-	shards      []ringShard
+	shards []ringShard
 }
 
 // NewRing returns a ring of shards*size capacity (shards rounded up to
@@ -100,25 +97,11 @@ func NewRing(shards, size int) *Ring {
 	for i := range r.shards {
 		r.shards[i].buf = make([]Event, size)
 	}
-	r.sampleEvery.Store(DefaultEventSampling)
 	return r
 }
 
-// Cap returns the ring's total capacity in events.
-func (r *Ring) Cap() int { return len(r.shards) * len(r.shards[0].buf) }
-
-func (r *Ring) setSampling(n int) {
-	if n < 1 {
-		n = 1
-	}
-	r.sampleEvery.Store(uint64(n))
-}
-
-// Sampling returns the active event sampling rate (1 = every event).
-func (r *Ring) Sampling() int { return int(r.sampleEvery.Load()) }
-
-// emit appends e to the calling goroutine's shard, applying the
-// sampling knob. The shard hint reuses the histogram's stack-address
+// emit appends e to the calling goroutine's shard. Every event is
+// kept: events fire on slow paths only. The shard hint reuses the histogram's stack-address
 // trick so a goroutine's events stay in one shard (and become one
 // Chrome-trace track).
 func (r *Ring) emit(e Event) {
@@ -126,9 +109,6 @@ func (r *Ring) emit(e Event) {
 	p := uintptr(unsafe.Pointer(&marker))
 	idx := (p ^ (p >> 13)) & uintptr(len(r.shards)-1)
 	sh := &r.shards[idx]
-	if every := r.sampleEvery.Load(); every > 1 && sh.seq.Add(1)%every != 0 {
-		return
-	}
 	e.Shard = uint8(idx)
 	sh.mu.Lock()
 	sh.buf[sh.pos] = e

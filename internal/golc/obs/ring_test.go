@@ -45,22 +45,11 @@ func TestRingSince(t *testing.T) {
 	}
 }
 
-// TestRingSampling checks the knob drops the right fraction.
-func TestRingSampling(t *testing.T) {
-	r := NewRing(1, 4096)
-	r.setSampling(4)
-	for i := 1; i <= 1000; i++ {
-		r.emit(Event{TS: int64(i), Type: EvControllerTick})
-	}
-	if got := r.Len(); got != 250 {
-		t.Fatalf("with 1-in-4 sampling, Len = %d, want 250", got)
-	}
-}
-
 // TestRingConcurrent hammers emit and Since together (run under -race
 // in CI).
 func TestRingConcurrent(t *testing.T) {
-	r := NewRing(4, 64)
+	const shards, size = 4, 64
+	r := NewRing(shards, size)
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	for g := 0; g < 4; g++ {
@@ -83,8 +72,8 @@ func TestRingConcurrent(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
-	if r.Len() > r.Cap() {
-		t.Fatalf("ring exceeded capacity: %d > %d", r.Len(), r.Cap())
+	if r.Len() > shards*size {
+		t.Fatalf("ring exceeded capacity: %d > %d", r.Len(), shards*size)
 	}
 }
 
@@ -178,8 +167,8 @@ func TestChromeTrace(t *testing.T) {
 // every touched shard, so Since must both walk each shard's wrapped
 // buffer oldest-first and merge-sort across shards.
 func TestRingSinceWraparound(t *testing.T) {
-	const emitters, perEmitter, shardSize = 4, 100, 8
-	r := NewRing(4, shardSize)
+	const emitters, perEmitter, shards, shardSize = 4, 100, 4, 8
+	r := NewRing(shards, shardSize)
 	var wg sync.WaitGroup
 	for g := 0; g < emitters; g++ {
 		wg.Add(1)
@@ -195,8 +184,8 @@ func TestRingSinceWraparound(t *testing.T) {
 	}
 	wg.Wait()
 
-	if got := r.Len(); got > r.Cap() {
-		t.Fatalf("Len = %d exceeds Cap = %d", got, r.Cap())
+	if got := r.Len(); got > shards*shardSize {
+		t.Fatalf("Len = %d exceeds the capacity %d", got, shards*shardSize)
 	}
 	all := r.Since(-1)
 	if len(all) != r.Len() {

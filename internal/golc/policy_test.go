@@ -383,6 +383,10 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	}
 }
 
+// graceSpins is the runtime's grace spin: a parking wait's spins before
+// its first claim.
+const graceSpins = 128
+
 // TestLCFollowsTheTarget: the controller's target is lc's only reason
 // to park. At target 0 a waiter spins however long the hold lasts and
 // never claims; at target 8 it parks as soon as its grace spin is over.
@@ -454,10 +458,10 @@ func TestTimeoutWakeFoundFree(t *testing.T) {
 			h := rt.Register("flag")
 			var held atomic.Bool
 			held.Store(true)
-			Wait(h, Block, Acquire{
+			Wait(h, Block, lcrt.Acquire{
 				Try:  func() bool { return held.CompareAndSwap(false, true) },
 				Free: func() bool { return !held.Load() },
-				PrePark: func(lcrt.Ticket) {
+				PrePark: func() bool {
 					switch {
 					case released:
 						held.Store(false)
@@ -465,6 +469,7 @@ func TestTimeoutWakeFoundFree(t *testing.T) {
 						held.Store(false)
 						h.NoteUnlock()
 					}
+					return false
 				},
 			})
 			st, snap := h.Stats(), rt.Snapshot()
@@ -477,5 +482,55 @@ func TestTimeoutWakeFoundFree(t *testing.T) {
 					st.TimeoutWakes, st.TimeoutWakesFree, snap.TimeoutWakesFree, want)
 			}
 		})
+	}
+}
+
+// TestWriterParkWakesGatedReader: a writer that drops its
+// writer-preference gate on its way to sleep wakes a reader parked
+// behind that gate; without the wake both sleep on a lock nobody holds
+// for writing. The writer waits under lc at target 0, so it spins
+// while a reader parks (Block: the controller never wakes it) on the
+// raised gate behind a read hold. At target 8 the writer parks, and
+// only its PrePark's release wake can reach the reader before the
+// minute-long safety timeout.
+func TestWriterParkWakesGatedReader(t *testing.T) {
+	var load atomic.Int64
+	rt := newTestRuntime(t, lcrt.Options{
+		Interval:     time.Millisecond,
+		SleepTimeout: time.Minute,
+		LoadFunc:     func() int { return int(load.Load()) },
+	})
+	mu := NewRW("gate", WithRuntime(rt))
+	mu.RLock()
+	writer := make(chan struct{})
+	go func() {
+		mu.Lock()
+		mu.Unlock()
+		close(writer)
+	}()
+	waitFor(t, "the writer to spin", func() bool { return mu.Stats().SpinningNow == 1 })
+	mu.SetPolicy(Block)
+	reader := make(chan struct{})
+	go func() {
+		mu.RLock()
+		close(reader)
+	}()
+	waitFor(t, "the reader to park", func() bool { return mu.Stats().SleepingNow == 1 })
+	load.Store(8)
+	select {
+	case <-reader:
+	case <-time.After(5 * time.Second):
+		t.Fatalf("the parked reader was never woken: %+v", mu.Stats())
+	}
+	if st := mu.Stats(); st.UnlockWakes != 1 || st.SleepingNow != 1 {
+		t.Fatalf("unlock wakes %d, sleeping %d; want the reader woken and the writer still parked",
+			st.UnlockWakes, st.SleepingNow)
+	}
+	mu.RUnlock() // the woken reader's hold
+	mu.RUnlock() // the first hold: wakes the writer
+	select {
+	case <-writer:
+	case <-time.After(5 * time.Second):
+		t.Fatalf("the writer was stranded: %+v", mu.Stats())
 	}
 }

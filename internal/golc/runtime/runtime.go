@@ -8,9 +8,9 @@
 // controller, so adding a lock never adds a controller. Locks register
 // with a Runtime and receive a Handle; the Handle carries the lock's
 // side of the protocol (spinner count, sleep claims, its parked list,
-// the unlock-side wake) and its per-lock metrics, which contended waits
-// reach through one bracket — Handle.BeginWait, Waiting.End — held by
-// one caller, golc.Wait. The controller
+// the unlock-side wake) and its per-lock metrics. Handle.Wait runs a
+// whole contended wait — spin, claim, re-check, park — and records it;
+// the runtime exports no other way to park. The controller
 // periodically reads the load sensor — runnable goroutines waiting for
 // a P plus OS threads runnable beyond the CPUs (see sensor), or a
 // custom LoadFunc — and publishes a sleep target T. Under the default
@@ -138,7 +138,7 @@ func (ls LockStats) Contention() uint64 { return ls.Blocks + ls.UnlockWakes }
 type Snapshot struct {
 	Updates          uint64
 	Claims           uint64
-	ForcedClaims     uint64 // unconditional parks (ClaimForced: blocking policies)
+	ForcedClaims     uint64 // unconditional parks (ParkAlways: the block policy)
 	ControllerWakes  uint64
 	TimeoutWakes     uint64
 	TimeoutWakesFree uint64 // timeout wakes that found the lock free (see LockStats)
@@ -173,10 +173,10 @@ type Snapshot struct {
 // sleeper is one parked waiter: a channel closed by whichever wake path
 // (controller, unlock, timeout drain) gets there first. hpos is its
 // position in its handle's parked list; hpos, gone and wake are
-// maintained under h.mu. forced marks a claim made through ClaimForced:
-// it bypasses the sleep target and is excluded from the S/W counters
-// (the controller neither asked for it nor may wake it — only the
-// lock's own unlock, the safety timeout, or the Stop drain end it).
+// maintained under h.mu. forced marks a ParkAlways claim: it bypasses
+// the sleep target and is excluded from the S/W counters (the
+// controller neither asked for it nor may wake it — only the lock's own
+// unlock, the safety timeout, or the Stop drain end it).
 // gone flips when some wake path detaches the sleeper, so racing paths
 // settle who consumed it.
 type sleeper struct {
@@ -633,7 +633,7 @@ func (r *Runtime) admit() bool {
 // Under overload the target is maxTarget, so voluntary claims are
 // admitted as freely as forced ones.
 //
-// The forced form (blocking policies) skips the target test entirely:
+// The forced form (ParkAlways) skips the target test entirely:
 // the waiter parks because its policy always parks, not because the
 // controller asked. Forced claims stay out of the S/W counters — the
 // controller's sleeping population is only what it ordered asleep.
@@ -730,7 +730,7 @@ type Handle struct {
 
 	// spinning counts this lock's spinning waiters; sleepers counts its
 	// parked waiters. NoteUnlock reads them (sleepers first) to decide
-	// whether a wake is needed; TryClaim moves a waiter from one to the
+	// whether a wake is needed; claim moves a waiter from one to the
 	// other (sleepers up inside the claim, spinning down after), so by
 	// the time a claimant re-checks the lock state, an unlocker that
 	// observes the old state is guaranteed to observe the claim.
@@ -770,7 +770,7 @@ type Handle struct {
 	// policy names the lock's active contention policy (NotePolicy).
 	policy atomic.Pointer[string]
 
-	// wait and hold are the lock's latency histograms; Waiting.End and
+	// wait and hold are the lock's latency histograms; Wait and
 	// RecordHold feed both them and the runtime's global ones.
 	wait *obs.Histogram
 	hold *obs.Histogram
@@ -782,55 +782,6 @@ func (h *Handle) Name() string { return h.name }
 // Obs returns the runtime's flight recorder, for locks that emit
 // their own events (policy swaps).
 func (h *Handle) Obs() *obs.Recorder { return h.rt.rec }
-
-// Waiting is one contended wait in flight: what BeginWait captured and
-// End needs to record it. It lives on the waiter's stack.
-type Waiting struct {
-	h      *Handle
-	start  int64      // recorder stamp; 0 when the recorder is disabled
-	waiter obs.SiteID // the waiter's acquire site; 0 unless blame-sampled
-	holder obs.SiteID // the holder published when the wait began
-}
-
-// BeginWait opens the wait bracket that Waiting.End closes. Its one
-// caller is golc.Wait, which runs the ContentionPolicy between the two,
-// so every wait of every lock under every policy passes this
-// attribution point. It stamps the wait and, on a blame-sampled wait
-// (the uncommon case; otherwise two atomic loads), captures the
-// waiter's acquire site — skipping skip frames above BeginWait's
-// caller — and reads whoever holds the lock right now: that holder
-// built the convoy this waiter is about to join.
-func (h *Handle) BeginWait(skip int) Waiting {
-	rec := h.rt.rec
-	w := Waiting{h: h}
-	if rec.Enabled() {
-		w.start = rec.Now()
-	}
-	if rec.BlameSampled() {
-		w.waiter = rec.CallerSite(skip + 1)
-		w.holder = obs.SiteID(h.holderSite.Load())
-	}
-	return w
-}
-
-// End closes the bracket once the wait has acquired: the wait goes into
-// the lock's and the runtime's wait histograms, a sampled one into the
-// blame matrix too, and the waiter's site (0 unless sampled) is
-// returned for the new holder to publish.
-func (w Waiting) End() obs.SiteID {
-	h, rec := w.h, w.h.rt.rec
-	if w.start != 0 {
-		d := rec.Now() - w.start
-		h.wait.Observe(d)
-		rec.Wait.Observe(d)
-		if w.waiter != 0 {
-			h.blameCount.Add(1)
-			h.blameNs.Add(uint64(d))
-			rec.RecordBlame(w.waiter, w.holder, h.name, d)
-		}
-	}
-	return w.waiter
-}
 
 // HoldStamp forwards to the recorder's sampled hold stamping (see
 // obs.Recorder.HoldStamp); locks feed it their acquisition sequence.
@@ -860,7 +811,7 @@ func (h *Handle) policyName() string {
 
 // PublishHolderSite stamps site as the current holder's acquire site.
 // Call only while holding the lock, with the site this acquisition's
-// wait returned (Waiting.End).
+// wait returned (Wait).
 func (h *Handle) PublishHolderSite(site obs.SiteID) { h.holderSite.Store(uint64(site)) }
 
 // ClearHolderSite clears the published holder site on release. Callers
@@ -882,24 +833,6 @@ func (h *Handle) ClearHolderSite() {
 // correctness.
 func (h *Handle) Close() { h.closed.Store(true) }
 
-// Spinning adjusts the lock's spinner count by delta. Locks call
-// Spinning(1) when a waiter starts spinning and Spinning(-1) when it
-// acquires.
-func (h *Handle) Spinning(delta int) { h.spinning.Add(int64(delta)) }
-
-// NoteTimeoutWakeFree counts a timeout wake after which the waiter
-// found the lock free (LockStats.TimeoutWakesFree): the caller re-checks
-// its lock once Sleep reports the timeout.
-func (h *Handle) NoteTimeoutWakeFree() {
-	h.rt.timeoutWakesFree.Add(1)
-	h.timeoutWakesFree.Add(1)
-}
-
-// NoteSpins adds n spin-loop iterations to the lock's counters. Locks
-// batch this (accumulate locally, report on exit) to keep the spin loop
-// free of shared-counter traffic.
-func (h *Handle) NoteSpins(n int) { h.spins.Add(uint64(n)) }
-
 // NoteUnlock is the unlock-side wake hook: locks call it after
 // releasing. When the lock has parked waiters and no spinners left, it
 // wakes exactly one sleeper so a free lock never idles until the
@@ -910,7 +843,7 @@ func (h *Handle) NoteSpins(n int) { h.spins.Add(uint64(n)) }
 // The protocol cannot strand a waiter: a parker claims (making its
 // sleeper visible and leaving the lock's spinners) and then re-checks
 // the lock state, sleeping only if the lock is still held (else
-// Ticket.Cancel). An unlocker releases and then reads sleepers and
+// cancel). An unlocker releases and then reads sleepers and
 // spinning. If the parker saw the lock held, its claim is ordered
 // before the release, so the unlocker sees the sleeper and wakes it;
 // if the unlocker instead saw a lingering spinner, that spinner's
@@ -930,91 +863,6 @@ func (h *Handle) NoteUnlock() {
 // returns how many there were, for waits that end for all waiters at
 // once (the wal's group commit) rather than for one acquirer.
 func (h *Handle) WakeAll() int { return h.rt.wakeAllHandle(h) }
-
-// A Ticket is a sleep claim that has not been slept on yet. The
-// claim/sleep split has two jobs: a lock re-checks its state after the
-// claim and cancels the park if the lock was released in between (see
-// NoteUnlock), and a lock can release auxiliary state only once the
-// park is certain — e.g. a writer dropping its writer-preference
-// claim: dropping it on every failed claim attempt would leak readers
-// past a waiting writer.
-type Ticket struct {
-	h *Handle
-	s *sleeper
-}
-
-// TryClaim attempts the spinner-side sleep claim without sleeping. The
-// no-openings case is three atomic loads and a counter bump
-// (Snapshot.ClaimRefusals). A successful claim leaves
-// the lock's spinners (the waiter is committed to parking unless it
-// Cancels); Sleep and Cancel both rejoin them.
-func (h *Handle) TryClaim() (Ticket, bool) {
-	return h.claim(false)
-}
-
-// ClaimForced claims sleep unconditionally — no target test, no S/W
-// accounting — for policies that always park contended waiters (golc's
-// Block policy). A forced sleeper is woken only by the lock's own
-// unlock (NoteUnlock, WakeAll), the safety timeout, or the Stop drain;
-// the controller ignores it. It fails only once the runtime is
-// stopping — callers fall back to spinning.
-func (h *Handle) ClaimForced() (Ticket, bool) {
-	return h.claim(true)
-}
-
-func (h *Handle) claim(forced bool) (Ticket, bool) {
-	s := h.rt.trySleep(h, forced)
-	if s == nil {
-		return Ticket{}, false
-	}
-	h.Spinning(-1)
-	h.blocks.Add(1)
-	if rec := h.rt.rec; rec.Enabled() {
-		// Stamp the claim so the eventual wake can record how long the
-		// park lasted. t0 is owned by this goroutine until it sleeps.
-		s.t0 = rec.Now()
-		ev := obs.EvPark
-		if forced {
-			ev = obs.EvForcedClaim
-		}
-		rec.Event(ev, h.name, "", 0)
-	}
-	return Ticket{h: h, s: s}, true
-}
-
-// Sleep parks on the claim until a controller wake, an unlock wake, or
-// the safety timeout — a park cannot be cancelled — then rejoins the
-// lock's spinners. timedOut reports a park ended by the
-// safety timeout rather than a wake.
-func (t Ticket) Sleep() (timedOut bool) {
-	timedOut = t.h.rt.sleep(t.s)
-	t.h.Spinning(1)
-	return timedOut
-}
-
-// Cancel retires the claim without parking — the caller re-checked its
-// lock and found it free — and rejoins the lock's spinners.
-func (t Ticket) Cancel() {
-	t.h.rt.cancel(t.s)
-	t.h.Spinning(1)
-}
-
-// NoteRelease is NoteUnlock for a waiter that is itself committed to
-// parking: a claimant that releases a gate on its way to sleep (the
-// RWMutex writer dropping its writer-preference claim) must wake a
-// waiter that parked behind that gate — but never its own freshly
-// claim, which a plain NoteUnlock would pick. The common path
-// (no other sleeper) is one atomic load.
-func (t Ticket) NoteRelease() {
-	h := t.h
-	if h.sleepers.Load() <= 1 {
-		return // only our own claim is parked
-	}
-	if h.spinning.Load() > 0 {
-		return
-	}
-	h.rt.wakeHandle(h, t.s)
-}
 
 // Stats returns the lock's counters.
 func (h *Handle) Stats() LockStats {

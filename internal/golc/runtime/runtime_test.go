@@ -20,9 +20,9 @@ func TestRegisterUnregisterConcurrent(t *testing.T) {
 			defer wg.Done()
 			for j := 0; j < 500; j++ {
 				h := rt.Register(fmt.Sprintf("lock-%d-%d", id, j))
-				h.Spinning(1)
-				h.NoteSpins(1)
-				h.Spinning(-1)
+				h.spinning.Add(1)
+				h.spins.Add(1)
+				h.spinning.Add(-1)
 				h.Close()
 			}
 		}(i)
@@ -141,12 +141,12 @@ func TestParkHandoffConcurrent(t *testing.T) {
 					return
 				default:
 				}
-				h.Spinning(1)
-				if tk, ok := h.TryClaim(); ok {
-					tk.Sleep()
+				h.spinning.Add(1)
+				if s := h.claim(false); s != nil {
+					sleepClaim(s)
 					parked.Add(1)
 				}
-				h.Spinning(-1)
+				h.spinning.Add(-1)
 			}
 		}()
 	}
@@ -198,16 +198,16 @@ func TestSnapshotSleepingBoundedUnderChurn(t *testing.T) {
 					return
 				default:
 				}
-				h.Spinning(1)
-				if tk, ok := h.TryClaim(); ok {
+				h.spinning.Add(1)
+				if s := h.claim(false); s != nil {
 					// Alternate the two retirement paths.
 					if n%2 == 0 {
-						tk.Cancel()
+						cancelClaim(s)
 					} else {
-						tk.Sleep()
+						sleepClaim(s)
 					}
 				}
-				h.Spinning(-1)
+				h.spinning.Add(-1)
 			}
 		}()
 	}
@@ -272,14 +272,14 @@ func TestUnlockWakePath(t *testing.T) {
 	rt := New(Options{SleepTimeout: 10 * time.Second})
 	rt.setTarget(1)
 	h := rt.Register("unlock-wake")
-	h.Spinning(1)
-	tk, ok := h.TryClaim()
-	if !ok {
+	h.spinning.Add(1)
+	s := h.claim(false)
+	if s == nil {
 		t.Fatal("claim failed with open target")
 	}
 	done := make(chan struct{})
 	go func() {
-		tk.Sleep()
+		sleepClaim(s)
 		close(done)
 	}()
 	waitFor(t, "sleeper parked", func() bool { return rt.Snapshot().Sleeping == 1 })
@@ -289,7 +289,7 @@ func TestUnlockWakePath(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("unlock-side wake did not release the sleeper")
 	}
-	h.Spinning(-1)
+	h.spinning.Add(-1)
 	snap := rt.Snapshot()
 	if snap.UnlockWakes != 1 || snap.ControllerWakes != 0 || snap.TimeoutWakes != 0 {
 		t.Fatalf("snapshot = %+v", snap)
@@ -305,47 +305,48 @@ func TestNoteUnlockSuppressedBySpinner(t *testing.T) {
 	rt := New(Options{SleepTimeout: 50 * time.Millisecond})
 	rt.setTarget(1)
 	h := rt.Register("suppressed")
-	h.Spinning(1) // the sleeper-to-be
-	tk, ok := h.TryClaim()
-	if !ok {
+	h.spinning.Add(1) // the sleeper-to-be
+	s := h.claim(false)
+	if s == nil {
 		t.Fatal("claim failed")
 	}
 	done := make(chan struct{})
 	go func() {
-		tk.Sleep()
+		sleepClaim(s)
 		close(done)
 	}()
 	waitFor(t, "sleeper parked", func() bool { return rt.Snapshot().Sleeping == 1 })
-	h.Spinning(1) // a second waiter, still spinning
+	h.spinning.Add(1) // a second waiter, still spinning
 	h.NoteUnlock()
 	if n := rt.Snapshot().UnlockWakes; n != 0 {
 		t.Fatalf("UnlockWakes = %d with a spinner present, want 0", n)
 	}
 	<-done // safety timeout releases the sleeper
-	h.Spinning(-2)
+	h.spinning.Add(-2)
 }
 
 // TestNoteReleaseWakesOtherSleeper: a claimant that releases a gate on
-// its way to sleep must wake some OTHER parked waiter, never its own
-// fresh claim (which a plain NoteUnlock would pick), and must
-// not wake at all when its own claim is the only one parked.
+// its way to sleep (Wait's noteRelease after a PrePark that reports
+// one) must wake some OTHER parked waiter, never its own fresh claim
+// (which a plain NoteUnlock would pick), and must not wake at all when
+// its own claim is the only one parked.
 func TestNoteReleaseWakesOtherSleeper(t *testing.T) {
 	rt := New(Options{SleepTimeout: 10 * time.Second})
 	rt.setTarget(2)
 	h := rt.Register("release")
 
 	// Only our own claim parked: no wake.
-	h.Spinning(1)
-	self, ok := h.TryClaim()
-	if !ok {
+	h.spinning.Add(1)
+	self := h.claim(false)
+	if self == nil {
 		t.Fatal("claim failed")
 	}
-	self.NoteRelease()
+	h.noteRelease(self)
 	if n := rt.Snapshot().UnlockWakes; n != 0 {
 		t.Fatalf("NoteRelease woke its own claim: UnlockWakes=%d", n)
 	}
 
-	// An older sleeper exists: NoteRelease from the newer claim must
+	// An older sleeper exists: noteRelease from the newer claim must
 	// wake the older one and leave its own claim parked.
 	other := rt.trySleep(h, false) // stands in for the stranded reader
 	if other == nil {
@@ -357,18 +358,64 @@ func TestNoteReleaseWakesOtherSleeper(t *testing.T) {
 		close(otherDone)
 	}()
 	waitFor(t, "both parked", func() bool { return rt.Snapshot().Sleeping == 2 })
-	self.NoteRelease()
+	h.noteRelease(self)
 	select {
 	case <-otherDone:
 	case <-time.After(2 * time.Second):
-		t.Fatalf("NoteRelease did not wake the other sleeper: %+v", rt.Snapshot())
+		t.Fatalf("noteRelease did not wake the other sleeper: %+v", rt.Snapshot())
 	}
 	snap := rt.Snapshot()
 	if snap.UnlockWakes != 1 || snap.Sleeping != 1 {
 		t.Fatalf("snapshot = %+v, want the other sleeper woken and ours still parked", snap)
 	}
-	self.Cancel()
-	h.Spinning(-1)
+	cancelClaim(self)
+	h.spinning.Add(-1)
+}
+
+// TestWaitFreeRecheckCancels: a waiter whose post-claim re-check finds
+// the lock free cancels the claim and takes the lock without sleeping,
+// under both parking modes. Try succeeds only once Free has been
+// called, and nothing else can end a park here: the safety timeout is
+// a minute and the pinned target leaves the controller no surplus to
+// wake. A Wait that slept past a free re-check would hang.
+func TestWaitFreeRecheckCancels(t *testing.T) {
+	for _, mode := range []struct {
+		name string
+		park Park
+	}{{"lc", ParkAdmitted}, {"block", ParkAlways}} {
+		t.Run(mode.name, func(t *testing.T) {
+			rt := New(Options{
+				Interval:     time.Millisecond,
+				SleepTimeout: time.Minute,
+				LoadFunc:     func() int { return 1 },
+			})
+			rt.Start()
+			defer rt.Stop()
+			waitFor(t, "target 1", func() bool { return rt.Snapshot().Target == 1 })
+			h := rt.Register("recheck")
+			var checked atomic.Bool
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				h.Wait(mode.park, Acquire{
+					Try:  checked.Load,
+					Free: func() bool { checked.Store(true); return true },
+				})
+			}()
+			select {
+			case <-done:
+			case <-time.After(5 * time.Second):
+				t.Fatalf("the waiter slept past a free re-check: %+v", h.Stats())
+			}
+			snap, ls := rt.Snapshot(), h.Stats()
+			if ls.Blocks != 1 || snap.Cancels != 1 {
+				t.Fatalf("blocks %d, cancels %d; want the one claim cancelled", ls.Blocks, snap.Cancels)
+			}
+			if ls.ControllerWakes+ls.UnlockWakes+ls.TimeoutWakes != 0 || ls.SpinningNow+ls.SleepingNow != 0 {
+				t.Fatalf("per-lock stats = %+v, want no wake and no waiter left", ls)
+			}
+		})
+	}
 }
 
 // TestWakeAll: one call wakes every parked waiter of the handle — the
@@ -380,27 +427,23 @@ func TestWakeAll(t *testing.T) {
 	h := rt.Register("group")
 	bystander := rt.Register("bystander")
 	var wg sync.WaitGroup
-	park := func(h *Handle, claim func(*Handle) (Ticket, bool)) {
-		h.Spinning(1)
-		tk, ok := claim(h)
-		if !ok {
+	park := func(h *Handle, forced bool) {
+		h.spinning.Add(1)
+		s := h.claim(forced)
+		if s == nil {
 			t.Fatal("claim failed")
 		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			tk.Sleep()
-			h.Spinning(-1)
+			sleepClaim(s)
+			h.spinning.Add(-1)
 		}()
 	}
 	for i := 0; i < n; i++ {
-		if i%2 == 0 {
-			park(h, (*Handle).TryClaim)
-		} else {
-			park(h, (*Handle).ClaimForced)
-		}
+		park(h, i%2 == 1)
 	}
-	park(bystander, (*Handle).TryClaim)
+	park(bystander, false)
 	if got := h.WakeAll(); got != n {
 		t.Fatalf("WakeAll = %d, want %d", got, n)
 	}
@@ -427,13 +470,13 @@ func TestTicketCancel(t *testing.T) {
 	rt := New(Options{})
 	rt.setTarget(1)
 	h := rt.Register("cancel")
-	h.Spinning(1)
-	tk, ok := h.TryClaim()
-	if !ok {
+	h.spinning.Add(1)
+	s := h.claim(false)
+	if s == nil {
 		t.Fatal("claim failed")
 	}
-	tk.Cancel()
-	h.Spinning(-1)
+	cancelClaim(s)
+	h.spinning.Add(-1)
 	snap := rt.Snapshot()
 	if snap.Sleeping != 0 || snap.Cancels != 1 || snap.Claims != 1 {
 		t.Fatalf("snapshot = %+v", snap)
@@ -473,24 +516,20 @@ func TestStopWakesParkedWaiters(t *testing.T) {
 			})
 			rt.Start()
 			h := rt.Register("shutdown")
-			claim := (*Handle).TryClaim
-			if tc.forced {
-				claim = (*Handle).ClaimForced
-			}
 			var wg sync.WaitGroup
 			for i := 0; i < 4; i++ {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					h.Spinning(1)
+					h.spinning.Add(1)
 					// Retry until the target opens (the first controller
 					// tick may not have published it yet).
-					tk, ok := claim(h)
-					for ; !ok; tk, ok = claim(h) {
+					s := h.claim(tc.forced)
+					for ; s == nil; s = h.claim(tc.forced) {
 						time.Sleep(100 * time.Microsecond)
 					}
-					tk.Sleep()
-					h.Spinning(-1)
+					sleepClaim(s)
+					h.spinning.Add(-1)
 				}()
 			}
 			waitFor(t, "4 sleepers parked", func() bool { return h.Stats().SleepingNow == 4 })
@@ -505,11 +544,11 @@ func TestStopWakesParkedWaiters(t *testing.T) {
 			case <-time.After(5 * time.Second):
 				t.Fatalf("Stop left waiters parked: %+v", h.Stats())
 			}
-			if _, ok := h.TryClaim(); ok {
-				t.Fatal("TryClaim admitted after Stop")
+			if h.claim(false) != nil {
+				t.Fatal("claim admitted after Stop")
 			}
-			if _, ok := h.ClaimForced(); ok {
-				t.Fatal("ClaimForced admitted after Stop")
+			if h.claim(true) != nil {
+				t.Fatal("forced claim admitted after Stop")
 			}
 		})
 	}
@@ -524,26 +563,26 @@ func TestControllerWakeSpansHandles(t *testing.T) {
 	rt.setTarget(3 * perHandle)
 	hs := []*Handle{rt.Register("a"), rt.Register("b"), rt.Register("c")}
 	var wg sync.WaitGroup
-	park := func(h *Handle, claim func(*Handle) (Ticket, bool)) {
-		h.Spinning(1)
-		tk, ok := claim(h)
-		if !ok {
+	park := func(h *Handle, forced bool) {
+		h.spinning.Add(1)
+		s := h.claim(forced)
+		if s == nil {
 			t.Fatalf("claim on %s refused: %+v", h.Name(), rt.Snapshot())
 		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			tk.Sleep()
-			h.Spinning(-1)
+			sleepClaim(s)
+			h.spinning.Add(-1)
 		}()
 	}
 	for _, h := range hs {
 		for i := 0; i < perHandle; i++ {
-			park(h, (*Handle).TryClaim)
+			park(h, false)
 		}
 	}
 	forced := hs[0]
-	park(forced, (*Handle).ClaimForced)
+	park(forced, true)
 	parked := func() (n int64) {
 		for _, h := range hs {
 			n += h.Stats().SleepingNow
@@ -596,8 +635,8 @@ func TestDefaultSensorTargetFollowsLoadSign(t *testing.T) {
 	ncpu := goruntime.NumCPU()
 	sens, setRunning := fakeLoadavg(t, ncpu+2) // OSExcess = +1
 	h := rt.Register("census")
-	h.Spinning(5)
-	defer h.Spinning(-5)
+	h.spinning.Add(5)
+	defer h.spinning.Add(-5)
 
 	tick := func() Snapshot {
 		t.Helper()
@@ -625,12 +664,12 @@ func TestDefaultSensorTargetFollowsLoadSign(t *testing.T) {
 	// re-read after it).
 	var wg sync.WaitGroup
 	for i := 0; i < 2; i++ {
-		tk, ok := h.TryClaim()
-		if !ok {
+		s := h.claim(false)
+		if s == nil {
 			t.Fatalf("claim refused under the overloaded target: %+v", rt.Snapshot())
 		}
 		wg.Add(1)
-		go func() { defer wg.Done(); tk.Sleep() }()
+		go func() { defer wg.Done(); sleepClaim(s) }()
 	}
 	setRunning(1) // OSExcess = -NumCPU
 	// The run-queue term is real: a tick taken just after this process's
@@ -726,19 +765,19 @@ func TestWaitersExposure(t *testing.T) {
 		ls := h.Stats()
 		return ls.SpinningNow, ls.SleepingNow
 	}
-	h.Spinning(1)
+	h.spinning.Add(1)
 	if sp, sl := now(); sp != 1 || sl != 0 {
-		t.Fatalf("SpinningNow, SleepingNow = %d,%d after Spinning(1)", sp, sl)
+		t.Fatalf("SpinningNow, SleepingNow = %d,%d after a waiter started spinning", sp, sl)
 	}
-	tk, ok := h.TryClaim()
-	if !ok {
+	s := h.claim(false)
+	if s == nil {
 		t.Fatal("claim failed with open target")
 	}
 	if sp, sl := now(); sp != 0 || sl != 1 {
 		t.Fatalf("SpinningNow, SleepingNow = %d,%d after claim", sp, sl)
 	}
-	tk.Cancel()
-	h.Spinning(-1)
+	cancelClaim(s)
+	h.spinning.Add(-1)
 	if sp, sl := now(); sp != 0 || sl != 0 {
 		t.Fatalf("SpinningNow, SleepingNow = %d,%d after cancel", sp, sl)
 	}
@@ -767,6 +806,20 @@ func TestTopContended(t *testing.T) {
 	if all := snap.TopContended(-1); len(all) != 4 {
 		t.Fatalf("TopContended(-1) kept %d entries, want 4 (idle dropped)", len(all))
 	}
+}
+
+// sleepClaim and cancelClaim end a claim as Wait does, for tests that
+// drive the protocol's steps by hand: the claim left the lock's
+// spinners, and either end rejoins them.
+func sleepClaim(s *sleeper) (timedOut bool) {
+	timedOut = s.h.rt.sleep(s)
+	s.h.spinning.Add(1)
+	return timedOut
+}
+
+func cancelClaim(s *sleeper) {
+	s.h.rt.cancel(s)
+	s.h.spinning.Add(1)
 }
 
 // waitFor polls cond for up to 5s (spinning workers can starve the

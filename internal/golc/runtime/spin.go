@@ -1,18 +1,25 @@
-package golc
+package runtime
 
-import "runtime"
+import goruntime "runtime"
 
-// The TATAS spin cadence shared by every lock in this package: waiters
-// poll the lock word every iteration, check the sleep target every
-// parkCheckEvery iterations once past the grace spin, and yield to the
-// Go scheduler every goschedEvery iterations (a hard spin can starve
-// the lock holder's goroutine off its P). Both are powers of two so the
-// cadence tests are single masks, cheap enough for next to inline into
-// every spin loop.
+// The TATAS spin cadence of every wait (Handle.Wait): waiters poll the
+// lock every iteration, check for a park every parkCheckEvery
+// iterations once past the grace spin, and yield to the Go scheduler
+// every goschedEvery iterations (a hard spin can starve the lock
+// holder's goroutine off its P). Both are powers of two so the cadence
+// tests are single masks, cheap enough for next to inline into the
+// spin loop.
 const (
 	parkCheckEvery = 64
 	goschedEvery   = 256
 )
+
+// graceSpins is the spin every parking wait makes before its first
+// claim: long enough that a briefly-held latch hands off without a
+// sleep, short enough that real convoys deschedule almost immediately.
+// Whether to park after it is the controller's call (ParkAdmitted) or a
+// given (ParkAlways), not a matter of spinning longer.
+const graceSpins = 128
 
 // cadence tracks one waiter's position in the spin cadence. The zero
 // value takes the park path from the first interval on; set park to
@@ -42,7 +49,7 @@ func (c *cadence) next() bool {
 //go:noinline
 func (c *cadence) slow() bool {
 	if c.spins&(goschedEvery-1) == 0 {
-		runtime.Gosched()
+		goruntime.Gosched()
 	}
 	return c.spins >= c.park
 }

@@ -1,0 +1,171 @@
+package runtime
+
+import "repro/internal/golc/obs"
+
+// Park is a wait's park mode, the one thing golc's contention policies
+// differ in: whether a waiter past its grace spin claims sleep, and
+// against what.
+type Park uint8
+
+const (
+	// ParkNever spins until the lock is acquired (golc's Spin).
+	ParkNever Park = iota
+	// ParkAdmitted claims sleep when the controller's sleep target
+	// admits the claim (golc's LoadControlled).
+	ParkAdmitted
+	// ParkAlways claims sleep on every park check, outside the target
+	// and the S/W counters (golc's Block). The controller never wakes
+	// such a sleeper; the lock's unlock wake, the safety timeout or the
+	// Stop drain does.
+	ParkAlways
+)
+
+// Acquire is the lock's side of one blocked acquisition: closures over
+// the lock's own atomic state, handed to Wait. Only Try and Free are
+// mandatory.
+type Acquire struct {
+	// Try makes one acquire attempt (for the TATAS locks: a test then a
+	// CAS) and reports whether the lock is now held.
+	Try func() bool
+
+	// Free reports whether the lock looks acquirable right now. Wait
+	// consults it after claiming sleep and before sleeping: if the
+	// holder released in between (and saw the claim), parking would
+	// strand the unlock-side wake, so the claim is cancelled and the
+	// waiter goes to take the free lock instead.
+	Free func() bool
+
+	// PrePark, when non-nil, is called just before the waiter sleeps,
+	// and PostPark after the sleep returns. They exist for gates a
+	// waiter must not hold while unconscious: the RWMutex writer drops
+	// its writer-preference claim in PrePark and re-raises it in
+	// PostPark. PrePark reports whether it released a gate another
+	// waiter may have parked behind; Wait then makes the unlock-side
+	// wake for it, which never picks the caller's own claim.
+	PrePark  func() bool
+	PostPark func()
+}
+
+// Wait is the runtime's one way to park. It runs one contended wait on
+// h's lock until a.Try succeeds and has no other way out: physical
+// waits are uncancellable by design. The caller has already failed one
+// uncontended attempt.
+//
+// The loop is the paper's client protocol (§3.1.2). Poll a.Try every
+// iteration of the spin cadence. Past the grace spin, once per park
+// check, claim sleep as park says. Re-check a.Free after the claim and
+// cancel if the lock went free (see NoteUnlock for why that cannot
+// strand a waiter). Otherwise run a.PrePark, sleep until a controller
+// wake, an unlock wake or the safety timeout, run a.PostPark, and go
+// back to polling.
+//
+// Wait stamps the wait into the lock's and the runtime's wait
+// histograms and, when blame-sampled, into the blame matrix against
+// the holder published when it began. It returns the waiter's blame
+// site (0 unless sampled) for the new holder to publish. The site is
+// the stack from two frames above Wait's caller: golc.Wait calls Wait
+// from a lock's slow path one frame below its exported entry point
+// (Lock → lockSlow → golc.Wait → Wait), so the site starts there.
+func (h *Handle) Wait(park Park, a Acquire) obs.SiteID {
+	rec := h.rt.rec
+	var start int64
+	var waiter, holder obs.SiteID
+	if rec.Enabled() {
+		start = rec.Now()
+	}
+	if rec.BlameSampled() {
+		// The holder published right now built the convoy this waiter
+		// is about to join.
+		waiter = rec.CallerSite(3)
+		holder = obs.SiteID(h.holderSite.Load())
+	}
+	h.spinning.Add(1)
+	c := cadence{park: graceSpins}
+	for !a.Try() {
+		if !c.next() || park == ParkNever {
+			continue
+		}
+		s := h.claim(park == ParkAlways)
+		if s == nil {
+			continue
+		}
+		// Re-check after the claim: if the lock went free in between,
+		// parking would strand the unlock-side wake.
+		if a.Free() {
+			h.rt.cancel(s)
+			h.spinning.Add(1)
+		} else {
+			if a.PrePark != nil && a.PrePark() {
+				h.noteRelease(s)
+			}
+			timedOut := h.rt.sleep(s)
+			h.spinning.Add(1)
+			if a.PostPark != nil {
+				a.PostPark()
+			}
+			if timedOut && a.Free() {
+				// The backstop found the lock free: a release missed
+				// this waiter (or raced the timeout).
+				h.rt.timeoutWakesFree.Add(1)
+				h.timeoutWakesFree.Add(1)
+			}
+		}
+		h.spins.Add(uint64(c.spins))
+		c.spins = 0
+	}
+	h.spinning.Add(-1)
+	h.spins.Add(uint64(c.spins))
+	if start != 0 {
+		d := rec.Now() - start
+		h.wait.Observe(d)
+		rec.Wait.Observe(d)
+		if waiter != 0 {
+			h.blameCount.Add(1)
+			h.blameNs.Add(uint64(d))
+			rec.RecordBlame(waiter, holder, h.name, d)
+		}
+	}
+	return waiter
+}
+
+// claim is Wait's sleep claim: forced for ParkAlways, against the sleep
+// target otherwise (the refusal is three atomic loads and the
+// ClaimRefusals count). A claim leaves the lock's spinners — the waiter
+// is committed to parking unless its re-check cancels — and both ends
+// of it rejoin them. It returns nil when refused; a forced claim is
+// refused only once the runtime is stopping.
+func (h *Handle) claim(forced bool) *sleeper {
+	s := h.rt.trySleep(h, forced)
+	if s == nil {
+		return nil
+	}
+	h.spinning.Add(-1)
+	h.blocks.Add(1)
+	if rec := h.rt.rec; rec.Enabled() {
+		// Stamp the claim so the eventual wake can record how long the
+		// park lasted. t0 is owned by this goroutine until it sleeps.
+		s.t0 = rec.Now()
+		ev := obs.EvPark
+		if forced {
+			ev = obs.EvForcedClaim
+		}
+		rec.Event(ev, h.name, "", 0)
+	}
+	return s
+}
+
+// noteRelease is NoteUnlock for a waiter committed to parking on self:
+// a claimant that releases a gate on its way to sleep (the RWMutex
+// writer dropping its writer-preference claim) must wake a waiter that
+// parked behind that gate, but never its own fresh claim, which a plain
+// NoteUnlock would pick. The common path (no other sleeper) is one
+// atomic load.
+func (h *Handle) noteRelease(self *sleeper) {
+	if h.sleepers.Load() <= 1 {
+		return // only our own claim is parked
+	}
+	if h.spinning.Load() > 0 {
+		return
+	}
+	h.rt.wakeHandle(h, self)
+}

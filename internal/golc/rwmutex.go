@@ -66,7 +66,7 @@ func (m *RWMutex) RLock() {
 // that is the writer holding (or a sampled reader crowding out) the
 // lock — and then publishes its own site, unshadowed (see RWMutex).
 func (m *RWMutex) rlockSlow() {
-	if site := Wait(m.h, m.Policy(), Acquire{Try: m.tryR, Free: m.rAvailable}); site != 0 {
+	if site := Wait(m.h, m.Policy(), lcrt.Acquire{Try: m.tryR, Free: m.rAvailable}); site != 0 {
 		m.h.PublishHolderSite(site)
 	}
 }
@@ -117,7 +117,7 @@ func (m *RWMutex) Lock() {
 
 // lockSlow waits for the write hold, the gate already raised.
 func (m *RWMutex) lockSlow() {
-	site := Wait(m.h, m.Policy(), Acquire{
+	site := Wait(m.h, m.Policy(), lcrt.Acquire{
 		Try: func() bool {
 			if m.state.Load() == 0 && m.state.CompareAndSwap(0, -1) {
 				m.wwait.Add(-1)
@@ -135,13 +135,11 @@ func (m *RWMutex) lockSlow() {
 		// committed to parking because it saw our wwait (while the
 		// last read hold's NoteUnlock was suppressed by a then-
 		// spinning waiter) would otherwise sleep on a lock nobody will
-		// release again. NoteRelease, not NoteUnlock: our own claim is
-		// the newest parked entry and must not soak up the wake.
-		PrePark: func(t lcrt.Ticket) {
+		// release again. Reporting the gate released while no writer
+		// holds the lock has Wait make that wake, never on our own claim.
+		PrePark: func() bool {
 			m.wwait.Add(-1)
-			if m.state.Load() >= 0 {
-				t.NoteRelease()
-			}
+			return m.state.Load() >= 0
 		},
 		PostPark: func() { m.wwait.Add(1) },
 	})

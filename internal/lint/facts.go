@@ -14,7 +14,7 @@ import (
 // and booleans only), so they are independent of any FileSet.
 type FuncFacts struct {
 	// Parks: calling this function may reach a parking point (a golc
-	// Lock/RLock or a runtime Ticket.Sleep — golc.Wait among the
+	// Lock/RLock or the runtime's Handle.Wait — golc.Wait among the
 	// functions that reach one), transitively. ParkWhat describes the
 	// chain for reports ("q.inner → Lock on b.Mu").
 	Parks    bool
@@ -220,10 +220,10 @@ func computePackageFacts(pkg *Package, prog *Program) *PackageFacts {
 					if _, ok := rf.relKeys[key]; !ok {
 						rf.relKeys[key] = classOf(pkg.Info, ci.recv)
 					}
-				case kindTicketSleep:
+				case kindHandleWait:
 					if !rf.facts.Parks {
 						rf.facts.Parks = true
-						rf.facts.ParkWhat = "slot-pool park (" + ci.name + ")"
+						rf.facts.ParkWhat = "runtime park (" + ci.name + ")"
 					}
 				case kindNone:
 					if what, ok := blockingCall(pkg.Info, ci); ok {
@@ -339,7 +339,7 @@ func scanCtxBgFact(pkg *Package, sup *suppressions, ci callInfo, call *ast.CallE
 			continue
 		}
 		switch {
-		case ci.kind == kindAcqPark || ci.kind == kindTicketSleep:
+		case ci.kind == kindAcqPark || ci.kind == kindHandleWait:
 			facts.CtxBgWait = true
 			facts.CtxWhat = "context." + ctor + "() into " + callName(call)
 		case ci.kind == kindNone && ci.callee != nil:

@@ -35,9 +35,9 @@ const (
 	kindAcqTry
 	// kindRelease: Unlock/RUnlock.
 	kindRelease
-	// kindTicketSleep: runtime Ticket.Sleep — the slot-pool park
-	// primitive golc.Wait builds on.
-	kindTicketSleep
+	// kindHandleWait: runtime Handle.Wait — the runtime's one way to
+	// park, which golc.Wait calls.
+	kindHandleWait
 )
 
 // callInfo is one classified call.
@@ -121,8 +121,8 @@ func classifyCall(info *types.Info, call *ast.CallExpr) callInfo {
 				}
 			}
 			if n := derefNamed(recvT); n != nil && isGolcRuntimePkgPath(namedPkgPath(n)) &&
-				n.Obj().Name() == "Ticket" && ci.name == "Sleep" {
-				ci.kind = kindTicketSleep
+				n.Obj().Name() == "Handle" && ci.name == "Wait" {
+				ci.kind = kindHandleWait
 			}
 			return ci
 		}

@@ -47,15 +47,13 @@ func helperThatParks(mu *golc.Mutex) {
 	mu.Unlock()
 }
 
-func ticketSleepWhileHolding(p *pair, h *lcrt.Handle) {
+func handleWaitWhileHolding(p *pair, h *lcrt.Handle, acq lcrt.Acquire) {
 	p.a.Lock()
 	defer p.a.Unlock()
-	if t, ok := h.TryClaim(); ok {
-		t.Sleep() // want `Sleep parks while p\.a is held`
-	}
+	h.Wait(lcrt.ParkAlways, acq) // want `Wait parks while p\.a is held`
 }
 
-func seamWhileHolding(p *pair, pol golc.ContentionPolicy, h *lcrt.Handle, acq golc.Acquire) {
+func seamWhileHolding(p *pair, pol golc.ContentionPolicy, h *lcrt.Handle, acq lcrt.Acquire) {
 	p.a.Lock()
 	defer p.a.Unlock()
 	golc.Wait(h, pol, acq) // want `call to golc\.Wait may park .* while p\.a is held`

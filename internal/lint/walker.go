@@ -797,7 +797,7 @@ func (w *walker) fire(ci callInfo, st *walkState) {
 			// with a hold injected from an acquire-helper's facts.
 			st.releaseClass(classOf(w.info, ci.recv))
 		}
-	case kindTicketSleep:
+	case kindHandleWait:
 		if w.hooks.onPark != nil {
 			w.hooks.onPark(ci, append([]heldLock(nil), st.held...), second)
 		}

@@ -164,7 +164,6 @@ type Stats struct {
 // Sampling is Stats.Sampling.
 type Sampling struct {
 	Hold  int `json:"hold"`
-	Event int `json:"event"`
 	Blame int `json:"blame"`
 }
 
@@ -293,7 +292,7 @@ func NewHandler(store *kv.Store, db *oltp.DB, rt *lcrt.Runtime, hist *lcrt.Histo
 			Keys:         store.Len(),
 			LatchPolicy:  store.Policy().Name(),
 			LockEntries:  db.LockEntries(),
-			Sampling:     Sampling{Hold: rec.HoldSampling(), Event: rec.EventSampling(), Blame: rec.BlameSampling()},
+			Sampling:     Sampling{Hold: rec.HoldSampling(), Blame: rec.BlameSampling()},
 			BlameDropped: rec.BlameDropped(),
 			BlameTop:     rec.BlameTop(10),
 			Latches:      store.LatchStats(),

@@ -261,7 +261,7 @@ func TestStatsShape(t *testing.T) {
 			}
 			var sampling map[string]int
 			section("sampling", &sampling)
-			for _, k := range []string{"hold", "event", "blame"} {
+			for _, k := range []string{"hold", "blame"} {
 				if sampling[k] <= 0 {
 					t.Errorf("sampling = %v", sampling)
 				}
@@ -356,7 +356,7 @@ func TestMetricsHistograms(t *testing.T) {
 	}
 }
 
-func TestTraceAndDebugVars(t *testing.T) {
+func TestTrace(t *testing.T) {
 	s := newTestServer(t, false)
 	s.want(t, "POST", "/policy", "spin", 200) // a policy-swap event for the ring
 	var doc struct {

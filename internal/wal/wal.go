@@ -267,7 +267,7 @@ func (l *Log) waitSlow(lsn uint64) {
 	// re-parks.
 	resolved := func() bool { return l.resolved.Load() >= lsn }
 	// The returned blame site is dropped: there is no holder to publish it.
-	golc.Wait(l.h, l.Policy(), golc.Acquire{Try: resolved, Free: resolved})
+	golc.Wait(l.h, l.Policy(), lcrt.Acquire{Try: resolved, Free: resolved})
 }
 
 // NoteApplied records that the committed batch at lsn has been applied
