@@ -148,7 +148,8 @@ func TestCoarseLockUnderIntentionTraffic(t *testing.T) {
 // IS goes to the latched head and holds by name beside the slots; an
 // older X request then waits on every one of them by identity, shuts
 // out later intention requests, is granted when the last slot holder
-// leaves, and takes the gate down with it when it goes.
+// leaves, and takes the gate down with it when it goes. Each fallback is
+// counted by its cause.
 func TestSlotsFullFallBackToHead(t *testing.T) {
 	db := newTestDB(t, golc.Block, Options{})
 	id := PartitionID("t", 0)
@@ -174,6 +175,9 @@ func TestSlotsFullFallBackToHead(t *testing.T) {
 	if err := db.lm.acquire(last, id, IX); err != nil { // a named upgrade beside the slots
 		t.Fatal(err)
 	}
+	if m := db.Metrics(); m.IntentSlotsFull != 1 || m.IntentGateUp != 0 {
+		t.Fatalf("slots full once: intent_slots_full = %d, intent_gate_up = %d", m.IntentSlotsFull, m.IntentGateUp)
+	}
 
 	done := make(chan error, 1)
 	go func() { done <- db.lm.acquire(older, id, X) }()
@@ -196,6 +200,9 @@ func TestSlotsFullFallBackToHead(t *testing.T) {
 	if err := db.lm.acquire(late, id, IS); !errors.As(err, &ae) || ae.Reason != AbortWaitDie {
 		t.Fatalf("IS behind a queued X = %v, want wait-die abort", err)
 	}
+	if m := db.Metrics(); m.IntentSlotsFull != 1 || m.IntentGateUp != 1 {
+		t.Fatalf("gate up once: intent_slots_full = %d, intent_gate_up = %d", m.IntentSlotsFull, m.IntentGateUp)
+	}
 	late.Abort()
 	for _, txn := range readers {
 		txn.Abort()
@@ -206,6 +213,89 @@ func TestSlotsFullFallBackToHead(t *testing.T) {
 	older.Abort()
 	if l.in.gate.Load() || db.LockEntries() != 0 {
 		t.Fatalf("after X released: gate up = %v, %d entries", l.in.gate.Load(), db.LockEntries())
+	}
+}
+
+// TestIntentFallbackCounts: every way the latch-free path finds a node's
+// gate up — read before a claim or a raise, or again after one — sends
+// the request to the latched head and counts it once in IntentGateUp. A
+// node not linked yet and an upgrade of a named hold take the latched
+// path too, but are no fallback and count as nothing.
+func TestIntentFallbackCounts(t *testing.T) {
+	db := newTestDB(t, golc.Block, Options{})
+	id := PartitionID("t", 0)
+	hash := hashID(id)
+	st := db.lm.stripeFor(hash)
+	want := func(step string, gateUp uint64) {
+		t.Helper()
+		if m := db.Metrics(); m.IntentGateUp != gateUp || m.IntentSlotsFull != 0 {
+			t.Fatalf("%s: intent_gate_up = %d, intent_slots_full = %d; want %d, 0", step, m.IntentGateUp, m.IntentSlotsFull, gateUp)
+		}
+	}
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	coarse, named, slotted := db.Begin(), db.Begin(), db.Begin()
+	must(db.lm.acquire(named, id, IS)) // links the node
+	must(db.lm.acquire(slotted, id, IS))
+	l := st.nodeOf(id, hash)
+	if named.held[0].slot != 0 || slotted.held[0].slot == 0 {
+		t.Fatalf("first IS took a slot (%d) or the second did not (%d)", named.held[0].slot, slotted.held[0].slot)
+	}
+	want("node linked, slot taken", 0)
+
+	must(db.lm.acquire(coarse, id, S)) // raises the gate; S admits both IS holds
+	late := db.Begin()
+	must(db.lm.acquire(late, id, IS))
+	want("IS with the gate up", 1)
+	var ae *AbortError
+	if err := db.lm.acquire(slotted, id, IX); !errors.As(err, &ae) {
+		t.Fatalf("IX raise behind an older S = %v, want wait-die abort", err)
+	}
+	want("slot raise with the gate up", 2)
+	if err := db.lm.acquire(named, id, IX); !errors.As(err, &ae) {
+		t.Fatalf("named IX upgrade behind an older S = %v, want wait-die abort", err)
+	}
+	want("named upgrade", 2)
+	for _, txn := range []*Txn{coarse, named, slotted, late} {
+		txn.Abort()
+	}
+	if l.in.gate.Load() {
+		t.Fatal("gate still up with no coarse holder")
+	}
+
+	// The gate comes up between the fast path's first read and its claim
+	// or raise: the second read sends the request back, counted once.
+	raise := func() {
+		st.latch.Lock()
+		l.in.gate.Store(true)
+		st.latch.Unlock()
+	}
+	lower := func() {
+		st.latch.Lock()
+		l.lowerGate()
+		st.latch.Unlock()
+	}
+	enter := db.Begin()
+	raise()
+	if _, ok := db.lm.enterSlot(enter, l, IS); ok {
+		t.Fatal("slot claimed with the gate up")
+	}
+	lower()
+	want("claim that finds the gate up", 3)
+	must(db.lm.acquire(enter, id, IS))
+	raise()
+	if db.lm.raiseSlot(enter, 0) {
+		t.Fatal("slot raised with the gate up")
+	}
+	lower()
+	want("raise that finds the gate up", 4)
+	enter.Abort()
+	if n := db.LockEntries(); n != 0 {
+		t.Fatalf("lock table not empty: %d", n)
 	}
 }
 

@@ -209,11 +209,11 @@ func checkLockTable(lm *lockManager, txns []*oracleTxn) error {
 			st.latch.Lock()
 			defer st.latch.Unlock()
 			live := 0
-			for hash, first := range st.locks {
+			for b, first := range st.buckets {
 				for l := first; l != nil; l = l.next {
 					live++
-					if l.hash != hash || hashID(l.id) != hash || lm.stripeFor(hash) != st {
-						return fmt.Errorf("stripe %d: head %v filed under hash %x, carries %x", si, l.id, hash, l.hash)
+					if l.in != nil || hashID(l.id) != l.hash || lm.stripeFor(l.hash) != st || bucketOf(l.hash, len(st.buckets)) != b {
+						return fmt.Errorf("stripe %d: head %v (hash %x) filed in bucket %d of %d", si, l.id, l.hash, b, len(st.buckets))
 					}
 					if err := checkHead(l, txns); err != nil {
 						return err
@@ -224,13 +224,17 @@ func checkLockTable(lm *lockManager, txns []*oracleTxn) error {
 				return fmt.Errorf("stripe %d: live = %d, %d heads linked", si, st.live, live)
 			}
 			nodes := 0
-			for l := range st.eachNode() {
-				nodes++
-				if l.in == nil || l.id.Level == LevelRecord || hashID(l.id) != l.hash || lm.stripeFor(l.hash) != st || st.nodeOf(l.id, l.hash) != l {
-					return fmt.Errorf("stripe %d: node %v misfiled (hash %x)", si, l.id, l.hash)
-				}
-				if err := checkHead(l, txns); err != nil {
-					return err
+			if nt := st.nodes.Load(); nt != nil {
+				for b, ls := range *nt {
+					for _, l := range ls {
+						nodes++
+						if l.in == nil || l.id.Level == LevelRecord || hashID(l.id) != l.hash || lm.stripeFor(l.hash) != st || bucketOf(l.hash, len(*nt)) != b || st.nodeOf(l.id, l.hash) != l {
+							return fmt.Errorf("stripe %d: node %v (hash %x) filed in bucket %d of %d", si, l.id, l.hash, b, len(*nt))
+						}
+						if err := checkHead(l, txns); err != nil {
+							return err
+						}
+					}
 				}
 			}
 			if nodes != st.nnodes {
@@ -272,7 +276,7 @@ func checkLockTable(lm *lockManager, txns []*oracleTxn) error {
 				recs[PartitionID(id.Table, id.Partition)]++
 			}
 			linked := id.Level != LevelRecord && st.nodeOf(id, e.hash) == e.lock
-			for l := st.locks[e.hash]; l != nil; l = l.next {
+			for l := st.buckets[bucketOf(e.hash, len(st.buckets))]; l != nil; l = l.next {
 				linked = linked || l == e.lock
 			}
 			var mode Mode
@@ -452,7 +456,7 @@ func (d *lockTableOracle) blockers() []*oracleTxn {
 	for _, st := range d.db.lm.stripes {
 		st.latch.Lock()
 		heads := slices.Collect(st.eachNode())
-		for _, first := range st.locks {
+		for _, first := range st.buckets {
 			for l := first; l != nil; l = l.next {
 				heads = append(heads, l)
 			}
@@ -565,7 +569,7 @@ func TestLockTableMatchesHolderWalk(t *testing.T) {
 
 // TestHashCollisionChains forges what 64-bit FNV will not produce on
 // demand — distinct ids with one hash — and checks both places that
-// must tell them apart: the stripe's chain and Txn.find's index.
+// must tell them apart: the stripe's bucket chain and Txn.find's index.
 func TestHashCollisionChains(t *testing.T) {
 	db := newTestDB(t, golc.Block, Options{})
 	st := db.lm.stripes[0]
@@ -576,8 +580,13 @@ func TestHashCollisionChains(t *testing.T) {
 	for _, id := range ids {
 		heads = append(heads, st.head(id, hash))
 	}
-	if st.live != 3 || len(st.locks) != 1 || heads[0] == heads[1] || heads[1] == heads[2] {
-		t.Fatalf("three colliding ids: live=%d buckets=%d heads=%p", st.live, len(st.locks), heads)
+	bucket := &st.buckets[bucketOf(hash, len(st.buckets))]
+	chain := 0
+	for l := *bucket; l != nil; l = l.next {
+		chain++
+	}
+	if st.live != 3 || chain != 3 || heads[0] == heads[1] || heads[1] == heads[2] {
+		t.Fatalf("three colliding ids: live=%d chain=%d heads=%p", st.live, chain, heads)
 	}
 	for i, id := range ids {
 		if st.head(id, hash) != heads[i] {
@@ -595,8 +604,8 @@ func TestHashCollisionChains(t *testing.T) {
 	for _, l := range heads {
 		st.retire(l)
 	}
-	if st.live != 0 || len(st.locks) != 0 {
-		t.Fatalf("after retiring all: live=%d buckets=%d", st.live, len(st.locks))
+	if st.live != 0 || *bucket != nil {
+		t.Fatalf("after retiring all: live=%d bucket=%p", st.live, *bucket)
 	}
 	st.latch.Unlock()
 
@@ -631,6 +640,75 @@ func TestHashCollisionChains(t *testing.T) {
 	st.latch.Unlock()
 	if st.live != 0 {
 		t.Fatalf("after retiring the held entries' heads: live=%d", st.live)
+	}
+}
+
+// TestRecordBucketsGrow links four times a stripe's initial bucket count
+// of record heads, so the buckets double at least twice, and checks that
+// every head stays findable across each doubling, that the chains stay
+// short (the index is spread over all of a stripe's buckets, not the
+// 1/32 its stripe's low hash bits leave a masked index), and that
+// retiring every head leaves the table empty and the heads on the free
+// list.
+func TestRecordBucketsGrow(t *testing.T) {
+	db := newTestDB(t, golc.Block, Options{})
+	st := db.lm.stripes[0]
+	var ids []ResourceID
+	for i := 0; len(ids) < 4*recordBuckets; i++ {
+		if id := RecordID("t", 0, strconv.Itoa(i)); db.lm.stripeFor(hashID(id)) == st {
+			ids = append(ids, id)
+		}
+	}
+	st.latch.Lock()
+	defer st.latch.Unlock()
+	var heads []*dbLock
+	doublings := 0
+	for _, id := range ids {
+		n := len(st.buckets)
+		heads = append(heads, st.head(id, hashID(id)))
+		if len(st.buckets) == n {
+			continue
+		}
+		doublings++
+		for i, l := range heads {
+			if st.head(ids[i], l.hash) != l {
+				t.Fatalf("after doubling to %d buckets: %v lost its head", len(st.buckets), ids[i])
+			}
+		}
+		if st.live != len(heads) {
+			t.Fatalf("after doubling to %d buckets: live = %d, %d heads linked", len(st.buckets), st.live, len(heads))
+		}
+	}
+	if doublings < 2 {
+		t.Fatalf("%d heads doubled the buckets %d times, want at least 2", len(heads), doublings)
+	}
+	longest := 0
+	for _, first := range st.buckets {
+		chain := 0
+		for l := first; l != nil; l = l.next {
+			chain++
+		}
+		longest = max(longest, chain)
+	}
+	if longest > 8 {
+		t.Fatalf("%d heads in %d buckets: longest chain %d, want at most 8", len(heads), len(st.buckets), longest)
+	}
+	rand.New(rand.NewSource(1)).Shuffle(len(heads), func(i, j int) { heads[i], heads[j] = heads[j], heads[i] })
+	for _, l := range heads {
+		st.retire(l)
+	}
+	free := 0
+	for l := st.free; l != nil; l = l.next {
+		free++
+	}
+	used := 0
+	for _, l := range st.buckets {
+		if l != nil {
+			used++
+		}
+	}
+	if st.live != 0 || free != len(heads) || used != 0 {
+		t.Fatalf("after retiring every head: live = %d, %d on the free list (want %d), %d buckets not empty", st.live, free, len(heads), used)
 	}
 }
 

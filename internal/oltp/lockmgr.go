@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"iter"
+	"math/bits"
 	"sync/atomic"
 	"time"
 
@@ -277,8 +278,8 @@ type holder struct {
 // requests read them.
 type dbLock struct {
 	id      ResourceID
-	hash    uint64  // hashID(id): the stripe table's key
-	next    *dbLock // record heads: hash-collision chain while live, free list once retired
+	hash    uint64  // hashID(id): picks the stripe and the bucket
+	next    *dbLock // record heads: the bucket's chain while live, the free list once retired
 	counts  [6]int32
 	holders []holder
 	waiters []*waiter
@@ -347,37 +348,52 @@ func (l *dbLock) dequeue(i int) {
 // latching is governed exactly like every data latch — same runtime,
 // same swappable contention policy.
 //
-// The table is keyed by the id's hash — the word stripeFor already
-// computed — so a lookup never hashes the id's strings a second time;
-// ids whose hashes collide chain through dbLock.next. A head whose
-// group and queue have emptied is unlinked and kept on free, so a
-// stripe that has seen its peak allocates nothing per acquire.
+// Record heads sit in buckets, a power-of-two array indexed by the id's
+// hash — the word stripeFor already computed — so a lookup never hashes
+// the id's strings a second time; the heads of one bucket chain through
+// dbLock.next. The array doubles once the stripe links more heads than
+// it has buckets, and never shrinks. A head whose group and queue have
+// emptied is unlinked and kept on free, so a stripe that has seen its
+// peak allocates nothing per acquire.
 //
 // Partition nodes live apart, in nodes: the intention fast path finds
-// them without the latch, so the table is published copy-on-write
-// (buckets included) and a node is never recycled. A fixed schema makes
-// them few — its tables times the partitions — but table names are
-// outside input (lcserve's /txn takes them from the request body), so
-// an idle node is dropped by the sweep in node rather than kept for the
-// DB's lifetime.
+// them without the latch, so their table is never changed once published
+// and a node is never recycled. A fixed schema makes them few — its tables
+// times the partitions — but table names are outside input (lcserve's
+// /txn takes them from the request body), so an idle node is dropped by
+// the sweep in node rather than kept for the DB's lifetime.
 type lmStripe struct {
 	latch   *golc.Mutex
-	locks   map[uint64]*dbLock // record heads
+	buckets []*dbLock // record heads, chained through next
 	free    *dbLock
-	live    int // linked record heads (a chain makes len(locks) an undercount)
+	live    int // linked record heads
 	nodes   atomic.Pointer[nodeTable]
 	nnodes  int // nodes linked
 	sweepAt int // nnodes at which the next link first sweeps
 }
 
-// nodeTable maps an id hash to the nodes with that hash.
-type nodeTable map[uint64][]*dbLock
+// recordBuckets is how many buckets a stripe's record table starts
+// with.
+const recordBuckets = 64
+
+// bucketOf picks one of n buckets (a power of two) for an id hash: the
+// top log2(n) bits of its Fibonacci product. Not the low bits: stripeFor
+// takes the product's low five, which an odd multiplier derives from the
+// hash's low five alone, so every head of a stripe shares those bits and
+// a masked index would reach 1/32 of the buckets.
+func bucketOf(hash uint64, n int) int {
+	return int((hash * 0x9e3779b97f4a7c15) >> (64 - bits.TrailingZeros(uint(n))))
+}
+
+// nodeTable is a stripe's nodes, bucketed by bucketOf. It is immutable
+// once published: node builds a new one for every link.
+type nodeTable [][]*dbLock
 
 // nodeOf returns id's node, or nil if none is linked. No latch needed.
 func (st *lmStripe) nodeOf(id ResourceID, hash uint64) *dbLock {
 	if nt := st.nodes.Load(); nt != nil {
-		for _, l := range (*nt)[hash] {
-			if l.id == id {
+		for _, l := range (*nt)[bucketOf(hash, len(*nt))] {
+			if l.hash == hash && l.id == id {
 				return l
 			}
 		}
@@ -401,25 +417,29 @@ func (st *lmStripe) eachNode() iter.Seq[*dbLock] {
 }
 
 // node returns id's node, linking a fresh one if there is none. Caller
-// holds the latch. Every link copies the table; once the stripe has
-// sweepAt nodes, the copy leaves out the idle ones, so the table stays
-// within twice its busy size however many tables clients name.
+// holds the latch. Every link builds a new table, with at least twice as
+// many buckets as nodes; once the stripe has sweepAt nodes, the new
+// table leaves out the idle ones, so it stays within twice its busy size
+// however many tables clients name.
 func (st *lmStripe) node(id ResourceID, hash uint64) *dbLock {
 	if l := st.nodeOf(id, hash); l != nil {
 		return l
 	}
-	l := &dbLock{id: id, hash: hash, in: new(intents)}
 	sweep := st.nnodes >= st.sweepAt
-	nt := make(nodeTable, st.nnodes+1)
-	st.nnodes = 1
+	keep := make([]*dbLock, 0, st.nnodes+1)
 	for n := range st.eachNode() {
-		if sweep && n.retireNode() {
-			continue
+		if !sweep || !n.retireNode() {
+			keep = append(keep, n)
 		}
-		nt[n.hash] = append(nt[n.hash], n)
-		st.nnodes++
 	}
-	nt[hash] = append(nt[hash], l)
+	l := &dbLock{id: id, hash: hash, in: new(intents)}
+	keep = append(keep, l)
+	nt := make(nodeTable, max(4, 1<<bits.Len(uint(2*len(keep)-1))))
+	for _, n := range keep {
+		b := bucketOf(n.hash, len(nt))
+		nt[b] = append(nt[b], n)
+	}
+	st.nnodes = len(keep)
 	if sweep {
 		st.sweepAt = max(nodeSweepMin, 2*st.nnodes)
 	}
@@ -449,9 +469,9 @@ func (st *lmStripe) head(id ResourceID, hash uint64) *dbLock {
 	if id.Level != LevelRecord {
 		return st.node(id, hash)
 	}
-	first := st.locks[hash]
-	for l := first; l != nil; l = l.next {
-		if l.id == id {
+	b := &st.buckets[bucketOf(hash, len(st.buckets))]
+	for l := *b; l != nil; l = l.next {
+		if l.hash == hash && l.id == id {
 			return l
 		}
 	}
@@ -464,10 +484,26 @@ func (st *lmStripe) head(id ResourceID, hash uint64) *dbLock {
 	} else {
 		l = new(dbLock)
 	}
-	l.id, l.hash, l.next = id, hash, first
-	st.locks[hash] = l
-	st.live++
+	l.id, l.hash, l.next = id, hash, *b
+	*b = l
+	if st.live++; st.live > len(st.buckets) {
+		st.grow()
+	}
 	return l
+}
+
+// grow doubles the record buckets and relinks every head. Caller holds
+// the latch.
+func (st *lmStripe) grow() {
+	old := st.buckets
+	st.buckets = make([]*dbLock, 2*len(old))
+	for _, l := range old {
+		for l != nil {
+			next, b := l.next, &st.buckets[bucketOf(l.hash, len(st.buckets))]
+			l.next, *b = *b, l
+			l = next
+		}
+	}
 }
 
 // retire unlinks record head l if nothing holds or awaits it and keeps
@@ -478,16 +514,11 @@ func (st *lmStripe) retire(l *dbLock) {
 	if l.in != nil || len(l.holders) != 0 || len(l.waiters) != 0 {
 		return
 	}
-	if first := st.locks[l.hash]; first != l {
-		for first.next != l {
-			first = first.next
-		}
-		first.next = l.next
-	} else if l.next != nil {
-		st.locks[l.hash] = l.next
-	} else {
-		delete(st.locks, l.hash)
+	p := &st.buckets[bucketOf(l.hash, len(st.buckets))]
+	for *p != l {
+		p = &(*p).next
 	}
+	*p = l.next
 	st.live--
 	l.id = ResourceID{} // a parked head must not pin the id's strings
 	l.next, st.free = st.free, l
@@ -524,7 +555,7 @@ func newLockManager(pol golc.ContentionPolicy, o Options, m *Metrics, rec *obs.R
 		lm.stripes = append(lm.stripes, &lmStripe{
 			latch: golc.New(fmt.Sprintf("oltp/lm-%03d", i),
 				golc.WithPolicy(pol), golc.WithRuntime(latchRuntime(o))),
-			locks: make(map[uint64]*dbLock),
+			buckets: make([]*dbLock, recordBuckets),
 		})
 	}
 	return lm
@@ -554,7 +585,7 @@ func (lm *lockManager) setPolicy(p golc.ContentionPolicy) {
 
 // hashID is FNV-1a over the full id. It is computed once per acquire
 // and then stands in for the id everywhere a hash is needed: the stripe
-// choice, the stripe table's key, and the first word Txn.find compares.
+// choice, the stripe's bucket, and the first word Txn.find compares.
 func hashID(id ResourceID) uint64 {
 	h := uint64(14695981039346656037)
 	mix := func(s string) {
@@ -662,16 +693,26 @@ func (lm *lockManager) acquire(txn *Txn, id ResourceID, want Mode) error {
 // reads the gate first and, if it is down, claims a slot (or raises the
 // transaction's own slot from IS to IX). It reports false — the request
 // takes the latched path — when the gate is up, the slots are full, the
-// node does not exist yet or the hold being upgraded is a named one.
+// node does not exist yet or the hold being upgraded is a named one. Of
+// these only the first two are fallbacks, and only they are counted.
 func (lm *lockManager) intent(txn *Txn, st *lmStripe, at int, id ResourceID, hash uint64, goal Mode) (int, bool) {
+	var l *dbLock
 	if at >= 0 {
-		e := &txn.held[at]
-		return at, e.slot != 0 && !e.lock.in.gate.Load() && lm.raiseSlot(txn, at)
+		if txn.held[at].slot == 0 {
+			return at, false
+		}
+		l = txn.held[at].lock
+	} else if l = st.nodeOf(id, hash); l == nil {
+		return at, false
 	}
-	if l := st.nodeOf(id, hash); l != nil && !l.in.gate.Load() {
-		return lm.enterSlot(txn, l, goal)
+	if l.in.gate.Load() {
+		lm.m.IntentGateUp.Add(1)
+		return at, false
 	}
-	return at, false
+	if at >= 0 {
+		return at, lm.raiseSlot(txn, at)
+	}
+	return lm.enterSlot(txn, l, goal)
 }
 
 // enterSlot claims a slot at node l for txn in mode, then reads the gate
@@ -681,11 +722,13 @@ func (lm *lockManager) intent(txn *Txn, st *lmStripe, at int, id ResourceID, has
 func (lm *lockManager) enterSlot(txn *Txn, l *dbLock, mode Mode) (int, bool) {
 	i := l.in.claim(txn, mode)
 	if i < 0 {
+		lm.m.IntentSlotsFull.Add(1)
 		return -1, false
 	}
 	if l.in.gate.Load() {
 		l.in.slots[i].clear()
 		lm.regrant(l)
+		lm.m.IntentGateUp.Add(1)
 		return -1, false
 	}
 	at := txn.noteHeld(-1, l.hash, mode, l)
@@ -704,6 +747,7 @@ func (lm *lockManager) raiseSlot(txn *Txn, at int) bool {
 	if e.lock.in.gate.Load() {
 		s.mode.Store(int32(IS))
 		lm.regrant(e.lock)
+		lm.m.IntentGateUp.Add(1)
 		return false
 	}
 	e.mode = IX

@@ -217,6 +217,10 @@ type Metrics struct {
 	LockWaits     atomic.Uint64 // logical lock requests that blocked
 	LatchMisses   atomic.Uint64 // lock-table latch TryLock misses (physical contention)
 	CtxCancels    atomic.Uint64 // lock waits ended by the caller's context (not a retryable abort)
+	// Intention requests the latch-free path sent to the latched head,
+	// by cause: the node's gate was up, or all its slots were taken.
+	IntentGateUp    atomic.Uint64
+	IntentSlotsFull atomic.Uint64
 }
 
 // MetricsSnapshot is a point-in-time copy of Metrics, JSON-friendly.
@@ -231,6 +235,9 @@ type MetricsSnapshot struct {
 	LockWaits     uint64 `json:"lock_waits"`
 	LatchMisses   uint64 `json:"latch_misses"`
 	CtxCancels    uint64 `json:"ctx_cancels"`
+
+	IntentGateUp    uint64 `json:"intent_gate_up"`
+	IntentSlotsFull uint64 `json:"intent_slots_full"`
 }
 
 func (m *Metrics) snapshot() MetricsSnapshot {
@@ -245,6 +252,9 @@ func (m *Metrics) snapshot() MetricsSnapshot {
 		LockWaits:     m.LockWaits.Load(),
 		LatchMisses:   m.LatchMisses.Load(),
 		CtxCancels:    m.CtxCancels.Load(),
+
+		IntentGateUp:    m.IntentGateUp.Load(),
+		IntentSlotsFull: m.IntentSlotsFull.Load(),
 	}
 }
 
