@@ -197,15 +197,13 @@ func packBlameKey(waiter, holder SiteID, lock uint32) uint64 {
 		uint64(lock&blameMaxID)
 }
 
-// BlameSampled is the blame sampling gate: it reports whether THIS
-// contended acquisition should capture a blame edge, advancing the
-// global sample sequence. One atomic add and two loads; callers that
-// get true pay for runtime.Callers.
-func (r *Recorder) BlameSampled() bool {
-	if !r.enabled.Load() {
-		return false
-	}
-	return r.blameSeq.Add(1)&r.blameMask.Load() == 0
+// BlameSampled is the blame sampling gate: it reports whether the
+// contended acquisition numbered seq should capture a blame edge. seq
+// is the caller's own count (a lock's contended waits, the lock
+// manager's logical waits), as HoldStamp's is, so the gate writes
+// nothing: two loads. Callers that get true pay for runtime.Callers.
+func (r *Recorder) BlameSampled(seq uint64) bool {
+	return seq&r.blameMask.Load() == 0 && r.enabled.Load()
 }
 
 // CallerSite captures and interns the calling goroutine's stack as a

@@ -4,8 +4,9 @@
 //
 //   - Histogram: lock-free log-bucketed (power-of-two nanosecond)
 //     latency histograms with padded per-shard atomics, merged only on
-//     read. The runtime records acquisition wait time, hold time, and
-//     park duration into them, per lock and globally.
+//     read. The runtime records acquisition wait time and hold time
+//     into each lock's own (its runtime-wide view merges them on read),
+//     and park duration into the recorder's one Park histogram.
 //   - Ring: a bounded, sharded ring of typed events (park, wake,
 //     forced claim, policy hot-swap, controller tick, and the oltp
 //     transaction lifecycle) with nanosecond timestamps — the flight
@@ -41,25 +42,24 @@ const (
 	defaultRingShards = 8
 	defaultRingSize   = 2048
 
-	defaultHistShards = 8
+	parkShards = 4
 )
 
-// Recorder is one runtime's recording surface: the global histograms,
-// the event ring, and the master enable switch. Per-lock histograms
-// live on the locks' runtime handles but consult the same switch.
+// Recorder is one runtime's recording surface: the park histogram,
+// the event ring, the blame matrix, the sampling rates and the master
+// enable switch. It keeps no sequence of its own: the callers of
+// HoldStamp and BlameSampled number their own acquisitions.
 type Recorder struct {
 	start time.Time
 
 	enabled   atomic.Bool
 	holdMask  atomic.Uint64 // a hold is sampled when seq&holdMask == 0
 	blameMask atomic.Uint64 // a contended acquisition is blame-sampled when seq&blameMask == 0
-	blameSeq  atomic.Uint64 // global blame sequence (contended acquisitions across all locks)
 
-	// Wait is time from first failed acquire attempt to acquisition;
-	// Hold is time from (sampled) acquisition to release; Park is time
-	// actually spent parked, one observation per park.
-	Wait *Histogram
-	Hold *Histogram
+	// Park is time actually spent parked, one observation per park. It
+	// is the runtime's one process-wide histogram: wait and hold time
+	// live only in the per-lock histograms on the runtime's handles,
+	// which consult the same switch.
 	Park *Histogram
 
 	ring  *Ring
@@ -70,9 +70,7 @@ type Recorder struct {
 func NewRecorder() *Recorder {
 	r := &Recorder{
 		start: time.Now(),
-		Wait:  NewHistogram(defaultHistShards),
-		Hold:  NewHistogram(defaultHistShards),
-		Park:  NewHistogram(defaultHistShards / 2),
+		Park:  NewHistogram(parkShards),
 		ring:  NewRing(defaultRingShards, defaultRingSize),
 		blame: newBlameTable(),
 	}

@@ -78,7 +78,7 @@ func TestRingConcurrent(t *testing.T) {
 }
 
 // TestRecorderSwitch checks the enabled switch gates every recording
-// path and HoldStamp's sampling mask behaves.
+// path and the HoldStamp and BlameSampled sampling masks behave.
 func TestRecorderSwitch(t *testing.T) {
 	r := NewRecorder()
 	if !r.Enabled() {
@@ -111,6 +111,24 @@ func TestRecorderSwitch(t *testing.T) {
 	r.SetHoldSampling(1)
 	if r.HoldStamp(3) == 0 {
 		t.Fatal("sample-every-hold must stamp every seq")
+	}
+
+	// The blame gate draws from the caller's sequence, as HoldStamp does.
+	sampled = 0
+	for seq := uint64(1); seq <= 4*DefaultBlameSampling; seq++ {
+		if r.BlameSampled(seq) {
+			sampled++
+			if seq%DefaultBlameSampling != 0 {
+				t.Fatalf("blame sampled seq %d, want only multiples of %d", seq, DefaultBlameSampling)
+			}
+		}
+	}
+	if sampled != 4 {
+		t.Fatalf("1-in-%d blame sampling took %d of %d", DefaultBlameSampling, sampled, 4*DefaultBlameSampling)
+	}
+	r.SetEnabled(false)
+	if r.BlameSampled(DefaultBlameSampling) {
+		t.Fatal("disabled recorder blame-sampled")
 	}
 }
 

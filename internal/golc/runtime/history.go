@@ -11,17 +11,17 @@ import (
 // History is the runtime's retained time series: a bounded ring of
 // periodic snapshots — per-lock interval wait quantiles, the blame
 // leaderboard, policy and spinner/sleeper census — kept long enough
-// (default ~5 minutes at 1s cadence) for a dashboard, the lctop
-// viewer, or a future policy controller to see trends rather than
-// instants. Each lock also carries a convoy flag: its interval wait
-// p99 stayed over HistoryOptions.ConvoyP99 for ConvoyTicks consecutive
-// ticks, the simplest robust "this lock is in trouble" signal the
-// ROADMAP's self-driving contention management can key on.
+// (5 minutes, 300 records at the default 1s cadence) for a dashboard,
+// the lctop viewer, or a future policy controller to see trends rather
+// than instants. Each lock also carries a convoy flag: its interval
+// wait p99 stayed over ConvoyP99 for ConvoyTicks consecutive ticks,
+// the simplest robust "this lock is in trouble" signal the ROADMAP's
+// self-driving contention management can key on.
 //
 // Quantiles are per-interval, not cumulative: each tick subtracts the
 // previous tick's per-lock wait snapshot, so a lock that was hot an
 // hour ago and idle now shows idle now. Memory is bounded at
-// Retention/Interval records forever.
+// historyRetention/Interval records forever.
 type History struct {
 	rt   *Runtime
 	opts HistoryOptions
@@ -43,37 +43,21 @@ type History struct {
 type HistoryOptions struct {
 	// Interval between snapshots (default 1s).
 	Interval time.Duration
-	// Retention bounds how far back records are kept (default 5min);
-	// the ring holds Retention/Interval records.
-	Retention time.Duration
-	// TopK is the blame leaderboard size recorded per tick (default 5).
-	TopK int
-	// ConvoyP99 is the interval wait-p99 threshold for the per-lock
-	// convoy flag (default 10ms).
-	ConvoyP99 time.Duration
-	// ConvoyTicks is how many consecutive over-threshold ticks flag a
-	// convoy (default 3).
-	ConvoyTicks int
 }
 
-func (o HistoryOptions) withDefaults() HistoryOptions {
-	if o.Interval <= 0 {
-		o.Interval = time.Second
-	}
-	if o.Retention <= 0 {
-		o.Retention = 5 * time.Minute
-	}
-	if o.TopK <= 0 {
-		o.TopK = 5
-	}
-	if o.ConvoyP99 <= 0 {
-		o.ConvoyP99 = 10 * time.Millisecond
-	}
-	if o.ConvoyTicks <= 0 {
-		o.ConvoyTicks = 3
-	}
-	return o
-}
+const (
+	// ConvoyP99 is the interval wait-p99 threshold of the per-lock
+	// convoy flag, and ConvoyTicks how many consecutive ticks over it
+	// raise the flag.
+	ConvoyP99   = 10 * time.Millisecond
+	ConvoyTicks = 3
+
+	// historyRetention bounds how far back records are kept: the ring
+	// holds historyRetention/Interval of them. historyTopK is the blame
+	// leaderboard size recorded per tick.
+	historyRetention = 5 * time.Minute
+	historyTopK      = 5
+)
 
 // LockTick is one lock's slice of a HistoryRecord. Waits and the
 // quantiles cover only the record's interval (delta since the previous
@@ -109,15 +93,13 @@ type HistoryRecord struct {
 
 // NewHistory builds a history for rt; call Start to begin ticking.
 func NewHistory(rt *Runtime, opts HistoryOptions) *History {
-	o := opts.withDefaults()
-	size := int(o.Retention / o.Interval)
-	if size < 1 {
-		size = 1
+	if opts.Interval <= 0 {
+		opts.Interval = time.Second
 	}
 	return &History{
 		rt:     rt,
-		opts:   o,
-		buf:    make([]HistoryRecord, size),
+		opts:   opts,
+		buf:    make([]HistoryRecord, max(historyRetention/opts.Interval, 1)),
 		prev:   make(map[string]obs.HistSnapshot),
 		streak: make(map[string]int),
 		stop:   make(chan struct{}),
@@ -181,7 +163,7 @@ func (h *History) tick(now int64) {
 		OSExcess: snap.OSExcess,
 		Spinners: snap.Spinners,
 		Sleeping: snap.Sleeping,
-		BlameTop: h.rt.rec.BlameTop(h.opts.TopK),
+		BlameTop: h.rt.rec.BlameTop(historyTopK),
 	}
 
 	h.mu.Lock()
@@ -213,12 +195,12 @@ func (h *History) tick(now int64) {
 		lt.Waits = d.Count
 		lt.WaitP50 = d.Quantile(0.50)
 		lt.WaitP99 = d.Quantile(0.99)
-		if lt.WaitP99 > int64(h.opts.ConvoyP99) {
+		if lt.WaitP99 > int64(ConvoyP99) {
 			h.streak[name]++
 		} else {
 			h.streak[name] = 0
 		}
-		lt.Convoy = h.streak[name] >= h.opts.ConvoyTicks
+		lt.Convoy = h.streak[name] >= ConvoyTicks
 		rec.Locks = append(rec.Locks, *lt)
 	}
 	// Locks that disappeared (Closed, collected) must not pin delta or

@@ -69,16 +69,14 @@ func TestHistoryIntervalQuantiles(t *testing.T) {
 	}
 }
 
-// TestHistoryConvoyFlag checks the flag needs ConvoyTicks consecutive
-// over-threshold intervals, and resets on a calm one.
+// TestHistoryConvoyFlag checks the flag needs ConvoyTicks (3)
+// consecutive intervals over ConvoyP99 (10 ms), and resets on a calm
+// one.
 func TestHistoryConvoyFlag(t *testing.T) {
 	rt := New(Options{})
 	h := rt.Register("convoy-lock")
 	defer h.Close()
-	hist := NewHistory(rt, HistoryOptions{
-		ConvoyP99:   time.Millisecond,
-		ConvoyTicks: 2,
-	})
+	hist := NewHistory(rt, HistoryOptions{})
 
 	flag := func(now int64, hot bool) bool {
 		if hot {
@@ -89,19 +87,21 @@ func TestHistoryConvoyFlag(t *testing.T) {
 		return recs[len(recs)-1].Locks[0].Convoy
 	}
 
-	if flag(1, true) {
-		t.Error("convoy flagged after 1 hot tick, want streak of 2")
+	for now := int64(1); now < ConvoyTicks; now++ {
+		if flag(now, true) {
+			t.Errorf("convoy flagged after %d hot ticks, want a streak of %d", now, ConvoyTicks)
+		}
 	}
-	if !flag(2, true) {
-		t.Error("convoy not flagged after 2 consecutive hot ticks")
+	if !flag(ConvoyTicks, true) {
+		t.Errorf("convoy not flagged after %d consecutive hot ticks", ConvoyTicks)
 	}
-	if !flag(3, true) {
+	if !flag(ConvoyTicks+1, true) {
 		t.Error("convoy flag dropped while still hot")
 	}
-	if flag(4, false) {
+	if flag(ConvoyTicks+2, false) {
 		t.Error("convoy flag survived a calm tick")
 	}
-	if flag(5, true) {
+	if flag(ConvoyTicks+3, true) {
 		t.Error("streak not reset by the calm tick")
 	}
 }
@@ -111,11 +111,8 @@ func TestHistoryConvoyFlag(t *testing.T) {
 // timestamp.
 func TestHistoryRingAndSince(t *testing.T) {
 	rt := New(Options{})
-	// Retention/Interval = 3 records.
-	hist := NewHistory(rt, HistoryOptions{
-		Interval:  time.Second,
-		Retention: 3 * time.Second,
-	})
+	// historyRetention/Interval = 5 min / 100 s = 3 records.
+	hist := NewHistory(rt, HistoryOptions{Interval: 100 * time.Second})
 	for _, ts := range []int64{10, 20, 30, 40, 50} {
 		hist.tick(ts)
 	}

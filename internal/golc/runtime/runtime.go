@@ -8,7 +8,8 @@
 // controller, so adding a lock never adds a controller. Locks register
 // with a Runtime and receive a Handle; the Handle carries the lock's
 // side of the protocol (spinner count, sleep claims, its parked list,
-// the unlock-side wake) and its per-lock metrics. Handle.Wait runs a
+// the unlock-side wake) and its metrics, the only copy of each: the
+// runtime's totals are their sum, taken by Snapshot. Handle.Wait runs a
 // whole contended wait — spin, claim, re-check, park — and records it;
 // the runtime exports no other way to park. The controller
 // periodically reads the load sensor — runnable goroutines waiting for
@@ -30,7 +31,9 @@
 // No park takes a process-wide lock. A sleeper lives only on its own
 // lock's parked list, under that Handle's mutex; S and W are the only
 // state every park shares. The controller finds sleepers through the
-// lock registry.
+// lock registry. Nor does a wait count anything process-wide: past S and
+// W, a contended wait writes its own Handle, and the recorder only when
+// it parks (an event and the park histogram) or is blame-sampled.
 //
 // Most programs use the shared Default() runtime; tests and benchmarks
 // construct private ones with New.
@@ -98,28 +101,54 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// LockStats is the per-lock slice of a Snapshot.
-type LockStats struct {
-	Name             string
+// LockCounters is the set of events one lock counts. Each is counted
+// once, on the lock's own Handle: LockStats carries one lock's, and
+// Snapshot carries their sum over the registered locks (Add).
+type LockCounters struct {
 	Spins            uint64 // spin-loop iterations while waiting
 	Blocks           uint64 // sleep claims, each of which parks a waiter
+	ForcedClaims     uint64 // of those, unconditional ones (ParkAlways: the block policy)
 	ControllerWakes  uint64 // parks ended by a controller wake
 	TimeoutWakes     uint64 // parks ended by the safety timeout
 	TimeoutWakesFree uint64 // of those, wakes whose waiter then found the lock free: a missed wake, or a release racing the timeout
 	UnlockWakes      uint64 // parks ended by the lock's own unlock
-	SpinningNow      int64  // waiters spinning at snapshot time
-	SleepingNow      int64  // waiters parked at snapshot time
+	Cancels          uint64 // claims retired unused (lock freed before the park, or the runtime stopping)
+	ClaimRefusals    uint64 // voluntary claims refused by the target test (sleeping ≥ Target)
+
+	// BlameCount/BlameNs are the lock's slice of the blame matrix:
+	// sampled blocked acquisitions and their summed wait nanoseconds
+	// (1-in-obs.DefaultBlameSampling of each lock's contended
+	// acquisitions — these undercount by the sampling rate, like Go's
+	// own mutex profile).
+	BlameCount uint64
+	BlameNs    uint64
+}
+
+// Add sums o into c.
+func (c *LockCounters) Add(o LockCounters) {
+	c.Spins += o.Spins
+	c.Blocks += o.Blocks
+	c.ForcedClaims += o.ForcedClaims
+	c.ControllerWakes += o.ControllerWakes
+	c.TimeoutWakes += o.TimeoutWakes
+	c.TimeoutWakesFree += o.TimeoutWakesFree
+	c.UnlockWakes += o.UnlockWakes
+	c.Cancels += o.Cancels
+	c.ClaimRefusals += o.ClaimRefusals
+	c.BlameCount += o.BlameCount
+	c.BlameNs += o.BlameNs
+}
+
+// LockStats is the per-lock slice of a Snapshot.
+type LockStats struct {
+	Name string
+	LockCounters
+	SpinningNow int64 // waiters spinning at snapshot time
+	SleepingNow int64 // waiters parked at snapshot time
 
 	// Policy names the lock's active contention policy, as reported by
 	// the lock through NotePolicy (empty for locks that never did).
 	Policy string
-
-	// BlameCount/BlameNs are the lock's slice of the blame matrix:
-	// sampled blocked acquisitions and their summed wait nanoseconds
-	// (see obs.DefaultBlameSampling — these undercount by the sampling
-	// rate, like Go's own mutex profile).
-	BlameCount uint64
-	BlameNs    uint64
 
 	// Wait and Hold are the lock's latency distributions: time from
 	// first failed acquire to acquisition, and (sampled, see
@@ -135,21 +164,22 @@ type LockStats struct {
 func (ls LockStats) Contention() uint64 { return ls.Blocks + ls.UnlockWakes }
 
 // Snapshot is a point-in-time view of the runtime; it marshals to JSON.
+//
+// The runtime counts nothing per event beyond S and W: the
+// LockCounters totals and WaitHist/HoldHist are the sum of every
+// registered lock's own, taken on read. A Closed lock leaves Locks but
+// still counts in the totals. A lock the GC collected leaves the totals
+// with its registry entry, so a total can fall between two snapshots
+// only if a lock was dropped without Close in between.
 type Snapshot struct {
-	Updates          uint64
-	Claims           uint64
-	ForcedClaims     uint64 // unconditional parks (ParkAlways: the block policy)
-	ControllerWakes  uint64
-	TimeoutWakes     uint64
-	TimeoutWakesFree uint64 // timeout wakes that found the lock free (see LockStats)
-	UnlockWakes      uint64
-	Cancels          uint64 // claims retired unused (lock freed before the park)
-	SlotRejects      uint64 // always 0: there is no slot array to fill (kept for lcperf)
-	ClaimRefusals    uint64 // voluntary claims refused by the target test (sleeping ≥ Target)
-	Spinners         int    // waiters spinning now, summed over Locks: reported, not a controller input
-	Sleeping         int
-	Target           int // the published sleep target, after clamping to [0, maxTarget]
-	LocksRegistered  int
+	Updates uint64
+	Claims  uint64 // voluntary claims: the S counter
+	LockCounters
+	SlotRejects     uint64 // always 0: there is no slot array to fill (kept for lcperf)
+	Spinners        int    // waiters spinning now, summed over Locks: reported, not a controller input
+	Sleeping        int
+	Target          int // the published sleep target, after clamping to [0, maxTarget]
+	LocksRegistered int
 
 	// The last controller tick's inputs — why Target is what it is.
 	// The default sensor sets Load = floor(RunQueue) + OSExcess and
@@ -162,9 +192,10 @@ type Snapshot struct {
 	Load     int     // raw excess load: its sign picks the target law, then the target is clamped
 	Locks    []LockStats
 
-	// Global latency distributions, across every lock of the runtime.
-	// WaitHist/HoldHist aggregate what the per-lock histograms record;
-	// ParkHist is time actually spent parked, claim to retirement.
+	// Runtime-wide latency distributions. WaitHist/HoldHist merge the
+	// per-lock histograms, as the counters above sum the per-lock
+	// counts; ParkHist is time actually spent parked, claim to
+	// retirement, kept once by the recorder.
 	WaitHist obs.HistSnapshot
 	HoldHist obs.HistSnapshot
 	ParkHist obs.HistSnapshot
@@ -235,14 +266,7 @@ type Runtime struct {
 	regMu sync.Mutex
 	locks map[weak.Pointer[Handle]]struct{}
 
-	updates          atomic.Uint64
-	forcedClaims     atomic.Uint64
-	controllerWakes  atomic.Uint64
-	timeoutWakes     atomic.Uint64
-	timeoutWakesFree atomic.Uint64
-	unlockWakes      atomic.Uint64
-	cancels          atomic.Uint64
-	claimRefusals    atomic.Uint64
+	updates atomic.Uint64
 
 	started  atomic.Bool
 	stopping atomic.Bool
@@ -364,24 +388,18 @@ func (r *Runtime) sleeping() int {
 	return int(s - w)
 }
 
-// Snapshot returns a consistent-enough view of global and per-lock
-// counters, per-lock entries sorted by name for stable output.
+// Snapshot returns a consistent-enough view of the runtime and its
+// locks, per-lock entries sorted by name for stable output. The totals
+// fold every registered lock, Closed ones included (see Snapshot).
 func (r *Runtime) Snapshot() Snapshot {
 	snap := Snapshot{
-		Updates:          r.updates.Load(),
-		Claims:           r.s.Load(),
-		ForcedClaims:     r.forcedClaims.Load(),
-		ControllerWakes:  r.controllerWakes.Load(),
-		TimeoutWakes:     r.timeoutWakes.Load(),
-		TimeoutWakesFree: r.timeoutWakesFree.Load(),
-		UnlockWakes:      r.unlockWakes.Load(),
-		Cancels:          r.cancels.Load(),
-		ClaimRefusals:    r.claimRefusals.Load(),
-		Sleeping:         r.sleeping(),
-		Target:           int(r.target.Load()),
-		RunQueue:         math.Float64frombits(r.tickRunQueue.Load()),
-		OSExcess:         int(r.tickOSExcess.Load()),
-		Load:             int(r.tickLoad.Load()),
+		Updates:  r.updates.Load(),
+		Claims:   r.s.Load(),
+		Sleeping: r.sleeping(),
+		Target:   int(r.target.Load()),
+		RunQueue: math.Float64frombits(r.tickRunQueue.Load()),
+		OSExcess: int(r.tickOSExcess.Load()),
+		Load:     int(r.tickLoad.Load()),
 	}
 	r.regMu.Lock()
 	for wp := range r.locks {
@@ -391,17 +409,17 @@ func (r *Runtime) Snapshot() Snapshot {
 			delete(r.locks, wp)
 			continue
 		}
-		if h.closed.Load() {
-			continue
-		}
 		ls := h.Stats()
-		snap.Spinners += int(ls.SpinningNow)
-		snap.Locks = append(snap.Locks, ls)
+		snap.Add(ls.LockCounters)
+		snap.WaitHist.Merge(ls.Wait)
+		snap.HoldHist.Merge(ls.Hold)
+		if !h.closed.Load() {
+			snap.Spinners += int(ls.SpinningNow)
+			snap.Locks = append(snap.Locks, ls)
+		}
 	}
 	r.regMu.Unlock()
 	snap.LocksRegistered = len(snap.Locks)
-	snap.WaitHist = r.rec.Wait.Snapshot()
-	snap.HoldHist = r.rec.Hold.Snapshot()
 	snap.ParkHist = r.rec.Park.Snapshot()
 	sort.Slice(snap.Locks, func(i, j int) bool { return snap.Locks[i].Name < snap.Locks[j].Name })
 	return snap
@@ -547,7 +565,6 @@ func (r *Runtime) wake(n int, drain bool) {
 				s.wake = wakeByDrain
 			} else {
 				s.wake = wakeByController
-				r.controllerWakes.Add(1)
 				h.controllerWakes.Add(1)
 			}
 			close(s.ch)
@@ -559,7 +576,7 @@ func (r *Runtime) wake(n int, drain bool) {
 	}
 }
 
-// wakeHandle is the unlock-side wake: it signals one of h's parked
+// wakeOne is the unlock-side wake: it signals one of h's parked
 // waiters (never the one holding the except claim, when given —
 // a waiter that is itself committed to parking must not wake its own
 // claim, or the wake is wasted on an immediate no-op sleep). Unlike
@@ -568,7 +585,7 @@ func (r *Runtime) wake(n int, drain bool) {
 // (W++), which opens room under the target that another lock's spinner
 // may claim: the awake-waiter floor transfers the sleep quota rather
 // than shrinking the sleeping population the controller asked for.
-func (r *Runtime) wakeHandle(h *Handle, except *sleeper) bool {
+func (h *Handle) wakeOne(except *sleeper) bool {
 	h.mu.Lock()
 	var s *sleeper
 	for _, cand := range h.parked {
@@ -584,31 +601,9 @@ func (r *Runtime) wakeHandle(h *Handle, except *sleeper) bool {
 	s.wake = wakeByUnlock
 	h.detach(s)
 	h.mu.Unlock()
-	r.unlockWakes.Add(1)
 	h.unlockWakes.Add(1)
 	close(s.ch)
 	return true
-}
-
-// wakeAllHandle detaches every parked waiter of h under one h.mu hold
-// and signals them after it: group notification (a wal commit group
-// reaches 60 waiters) for one lock round-trip instead of one per waiter.
-func (r *Runtime) wakeAllHandle(h *Handle) int {
-	h.mu.Lock()
-	woken := make([]*sleeper, 0, len(h.parked))
-	for len(h.parked) > 0 {
-		s := h.parked[len(h.parked)-1]
-		s.wake = wakeByUnlock
-		h.detach(s)
-		woken = append(woken, s)
-	}
-	h.mu.Unlock()
-	r.unlockWakes.Add(uint64(len(woken)))
-	h.unlockWakes.Add(uint64(len(woken)))
-	for _, s := range woken {
-		close(s.ch)
-	}
-	return len(woken)
 }
 
 // admit is the voluntary claim's target test: it advances S while the
@@ -645,7 +640,7 @@ func (r *Runtime) admit() bool {
 // there has already advanced S, so it retires as a Cancel.
 func (r *Runtime) trySleep(h *Handle, forced bool) *sleeper {
 	if !forced && !r.admit() {
-		r.claimRefusals.Add(1)
+		h.claimRefusals.Add(1)
 		return nil
 	}
 	s := &sleeper{ch: make(chan struct{}), h: h, forced: forced}
@@ -655,7 +650,7 @@ func (r *Runtime) trySleep(h *Handle, forced bool) *sleeper {
 		h.sleepers.Add(-1)
 		h.mu.Unlock()
 		if !forced {
-			r.cancels.Add(1)
+			h.cancels.Add(1)
 			r.w.Add(1)
 		}
 		return nil
@@ -664,7 +659,7 @@ func (r *Runtime) trySleep(h *Handle, forced bool) *sleeper {
 	h.parked = append(h.parked, s)
 	h.mu.Unlock()
 	if forced {
-		r.forcedClaims.Add(1)
+		h.forcedClaims.Add(1)
 	}
 	return s
 }
@@ -695,7 +690,6 @@ func (r *Runtime) sleep(s *sleeper) (timedOut bool) {
 	timedOut = r.retire(s)
 	reason := "timeout"
 	if timedOut {
-		r.timeoutWakes.Add(1)
 		s.h.timeoutWakes.Add(1)
 	} else {
 		// Someone woke this sleeper; s.wake (written by the waker
@@ -718,7 +712,7 @@ func (r *Runtime) sleep(s *sleeper) (timedOut bool) {
 // either way the claim retires, keeping S/W balanced.
 func (r *Runtime) cancel(s *sleeper) {
 	if r.retire(s) {
-		r.cancels.Add(1)
+		s.h.cancels.Add(1)
 	}
 }
 
@@ -745,8 +739,18 @@ type Handle struct {
 	// closed hides the lock from Snapshot (Close).
 	closed atomic.Bool
 
+	// The lock's LockCounters, the only copy of each (Snapshot sums
+	// them), and waitSeq, which numbers the lock's recorded contended
+	// waits for the blame sample. The fields every wait writes come
+	// first, apart from spinning and sleepers, which every NoteUnlock
+	// reads, and from holderSite, which sampled waiters and a last
+	// reader out read.
 	spins            atomic.Uint64
+	waitSeq          atomic.Uint64
 	blocks           atomic.Uint64
+	claimRefusals    atomic.Uint64
+	forcedClaims     atomic.Uint64
+	cancels          atomic.Uint64
 	controllerWakes  atomic.Uint64
 	timeoutWakes     atomic.Uint64
 	timeoutWakesFree atomic.Uint64
@@ -770,8 +774,8 @@ type Handle struct {
 	// policy names the lock's active contention policy (NotePolicy).
 	policy atomic.Pointer[string]
 
-	// wait and hold are the lock's latency histograms; Wait and
-	// RecordHold feed both them and the runtime's global ones.
+	// wait and hold are the lock's latency histograms, fed by Wait and
+	// RecordHold; Snapshot merges them into the runtime's.
 	wait *obs.Histogram
 	hold *obs.Histogram
 }
@@ -788,13 +792,8 @@ func (h *Handle) Obs() *obs.Recorder { return h.rt.rec }
 func (h *Handle) HoldStamp(seq uint64) int64 { return h.rt.rec.HoldStamp(seq) }
 
 // RecordHold records a (sampled) lock hold that began at start into
-// the lock's and the runtime's hold histograms.
-func (h *Handle) RecordHold(start int64) {
-	rec := h.rt.rec
-	d := rec.Now() - start
-	h.hold.Observe(d)
-	rec.Hold.Observe(d)
-}
+// the lock's hold histogram.
+func (h *Handle) RecordHold(start int64) { h.hold.Observe(h.rt.rec.Now() - start) }
 
 // NotePolicy records the name of the lock's active contention policy,
 // for stats and dashboards. Locks call it at construction and on every
@@ -856,30 +855,53 @@ func (h *Handle) NoteUnlock() {
 	if h.spinning.Load() > 0 {
 		return // an awake waiter exists; it will take the free lock
 	}
-	h.rt.wakeHandle(h, nil)
+	h.wakeOne(nil)
 }
 
 // WakeAll unconditionally wakes every parked waiter of the lock and
 // returns how many there were, for waits that end for all waiters at
-// once (the wal's group commit) rather than for one acquirer.
-func (h *Handle) WakeAll() int { return h.rt.wakeAllHandle(h) }
+// once (the wal's group commit) rather than for one acquirer. It
+// detaches them under one h.mu hold and signals them after it: one
+// lock round-trip for a commit group (up to 60 waiters), not one per
+// waiter.
+func (h *Handle) WakeAll() int {
+	h.mu.Lock()
+	woken := make([]*sleeper, 0, len(h.parked))
+	for len(h.parked) > 0 {
+		s := h.parked[len(h.parked)-1]
+		s.wake = wakeByUnlock
+		h.detach(s)
+		woken = append(woken, s)
+	}
+	h.mu.Unlock()
+	h.unlockWakes.Add(uint64(len(woken)))
+	for _, s := range woken {
+		close(s.ch)
+	}
+	return len(woken)
+}
 
 // Stats returns the lock's counters.
 func (h *Handle) Stats() LockStats {
 	return LockStats{
-		Name:             h.name,
-		Spins:            h.spins.Load(),
-		Blocks:           h.blocks.Load(),
-		ControllerWakes:  h.controllerWakes.Load(),
-		TimeoutWakes:     h.timeoutWakes.Load(),
-		TimeoutWakesFree: h.timeoutWakesFree.Load(),
-		UnlockWakes:      h.unlockWakes.Load(),
-		SpinningNow:      h.spinning.Load(),
-		SleepingNow:      h.sleepers.Load(),
-		Policy:           h.policyName(),
-		BlameCount:       h.blameCount.Load(),
-		BlameNs:          h.blameNs.Load(),
-		Wait:             h.wait.Snapshot(),
-		Hold:             h.hold.Snapshot(),
+		Name: h.name,
+		LockCounters: LockCounters{
+			Spins:            h.spins.Load(),
+			Blocks:           h.blocks.Load(),
+			ForcedClaims:     h.forcedClaims.Load(),
+			ControllerWakes:  h.controllerWakes.Load(),
+			TimeoutWakes:     h.timeoutWakes.Load(),
+			TimeoutWakesFree: h.timeoutWakesFree.Load(),
+			UnlockWakes:      h.unlockWakes.Load(),
+			Cancels:          h.cancels.Load(),
+			ClaimRefusals:    h.claimRefusals.Load(),
+			BlameCount:       h.blameCount.Load(),
+			BlameNs:          h.blameNs.Load(),
+		},
+		SpinningNow: h.spinning.Load(),
+		SleepingNow: h.sleepers.Load(),
+		Policy:      h.policyName(),
+		Wait:        h.wait.Snapshot(),
+		Hold:        h.hold.Snapshot(),
 	}
 }

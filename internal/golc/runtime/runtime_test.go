@@ -2,11 +2,14 @@ package runtime
 
 import (
 	"fmt"
+	"reflect"
 	goruntime "runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/golc/obs"
 )
 
 func TestRegisterUnregisterConcurrent(t *testing.T) {
@@ -219,7 +222,7 @@ func TestSnapshotSleepingBoundedUnderChurn(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				rt.wakeHandle(h, nil)
+				h.wakeOne(nil)
 			}
 		}
 	}()
@@ -458,15 +461,16 @@ func TestWakeAll(t *testing.T) {
 	if sleeping := h.Stats().SleepingNow; sleeping != 0 {
 		t.Fatalf("handle still counts %d sleepers", sleeping)
 	}
-	if !rt.wakeHandle(bystander, nil) {
+	if !bystander.wakeOne(nil) {
 		t.Fatal("bystander was not left parked")
 	}
 	wg.Wait()
 }
 
-// TestTicketCancel: a cancelled claim retires cleanly (S/W balanced,
-// off the parked list) and is counted as a cancel, not a wake.
-func TestTicketCancel(t *testing.T) {
+// TestClaimCancel: a claim cancelled by its waiter's re-check retires
+// cleanly (S/W balanced, off the parked list) and is counted as a
+// cancel, not a wake.
+func TestClaimCancel(t *testing.T) {
 	rt := New(Options{})
 	rt.setTarget(1)
 	h := rt.Register("cancel")
@@ -788,10 +792,10 @@ func TestWaitersExposure(t *testing.T) {
 func TestTopContended(t *testing.T) {
 	snap := Snapshot{Locks: []LockStats{
 		{Name: "idle"},
-		{Name: "warm", Blocks: 3},
-		{Name: "hot", Blocks: 10, UnlockWakes: 5},
-		{Name: "tie-b", Blocks: 3},
-		{Name: "busy", Blocks: 2, UnlockWakes: 9},
+		{Name: "warm", LockCounters: LockCounters{Blocks: 3}},
+		{Name: "hot", LockCounters: LockCounters{Blocks: 10, UnlockWakes: 5}},
+		{Name: "tie-b", LockCounters: LockCounters{Blocks: 3}},
+		{Name: "busy", LockCounters: LockCounters{Blocks: 2, UnlockWakes: 9}},
 	}}
 	got := snap.TopContended(3)
 	want := []string{"hot", "busy", "tie-b"}
@@ -806,6 +810,111 @@ func TestTopContended(t *testing.T) {
 	if all := snap.TopContended(-1); len(all) != 4 {
 		t.Fatalf("TopContended(-1) kept %d entries, want 4 (idle dropped)", len(all))
 	}
+}
+
+// TestSnapshotTotalsFoldLocks: the runtime counts no event of its own
+// beyond S and W, so every Snapshot counter total and the wait and hold
+// histograms are the sum over the registered locks, a Closed lock
+// included. Each of two locks goes through every counted event, so a
+// total that skips a lock cannot match. The blame sample is drawn per
+// lock: waits interleaved over two locks sample each once per 64 of its
+// own, where one process-wide sequence would sample one lock twice and
+// the other never.
+func TestSnapshotTotalsFoldLocks(t *testing.T) {
+	rt := New(Options{SleepTimeout: 10 * time.Second})
+	locks := []*Handle{rt.Register("fold-a"), rt.Register("fold-b")}
+	for _, h := range locks {
+		driveEveryCount(t, h)
+	}
+	for i := 0; i < obs.DefaultBlameSampling; i++ {
+		for _, h := range locks {
+			tries := 0
+			h.Wait(ParkNever, Acquire{Try: func() bool {
+				tries++
+				time.Sleep(time.Microsecond) // so the wait lasts a nonzero time
+				return tries > 1
+			}})
+			h.RecordHold(rt.rec.Now())
+		}
+	}
+	locks[1].Close()
+
+	var sum LockCounters
+	var waits, holds uint64
+	for _, h := range locks {
+		ls := h.Stats()
+		if ls.BlameCount != 1 {
+			t.Errorf("%s: BlameCount = %d after %d+1 waits, want 1 (1-in-%d of its own waits)",
+				ls.Name, ls.BlameCount, obs.DefaultBlameSampling, obs.DefaultBlameSampling)
+		}
+		c := reflect.ValueOf(ls.LockCounters)
+		for i := 0; i < c.NumField(); i++ {
+			if c.Field(i).Uint() == 0 {
+				t.Errorf("%s: %s never counted", ls.Name, c.Type().Field(i).Name)
+			}
+		}
+		sum.Add(ls.LockCounters)
+		waits += ls.Wait.Count
+		holds += ls.Hold.Count
+	}
+	snap := rt.Snapshot()
+	if len(snap.Locks) != 1 || snap.Locks[0].Name != "fold-a" {
+		t.Fatalf("Locks = %+v, want only the open fold-a", snap.Locks)
+	}
+	if snap.LockCounters != sum {
+		t.Fatalf("totals = %+v, want the sum over both locks %+v", snap.LockCounters, sum)
+	}
+	if snap.WaitHist.Count != waits || snap.HoldHist.Count != holds || waits == 0 || holds == 0 {
+		t.Fatalf("WaitHist/HoldHist counts = %d/%d, want the per-lock sums %d/%d (nonzero)",
+			snap.WaitHist.Count, snap.HoldHist.Count, waits, holds)
+	}
+}
+
+// driveEveryCount takes h through each event LockCounters counts: a
+// refused claim, a controller wake, an unlock wake, a forced claim that
+// is cancelled, and a Wait whose park times out and then finds the lock
+// free. The controller is not running, so the test sets the target.
+func driveEveryCount(t *testing.T, h *Handle) {
+	t.Helper()
+	rt := h.rt
+	rt.setTarget(0)
+	if h.claim(false) != nil {
+		t.Fatal("claim admitted at target 0")
+	}
+	park := func(wake func()) {
+		rt.setTarget(1)
+		h.spinning.Add(1)
+		s := h.claim(false)
+		if s == nil {
+			t.Fatal("claim refused at target 1")
+		}
+		done := make(chan struct{})
+		go func() { sleepClaim(s); close(done) }()
+		waitFor(t, "sleeper parked", func() bool { return h.Stats().SleepingNow == 1 })
+		wake()
+		<-done
+		h.spinning.Add(-1)
+	}
+	park(func() { rt.setTarget(0) })
+	park(h.NoteUnlock)
+
+	h.spinning.Add(1)
+	s := h.claim(true)
+	if s == nil {
+		t.Fatal("forced claim refused")
+	}
+	cancelClaim(s)
+	h.spinning.Add(-1)
+
+	// Nothing else runs now, so the timeout can be shortened in place.
+	rt.setTarget(1)
+	rt.opts.SleepTimeout = time.Millisecond
+	frees := 0
+	h.Wait(ParkAdmitted, Acquire{
+		Try:  func() bool { return frees > 1 },
+		Free: func() bool { frees++; return frees > 1 },
+	})
+	rt.opts.SleepTimeout = 10 * time.Second
 }
 
 // sleepClaim and cancelClaim end a claim as Wait does, for tests that

@@ -59,25 +59,26 @@ type Acquire struct {
 // wake, an unlock wake or the safety timeout, run a.PostPark, and go
 // back to polling.
 //
-// Wait stamps the wait into the lock's and the runtime's wait
-// histograms and, when blame-sampled, into the blame matrix against
-// the holder published when it began. It returns the waiter's blame
-// site (0 unless sampled) for the new holder to publish. The site is
-// the stack from two frames above Wait's caller: golc.Wait calls Wait
-// from a lock's slow path one frame below its exported entry point
-// (Lock → lockSlow → golc.Wait → Wait), so the site starts there.
+// Wait stamps the wait into the lock's wait histogram and, when
+// blame-sampled (1 in BlameSampling of this lock's contended waits),
+// into the blame matrix against the holder published when it began.
+// It returns the waiter's blame site (0 unless sampled) for the new
+// holder to publish. The site is the stack from two frames above
+// Wait's caller: golc.Wait calls Wait from a lock's slow path one frame
+// below its exported entry point (Lock → lockSlow → golc.Wait → Wait),
+// so the site starts there.
 func (h *Handle) Wait(park Park, a Acquire) obs.SiteID {
 	rec := h.rt.rec
 	var start int64
 	var waiter, holder obs.SiteID
 	if rec.Enabled() {
 		start = rec.Now()
-	}
-	if rec.BlameSampled() {
-		// The holder published right now built the convoy this waiter
-		// is about to join.
-		waiter = rec.CallerSite(3)
-		holder = obs.SiteID(h.holderSite.Load())
+		if rec.BlameSampled(h.waitSeq.Add(1)) {
+			// The holder published right now built the convoy this
+			// waiter is about to join.
+			waiter = rec.CallerSite(3)
+			holder = obs.SiteID(h.holderSite.Load())
+		}
 	}
 	h.spinning.Add(1)
 	c := cadence{park: graceSpins}
@@ -106,7 +107,6 @@ func (h *Handle) Wait(park Park, a Acquire) obs.SiteID {
 			if timedOut && a.Free() {
 				// The backstop found the lock free: a release missed
 				// this waiter (or raced the timeout).
-				h.rt.timeoutWakesFree.Add(1)
 				h.timeoutWakesFree.Add(1)
 			}
 		}
@@ -118,7 +118,6 @@ func (h *Handle) Wait(park Park, a Acquire) obs.SiteID {
 	if start != 0 {
 		d := rec.Now() - start
 		h.wait.Observe(d)
-		rec.Wait.Observe(d)
 		if waiter != 0 {
 			h.blameCount.Add(1)
 			h.blameNs.Add(uint64(d))
@@ -167,5 +166,5 @@ func (h *Handle) noteRelease(self *sleeper) {
 	if h.spinning.Load() > 0 {
 		return
 	}
-	h.rt.wakeHandle(h, self)
+	h.wakeOne(self)
 }

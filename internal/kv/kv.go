@@ -109,14 +109,7 @@ func (s *Store) LatchStats() lcrt.LockStats {
 	agg := lcrt.LockStats{Name: "kv/all"}
 	for _, sh := range s.shards {
 		ls := sh.mu.Stats()
-		agg.Spins += ls.Spins
-		agg.Blocks += ls.Blocks
-		agg.ControllerWakes += ls.ControllerWakes
-		agg.TimeoutWakes += ls.TimeoutWakes
-		agg.TimeoutWakesFree += ls.TimeoutWakesFree
-		agg.UnlockWakes += ls.UnlockWakes
-		agg.BlameCount += ls.BlameCount
-		agg.BlameNs += ls.BlameNs
+		agg.Add(ls.LockCounters)
 		agg.Wait.Merge(ls.Wait)
 		agg.Hold.Merge(ls.Hold)
 	}

@@ -24,7 +24,8 @@ type hooks struct {
 	// onAcquire fires for every golc acquire (all kinds), with the
 	// locks held *before* this acquisition.
 	onAcquire func(ci callInfo, held []heldLock, second bool)
-	// onPark fires for non-acquire park points (ticket Sleep).
+	// onPark fires for non-acquire park points: the runtime's
+	// Handle.Wait.
 	onPark func(ci callInfo, held []heldLock, second bool)
 	// onCall fires for calls the classifier does not recognize —
 	// candidates for the whole-program call summaries.

@@ -829,9 +829,10 @@ func (lm *lockManager) acquireAt(txn *Txn, id ResourceID, want Mode) (int, error
 	// class and mode the blocked request wants vs what its first
 	// blocker holds. Captured under the latch (the blocker set shifts
 	// once it drops), recorded with the wait's duration in the deferred
-	// observation below.
+	// observation below. The sample is drawn from LockWaits, which
+	// counts this wait here.
 	var blameW, blameH obs.SiteID
-	if lm.rec.BlameSampled() {
+	if lm.rec.BlameSampled(lm.m.LockWaits.Add(1)) {
 		blameW = lm.rec.NamedSite("oltp:" + classOf(id) + "/want-" + goal.String())
 		blameH = lm.rec.NamedSite("oltp:" + classOf(id) + "/hold-" + firstBlocker(l, txn, goal))
 	}
@@ -844,7 +845,6 @@ func (lm *lockManager) acquireAt(txn *Txn, id ResourceID, want Mode) (int, error
 	defer cancel() // release the context's resources on every path
 	l.waiters = append(l.waiters, w)
 	st.latch.Unlock()
-	lm.m.LockWaits.Add(1)
 	// One observation per blocked acquire, however the wait ends (the
 	// deferred record covers every return below); the block event gives
 	// the flight recorder the queue-entry edge.

@@ -328,11 +328,10 @@ func NewHandler(store *kv.Store, db *oltp.DB, rt *lcrt.Runtime, hist *lcrt.Histo
 		}
 		doc := History{Records: []lcrt.HistoryRecord{}}
 		if hist != nil {
-			opts := hist.Options()
 			doc = History{
-				IntervalNs:  int64(opts.Interval),
-				ConvoyP99Ns: int64(opts.ConvoyP99),
-				ConvoyTicks: opts.ConvoyTicks,
+				IntervalNs:  int64(hist.Options().Interval),
+				ConvoyP99Ns: int64(lcrt.ConvoyP99),
+				ConvoyTicks: lcrt.ConvoyTicks,
 				Records:     hist.Since(since),
 			}
 		}
