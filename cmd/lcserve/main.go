@@ -20,8 +20,8 @@
 // (/metrics, /trace, /debug/contention), not the runtime's profiles.
 //
 // The /policy endpoint is the operator's overload lever: POST a golc
-// contention policy name (spin, block, lc) and every
-// shard and lock-table latch flips to it live via SetPolicy — e.g.
+// contention policy name (spin, block, lc) and every shard and
+// lock-table latch flips to it live via the runtime's SetPolicy — e.g.
 // moving a service that was started with spin latches onto
 // load-controlled waiting as multiprogramming climbs, without a
 // restart.
@@ -87,7 +87,7 @@ func main() {
 	var (
 		addr     = flag.String("addr", ":8080", "serve address")
 		shards   = flag.Int("shards", 16, "primary shards")
-		mode     = flag.String("mode", "lc", "latch contention policy: spin, block or lc")
+		mode     = flag.String("mode", golc.LoadControlled.Name(), "latch contention policy: "+strings.Join(golc.PolicyNames(), ", "))
 		loadgen  = flag.Bool("loadgen", false, "be an HTTP load client for the running lcserve at -target, then exit")
 		target   = flag.String("target", "", "with -loadgen: base URL of the lcserve to drive (e.g. http://localhost:8080)")
 		conns    = flag.Int("conns", 64, "loadgen client goroutines")

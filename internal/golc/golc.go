@@ -10,12 +10,13 @@
 // sleep-buffer checks into their spin loops and park when the controller
 // says the system is oversubscribed). Policies are selected by value
 // (WithPolicy) or by name (PolicyByName) and hot-swapped on live locks
-// (SetPolicy). Every contended wait of every lock is one call of Wait,
-// the single seam: it runs the runtime's Handle.Wait, which spins,
-// parks and records the wait, under the policy's park mode. All
-// release paths wake a parked waiter when no spinner remains
-// (runtime.Handle.NoteUnlock), so a free lock never idles until the
-// safety timeout under any policy.
+// (SetPolicy, or the runtime's SetPolicy for every lock at once). The
+// policy lives on the lock's runtime Handle, its one copy, and every
+// contended wait of every lock is one call of that Handle's Wait, the
+// single seam: it reads the policy once, then spins, parks and records
+// the wait. All release paths wake a parked waiter when no spinner
+// remains (runtime.Handle.NoteUnlock), so a free lock never idles until
+// the safety timeout under any policy.
 //
 // All load-control policy state lives in the process-wide runtime
 // (internal/golc/runtime): one controller goroutine, one load sensor,

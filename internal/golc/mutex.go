@@ -29,12 +29,11 @@ func WithRuntime(rt *lcrt.Runtime) Option { return func(c *config) { c.rt = rt }
 func WithPolicy(p ContentionPolicy) Option { return func(c *config) { c.pol = p } }
 
 // core is what Mutex and RWMutex are apart from their lock word: the
-// swappable policy, the runtime handle, and the bookkeeping of one
+// runtime handle, which holds the policy, and the bookkeeping of one
 // exclusive hold. The lock types embed it, so Policy, SetPolicy, Close
 // and Stats are declared once for both.
 type core struct {
-	pol atomic.Uint32 // a ContentionPolicy
-	h   *lcrt.Handle
+	h *lcrt.Handle
 
 	// holdSeq counts acquisitions and holdStart carries the recorder
 	// stamp of a sampled hold (0 otherwise). Both are plain fields
@@ -66,24 +65,16 @@ func (c *core) init(name string, opts []Option) {
 		cfg.rt = lcrt.Default()
 	}
 	c.h = cfg.rt.Register(name)
-	c.pol.Store(uint32(cfg.pol))
-	c.h.NotePolicy(cfg.pol.Name())
+	c.h.SetPolicy(cfg.pol)
 }
 
 // Policy returns the lock's current contention policy.
-func (c *core) Policy() ContentionPolicy { return ContentionPolicy(c.pol.Load()) }
+func (c *core) Policy() ContentionPolicy { return c.h.Policy() }
 
-// SetPolicy hot-swaps the lock's contention policy. New acquisition
-// attempts use p immediately; a waiter already inside Wait finishes its
-// acquisition under the old policy (it re-reads nothing mid-wait), so a
-// flip under load completes as the standing waiters drain — no
-// acquisition is ever lost or woken incorrectly, because all policies
-// share the same lock word and park/wake protocol.
-func (c *core) SetPolicy(p ContentionPolicy) {
-	c.pol.Store(uint32(p))
-	c.h.NotePolicy(p.Name())
-	c.h.Obs().Event(obs.EvPolicySwap, c.h.Name(), p.Name(), 0)
-}
+// SetPolicy hot-swaps the lock's contention policy (see
+// runtime.Handle.SetPolicy): new waits use p immediately, and a waiter
+// already waiting finishes under the old policy.
+func (c *core) SetPolicy(p ContentionPolicy) { c.h.SetPolicy(p) }
 
 // Close unregisters the lock from its runtime's metrics registry. The
 // lock stays usable; Close only removes it from snapshots. The
@@ -182,7 +173,7 @@ func (m *Mutex) Lock() {
 }
 
 func (m *Mutex) lockSlow() {
-	m.stampWaited(Wait(m.h, m.Policy(), lcrt.Acquire{
+	m.stampWaited(m.h.Wait(lcrt.Acquire{
 		Try:  func() bool { return m.state.Load() == 0 && m.state.CompareAndSwap(0, 1) },
 		Free: func() bool { return m.state.Load() == 0 },
 	}))

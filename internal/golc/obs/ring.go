@@ -23,8 +23,7 @@ const (
 	EvEscalation // record locks folded into a partition lock (Name: partition)
 
 	// WAL durability events.
-	EvWalAppend // a redo record was staged on the log tail (Name: log, Arg: bytes)
-	EvWalSync   // one group commit fsync (Name: log, Arg: group size, Dur: sync latency)
+	EvWalSync // one group commit fsync (Name: log, Arg: group size, Dur: sync latency)
 
 	numEventTypes
 )
@@ -38,7 +37,6 @@ var eventNames = [numEventTypes]string{
 	EvTxnBlock:       "txn-block",
 	EvTxnAbort:       "txn-abort",
 	EvEscalation:     "escalation",
-	EvWalAppend:      "wal-append",
 	EvWalSync:        "wal-sync",
 }
 

@@ -255,11 +255,11 @@ func TestPolicyConformanceStatsMonotonic(t *testing.T) {
 	})
 }
 
-// TestPolicyConformanceWaitRecorded: the wait-time seam is golc.Wait,
-// around every policy's loop, so each policy — spin included, which
-// never touches the runtime's park path — must feed the per-lock and
-// global wait histograms on a contended acquisition, on either lock
-// type.
+// TestPolicyConformanceWaitRecorded: the wait-time seam is the
+// runtime's Handle.Wait, around every policy's loop, so each policy —
+// spin included, which never touches the runtime's park path — must
+// feed the per-lock and global wait histograms on a contended
+// acquisition, on either lock type.
 func TestPolicyConformanceWaitRecorded(t *testing.T) {
 	// One lock as the test needs it: the first hold, the contended
 	// acquire under test, the release of either.
@@ -458,7 +458,8 @@ func TestTimeoutWakeFoundFree(t *testing.T) {
 			h := rt.Register("flag")
 			var held atomic.Bool
 			held.Store(true)
-			Wait(h, Block, lcrt.Acquire{
+			h.SetPolicy(Block)
+			h.Wait(lcrt.Acquire{
 				Try:  func() bool { return held.CompareAndSwap(false, true) },
 				Free: func() bool { return !held.Load() },
 				PrePark: func() bool {

@@ -8,10 +8,12 @@
 // controller, so adding a lock never adds a controller. Locks register
 // with a Runtime and receive a Handle; the Handle carries the lock's
 // side of the protocol (spinner count, sleep claims, its parked list,
-// the unlock-side wake) and its metrics, the only copy of each: the
-// runtime's totals are their sum, taken by Snapshot. Handle.Wait runs a
-// whole contended wait — spin, claim, re-check, park — and records it;
-// the runtime exports no other way to park. The controller
+// the unlock-side wake), its contention policy and its metrics, the
+// only copy of each: the runtime's totals are their sum, taken by
+// Snapshot, and SetPolicy flips every lock's policy. Handle.Wait reads
+// the policy once, then runs a whole contended wait — spin, claim,
+// re-check, park — and records it; the runtime exports no other way to
+// park. The controller
 // periodically reads the load sensor — runnable goroutines waiting for
 // a P plus OS threads runnable beyond the CPUs (see sensor), or a
 // custom LoadFunc — and publishes a sleep target T. Under the default
@@ -146,8 +148,7 @@ type LockStats struct {
 	SpinningNow int64 // waiters spinning at snapshot time
 	SleepingNow int64 // waiters parked at snapshot time
 
-	// Policy names the lock's active contention policy, as reported by
-	// the lock through NotePolicy (empty for locks that never did).
+	// Policy names the lock's contention policy (Handle.SetPolicy).
 	Policy string
 
 	// Wait and Hold are the lock's latency distributions: time from
@@ -374,6 +375,19 @@ func (r *Runtime) Register(name string) *Handle {
 		r.regMu.Unlock()
 	}, wp)
 	return h
+}
+
+// SetPolicy flips every registered lock to p (Handle.SetPolicy),
+// Closed ones included: a Closed lock is still usable, and a lock
+// created after the flip keeps the policy it was built with.
+func (r *Runtime) SetPolicy(p Park) {
+	r.regMu.Lock()
+	for wp := range r.locks {
+		if h := wp.Value(); h != nil {
+			h.SetPolicy(p)
+		}
+	}
+	r.regMu.Unlock()
 }
 
 // sleeping returns the current voluntary sleeper population S-W. W
@@ -771,8 +785,8 @@ type Handle struct {
 	// than a stale site.
 	holderSite atomic.Uint64
 
-	// policy names the lock's active contention policy (NotePolicy).
-	policy atomic.Pointer[string]
+	// policy is the lock's contention policy, a Park (SetPolicy).
+	policy atomic.Uint32
 
 	// wait and hold are the lock's latency histograms, fed by Wait and
 	// RecordHold; Snapshot merges them into the runtime's.
@@ -784,7 +798,7 @@ type Handle struct {
 func (h *Handle) Name() string { return h.name }
 
 // Obs returns the runtime's flight recorder, for locks that emit
-// their own events (policy swaps).
+// their own events.
 func (h *Handle) Obs() *obs.Recorder { return h.rt.rec }
 
 // HoldStamp forwards to the recorder's sampled hold stamping (see
@@ -795,17 +809,19 @@ func (h *Handle) HoldStamp(seq uint64) int64 { return h.rt.rec.HoldStamp(seq) }
 // the lock's hold histogram.
 func (h *Handle) RecordHold(start int64) { h.hold.Observe(h.rt.rec.Now() - start) }
 
-// NotePolicy records the name of the lock's active contention policy,
-// for stats and dashboards. Locks call it at construction and on every
-// hot-swap.
-func (h *Handle) NotePolicy(name string) { h.policy.Store(&name) }
+// Policy returns the lock's contention policy.
+func (h *Handle) Policy() Park { return Park(h.policy.Load()) }
 
-// policyName returns the name last recorded by NotePolicy ("" if none).
-func (h *Handle) policyName() string {
-	if p := h.policy.Load(); p != nil {
-		return *p
+// SetPolicy hot-swaps the lock's contention policy and, when it
+// changes, logs the swap (obs.EvPolicySwap). New waits run p at once; a
+// waiter already inside Wait finishes under the policy it read on
+// entry, so a flip under load completes as the standing waiters drain.
+// No acquisition is lost or woken wrongly: every policy shares the
+// lock word and the park/wake protocol.
+func (h *Handle) SetPolicy(p Park) {
+	if Park(h.policy.Swap(uint32(p))) != p {
+		h.rt.rec.Event(obs.EvPolicySwap, h.name, p.Name(), 0)
 	}
-	return ""
 }
 
 // PublishHolderSite stamps site as the current holder's acquire site.
@@ -900,7 +916,7 @@ func (h *Handle) Stats() LockStats {
 		},
 		SpinningNow: h.spinning.Load(),
 		SleepingNow: h.sleepers.Load(),
-		Policy:      h.policyName(),
+		Policy:      h.Policy().Name(),
 		Wait:        h.wait.Snapshot(),
 		Hold:        h.hold.Snapshot(),
 	}

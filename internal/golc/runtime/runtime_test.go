@@ -396,11 +396,12 @@ func TestWaitFreeRecheckCancels(t *testing.T) {
 			defer rt.Stop()
 			waitFor(t, "target 1", func() bool { return rt.Snapshot().Target == 1 })
 			h := rt.Register("recheck")
+			h.SetPolicy(mode.park)
 			var checked atomic.Bool
 			done := make(chan struct{})
 			go func() {
 				defer close(done)
-				h.Wait(mode.park, Acquire{
+				h.Wait(Acquire{
 					Try:  checked.Load,
 					Free: func() bool { checked.Store(true); return true },
 				})
@@ -418,6 +419,41 @@ func TestWaitFreeRecheckCancels(t *testing.T) {
 				t.Fatalf("per-lock stats = %+v, want no wake and no waiter left", ls)
 			}
 		})
+	}
+}
+
+// TestWaitReadsPolicyOnce: a wait reads its lock's policy once, on
+// entry. A waiter that began under spin keeps spinning through a flip
+// to block, however many park checks it passes, and the next wait
+// claims. Free always reports the lock free, so a claim cancels at once
+// instead of sleeping: a wrong read shows as a Block, never as a hang.
+func TestWaitReadsPolicyOnce(t *testing.T) {
+	rt := New(Options{SleepTimeout: time.Minute})
+	h := rt.Register("once")
+	h.SetPolicy(ParkNever)
+	var tries atomic.Int64
+	var release atomic.Bool
+	free := func() bool { return true }
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		h.Wait(Acquire{Try: func() bool { tries.Add(1); return release.Load() }, Free: free})
+	}()
+	waitFor(t, "the waiter to spin", func() bool { return tries.Load() > 0 })
+	rt.SetPolicy(ParkAlways)
+	from := tries.Load()
+	waitFor(t, "ten park checks after the flip", func() bool {
+		return tries.Load() > from+graceSpins+10*parkCheckEvery
+	})
+	release.Store(true)
+	<-done
+	if st := h.Stats(); st.Blocks != 0 {
+		t.Fatalf("the standing waiter claimed sleep %d times after the flip; it must finish under spin", st.Blocks)
+	}
+	n := 0
+	h.Wait(Acquire{Try: func() bool { n++; return n > 2*graceSpins }, Free: free})
+	if st := h.Stats(); st.ForcedClaims == 0 || st.Cancels != st.ForcedClaims {
+		t.Fatalf("the next wait made %d forced claims (%d cancelled), want block's claims", st.ForcedClaims, st.Cancels)
 	}
 }
 
@@ -825,11 +861,12 @@ func TestSnapshotTotalsFoldLocks(t *testing.T) {
 	locks := []*Handle{rt.Register("fold-a"), rt.Register("fold-b")}
 	for _, h := range locks {
 		driveEveryCount(t, h)
+		h.SetPolicy(ParkNever)
 	}
 	for i := 0; i < obs.DefaultBlameSampling; i++ {
 		for _, h := range locks {
 			tries := 0
-			h.Wait(ParkNever, Acquire{Try: func() bool {
+			h.Wait(Acquire{Try: func() bool {
 				tries++
 				time.Sleep(time.Microsecond) // so the wait lasts a nonzero time
 				return tries > 1
@@ -910,7 +947,8 @@ func driveEveryCount(t *testing.T, h *Handle) {
 	rt.setTarget(1)
 	rt.opts.SleepTimeout = time.Millisecond
 	frees := 0
-	h.Wait(ParkAdmitted, Acquire{
+	h.SetPolicy(ParkAdmitted)
+	h.Wait(Acquire{
 		Try:  func() bool { return frees > 1 },
 		Free: func() bool { frees++; return frees > 1 },
 	})

@@ -2,23 +2,37 @@ package runtime
 
 import "repro/internal/golc/obs"
 
-// Park is a wait's park mode, the one thing golc's contention policies
-// differ in: whether a waiter past its grace spin claims sleep, and
-// against what.
+// Park is a lock's contention policy, its wait strategy: whether a
+// waiter past its grace spin claims sleep, and against what. It lives
+// on the lock's Handle (SetPolicy), Wait reads it once per wait, and
+// Runtime.SetPolicy flips every lock at once. golc names it
+// ContentionPolicy.
 type Park uint8
 
 const (
-	// ParkNever spins until the lock is acquired (golc's Spin).
-	ParkNever Park = iota
-	// ParkAdmitted claims sleep when the controller's sleep target
-	// admits the claim (golc's LoadControlled).
-	ParkAdmitted
+	// ParkAdmitted, the zero value, claims sleep when the controller's
+	// sleep target admits the claim: the paper's protocol (golc's
+	// LoadControlled, "lc").
+	ParkAdmitted Park = iota
+	// ParkNever spins until the lock is acquired (golc's Spin, "spin").
+	ParkNever
 	// ParkAlways claims sleep on every park check, outside the target
-	// and the S/W counters (golc's Block). The controller never wakes
-	// such a sleeper; the lock's unlock wake, the safety timeout or the
-	// Stop drain does.
+	// and the S/W counters (golc's Block, "block"). The controller never
+	// wakes such a sleeper; the lock's unlock wake, the safety timeout
+	// or the Stop drain does.
 	ParkAlways
 )
+
+// parkNames are the policies' stable names, used by flags, lcserve's
+// /policy endpoint and stats.
+var parkNames = [...]string{ParkAdmitted: "lc", ParkNever: "spin", ParkAlways: "block"}
+
+// NumParks is the number of policies: Park values run from 0 to
+// NumParks-1.
+const NumParks = len(parkNames)
+
+// Name returns the policy's stable name.
+func (p Park) Name() string { return parkNames[p] }
 
 // Acquire is the lock's side of one blocked acquisition: closures over
 // the lock's own atomic state, handed to Wait. Only Try and Free are
@@ -53,21 +67,24 @@ type Acquire struct {
 //
 // The loop is the paper's client protocol (§3.1.2). Poll a.Try every
 // iteration of the spin cadence. Past the grace spin, once per park
-// check, claim sleep as park says. Re-check a.Free after the claim and
-// cancel if the lock went free (see NoteUnlock for why that cannot
-// strand a waiter). Otherwise run a.PrePark, sleep until a controller
-// wake, an unlock wake or the safety timeout, run a.PostPark, and go
-// back to polling.
+// check, claim sleep as the policy says. Re-check a.Free after the
+// claim and cancel if the lock went free (see NoteUnlock for why that
+// cannot strand a waiter). Otherwise run a.PrePark, sleep until a
+// controller wake, an unlock wake or the safety timeout, run
+// a.PostPark, and go back to polling.
 //
-// Wait stamps the wait into the lock's wait histogram and, when
-// blame-sampled (1 in BlameSampling of this lock's contended waits),
-// into the blame matrix against the holder published when it began.
-// It returns the waiter's blame site (0 unless sampled) for the new
-// holder to publish. The site is the stack from two frames above
-// Wait's caller: golc.Wait calls Wait from a lock's slow path one frame
-// below its exported entry point (Lock → lockSlow → golc.Wait → Wait),
-// so the site starts there.
-func (h *Handle) Wait(park Park, a Acquire) obs.SiteID {
+// Wait reads the lock's policy once, on entry: a wait already running
+// when SetPolicy lands finishes under the old one, and the next wait
+// runs the new one. It stamps the wait into the lock's wait histogram
+// and, when blame-sampled (1 in BlameSampling of this lock's contended
+// waits), into the blame matrix against the holder published when it
+// began. It returns the waiter's blame site (0 unless sampled) for the
+// new holder to publish. The site is the stack from one frame above
+// Wait's caller: locks call Wait from a slow path one frame below
+// their exported entry point (Lock → lockSlow → Wait), so the site
+// starts there.
+func (h *Handle) Wait(a Acquire) obs.SiteID {
+	park := h.Policy()
 	rec := h.rt.rec
 	var start int64
 	var waiter, holder obs.SiteID
@@ -76,7 +93,7 @@ func (h *Handle) Wait(park Park, a Acquire) obs.SiteID {
 		if rec.BlameSampled(h.waitSeq.Add(1)) {
 			// The holder published right now built the convoy this
 			// waiter is about to join.
-			waiter = rec.CallerSite(3)
+			waiter = rec.CallerSite(2)
 			holder = obs.SiteID(h.holderSite.Load())
 		}
 	}

@@ -66,7 +66,7 @@ func (m *RWMutex) RLock() {
 // that is the writer holding (or a sampled reader crowding out) the
 // lock — and then publishes its own site, unshadowed (see RWMutex).
 func (m *RWMutex) rlockSlow() {
-	if site := Wait(m.h, m.Policy(), lcrt.Acquire{Try: m.tryR, Free: m.rAvailable}); site != 0 {
+	if site := m.h.Wait(lcrt.Acquire{Try: m.tryR, Free: m.rAvailable}); site != 0 {
 		m.h.PublishHolderSite(site)
 	}
 }
@@ -117,7 +117,7 @@ func (m *RWMutex) Lock() {
 
 // lockSlow waits for the write hold, the gate already raised.
 func (m *RWMutex) lockSlow() {
-	site := Wait(m.h, m.Policy(), lcrt.Acquire{
+	site := m.h.Wait(lcrt.Acquire{
 		Try: func() bool {
 			if m.state.Load() == 0 && m.state.CompareAndSwap(0, -1) {
 				m.wwait.Add(-1)

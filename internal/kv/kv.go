@@ -81,20 +81,9 @@ func (s *Store) Close() {
 	}
 }
 
-// SetPolicy hot-swaps the contention policy of every shard latch (see
-// golc.RWMutex.SetPolicy: new waits use the policy immediately,
-// standing waits drain under the old one). This is the serving-layer
-// flip an operator uses to move a live store from spin to
-// load-controlled latches under overload — lcserve exposes it as POST
-// /policy.
-func (s *Store) SetPolicy(p golc.ContentionPolicy) {
-	for _, sh := range s.shards {
-		sh.mu.SetPolicy(p)
-	}
-}
-
-// Policy returns the contention policy the store's latches currently
-// use (the last SetPolicy value, initially Options.Policy).
+// Policy returns the contention policy the store's first shard latch
+// currently uses: Options.Policy until the runtime's SetPolicy flips
+// every latch (lcserve's POST /policy).
 func (s *Store) Policy() golc.ContentionPolicy { return s.shards[0].mu.Policy() }
 
 // LatchStats sums the per-latch load-control counters across every

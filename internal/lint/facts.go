@@ -14,9 +14,8 @@ import (
 // and booleans only), so they are independent of any FileSet.
 type FuncFacts struct {
 	// Parks: calling this function may reach a parking point (a golc
-	// Lock/RLock or the runtime's Handle.Wait — golc.Wait among the
-	// functions that reach one), transitively. ParkWhat describes the
-	// chain for reports ("q.inner → Lock on b.Mu").
+	// Lock/RLock or the runtime's Handle.Wait), transitively. ParkWhat
+	// describes the chain for reports ("q.inner → Lock on b.Mu").
 	Parks    bool
 	ParkWhat string
 

@@ -36,7 +36,7 @@ const (
 	// kindRelease: Unlock/RUnlock.
 	kindRelease
 	// kindHandleWait: runtime Handle.Wait — the runtime's one way to
-	// park, which golc.Wait calls.
+	// park, which every golc lock's slow path calls.
 	kindHandleWait
 )
 

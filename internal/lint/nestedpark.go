@@ -17,7 +17,7 @@ import (
 var Nestedpark = &Analyzer{
 	Name: "nestedpark",
 	Doc: "no potentially-parking operation (golc Lock/RLock, " +
-		"golc.Wait, runtime Handle.Wait, or any call that transitively " +
+		"runtime Handle.Wait, or any call that transitively " +
 		"reaches one, across package boundaries) while a golc lock is held; use " +
 		"TryLock for nested acquisition. Parking while holding deadlocks the " +
 		"load-controlled policy's sleep buffer.",

@@ -50,13 +50,7 @@ func helperThatParks(mu *golc.Mutex) {
 func handleWaitWhileHolding(p *pair, h *lcrt.Handle, acq lcrt.Acquire) {
 	p.a.Lock()
 	defer p.a.Unlock()
-	h.Wait(lcrt.ParkAlways, acq) // want `Wait parks while p\.a is held`
-}
-
-func seamWhileHolding(p *pair, pol golc.ContentionPolicy, h *lcrt.Handle, acq lcrt.Acquire) {
-	p.a.Lock()
-	defer p.a.Unlock()
-	golc.Wait(h, pol, acq) // want `call to golc\.Wait may park .* while p\.a is held`
+	h.Wait(acq) // want `Wait parks while p\.a is held`
 }
 
 // A lock-manager-shaped acquire is an ordinary call: whatever its name

@@ -576,13 +576,6 @@ func (lm *lockManager) close() {
 	}
 }
 
-// setPolicy hot-swaps the contention policy of every stripe latch.
-func (lm *lockManager) setPolicy(p golc.ContentionPolicy) {
-	for _, st := range lm.stripes {
-		st.latch.SetPolicy(p)
-	}
-}
-
 // hashID is FNV-1a over the full id. It is computed once per acquire
 // and then stands in for the id everywhere a hash is needed: the stripe
 // choice, the stripe's bucket, and the first word Txn.find compares.

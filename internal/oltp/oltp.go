@@ -23,7 +23,7 @@
 //     under the store's contention policy, so lock-manager latching —
 //     one of the big physical contention sources inside database
 //     engines — is governed exactly like the data-path latches, and
-//     hot-swaps with them (DB.SetLatchPolicy).
+//     hot-swaps with them (the runtime's SetPolicy).
 //   - What those latches guard is built to be held briefly (lockmgr.go):
 //     each lock is a lock head carrying a per-mode count of its granted
 //     group, so the grant test is six steps however many transactions
@@ -88,7 +88,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/golc"
 	"repro/internal/golc/obs"
 	lcrt "repro/internal/golc/runtime"
 	"repro/internal/kv"
@@ -162,8 +161,7 @@ const DefaultEscalationThreshold = 64
 // Options configures a DB. The lock-table stripe latches start under
 // the store's own contention policy (kv.Store.Policy), so data-path
 // and lock-manager latches are governed alike — the comparison the
-// benchmarks make; SetLatchPolicy and kv.Store.SetPolicy flip them
-// together at runtime.
+// benchmarks make; the runtime's SetPolicy flips them together.
 type Options struct {
 	// Runtime is the load-control runtime the stripe latches register
 	// with, whatever their contention policy (default: the process-wide
@@ -311,24 +309,8 @@ func (db *DB) CommitLatency() obs.HistSnapshot { return db.commitLat.Snapshot() 
 // (one observation per blocked acquire, however it ended).
 func (db *DB) LockWaitHist() obs.HistSnapshot { return db.lockWait.Snapshot() }
 
-// SetLatchPolicy hot-swaps the contention policy of the lock table's
-// stripe latches (the physical latches, not the logical locks). Pair it with kv.Store.SetPolicy so data-path and
-// lock-manager latches stay governed alike; lcserve's POST /policy
-// does both.
-func (db *DB) SetLatchPolicy(p golc.ContentionPolicy) { db.lm.setPolicy(p) }
-
-// LatchPolicyName reports the contention policy the DB's stripe
-// latches currently use.
-func (db *DB) LatchPolicyName() string {
-	return db.lm.stripes[0].latch.Policy().Name()
-}
-
 // Store returns the underlying kv store.
 func (db *DB) Store() *kv.Store { return db.store }
-
-// WAL returns the write-ahead log commits are made durable through,
-// or nil for a volatile DB.
-func (db *DB) WAL() *wal.Log { return db.wal }
 
 // Metrics returns a point-in-time copy of the DB's counters.
 func (db *DB) Metrics() MetricsSnapshot { return db.m.snapshot() }

@@ -181,14 +181,14 @@ type History struct {
 const metricsTopLocks = 8
 
 // NewHandler builds the service mux for one store. rt is the
-// load-control runtime the store's latches registered with — the
-// observability endpoints read it directly, so a handler built over a
-// private runtime (as the tests do) reports its own runtime, not the
-// Default one. hist feeds /stats/history; with it nil the endpoint
-// serves an empty series rather than 404ing, so pollers need no special
-// case. walLog, when non-nil, adds the durability surface: the "wal"
-// section of /stats, the wal_* families of /metrics, and POST /policy
-// flips the log's durability-wait policy along with every latch.
+// load-control runtime the store's, the DB's and the log's latches
+// registered with — the observability endpoints read it directly, so a
+// handler built over a private runtime (as the tests do) reports its
+// own runtime, not the Default one, and POST /policy flips its locks.
+// hist feeds /stats/history; with it nil the endpoint serves an empty
+// series rather than 404ing, so pollers need no special case. walLog,
+// when non-nil, adds the durability surface: the "wal" section of
+// /stats and the wal_* families of /metrics.
 func NewHandler(store *kv.Store, db *oltp.DB, rt *lcrt.Runtime, hist *lcrt.History, walLog *wal.Log) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/kv/", func(w http.ResponseWriter, r *http.Request) {
@@ -252,8 +252,10 @@ func NewHandler(store *kv.Store, db *oltp.DB, rt *lcrt.Runtime, hist *lcrt.Histo
 		handleTxn(db, w, r)
 	})
 	// The hot-swap lever: GET reports the current latch contention
-	// policy; POST flips every latch in the process — kv shard latches
-	// plus the oltp lock-table stripes — to the named policy.
+	// policy; POST flips every latch in the process — kv shard latches,
+	// the oltp lock-table stripes, and the wal's tail latch and
+	// durability wait — to the named policy, in one pass over rt's
+	// locks.
 	mux.HandleFunc("/policy", func(w http.ResponseWriter, r *http.Request) {
 		switch r.Method {
 		case http.MethodGet:
@@ -270,14 +272,7 @@ func NewHandler(store *kv.Store, db *oltp.DB, rt *lcrt.Runtime, hist *lcrt.Histo
 				http.Error(w, err.Error(), http.StatusBadRequest)
 				return
 			}
-			store.SetPolicy(p)
-			db.SetLatchPolicy(p)
-			if walLog != nil {
-				// The durability-wait seam swaps with the latches: the
-				// fsync convoy is load-controlled (or not) by the same
-				// operator action.
-				walLog.SetPolicy(p)
-			}
+			rt.SetPolicy(p)
 			fmt.Fprintf(w, "%s\n", p.Name())
 		default:
 			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)

@@ -24,6 +24,7 @@ import (
 // testServer is NewHandler over a fresh store, DB and (when durable) a
 // write-ahead log in a temp directory, all on one private runtime.
 type testServer struct {
+	rt    *lcrt.Runtime
 	store *kv.Store
 	db    *oltp.DB
 	log   *wal.Log // nil when volatile
@@ -35,7 +36,7 @@ func newTestServer(t *testing.T, durable bool) *testServer {
 	rt := lcrt.New(lcrt.Options{Interval: time.Millisecond})
 	rt.Start()
 	t.Cleanup(rt.Stop)
-	s := &testServer{store: kv.New(kv.Options{Shards: 4, Runtime: rt})}
+	s := &testServer{rt: rt, store: kv.New(kv.Options{Shards: 4, Runtime: rt})}
 	t.Cleanup(s.store.Close)
 	if durable {
 		var err error
@@ -179,11 +180,18 @@ func TestPolicyHotSwap(t *testing.T) {
 	if got := s.store.Policy().Name(); got != "block" {
 		t.Errorf("store policy = %q", got)
 	}
-	if got := s.db.LatchPolicyName(); got != "block" {
-		t.Errorf("lock-table latch policy = %q", got)
+	// Every latch flips, not only the first of each kind: each kv
+	// shard, each lock-table stripe, and the wal's tail latch and
+	// durability wait.
+	kinds := map[string]int{}
+	for _, ls := range s.rt.Snapshot().Locks {
+		kinds[strings.TrimRight(ls.Name, "0123456789")]++
+		if ls.Policy != "block" {
+			t.Errorf("%s policy = %q", ls.Name, ls.Policy)
+		}
 	}
-	if got := s.log.Policy().Name(); got != "block" {
-		t.Errorf("wal policy = %q", got)
+	if kinds["kv/shard-"] != 4 || kinds["oltp/lm-"] == 0 || kinds["wal/tail"] != 1 || kinds["wal/group-commit"] != 1 {
+		t.Errorf("locks in the snapshot: %v, want every kv shard, lock-table stripe and wal lock", kinds)
 	}
 	s.want(t, "POST", "/policy", "no-such-policy", 400)
 	if got := s.store.Policy(); got != golc.Block {

@@ -203,7 +203,7 @@ func Open(opts Options, store *kv.Store) (*Log, RecoveryStats, error) {
 
 	l.tail = golc.New("wal/tail", golc.WithRuntime(opts.Runtime), golc.WithPolicy(opts.Policy))
 	l.h = opts.Runtime.Register("wal/group-commit")
-	l.h.NotePolicy(opts.Policy.Name())
+	l.h.SetPolicy(opts.Policy)
 	l.site = l.h.Obs().NamedSite("wal/fsync")
 
 	if err := l.openSegment(l.next); err != nil {

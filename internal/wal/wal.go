@@ -8,10 +8,10 @@
 // files, one fsync per commit group, torn-tail truncation on restart.
 // What makes it native to this repo rather than a generic WAL is where
 // its waits live. A committer that has staged its record waits for
-// durability through golc.Wait on a runtime Handle
-// ("wal/group-commit") — the one wait seam golc locks use — so the
-// spin/block/lc policies, hot-swap, wait histograms, and blame edges
-// all apply to log waits like latch waits. Under load the durability
+// durability through Wait on a runtime Handle ("wal/group-commit") —
+// the one wait seam golc locks use — so the spin/block/lc policies,
+// the runtime's hot-swap, wait histograms, and blame edges all apply
+// to log waits like latch waits. Under load the durability
 // wait population is the fsync convoy the paper's controller is built
 // to manage: admitted waiters spin briefly and park on the handle's
 // parked list, and the group-commit wake is the unlock-side wake.
@@ -55,6 +55,7 @@ type Options struct {
 
 	// Policy is the initial ContentionPolicy for both the tail latch
 	// and the group-commit durability waits. Zero value: LoadControlled.
+	// The runtime's SetPolicy flips both with every other lock.
 	Policy golc.ContentionPolicy
 
 	// SyncHook, when non-nil, replaces the fsync on the active
@@ -121,7 +122,7 @@ type Log struct {
 	store *kv.Store
 	dirf  *os.File // open handle on Dir, for directory fsyncs
 
-	tail *golc.Mutex  // staging latch: buffer, LSN counter; its policy is the log's
+	tail *golc.Mutex  // staging latch: buffer, LSN counter
 	h    *lcrt.Handle // group-commit durability wait seam
 	site obs.SiteID   // "wal/fsync" blame site, published while syncing
 
@@ -213,9 +214,6 @@ func (l *Log) Append(batch []kv.Write) (uint64, error) {
 
 	l.appends.Add(1)
 	l.bytesStaged.Add(uint64(sz))
-	if rec := l.h.Obs(); rec.Enabled() {
-		rec.Event(obs.EvWalAppend, l.h.Name(), "", int64(sz))
-	}
 	select {
 	case l.kick <- struct{}{}:
 	default:
@@ -237,8 +235,8 @@ func (l *Log) Commit(batch []kv.Write) (uint64, error) {
 
 // WaitDurable blocks until the record at lsn is fsynced (nil) or the
 // log is wedged by an I/O error before reaching it (that error). The
-// wait runs under the log's ContentionPolicy on the "wal/group-commit"
-// handle: it is a first-class contended wait to the runtime — counted,
+// wait runs under the "wal/group-commit" handle's ContentionPolicy: it
+// is a first-class contended wait to the runtime — counted,
 // histogrammed, blamed, and (under lc) admission-controlled.
 //
 // Durability waits are deliberately not cancellable: once a record is
@@ -258,8 +256,9 @@ func (l *Log) WaitDurable(lsn uint64) error {
 	return fmt.Errorf("wal: lsn %d resolved but not durable and not wedged", lsn)
 }
 
-// waitSlow waits for lsn to resolve through golc.Wait, the same seam as
-// every latch wait: bracketed, histogrammed and blame-sampled there.
+// waitSlow waits for lsn to resolve through the handle's Wait, the same
+// seam as every latch wait: bracketed, histogrammed and blame-sampled
+// there.
 func (l *Log) waitSlow(lsn uint64) {
 	// "Acquisition" here is group notification, not mutual exclusion:
 	// every waiter whose LSN the syncer has resolved passes Try at
@@ -267,7 +266,7 @@ func (l *Log) waitSlow(lsn uint64) {
 	// re-parks.
 	resolved := func() bool { return l.resolved.Load() >= lsn }
 	// The returned blame site is dropped: there is no holder to publish it.
-	golc.Wait(l.h, l.Policy(), lcrt.Acquire{Try: resolved, Free: resolved})
+	l.h.Wait(lcrt.Acquire{Try: resolved, Free: resolved})
 }
 
 // NoteApplied records that the committed batch at lsn has been applied
@@ -305,18 +304,6 @@ func (l *Log) Sync() error {
 		return nil
 	}
 	return l.WaitDurable(last)
-}
-
-// Policy returns the current durability-wait policy.
-func (l *Log) Policy() golc.ContentionPolicy { return l.tail.Policy() }
-
-// SetPolicy hot-swaps the contention policy for both the tail latch
-// and the group-commit durability waits, mirroring golc.Mutex: waiters
-// already inside golc.Wait drain under the old policy.
-func (l *Log) SetPolicy(p golc.ContentionPolicy) {
-	l.tail.SetPolicy(p)
-	l.h.NotePolicy(p.Name())
-	l.h.Obs().Event(obs.EvPolicySwap, l.h.Name(), p.Name(), 0)
 }
 
 // Wedged returns the sticky I/O error that disabled the log, or nil.

@@ -25,6 +25,15 @@ func testStore(rt *lcrt.Runtime) *kv.Store {
 	return kv.New(kv.Options{Shards: 8, Runtime: rt})
 }
 
+// lockPolicies maps each lock in rt's snapshot to its policy's name.
+func lockPolicies(rt *lcrt.Runtime) map[string]string {
+	m := map[string]string{}
+	for _, ls := range rt.Snapshot().Locks {
+		m[ls.Name] = ls.Policy
+	}
+	return m
+}
+
 func openTest(t *testing.T, dir string, rt *lcrt.Runtime) (*Log, *kv.Store, RecoveryStats) {
 	t.Helper()
 	store := testStore(rt)
@@ -197,7 +206,7 @@ func TestGroupCommitBatchesConcurrentCommitters(t *testing.T) {
 	if st.DurableLSN != n {
 		t.Fatalf("durable=%d want %d", st.DurableLSN, n)
 	}
-	// The committers that rode a group waited for it through golc.Wait:
+	// The committers that rode a group waited for it through the handle's Wait:
 	// the seam's handle must have their waits in its histogram.
 	if waits := l.h.Stats().Wait.Count; waits == 0 || waits > n {
 		t.Fatalf("wal/group-commit recorded %d waits for %d commits behind a gated fsync", waits, n)
@@ -499,10 +508,13 @@ func TestPolicySwapUnderLoad(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		l.SetPolicy(p)
-	}
-	if got := l.Policy().Name(); got != "block" {
-		t.Fatalf("policy after swaps: %s", got)
+		rt.SetPolicy(p)
+		got := lockPolicies(rt)
+		for _, lock := range []string{"wal/tail", "wal/group-commit"} {
+			if got[lock] != name {
+				t.Fatalf("%s policy after the swap to %s: %q", lock, name, got[lock])
+			}
+		}
 	}
 	close(stop)
 	wg.Wait()
@@ -524,7 +536,10 @@ func TestOpenDefaultsToLC(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	if got := l.Policy().Name(); got != "lc" {
-		t.Fatalf("log opened without a policy runs %q, want lc", got)
+	got := lockPolicies(rt)
+	for _, lock := range []string{"wal/tail", "wal/group-commit"} {
+		if got[lock] != "lc" {
+			t.Fatalf("%s of a log opened without a policy runs %q, want lc", lock, got[lock])
+		}
 	}
 }
