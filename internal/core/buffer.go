@@ -15,10 +15,11 @@
 //     slots and unparks sleepers the moment load drops, rather than
 //     waiting for timeouts.
 //
-// Lock integration is via locks.TPMCS's managed waits: a spinner that
-// claims a slot aborts its queue wait, parks for at most SleepTimeout
-// (100ms, processed at scheduler ticks like any OS timeout), and
-// restarts its acquire as if it had just arrived.
+// Lock integration is via the managed waits of locks.QueueLock (TP-MCS,
+// or plain MCS in the §5.4 ablation): a spinner that claims a slot
+// aborts its queue wait, parks for at most SleepTimeout (100ms,
+// processed at scheduler ticks like any OS timeout), and restarts its
+// acquire as if it had just arrived.
 package core
 
 import (

@@ -181,7 +181,7 @@ func (c *Controller) SleepInSlot(t *cpu.Thread, idx int) {
 }
 
 // Registry exposes the WaitManager that load-controlled locks pass to
-// TPMCS.AcquireManaged.
+// QueueLock.AcquireManaged.
 func (c *Controller) Registry() *registry { return c.registry }
 
 // registry tracks the process's current spinners so open sleep slots can

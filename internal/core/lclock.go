@@ -12,28 +12,20 @@ import (
 // sleeps until the controller wakes it or 100ms pass, and then restarts
 // its acquire as if it had just arrived.
 type LCLock struct {
-	inner ManagedLock
+	inner *locks.QueueLock
 	name  string
 	ctl   *Controller
 }
 
-// ManagedLock is a spinlock whose waits load control can observe and
-// abort. TPMCS is the paper's choice; MCS satisfies it too (the §5.4
-// ablation showing load control makes preemption resistance almost
-// redundant).
-type ManagedLock interface {
-	AcquireManaged(t *cpu.Thread, mgr locks.WaitManager) locks.WaitStatus
-	Release(t *cpu.Thread)
-	Name() string
-}
-
 // NewLCLock builds a load-controlled lock over TP-MCS attached to ctl.
 func NewLCLock(env *locks.Env, ctl *Controller) *LCLock {
-	return NewLCLockOver(locks.NewTPMCS(env).(*locks.TPMCS), ctl)
+	return NewLCLockOver(locks.NewTPMCS(env).(*locks.QueueLock), ctl)
 }
 
-// NewLCLockOver wraps an explicit managed lock (TP-MCS or plain MCS).
-func NewLCLockOver(inner ManagedLock, ctl *Controller) *LCLock {
+// NewLCLockOver wraps an explicit queue lock: TP-MCS is the paper's
+// choice, and plain MCS is the §5.4 ablation showing load control makes
+// preemption resistance almost redundant.
+func NewLCLockOver(inner *locks.QueueLock, ctl *Controller) *LCLock {
 	return &LCLock{inner: inner, name: "load-control(" + inner.Name() + ")", ctl: ctl}
 }
 
@@ -48,7 +40,7 @@ func Factory(ctl *Controller) locks.Factory {
 // (the §5.4 ablation).
 func FactoryOverMCS(ctl *Controller) locks.Factory {
 	return func(env *locks.Env) locks.Lock {
-		return NewLCLockOver(locks.NewMCS(env).(*locks.MCS), ctl)
+		return NewLCLockOver(locks.NewMCS(env).(*locks.QueueLock), ctl)
 	}
 }
 

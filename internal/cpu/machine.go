@@ -58,9 +58,6 @@ func (m *Machine) NewProcess(name string) *Process {
 	return p
 }
 
-// Processes returns all registered processes.
-func (m *Machine) Processes() []*Process { return m.procs }
-
 // Observe registers fn to be called whenever a process's runnable-thread
 // count changes. fn runs inside the event loop; it must not block.
 func (m *Machine) Observe(fn func(p *Process, runnable int)) {
@@ -119,9 +116,6 @@ func (p *Process) Name() string { return p.name }
 
 // Machine returns the owning machine.
 func (p *Process) Machine() *Machine { return p.m }
-
-// Threads returns all threads ever created in the process.
-func (p *Process) Threads() []*Thread { return p.threads }
 
 // Runnable returns the instantaneous runnable-thread count (running +
 // spinning + waiting for CPU).

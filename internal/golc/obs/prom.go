@@ -89,20 +89,7 @@ func (p *PromWriter) Gauge(name, help string, labels []Label, v float64) {
 // still monotone — plus the mandatory +Inf), then _sum and _count.
 // _count equals the +Inf bucket and sum(Buckets) by construction.
 func (p *PromWriter) Histogram(name, help string, labels []Label, s HistSnapshot) {
-	p.header(name, help, "histogram")
-	var cum uint64
-	for i := 0; i < NumBuckets-1; i++ {
-		c := s.Buckets[i]
-		if c == 0 {
-			continue
-		}
-		cum += c
-		le := formatFloat(float64(BucketUpper(i)) / 1e9)
-		p.printf("%s_bucket%s %d\n", name, labelString(labels, Label{"le", le}), cum)
-	}
-	p.printf("%s_bucket%s %d\n", name, labelString(labels, Label{"le", "+Inf"}), s.Count)
-	p.printf("%s_sum%s %s\n", name, labelString(labels), formatFloat(float64(s.Sum)/1e9))
-	p.printf("%s_count%s %d\n", name, labelString(labels), s.Count)
+	p.histogram(name, help, labels, s, 1e9)
 }
 
 // RawHistogram is Histogram without the nanoseconds→seconds
@@ -111,6 +98,12 @@ func (p *PromWriter) Histogram(name, help string, labels []Label, s HistSnapshot
 // e.g. the WAL's commits-per-fsync group sizes — where dividing by 1e9
 // would be nonsense.
 func (p *PromWriter) RawHistogram(name, help string, labels []Label, s HistSnapshot) {
+	p.histogram(name, help, labels, s, 1)
+}
+
+// histogram writes one series with bucket bounds and the sum divided by
+// scale.
+func (p *PromWriter) histogram(name, help string, labels []Label, s HistSnapshot, scale float64) {
 	p.header(name, help, "histogram")
 	var cum uint64
 	for i := 0; i < NumBuckets-1; i++ {
@@ -119,11 +112,11 @@ func (p *PromWriter) RawHistogram(name, help string, labels []Label, s HistSnaps
 			continue
 		}
 		cum += c
-		le := formatFloat(float64(BucketUpper(i)))
+		le := formatFloat(float64(BucketUpper(i)) / scale)
 		p.printf("%s_bucket%s %d\n", name, labelString(labels, Label{"le", le}), cum)
 	}
 	p.printf("%s_bucket%s %d\n", name, labelString(labels, Label{"le", "+Inf"}), s.Count)
-	p.printf("%s_sum%s %s\n", name, labelString(labels), formatFloat(float64(s.Sum)))
+	p.printf("%s_sum%s %s\n", name, labelString(labels), formatFloat(float64(s.Sum)/scale))
 	p.printf("%s_count%s %d\n", name, labelString(labels), s.Count)
 }
 

@@ -92,3 +92,42 @@ func TestPromFormat(t *testing.T) {
 	checkSeries("golc_wait_seconds", false)
 	checkSeries(`lock=`, true)
 }
+
+// TestPromHistogramUnits pins both histogram renderings of one snapshot
+// byte for byte: Histogram converts nanoseconds to seconds in the le
+// labels and _sum, RawHistogram emits the snapshot's own unit (the
+// WAL's commits per fsync).
+func TestPromHistogramUnits(t *testing.T) {
+	h := NewHistogram(1)
+	for _, v := range []int64{1, 3, 3, 10} {
+		h.Observe(v)
+	}
+	s := h.Snapshot()
+	var buf bytes.Buffer
+	pw := NewPromWriter(&buf)
+	pw.RawHistogram("wal_group_commits", "commits per fsync", nil, s)
+	pw.Histogram("wal_sync_seconds", "fsync latency", []Label{{"log", "a"}}, s)
+	if err := pw.Err(); err != nil {
+		t.Fatal(err)
+	}
+	want := `# HELP wal_group_commits commits per fsync
+# TYPE wal_group_commits histogram
+wal_group_commits_bucket{le="1"} 1
+wal_group_commits_bucket{le="3"} 3
+wal_group_commits_bucket{le="15"} 4
+wal_group_commits_bucket{le="+Inf"} 4
+wal_group_commits_sum 17
+wal_group_commits_count 4
+# HELP wal_sync_seconds fsync latency
+# TYPE wal_sync_seconds histogram
+wal_sync_seconds_bucket{log="a",le="1e-09"} 1
+wal_sync_seconds_bucket{log="a",le="3e-09"} 3
+wal_sync_seconds_bucket{log="a",le="1.5e-08"} 4
+wal_sync_seconds_bucket{log="a",le="+Inf"} 4
+wal_sync_seconds_sum{log="a"} 1.7e-08
+wal_sync_seconds_count{log="a"} 4
+`
+	if got := buf.String(); got != want {
+		t.Fatalf("got:\n%s\nwant:\n%s", got, want)
+	}
+}

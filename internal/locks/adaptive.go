@@ -5,17 +5,15 @@ import (
 )
 
 // AdaptiveMutex models the Solaris adaptive mutex / pthread_mutex the
-// paper benchmarks as "blocking" (§2.2, Figures 1 and 4): a waiter spins
-// while the lock holder is running on a CPU, but blocks as soon as the
-// holder is descheduled or its spin patience runs out. Release leaves
-// the lock free and wakes one sleeper, which must retry (new arrivals
-// can barge). Under load, waiters exhaust patience, every handoff takes
-// a context switch, and the scheduler saturates.
+// paper benchmarks as "blocking" (§2.2, Figures 1 and 4): a waiter that
+// arrives while the holder is off CPU blocks at once; otherwise it spins
+// and blocks when its spin patience runs out. Release leaves the lock
+// free and wakes one sleeper, which must retry (new arrivals can barge).
+// Under load, waiters exhaust patience, every handoff takes a context
+// switch, and the scheduler saturates.
 type AdaptiveMutex struct {
-	env          *Env
-	holder       *cpu.Thread
-	holderCancel func()
-	guard        holderGuard
+	env   *Env
+	guard holderGuard
 
 	spinners []*cpu.Thread
 	sleepers []*cpu.Thread
@@ -48,8 +46,8 @@ func (l *AdaptiveMutex) forEachSpinner(fn func(*cpu.Thread)) {
 func (l *AdaptiveMutex) Acquire(t *cpu.Thread) {
 	t.Compute(l.env.Costs.Acquire)
 	for {
-		if l.holder == nil {
-			l.setHolder(t)
+		if l.guard.holder == nil {
+			l.guard.set(t)
 			return
 		}
 		if l.guard.holderPreempted() {
@@ -68,12 +66,12 @@ func (l *AdaptiveMutex) Acquire(t *cpu.Thread) {
 		l.dropSpinner(t)
 		switch res {
 		case SpinGranted:
-			if l.holder == nil {
-				l.setHolder(t)
+			if l.guard.holder == nil {
+				l.guard.set(t)
 				return
 			}
 			// Barged past: retry.
-		case SpinPatience, SpinHolderBlocked:
+		case SpinPatience:
 			l.block(t)
 		}
 	}
@@ -99,7 +97,7 @@ func (l *AdaptiveMutex) dropSpinner(t *cpu.Thread) {
 
 // Release implements Lock.
 func (l *AdaptiveMutex) Release(t *cpu.Thread) {
-	if l.holder != t {
+	if l.guard.holder != t {
 		panic("adaptive: release by non-holder")
 	}
 	l.Handoffs++
@@ -115,7 +113,7 @@ func (l *AdaptiveMutex) Release(t *cpu.Thread) {
 		l.sleepers = l.sleepers[1:]
 		t.Compute(l.env.Costs.UnparkSyscall)
 	}
-	l.setHolder(nil)
+	l.guard.set(nil)
 	// Signal a running spinner: it reacts in cache-miss time and
 	// usually wins the race for the freed lock; the woken sleeper pays
 	// two context switches, retries, and usually loses to a barging
@@ -132,31 +130,5 @@ func (l *AdaptiveMutex) Release(t *cpu.Thread) {
 	}
 	if woken != nil {
 		woken.Unpark()
-	}
-}
-
-// setHolder updates ownership and (re)installs the holder watch that
-// tells spinners to give up when the owner is descheduled (Solaris does
-// this check inside the spin loop itself).
-func (l *AdaptiveMutex) setHolder(t *cpu.Thread) {
-	if l.holderCancel != nil {
-		l.holderCancel()
-		l.holderCancel = nil
-	}
-	l.holder = t
-	l.guard.set(t)
-	if t != nil {
-		l.holderCancel = l.env.Watch(t,
-			func(*cpu.Thread) { l.notifyHolderBlocked() }, nil)
-	}
-}
-
-// notifyHolderBlocked tells running spinners to stop spinning because
-// the owner was descheduled.
-func (l *AdaptiveMutex) notifyHolderBlocked() {
-	for _, s := range l.spinners {
-		if s.Spinning() {
-			s.SpinWake(SpinHolderBlocked)
-		}
 	}
 }

@@ -65,7 +65,7 @@ func TestQueueLocksAreFair(t *testing.T) {
 // waiters must consume k * TPRemoval of the releaser's CPU.
 func TestTPMCSRemovalCostOnCriticalPath(t *testing.T) {
 	h := newHarness(11, 8)
-	l := newTPMCS(h.env)
+	l := newQueueLock(h.env, true)
 	var releaseTime time.Duration
 	holder := h.p.NewThread("holder", func(t *cpu.Thread) {
 		l.Acquire(t)

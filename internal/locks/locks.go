@@ -1,9 +1,9 @@
 // Package locks implements the synchronization primitives the paper's
 // figures compare, as event-driven equivalents running on the simulated
-// machine: MCS queue locks, time-published MCS (TP-MCS), the
-// Solaris-style adaptive (spin-then-block) mutex the paper benchmarks as
-// pthread, and the authors' earlier load-triggered backoff scheme (paper
-// §2.3).
+// machine: the MCS queue lock and its time-published variant (TP-MCS),
+// the Solaris-style adaptive (spin-then-block) mutex the paper
+// benchmarks as pthread, and the authors' earlier load-triggered backoff
+// scheme (paper §2.3).
 //
 // All locks implement mutual exclusion over simulated threads; the
 // differences the paper cares about — how waiters wait, who is woken on
@@ -29,11 +29,8 @@ const (
 	// SpinAborted: the waiter's own abort (load-control slot claim)
 	// succeeded; it left the queue voluntarily.
 	SpinAborted = 3
-	// SpinHolderBlocked: adaptive mutex: the holder was descheduled,
-	// stop spinning and block.
-	SpinHolderBlocked = 4
 	// SpinPatience: adaptive mutex: spin patience exhausted, block.
-	SpinPatience = 5
+	SpinPatience = 4
 )
 
 // Lock is a mutual-exclusion primitive for simulated threads.
@@ -161,10 +158,11 @@ func (w *threadWatch) dispatch(t *cpu.Thread, desched bool) {
 	w.entries = live
 }
 
-// holderGuard tracks a lock's current holder and keeps the priority-
-// inversion accounting mode of all its spinners up to date: a spinner's
-// time is "contention" while the holder runs and "priority inversion"
-// while the holder is descheduled (paper Figure 3's instrumentation).
+// holderGuard is a lock's record of its current holder (nil when the
+// lock is free) and keeps the priority-inversion accounting mode of all
+// its spinners up to date: a spinner's time is "contention" while the
+// holder runs and "priority inversion" while the holder is descheduled
+// (paper Figure 3's instrumentation).
 type holderGuard struct {
 	env    *Env
 	holder *cpu.Thread
@@ -203,8 +201,8 @@ func (g *holderGuard) markSpinner(t *cpu.Thread) {
 	t.SetSpinPrioInv(g.holder != nil && !g.holder.OnCPU())
 }
 
-// HolderPreempted reports whether the guarded holder exists and is off
-// CPU (used by the adaptive mutex's spin-while-owner-runs rule).
+// holderPreempted reports whether the guarded holder exists and is off
+// CPU (the adaptive mutex's rule to block on arrival).
 func (g *holderGuard) holderPreempted() bool {
 	return g.holder != nil && !g.holder.OnCPU()
 }

@@ -147,43 +147,54 @@ func TestFIFOOrderMCS(t *testing.T) {
 	}
 }
 
+// TestTPMCSRemovesPreemptedWaiters runs one schedule on both queue-lock
+// variants: a hog preempts the spinning waiter before the holder
+// releases. TP-MCS's releaser must remove the descheduled waiter, which
+// re-enqueues and still acquires; MCS must hand it the lock in FIFO
+// order and remove nobody.
 func TestTPMCSRemovesPreemptedWaiters(t *testing.T) {
-	// 1 context. The holder computes while waiters queue up and get
-	// preempted... but with 1 context waiters can never spin on CPU
-	// alongside the holder; use 2 contexts and force preemption of a
-	// spinner by adding CPU hogs.
-	k := sim.NewKernel(13)
-	m := cpu.NewMachine(k, cpu.Config{Contexts: 2})
-	p := m.NewProcess("p")
-	env := NewEnv(m)
-	l := newTPMCS(env)
-	// Holder takes the lock and holds it a long time.
-	p.NewThread("holder", func(t *cpu.Thread) {
-		l.Acquire(t)
-		t.Compute(35 * time.Millisecond)
-		l.Release(t)
-		t.Compute(50 * time.Millisecond)
-	})
-	// Waiter spins on the second context.
-	acquired := make(map[string]sim.Time)
-	p.NewThread("waiter", func(t *cpu.Thread) {
-		t.Compute(time.Millisecond)
-		l.Acquire(t)
-		acquired["waiter"] = k.Now()
-		t.Compute(time.Microsecond)
-		l.Release(t)
-	})
-	// A hog arrives later and preempts the spinning waiter at a tick.
-	p.NewThread("hog", func(t *cpu.Thread) {
-		t.Compute(2 * time.Millisecond) // arrive second on ctx queue
-		t.Compute(60 * time.Millisecond)
-	})
-	k.RunFor(200 * time.Millisecond)
-	if l.Removals == 0 {
-		t.Fatal("TP-MCS never removed a preempted waiter")
-	}
-	if _, ok := acquired["waiter"]; !ok {
-		t.Fatal("waiter never acquired after removal")
+	for _, tc := range []struct {
+		name          string
+		timePublished bool
+	}{{"tp-mcs", true}, {"mcs", false}} {
+		t.Run(tc.name, func(t *testing.T) {
+			// 2 contexts: the waiter spins on the second one beside
+			// the holder until a CPU hog preempts it at a tick.
+			k := sim.NewKernel(13)
+			m := cpu.NewMachine(k, cpu.Config{Contexts: 2})
+			p := m.NewProcess("p")
+			env := NewEnv(m)
+			l := newQueueLock(env, tc.timePublished)
+			// Holder takes the lock and holds it a long time.
+			p.NewThread("holder", func(t *cpu.Thread) {
+				l.Acquire(t)
+				t.Compute(35 * time.Millisecond)
+				l.Release(t)
+				t.Compute(50 * time.Millisecond)
+			})
+			acquired := false
+			p.NewThread("waiter", func(t *cpu.Thread) {
+				t.Compute(time.Millisecond)
+				l.Acquire(t)
+				acquired = true
+				t.Compute(time.Microsecond)
+				l.Release(t)
+			})
+			p.NewThread("hog", func(t *cpu.Thread) {
+				t.Compute(2 * time.Millisecond) // arrive second on ctx queue
+				t.Compute(60 * time.Millisecond)
+			})
+			k.RunFor(200 * time.Millisecond)
+			if tc.timePublished && l.Removals == 0 {
+				t.Fatal("TP-MCS never removed a preempted waiter")
+			}
+			if !tc.timePublished && l.Removals != 0 {
+				t.Fatalf("MCS removed %d waiters; its release must hand off in FIFO order", l.Removals)
+			}
+			if !acquired {
+				t.Fatal("waiter never acquired")
+			}
+		})
 	}
 }
 
@@ -252,7 +263,7 @@ func TestSpinAccountingSplitsContentionAndInversion(t *testing.T) {
 	m := cpu.NewMachine(k, cpu.Config{Contexts: 2})
 	p := m.NewProcess("p")
 	env := NewEnv(m)
-	l := newTPMCS(env)
+	l := newQueueLock(env, true)
 	p.NewThread("holder", func(t *cpu.Thread) {
 		l.Acquire(t)
 		t.Compute(40 * time.Millisecond)

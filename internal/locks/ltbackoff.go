@@ -109,13 +109,13 @@ func (m *LTBMonitor) EndWait(t *cpu.Thread) {
 // waiters the monitor may put to sleep.
 type LoadTriggeredBackoff struct {
 	env   *Env
-	inner *TPMCS
+	inner *QueueLock
 	mon   *LTBMonitor
 }
 
 // NewLoadTriggeredBackoff wraps a TP-MCS lock under the given monitor.
 func NewLoadTriggeredBackoff(env *Env, mon *LTBMonitor) Lock {
-	return &LoadTriggeredBackoff{env: env, inner: newTPMCS(env), mon: mon}
+	return &LoadTriggeredBackoff{env: env, inner: NewTPMCS(env).(*QueueLock), mon: mon}
 }
 
 // Name implements Lock.

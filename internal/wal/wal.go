@@ -453,15 +453,9 @@ func (l *Log) writeGroup(buf []byte, count int, last uint64) {
 		// The failed group's records will never be applied; resolve
 		// them in the floor tracker so a later checkpoint of what DID
 		// apply isn't wedged behind them.
-		l.pendMu.Lock()
 		for lsn := prev + 1; lsn <= last; lsn++ {
-			l.pending[lsn] = true
+			l.NoteApplied(lsn)
 		}
-		for l.pending[l.floor+1] {
-			delete(l.pending, l.floor+1)
-			l.floor++
-		}
-		l.pendMu.Unlock()
 	} else {
 		l.durable.Store(last)
 		l.nextWrite = last + 1
