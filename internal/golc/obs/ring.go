@@ -13,7 +13,7 @@ const (
 	// Lock/runtime events.
 	EvPark           EventType = iota // a waiter made a voluntary sleep claim (Name: lock)
 	EvWake                            // a park ended (Name: lock, Label: who woke it, Dur: time asleep)
-	EvForcedClaim                     // an unconditional park claim — blocking policies (Name: lock)
+	EvForcedClaim                     // an unconditional park claim — the block policy and keyed waits (Name: lock)
 	EvPolicySwap                      // a lock's contention policy was hot-swapped (Name: lock, Label: new policy)
 	EvControllerTick                  // one controller update (Arg: raw sleep target, Label: its inputs "runq=… os=… load=… sleeping=…")
 

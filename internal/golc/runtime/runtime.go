@@ -109,7 +109,7 @@ func (o Options) withDefaults() Options {
 type LockCounters struct {
 	Spins            uint64 // spin-loop iterations while waiting
 	Blocks           uint64 // sleep claims, each of which parks a waiter
-	ForcedClaims     uint64 // of those, unconditional ones (ParkAlways: the block policy)
+	ForcedClaims     uint64 // of those, unconditional ones: the block policy's (ParkAlways) and every keyed wait's (Acquire.Key)
 	ControllerWakes  uint64 // parks ended by a controller wake
 	TimeoutWakes     uint64 // parks ended by the safety timeout
 	TimeoutWakesFree uint64 // of those, wakes whose waiter then found the lock free: a missed wake, or a release racing the timeout
@@ -205,16 +205,19 @@ type Snapshot struct {
 // sleeper is one parked waiter: a channel closed by whichever wake path
 // (controller, unlock, timeout drain) gets there first. hpos is its
 // position in its handle's parked list; hpos, gone and wake are
-// maintained under h.mu. forced marks a ParkAlways claim: it bypasses
-// the sleep target and is excluded from the S/W counters (the
+// maintained under h.mu. forced marks a ParkAlways or keyed claim: it
+// bypasses the sleep target and is excluded from the S/W counters (the
 // controller neither asked for it nor may wake it — only the lock's own
-// unlock, the safety timeout, or the Stop drain end it).
+// unlock, the safety timeout, or the Stop drain end it). key is the
+// wait's Acquire.Key, set before the sleeper joins the parked list and
+// read by WakeThrough under h.mu.
 // gone flips when some wake path detaches the sleeper, so racing paths
 // settle who consumed it.
 type sleeper struct {
 	ch     chan struct{}
 	h      *Handle
 	hpos   int
+	key    uint64
 	forced bool
 	gone   bool
 	// t0 is the recorder stamp taken at claim time (0 when the
@@ -636,28 +639,29 @@ func (r *Runtime) admit() bool {
 	}
 }
 
-// trySleep attempts the spinner-side sleep claim for h. In the
-// voluntary form it returns nil when the target leaves no openings (the
-// common refusal: three atomic loads and the ClaimRefusals count).
+// trySleep attempts the spinner-side sleep claim for h, keyed key. In
+// the voluntary form it returns nil when the target leaves no openings
+// (the common refusal: three atomic loads and the ClaimRefusals count).
 // Under overload the target is maxTarget, so voluntary claims are
 // admitted as freely as forced ones.
 //
-// The forced form (ParkAlways) skips the target test entirely:
-// the waiter parks because its policy always parks, not because the
-// controller asked. Forced claims stay out of the S/W counters — the
-// controller's sleeping population is only what it ordered asleep.
+// The forced form (ParkAlways, or a keyed wait) skips the target test
+// entirely: the waiter parks because its policy always parks or it
+// waits for an event, not because the controller asked. Forced claims
+// stay out of the S/W counters — the controller's sleeping population
+// is only what it ordered asleep.
 //
 // Both forms re-check stopping under h.mu after counting the claim in
 // h.sleepers. Stop stores stopping before its drain lists the locks
 // with sleepers, so a racing claim either sees stopping and is refused
 // or is listed, and then found under h.mu. A voluntary claim refused
 // there has already advanced S, so it retires as a Cancel.
-func (r *Runtime) trySleep(h *Handle, forced bool) *sleeper {
+func (r *Runtime) trySleep(h *Handle, forced bool, key uint64) *sleeper {
 	if !forced && !r.admit() {
 		h.claimRefusals.Add(1)
 		return nil
 	}
-	s := &sleeper{ch: make(chan struct{}), h: h, forced: forced}
+	s := &sleeper{ch: make(chan struct{}), h: h, key: key, forced: forced}
 	h.mu.Lock()
 	h.sleepers.Add(1)
 	if r.stopping.Load() {
@@ -874,17 +878,32 @@ func (h *Handle) NoteUnlock() {
 	h.wakeOne(nil)
 }
 
-// WakeAll unconditionally wakes every parked waiter of the lock and
-// returns how many there were, for waits that end for all waiters at
-// once (the wal's group commit) rather than for one acquirer. It
-// detaches them under one h.mu hold and signals them after it: one
-// lock round-trip for a commit group (up to 60 waiters), not one per
-// waiter.
-func (h *Handle) WakeAll() int {
+// WakeThrough is the wake of keyed waits (Acquire.Key): it wakes, as
+// unlock wakes, every parked waiter of the lock keyed at most key and
+// returns how many it woke. It is for events that resolve a whole
+// prefix of keys at once (the wal's group commit resolving every LSN up
+// to its last) rather than hand the lock to one acquirer; waiters keyed
+// beyond key stay parked, and an unkeyed one (key 0) is at or below any
+// key. It detaches them under one h.mu hold and signals them after it:
+// one lock round-trip for a commit group, not one per waiter.
+//
+// The caller publishes the event (the watermark a keyed waiter's Free
+// reads) before calling. As in NoteUnlock, that cannot strand a waiter:
+// a keyed waiter joins the parked list and then re-checks Free, so
+// either the scan finds it or its re-check sees the event and cancels.
+func (h *Handle) WakeThrough(key uint64) int {
+	if h.sleepers.Load() == 0 {
+		return 0
+	}
 	h.mu.Lock()
 	woken := make([]*sleeper, 0, len(h.parked))
-	for len(h.parked) > 0 {
-		s := h.parked[len(h.parked)-1]
+	// Backwards, so detach's swap-with-last only moves a sleeper this
+	// loop has already passed.
+	for i := len(h.parked) - 1; i >= 0; i-- {
+		s := h.parked[i]
+		if s.key > key {
+			continue
+		}
 		s.wake = wakeByUnlock
 		h.detach(s)
 		woken = append(woken, s)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	goruntime "runtime"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -58,7 +59,7 @@ func TestSleeperTimeoutPath(t *testing.T) {
 	// Don't start the controller: force a target manually and claim.
 	rt.setTarget(1)
 	h := rt.Register("timeout")
-	s := rt.trySleep(h, false)
+	s := rt.trySleep(h, false, 0)
 	if s == nil {
 		t.Fatal("claim failed with open target")
 	}
@@ -82,7 +83,7 @@ func TestControllerWakePath(t *testing.T) {
 	rt := New(Options{SleepTimeout: 10 * time.Second})
 	rt.setTarget(1)
 	h := rt.Register("wake")
-	s := rt.trySleep(h, false)
+	s := rt.trySleep(h, false, 0)
 	if s == nil {
 		t.Fatal("claim failed")
 	}
@@ -110,13 +111,13 @@ func TestControllerWakePath(t *testing.T) {
 func TestTrySleepRespectsTarget(t *testing.T) {
 	rt := New(Options{})
 	h := rt.Register("target")
-	if s := rt.trySleep(h, false); s != nil {
+	if s := rt.trySleep(h, false, 0); s != nil {
 		t.Fatal("claim succeeded with zero target")
 	}
 	rt.setTarget(2)
-	s1 := rt.trySleep(h, false)
-	s2 := rt.trySleep(h, false)
-	s3 := rt.trySleep(h, false)
+	s1 := rt.trySleep(h, false, 0)
+	s2 := rt.trySleep(h, false, 0)
+	s3 := rt.trySleep(h, false, 0)
 	if s1 == nil || s2 == nil {
 		t.Fatal("claims under target failed")
 	}
@@ -145,7 +146,7 @@ func TestParkHandoffConcurrent(t *testing.T) {
 				default:
 				}
 				h.spinning.Add(1)
-				if s := h.claim(false); s != nil {
+				if s := h.claim(false, 0); s != nil {
 					sleepClaim(s)
 					parked.Add(1)
 				}
@@ -202,7 +203,7 @@ func TestSnapshotSleepingBoundedUnderChurn(t *testing.T) {
 				default:
 				}
 				h.spinning.Add(1)
-				if s := h.claim(false); s != nil {
+				if s := h.claim(false, 0); s != nil {
 					// Alternate the two retirement paths.
 					if n%2 == 0 {
 						cancelClaim(s)
@@ -250,17 +251,17 @@ func TestClaimRefusalMetric(t *testing.T) {
 	const bufCap = 4
 	rt := New(Options{})
 	h := rt.Register("refused")
-	if s := rt.trySleep(h, false); s != nil {
+	if s := rt.trySleep(h, false, 0); s != nil {
 		t.Fatal("claim admitted at target 0")
 	}
-	if s := rt.trySleep(h, true); s == nil {
+	if s := rt.trySleep(h, true, 0); s == nil {
 		t.Fatal("forced claim refused at target 0")
 	}
 	if n := rt.Snapshot().ClaimRefusals; n != 1 {
 		t.Fatalf("at target 0: ClaimRefusals = %d, want 1", n)
 	}
 	rt.setTarget(bufCap)
-	if s := rt.trySleep(h, false); s == nil {
+	if s := rt.trySleep(h, false, 0); s == nil {
 		t.Fatalf("claim refused at target %d: %+v", bufCap, rt.Snapshot())
 	}
 	if n := rt.Snapshot().ClaimRefusals; n != 1 {
@@ -276,7 +277,7 @@ func TestUnlockWakePath(t *testing.T) {
 	rt.setTarget(1)
 	h := rt.Register("unlock-wake")
 	h.spinning.Add(1)
-	s := h.claim(false)
+	s := h.claim(false, 0)
 	if s == nil {
 		t.Fatal("claim failed with open target")
 	}
@@ -309,7 +310,7 @@ func TestNoteUnlockSuppressedBySpinner(t *testing.T) {
 	rt.setTarget(1)
 	h := rt.Register("suppressed")
 	h.spinning.Add(1) // the sleeper-to-be
-	s := h.claim(false)
+	s := h.claim(false, 0)
 	if s == nil {
 		t.Fatal("claim failed")
 	}
@@ -340,7 +341,7 @@ func TestNoteReleaseWakesOtherSleeper(t *testing.T) {
 
 	// Only our own claim parked: no wake.
 	h.spinning.Add(1)
-	self := h.claim(false)
+	self := h.claim(false, 0)
 	if self == nil {
 		t.Fatal("claim failed")
 	}
@@ -351,7 +352,7 @@ func TestNoteReleaseWakesOtherSleeper(t *testing.T) {
 
 	// An older sleeper exists: noteRelease from the newer claim must
 	// wake the older one and leave its own claim parked.
-	other := rt.trySleep(h, false) // stands in for the stranded reader
+	other := rt.trySleep(h, false, 0) // stands in for the stranded reader
 	if other == nil {
 		t.Fatal("second claim failed")
 	}
@@ -457,18 +458,22 @@ func TestWaitReadsPolicyOnce(t *testing.T) {
 	}
 }
 
-// TestWakeAll: one call wakes every parked waiter of the handle — the
-// voluntary and the forced alike, and nobody else's — as unlock wakes.
-func TestWakeAll(t *testing.T) {
-	const n = 12
-	rt := New(Options{SleepTimeout: 10 * time.Second})
-	rt.setTarget(n)
+// TestWakeThrough: one call wakes, as unlock wakes, exactly the keyed
+// waiters of the handle at or below its key. Every other sleeper — the
+// handle's later keys and another handle's waiter — stays parked and
+// counted, and a repeat call wakes nobody.
+func TestWakeThrough(t *testing.T) {
+	const n, k = 12, 5
+	rt := New(Options{SleepTimeout: time.Minute})
+	rt.setTarget(1)
 	h := rt.Register("group")
 	bystander := rt.Register("bystander")
 	var wg sync.WaitGroup
-	park := func(h *Handle, forced bool) {
+	var mu sync.Mutex
+	var woke []uint64
+	park := func(h *Handle, forced bool, key uint64) {
 		h.spinning.Add(1)
-		s := h.claim(forced)
+		s := h.claim(forced, key)
 		if s == nil {
 			t.Fatal("claim failed")
 		}
@@ -477,25 +482,41 @@ func TestWakeAll(t *testing.T) {
 			defer wg.Done()
 			sleepClaim(s)
 			h.spinning.Add(-1)
+			mu.Lock()
+			woke = append(woke, key)
+			mu.Unlock()
 		}()
 	}
-	for i := 0; i < n; i++ {
-		park(h, i%2 == 1)
+	for key := uint64(1); key <= n; key++ {
+		park(h, true, key)
 	}
-	park(bystander, false)
-	if got := h.WakeAll(); got != n {
-		t.Fatalf("WakeAll = %d, want %d", got, n)
+	park(bystander, false, 0)
+	if got := h.WakeThrough(k); got != k {
+		t.Fatalf("WakeThrough(%d) = %d, want %d", k, got, k)
 	}
-	if got := h.WakeAll(); got != 0 {
-		t.Fatalf("second WakeAll = %d, want 0", got)
+	if got := h.WakeThrough(k); got != 0 {
+		t.Fatalf("second WakeThrough(%d) = %d, want 0", k, got)
 	}
-	waitFor(t, "the group retired", func() bool { return rt.Snapshot().Sleeping == 1 })
+	waitFor(t, "keys 1..k retired", func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(woke) >= k
+	})
+	mu.Lock()
+	sort.Slice(woke, func(i, j int) bool { return woke[i] < woke[j] })
+	if want := []uint64{1, 2, 3, 4, 5}; !reflect.DeepEqual(woke, want) {
+		t.Fatalf("woke keys %v, want %v", woke, want)
+	}
+	mu.Unlock()
+	if ls := h.Stats(); ls.SleepingNow != n-k || ls.UnlockWakes != k {
+		t.Fatalf("handle stats = %+v, want %d still parked and %d unlock wakes", ls, n-k, k)
+	}
 	snap := rt.Snapshot()
-	if snap.UnlockWakes != n || h.Stats().UnlockWakes != n || snap.TimeoutWakes+snap.ControllerWakes != 0 {
-		t.Fatalf("snapshot = %+v, want %d unlock wakes and no other", snap, n)
+	if snap.UnlockWakes != k || snap.TimeoutWakes+snap.ControllerWakes != 0 || snap.Sleeping != 1 {
+		t.Fatalf("snapshot = %+v, want %d unlock wakes, no other, and the bystander asleep", snap, k)
 	}
-	if sleeping := h.Stats().SleepingNow; sleeping != 0 {
-		t.Fatalf("handle still counts %d sleepers", sleeping)
+	if got := h.WakeThrough(n); got != n-k {
+		t.Fatalf("WakeThrough(%d) = %d, want the %d left", n, got, n-k)
 	}
 	if !bystander.wakeOne(nil) {
 		t.Fatal("bystander was not left parked")
@@ -511,7 +532,7 @@ func TestClaimCancel(t *testing.T) {
 	rt.setTarget(1)
 	h := rt.Register("cancel")
 	h.spinning.Add(1)
-	s := h.claim(false)
+	s := h.claim(false, 0)
 	if s == nil {
 		t.Fatal("claim failed")
 	}
@@ -525,7 +546,7 @@ func TestClaimCancel(t *testing.T) {
 		t.Fatalf("cancel was counted as a wake: %+v", snap)
 	}
 	// The target's room must be reusable immediately.
-	if s := rt.trySleep(h, false); s == nil {
+	if s := rt.trySleep(h, false, 0); s == nil {
 		t.Fatal("claim after cancel failed")
 	}
 }
@@ -564,8 +585,8 @@ func TestStopWakesParkedWaiters(t *testing.T) {
 					h.spinning.Add(1)
 					// Retry until the target opens (the first controller
 					// tick may not have published it yet).
-					s := h.claim(tc.forced)
-					for ; s == nil; s = h.claim(tc.forced) {
+					s := h.claim(tc.forced, 0)
+					for ; s == nil; s = h.claim(tc.forced, 0) {
 						time.Sleep(100 * time.Microsecond)
 					}
 					sleepClaim(s)
@@ -584,10 +605,10 @@ func TestStopWakesParkedWaiters(t *testing.T) {
 			case <-time.After(5 * time.Second):
 				t.Fatalf("Stop left waiters parked: %+v", h.Stats())
 			}
-			if h.claim(false) != nil {
+			if h.claim(false, 0) != nil {
 				t.Fatal("claim admitted after Stop")
 			}
-			if h.claim(true) != nil {
+			if h.claim(true, 0) != nil {
 				t.Fatal("forced claim admitted after Stop")
 			}
 		})
@@ -605,7 +626,7 @@ func TestControllerWakeSpansHandles(t *testing.T) {
 	var wg sync.WaitGroup
 	park := func(h *Handle, forced bool) {
 		h.spinning.Add(1)
-		s := h.claim(forced)
+		s := h.claim(forced, 0)
 		if s == nil {
 			t.Fatalf("claim on %s refused: %+v", h.Name(), rt.Snapshot())
 		}
@@ -704,7 +725,7 @@ func TestDefaultSensorTargetFollowsLoadSign(t *testing.T) {
 	// re-read after it).
 	var wg sync.WaitGroup
 	for i := 0; i < 2; i++ {
-		s := h.claim(false)
+		s := h.claim(false, 0)
 		if s == nil {
 			t.Fatalf("claim refused under the overloaded target: %+v", rt.Snapshot())
 		}
@@ -809,7 +830,7 @@ func TestWaitersExposure(t *testing.T) {
 	if sp, sl := now(); sp != 1 || sl != 0 {
 		t.Fatalf("SpinningNow, SleepingNow = %d,%d after a waiter started spinning", sp, sl)
 	}
-	s := h.claim(false)
+	s := h.claim(false, 0)
 	if s == nil {
 		t.Fatal("claim failed with open target")
 	}
@@ -915,13 +936,13 @@ func driveEveryCount(t *testing.T, h *Handle) {
 	t.Helper()
 	rt := h.rt
 	rt.setTarget(0)
-	if h.claim(false) != nil {
+	if h.claim(false, 0) != nil {
 		t.Fatal("claim admitted at target 0")
 	}
 	park := func(wake func()) {
 		rt.setTarget(1)
 		h.spinning.Add(1)
-		s := h.claim(false)
+		s := h.claim(false, 0)
 		if s == nil {
 			t.Fatal("claim refused at target 1")
 		}
@@ -936,7 +957,7 @@ func driveEveryCount(t *testing.T, h *Handle) {
 	park(h.NoteUnlock)
 
 	h.spinning.Add(1)
-	s := h.claim(true)
+	s := h.claim(true, 0)
 	if s == nil {
 		t.Fatal("forced claim refused")
 	}

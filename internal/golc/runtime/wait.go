@@ -12,14 +12,16 @@ type Park uint8
 const (
 	// ParkAdmitted, the zero value, claims sleep when the controller's
 	// sleep target admits the claim: the paper's protocol (golc's
-	// LoadControlled, "lc").
+	// LoadControlled, "lc"). A keyed wait (Acquire.Key) is the
+	// exception: it claims as under ParkAlways.
 	ParkAdmitted Park = iota
 	// ParkNever spins until the lock is acquired (golc's Spin, "spin").
 	ParkNever
 	// ParkAlways claims sleep on every park check, outside the target
 	// and the S/W counters (golc's Block, "block"). The controller never
 	// wakes such a sleeper; the lock's unlock wake, the safety timeout
-	// or the Stop drain does.
+	// or the Stop drain does. A keyed wait (Acquire.Key) claims this way
+	// under ParkAdmitted too.
 	ParkAlways
 )
 
@@ -58,6 +60,15 @@ type Acquire struct {
 	// wake for it, which never picks the caller's own claim.
 	PrePark  func() bool
 	PostPark func()
+
+	// Key, when nonzero, makes the wait a keyed wait: a wait for an
+	// event that no running waiter or holder brings closer, such as the
+	// wal's fsync, keyed by the LSN it waits for. Past the grace spin a
+	// keyed wait claims sleep forced under lc as under block: it stays
+	// outside S/W, the target never refuses it, and the controller never
+	// wakes it. Only WakeThrough with a key at or past Key, the safety
+	// timeout or the Stop drain ends its park. Under spin it never parks.
+	Key uint64
 }
 
 // Wait is the runtime's one way to park. It runs one contended wait on
@@ -67,11 +78,11 @@ type Acquire struct {
 //
 // The loop is the paper's client protocol (§3.1.2). Poll a.Try every
 // iteration of the spin cadence. Past the grace spin, once per park
-// check, claim sleep as the policy says. Re-check a.Free after the
-// claim and cancel if the lock went free (see NoteUnlock for why that
-// cannot strand a waiter). Otherwise run a.PrePark, sleep until a
-// controller wake, an unlock wake or the safety timeout, run
-// a.PostPark, and go back to polling.
+// check, claim sleep as the policy says (forced for a keyed wait).
+// Re-check a.Free after the claim and cancel if the lock went free (see
+// NoteUnlock for why that cannot strand a waiter). Otherwise run
+// a.PrePark, sleep until a controller wake, an unlock wake or the safety
+// timeout, run a.PostPark, and go back to polling.
 //
 // Wait reads the lock's policy once, on entry: a wait already running
 // when SetPolicy lands finishes under the old one, and the next wait
@@ -97,13 +108,14 @@ func (h *Handle) Wait(a Acquire) obs.SiteID {
 			holder = obs.SiteID(h.holderSite.Load())
 		}
 	}
+	forced := park == ParkAlways || a.Key != 0
 	h.spinning.Add(1)
 	c := cadence{park: graceSpins}
 	for !a.Try() {
 		if !c.next() || park == ParkNever {
 			continue
 		}
-		s := h.claim(park == ParkAlways)
+		s := h.claim(forced, a.Key)
 		if s == nil {
 			continue
 		}
@@ -144,14 +156,15 @@ func (h *Handle) Wait(a Acquire) obs.SiteID {
 	return waiter
 }
 
-// claim is Wait's sleep claim: forced for ParkAlways, against the sleep
-// target otherwise (the refusal is three atomic loads and the
-// ClaimRefusals count). A claim leaves the lock's spinners — the waiter
-// is committed to parking unless its re-check cancels — and both ends
-// of it rejoin them. It returns nil when refused; a forced claim is
-// refused only once the runtime is stopping.
-func (h *Handle) claim(forced bool) *sleeper {
-	s := h.rt.trySleep(h, forced)
+// claim is Wait's sleep claim, for a sleeper keyed key: forced for
+// ParkAlways and keyed waits, against the sleep target otherwise (the
+// refusal is three atomic loads and the ClaimRefusals count). A claim
+// leaves the lock's spinners — the waiter is committed to parking
+// unless its re-check cancels — and both ends of it rejoin them. It
+// returns nil when refused; a forced claim is refused only once the
+// runtime is stopping.
+func (h *Handle) claim(forced bool, key uint64) *sleeper {
+	s := h.rt.trySleep(h, forced, key)
 	if s == nil {
 		return nil
 	}

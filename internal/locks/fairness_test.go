@@ -74,7 +74,9 @@ func TestTPMCSRemovalCostOnCriticalPath(t *testing.T) {
 		l.Release(t)
 		releaseTime = time.Duration(h.k.Now() - start)
 	})
-	_ = holder
+	// Real-time, so the real-time hogs below evict the waiters and leave
+	// the holder running through its release.
+	holder.SetRealtime(true)
 	const waiters = 5
 	for i := 0; i < waiters; i++ {
 		h.p.NewThread(fmt.Sprintf("w%d", i), func(t *cpu.Thread) {
@@ -93,7 +95,7 @@ func TestTPMCSRemovalCostOnCriticalPath(t *testing.T) {
 	})
 	h.k.RunFor(300 * time.Millisecond)
 	if l.Removals == 0 {
-		t.Skip("no removals; eviction construction failed")
+		t.Fatalf("no removals: the release skipped no preempted waiter (the simulator is deterministic, so this is the lock, not the schedule)")
 	}
 	minCost := time.Duration(l.Removals) * h.env.Costs.TPRemoval
 	if releaseTime < minCost {

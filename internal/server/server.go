@@ -422,7 +422,7 @@ func writeProm(w io.Writer, store *kv.Store, db *oltp.DB, walLog *wal.Log, rt *l
 
 	pw.Counter("golc_controller_updates_total", "Controller ticks.", nil, snap.Updates)
 	pw.Counter("golc_claims_total", "Sleep-slot claims (parks).", nil, snap.Claims)
-	pw.Counter("golc_forced_claims_total", "Unconditional parks (blocking policies).", nil, snap.ForcedClaims)
+	pw.Counter("golc_forced_claims_total", "Unconditional parks (the block policy and keyed waits).", nil, snap.ForcedClaims)
 	wakes := []obs.Label{{Key: "kind", Value: "controller"}}
 	pw.Counter("golc_wakes_total", "Parked-waiter wakes by path.", wakes, snap.ControllerWakes)
 	wakes[0].Value = "unlock"

@@ -9,12 +9,14 @@
 // What makes it native to this repo rather than a generic WAL is where
 // its waits live. A committer that has staged its record waits for
 // durability through Wait on a runtime Handle ("wal/group-commit") —
-// the one wait seam golc locks use — so the spin/block/lc policies,
-// the runtime's hot-swap, wait histograms, and blame edges all apply
-// to log waits like latch waits. Under load the durability
-// wait population is the fsync convoy the paper's controller is built
-// to manage: admitted waiters spin briefly and park on the handle's
-// parked list, and the group-commit wake is the unlock-side wake.
+// the one wait seam golc locks use — so the runtime's hot-swap, wait
+// histograms, and blame edges apply to log waits like latch waits. The
+// wait is a keyed wait, keyed by the committer's LSN: it waits for a
+// device, not for a running thread, so spinning cannot shorten it. Past
+// the grace spin it parks under lc as under block, outside the
+// controller's target, and sleeps through the fsync; under spin it
+// spins. Each group's wake (Handle.WakeThrough) wakes only the
+// committers whose LSN the group made durable.
 //
 // Concurrency layout: appenders stage encoded records into an
 // in-memory tail buffer under a golc.Mutex ("wal/tail") — pure memory
@@ -22,7 +24,7 @@
 // section (our own heldcall analyzer enforces this). A single syncer
 // goroutine swaps the staged buffer out under the latch and does all
 // file writes, fsyncs, and segment rotation with no latch held. One
-// swap is one commit group: one write, one fsync, one wake-all.
+// swap is one commit group: one write, one fsync, one wake.
 package wal
 
 import (
@@ -237,7 +239,8 @@ func (l *Log) Commit(batch []kv.Write) (uint64, error) {
 // log is wedged by an I/O error before reaching it (that error). The
 // wait runs under the "wal/group-commit" handle's ContentionPolicy: it
 // is a first-class contended wait to the runtime — counted,
-// histogrammed, blamed, and (under lc) admission-controlled.
+// histogrammed and blamed — and a keyed one, so it parks through the
+// fsync under lc and block alike.
 //
 // Durability waits are deliberately not cancellable: once a record is
 // staged it WILL reach disk and be replayed after a crash, so a
@@ -262,11 +265,11 @@ func (l *Log) WaitDurable(lsn uint64) error {
 func (l *Log) waitSlow(lsn uint64) {
 	// "Acquisition" here is group notification, not mutual exclusion:
 	// every waiter whose LSN the syncer has resolved passes Try at
-	// once, and a woken waiter from a later group fails it and
-	// re-parks.
+	// once. The key is the LSN, so only the group that resolves it
+	// wakes this waiter.
 	resolved := func() bool { return l.resolved.Load() >= lsn }
 	// The returned blame site is dropped: there is no holder to publish it.
-	l.h.Wait(lcrt.Acquire{Try: resolved, Free: resolved})
+	l.h.Wait(lcrt.Acquire{Try: resolved, Free: resolved, Key: lsn})
 }
 
 // NoteApplied records that the committed batch at lsn has been applied
@@ -468,9 +471,11 @@ func (l *Log) writeGroup(buf []byte, count int, last uint64) {
 		}
 	}
 	l.resolved.Store(last)
-	// Wake every parked durability waiter. Waiters from in-flight
-	// later groups re-check Try and re-park.
-	l.h.WakeAll()
+	// Wake the durability waiters this group resolved, after storing the
+	// watermark they re-check: a waiter keyed at or below last either
+	// parked before this scan and is woken, or re-checks after the store
+	// and does not park. Waiters of later groups sleep on.
+	l.h.WakeThrough(last)
 	if err == nil && l.segSize >= l.opts.SegmentBytes {
 		if rerr := l.rotate(); rerr != nil {
 			l.wedged.CompareAndSwap(nil, &wedge{err: fmt.Errorf("wal: log wedged: rotate: %w", rerr)})

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/golc"
 	lcrt "repro/internal/golc/runtime"
@@ -211,6 +212,148 @@ func TestGroupCommitBatchesConcurrentCommitters(t *testing.T) {
 	if waits := l.h.Stats().Wait.Count; waits == 0 || waits > n {
 		t.Fatalf("wal/group-commit recorded %d waits for %d commits behind a gated fsync", waits, n)
 	}
+}
+
+// fsyncGate is a SyncHook that holds every fsync of a log until the test
+// lets it finish: entered receives as each fsync begins, and each send
+// on release lets one finish.
+type fsyncGate struct {
+	entered chan struct{}
+	release chan struct{}
+	open    chan struct{} // closed at cleanup: no fsync waits any more
+}
+
+func (g *fsyncGate) sync(f *os.File) error {
+	select {
+	case g.entered <- struct{}{}:
+	case <-g.open:
+	}
+	select {
+	case <-g.release:
+	case <-g.open:
+	}
+	return f.Sync()
+}
+
+// openGated opens a log under policy whose fsyncs wait on the returned
+// gate. Its runtime's SleepTimeout is a minute, so the backstop cannot
+// hide a missed wake, and load, when non-nil, pins the controller's
+// load. Cleanup opens the gate before it closes the log, so a failing
+// test cannot leave the syncer stuck.
+func openGated(t *testing.T, policy golc.ContentionPolicy, load lcrt.LoadFunc) (*Log, *fsyncGate) {
+	t.Helper()
+	rt := lcrt.New(lcrt.Options{SleepTimeout: time.Minute, LoadFunc: load})
+	rt.Start()
+	t.Cleanup(rt.Stop)
+	g := &fsyncGate{entered: make(chan struct{}), release: make(chan struct{}), open: make(chan struct{})}
+	l, _, err := Open(Options{Dir: t.TempDir(), Runtime: rt, Policy: policy, SyncHook: g.sync}, testStore(rt))
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	t.Cleanup(func() {
+		close(g.open)
+		l.Close()
+	})
+	return l, g
+}
+
+// commitAsync commits one record from a new goroutine; the channel
+// carries its result.
+func commitAsync(l *Log, key string) <-chan error {
+	res := make(chan error, 1)
+	go func() {
+		_, err := l.Commit(put(key, "v"))
+		res <- err
+	}()
+	return res
+}
+
+func waitCommitted(t *testing.T, res <-chan error) {
+	t.Helper()
+	select {
+	case err := <-res:
+		if err != nil {
+			t.Fatalf("Commit: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("commit not acknowledged within 5s of its fsync")
+	}
+}
+
+func waitUntil(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s: not within 5s", what)
+		}
+	}
+}
+
+// TestGroupWakeLeavesNextGroupParked: with two groups in flight, the
+// first group's fsync wakes its own committer and nobody from the
+// second, whose fsync has not run: each commit parks once and is woken
+// once, by its own group.
+func TestGroupWakeLeavesNextGroupParked(t *testing.T) {
+	const n = 8
+	l, g := openGated(t, golc.Block, nil)
+	first := commitAsync(l, "first")
+	<-g.entered // group 1 = {first} is in its fsync
+	var rest []<-chan error
+	for i := 0; i < n; i++ {
+		rest = append(rest, commitAsync(l, fmt.Sprintf("next%d", i)))
+	}
+	waitUntil(t, "every committer parked", func() bool { return l.h.Stats().SleepingNow == n+1 })
+	g.release <- struct{}{}
+	<-g.entered // group 2 = the other n is in its fsync, after group 1's wake
+	waitCommitted(t, first)
+	if ls := l.h.Stats(); ls.UnlockWakes != 1 || ls.SleepingNow != n || ls.Blocks != n+1 {
+		t.Fatalf("after group 1 synced: %d unlock wakes, %d parked, %d parks; want 1, %d, %d (group 2 woken before its fsync)",
+			ls.UnlockWakes, ls.SleepingNow, ls.Blocks, n, n+1)
+	}
+	g.release <- struct{}{}
+	for _, res := range rest {
+		waitCommitted(t, res)
+	}
+	if ls := l.h.Stats(); ls.Blocks > n+1 || ls.UnlockWakes != ls.Blocks || ls.TimeoutWakes != 0 {
+		t.Fatalf("%d parks, %d unlock wakes, %d timeout wakes for %d commits; want at most one park each, each ended by its group",
+			ls.Blocks, ls.UnlockWakes, ls.TimeoutWakes, n+1)
+	}
+}
+
+// TestDurabilityWaitParksUnderLC: at zero load lc's target admits no
+// claim, but a committer behind an fsync still parks through it — a
+// forced claim the target does not refuse and the controller does not
+// wake.
+func TestDurabilityWaitParksUnderLC(t *testing.T) {
+	l, g := openGated(t, golc.LoadControlled, func() int { return 0 })
+	res := commitAsync(l, "k")
+	<-g.entered
+	waitUntil(t, "the committer parked", func() bool { return l.h.Stats().SleepingNow == 1 })
+	g.release <- struct{}{}
+	waitCommitted(t, res)
+	ls := l.h.Stats()
+	if ls.Blocks == 0 || ls.ClaimRefusals != 0 || ls.ForcedClaims != ls.Blocks || ls.ControllerWakes != 0 {
+		t.Fatalf("wal/group-commit under lc at zero load: %d parks, %d refusals, %d forced, %d controller wakes; want forced parks only",
+			ls.Blocks, ls.ClaimRefusals, ls.ForcedClaims, ls.ControllerWakes)
+	}
+}
+
+// TestDurabilityWaitSpinsUnderSpin: spin still never parks, on the log
+// as on a latch.
+func TestDurabilityWaitSpinsUnderSpin(t *testing.T) {
+	l, g := openGated(t, golc.Spin, nil)
+	res := commitAsync(l, "k")
+	<-g.entered
+	waitUntil(t, "the committer waiting", func() bool {
+		ls := l.h.Stats()
+		return ls.SpinningNow+ls.SleepingNow == 1
+	})
+	time.Sleep(20 * time.Millisecond) // hundreds of park checks
+	if ls := l.h.Stats(); ls.Blocks != 0 || ls.SpinningNow != 1 {
+		t.Fatalf("wal/group-commit under spin behind an fsync: %d parks, %d spinning; want 0 and 1", ls.Blocks, ls.SpinningNow)
+	}
+	g.release <- struct{}{}
+	waitCommitted(t, res)
 }
 
 func TestSyncErrorSurfacesToCommitterAndWedgesLog(t *testing.T) {
