@@ -9,7 +9,7 @@
 // next to vet and -race.
 //
 // The analyzers are whole-program: per-package function summaries
-// (parks?, held-set delta, ctx-threading, blocking work) are computed
+// (parks?, held-set delta, blocking work) are computed
 // once per run for every package the roots import, so a helper that
 // parks three packages away is still a parking call at this call site.
 //

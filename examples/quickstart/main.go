@@ -48,7 +48,7 @@ func main() {
 }
 
 // drive hammers the lock from n goroutines for d and returns acquires/s.
-func drive(mu golc.Locker, n int, d time.Duration) float64 {
+func drive(mu sync.Locker, n int, d time.Duration) float64 {
 	var ops atomic.Uint64
 	stop := make(chan struct{})
 	var wg sync.WaitGroup

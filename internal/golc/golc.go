@@ -39,9 +39,3 @@
 // waiter past its grace spin, as Block does. A runtime
 // LoadFunc replaces the sensor in tests.
 package golc
-
-// Locker is the subset of sync.Locker this package implements.
-type Locker interface {
-	Lock()
-	Unlock()
-}

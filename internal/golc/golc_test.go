@@ -541,7 +541,7 @@ func TestTryLock(t *testing.T) {
 	mutexes := []struct {
 		name string
 		mu   interface {
-			Locker
+			sync.Locker
 			TryLock() bool
 		}
 	}{

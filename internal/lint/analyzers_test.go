@@ -26,14 +26,6 @@ func TestNestedparkClean(t *testing.T) {
 	linttest.Run(t, "nestedpark", "internal/lint/testdata/src/nestedparkok")
 }
 
-func TestCtxlock(t *testing.T) {
-	linttest.Run(t, "ctxlock", "internal/lint/testdata/src/ctxlock")
-}
-
-func TestCtxlockClean(t *testing.T) {
-	linttest.Run(t, "ctxlock", "internal/lint/testdata/src/ctxlockok")
-}
-
 func TestHeldcall(t *testing.T) {
 	linttest.Run(t, "heldcall", "internal/lint/testdata/src/heldcall")
 }
@@ -50,8 +42,9 @@ func TestAtomicfieldClean(t *testing.T) {
 	linttest.Run(t, "atomicfield", "internal/lint/testdata/src/atomicfieldok")
 }
 
-// The branches fixtures pin the walker's labeled break/continue and
-// goto handling, which both lockpair and nestedpark depend on.
+// The branches fixtures pin the walker's labeled break/continue
+// handling, which both lockpair and nestedpark depend on, and
+// lockpair's report of every goto (the walker does not follow one).
 func TestBranches(t *testing.T) {
 	linttest.Run(t, "lockpair,nestedpark", "internal/lint/testdata/src/branches")
 }
@@ -66,4 +59,10 @@ func TestBranchesClean(t *testing.T) {
 // without cross-package facts these fixtures report nothing.
 func TestCrosspark(t *testing.T) {
 	linttest.Run(t, "nestedpark", "internal/lint/testdata/src/crosspark/p")
+}
+
+// The whole suite over one fixture: every marked line is one bug and
+// must draw exactly one finding, whichever analyzer owns it.
+func TestOneFindingPerBug(t *testing.T) {
+	linttest.Run(t, "lockpair,nestedpark,heldcall,atomicfield", "internal/lint/testdata/src/onefinding")
 }

@@ -29,13 +29,6 @@ type FuncFacts struct {
 	// HeldDelta.
 	Releases []string
 
-	// CtxBgWait: this function roots a (transitively) parking wait at
-	// context.Background()/TODO() with no context of its own in scope
-	// and no *Ctx drop-in sibling — a wait the client's context cannot
-	// cancel. CtxWhat describes the root for reports.
-	CtxBgWait bool
-	CtxWhat   string
-
 	// Blocks: calling this function does blocking or alloc-heavy work
 	// (I/O, channel operations, time.Sleep, fmt printing to writers),
 	// transitively — heldcall's reason to keep it out of critical
@@ -45,8 +38,7 @@ type FuncFacts struct {
 }
 
 func (f *FuncFacts) isZero() bool {
-	return !f.Parks && !f.CtxBgWait && !f.Blocks &&
-		len(f.HeldDelta) == 0 && len(f.Releases) == 0
+	return !f.Parks && !f.Blocks && len(f.HeldDelta) == 0 && len(f.Releases) == 0
 }
 
 // PackageFacts is the fact set of one package.
@@ -97,31 +89,7 @@ func foldFacts(dst *FuncFacts, via string, src *FuncFacts) bool {
 		dst.BlockWhat = chainWhat(via, src.BlockWhat)
 		changed = true
 	}
-	if src.CtxBgWait && !dst.CtxBgWait {
-		dst.CtxBgWait = true
-		dst.CtxWhat = chainWhat(via, src.CtxWhat)
-		changed = true
-	}
 	return changed
-}
-
-// hasCtxSibling reports whether fn has a *Ctx drop-in variant (same
-// receiver, name+"Ctx") — the sanctioned convenience-wrapper shape
-// (Run/RunCtx, Begin/BeginCtx) that ctxlock's rule 2 already covers,
-// so the facts layer must not also blame it.
-func hasCtxSibling(pkg *Package, fn *types.Func) bool {
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok {
-		return false
-	}
-	name := fn.Name() + "Ctx"
-	if sig.Recv() != nil {
-		obj, _, _ := types.LookupFieldOrMethod(sig.Recv().Type(), true, fn.Pkg(), name)
-		_, isFn := obj.(*types.Func)
-		return isFn
-	}
-	_, isFn := pkg.Types.Scope().Lookup(name).(*types.Func)
-	return isFn
 }
 
 // computePackageFacts builds pkg's fact set. Same-package call chains
@@ -129,14 +97,11 @@ func hasCtxSibling(pkg *Package, fn *types.Func) bool {
 // computes dependency facts on demand). Function literals are excluded from the flat scan — a
 // closure's body runs when invoked, which the scan cannot place.
 func computePackageFacts(pkg *Package, prog *Program) *PackageFacts {
-	sup := newSuppressions([]*Package{pkg})
-
 	type rawFact struct {
-		facts      *FuncFacts
-		callees    map[*types.Func]bool
-		ctxPending map[*types.Func]string // same-package ctx sinks: callee → "Background"/"TODO"
-		acqKeys    map[string]bool
-		relKeys    map[string]string // release key → class, first seen
+		facts   *FuncFacts
+		callees map[*types.Func]bool
+		acqKeys map[string]bool
+		relKeys map[string]string // release key → class, first seen
 	}
 	raw := make(map[*types.Func]*rawFact)
 	var fns []*types.Func // deterministic fixpoint order
@@ -164,21 +129,10 @@ func computePackageFacts(pkg *Package, prog *Program) *PackageFacts {
 			return
 		}
 		rf := &rawFact{
-			facts:      &FuncFacts{},
-			callees:    make(map[*types.Func]bool),
-			ctxPending: make(map[*types.Func]string),
-			acqKeys:    make(map[string]bool),
-			relKeys:    make(map[string]string),
-		}
-		// A function with a real context of its own is rule-1
-		// territory at its own sites; a *Ctx sibling is rule-2
-		// territory. Neither should surface as caller-side facts.
-		ctxExempt := hasCtxSibling(pkg, fn)
-		if !ctxExempt {
-			var sources []string
-			sources = appendCtxSources(pkg.Info, sources, fd.Recv)
-			sources = appendCtxSources(pkg.Info, sources, fd.Type.Params)
-			ctxExempt = len(sources) > 0
+			facts:   &FuncFacts{},
+			callees: make(map[*types.Func]bool),
+			acqKeys: make(map[string]bool),
+			relKeys: make(map[string]string),
 		}
 
 		ast.Inspect(fd.Body, func(n ast.Node) bool {
@@ -235,9 +189,6 @@ func computePackageFacts(pkg *Package, prog *Program) *PackageFacts {
 						}
 					}
 				}
-				if !ctxExempt && !rf.facts.CtxBgWait {
-					scanCtxBgFact(pkg, sup, ci, n, crossFacts, rf.facts, rf.ctxPending)
-				}
 				return true
 			}
 			return true
@@ -246,7 +197,7 @@ func computePackageFacts(pkg *Package, prog *Program) *PackageFacts {
 		fns = append(fns, fn)
 	})
 
-	// Close parks/blocks/ctx over the same-package call graph.
+	// Close parks/blocks over the same-package call graph.
 	for changed := true; changed; {
 		changed = false
 		for _, fn := range fns {
@@ -258,16 +209,6 @@ func computePackageFacts(pkg *Package, prog *Program) *PackageFacts {
 				}
 				if foldFacts(rf.facts, callee.Name(), crf.facts) {
 					changed = true
-				}
-			}
-			if !rf.facts.CtxBgWait {
-				for callee, ctor := range rf.ctxPending {
-					if crf, ok := raw[callee]; ok && crf.facts.Parks {
-						rf.facts.CtxBgWait = true
-						rf.facts.CtxWhat = "context." + ctor + "() into " + callee.Name()
-						changed = true
-						break
-					}
 				}
 			}
 		}
@@ -311,46 +252,6 @@ func computePackageFacts(pkg *Package, prog *Program) *PackageFacts {
 		pf.Funcs[symbolOf(fn)] = rf.facts
 	}
 	return pf
-}
-
-// scanCtxBgFact records that a function roots a parking wait at
-// context.Background()/TODO(): a Background/TODO argument in a context
-// parameter slot of a call that parks — by classification, by
-// cross-package facts, or (pending the fixpoint) by a same-package
-// callee. Sites the author already suppressed for ctxlock generate no
-// fact.
-func scanCtxBgFact(pkg *Package, sup *suppressions, ci callInfo, call *ast.CallExpr,
-	crossFacts func(*types.Func) *FuncFacts, facts *FuncFacts, pending map[*types.Func]string) {
-	sig := calleeSignature(pkg.Info, call)
-	if sig == nil {
-		return
-	}
-	for i, arg := range call.Args {
-		ctor := backgroundOrTODO(pkg.Info, arg)
-		if ctor == "" {
-			continue
-		}
-		pt := paramTypeAt(sig, i)
-		if pt == nil || !isContextType(pt) {
-			continue
-		}
-		if sup.allows(Diagnostic{Analyzer: "ctxlock", Pos: arg.Pos()}) {
-			continue
-		}
-		switch {
-		case ci.kind == kindAcqPark || ci.kind == kindHandleWait:
-			facts.CtxBgWait = true
-			facts.CtxWhat = "context." + ctor + "() into " + callName(call)
-		case ci.kind == kindNone && ci.callee != nil:
-			if ci.callee.Pkg() == pkg.Types {
-				pending[ci.callee] = ctor
-			} else if ff := crossFacts(ci.callee); ff != nil && (ff.Parks || ff.CtxBgWait) {
-				facts.CtxBgWait = true
-				facts.CtxWhat = "context." + ctor + "() into " + displayFunc(ci.callee, false)
-			}
-		}
-		return
-	}
 }
 
 func selectHasDefault(s *ast.SelectStmt) bool {

@@ -17,10 +17,6 @@ func isGolcRuntimePkgPath(path string) bool {
 	return path == "repro/internal/golc/runtime" || strings.HasSuffix(path, "/internal/golc/runtime")
 }
 
-func isWalPkgPath(path string) bool {
-	return path == "repro/internal/wal" || strings.HasSuffix(path, "/internal/wal")
-}
-
 // callKind classifies one call expression by what it means to the lock
 // protocol.
 type callKind int
@@ -83,11 +79,6 @@ func namedPkgPath(n *types.Named) string {
 		return ""
 	}
 	return n.Obj().Pkg().Path()
-}
-
-func isContextType(t types.Type) bool {
-	n := derefNamed(t)
-	return n != nil && namedPkgPath(n) == "context" && n.Obj().Name() == "Context"
 }
 
 // isGolcLockType reports whether t is golc.Mutex or golc.RWMutex.

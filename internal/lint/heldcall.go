@@ -17,16 +17,18 @@ import (
 // golc lock is held: channel operations (send, receive, blocking
 // select, range over channel), time.Sleep, fmt printing (Print*,
 // Fprint* — Sprintf is fine), file/network/exec I/O, sync.WaitGroup/
-// Cond waits, the WAL's commit-path APIs (wal.Log Append/Commit/
-// WaitDurable/Sync/Checkpoint/Close — log I/O behind a latch convoys
-// the latch behind the disk), and calls whose whole-program facts say
-// they transitively do any of the above. Callees that park are nestedpark's finding, not
-// heldcall's — the two do not double-report.
+// Cond waits, and calls whose whole-program facts say they
+// transitively do any of the above. Callees that park are nestedpark's
+// finding, not heldcall's — the two do not double-report: the WAL's
+// commit path (wal.Log Commit, WaitDurable, ...) parks on the log's
+// own golc latch or on its group-commit wait, so nestedpark reports
+// it once, through facts.
 var Heldcall = &Analyzer{
 	Name: "heldcall",
 	Doc: "no blocking or alloc-heavy operation (I/O, channel send/recv, time.Sleep, " +
-		"fmt printing to writers, or any call that transitively reaches one) inside " +
-		"a golc critical section; blocking work under a lock convoys every waiter " +
+		"fmt printing to writers, or any call that transitively reaches one and does " +
+		"not park — a parking call is nestedpark's) inside a golc critical section; " +
+		"blocking work under a lock convoys every waiter " +
 		"and skews the hold-time signal the load controller steers by.",
 	Run: runHeldcall,
 }
@@ -182,16 +184,6 @@ func blockingCall(info *types.Info, ci callInfo) (string, bool) {
 	case "sync":
 		if (recv == "WaitGroup" || recv == "Cond") && name == "Wait" {
 			return label, true
-		}
-	default:
-		// The WAL's commit-path APIs block on group-commit fsyncs (or,
-		// for Append, take the log's own tail latch): log I/O inside a
-		// golc critical section convoys the latch behind the disk.
-		if isWalPkgPath(pkg) && recv == "Log" {
-			switch name {
-			case "Append", "Commit", "WaitDurable", "Sync", "Checkpoint", "Close":
-				return label, true
-			}
 		}
 	}
 	return "", false

@@ -1,16 +1,14 @@
-// Package lint is lclint's analysis framework plus the five
+// Package lint is lclint's analysis framework plus the four
 // repo-specific analyzers that machine-check the lock runtime's
 // correctness invariants (see cmd/lclint):
 //
 //   - lockpair: every golc Lock/RLock acquisition must be released on
-//     every path out of the function (defer-aware).
+//     every path out of the function (defer-aware). The walker does
+//     not follow goto, so lockpair reports every goto: restructure it
+//     as a loop, a labeled break or a helper function.
 //   - nestedpark: no potentially-parking acquisition while a golc lock
 //     is held — the runtime's "never park while holding" rule; TryLock
 //     is the sanctioned nested acquire.
-//   - ctxlock: context-aware acquisition paths must not be fed
-//     context.Background()/TODO() when a real deadline/cancel context
-//     is in scope — a client's context cancels its own logical waits
-//     only if they run under it.
 //   - heldcall: no blocking or alloc-heavy work (I/O, channel
 //     operations, time.Sleep, fmt printing to writers) inside a golc
 //     critical section.
@@ -19,11 +17,10 @@
 //     functions.
 //
 // The analyzers are whole-program: per-package function summaries
-// (FuncFacts — parks?, held-set delta, ctx-threading, blocking work;
-// facts.go), and a Program resolves
-// facts for imported packages alongside their export data, from source
-// on demand and once per run — so a helper that parks three packages
-// away is still a parking call here.
+// (FuncFacts — parks?, held-set delta, blocking work; facts.go), and a
+// Program resolves facts for imported packages alongside their export
+// data, from source on demand and once per run — so a helper that
+// parks three packages away is still a parking call here.
 //
 // The API deliberately mirrors golang.org/x/tools/go/analysis
 // (Analyzer/Pass/Diagnostic, testdata golden tests in linttest), but is
@@ -106,10 +103,10 @@ type Diagnostic struct {
 
 // All returns the full analyzer suite in reporting order.
 func All() []*Analyzer {
-	return []*Analyzer{Lockpair, Nestedpark, Ctxlock, Heldcall, Atomicfield}
+	return []*Analyzer{Lockpair, Nestedpark, Heldcall, Atomicfield}
 }
 
-// ByName resolves a comma-separated analyzer list ("lockpair,ctxlock").
+// ByName resolves a comma-separated analyzer list ("lockpair,heldcall").
 func ByName(names string) ([]*Analyzer, error) {
 	var out []*Analyzer
 	for _, n := range strings.Split(names, ",") {

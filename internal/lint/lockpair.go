@@ -14,19 +14,29 @@ import (
 //	if mu.TryLock() { defer mu.Unlock(); ... }
 //
 // shape passes clean. Functions that intentionally return holding a
-// lock (acquire helpers) are the reason //lint:allow exists.
+// lock (acquire helpers) are the reason //lint:allow exists. The walker
+// does not follow goto, so every goto is a finding of its own: a path
+// it hides could leak a lock unseen.
 var Lockpair = &Analyzer{
 	Name: "lockpair",
 	Doc: "golc Lock/RLock/TryLock acquisitions must be released on every path " +
 		"out of the acquiring function (defer-aware). An acquisition that escapes a " +
 		"function without its Unlock/RUnlock is either a leak — every later acquirer " +
 		"parks forever, and with the load-controlled policy the whole sleep buffer drains — " +
-		"or an acquire-helper contract that must be recorded with //lint:allow.",
+		"or an acquire-helper contract that must be recorded with //lint:allow. The walker " +
+		"does not follow goto, so every goto is reported: restructure it.",
 	Run: runLockpair,
 }
 
 func runLockpair(pass *Pass) error {
 	forEachFuncDecl(pass.Pkg, func(fd *ast.FuncDecl) {
+		ast.Inspect(fd.Body, func(n ast.Node) bool {
+			if b, ok := n.(*ast.BranchStmt); ok && b.Tok == token.GOTO {
+				pass.Reportf(b.Pos(), "goto %s: lclint does not follow goto, so the locks held along it go unchecked; restructure with a loop, a labeled break or a helper function",
+					b.Label.Name)
+			}
+			return true
+		})
 		type leak struct {
 			h    heldLock
 			exit token.Pos

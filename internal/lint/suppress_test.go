@@ -12,7 +12,7 @@ const suppressSrc = `package p
 
 func f() {
 	g() //lint:allow lockpair helper contract, callers release
-	//lint:allow ctxlock background is the root here
+	//lint:allow heldcall the write is to an in-memory file
 	h()
 	//lint:allow nestedpark
 	i()
@@ -62,8 +62,8 @@ func TestSuppressions(t *testing.T) {
 		want     bool
 	}{
 		{"g()", "lockpair", true},    // same-line suppression
-		{"g()", "ctxlock", false},    // wrong analyzer
-		{"h()", "ctxlock", true},     // line-above suppression
+		{"g()", "heldcall", false},   // wrong analyzer
+		{"h()", "heldcall", true},    // line-above suppression
 		{"h()", "lockpair", false},   // wrong analyzer
 		{"i()", "nestedpark", false}, // reason-less suppression does not suppress
 	}
@@ -76,8 +76,8 @@ func TestSuppressions(t *testing.T) {
 }
 
 func TestByName(t *testing.T) {
-	as, err := ByName("lockpair, ctxlock")
-	if err != nil || len(as) != 2 || as[0].Name != "lockpair" || as[1].Name != "ctxlock" {
+	as, err := ByName("lockpair, heldcall")
+	if err != nil || len(as) != 2 || as[0].Name != "lockpair" || as[1].Name != "heldcall" {
 		t.Fatalf("ByName = %v, %v", as, err)
 	}
 	if _, err := ByName("nope"); err == nil {

@@ -1,7 +1,9 @@
 // Package branches holds failing fixtures for the walker's labeled
-// break/continue and goto handling: each function leaks a lock, or
-// parks while holding one, along a path only visible when branch
-// targets carry the abstract state to the right join point.
+// break/continue handling: each function leaks a lock, or parks while
+// holding one, along a path only visible when branch targets carry the
+// abstract state to the right join point. The walker does not follow
+// goto: every goto is one lockpair finding, whether the path it hides
+// leaks (gotoLeak, gotoPark) or not (gotoCleanup, deferGoto).
 package branches
 
 import "repro/internal/golc"
@@ -36,9 +38,9 @@ loop:
 
 // gotoLeak: the goto path jumps over the Unlock.
 func gotoLeak(mu *golc.Mutex, n int) int {
-	mu.Lock() // want `mu\.Lock\(\) is not released on every path`
+	mu.Lock()
 	if n > 0 {
-		goto done
+		goto done // want `goto done: lclint does not follow goto`
 	}
 	mu.Unlock()
 	return 0
@@ -51,14 +53,40 @@ done:
 func gotoPark(a, b *golc.Mutex, n int) {
 	a.Lock()
 	if n > 0 {
-		goto wait
+		goto wait // want `goto wait: lclint does not follow goto`
 	}
 	a.Unlock()
 	return
 wait:
-	b.Lock() // want `Lock may park while a is held`
+	b.Lock()
 	b.Unlock()
 	a.Unlock()
+}
+
+// gotoCleanup: both the jump path and the fall-through path release,
+// but the walker cannot see it.
+func gotoCleanup(mu *golc.Mutex, n int) {
+	mu.Lock()
+	if n > 0 {
+		goto done // want `goto done: lclint does not follow goto`
+	}
+	mu.Unlock()
+	return
+done:
+	mu.Unlock()
+}
+
+// deferGoto: a deferred release covers the goto path, and the goto is
+// still reported.
+func deferGoto(mu *golc.Mutex, n int) int {
+	mu.Lock()
+	defer mu.Unlock()
+	if n > 0 {
+		goto done // want `goto done: lclint does not follow goto`
+	}
+	n = -n
+done:
+	return n
 }
 
 // switchBreakLeak: the break leaves the switch, not the loop — the

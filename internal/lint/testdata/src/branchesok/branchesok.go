@@ -1,7 +1,7 @@
 // Package branchesok holds clean fixtures for the walker's labeled
-// break/continue and goto handling: every path below releases what it
-// acquired, and the walker must see that through the jumps — any
-// finding here is a false positive.
+// break/continue handling: every path below releases what it acquired,
+// and the walker must see that through the jumps — any finding here is
+// a false positive.
 package branchesok
 
 import "repro/internal/golc"
@@ -23,30 +23,6 @@ outer:
 		}
 		mu.Unlock()
 	}
-}
-
-// gotoCleanup: both the jump path and the fall-through path release.
-func gotoCleanup(mu *golc.Mutex, n int) {
-	mu.Lock()
-	if n > 0 {
-		goto done
-	}
-	mu.Unlock()
-	return
-done:
-	mu.Unlock()
-}
-
-// deferGoto: the deferred release covers the goto path like any other.
-func deferGoto(mu *golc.Mutex, n int) int {
-	mu.Lock()
-	defer mu.Unlock()
-	if n > 0 {
-		goto done
-	}
-	n = -n
-done:
-	return n
 }
 
 // switchBreakClean: every switch arm releases before leaving, whether

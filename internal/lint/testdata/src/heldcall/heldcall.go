@@ -9,14 +9,11 @@ import (
 	"time"
 
 	"repro/internal/golc"
-	"repro/internal/kv"
-	"repro/internal/wal"
 )
 
 type S struct {
-	mu  *golc.Mutex
-	ch  chan int
-	log *wal.Log
+	mu *golc.Mutex
+	ch chan int
 }
 
 func sleepHeld(s *S) {
@@ -56,20 +53,6 @@ func rangeHeld(s *S) {
 	for v := range s.ch { // want `range over channel while s\.mu is held`
 		_ = v
 	}
-	s.mu.Unlock()
-}
-
-// Log I/O under a latch is the convoy the WAL's group commit exists to
-// prevent: the whole commit-path API is in heldcall's table.
-func walCommitHeld(s *S, batch []kv.Write) {
-	s.mu.Lock()
-	s.log.Commit(batch) // want `blocking call to \(repro/internal/wal\.Log\)\.Commit while s\.mu is held`
-	s.mu.Unlock()
-}
-
-func walSyncHeld(s *S) {
-	s.mu.Lock()
-	s.log.Sync() // want `blocking call to \(repro/internal/wal\.Log\)\.Sync while s\.mu is held`
 	s.mu.Unlock()
 }
 

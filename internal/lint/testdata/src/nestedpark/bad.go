@@ -6,7 +6,9 @@ package nestedpark
 import (
 	"repro/internal/golc"
 	lcrt "repro/internal/golc/runtime"
+	"repro/internal/kv"
 	"repro/internal/oltp"
+	"repro/internal/wal"
 )
 
 type pair struct {
@@ -66,4 +68,19 @@ func acquireWhileHolding(outer *golc.Mutex, m *mgr) {
 	outer.Lock()
 	m.acquire(oltp.RecordID("t", 0, "k"), oltp.X) // want `call to mgr\.acquire may park \(Lock on m\.latch\) while outer is held`
 	outer.Unlock()
+}
+
+// Log I/O under a latch is the convoy the WAL's group commit exists to
+// prevent. The commit path parks on the log's tail latch or in its
+// group-commit wait, so its facts make it a parking call.
+func walCommitHeld(p *pair, log *wal.Log, batch []kv.Write) {
+	p.a.Lock()
+	log.Commit(batch) // want `call to wal\.Log\.Commit may park \(Append → Lock on l\.tail\) while p\.a is held`
+	p.a.Unlock()
+}
+
+func walSyncHeld(p *pair, log *wal.Log) {
+	p.a.Lock()
+	log.Sync() // want `call to wal\.Log\.Sync may park \(Lock on l\.tail\) while p\.a is held`
+	p.a.Unlock()
 }

@@ -174,8 +174,7 @@ type walker struct {
 	summary func(*types.Func) *FuncFacts // nil: no cross-function held-set effects
 	second  int                          // >0 inside a second loop-body pass
 	targets []*branchTarget
-	gotos   map[string][]*walkState // pending forward-goto states by label
-	inComm  int                     // >0 inside a select comm clause (suppresses per-op chan events)
+	inComm  int // >0 inside a select comm clause (suppresses per-op chan events)
 }
 
 // walkFunc analyzes one function body from an empty held set.
@@ -192,7 +191,7 @@ func walkFuncSum(info *types.Info, body *ast.BlockStmt, summary func(*types.Func
 	if body == nil {
 		return
 	}
-	w := &walker{info: info, hooks: hooks, summary: summary, gotos: map[string][]*walkState{}}
+	w := &walker{info: info, hooks: hooks, summary: summary}
 	st := newWalkState()
 	if !w.block(body, st) {
 		w.exit(body.Rbrace, st)
@@ -234,33 +233,14 @@ func (w *walker) findTarget(label string, needLoop bool) *branchTarget {
 }
 
 // block walks a statement list; returns true if every path terminates
-// (return/panic/branch) before falling off the end. When a path
-// terminates but a pending goto targets a later label in this list,
-// the walk resumes there with the goto's merged state.
+// (return/panic/branch) before falling off the end.
 func (w *walker) block(b *ast.BlockStmt, st *walkState) bool {
 	return w.stmtList(b.List, st)
 }
 
 func (w *walker) stmtList(list []ast.Stmt, st *walkState) bool {
-	for i := 0; i < len(list); i++ {
-		if !w.stmt(list[i], st) {
-			continue
-		}
-		// Path terminated. A later label with a pending goto is still
-		// reachable — resume there; the LabeledStmt case merges the
-		// recorded goto states into the fresh state.
-		resumed := false
-		for j := i + 1; j < len(list); j++ {
-			ls, ok := list[j].(*ast.LabeledStmt)
-			if !ok || len(w.gotos[ls.Label.Name]) == 0 {
-				continue
-			}
-			*st = *newWalkState()
-			i = j - 1
-			resumed = true
-			break
-		}
-		if !resumed {
+	for _, s := range list {
+		if w.stmt(s, st) {
 			return true
 		}
 	}
@@ -334,9 +314,8 @@ func (w *walker) stmt(s ast.Stmt, st *walkState) bool {
 
 // branchStmt records the departing state with its target: break and
 // continue states rejoin the walk where the target statement ends (or
-// iterates); goto states merge into their label when the walk reaches
-// it. A backward goto (label already passed) stays conservative — the
-// recorded state is simply dropped, as before.
+// iterates). A goto is not followed — its path ends here, and lockpair
+// reports the goto itself.
 func (w *walker) branchStmt(s *ast.BranchStmt, st *walkState) bool {
 	label := ""
 	if s.Label != nil {
@@ -351,28 +330,16 @@ func (w *walker) branchStmt(s *ast.BranchStmt, st *walkState) bool {
 		if tgt := w.findTarget(label, true); tgt != nil {
 			tgt.continues = append(tgt.continues, st.clone())
 		}
-	case token.GOTO:
-		if label != "" {
-			w.gotos[label] = append(w.gotos[label], st.clone())
-		}
 	}
 	// fallthrough (in a case body) is handled by caseClauses' merge.
 	return true
 }
 
-// labeledStmt merges any pending forward-goto states into the label,
-// then walks the labeled statement — passing the label down to loops,
-// switches and selects so labeled break/continue resolve to them.
+// labeledStmt walks the labeled statement, passing the label down to
+// loops, switches and selects so labeled break/continue resolve to
+// them.
 func (w *walker) labeledStmt(s *ast.LabeledStmt, st *walkState) bool {
 	name := s.Label.Name
-	if pend := w.gotos[name]; len(pend) > 0 {
-		delete(w.gotos, name)
-		out := st
-		for _, g := range pend {
-			out = merge(out, g)
-		}
-		*st = *out
-	}
 	switch inner := s.Stmt.(type) {
 	case *ast.ForStmt:
 		return w.forStmt(inner, st, name)

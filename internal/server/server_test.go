@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -147,6 +148,25 @@ func TestTxnFailureCodes(t *testing.T) {
 			t.Fatalf("503 body = %s, want the durability failure", out)
 		}
 	})
+}
+
+// TestTxnCancelledRequest: a request whose client is already gone runs
+// no transaction. The handler runs it under r.Context(), so RunCtx
+// gives up before the first attempt (503) and nothing is written. Run
+// under context.Background(), or through DB.Run, the write commits.
+func TestTxnCancelledRequest(t *testing.T) {
+	s := newTestServer(t, false)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	w := httptest.NewRecorder()
+	s.h.ServeHTTP(w, httptest.NewRequest("POST", "/txn",
+		strings.NewReader(`{"ops":[{"op":"write","table":"acct","key":"gone","value":"1"}]}`)).WithContext(ctx))
+	if w.Code != 503 || !strings.Contains(w.Body.String(), "cancel") {
+		t.Fatalf("cancelled write = %d %q, want 503 and the cancellation", w.Code, w.Body.String())
+	}
+	if out := s.want(t, "POST", "/txn", `{"ops":[{"op":"read","table":"acct","key":"gone"}]}`, 200); !strings.Contains(out, `"found":false`) {
+		t.Fatalf("read-back = %s, want the cancelled write absent", out)
+	}
 }
 
 func TestKVAndScanLimits(t *testing.T) {
