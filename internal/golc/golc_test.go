@@ -534,8 +534,8 @@ func TestSpinPolicyRWMutex(t *testing.T) {
 	}
 }
 
-// TestTryLock covers the non-blocking acquire across every lock type
-// (the sync types included: same method set).
+// TestTryLock covers Mutex's non-blocking acquire under each policy,
+// beside the sync types' (same method set). RWMutex has no TryLock.
 func TestTryLock(t *testing.T) {
 	rt := newTestRuntime(t, lcrt.Options{})
 	mutexes := []struct {
@@ -548,8 +548,6 @@ func TestTryLock(t *testing.T) {
 		{"Mutex", New("mutex", WithRuntime(rt))},
 		{"Mutex/spin", New("try-spin", WithPolicy(Spin), WithRuntime(rt))},
 		{"Mutex/block", New("try-block", WithPolicy(Block), WithRuntime(rt))},
-		{"RWMutex", NewRW("rwmutex", WithRuntime(rt))},
-		{"RWMutex/spin", NewRW("try-spin-rw", WithPolicy(Spin), WithRuntime(rt))},
 		{"sync.Mutex", new(sync.Mutex)},
 		{"sync.RWMutex", new(sync.RWMutex)},
 	}

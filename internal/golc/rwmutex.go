@@ -98,12 +98,6 @@ func (m *RWMutex) RUnlock() {
 	}
 }
 
-// TryLock acquires the lock for writing if it is immediately free,
-// without raising the writer-preference gate, spinning, or parking.
-func (m *RWMutex) TryLock() bool {
-	return m.state.CompareAndSwap(0, -1)
-}
-
 // Lock acquires the lock for writing.
 func (m *RWMutex) Lock() {
 	m.wwait.Add(1)

@@ -42,11 +42,14 @@ func TestAtomicfieldClean(t *testing.T) {
 	linttest.Run(t, "atomicfield", "internal/lint/testdata/src/atomicfieldok")
 }
 
-// The branches fixtures pin the walker's labeled break/continue
-// handling, which both lockpair and nestedpark depend on, and
-// lockpair's report of every goto (the walker does not follow one).
+// The branches fixtures pin the walker's break/continue handling, which
+// both lockpair and nestedpark depend on, and lockpair's report of each
+// construct the walker does not model (labeled branches, goto, deferred
+// releases, a TryLock outside `if mu.TryLock() {`): under the whole
+// suite, as in TestOneFindingPerBug, each marked line draws exactly one
+// finding.
 func TestBranches(t *testing.T) {
-	linttest.Run(t, "lockpair,nestedpark", "internal/lint/testdata/src/branches")
+	linttest.Run(t, "lockpair,nestedpark,heldcall,atomicfield", "internal/lint/testdata/src/branches")
 }
 
 func TestBranchesClean(t *testing.T) {

@@ -75,7 +75,7 @@ func chainWhat(via, what string) string {
 }
 
 // foldFacts merges callee facts into dst (everything but the
-// HeldDelta/Releases protocol, which walkFuncSum applies positionally);
+// HeldDelta/Releases protocol, which walkFunc applies positionally);
 // reports whether dst changed.
 func foldFacts(dst *FuncFacts, via string, src *FuncFacts) bool {
 	changed := false
@@ -225,7 +225,7 @@ func computePackageFacts(pkg *Package, prog *Program) *PackageFacts {
 			return
 		}
 		var delta []string
-		walkFuncSum(pkg.Info, fd.Body, crossFacts, hooks{
+		walkFunc(pkg.Info, fd.Body, crossFacts, hooks{
 			onExit: func(pos token.Pos, held []heldLock) {
 				for _, h := range held {
 					if h.class == "" {

@@ -35,7 +35,7 @@ var Heldcall = &Analyzer{
 
 func runHeldcall(pass *Pass) error {
 	forEachFuncDecl(pass.Pkg, func(fd *ast.FuncDecl) {
-		walkFuncSum(pass.Pkg.Info, fd.Body, pass.summary(), hooks{
+		walkFunc(pass.Pkg.Info, fd.Body, pass.FactsOf, hooks{
 			onCall: func(ci callInfo, held []heldLock, second bool) {
 				if second || ci.callee == nil {
 					return

@@ -2,10 +2,13 @@
 // repo-specific analyzers that machine-check the lock runtime's
 // correctness invariants (see cmd/lclint):
 //
-//   - lockpair: every golc Lock/RLock acquisition must be released on
-//     every path out of the function (defer-aware). The walker does
-//     not follow goto, so lockpair reports every goto: restructure it
-//     as a loop, a labeled break or a helper function.
+//   - lockpair: every golc Lock/RLock/TryLock acquisition, and every
+//     acquire-helper call, must be released explicitly on every path
+//     out of the function. The held-set walker models only the Go this
+//     tree writes, so lockpair also reports each construct it does not
+//     model — goto, labeled break/continue, a deferred golc release,
+//     and a TryLock that is not the whole condition of an if —
+//     instead of modelling it.
 //   - nestedpark: no potentially-parking acquisition while a golc lock
 //     is held — the runtime's "never park while holding" rule; TryLock
 //     is the sanctioned nested acquire.
@@ -87,11 +90,6 @@ func (p *Pass) FactsOf(fn *types.Func) *FuncFacts {
 		return nil
 	}
 	return p.Prog.FactsOf(fn)
-}
-
-// summary adapts FactsOf to the walker's summary-injection hook.
-func (p *Pass) summary() func(*types.Func) *FuncFacts {
-	return p.FactsOf
 }
 
 // A Diagnostic is one finding.

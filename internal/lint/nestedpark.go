@@ -26,7 +26,7 @@ var Nestedpark = &Analyzer{
 
 func runNestedpark(pass *Pass) error {
 	forEachFuncDecl(pass.Pkg, func(fd *ast.FuncDecl) {
-		walkFuncSum(pass.Pkg.Info, fd.Body, pass.summary(), hooks{
+		walkFunc(pass.Pkg.Info, fd.Body, pass.FactsOf, hooks{
 			onAcquire: func(ci callInfo, held []heldLock, second bool) {
 				if ci.kind != kindAcqPark {
 					return

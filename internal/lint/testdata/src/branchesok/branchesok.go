@@ -1,25 +1,25 @@
-// Package branchesok holds clean fixtures for the walker's labeled
-// break/continue handling: every path below releases what it acquired,
-// and the walker must see that through the jumps — any finding here is
-// a false positive.
+// Package branchesok holds clean fixtures for the walker's break and
+// continue handling: every path below releases what it acquired, and
+// the walker must see that through the jumps — any finding here is a
+// false positive.
 package branchesok
 
 import "repro/internal/golc"
 
-// labeledBreakClean: the break-out path releases before jumping; the
-// in-loop paths release before iterating.
-func labeledBreakClean(mu *golc.Mutex, ready func() bool) {
-outer:
+// breakClean: the path that breaks out of the outer loop releases
+// before leaving; the inner loop's break leaves only the inner loop;
+// the in-loop path releases before iterating.
+func breakClean(mu *golc.Mutex, ready func() bool) {
 	for {
 		mu.Lock()
 		for {
 			if ready() {
-				mu.Unlock()
-				break outer
-			}
-			if ready() {
 				break
 			}
+		}
+		if ready() {
+			mu.Unlock()
+			break
 		}
 		mu.Unlock()
 	}

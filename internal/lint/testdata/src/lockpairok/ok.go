@@ -16,24 +16,6 @@ type guarded struct {
 	n  int
 }
 
-func deferred(g *guarded, fail bool) error {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if fail {
-		return errFail
-	}
-	return nil
-}
-
-func deferredInLiteral(g *guarded) {
-	g.rw.Lock()
-	defer func() {
-		g.n++
-		g.rw.Unlock()
-	}()
-	g.n++
-}
-
 func explicitOnBothArms(g *guarded, fail bool) error {
 	g.mu.Lock()
 	if fail {
@@ -46,24 +28,8 @@ func explicitOnBothArms(g *guarded, fail bool) error {
 
 func tryGuardedBranch(g *guarded) {
 	if g.mu.TryLock() {
-		defer g.mu.Unlock()
 		g.n++
-	}
-}
-
-func tryNegated(g *guarded) {
-	if !g.mu.TryLock() {
-		return
-	}
-	g.n++
-	g.mu.Unlock()
-}
-
-func tryViaVariable(g *guarded) {
-	ok := g.rw.TryLock()
-	if ok {
-		g.n++
-		g.rw.Unlock()
+		g.mu.Unlock()
 	}
 }
 
@@ -72,8 +38,22 @@ func suppressedAcquireHelper(g *guarded) {
 	g.mu.Lock()
 }
 
+// A release with no textual acquire pairs with the hold the acquire
+// helper's facts put in the caller's held set.
+func helperReleased(g *guarded, fail bool) error {
+	suppressedAcquireHelper(g)
+	if fail {
+		g.mu.Unlock()
+		return errFail
+	}
+	g.n++
+	g.mu.Unlock()
+	return nil
+}
+
 func readersPair(g *guarded) int {
 	g.rw.RLock()
-	defer g.rw.RUnlock()
-	return g.n
+	n := g.n
+	g.rw.RUnlock()
+	return n
 }

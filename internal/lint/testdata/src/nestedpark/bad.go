@@ -33,9 +33,9 @@ func readNested(p *pair) {
 
 func writeNested(p *pair) {
 	p.a.Lock()
-	defer p.a.Unlock()
 	p.r.Lock() // want `may park while p\.a is held`
 	p.r.Unlock()
+	p.a.Unlock()
 }
 
 func viaHelper(p *pair) {
@@ -51,8 +51,8 @@ func helperThatParks(mu *golc.Mutex) {
 
 func handleWaitWhileHolding(p *pair, h *lcrt.Handle, acq lcrt.Acquire) {
 	p.a.Lock()
-	defer p.a.Unlock()
 	h.Wait(acq) // want `Wait parks while p\.a is held`
+	p.a.Unlock()
 }
 
 // A lock-manager-shaped acquire is an ordinary call: whatever its name
@@ -79,8 +79,8 @@ func walCommitHeld(p *pair, log *wal.Log, batch []kv.Write) {
 	p.a.Unlock()
 }
 
-func walSyncHeld(p *pair, log *wal.Log) {
+func walCloseHeld(p *pair, log *wal.Log) {
 	p.a.Lock()
-	log.Sync() // want `call to wal\.Log\.Sync may park \(Lock on l\.tail\) while p\.a is held`
+	log.Close() // want `call to wal\.Log\.Close may park \(Lock on l\.tail\) while p\.a is held`
 	p.a.Unlock()
 }

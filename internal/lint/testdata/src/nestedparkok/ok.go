@@ -40,12 +40,12 @@ func parkAfterRelease(p *pair) {
 
 func goroutineHasOwnHeldSet(p *pair) {
 	p.a.Lock()
-	defer p.a.Unlock()
 	go func() {
 		// Runs on its own goroutine: it does not hold p.a.
 		p.b.Lock()
 		p.b.Unlock()
 	}()
+	p.a.Unlock()
 }
 
 func callNonParkingHelper(p *pair) {

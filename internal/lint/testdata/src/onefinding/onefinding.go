@@ -23,14 +23,14 @@ type S struct {
 
 func logUnderLatch(s *S, batch []kv.Write) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.log.Append(batch)      // want `call to wal\.Log\.Append may park \(Lock on l\.tail\) while s\.mu is held`
 	s.log.Commit(batch)      // want `call to wal\.Log\.Commit may park \(Append → Lock on l\.tail\) while s\.mu is held`
 	s.log.WaitDurable(1)     // want `call to wal\.Log\.WaitDurable may park \(waitSlow → runtime park \(Wait\)\) while s\.mu is held`
-	s.log.Sync()             // want `call to wal\.Log\.Sync may park \(Lock on l\.tail\) while s\.mu is held`
+	s.log.Stats()            // want `call to wal\.Log\.Stats may park \(Lock on l\.tail\) while s\.mu is held`
 	s.log.Checkpoint()       // want `call to wal\.Log\.Checkpoint may park \(.*RLock on sh\.mu\) while s\.mu is held`
 	s.log.Close()            // want `call to wal\.Log\.Close may park \(Lock on l\.tail\) while s\.mu is held`
 	s.f.Write([]byte("rec")) // want `blocking call to \(os\.File\)\.Write while s\.mu is held`
 	s.inner.Lock()           // want `Lock may park while s\.mu is held`
 	s.inner.Unlock()
+	s.mu.Unlock()
 }

@@ -35,44 +35,17 @@ type hooks struct {
 	// inside a select's comm clauses report once at the select.
 	onChanOp func(pos token.Pos, what string, held []heldLock, second bool)
 	// onExit fires at every function exit (return, panic, fallthrough
-	// off the end) with the locks still held after deferred releases.
-	// First pass only.
+	// off the end) with the locks still held there. First pass only.
 	onExit func(pos token.Pos, held []heldLock)
 }
 
 // walkState is the abstract state at one program point.
 type walkState struct {
-	held        []heldLock                // acquisition-ordered
-	deferred    map[string]bool           // lock keys released by a defer
-	deferredCls map[string]bool           // lock classes released by a defer (synthetic holds)
-	tryVars     map[types.Object]callInfo // vars holding a pending TryLock result
-}
-
-func newWalkState() *walkState {
-	return &walkState{
-		deferred:    map[string]bool{},
-		deferredCls: map[string]bool{},
-		tryVars:     map[types.Object]callInfo{},
-	}
+	held []heldLock // acquisition-ordered
 }
 
 func (s *walkState) clone() *walkState {
-	c := &walkState{
-		held:        append([]heldLock(nil), s.held...),
-		deferred:    make(map[string]bool, len(s.deferred)),
-		deferredCls: make(map[string]bool, len(s.deferredCls)),
-		tryVars:     make(map[types.Object]callInfo, len(s.tryVars)),
-	}
-	for k, v := range s.deferred {
-		c.deferred[k] = v
-	}
-	for k, v := range s.deferredCls {
-		c.deferredCls[k] = v
-	}
-	for k, v := range s.tryVars {
-		c.tryVars[k] = v
-	}
-	return c
+	return &walkState{held: append([]heldLock(nil), s.held...)}
 }
 
 // merge unions two states: a lock held on either branch is treated as
@@ -88,33 +61,6 @@ func merge(a, b *walkState) *walkState {
 		if !haveKey[h.key+"\x00"+h.name] {
 			out.held = append(out.held, h)
 		}
-	}
-	for k := range b.deferred {
-		out.deferred[k] = true
-	}
-	for k := range b.deferredCls {
-		out.deferredCls[k] = true
-	}
-	for k, v := range b.tryVars {
-		out.tryVars[k] = v
-	}
-	return out
-}
-
-// exitHeld returns the current held set minus deferred releases —
-// what is genuinely still held at an exit.
-func (s *walkState) exitHeld() []heldLock {
-	var out []heldLock
-	for _, h := range s.held {
-		switch {
-		case h.synthetic:
-			if s.deferredCls[h.class] {
-				continue
-			}
-		case s.deferred[h.key]:
-			continue
-		}
-		out = append(out, h)
 	}
 	return out
 }
@@ -154,11 +100,10 @@ func (s *walkState) releaseClass(class string) {
 }
 
 // branchTarget is one enclosing breakable statement (loop, switch,
-// select) on the walker's stack; break/continue register the states
-// that leave through it.
+// select) on the walker's stack; an unlabeled break/continue registers
+// the state that leaves through it.
 type branchTarget struct {
-	label     string // enclosing label, "" if none
-	loop      bool   // continue-able (for/range)
+	loop      bool // continue-able (for/range)
 	breaks    []*walkState
 	continues []*walkState
 }
@@ -168,31 +113,33 @@ type branchTarget struct {
 // come from the facts summaries — consumed by the analyzers at call
 // sites, and (for acquire/release helpers' held-set deltas) injected
 // into the walk itself via the summary hook.
+//
+// It models only the Go this tree writes. A path ends, unchecked, at
+// each construct it does not model — a labeled branch (goto included)
+// or a deferred golc release — and a TryLock anywhere but as a whole
+// if condition grants no hold. lockpair reports each of these (see
+// unmodelled), so with lockpair in the run nestedpark and heldcall stay
+// sound without modelling them.
 type walker struct {
 	info    *types.Info
 	hooks   hooks
-	summary func(*types.Func) *FuncFacts // nil: no cross-function held-set effects
-	second  int                          // >0 inside a second loop-body pass
+	summary func(*types.Func) *FuncFacts
+	second  int // >0 inside a second loop-body pass
 	targets []*branchTarget
 	inComm  int // >0 inside a select comm clause (suppresses per-op chan events)
 }
 
-// walkFunc analyzes one function body from an empty held set.
-func walkFunc(info *types.Info, body *ast.BlockStmt, hooks hooks) {
-	walkFuncSum(info, body, nil, hooks)
-}
-
-// walkFuncSum is walkFunc with callee summaries: a call to a function
-// whose facts declare a held-set delta (acquire helper) or unmatched
-// releases (release helper) mutates the abstract held set at the call
-// site, so the caller's later exits and acquisitions see through the
-// helper.
-func walkFuncSum(info *types.Info, body *ast.BlockStmt, summary func(*types.Func) *FuncFacts, hooks hooks) {
+// walkFunc analyzes one function body from an empty held set. A call
+// to a function whose summary declares a held-set delta (acquire
+// helper) or unmatched releases (release helper) mutates the abstract
+// held set at the call site, so the caller's later exits and
+// acquisitions see through the helper.
+func walkFunc(info *types.Info, body *ast.BlockStmt, summary func(*types.Func) *FuncFacts, hooks hooks) {
 	if body == nil {
 		return
 	}
 	w := &walker{info: info, hooks: hooks, summary: summary}
-	st := newWalkState()
+	st := &walkState{}
 	if !w.block(body, st) {
 		w.exit(body.Rbrace, st)
 	}
@@ -201,12 +148,12 @@ func walkFuncSum(info *types.Info, body *ast.BlockStmt, summary func(*types.Func
 // subWalk analyzes a nested function literal's body from an empty held
 // set, preserving the summary hook.
 func (w *walker) subWalk(body *ast.BlockStmt) {
-	walkFuncSum(w.info, body, w.summary, w.hooks)
+	walkFunc(w.info, body, w.summary, w.hooks)
 }
 
 func (w *walker) exit(pos token.Pos, st *walkState) {
 	if w.second == 0 && w.hooks.onExit != nil {
-		w.hooks.onExit(pos, st.exitHeld())
+		w.hooks.onExit(pos, st.held)
 	}
 }
 
@@ -217,15 +164,11 @@ func (w *walker) chanOp(pos token.Pos, what string, st *walkState) {
 	w.hooks.onChanOp(pos, what, append([]heldLock(nil), st.held...), w.second > 0)
 }
 
-// findTarget resolves a break (needLoop=false) or continue
-// (needLoop=true) to its enclosing target, innermost first.
-func (w *walker) findTarget(label string, needLoop bool) *branchTarget {
+// findTarget resolves an unlabeled break (needLoop=false) or continue
+// (needLoop=true) to its innermost enclosing target.
+func (w *walker) findTarget(needLoop bool) *branchTarget {
 	for i := len(w.targets) - 1; i >= 0; i-- {
-		t := w.targets[i]
-		if needLoop && !t.loop {
-			continue
-		}
-		if label == "" || t.label == label {
+		if t := w.targets[i]; t.loop || !needLoop {
 			return t
 		}
 	}
@@ -257,12 +200,20 @@ func (w *walker) stmt(s ast.Stmt, st *walkState) bool {
 		w.expr(s.X, st)
 		return isTerminalCall(w.info, s.X)
 	case *ast.AssignStmt:
-		return w.assign(s, st)
+		for _, e := range s.Lhs {
+			w.expr(e, st)
+		}
+		for _, e := range s.Rhs {
+			w.expr(e, st)
+		}
+		return false
 	case *ast.DeclStmt:
 		if gd, ok := s.Decl.(*ast.GenDecl); ok {
 			for _, spec := range gd.Specs {
 				if vs, ok := spec.(*ast.ValueSpec); ok {
-					w.bindTry(identObjs(w.info, vs.Names), vs.Values, st)
+					for _, e := range vs.Values {
+						w.expr(e, st)
+					}
 				}
 			}
 		}
@@ -274,7 +225,10 @@ func (w *walker) stmt(s ast.Stmt, st *walkState) bool {
 		w.exit(s.Pos(), st)
 		return true
 	case *ast.DeferStmt:
-		w.deferStmt(s, st)
+		if deferredRelease(w.info, s) != nil {
+			return true // not modelled: lockpair reports it
+		}
+		w.exprArgsOnly(s.Call, st)
 		return false
 	case *ast.GoStmt:
 		// The goroutine body runs with its own (empty) held set; the
@@ -287,19 +241,19 @@ func (w *walker) stmt(s ast.Stmt, st *walkState) bool {
 	case *ast.IfStmt:
 		return w.ifStmt(s, st)
 	case *ast.ForStmt:
-		return w.forStmt(s, st, "")
+		return w.forStmt(s, st)
 	case *ast.RangeStmt:
-		return w.rangeStmt(s, st, "")
+		return w.rangeStmt(s, st)
 	case *ast.SwitchStmt:
-		return w.switchStmt(s, st, "")
+		return w.switchStmt(s, st)
 	case *ast.TypeSwitchStmt:
-		return w.typeSwitchStmt(s, st, "")
+		return w.typeSwitchStmt(s, st)
 	case *ast.SelectStmt:
-		return w.selectStmt(s, st, "")
+		return w.selectStmt(s, st)
 	case *ast.BranchStmt:
 		return w.branchStmt(s, st)
 	case *ast.LabeledStmt:
-		return w.labeledStmt(s, st)
+		return w.stmt(s.Stmt, st)
 	case *ast.SendStmt:
 		w.expr(s.Chan, st)
 		w.expr(s.Value, st)
@@ -314,20 +268,19 @@ func (w *walker) stmt(s ast.Stmt, st *walkState) bool {
 
 // branchStmt records the departing state with its target: break and
 // continue states rejoin the walk where the target statement ends (or
-// iterates). A goto is not followed — its path ends here, and lockpair
-// reports the goto itself.
+// iterates). A labeled branch (goto included) is not followed — its
+// path ends here, and lockpair reports the branch itself.
 func (w *walker) branchStmt(s *ast.BranchStmt, st *walkState) bool {
-	label := ""
 	if s.Label != nil {
-		label = s.Label.Name
+		return true
 	}
 	switch s.Tok {
 	case token.BREAK:
-		if tgt := w.findTarget(label, false); tgt != nil {
+		if tgt := w.findTarget(false); tgt != nil {
 			tgt.breaks = append(tgt.breaks, st.clone())
 		}
 	case token.CONTINUE:
-		if tgt := w.findTarget(label, true); tgt != nil {
+		if tgt := w.findTarget(true); tgt != nil {
 			tgt.continues = append(tgt.continues, st.clone())
 		}
 	}
@@ -335,28 +288,7 @@ func (w *walker) branchStmt(s *ast.BranchStmt, st *walkState) bool {
 	return true
 }
 
-// labeledStmt walks the labeled statement, passing the label down to
-// loops, switches and selects so labeled break/continue resolve to
-// them.
-func (w *walker) labeledStmt(s *ast.LabeledStmt, st *walkState) bool {
-	name := s.Label.Name
-	switch inner := s.Stmt.(type) {
-	case *ast.ForStmt:
-		return w.forStmt(inner, st, name)
-	case *ast.RangeStmt:
-		return w.rangeStmt(inner, st, name)
-	case *ast.SwitchStmt:
-		return w.switchStmt(inner, st, name)
-	case *ast.TypeSwitchStmt:
-		return w.typeSwitchStmt(inner, st, name)
-	case *ast.SelectStmt:
-		return w.selectStmt(inner, st, name)
-	default:
-		return w.stmt(s.Stmt, st)
-	}
-}
-
-func (w *walker) forStmt(s *ast.ForStmt, st *walkState, label string) bool {
+func (w *walker) forStmt(s *ast.ForStmt, st *walkState) bool {
 	if s.Init != nil {
 		w.stmt(s.Init, st)
 	}
@@ -366,106 +298,57 @@ func (w *walker) forStmt(s *ast.ForStmt, st *walkState, label string) bool {
 	// A for without a condition runs its body at least once, and — per
 	// the spec's terminating-statement rule — never falls through
 	// unless something breaks out of it.
-	return w.loopBody(s.Body, s.Post, st, label, s.Cond == nil)
+	return w.loopBody(s.Body, s.Post, st, s.Cond == nil)
 }
 
-func (w *walker) rangeStmt(s *ast.RangeStmt, st *walkState, label string) bool {
+func (w *walker) rangeStmt(s *ast.RangeStmt, st *walkState) bool {
 	w.expr(s.X, st)
 	if isChanExpr(w.info, s.X) {
 		w.chanOp(s.For, "range over channel", st)
 	}
-	return w.loopBody(s.Body, nil, st, label, false)
+	return w.loopBody(s.Body, nil, st, false)
 }
 
-func (w *walker) switchStmt(s *ast.SwitchStmt, st *walkState, label string) bool {
+func (w *walker) switchStmt(s *ast.SwitchStmt, st *walkState) bool {
 	if s.Init != nil {
 		w.stmt(s.Init, st)
 	}
 	if s.Tag != nil {
 		w.expr(s.Tag, st)
 	}
-	return w.caseClauses(s.Body, st, label)
+	return w.caseClauses(s.Body, st)
 }
 
-func (w *walker) typeSwitchStmt(s *ast.TypeSwitchStmt, st *walkState, label string) bool {
+func (w *walker) typeSwitchStmt(s *ast.TypeSwitchStmt, st *walkState) bool {
 	if s.Init != nil {
 		w.stmt(s.Init, st)
 	}
 	w.stmt(s.Assign, st)
-	return w.caseClauses(s.Body, st, label)
+	return w.caseClauses(s.Body, st)
 }
 
-func (w *walker) selectStmt(s *ast.SelectStmt, st *walkState, label string) bool {
+func (w *walker) selectStmt(s *ast.SelectStmt, st *walkState) bool {
 	if !selectHasDefault(s) {
 		w.chanOp(s.Select, "select with no default case", st)
 	}
-	return w.commClauses(s.Body, st, label)
+	return w.commClauses(s.Body, st)
 }
 
-// assign evaluates RHS calls and tracks `ok := mu.TryLock()` bindings.
-func (w *walker) assign(s *ast.AssignStmt, st *walkState) bool {
-	var objs []types.Object
-	for _, lhs := range s.Lhs {
-		if id, ok := lhs.(*ast.Ident); ok {
-			obj := w.info.Defs[id]
-			if obj == nil {
-				obj = w.info.Uses[id]
-			}
-			objs = append(objs, obj)
-		} else {
-			w.expr(lhs, st)
-			objs = append(objs, nil)
-		}
-	}
-	w.bindTry(objs, s.Rhs, st)
-	return false
-}
-
-func identObjs(info *types.Info, ids []*ast.Ident) []types.Object {
-	objs := make([]types.Object, len(ids))
-	for i, id := range ids {
-		objs[i] = info.Defs[id]
-	}
-	return objs
-}
-
-// bindTry evaluates rhs expressions; a direct TryLock call assigned to a
-// single variable is remembered so a later `if ok { ... }` can credit
-// the hold to the guarded branch.
-func (w *walker) bindTry(lhs []types.Object, rhs []ast.Expr, st *walkState) {
-	for i, r := range rhs {
-		if call, ok := ast.Unparen(r).(*ast.CallExpr); ok && len(lhs) == len(rhs) && lhs[i] != nil {
-			ci := classifyCall(w.info, call)
-			if ci.kind == kindAcqTry {
-				w.fire(ci, st)
-				st.tryVars[lhs[i]] = ci
-				continue
-			}
-		}
-		w.expr(r, st)
-	}
-}
-
-// ifStmt handles the TryLock conditional idioms:
+// ifStmt credits a TryLock hold to the branch its probe guards. The
+// one TryLock shape the walker models is the whole condition,
 //
 //	if mu.TryLock() { <held> }
-//	if !mu.TryLock() { return }; <held>
-//	ok := mu.TryLock(); if ok { <held> }
+//
+// and lockpair reports a TryLock anywhere else.
 func (w *walker) ifStmt(s *ast.IfStmt, st *walkState) bool {
 	if s.Init != nil {
 		w.stmt(s.Init, st)
 	}
-	tryCI, negated, isTry := w.condTry(s.Cond, st)
-
+	w.expr(s.Cond, st)
 	thenSt := st.clone()
 	elseSt := st.clone()
-	if isTry {
-		granted := heldFromCall(w.info, tryCI)
-		if negated {
-			elseSt.add(granted)
-		} else {
-			thenSt.add(granted)
-		}
+	if ci, ok := tryCond(w.info, s.Cond); ok {
+		thenSt.add(heldFromCall(w.info, ci))
 	}
 	thenTerm := w.block(s.Body, thenSt)
 	elseTerm := false
@@ -485,46 +368,26 @@ func (w *walker) ifStmt(s *ast.IfStmt, st *walkState) bool {
 	return false
 }
 
-// condTry evaluates an if condition and reports whether it is a TryLock
-// probe (directly, negated, or via a tracked bool variable).
-func (w *walker) condTry(cond ast.Expr, st *walkState) (ci callInfo, negated, isTry bool) {
-	switch c := ast.Unparen(cond).(type) {
-	case *ast.CallExpr:
-		ci = classifyCall(w.info, c)
-		if ci.kind == kindAcqTry {
-			w.fire(ci, st)
-			return ci, false, true
-		}
-	case *ast.UnaryExpr:
-		if c.Op == token.NOT {
-			inner, neg, ok := w.condTry(c.X, st)
-			if ok {
-				return inner, !neg, true
-			}
-			return callInfo{}, false, false
-		}
-	case *ast.Ident:
-		if obj := w.info.Uses[c]; obj != nil {
-			if tci, ok := st.tryVars[obj]; ok {
-				return tci, false, true
-			}
-		}
-		return callInfo{}, false, false
+// tryCond reports whether an if condition is exactly a TryLock probe.
+func tryCond(info *types.Info, cond ast.Expr) (callInfo, bool) {
+	call, ok := ast.Unparen(cond).(*ast.CallExpr)
+	if !ok {
+		return callInfo{}, false
 	}
-	w.expr(cond, st)
-	return callInfo{}, false, false
+	ci := classifyCall(info, call)
+	return ci, ci.kind == kindAcqTry
 }
 
 // loopBody analyzes a loop body twice: once from the entry state, once
 // from the merged after-one-iteration state. The second pass is what
 // exposes iteration-carried holds (a Lock in iteration i still held
 // when iteration i+1 acquires) to nestedpark; its events are flagged so
-// analyzers that would double-report can skip them. Continue states (labeled or not)
+// analyzers that would double-report can skip them. Continue states
 // rejoin before the post statement; break states rejoin the fall-out
 // state. Returns true when the loop is a terminating statement (no
 // condition, no break out of it).
-func (w *walker) loopBody(body *ast.BlockStmt, post ast.Stmt, st *walkState, label string, mustRun bool) bool {
-	tgt := &branchTarget{label: label, loop: true}
+func (w *walker) loopBody(body *ast.BlockStmt, post ast.Stmt, st *walkState, mustRun bool) bool {
+	tgt := &branchTarget{loop: true}
 	w.targets = append(w.targets, tgt)
 
 	// iterate walks the body once from entry; the returned state is the
@@ -594,8 +457,8 @@ func (w *walker) loopBody(body *ast.BlockStmt, post ast.Stmt, st *walkState, lab
 // caseClauses walks switch cases; the result state is the union of all
 // falling-through branches (plus the no-case-taken path when there is
 // no default, plus any break states).
-func (w *walker) caseClauses(body *ast.BlockStmt, st *walkState, label string) bool {
-	tgt := &branchTarget{label: label}
+func (w *walker) caseClauses(body *ast.BlockStmt, st *walkState) bool {
+	tgt := &branchTarget{}
 	w.targets = append(w.targets, tgt)
 
 	hasDefault := false
@@ -632,8 +495,8 @@ func (w *walker) caseClauses(body *ast.BlockStmt, st *walkState, label string) b
 	return false
 }
 
-func (w *walker) commClauses(body *ast.BlockStmt, st *walkState, label string) bool {
-	tgt := &branchTarget{label: label}
+func (w *walker) commClauses(body *ast.BlockStmt, st *walkState) bool {
+	tgt := &branchTarget{}
 	w.targets = append(w.targets, tgt)
 
 	var fallthroughs []*walkState
@@ -665,35 +528,25 @@ func (w *walker) commClauses(body *ast.BlockStmt, st *walkState, label string) b
 	return false
 }
 
-// deferStmt registers deferred releases: a direct `defer mu.Unlock()`,
-// or releases inside a one-level `defer func() { ... }()` literal.
-func (w *walker) deferStmt(s *ast.DeferStmt, st *walkState) {
-	noteRelease := func(ci callInfo) {
-		st.deferred[lockKeyOf(ci.recv, ci.read)] = true
-		if c := classOf(w.info, ci.recv); c != "" {
-			st.deferredCls[c] = true
+// deferredRelease returns the golc release a defer runs — the deferred
+// call itself, or any release inside a deferred function literal — or
+// nil. The walker does not model deferred releases.
+func deferredRelease(info *types.Info, s *ast.DeferStmt) *ast.CallExpr {
+	if classifyCall(info, s.Call).kind == kindRelease {
+		return s.Call
+	}
+	lit, ok := s.Call.Fun.(*ast.FuncLit)
+	if !ok {
+		return nil
+	}
+	var rel *ast.CallExpr
+	ast.Inspect(lit.Body, func(n ast.Node) bool {
+		if call, ok := n.(*ast.CallExpr); ok && rel == nil && classifyCall(info, call).kind == kindRelease {
+			rel = call
 		}
-	}
-	ci := classifyCall(w.info, s.Call)
-	if ci.kind == kindRelease {
-		noteRelease(ci)
-		return
-	}
-	if lit, ok := s.Call.Fun.(*ast.FuncLit); ok {
-		ast.Inspect(lit.Body, func(n ast.Node) bool {
-			if _, ok := n.(*ast.FuncLit); ok {
-				return false
-			}
-			if call, ok := n.(*ast.CallExpr); ok {
-				if inner := classifyCall(w.info, call); inner.kind == kindRelease {
-					noteRelease(inner)
-				}
-			}
-			return true
-		})
-		return
-	}
-	w.exprArgsOnly(s.Call, st)
+		return rel == nil
+	})
+	return rel
 }
 
 // expr walks an expression, firing events for every classified call in
@@ -755,7 +608,7 @@ func (w *walker) fire(ci callInfo, st *walkState) {
 		}
 		st.add(heldFromCall(w.info, ci))
 	case kindAcqTry:
-		// Caller (ifStmt/bindTry) decides which branch holds the lock.
+		// ifStmt credits the hold to the branch the probe guards.
 		if w.hooks.onAcquire != nil {
 			w.hooks.onAcquire(ci, append([]heldLock(nil), st.held...), second)
 		}
@@ -773,7 +626,7 @@ func (w *walker) fire(ci callInfo, st *walkState) {
 		if w.hooks.onCall != nil {
 			w.hooks.onCall(ci, append([]heldLock(nil), st.held...), second)
 		}
-		if w.summary != nil && ci.callee != nil {
+		if ci.callee != nil {
 			if ff := w.summary(ci.callee); ff != nil {
 				for _, c := range ff.Releases {
 					st.releaseClass(c)

@@ -297,18 +297,6 @@ func (l *Log) AppliedFloor() uint64 {
 	return l.floor
 }
 
-// Sync forces everything staged so far to disk: it waits for the last
-// assigned LSN to become durable. Used on clean shutdown and by tests.
-func (l *Log) Sync() error {
-	l.tail.Lock()
-	last := l.next - 1
-	l.tail.Unlock()
-	if last == 0 {
-		return nil
-	}
-	return l.WaitDurable(last)
-}
-
 // Wedged returns the sticky I/O error that disabled the log, or nil.
 func (l *Log) Wedged() error {
 	if w := l.wedged.Load(); w != nil {
