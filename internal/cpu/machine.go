@@ -37,10 +37,12 @@ type Machine struct {
 // defaults) on the kernel and starts the scheduler tick.
 func NewMachine(k *sim.Kernel, cfg Config) *Machine {
 	m := &Machine{K: k, Cfg: cfg.withDefaults()}
-	for i := 0; i < m.Cfg.Contexts; i++ {
-		m.ctxs = append(m.ctxs, &Context{id: i})
-	}
 	m.sched = newScheduler(m)
+	for i := 0; i < m.Cfg.Contexts; i++ {
+		c := &Context{id: i}
+		c.begin = func() { m.sched.execBegin(c) }
+		m.ctxs = append(m.ctxs, c)
+	}
 	m.sched.startTicks()
 	return m
 }
@@ -135,6 +137,9 @@ func (p *Process) NewThread(name string, body func(t *Thread)) *Thread {
 		state:    stateNew,
 		timeleft: m.Cfg.Quantum,
 	}
+	t.onComputeDone = t.computeDone
+	t.onIODone = t.becomeRunnable
+	t.onSpinWake = t.spinWoken
 	p.threads = append(p.threads, t)
 	t.proc = m.K.Spawn(t.name, func(sp *sim.Proc) {
 		// Become runnable and wait for the first dispatch before

@@ -1,6 +1,9 @@
 package cpu
 
 import (
+	"fmt"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -414,21 +417,48 @@ func TestTwoProcessesShareMachine(t *testing.T) {
 	}
 }
 
+// logWatcher appends its name and each transition it sees to a log
+// shared with the other watchers of the same thread.
+type logWatcher struct {
+	name string
+	log  *[]string
+}
+
+func (w *logWatcher) Executing(_ *Thread, on bool) {
+	*w.log = append(*w.log, fmt.Sprintf("%s:%t", w.name, on))
+}
+
+// TestPreemptionHooksFire: a thread tells each of its watchers, in
+// registration order, when it starts and stops executing; removing one
+// watcher leaves the others.
 func TestPreemptionHooksFire(t *testing.T) {
 	k, _, p := testMachine(1)
-	var desched, sched int
-	th := p.NewThread("a", func(th *Thread) { th.Compute(25 * time.Millisecond) })
-	th.SetHooks(
-		func(*Thread) { desched++ },
-		func(*Thread) { sched++ },
-	)
-	p.NewThread("b", func(th *Thread) { th.Compute(25 * time.Millisecond) })
-	k.RunFor(200 * time.Millisecond)
-	if desched == 0 {
-		t.Fatal("deschedule hook never fired")
+	var log []string
+	w1 := &logWatcher{"w1", &log}
+	w2 := &logWatcher{"w2", &log}
+	th := p.NewThread("a", func(th *Thread) { th.Compute(100 * time.Millisecond) })
+	th.Watch(w1)
+	th.Watch(w2)
+	p.NewThread("b", func(th *Thread) { th.Compute(100 * time.Millisecond) })
+	k.RunFor(60 * time.Millisecond)
+	if !slices.Contains(log, "w1:true") || !slices.Contains(log, "w1:false") {
+		t.Fatalf("watcher missed a transition: %v", log)
 	}
-	if sched == 0 {
-		t.Fatal("schedule hook never fired")
+	for i := 0; i < len(log); i += 2 {
+		if !strings.HasPrefix(log[i], "w1:") || log[i+1] != "w2"+log[i][2:] {
+			t.Fatalf("watchers out of registration order at %d: %v", i, log)
+		}
+	}
+	th.Unwatch(w1)
+	log = nil
+	k.RunFor(60 * time.Millisecond)
+	if len(log) == 0 {
+		t.Fatal("remaining watcher stopped firing after the other was removed")
+	}
+	for _, e := range log {
+		if !strings.HasPrefix(e, "w2:") {
+			t.Fatalf("removed watcher fired: %v", log)
+		}
 	}
 }
 

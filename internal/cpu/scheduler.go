@@ -11,7 +11,7 @@ type Context struct {
 	thread      *Thread
 	last        *Thread  // previous occupant, for warm-switch cost
 	switchStart sim.Time // when the in-progress dispatch began
-	execEv      *sim.Event
+	begin       func()   // execBegin for this context, bound once
 }
 
 // ID returns the context number.
@@ -253,21 +253,21 @@ func (s *scheduler) dispatch(c *Context) {
 	}
 	c.last = t
 	c.switchStart = now
-	c.execEv = s.m.K.After(cost, func() { s.execBegin(c, t) })
+	s.m.K.After(cost, c.begin)
 }
 
-// execBegin marks the switch complete and resumes the thread's code.
-func (s *scheduler) execBegin(c *Context, t *Thread) {
+// execBegin marks the switch on c complete and resumes its thread's
+// code. The thread cannot leave c while switching in: it is not
+// executing, so it can neither be preempted nor run its body.
+func (s *scheduler) execBegin(c *Context) {
+	t := c.thread
 	now := s.m.K.Now()
 	t.acct.WaitRun += dur(c.switchStart - t.runnableSince)
 	t.acct.Other += dur(now - c.switchStart)
 	t.executing = true
 	t.sliceStart = now
 	t.spinSegStart = now
-	c.execEv = nil
-	if t.scheduleHook != nil {
-		t.scheduleHook(t)
-	}
+	t.executingChanged(true)
 	t.resume()
 }
 
@@ -297,9 +297,7 @@ func (s *scheduler) preempt(t *Thread) {
 	t.executing = false
 	t.state = stateRunnable
 	t.runnableSince = now
-	if t.preemptHook != nil {
-		t.preemptHook(t)
-	}
+	t.executingChanged(false)
 	if t.rt {
 		s.rtq.push(t)
 	} else {

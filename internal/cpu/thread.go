@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"slices"
 	"time"
 
 	"repro/internal/sim"
@@ -54,10 +55,11 @@ type Thread struct {
 	// (priority recalculation).
 	timeleft sim.Duration
 
-	// compute bookkeeping
+	// compute bookkeeping; endSeq is the pending completion event's
+	// sequence number, 0 when none is wanted.
 	remaining sim.Duration
 	segStart  sim.Time
-	endEv     *sim.Event
+	endSeq    uint64
 
 	// spin bookkeeping
 	spinning     bool
@@ -74,11 +76,15 @@ type Thread struct {
 	runnableSince sim.Time
 	offCPUSince   sim.Time
 
-	// preemptHook and scheduleHook are invoked when the thread
-	// involuntarily or voluntarily leaves a context and when it begins
-	// executing. Locks use them to publish holder on/off-CPU state.
-	preemptHook  func(*Thread)
-	scheduleHook func(*Thread)
+	// Event callbacks, bound once so that scheduling them allocates
+	// nothing.
+	onComputeDone func()
+	onIODone      func()
+	onSpinWake    func()
+
+	// watchers are told, in registration order, whenever the thread
+	// starts or stops executing.
+	watchers []Watcher
 
 	acct Accounting
 }
@@ -110,10 +116,29 @@ func (t *Thread) Done() bool { return t.state == stateDone }
 // runs or from the thread itself.
 func (t *Thread) SetRealtime(rt bool) { t.rt = rt }
 
-// SetHooks installs descheduling/scheduling callbacks. Pass nil to clear.
-func (t *Thread) SetHooks(onDeschedule, onSchedule func(*Thread)) {
-	t.preemptHook = onDeschedule
-	t.scheduleHook = onSchedule
+// Watcher is told when a thread starts executing on a context (on) and
+// when it leaves one, voluntarily or not. Locks use it to publish their
+// holder's on/off-CPU state.
+type Watcher interface {
+	Executing(t *Thread, on bool)
+}
+
+// Watch adds w to t's watchers. Watchers run inside the event loop.
+func (t *Thread) Watch(w Watcher) { t.watchers = append(t.watchers, w) }
+
+// Unwatch removes w from t's watchers; the others keep their order.
+func (t *Thread) Unwatch(w Watcher) {
+	if i := slices.Index(t.watchers, w); i >= 0 {
+		t.watchers = slices.Delete(t.watchers, i, i+1)
+	}
+}
+
+// executingChanged tells t's watchers that it started or stopped
+// executing.
+func (t *Thread) executingChanged(on bool) {
+	for _, w := range t.watchers {
+		w.Executing(t, on)
+	}
 }
 
 // Acct returns the thread's accounting with in-progress segments flushed
@@ -134,16 +159,21 @@ func (t *Thread) Compute(d time.Duration) {
 			break
 		}
 		t.segStart = t.m.K.Now()
-		t.endEv = t.m.K.After(t.remaining, t.computeDone)
+		t.endSeq = t.m.K.After(t.remaining, t.onComputeDone)
 		t.await()
 	}
 }
 
+// computeDone ends the current compute segment. It ignores the event of
+// a segment that was cut short: suspendActivity has charged that one.
 func (t *Thread) computeDone() {
+	if t.m.K.Firing() != t.endSeq {
+		return
+	}
 	now := t.m.K.Now()
 	t.acct.Work += dur(now - t.segStart)
 	t.remaining = 0
-	t.endEv = nil
+	t.endSeq = 0
 	t.resume()
 }
 
@@ -200,7 +230,7 @@ func (t *Thread) Park(timeout time.Duration) WakeReason {
 // tick-quantized), then waits to be scheduled again.
 func (t *Thread) IO(d time.Duration) {
 	t.leaveCPU(stateIO)
-	t.m.K.After(d, func() { t.becomeRunnable() })
+	t.m.K.After(d, t.onIODone)
 	t.awaitExecuting()
 }
 
@@ -231,13 +261,17 @@ func (t *Thread) SpinWake(result int) bool {
 	}
 	t.spinResult = result
 	if t.executing {
-		t.m.K.After(0, func() {
-			if t.spinning && t.executing && t.proc.Parked() {
-				t.resume()
-			}
-		})
+		t.m.K.After(0, t.onSpinWake)
 	}
 	return true
+}
+
+// spinWoken resumes a spinner whose result arrived while it executed,
+// if it still spins on CPU.
+func (t *Thread) spinWoken() {
+	if t.spinning && t.executing && t.proc.Parked() {
+		t.resume()
+	}
 }
 
 // SetSpinPrioInv switches the accounting bucket charged while this
@@ -324,18 +358,15 @@ func (t *Thread) leaveCPU(newState threadState) {
 	t.state = newState
 	t.offCPUSince = now
 	t.process.bumpRunnable(-1)
-	if t.preemptHook != nil {
-		t.preemptHook(t)
-	}
+	t.executingChanged(false)
 	t.m.sched.free(c)
 }
 
 // suspendActivity flushes in-progress compute/spin segments when the
 // thread stops executing for any reason.
 func (t *Thread) suspendActivity(now sim.Time) {
-	if t.endEv != nil {
-		t.m.K.Cancel(t.endEv)
-		t.endEv = nil
+	if t.endSeq != 0 {
+		t.endSeq = 0
 		done := dur(now - t.segStart)
 		t.acct.Work += done
 		t.remaining -= done
@@ -368,7 +399,7 @@ func (t *Thread) terminate() {
 func (t *Thread) flushView(now sim.Time) Accounting {
 	a := t.acct
 	switch {
-	case t.executing && t.endEv != nil:
+	case t.executing && t.endSeq != 0:
 		a.Work += dur(now - t.segStart)
 	case t.executing && t.spinning && t.spinResult == SpinPending:
 		if t.spinPrioInv {

@@ -27,17 +27,17 @@ type AdaptiveMutex struct {
 // NewAdaptiveMutex returns an adaptive (spin-then-block) mutex factory.
 func NewAdaptiveMutex(env *Env) Lock {
 	l := &AdaptiveMutex{env: env}
-	l.guard = holderGuard{env: env, spinners: l.forEachSpinner}
+	l.guard.markSpinners = l.markSpinners
 	return l
 }
 
 // Name implements Lock.
 func (l *AdaptiveMutex) Name() string { return "adaptive-mutex" }
 
-func (l *AdaptiveMutex) forEachSpinner(fn func(*cpu.Thread)) {
+func (l *AdaptiveMutex) markSpinners(inv bool) {
 	for _, t := range l.spinners {
 		if t.Spinning() {
-			fn(t)
+			t.SetSpinPrioInv(inv)
 		}
 	}
 }
@@ -58,11 +58,16 @@ func (l *AdaptiveMutex) Acquire(t *cpu.Thread) {
 		// Spin with bounded patience while the owner runs.
 		l.spinners = append(l.spinners, t)
 		l.guard.markSpinner(t)
-		patience := l.env.M.K.After(l.env.Costs.AdaptivePatience, func() {
-			t.SpinWake(SpinPatience)
+		// The patience event cannot be withdrawn: once this wait
+		// ends it must not end a later one.
+		waiting := true
+		l.env.M.K.After(l.env.Costs.AdaptivePatience, func() {
+			if waiting {
+				t.SpinWake(SpinPatience)
+			}
 		})
 		res := t.SpinWait()
-		l.env.M.K.Cancel(patience)
+		waiting = false
 		l.dropSpinner(t)
 		switch res {
 		case SpinGranted:

@@ -88,117 +88,56 @@ func DefaultCosts() Costs {
 }
 
 // Env is the shared context lock instances need: the machine, a
-// deterministic RNG, cost constants, and the per-thread hook dispatcher
-// that lets multiple locks watch scheduling transitions of one thread
-// (a thread may hold several latches at once).
+// deterministic RNG and cost constants.
 type Env struct {
 	M     *cpu.Machine
 	Rng   *sim.RNG
 	Costs Costs
-
-	watches map[*cpu.Thread]*threadWatch
 }
 
 // NewEnv creates an Env for the machine with default costs and a
 // deterministic RNG forked from the kernel's.
 func NewEnv(m *cpu.Machine) *Env {
 	return &Env{
-		M:       m,
-		Rng:     m.K.Rand().Fork(),
-		Costs:   DefaultCosts(),
-		watches: make(map[*cpu.Thread]*threadWatch),
+		M:     m,
+		Rng:   m.K.Rand().Fork(),
+		Costs: DefaultCosts(),
 	}
-}
-
-// threadWatch fans a thread's two hook slots out to any number of
-// registered watchers.
-type threadWatch struct {
-	entries []*watchEntry
-}
-
-type watchEntry struct {
-	onDeschedule func(*cpu.Thread)
-	onSchedule   func(*cpu.Thread)
-	dead         bool
-}
-
-// Watch registers scheduling-transition callbacks for t and returns a
-// cancel function. Callbacks run inside the event loop.
-func (e *Env) Watch(t *cpu.Thread, onDeschedule, onSchedule func(*cpu.Thread)) (cancel func()) {
-	w := e.watches[t]
-	if w == nil {
-		w = &threadWatch{}
-		e.watches[t] = w
-		t.SetHooks(
-			func(th *cpu.Thread) { w.dispatch(th, true) },
-			func(th *cpu.Thread) { w.dispatch(th, false) },
-		)
-	}
-	entry := &watchEntry{onDeschedule: onDeschedule, onSchedule: onSchedule}
-	w.entries = append(w.entries, entry)
-	return func() { entry.dead = true }
-}
-
-func (w *threadWatch) dispatch(t *cpu.Thread, desched bool) {
-	// Compact dead entries lazily while dispatching.
-	live := w.entries[:0]
-	for _, en := range w.entries {
-		if en.dead {
-			continue
-		}
-		live = append(live, en)
-		if desched {
-			if en.onDeschedule != nil {
-				en.onDeschedule(t)
-			}
-		} else if en.onSchedule != nil {
-			en.onSchedule(t)
-		}
-	}
-	w.entries = live
 }
 
 // holderGuard is a lock's record of its current holder (nil when the
 // lock is free) and keeps the priority-inversion accounting mode of all
 // its spinners up to date: a spinner's time is "contention" while the
 // holder runs and "priority inversion" while the holder is descheduled
-// (paper Figure 3's instrumentation).
+// (paper Figure 3's instrumentation). It watches its holder: a thread
+// may hold several locks, and each guard is one of its watchers.
 type holderGuard struct {
-	env    *Env
 	holder *cpu.Thread
-	cancel func()
-	// spinners must return the current set of spinning waiters.
-	spinners func(func(*cpu.Thread))
+	// markSpinners sets the accounting mode of every spinning waiter:
+	// inv is true while the holder is off CPU. Bound once by the lock.
+	markSpinners func(inv bool)
 }
 
 func (g *holderGuard) set(t *cpu.Thread) {
-	if g.cancel != nil {
-		g.cancel()
-		g.cancel = nil
+	if g.holder != nil {
+		g.holder.Unwatch(g)
 	}
 	g.holder = t
 	if t == nil {
-		g.broadcast(false)
+		g.markSpinners(false)
 		return
 	}
-	g.cancel = g.env.Watch(t,
-		func(*cpu.Thread) { g.broadcast(true) },
-		func(*cpu.Thread) { g.broadcast(false) },
-	)
-	g.broadcast(!t.OnCPU())
+	t.Watch(g)
+	g.markSpinners(!t.OnCPU())
 }
 
-func (g *holderGuard) broadcast(inv bool) {
-	if g.spinners == nil {
-		return
-	}
-	g.spinners(func(s *cpu.Thread) { s.SetSpinPrioInv(inv) })
-}
+// Executing implements cpu.Watcher for the holder.
+func (g *holderGuard) Executing(_ *cpu.Thread, on bool) { g.markSpinners(!on) }
 
 // markSpinner sets the correct initial accounting mode for a waiter that
 // just started spinning.
 func (g *holderGuard) markSpinner(t *cpu.Thread) {
-	t.SetSpinPrioInv(g.holder != nil && !g.holder.OnCPU())
+	t.SetSpinPrioInv(g.holderPreempted())
 }
 
 // holderPreempted reports whether the guarded holder exists and is off

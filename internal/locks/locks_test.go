@@ -346,30 +346,40 @@ func TestLTBMonitorEntriesBounded(t *testing.T) {
 	}
 }
 
-// TestEnvWatchMultiplexes: two watchers of one thread both see its
-// preemptions, and cancelling one stops it without silencing the other.
-func TestEnvWatchMultiplexes(t *testing.T) {
+// TestHolderGuardsShareOneThread: a thread holding two locks is watched
+// by both their guards, which both see its preemptions; releasing one
+// lock stops its guard without silencing the other.
+func TestHolderGuardsShareOneThread(t *testing.T) {
 	k := sim.NewKernel(41)
 	m := cpu.NewMachine(k, cpu.Config{Contexts: 1})
 	p := m.NewProcess("p")
-	env := NewEnv(m)
 	th := p.NewThread("a", func(t *cpu.Thread) { t.Compute(100 * time.Millisecond) })
 	p.NewThread("b", func(t *cpu.Thread) { t.Compute(100 * time.Millisecond) })
 	var n1, n2 int
-	c1 := env.Watch(th, func(*cpu.Thread) { n1++ }, nil)
-	env.Watch(th, func(*cpu.Thread) { n2++ }, nil)
+	g1 := &holderGuard{markSpinners: func(inv bool) {
+		if inv {
+			n1++
+		}
+	}}
+	g2 := &holderGuard{markSpinners: func(inv bool) {
+		if inv {
+			n2++
+		}
+	}}
+	g1.set(th)
+	g2.set(th)
 	k.RunFor(30 * time.Millisecond)
 	if n1 == 0 || n2 == 0 {
-		t.Fatalf("watchers missed preemption: n1=%d n2=%d", n1, n2)
+		t.Fatalf("guards missed preemption: n1=%d n2=%d", n1, n2)
 	}
-	c1()
+	g1.set(nil)
 	n1Before, n2Before := n1, n2
 	k.RunFor(60 * time.Millisecond)
 	if n1 != n1Before {
-		t.Fatalf("cancelled watcher fired %d more times", n1-n1Before)
+		t.Fatalf("released guard saw %d more preemptions", n1-n1Before)
 	}
 	if n2 == n2Before {
-		t.Fatal("live watcher stopped firing after the other was cancelled")
+		t.Fatal("remaining guard stopped seeing preemptions after the other lock was released")
 	}
 }
 

@@ -74,7 +74,7 @@ func NewTPMCS(env *Env) Lock { return newQueueLock(env, true) }
 
 func newQueueLock(env *Env, timePublished bool) *QueueLock {
 	l := &QueueLock{env: env, timePublished: timePublished}
-	l.guard = holderGuard{env: env, spinners: l.forEachSpinner}
+	l.guard.markSpinners = l.markSpinners
 	return l
 }
 
@@ -86,10 +86,10 @@ func (l *QueueLock) Name() string {
 	return "mcs"
 }
 
-func (l *QueueLock) forEachSpinner(fn func(*cpu.Thread)) {
+func (l *QueueLock) markSpinners(inv bool) {
 	for _, n := range l.queue {
 		if n.t.Spinning() {
-			fn(n.t)
+			n.t.SetSpinPrioInv(inv)
 		}
 	}
 }

@@ -407,17 +407,31 @@ func (d *lockTableOracle) finish(tx *oracleTxn, err error) {
 }
 
 // join waits out every in-flight op (each wait is bounded by the DB's
-// WaitTimeout, so this cannot hang on a correct lock manager).
+// WaitTimeout, so this cannot hang on a correct lock manager). Only then,
+// with no request in the lock table, does it take the results: every
+// stripe latch must be free, and a leaked one fails here, where the
+// next release on its stripe would park forever.
 func (d *lockTableOracle) join() {
-	for _, tx := range d.txns {
+	errs := make([]error, len(d.txns))
+	for i, tx := range d.txns {
 		if !tx.busy {
 			continue
 		}
 		select {
-		case err := <-tx.done:
-			d.finish(tx, err)
+		case errs[i] = <-tx.done:
 		case <-time.After(10 * time.Second):
 			d.t.Fatal("in-flight lock request never returned")
+		}
+	}
+	for i, st := range d.db.lm.stripes {
+		if !st.latch.TryLock() {
+			d.t.Fatalf("stripe %d latch held with no request in flight", i)
+		}
+		st.latch.Unlock()
+	}
+	for i, tx := range d.txns {
+		if tx.busy {
+			d.finish(tx, errs[i])
 		}
 	}
 }

@@ -7,10 +7,17 @@
 // resumed and hands control back when it parks, so a simulation is
 // deterministic given a fixed seed and is safe to inspect from event
 // callbacks without locks.
+//
+// Events are values in a binary heap the kernel owns; scheduling one
+// allocates nothing once the heap has grown. A scheduled event cannot be
+// withdrawn. An owner that no longer wants one lets it fire and ignores
+// it: At returns the event's sequence number and Firing reports the
+// number of the event now running, so a callback bound once can tell its
+// current event from a stale one. Pop order is the total (time,
+// sequence) order, so an ignored event moves no other event.
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"time"
 )
@@ -22,31 +29,28 @@ type Time int64
 // from time.Duration.
 type Duration = time.Duration
 
-// Event is a scheduled callback. Events are created by Kernel.At and
-// Kernel.After and may be cancelled until they fire.
-type Event struct {
-	at     Time
-	seq    uint64
-	index  int // heap index, -1 when not queued
-	fn     func()
-	fired  bool
-	cancel bool
+// event is one scheduled callback.
+type event struct {
+	at  Time
+	seq uint64
+	fn  func()
 }
 
-// Time returns the virtual time at which the event is scheduled to fire.
-func (e *Event) Time() Time { return e.at }
-
-// Cancelled reports whether Cancel was called before the event fired.
-func (e *Event) Cancelled() bool { return e.cancel }
+// before orders events by (time, sequence), so simultaneous events fire
+// in scheduling order, which keeps runs reproducible.
+func (e *event) before(o *event) bool {
+	return e.at < o.at || e.at == o.at && e.seq < o.seq
+}
 
 // Kernel is a discrete-event simulation executor.
 //
 // The zero value is not usable; construct with NewKernel.
 type Kernel struct {
-	now   Time
-	seq   uint64
-	queue eventHeap
-	rng   *RNG
+	now    Time
+	seq    uint64
+	firing uint64
+	queue  []event // binary min-heap under event.before
+	rng    *RNG
 
 	// Stepped counts processed events, for tests and budgeting.
 	Stepped uint64
@@ -63,55 +67,84 @@ func (k *Kernel) Now() Time { return k.now }
 // Rand returns the kernel's deterministic random number generator.
 func (k *Kernel) Rand() *RNG { return k.rng }
 
-// At schedules fn to run at virtual time t. Scheduling in the past is an
-// error and panics: it indicates a broken model rather than a recoverable
+// At schedules fn to run at virtual time t and returns the event's
+// sequence number, which is never 0. Scheduling in the past is an error
+// and panics: it indicates a broken model rather than a recoverable
 // condition.
-func (k *Kernel) At(t Time, fn func()) *Event {
+func (k *Kernel) At(t Time, fn func()) uint64 {
 	if t < k.now {
 		panic(fmt.Sprintf("sim: scheduling event at %d before now %d", t, k.now))
 	}
 	k.seq++
-	e := &Event{at: t, seq: k.seq, fn: fn, index: -1}
-	heap.Push(&k.queue, e)
-	return e
+	e := event{at: t, seq: k.seq, fn: fn}
+	q := append(k.queue, e)
+	i := len(q) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !e.before(&q[p]) {
+			break
+		}
+		q[i] = q[p]
+		i = p
+	}
+	q[i] = e
+	k.queue = q
+	return e.seq
 }
 
-// After schedules fn to run d from now. Negative d panics.
-func (k *Kernel) After(d Duration, fn func()) *Event {
+// After schedules fn to run d from now and returns its sequence number.
+// Negative d panics.
+func (k *Kernel) After(d Duration, fn func()) uint64 {
 	if d < 0 {
 		panic("sim: negative delay")
 	}
 	return k.At(k.now+Time(d), fn)
 }
 
-// Cancel removes a pending event. Cancelling an already-fired or
-// already-cancelled event is a no-op and returns false.
-func (k *Kernel) Cancel(e *Event) bool {
-	if e == nil || e.fired || e.cancel || e.index < 0 {
-		return false
-	}
-	e.cancel = true
-	heap.Remove(&k.queue, e.index)
-	e.index = -1
-	return true
-}
+// Firing returns the sequence number of the event now running (of the
+// last one run, between events).
+func (k *Kernel) Firing() uint64 { return k.firing }
 
 // Pending returns the number of queued events.
-func (k *Kernel) Pending() int { return k.queue.Len() }
+func (k *Kernel) Pending() int { return len(k.queue) }
 
 // Step executes the next event, advancing the clock to its timestamp.
 // It returns false when the queue is empty.
 func (k *Kernel) Step() bool {
-	if k.queue.Len() == 0 {
+	q := k.queue
+	if len(q) == 0 {
 		return false
 	}
-	e := heap.Pop(&k.queue).(*Event)
-	e.index = -1
+	e := q[0]
+	// Sift the last event down from the root into the hole.
+	n := len(q) - 1
+	last := q[n]
+	q[n] = event{}
+	q = q[:n]
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && q[c+1].before(&q[c]) {
+			c++
+		}
+		if !q[c].before(&last) {
+			break
+		}
+		q[i] = q[c]
+		i = c
+	}
+	if n > 0 {
+		q[i] = last
+	}
+	k.queue = q
 	if e.at < k.now {
 		panic("sim: time went backwards")
 	}
 	k.now = e.at
-	e.fired = true
+	k.firing = e.seq
 	k.Stepped++
 	e.fn()
 	return true
@@ -121,7 +154,7 @@ func (k *Kernel) Step() bool {
 // empties. Events scheduled exactly at t are executed. The clock is left
 // at t (or at the last event time if the queue emptied earlier).
 func (k *Kernel) RunUntil(t Time) {
-	for k.queue.Len() > 0 && k.queue[0].at <= t {
+	for len(k.queue) > 0 && k.queue[0].at <= t {
 		k.Step()
 	}
 	if k.now < t {
@@ -138,34 +171,4 @@ func (k *Kernel) RunFor(d Duration) { k.RunUntil(k.now + Time(d)) }
 func (k *Kernel) Drain() {
 	for k.Step() {
 	}
-}
-
-// eventHeap orders events by (time, sequence) so simultaneous events fire
-// in scheduling order, which keeps runs reproducible.
-type eventHeap []*Event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-func (h *eventHeap) Push(x any) {
-	e := x.(*Event)
-	e.index = len(*h)
-	*h = append(*h, e)
-}
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return e
 }

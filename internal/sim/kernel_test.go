@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"cmp"
+	"slices"
 	"testing"
 	"time"
 )
@@ -42,47 +44,97 @@ func TestSimultaneousEventsFireInScheduleOrder(t *testing.T) {
 	}
 }
 
-func TestCancelPreventsFiring(t *testing.T) {
+// TestIgnoredEventIsNoOp: an owner drops an event it no longer wants by
+// ignoring it when it fires. Its callback, bound once, acts only on the
+// event whose number it holds.
+func TestIgnoredEventIsNoOp(t *testing.T) {
 	k := NewKernel(1)
-	fired := false
-	e := k.After(10*time.Nanosecond, func() { fired = true })
-	if !k.Cancel(e) {
-		t.Fatal("Cancel returned false for pending event")
+	var want uint64
+	var hits []Time
+	fn := func() {
+		if k.Firing() != want {
+			return
+		}
+		hits = append(hits, k.Now())
 	}
-	if k.Cancel(e) {
-		t.Fatal("second Cancel returned true")
-	}
+	k.At(10, fn)        // dropped before it fires
+	want = k.At(30, fn) // the one the owner wants
+	k.At(20, fn)        // scheduled after it: also ignored
+	other := k.At(20, func() {
+		if k.Firing() == 0 {
+			t.Error("Firing = 0 inside an event")
+		}
+	})
 	k.Drain()
-	if fired {
-		t.Fatal("cancelled event fired")
+	if len(hits) != 1 || hits[0] != 30 {
+		t.Fatalf("hits = %v, want [30]", hits)
 	}
-	if !e.Cancelled() {
-		t.Fatal("event not marked cancelled")
+	if k.Stepped != 4 || k.Pending() != 0 {
+		t.Fatalf("stepped %d, pending %d; want 4, 0", k.Stepped, k.Pending())
+	}
+	if want == 0 || other == want {
+		t.Fatalf("sequence numbers %d and %d: want distinct and nonzero", want, other)
 	}
 }
 
-func TestCancelMiddleOfHeapKeepsOrder(t *testing.T) {
-	k := NewKernel(1)
-	var order []int
-	var evs []*Event
-	for i := 0; i < 20; i++ {
-		i := i
-		evs = append(evs, k.After(time.Duration(i)*time.Nanosecond, func() { order = append(order, i) }))
+// TestPopOrderIsTimeSeqSort checks the heap against its reference: with
+// many ties and events scheduled from inside events, the events fire in
+// exactly the (time, seq) sort of everything scheduled, and each fires
+// at its own time.
+func TestPopOrderIsTimeSeqSort(t *testing.T) {
+	type key struct {
+		at  Time
+		seq uint64
 	}
-	// Cancel all odd events.
-	for i := 1; i < 20; i += 2 {
-		k.Cancel(evs[i])
-	}
-	k.Drain()
-	want := 0
-	for _, v := range order {
-		if v != want {
-			t.Fatalf("got %d, want %d", v, want)
+	for seed := uint64(1); seed <= 40; seed++ {
+		k := NewKernel(seed)
+		r := NewRNG(seed)
+		var scheduled, fired []key
+		var schedule func(base Time)
+		schedule = func(base Time) {
+			at := base + Time(r.Intn(8)) // few distinct times: many ties
+			seq := k.At(at, func() {
+				fired = append(fired, key{k.Now(), k.Firing()})
+				if len(scheduled) < 2000 {
+					for n := r.Intn(3); n > 0; n-- {
+						schedule(k.Now())
+					}
+				}
+			})
+			scheduled = append(scheduled, key{at, seq})
 		}
-		want += 2
+		for i := 0; i < 50; i++ {
+			schedule(0)
+		}
+		k.Drain()
+		slices.SortFunc(scheduled, func(a, b key) int {
+			if c := cmp.Compare(a.at, b.at); c != 0 {
+				return c
+			}
+			return cmp.Compare(a.seq, b.seq)
+		})
+		if !slices.Equal(fired, scheduled) {
+			t.Fatalf("seed %d: %d events fired out of (time, seq) order of %d scheduled",
+				seed, len(fired), len(scheduled))
+		}
 	}
-	if want != 20 {
-		t.Fatalf("fired %d events, want 10", len(order))
+}
+
+// TestAtStepAllocatesNothing: once the heap has grown, scheduling a
+// bound callback and running it allocates nothing.
+func TestAtStepAllocatesNothing(t *testing.T) {
+	k := NewKernel(1)
+	fn := func() {}
+	for i := 0; i < 256; i++ {
+		k.At(Time(1e12+i), fn) // stays queued under the steps below
+	}
+	r := NewRNG(2)
+	allocs := testing.AllocsPerRun(10000, func() {
+		k.After(Duration(r.Intn(1000)), fn)
+		k.Step()
+	})
+	if allocs != 0 {
+		t.Fatalf("At + Step allocates %v per event, want 0", allocs)
 	}
 }
 

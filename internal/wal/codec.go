@@ -115,7 +115,9 @@ func decodeRecord(p []byte) (lsn uint64, batch []kv.Write, err error) {
 	lsn = binary.LittleEndian.Uint64(p)
 	count := int(binary.LittleEndian.Uint32(p[8:]))
 	p = p[12:]
-	batch = make([]kv.Write, 0, count)
+	// The count is the payload's own word: trust it only as far as the
+	// bytes left can hold writes of at least 9 bytes each.
+	batch = make([]kv.Write, 0, min(count, len(p)/9))
 	for i := 0; i < count; i++ {
 		if len(p) < 5 {
 			return 0, nil, fmt.Errorf("record truncated at write %d/%d", i, count)
@@ -197,7 +199,8 @@ func decodeCheckpoint(b []byte) (lsn uint64, entries []kv.KV, err error) {
 	lsn = binary.LittleEndian.Uint64(p)
 	count := binary.LittleEndian.Uint64(p[8:])
 	p = p[16:]
-	entries = make([]kv.KV, 0, count)
+	// As in decodeRecord: an entry is at least 8 bytes.
+	entries = make([]kv.KV, 0, min(count, uint64(len(p)/8)))
 	for i := uint64(0); i < count; i++ {
 		if len(p) < 4 {
 			return 0, nil, fmt.Errorf("checkpoint truncated at entry %d/%d", i, count)
