@@ -9,7 +9,6 @@
 //	curl localhost:8080/stats          # runtime + per-latch snapshot + histogram percentiles
 //	curl localhost:8080/metrics        # Prometheus text format (histograms included)
 //	curl 'localhost:8080/trace?sec=2'  # 2s flight-recorder dump, Chrome trace JSON (Perfetto)
-//	curl localhost:8080/stats/history  # retained snapshot series: per-lock wait p50/p99, blame top-K, convoy flags
 //	curl -o contention.pb.gz localhost:8080/debug/contention  # blame profile (go tool pprof contention.pb.gz)
 //	curl 'localhost:8080/debug/contention?fmt=folded'         # folded stacks for flamegraph tooling
 //	curl localhost:8080/policy         # current latch contention policy
@@ -50,8 +49,8 @@
 //
 // With -loadgen -target URL the binary is instead a concurrent HTTP
 // client aimed at an lcserve that is already running — the way to put
-// real contention (blame edges, wait histograms, history trends) into
-// a server being watched with lctop or scraped in CI:
+// real contention (blame edges, wait histograms) into a server being
+// watched with lctop or scraped in CI:
 //
 //	lcserve -loadgen -target http://localhost:8080 -conns 64 -duration 2s
 //
@@ -94,7 +93,6 @@ func main() {
 		duration = flag.Duration("duration", 2*time.Second, "loadgen run time")
 		pprofFl  = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 		blameSmp = flag.Int("blame-sampling", obs.DefaultBlameSampling, "blame-sample 1-in-N contended acquisitions (rounded up to a power of two; 1: every one)")
-		histIv   = flag.Duration("history-interval", time.Second, "/stats/history snapshot cadence")
 		durable  = flag.Bool("durable", false, "write-ahead log durability: recover the store from -waldir on start, group-commit every /txn through it, checkpoint on clean shutdown")
 		walDir   = flag.String("waldir", "wal", "with -durable: the log directory (segments + checkpoint)")
 	)
@@ -150,10 +148,7 @@ func main() {
 	// effect on its recorder before any traffic arrives.
 	rt := lcrt.Default()
 	rt.Recorder().SetBlameSampling(*blameSmp)
-	hist := lcrt.NewHistory(rt, lcrt.HistoryOptions{Interval: *histIv})
-	hist.Start()
-	defer hist.Stop()
-	h := server.NewHandler(store, db, rt, hist, walLog)
+	h := server.NewHandler(store, db, rt, walLog)
 	if *pprofFl {
 		// net/http/pprof registers only on http.DefaultServeMux, which
 		// this server never installs — mount its handlers explicitly,
@@ -203,9 +198,8 @@ func main() {
 // duration: the loadgen kv op mix plus a slice of deliberately
 // conflicting multi-op transactions on a two-key hot set, so the
 // target's shard latches AND its logical lock manager both see real
-// concurrent contention — which is what fills the blame matrix, the
-// wait histograms, and the history series an operator (or CI) then
-// reads back.
+// concurrent contention — which is what fills the blame matrix and the
+// wait histograms an operator (or CI) then reads back.
 func driveTarget(base string, conns int, duration time.Duration) {
 	client := &http.Client{Transport: &http.Transport{
 		MaxIdleConns:        conns,

@@ -1,17 +1,23 @@
 // Command lctop is a top-like terminal viewer for a running lcserve:
-// it polls /stats and /stats/history and renders the runtime census,
-// per-lock wait-p99 sparklines with convoy flags, and the blame
+// it polls /stats and renders the runtime census, per-lock wait
+// quantiles with p99 sparklines and convoy marks, and the blame
 // leaderboard — who blocks whom, by acquire site.
 //
 //	lctop -addr localhost:8080              # live view, redrawn every 2s
 //	lctop -addr localhost:8080 -interval 1s
-//	lctop -addr localhost:8080 -once        # one plain snapshot and exit (CI / scripts)
+//	lctop -addr localhost:8080 -once        # one plain frame and exit (CI / scripts)
 //
-// The live view redraws in place with ANSI escapes; -once prints one
-// frame without them, so the output is pipeline-friendly.
+// Each frame covers the interval since the previous read: a lock's
+// waits, p50 and p99 come from the difference of two reads of its
+// cumulative wait histogram, so a lock that was hot an hour ago and is
+// idle now reads idle. -once reads /stats twice, -interval apart, and
+// prints that interval's frame. The live view redraws in place with
+// ANSI escapes; -once prints without them, so its output is
+// pipeline-friendly.
 package main
 
 import (
+	"cmp"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -19,7 +25,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 
@@ -28,10 +34,19 @@ import (
 	"repro/internal/server"
 )
 
+// A lock whose interval wait p99 stays over convoyP99 for convoyFrames
+// consecutive frames carries the convoy mark. trendLen is how many
+// interval p99s a lock's sparkline keeps.
+const (
+	convoyP99    = 10 * time.Millisecond
+	convoyFrames = 3
+	trendLen     = 32
+)
+
 func main() {
 	var (
 		addr     = flag.String("addr", "localhost:8080", "lcserve address (host:port or URL)")
-		interval = flag.Duration("interval", 2*time.Second, "poll/redraw interval")
+		interval = flag.Duration("interval", 2*time.Second, "poll/redraw interval; with -once, the gap between its two reads")
 		once     = flag.Bool("once", false, "print one frame without ANSI escapes and exit (CI mode)")
 		topLocks = flag.Int("locks", 15, "lock rows to show")
 		topBlame = flag.Int("blame", 10, "blame leaderboard rows to show")
@@ -42,10 +57,11 @@ func main() {
 	if !strings.Contains(base, "://") {
 		base = "http://" + base
 	}
-	client := &http.Client{Timeout: 10 * time.Second}
+	v := &viewer{client: &http.Client{Timeout: 10 * time.Second}, base: base,
+		topLocks: *topLocks, topBlame: *topBlame}
 
 	if *once {
-		frame, err := render(client, base, *topLocks, *topBlame)
+		frame, err := v.once(*interval)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "lctop:", err)
 			os.Exit(1)
@@ -59,20 +75,22 @@ func main() {
 	tick := time.NewTicker(*interval)
 	defer tick.Stop()
 	fmt.Print("\x1b[2J") // clear once; frames repaint from the top-left
+	// The first read opens the first interval; each tick closes one.
+	v.render()
 	for {
-		frame, err := render(client, base, *topLocks, *topBlame)
-		if err != nil {
-			frame = "lctop: " + err.Error() + " (retrying)\n"
-		}
-		// Repaint: home the cursor, clear each line as it is rewritten,
-		// then clear whatever a taller previous frame left below.
-		fmt.Print("\x1b[H" + strings.ReplaceAll(frame, "\n", "\x1b[K\n") + "\x1b[J")
 		select {
 		case <-stop:
 			fmt.Println()
 			return
 		case <-tick.C:
 		}
+		frame, err := v.render()
+		if err != nil {
+			frame = "lctop: " + err.Error() + " (retrying)\n"
+		}
+		// Repaint: home the cursor, clear each line as it is rewritten,
+		// then clear whatever a taller previous frame left below.
+		fmt.Print("\x1b[H" + strings.ReplaceAll(frame, "\n", "\x1b[K\n") + "\x1b[J")
 	}
 }
 
@@ -89,22 +107,50 @@ func getJSON(client *http.Client, url string, v any) error {
 	return json.NewDecoder(resp.Body).Decode(v)
 }
 
-// render fetches one round of /stats + /stats/history and lays out the
-// frame as a string (so live mode can repaint it atomically).
-func render(client *http.Client, base string, topLocks, topBlame int) (string, error) {
-	var stats server.Stats
-	if err := getJSON(client, base+"/stats", &stats); err != nil {
+// viewer turns successive /stats reads into frames. locks is the last
+// read's, by lock name: what the next frame needs of the previous ones.
+type viewer struct {
+	client             *http.Client
+	base               string
+	topLocks, topBlame int
+	locks              map[string]*lockView
+}
+
+// lockView is one lock name as of a read: its census at the read, and
+// its waits and their quantiles since the read before.
+type lockView struct {
+	name, policy       string
+	spinning, sleeping int64
+	waits              uint64
+	p50, p99           int64
+	wait               obs.HistSnapshot // cumulative wait histogram
+	p99s               []int64          // interval p99s, oldest first, at most trendLen
+	streak             int              // consecutive frames with p99 over convoyP99
+}
+
+// once is -once: two reads of /stats, interval apart, and the frame of
+// the interval between them.
+func (v *viewer) once(interval time.Duration) (string, error) {
+	if _, err := v.render(); err != nil {
 		return "", err
 	}
-	var hist server.History
-	if err := getJSON(client, base+"/stats/history", &hist); err != nil {
+	time.Sleep(interval)
+	return v.render()
+}
+
+// render reads /stats once, folds it into v and lays out the frame of
+// the interval since the previous read as a string (so live mode can
+// repaint it atomically).
+func (v *viewer) render() (string, error) {
+	var stats server.Stats
+	if err := getJSON(v.client, v.base+"/stats", &stats); err != nil {
 		return "", err
 	}
 
 	var b strings.Builder
 	rt := stats.Runtime
 	fmt.Fprintf(&b, "lctop — %s  |  %s  |  %d shards, %d keys, %s latches\n",
-		base, time.Now().Format("15:04:05"), stats.Shards, stats.Keys, stats.LatchPolicy)
+		v.base, time.Now().Format("15:04:05"), stats.Shards, stats.Keys, stats.LatchPolicy)
 	fmt.Fprintf(&b, "runtime: target=%d load=%d (runq=%.1f os=%+d) sleeping=%d spinners=%d locks=%d  wakes[ctl=%d unlock=%d timeout=%d]  sampling[hold=1/%d blame=1/%d]\n",
 		rt.Target, rt.Load, rt.RunQueue, rt.OSExcess, rt.Sleeping, rt.Spinners, rt.LocksRegistered,
 		rt.ControllerWakes, rt.UnlockWakes, rt.TimeoutWakes,
@@ -124,40 +170,78 @@ func render(client *http.Client, base string, topLocks, topBlame int) (string, e
 	}
 	fmt.Fprintln(&b)
 
-	renderLocks(&b, hist.Records, topLocks)
-	renderBlame(&b, stats.BlameTop, topBlame)
+	renderLocks(&b, v.step(rt.Locks), v.topLocks)
+	renderBlame(&b, stats.BlameTop, v.topBlame)
 	return b.String(), nil
 }
 
-// renderLocks draws the per-lock table from the newest history record,
-// with a sparkline of each lock's wait-p99 across the retained series.
-func renderLocks(b *strings.Builder, recs []lcrt.HistoryRecord, n int) {
-	if len(recs) == 0 {
-		fmt.Fprintf(b, "locks: no history yet (is -history-interval long, or the server just up?)\n\n")
+// step folds one read's locks into v and returns their views. Locks
+// sharing a name fold into one view (names need not be unique), and a
+// name gone from the read leaves v. The first read only opens the first
+// interval: its views reach back to each lock's start, so they enter no
+// trend and no convoy count.
+func (v *viewer) step(locks []lcrt.LockStats) []*lockView {
+	prev := v.locks
+	v.locks = make(map[string]*lockView, len(locks))
+	var views []*lockView
+	for _, ls := range locks {
+		l := v.locks[ls.Name]
+		if l == nil {
+			l = &lockView{name: ls.Name, policy: ls.Policy}
+			v.locks[ls.Name] = l
+			views = append(views, l)
+		}
+		l.spinning += ls.SpinningNow
+		l.sleeping += ls.SleepingNow
+		l.wait.Merge(ls.Wait)
+	}
+	for _, l := range views {
+		var p lockView
+		if prev[l.name] != nil {
+			p = *prev[l.name]
+		}
+		if l.wait.Count < p.wait.Count {
+			// A lock of this name closed since the last read: the
+			// difference would run negative, so the name starts over.
+			p.wait = obs.HistSnapshot{}
+		}
+		d := l.wait.Sub(p.wait)
+		l.waits, l.p50, l.p99 = d.Count, d.Quantile(0.50), d.Quantile(0.99)
+		if prev == nil {
+			continue
+		}
+		if l.p99 > int64(convoyP99) {
+			l.streak = p.streak + 1
+		}
+		l.p99s = append(p.p99s, l.p99)
+		if len(l.p99s) > trendLen {
+			l.p99s = l.p99s[1:]
+		}
+	}
+	return views
+}
+
+// renderLocks draws the n locks with the highest interval wait p99,
+// each with a sparkline of its p99 over the recent frames.
+func renderLocks(b *strings.Builder, rows []*lockView, n int) {
+	if len(rows) == 0 {
+		fmt.Fprintf(b, "locks: none registered\n\n")
 		return
 	}
-	latest := recs[len(recs)-1]
-	series := make(map[string][]int64, len(latest.Locks))
-	for _, r := range recs {
-		for _, lt := range r.Locks {
-			series[lt.Name] = append(series[lt.Name], lt.WaitP99)
-		}
-	}
-	ticks := append([]lcrt.LockTick(nil), latest.Locks...)
-	sort.SliceStable(ticks, func(i, j int) bool { return ticks[i].WaitP99 > ticks[j].WaitP99 })
-	if len(ticks) > n {
-		ticks = ticks[:n]
+	slices.SortStableFunc(rows, func(a, b *lockView) int { return cmp.Compare(b.p99, a.p99) })
+	if len(rows) > n {
+		rows = rows[:n]
 	}
 	fmt.Fprintf(b, "%-24s %-6s %5s %5s %8s %10s %10s  %-32s\n",
-		"LOCK", "POLICY", "SPIN", "SLEEP", "WAITS/s", "P50", "P99", "P99 TREND")
-	for _, lt := range ticks {
+		"LOCK", "POLICY", "SPIN", "SLEEP", "WAITS", "P50", "P99", "P99 TREND")
+	for _, r := range rows {
 		flag := " "
-		if lt.Convoy {
-			flag = "!" // convoy: p99 over threshold for consecutive ticks
+		if r.streak >= convoyFrames {
+			flag = "!" // convoy: p99 over convoyP99 for convoyFrames frames
 		}
 		fmt.Fprintf(b, "%-24s %-6s %5d %5d %8d %10s %10s %s%-32s\n",
-			clip(lt.Name, 24), clip(lt.Policy, 6), lt.Spinning, lt.Sleeping, lt.Waits,
-			fmtNs(lt.WaitP50), fmtNs(lt.WaitP99), flag, sparkline(series[lt.Name], 32))
+			clip(r.name, 24), clip(r.policy, 6), r.spinning, r.sleeping, r.waits,
+			fmtNs(r.p50), fmtNs(r.p99), flag, sparkline(r.p99s))
 	}
 	fmt.Fprintln(b)
 }
@@ -184,11 +268,8 @@ func renderBlame(b *strings.Builder, entries []obs.BlameEntry, n int) {
 var sparkRunes = []rune(" ▁▂▃▄▅▆▇█")
 
 // sparkline renders vs scaled to the series' own max, newest value
-// rightmost, clipped to the last width points.
-func sparkline(vs []int64, width int) string {
-	if len(vs) > width {
-		vs = vs[len(vs)-width:]
-	}
+// rightmost.
+func sparkline(vs []int64) string {
 	var max int64
 	for _, v := range vs {
 		if v > max {

@@ -124,7 +124,7 @@ func (h *Histogram) Snapshot() HistSnapshot {
 }
 
 // HistSnapshot is a merged point-in-time view of a Histogram, and the
-// unit of further aggregation (Merge) and rendering (Quantile,
+// unit of further aggregation (Merge, Sub) and rendering (Quantile,
 // Summary, PromWriter.Histogram).
 type HistSnapshot struct {
 	Buckets [NumBuckets]uint64 `json:"buckets"`
@@ -139,6 +139,19 @@ func (s *HistSnapshot) Merge(o HistSnapshot) {
 	}
 	s.Count += o.Count
 	s.Sum += o.Sum
+}
+
+// Sub returns s - prev, the observations s holds beyond prev, an earlier
+// snapshot of the same histogram: the distribution of the interval
+// between the two reads.
+func (s *HistSnapshot) Sub(prev HistSnapshot) HistSnapshot {
+	d := *s
+	for i := range d.Buckets {
+		d.Buckets[i] -= prev.Buckets[i]
+	}
+	d.Count -= prev.Count
+	d.Sum -= prev.Sum
+	return d
 }
 
 // Quantile estimates the q-quantile (0 < q <= 1) in nanoseconds,

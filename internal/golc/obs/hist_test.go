@@ -160,6 +160,27 @@ func TestMergeConsistency(t *testing.T) {
 	}
 }
 
+// TestSubIsTheInterval: a later snapshot less an earlier one of the
+// same histogram is exactly what was observed in between.
+func TestSubIsTheInterval(t *testing.T) {
+	h, between := NewHistogram(1), NewHistogram(1)
+	for i := 1; i <= 1000; i++ {
+		h.Observe(int64(i))
+	}
+	before := h.Snapshot()
+	for i := 1; i <= 500; i++ {
+		h.Observe(int64(i) << 20)
+		between.Observe(int64(i) << 20)
+	}
+	after := h.Snapshot()
+	if got, want := after.Sub(before), between.Snapshot(); got != want {
+		t.Fatalf("after.Sub(before) = %+v, want the interval's own %+v", got, want)
+	}
+	if d := after.Sub(after); d != (HistSnapshot{}) {
+		t.Fatalf("s.Sub(s) = %+v, want empty", d)
+	}
+}
+
 // TestQuantile sanity-checks the interpolated quantiles against a
 // uniform population: estimates must land within the bucket (factor
 // of two) of the true value and be monotone in q.

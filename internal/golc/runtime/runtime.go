@@ -116,14 +116,6 @@ type LockCounters struct {
 	UnlockWakes      uint64 // parks ended by the lock's own unlock
 	Cancels          uint64 // claims retired unused (lock freed before the park, or the runtime stopping)
 	ClaimRefusals    uint64 // voluntary claims refused by the target test (sleeping ≥ Target)
-
-	// BlameCount/BlameNs are the lock's slice of the blame matrix:
-	// sampled blocked acquisitions and their summed wait nanoseconds
-	// (1-in-obs.DefaultBlameSampling of each lock's contended
-	// acquisitions — these undercount by the sampling rate, like Go's
-	// own mutex profile).
-	BlameCount uint64
-	BlameNs    uint64
 }
 
 // Add sums o into c.
@@ -137,8 +129,6 @@ func (c *LockCounters) Add(o LockCounters) {
 	c.UnlockWakes += o.UnlockWakes
 	c.Cancels += o.Cancels
 	c.ClaimRefusals += o.ClaimRefusals
-	c.BlameCount += o.BlameCount
-	c.BlameNs += o.BlameNs
 }
 
 // LockStats is the per-lock slice of a Snapshot.
@@ -774,12 +764,6 @@ type Handle struct {
 	timeoutWakesFree atomic.Uint64
 	unlockWakes      atomic.Uint64
 
-	// blameCount/blameNs mirror the lock's contributions to the blame
-	// matrix, so per-lock stats can show blame volume without scanning
-	// the matrix.
-	blameCount atomic.Uint64
-	blameNs    atomic.Uint64
-
 	// holderSite is the blame-sampled acquire site of the current
 	// holder (an obs.SiteID, 0 when unknown). It is atomic — waiters
 	// read it while the lock is held by someone else — but only ever
@@ -930,8 +914,6 @@ func (h *Handle) Stats() LockStats {
 			UnlockWakes:      h.unlockWakes.Load(),
 			Cancels:          h.cancels.Load(),
 			ClaimRefusals:    h.claimRefusals.Load(),
-			BlameCount:       h.blameCount.Load(),
-			BlameNs:          h.blameNs.Load(),
 		},
 		SpinningNow: h.spinning.Load(),
 		SleepingNow: h.sleepers.Load(),

@@ -897,13 +897,21 @@ func TestSnapshotTotalsFoldLocks(t *testing.T) {
 	}
 	locks[1].Close()
 
+	edges := rt.rec.BlameEdges()
 	var sum LockCounters
 	var waits, holds uint64
 	for _, h := range locks {
 		ls := h.Stats()
-		if ls.BlameCount != 1 {
-			t.Errorf("%s: BlameCount = %d after %d+1 waits, want 1 (1-in-%d of its own waits)",
-				ls.Name, ls.BlameCount, obs.DefaultBlameSampling, obs.DefaultBlameSampling)
+		var blamed, blamedNs uint64
+		for _, e := range edges {
+			if e.Lock == ls.Name {
+				blamed += e.Count
+				blamedNs += e.Ns
+			}
+		}
+		if blamed != 1 || blamedNs == 0 {
+			t.Errorf("%s: %d blame samples (%d ns) after %d+1 waits, want 1 (1-in-%d of its own waits)",
+				ls.Name, blamed, blamedNs, obs.DefaultBlameSampling, obs.DefaultBlameSampling)
 		}
 		c := reflect.ValueOf(ls.LockCounters)
 		for i := 0; i < c.NumField(); i++ {

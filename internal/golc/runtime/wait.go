@@ -148,8 +148,6 @@ func (h *Handle) Wait(a Acquire) obs.SiteID {
 		d := rec.Now() - start
 		h.wait.Observe(d)
 		if waiter != 0 {
-			h.blameCount.Add(1)
-			h.blameNs.Add(uint64(d))
 			rec.RecordBlame(waiter, holder, h.name, d)
 		}
 	}

@@ -47,7 +47,7 @@ func TestDualUpgradeConflict(t *testing.T) {
 			t.Fatalf("abort took %v — the timeout backstop resolved it, not wait-die", elapsed)
 		}
 		younger.Abort() // drops its S; older's X grant follows
-		if err := <-olderDone; err != nil {
+		if err := recvErr(t, olderDone, "older upgrade"); err != nil {
 			t.Fatalf("older upgrade after victim rollback: %v", err)
 		}
 		if err := older.Commit(); err != nil {

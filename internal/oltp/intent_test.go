@@ -207,7 +207,7 @@ func TestSlotsFullFallBackToHead(t *testing.T) {
 	for _, txn := range readers {
 		txn.Abort()
 	}
-	if err := <-done; err != nil {
+	if err := recvErr(t, done, "X behind the intention holders"); err != nil {
 		t.Fatalf("X after every intention holder left: %v", err)
 	}
 	older.Abort()

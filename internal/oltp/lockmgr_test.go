@@ -214,7 +214,7 @@ func TestQueueFairnessGate(t *testing.T) {
 	}
 	lateRead.Abort()
 	reader.Abort() // S released: writer granted
-	if err := <-writerDone; err != nil {
+	if err := recvErr(t, writerDone, "queued writer"); err != nil {
 		t.Fatalf("queued writer failed: %v", err)
 	}
 	writer.Abort()
@@ -252,12 +252,12 @@ func TestTimeoutWaiterRemovalGrantsQueue(t *testing.T) {
 	waitForCond(t, "oldest queued", func() bool { return db.Metrics().LockWaits == 2 })
 	// mid's timeout fires ~50ms before oldest's would; its removal must
 	// hand oldest the lock instead of stranding it to its own timeout.
-	err := <-midDone
+	err := recvErr(t, midDone, "mid")
 	var ae *AbortError
 	if !errors.As(err, &ae) || ae.Reason != AbortTimeout {
 		t.Fatalf("mid = %v, want timeout abort", err)
 	}
-	if err := <-oldestDone; err != nil {
+	if err := recvErr(t, oldestDone, "oldest"); err != nil {
 		t.Fatalf("oldest must be granted when the gating waiter leaves, got %v", err)
 	}
 }
@@ -273,6 +273,20 @@ func waitForCond(t *testing.T, what string, cond func() bool) {
 		time.Sleep(time.Millisecond)
 	}
 	t.Fatalf("condition %q not reached within 5s", what)
+}
+
+// recvErr takes the result another goroutine sends on ch, failing the
+// test if none comes within 5s: a broken lock manager then fails the
+// test in seconds rather than at go test's timeout.
+func recvErr(t *testing.T, ch <-chan error, what string) error {
+	t.Helper()
+	select {
+	case err := <-ch:
+		return err
+	case <-time.After(5 * time.Second):
+		t.Fatalf("%s: no result within 5s", what)
+		return nil
+	}
 }
 
 // TestLogicalBlameLabels pins the lock manager's blame vocabulary with
@@ -307,7 +321,7 @@ func TestLogicalBlameLabels(t *testing.T) {
 		go func() { done <- older.Write("tbl", "k", "v") }()
 		waitForCond(t, "X parked behind S", func() bool { return db.Metrics().LockWaits == 1 })
 		younger.Abort()
-		if err := <-done; err != nil {
+		if err := recvErr(t, done, "X behind S"); err != nil {
 			t.Fatal(err)
 		}
 		older.Abort()
@@ -336,11 +350,11 @@ func TestLogicalBlameLabels(t *testing.T) {
 		}()
 		waitForCond(t, "S parked behind queued X", func() bool { return db.Metrics().LockWaits == 2 })
 		holder.Abort()
-		if err := <-wdone; err != nil {
+		if err := recvErr(t, wdone, "X behind S"); err != nil {
 			t.Fatal(err)
 		}
 		writer.Abort()
-		if err := <-rdone; err != nil {
+		if err := recvErr(t, rdone, "S behind queued X"); err != nil {
 			t.Fatal(err)
 		}
 		reader.Abort()
@@ -368,7 +382,7 @@ func TestLogicalBlameLabels(t *testing.T) {
 		go func() { done <- db.lm.acquire(older, id, S) }()
 		waitForCond(t, "S parked behind a slot", func() bool { return db.Metrics().LockWaits == 1 })
 		younger.Abort()
-		if err := <-done; err != nil {
+		if err := recvErr(t, done, "S behind a slot"); err != nil {
 			t.Fatal(err)
 		}
 		older.Abort()

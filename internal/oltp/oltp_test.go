@@ -103,7 +103,7 @@ func TestRunSwallowedAbortRetries(t *testing.T) {
 	if err := blocker.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if err := <-done; err != nil {
+	if err := recvErr(t, done, "victim"); err != nil {
 		t.Fatalf("victim never succeeded: %v", err)
 	}
 	if v, _ := db.Store().Get("tbl/k"); v != "victim" {
@@ -161,7 +161,7 @@ func TestCommitRefusesKillOrder(t *testing.T) {
 	if err := blocker.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if err := <-done; err != nil {
+	if err := recvErr(t, done, "retried Run"); err != nil {
 		t.Fatalf("Run never succeeded: %v", err)
 	}
 	if v, _ := db.Store().Get("tbl/locked"); v != "r" {
@@ -386,7 +386,7 @@ func TestRunRecycledTxnStartsClean(t *testing.T) {
 				if err != nil {
 					t.Fatalf("Run after the dirty record: %v", err)
 				}
-				if err := <-holderDone; err != nil {
+				if err := recvErr(t, holderDone, "holder commit"); err != nil {
 					t.Fatal(err)
 				}
 				if n := db.LockEntries(); n != 0 {

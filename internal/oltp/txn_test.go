@@ -110,7 +110,7 @@ func TestTwoTxnCycleOneAbort(t *testing.T) {
 				t.Fatalf("t2 write = %v, want wait-die abort", err)
 			}
 			t2.Abort() // releases B; t1's wait resolves
-			if err := <-t1done; err != nil {
+			if err := recvErr(t, t1done, "t1 write"); err != nil {
 				t.Fatalf("t1 write after cycle broke: %v", err)
 			}
 			if err := t1.Commit(); err != nil {
@@ -452,7 +452,7 @@ func TestRunRetriesPreserveTID(t *testing.T) {
 	}()
 	waitForCond(t, "victim retried at least twice", func() bool { return db.Metrics().Retries >= 2 })
 	blocker.Commit()
-	if err := <-done; err != nil {
+	if err := recvErr(t, done, "retried txn"); err != nil {
 		t.Fatalf("retried txn never committed: %v", err)
 	}
 	if len(tids) < 2 {

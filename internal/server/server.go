@@ -1,9 +1,8 @@
 // Package server is lcserve's HTTP surface: the kv, /txn and /policy
 // endpoints over one store, and the observability endpoints (/stats,
-// /stats/history, /metrics, /trace, /debug/contention) over the
-// load-control runtime that store's latches registered with. Stats and
-// History are the wire documents; lctop decodes into them, so each has
-// one declaration.
+// /metrics, /trace, /debug/contention) over the load-control runtime
+// that store's latches registered with. Stats is the /stats wire
+// document; lctop decodes into it, so it has one declaration.
 package server
 
 import (
@@ -141,7 +140,7 @@ type Stats struct {
 	Keys        int    `json:"keys"`
 	LatchPolicy string `json:"latch_policy"`
 	LockEntries int    `json:"lock_entries"`
-	// Sampling is the recorder's 1-in-N rates: holds, events, blame.
+	// Sampling is the recorder's 1-in-N rates: holds and blame.
 	Sampling     Sampling             `json:"sampling"`
 	BlameDropped uint64               `json:"blame_dropped"`
 	BlameTop     []obs.BlameEntry     `json:"blame_top"`
@@ -153,27 +152,14 @@ type Stats struct {
 	// Hists digests the latency histograms into p50/p99/p999: wait, hold
 	// and park runtime-wide, commit and lock_wait from the oltp layer.
 	// The full bucket vectors live in /metrics.
-	Hists map[string]obs.HistSummary `json:"hists"`
-	// TopLocks is the five most contended locks (Snapshot.TopContended),
-	// so OLTP hot partitions show up by name instead of drowning in the
-	// aggregate totals.
-	TopLocks []lcrt.LockStats `json:"top_locks"`
-	Runtime  lcrt.Snapshot    `json:"runtime"`
+	Hists   map[string]obs.HistSummary `json:"hists"`
+	Runtime lcrt.Snapshot              `json:"runtime"`
 }
 
 // Sampling is Stats.Sampling.
 type Sampling struct {
 	Hold  int `json:"hold"`
 	Blame int `json:"blame"`
-}
-
-// History is the GET /stats/history document: the retained snapshot
-// series and the options it was recorded under.
-type History struct {
-	IntervalNs  int64                `json:"interval_ns"`
-	ConvoyP99Ns int64                `json:"convoy_p99_ns"`
-	ConvoyTicks int                  `json:"convoy_ticks"`
-	Records     []lcrt.HistoryRecord `json:"records"`
 }
 
 // metricsTopLocks caps the per-lock series /metrics exports; the rest
@@ -185,11 +171,9 @@ const metricsTopLocks = 8
 // registered with — the observability endpoints read it directly, so a
 // handler built over a private runtime (as the tests do) reports its
 // own runtime, not the Default one, and POST /policy flips its locks.
-// hist feeds /stats/history; with it nil the endpoint serves an empty
-// series rather than 404ing, so pollers need no special case. walLog,
-// when non-nil, adds the durability surface: the "wal" section of
-// /stats and the wal_* families of /metrics.
-func NewHandler(store *kv.Store, db *oltp.DB, rt *lcrt.Runtime, hist *lcrt.History, walLog *wal.Log) http.Handler {
+// walLog, when non-nil, adds the durability surface: the "wal" section
+// of /stats and the wal_* families of /metrics.
+func NewHandler(store *kv.Store, db *oltp.DB, rt *lcrt.Runtime, walLog *wal.Log) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/kv/", func(w http.ResponseWriter, r *http.Request) {
 		key := strings.TrimPrefix(r.URL.Path, "/kv/")
@@ -299,36 +283,11 @@ func NewHandler(store *kv.Store, db *oltp.DB, rt *lcrt.Runtime, hist *lcrt.Histo
 				"commit":    commit.Summary(),
 				"lock_wait": lockWait.Summary(),
 			},
-			TopLocks: snap.TopContended(5),
-			Runtime:  snap,
+			Runtime: snap,
 		}
 		if walLog != nil {
 			ws := walLog.Stats()
 			doc.Wal = &ws
-		}
-		writeJSON(w, doc)
-	})
-	// Blame time series: the bounded ring of periodic snapshots — the
-	// feed lctop (and eventually a policy controller) polls. ?since=N
-	// (unix ns) skips records the poller already has.
-	mux.HandleFunc("/stats/history", func(w http.ResponseWriter, r *http.Request) {
-		var since int64
-		if s := r.URL.Query().Get("since"); s != "" {
-			n, err := strconv.ParseInt(s, 10, 64)
-			if err != nil {
-				http.Error(w, "bad since (want unix nanoseconds)", http.StatusBadRequest)
-				return
-			}
-			since = n
-		}
-		doc := History{Records: []lcrt.HistoryRecord{}}
-		if hist != nil {
-			doc = History{
-				IntervalNs:  int64(hist.Options().Interval),
-				ConvoyP99Ns: int64(lcrt.ConvoyP99),
-				ConvoyTicks: lcrt.ConvoyTicks,
-				Records:     hist.Since(since),
-			}
 		}
 		writeJSON(w, doc)
 	})

@@ -53,7 +53,7 @@ func newTestServer(t *testing.T, durable bool) *testServer {
 	}
 	s.db = oltp.New(s.store, oltp.Options{Runtime: rt, MaxRetries: oltp.DefaultMaxRetries, WAL: s.log})
 	t.Cleanup(s.db.Close)
-	s.h = NewHandler(s.store, s.db, rt, nil, s.log)
+	s.h = NewHandler(s.store, s.db, rt, s.log)
 	return s
 }
 
@@ -143,7 +143,7 @@ func TestTxnFailureCodes(t *testing.T) {
 		t.Cleanup(func() { log.Close() }) // wedged: Close returns the injected error
 		db := oltp.New(store, oltp.Options{Runtime: rt, MaxRetries: oltp.DefaultMaxRetries, WAL: log})
 		t.Cleanup(db.Close)
-		s := &testServer{store: store, db: db, log: log, h: NewHandler(store, db, rt, nil, log)}
+		s := &testServer{store: store, db: db, log: log, h: NewHandler(store, db, rt, log)}
 		if out := s.want(t, "POST", "/txn", write, 503); !strings.Contains(out, "not durable") {
 			t.Fatalf("503 body = %s, want the durability failure", out)
 		}
@@ -399,5 +399,6 @@ func TestTrace(t *testing.T) {
 	s.want(t, "GET", "/trace?sec=61", "", 400)
 	s.want(t, "GET", "/trace?sec=-1", "", 400)
 	s.want(t, "GET", "/debug/vars", "", 404)
-	s.want(t, "GET", "/debug/pprof/", "", 404) // mounted only with -pprof
+	s.want(t, "GET", "/stats/history", "", 404) // lctop reads /stats alone
+	s.want(t, "GET", "/debug/pprof/", "", 404)  // mounted only with -pprof
 }

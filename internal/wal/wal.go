@@ -115,10 +115,11 @@ type Stats struct {
 var ErrClosed = fmt.Errorf("wal: log closed")
 
 // Log is an open write-ahead log. All methods are safe for concurrent
-// use. Commit, WaitDurable, Sync, Checkpoint, and Close block on file
-// I/O (directly or through the syncer) and must never be called with
-// a golc lock held — the lint suite's heldcall analyzer knows these
-// names and enforces exactly that.
+// use. Commit, WaitDurable, Checkpoint, and Close block on file I/O
+// (directly or through the syncer) and must never be called with a
+// golc lock held. Each of them parks on the log's tail latch or on its
+// group-commit wait, so the lint suite's nestedpark analyzer finds
+// such a call through its whole-program facts.
 type Log struct {
 	opts  Options
 	store *kv.Store
