@@ -150,20 +150,18 @@ func frameRow(frame, lock string) (fields []string, convoy, ok bool) {
 	return nil, false, false
 }
 
-// TestLockRowsAreTheInterval: a lock's row shows the waits between two
-// reads of /stats, not since the server started. Its waits, p50 and p99
-// are those of the difference of the lock's wait histogram across the
-// two reads; a p99 over 10 ms for 3 consecutive frames, and only that,
-// raises the convoy mark; locks sharing a name fold into one row; and
-// a closed lock leaves the row, the frame and the viewer's state.
-func TestLockRowsAreTheInterval(t *testing.T) {
+// hotViewer registers one lock of the given name on a fresh runtime
+// served over HTTP, and returns it with a viewer of that server and a
+// render that fails the test on a read error.
+func hotViewer(t *testing.T, name string) (*lcrt.Runtime, *lcrt.Handle, *viewer, func() string) {
+	t.Helper()
 	rt := lcrt.New(lcrt.Options{})
 	srv := serve(t, rt, false)
-	hot := rt.Register("lctop-hot")
-	defer hot.Close()
-	hot.SetPolicy(lcrt.ParkNever)
+	h := rt.Register(name)
+	t.Cleanup(h.Close)
+	h.SetPolicy(lcrt.ParkNever)
 	v := &viewer{client: srv.Client(), base: srv.URL, topLocks: 1000, topBlame: 10}
-	render := func() string {
+	return rt, h, v, func() string {
 		t.Helper()
 		frame, err := v.render()
 		if err != nil {
@@ -171,6 +169,14 @@ func TestLockRowsAreTheInterval(t *testing.T) {
 		}
 		return frame
 	}
+}
+
+// TestLockRowsAreTheInterval: a lock's row shows the waits between two
+// reads of /stats, not since the server started. Its waits, p50 and p99
+// are those of the difference of the lock's wait histogram across the
+// two reads, and the first read adds nothing to the lock's trend.
+func TestLockRowsAreTheInterval(t *testing.T) {
+	_, hot, v, render := hotViewer(t, "lctop-hot")
 
 	// Long waits before the first read: a cumulative view would show
 	// them in the next frame's p99.
@@ -197,9 +203,17 @@ func TestLockRowsAreTheInterval(t *testing.T) {
 	if p99s := v.locks["lctop-hot"].p99s; len(p99s) != 1 {
 		t.Errorf("lctop-hot trend = %v after two reads, want one interval's p99", p99s)
 	}
+}
 
-	// The convoy mark: 3 consecutive frames over 10 ms raise it, a calm
-	// frame drops it, and the count starts over.
+// TestLockRowsConvoyMark: a p99 over 10 ms for 3 consecutive frames, and
+// only that, raises the convoy mark; a calm frame drops it and the
+// count starts over. Long waits before the first read count for no
+// frame.
+func TestLockRowsConvoyMark(t *testing.T) {
+	_, hot, _, render := hotViewer(t, "lctop-hot")
+
+	contend(hot, 2, 20*time.Millisecond)
+	render()
 	for i, c := range []struct {
 		waits  int
 		convoy bool
@@ -210,15 +224,21 @@ func TestLockRowsAreTheInterval(t *testing.T) {
 			t.Errorf("frame %d (%d waits of 20ms): convoy mark = %v, want %v:\n%s", i+1, c.waits, convoy, c.convoy, frame)
 		}
 	}
+}
 
-	// Two locks of one name are one row, and go with their Close.
+// TestLockRowsFoldAndEvict: locks sharing a name fold into one row; with
+// one of them closed the row starts over from the lock left; and the
+// last Close takes the row out of the frame and the viewer's state.
+func TestLockRowsFoldAndEvict(t *testing.T) {
+	rt, _, v, render := hotViewer(t, "lctop-hot")
+
 	a, b := rt.Register("lctop-twin"), rt.Register("lctop-twin")
 	a.SetPolicy(lcrt.ParkNever)
 	b.SetPolicy(lcrt.ParkNever)
 	render()
 	contend(a, 3, 100*time.Microsecond)
 	contend(b, 7, 100*time.Microsecond)
-	frame = render()
+	frame := render()
 	if f, _, ok := frameRow(frame, "lctop-twin"); !ok || f[4] != "10" {
 		t.Errorf("lctop-twin row = %v, want one row with the 10 waits of both locks:\n%s", f, frame)
 	}
